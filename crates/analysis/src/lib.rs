@@ -43,16 +43,15 @@ pub use crate::monitor::{
     Monitor, MonitorReport, Violation, ViolationKind, WaveOrderMonitor,
 };
 pub use crate::multi_chaos::{
-    multi_chaos_campaign, multi_chaos_campaign_with_jobs, multi_chaos_run, MultiChaosCampaign,
-    MultiChaosRun,
+    multi_chaos_campaign_with_jobs, multi_chaos_run, MultiChaosCampaign, MultiChaosRun,
 };
 pub use crate::parallel::{chaos_campaign_with_jobs, run_sharded};
 pub use crate::sim_trait::RoutingSimulation;
 pub use crate::table::Table;
 pub use crate::traffic::{
-    multi_traffic_campaign, multi_traffic_campaign_with_jobs, multi_traffic_run,
-    run_traffic_monitored, traffic_campaign, traffic_campaign_with_jobs, traffic_run,
-    AvailabilityMonitor, MultiTrafficCampaign, MultiTrafficRun, TrafficCampaign, TrafficConfig,
-    TrafficMode, TrafficRun, TrafficSummary, WorkloadDriver, WorkloadKind, WorkloadSpec,
+    multi_traffic_campaign_with_jobs, multi_traffic_run, run_traffic_monitored,
+    traffic_campaign_with_jobs, traffic_run, AvailabilityMonitor, MultiTrafficCampaign,
+    MultiTrafficRun, TrafficCampaign, TrafficConfig, TrafficMode, TrafficRun, TrafficSummary,
+    WorkloadDriver, WorkloadKind, WorkloadSpec,
 };
 pub use crate::waves::{track_containment, wave_stats, ContainmentEpisode, WaveStats};

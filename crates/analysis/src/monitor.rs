@@ -40,6 +40,7 @@ use lsrp_graph::{Graph, NodeId};
 use lsrp_sim::{RouteCursor, SimTime};
 
 use crate::loops::LoopScreen;
+use crate::traffic::{AvailabilityMonitor, WorkloadDriver};
 
 /// Which monitored guarantee broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -736,15 +737,16 @@ pub struct MonitorReport {
     pub violations: Vec<Violation>,
     /// Simulated end time.
     pub end: SimTime,
-    /// Whether the run settled before the horizon (no in-flight messages
-    /// and no enabled non-maintenance action).
+    /// Whether the run drained before the horizon (no enabled
+    /// non-maintenance action, nothing in flight on either plane).
     pub quiescent: bool,
     /// Events processed.
     pub events: u64,
 }
 
 /// Drives `sim` through `schedule` one engine event at a time, feeding
-/// every monitor, then runs on until protocol quiescence or `horizon`.
+/// every monitor, then runs on until the engine is drained
+/// ([`lsrp_sim::Engine::drained`]) or `horizon`.
 ///
 /// Monitors see `on_fault` immediately *before* each fault is applied
 /// (best-effort, as in [`FaultSchedule::drive_lsrp`]) and `on_event` after
@@ -755,31 +757,50 @@ pub fn run_monitored(
     horizon: f64,
     monitors: &mut [Box<dyn Monitor>],
 ) -> MonitorReport {
+    drive_monitored(sim, schedule, horizon, monitors, None)
+}
+
+/// The data plane riding a monitored run: the workload is scheduled ahead
+/// of each segment of the fault schedule and the availability monitor
+/// observes at every drained-check and around every fault.
+pub(crate) type DataPlane<'a> = (&'a mut WorkloadDriver, &'a mut AvailabilityMonitor);
+
+/// The monitored driver behind [`run_monitored`] and
+/// [`run_traffic_monitored`](crate::traffic::run_traffic_monitored).
+pub(crate) fn drive_monitored(
+    sim: &mut LsrpSimulation,
+    schedule: &FaultSchedule,
+    horizon: f64,
+    monitors: &mut [Box<dyn Monitor>],
+    mut plane: Option<DataPlane<'_>>,
+) -> MonitorReport {
     // Steps the engine one event at a time up to `until`, feeding every
-    // monitor; returns false when the run went quiescent before `until`.
+    // monitor; stops early once the engine is drained.
     fn step_through(
         sim: &mut LsrpSimulation,
         until: f64,
         monitors: &mut [Box<dyn Monitor>],
+        plane: &mut Option<DataPlane<'_>>,
         violations: &mut Vec<Violation>,
         events: &mut u64,
-    ) -> bool {
-        loop {
-            match sim.engine().next_event_time() {
-                Some(t) if t.seconds() <= until => {
-                    sim.engine_mut().step();
-                    *events += 1;
-                    for m in &mut *monitors {
-                        m.on_event(sim, violations);
-                    }
-                    if (*events).is_multiple_of(256)
-                        && !sim.engine().any_enabled_non_maintenance()
-                        && sim.engine().inflight_messages() == 0
-                    {
-                        return false;
-                    }
+    ) {
+        while sim
+            .engine()
+            .next_event_time()
+            .is_some_and(|t| t.seconds() <= until)
+        {
+            sim.engine_mut().step();
+            *events += 1;
+            for m in &mut *monitors {
+                m.on_event(sim, violations);
+            }
+            if (*events).is_multiple_of(256) {
+                if let Some((_, avail)) = plane {
+                    avail.observe(sim);
                 }
-                _ => return true,
+                if sim.engine().drained() {
+                    return;
+                }
             }
         }
     }
@@ -787,37 +808,53 @@ pub fn run_monitored(
     // feed here (it needs `&mut` once); they then take their own cursors
     // from the view lazily.
     let _ = sim.route_cursor();
+    if let Some((_, avail)) = &mut plane {
+        avail.arm(sim);
+    }
     let mut violations = Vec::new();
     let mut events = 0u64;
     for ev in &schedule.events {
-        step_through(sim, ev.at, monitors, &mut violations, &mut events);
+        if let Some((workload, _)) = &mut plane {
+            workload.ensure_scheduled(sim.engine_mut(), ev.at);
+        }
+        step_through(
+            sim,
+            ev.at,
+            monitors,
+            &mut plane,
+            &mut violations,
+            &mut events,
+        );
         if ev.at > sim.now().seconds() {
             sim.run_until(ev.at);
         }
         for m in &mut *monitors {
             m.on_fault(SimTime::new(ev.at), &ev.fault, sim, &mut violations);
         }
+        if let Some((_, avail)) = &mut plane {
+            // Drain pre-fault packets against their own era's ground
+            // truth, then drop it: the fault may change the topology.
+            avail.observe(sim);
+            avail.invalidate_truth();
+        }
         let _ = ev.fault.apply_lsrp(sim);
     }
-    // Tail: run to quiescence (maintenance may tick forever; stop once
-    // nothing effective can happen) or the horizon.
-    loop {
-        if !sim.engine().any_enabled_non_maintenance() && sim.engine().inflight_messages() == 0 {
-            break;
-        }
-        if !step_through(sim, horizon, monitors, &mut violations, &mut events) {
-            break;
-        }
-        if sim
-            .engine()
-            .next_event_time()
-            .is_none_or(|t| t.seconds() > horizon)
-        {
-            break;
-        }
+    // Tail: the whole workload is scheduled now; run until the engine is
+    // drained (maintenance may tick forever) or the horizon.
+    if let Some((workload, _)) = &mut plane {
+        workload.ensure_scheduled(sim.engine_mut(), f64::INFINITY);
     }
-    let quiescent =
-        !sim.engine().any_enabled_non_maintenance() && sim.engine().inflight_messages() == 0;
+    if !sim.engine().drained() {
+        step_through(
+            sim,
+            horizon,
+            monitors,
+            &mut plane,
+            &mut violations,
+            &mut events,
+        );
+    }
+    let quiescent = sim.engine().drained();
     for m in monitors {
         m.finish(sim, &mut violations);
     }

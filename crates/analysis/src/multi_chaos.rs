@@ -190,21 +190,9 @@ pub fn multi_chaos_run(
 }
 
 /// Runs a campaign of `runs` multi-destination chaos runs with seeds
-/// `base_seed..`.
-pub fn multi_chaos_campaign(
-    graph: &Graph,
-    destinations: &[NodeId],
-    topology: &str,
-    config: &ChaosConfig,
-    base_seed: u64,
-    runs: u32,
-) -> MultiChaosCampaign {
-    multi_chaos_campaign_with_jobs(graph, destinations, topology, config, base_seed, runs, 1)
-}
-
-/// [`multi_chaos_campaign`] sharded over `jobs` worker threads. Runs are
-/// keyed by seed and merged in seed order, so the campaign report is
-/// byte-identical to the serial campaign for every `jobs` value.
+/// `base_seed..`, sharded over `jobs` worker threads. Runs are keyed by
+/// seed and merged in seed order, so the campaign report is
+/// byte-identical for every `jobs` value.
 pub fn multi_chaos_campaign_with_jobs(
     graph: &Graph,
     destinations: &[NodeId],
@@ -253,7 +241,8 @@ mod tests {
     fn standard_chaos_leaves_every_tree_correct() {
         let g = generators::grid(3, 3, 1);
         let dests: Vec<NodeId> = g.nodes().collect();
-        let campaign = multi_chaos_campaign(&g, &dests, "grid:3x3", &small_config(), 1, 3);
+        let campaign =
+            multi_chaos_campaign_with_jobs(&g, &dests, "grid:3x3", &small_config(), 1, 3, 1);
         for run in &campaign.runs {
             assert!(run.quiescent, "seed {} did not settle", run.seed);
             assert!(run.routes_correct, "seed {} left a bad tree", run.seed);
@@ -266,10 +255,10 @@ mod tests {
         let g = generators::grid(3, 3, 1);
         let dests: Vec<NodeId> = g.nodes().step_by(2).collect();
         let cfg = small_config();
-        let a = multi_chaos_campaign(&g, &dests, "grid:3x3", &cfg, 7, 3);
-        let b = multi_chaos_campaign(&g, &dests, "grid:3x3", &cfg, 7, 3);
+        let a = multi_chaos_campaign_with_jobs(&g, &dests, "grid:3x3", &cfg, 7, 3, 1);
+        let b = multi_chaos_campaign_with_jobs(&g, &dests, "grid:3x3", &cfg, 7, 3, 1);
         assert_eq!(a.report(), b.report());
-        let c = multi_chaos_campaign(&g, &dests, "grid:3x3", &cfg, 8, 3);
+        let c = multi_chaos_campaign_with_jobs(&g, &dests, "grid:3x3", &cfg, 8, 3, 1);
         assert_ne!(a.report(), c.report(), "different seeds, different runs");
     }
 
@@ -278,7 +267,7 @@ mod tests {
         let g = generators::grid(3, 3, 1);
         let dests: Vec<NodeId> = g.nodes().collect();
         let cfg = small_config();
-        let serial = multi_chaos_campaign(&g, &dests, "grid:3x3", &cfg, 11, 4);
+        let serial = multi_chaos_campaign_with_jobs(&g, &dests, "grid:3x3", &cfg, 11, 4, 1);
         for jobs in [2, 4, 7] {
             let parallel =
                 multi_chaos_campaign_with_jobs(&g, &dests, "grid:3x3", &cfg, 11, 4, jobs);

@@ -41,7 +41,9 @@ use lsrp_sim::{
 };
 
 use crate::chaos::ChaosConfig;
-use crate::monitor::{standard_monitors, Monitor, MonitorReport, Violation, ViolationKind};
+use crate::monitor::{
+    drive_monitored, standard_monitors, Monitor, MonitorReport, Violation, ViolationKind,
+};
 use crate::parallel::run_sharded;
 
 // ---------------------------------------------------------------------
@@ -730,13 +732,11 @@ impl TrafficRun {
     }
 }
 
-/// Drives `sim` through `schedule` with the standard monitors while
-/// `workload` injects packets, mirroring
-/// [`run_monitored`](crate::monitor::run_monitored) — plus the workload's
-/// scheduling hook before each segment and the availability monitor's
-/// observation feed. The run ends when *both* planes drain (no enabled
-/// non-maintenance action, no in-flight messages, no packets in flight)
-/// or at `horizon`.
+/// [`run_monitored`](crate::monitor::run_monitored) with `workload`
+/// riding the same engine: the workload is scheduled ahead of each
+/// segment of the fault schedule and `avail` observes the packet ledger
+/// throughout. The run ends when *both* planes drain
+/// ([`Engine::drained`]) or at `horizon`.
 pub fn run_traffic_monitored(
     sim: &mut LsrpSimulation,
     schedule: &FaultSchedule,
@@ -745,97 +745,11 @@ pub fn run_traffic_monitored(
     workload: &mut WorkloadDriver,
     avail: &mut AvailabilityMonitor,
 ) -> (MonitorReport, TrafficSummary) {
-    // Steps the engine one event at a time up to `until`, feeding every
-    // monitor; returns false when the run drained before `until`.
-    fn step_through(
-        sim: &mut LsrpSimulation,
-        until: f64,
-        monitors: &mut [Box<dyn Monitor>],
-        avail: &mut AvailabilityMonitor,
-        violations: &mut Vec<Violation>,
-        events: &mut u64,
-    ) -> bool {
-        loop {
-            match sim.engine().next_event_time() {
-                Some(t) if t.seconds() <= until => {
-                    sim.engine_mut().step();
-                    *events += 1;
-                    for m in &mut *monitors {
-                        m.on_event(sim, violations);
-                    }
-                    if (*events).is_multiple_of(256) {
-                        avail.observe(sim);
-                        if !sim.engine().any_enabled_non_maintenance()
-                            && sim.engine().inflight_messages() == 0
-                            && sim.engine().packets_in_flight() == 0
-                            && sim.engine().flows_active() == 0
-                        {
-                            return false;
-                        }
-                    }
-                }
-                _ => return true,
-            }
-        }
-    }
-    avail.arm(sim);
-    let mut violations = Vec::new();
-    let mut events = 0u64;
-    for ev in &schedule.events {
-        workload.ensure_scheduled(sim.engine_mut(), ev.at);
-        step_through(sim, ev.at, monitors, avail, &mut violations, &mut events);
-        if ev.at > sim.now().seconds() {
-            sim.run_until(ev.at);
-        }
-        for m in &mut *monitors {
-            m.on_fault(SimTime::new(ev.at), &ev.fault, sim, &mut violations);
-        }
-        // Drain pre-fault packets against their own era's ground truth,
-        // then drop it: the fault may change the topology.
-        avail.observe(sim);
-        avail.invalidate_truth();
-        let _ = ev.fault.apply_lsrp(sim);
-    }
-    // Tail: the whole workload is scheduled now; run until both planes
-    // drain or the horizon.
-    workload.ensure_scheduled(sim.engine_mut(), f64::INFINITY);
-    loop {
-        if !sim.engine().any_enabled_non_maintenance()
-            && sim.engine().inflight_messages() == 0
-            && sim.engine().packets_in_flight() == 0
-            && sim.engine().flows_active() == 0
-        {
-            break;
-        }
-        if !step_through(sim, horizon, monitors, avail, &mut violations, &mut events) {
-            break;
-        }
-        if sim
-            .engine()
-            .next_event_time()
-            .is_none_or(|t| t.seconds() > horizon)
-        {
-            break;
-        }
-    }
-    let quiescent = !sim.engine().any_enabled_non_maintenance()
-        && sim.engine().inflight_messages() == 0
-        && sim.engine().packets_in_flight() == 0
-        && sim.engine().flows_active() == 0;
-    for m in monitors {
-        m.finish(sim, &mut violations);
-    }
+    let plane = Some((workload, &mut *avail));
+    let report = drive_monitored(sim, schedule, horizon, monitors, plane);
     avail.observe(sim);
     let summary = avail.finish(sim.stats().traffic, sim.stats().congestion);
-    (
-        MonitorReport {
-            violations,
-            end: sim.now(),
-            quiescent,
-            events,
-        },
-        summary,
-    )
+    (report, summary)
 }
 
 /// Runs one seeded traffic run: settle to the fault-free fixpoint,
@@ -940,21 +854,9 @@ impl TrafficCampaign {
     }
 }
 
-/// Runs a traffic campaign of `runs` seeded runs (seeds `base_seed..`).
-pub fn traffic_campaign(
-    graph: &Graph,
-    destination: NodeId,
-    topology: &str,
-    config: &TrafficConfig,
-    base_seed: u64,
-    runs: u32,
-) -> TrafficCampaign {
-    traffic_campaign_with_jobs(graph, destination, topology, config, base_seed, runs, 1)
-}
-
-/// [`traffic_campaign`] sharded over `jobs` worker threads; runs are
-/// keyed by seed and merged in seed order, so the report is
-/// byte-identical to the serial campaign for every `jobs` value.
+/// Runs a traffic campaign of `runs` seeded runs (seeds `base_seed..`)
+/// sharded over `jobs` worker threads; runs are keyed by seed and merged
+/// in seed order, so the report is byte-identical for every `jobs` value.
 pub fn traffic_campaign_with_jobs(
     graph: &Graph,
     destination: NodeId,
@@ -1074,11 +976,7 @@ pub fn multi_traffic_run(
     // would settle-skip past queued packet events, so advance manually.
     workload.ensure_scheduled(sim.engine_mut(), f64::INFINITY);
     loop {
-        let drained = !sim.engine().any_enabled_non_maintenance()
-            && sim.engine().inflight_messages() == 0
-            && sim.engine().packets_in_flight() == 0
-            && sim.engine().flows_active() == 0;
-        if drained {
+        if sim.engine().drained() {
             break;
         }
         let Some(next) = sim.engine().next_event_time() else {
@@ -1092,10 +990,7 @@ pub fn multi_traffic_run(
         avail.observe(&mut sim);
     }
     avail.observe(&mut sim);
-    let quiescent = !sim.engine().any_enabled_non_maintenance()
-        && sim.engine().inflight_messages() == 0
-        && sim.engine().packets_in_flight() == 0
-        && sim.engine().flows_active() == 0;
+    let quiescent = sim.engine().drained();
     let traffic = avail.finish(sim.stats().traffic, sim.stats().congestion);
     MultiTrafficRun {
         seed,
@@ -1154,20 +1049,8 @@ impl MultiTrafficCampaign {
     }
 }
 
-/// Runs a multi-destination traffic campaign (serial).
-pub fn multi_traffic_campaign(
-    graph: &Graph,
-    destinations: &[NodeId],
-    topology: &str,
-    config: &TrafficConfig,
-    base_seed: u64,
-    runs: u32,
-) -> MultiTrafficCampaign {
-    multi_traffic_campaign_with_jobs(graph, destinations, topology, config, base_seed, runs, 1)
-}
-
-/// [`multi_traffic_campaign`] sharded over `jobs` workers (byte-identical
-/// reports for every `jobs` value).
+/// Runs a multi-destination traffic campaign sharded over `jobs` workers
+/// (byte-identical reports for every `jobs` value).
 pub fn multi_traffic_campaign_with_jobs(
     graph: &Graph,
     destinations: &[NodeId],

@@ -752,7 +752,7 @@ fn run_region_cases(
     });
     for ((label, regions), m) in cases.iter().zip(&results) {
         if r.require_correct {
-            assert!(m.quiescent && m.routes_correct, "{label}");
+            require_recovered(m.quiescent, m.routes_correct, label)?;
         }
         let row: Vec<String> = r
             .report
@@ -854,6 +854,18 @@ fn expand_recurring(r: &RecoveryScenario) -> Result<Vec<RecurringCellSpec>, Stri
     Ok(cells)
 }
 
+/// The `require_correct` gate of a recovery scenario: a cell that did not
+/// settle to correct routes fails the whole run with an error naming it
+/// (what a scenario file asks for must never panic the binary).
+fn require_recovered(quiescent: bool, routes_correct: bool, cell: &str) -> Result<(), String> {
+    if quiescent && routes_correct {
+        return Ok(());
+    }
+    Err(format!(
+        "recovery cell did not recover (quiescent={quiescent}, routes_correct={routes_correct}): {cell}"
+    ))
+}
+
 /// Runs the `[[fault.recurring]]` path of a recovery scenario: one row
 /// per resolved period, each driving the recurring-corruption schedule
 /// to quiescence (E10, Corollary 4).
@@ -870,10 +882,8 @@ fn run_recurring(
     let specs = cells.clone();
     let results = run_sharded(jobs, specs.len(), move |i| recurring_cell(&specs[i]));
     for (cell, m) in cells.iter().zip(&results) {
-        assert!(m.quiescent, "period={}", cell.period);
-        if r.require_correct {
-            assert!(m.routes_correct, "period={}", cell.period);
-        }
+        let correct = m.routes_correct || !r.require_correct;
+        require_recovered(m.quiescent, correct, &format!("period={}", cell.period))?;
         let row: Vec<String> = r
             .report
             .columns
@@ -937,12 +947,11 @@ fn run_recovery(
             let results = run_sharded(jobs, n_cells, move |i| recovery_cell(&specs[i]));
             for (cell, m) in cells.iter().zip(&results) {
                 if r.require_correct {
-                    let (protocol, w, p) = (
-                        cell.protocol.expect("checked in expand_recovery"),
-                        cell.width,
-                        cell.p,
-                    );
-                    assert!(m.quiescent && m.routes_correct, "{protocol:?} w={w} p={p}");
+                    require_recovered(
+                        m.quiescent,
+                        m.routes_correct,
+                        &cell.describe(Plane::Single),
+                    )?;
                 }
                 let row: Vec<String> = r
                     .report

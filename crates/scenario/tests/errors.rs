@@ -1,6 +1,8 @@
 //! Error-snapshot tests: the loader's diagnostics name the offending
-//! line and field, exactly.
+//! line and field, exactly — and a run-time failure a scenario file can
+//! provoke comes back as an error, never a panic.
 
+use lsrp_scenario::exec::{run_scenario, ExecOptions};
 use lsrp_scenario::schema::load_str;
 
 fn err(src: &str) -> String {
@@ -261,5 +263,35 @@ fn topology_without_fault_regions_is_rejected() {
     assert_eq!(
         err(src),
         "line 6: [topology] on a recovery scenario needs [[fault.region]] cases (the sweep path builds a grid from 'width')"
+    );
+}
+
+#[test]
+fn unrecovered_require_correct_cell_is_an_error_naming_the_cell() {
+    // `require_correct` defaults to true; with every message lost the
+    // blackholed region can never be repaired, so the cell settles with
+    // wrong routes.
+    let src = "[scenario]\n\
+               name = \"x\"\n\
+               kind = \"recovery\"\n\
+               [recovery]\n\
+               protocol = \"lsrp\"\n\
+               width = 4\n\
+               p = 2\n\
+               seed = 5\n\
+               fault = \"blackhole-region\"\n\
+               [engine]\n\
+               syn_period = 5.0\n\
+               [report]\n\
+               title = \"t\"\n\
+               columns = [\"loss\", \"routes_correct\"]\n\
+               [sweep]\n\
+               loss = [0.0, 1.0]\n";
+    let scenario = load_str(src).expect("scenario parses");
+    let err = run_scenario(&scenario, ExecOptions::default()).expect_err("cell cannot recover");
+    assert_eq!(
+        err,
+        "recovery cell did not recover (quiescent=true, routes_correct=false): \
+         protocol=lsrp width=4 p=2 loss=1.0 seed=5"
     );
 }

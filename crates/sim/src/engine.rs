@@ -3,40 +3,51 @@
 //! See the crate docs for the model. The engine partitions the topology
 //! into connected *regions* ([`lsrp_graph::partition`], count set by
 //! [`EngineConfig::regions`]) and gives each region its own event queue,
-//! node slab, link state, packet arena and counters. Regions execute
-//! concurrently inside **conservative time windows** of width
-//! `W = link.delay_min`: every cross-region interaction rides a link and
-//! therefore arrives at least `W` after it was emitted, so all events in
-//! `[t, t + W)` are causally independent across regions and can run in
-//! parallel. Cross-region events produced inside a window are *staged*
-//! into per-region buffers and merged into the target queues at the
-//! window barrier; queues order by the canonical `(SimTime, EventKey)`
-//! key, so the merged schedule — and hence the whole trajectory — is
-//! byte-identical for every region count and worker count (DESIGN.md
-//! §15 gives the full determinism argument).
+//! node slab, link state, packet arena and counters. One window driver
+//! (`Engine::drive`) plays the daemon for every public run method:
+//! it repeatedly takes the globally earliest pending event at time `t`,
+//! admits every event in the **conservative window** `[t, t + L)` —
+//! shrunk by the caller's stop conditions — runs the regions over it
+//! concurrently, and closes the window with one barrier. `L` is the
+//! engine's *lookahead*, the minimum simulated delay of any cross-region
+//! effect, fixed at construction:
+//!
+//! * `∞` with one region — nothing crosses a region boundary, so a
+//!   window spans the whole run;
+//! * `link.delay_min` with several regions — every cross-region
+//!   interaction rides a link and arrives at least that much later, so
+//!   the events of one window are causally independent across regions;
+//! * `0` with several regions under [`DisciplineKind::Pause`] — PFC pause
+//!   writes the *upstream* port's `paused_until` at the instant a frame
+//!   is enqueued, a zero-delay cross-region effect. A zero-width window
+//!   rejects even its own first event, and the driver's answer to that
+//!   (the same one it gives when a stop condition lands before the next
+//!   event) is a window holding exactly the globally earliest event:
+//!   the sequential schedule.
+//!
+//! Cross-region events produced inside a window are *staged* into
+//! per-region buffers and merged into the target queues at the barrier;
+//! queues order by the canonical `(SimTime, EventKey)` key, so the merged
+//! schedule — and hence the whole trajectory — is byte-identical for
+//! every region count and worker count (DESIGN.md §15 gives the full
+//! determinism argument).
 //!
 //! Observability is split in two streams so the sink and route view stay
-//! strictly sequential: order-free tallies ([`CountOp`]) are applied
-//! unsorted at each barrier, while ordered records ([`ObsOp`]: actions,
+//! strictly sequential: order-free tallies (`CountOp`) are applied
+//! as-is at each barrier, while ordered records (`ObsOp`: actions,
 //! variable changes, view updates, packet/flow completions) carry their
-//! originating `(time, key, seq)` and are sorted before application —
-//! reproducing exactly the order a single-queue engine would have
-//! produced them in.
+//! originating `(time, key, seq)` and are applied through a k-way merge
+//! of the per-region streams (see `Engine::flush` for why a merge and
+//! not a sort) — reproducing exactly the order a single-queue engine
+//! would have produced them in.
 //!
 //! Worker threads come from `std::thread::scope`, not the vendored
 //! `threadpool` crate: the pool's `execute` requires `'static` closures,
 //! which would force the per-region state behind `Arc<Mutex<_>>` (or
 //! `unsafe` lifetime laundering, forbidden by the crate's
 //! `#![forbid(unsafe_code)]`). Scoped threads borrow the region slabs
-//! directly for the duration of one window and cost one spawn per
-//! window, which the windows' granularity amortizes.
-//!
-//! One discipline cannot be windowed: PFC pause writes the *upstream*
-//! port's `paused_until` at the instant the frame is emitted — a
-//! zero-lookahead cross-region effect. With `regions > 1` and a
-//! [`DisciplineKind::Pause`] discipline the engine therefore falls back
-//! to conservative lockstep (one globally-minimal event at a time, still
-//! via the per-region queues), which is exactly the sequential schedule.
+//! directly for the duration of one window; a window in which at most
+//! one region has work runs inline and spawns nothing.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -76,8 +87,9 @@ static EMPTY_TRACE: Trace = Trace {
     sent_counts: BTreeMap::new(),
 };
 
-/// Flush ordered observability at least this often on the single-region
-/// fast path, bounding buffer growth on long uninterrupted runs.
+/// The driver's flush cadence: a window that is unbounded in time is cut
+/// after this many events, bounding how much ordered observability a long
+/// uninterrupted run buffers between barriers.
 const OBS_CHUNK: u64 = 65_536;
 
 /// Errors surfaced by engine runs.
@@ -86,12 +98,11 @@ pub enum EngineError {
     /// The per-run event budget was exhausted — almost always a zero-hold
     /// action livelock in the protocol under test.
     EventBudgetExhausted {
-        /// Simulated time at which the budget ran out. With one region
-        /// this is the time of the last processed event, exactly as the
-        /// sequential engine reported; with several regions the budget is
+        /// The engine clock after the last window barrier — the time of
+        /// the latest processed event. With several regions the budget is
         /// enforced per region inside a window, so the run may overshoot
-        /// by up to `regions ×` before erroring and `at` is the latest
-        /// exhausted region's clock (error-path-only divergence).
+        /// by up to `regions ×` before erroring (error-path-only
+        /// divergence).
         at: SimTime,
     },
 }
@@ -362,9 +373,10 @@ enum ObsOp {
 
 /// One ordered observability record: the `(time, key)` of the event that
 /// produced it plus a per-region sequence number breaking ties *within*
-/// that event. Sorting merged records by `(time, key, seq)` reproduces
-/// the sequential application order exactly (event keys are globally
-/// unique, so records from different regions never tie).
+/// that event. Each region's stream stays in execution order; merging
+/// the streams by `(time, key, seq)` at a barrier reproduces the
+/// sequential application order exactly (event keys are globally unique,
+/// so records from different regions never tie).
 struct ObsRec {
     time: SimTime,
     key: EventKey,
@@ -400,8 +412,8 @@ enum Staged<M> {
         marked: bool,
     },
     /// PFC pause of the remote upstream port `(upstream, from)` — only
-    /// ever staged in lockstep mode (see the module docs), where `at` is
-    /// the globally current instant.
+    /// ever staged under a zero lookahead (see the module docs), where
+    /// `at` is the globally current instant.
     Pause {
         region: u32,
         upstream: NodeId,
@@ -411,45 +423,58 @@ enum Staged<M> {
     },
 }
 
-/// Admission bound of one conservative window: `limit` plus whether the
-/// limit itself is admitted. Windows start exclusive at `t + W`;
-/// stop-condition caps (`until`, `horizon`, `last_effective + settle`)
-/// only ever *shrink* the admitted set, so conservative lookahead safety
-/// is preserved under every cap.
+/// Admission bound of one conservative window over the canonical
+/// `(time, key)` event order: `limit` plus whether the limit itself is
+/// admitted. Windows start exclusive at `t + lookahead`; stop-condition
+/// caps (`until`, `horizon`, `last_effective + settle`) only ever
+/// *shrink* the admitted set, so conservative lookahead safety is
+/// preserved under every cap.
 #[derive(Debug, Clone, Copy)]
 struct WindowBound {
-    limit: SimTime,
+    limit: (SimTime, EventKey),
     inclusive: bool,
 }
 
 impl WindowBound {
+    /// Admits every event strictly before time `limit`.
     fn exclusive(limit: SimTime) -> Self {
         WindowBound {
-            limit,
+            limit: (limit, EventKey { src: 0, k: 0 }),
             inclusive: false,
         }
     }
 
+    /// Admits every event at or before time `limit`.
     fn inclusive(limit: SimTime) -> Self {
         WindowBound {
-            limit,
+            limit: (limit, EventKey::driver(u64::MAX)),
             inclusive: true,
         }
     }
 
-    fn admits(&self, t: SimTime) -> bool {
-        if self.inclusive {
-            t <= self.limit
-        } else {
-            t < self.limit
+    /// Admits nothing past the event `head` itself. Keys are globally
+    /// unique, so when `head` is the earliest pending event it is the
+    /// only one admitted, in any region.
+    fn only(head: (SimTime, EventKey)) -> Self {
+        WindowBound {
+            limit: head,
+            inclusive: true,
         }
     }
 
-    /// Caps the bound at `at` (inclusive) if that shrinks it. `at <
+    fn admits(&self, at: (SimTime, EventKey)) -> bool {
+        if self.inclusive {
+            at <= self.limit
+        } else {
+            at < self.limit
+        }
+    }
+
+    /// Caps the bound at time `at` (inclusive) if that shrinks it. `at <
     /// limit` implies `{t : t <= at} ⊂ {t : t < limit}`, so a cap never
     /// admits a time the original bound rejected.
     fn cap(self, at: SimTime) -> Self {
-        if at < self.limit {
+        if at < self.limit.0 {
             WindowBound::inclusive(at)
         } else {
             self
@@ -668,19 +693,12 @@ impl<P: ProtocolNode> Core<P> {
     }
 
     /// Processes every queued event admitted by `bound`, up to `budget`
-    /// events. Returns `(processed, exhausted_at)`: `exhausted_at` is
-    /// set when the budget ran out with an admitted event still pending
-    /// (the caller decides whether that is a real budget error or just a
-    /// flush chunk boundary).
-    fn run_window(&mut self, shared: &Shared, bound: WindowBound, budget: u64) -> WindowOutcome {
+    /// events, and returns how many ran. Stopping on the budget leaves
+    /// the next admitted event queued; the driver meets it again at the
+    /// top of its loop and decides whether the run's budget is spent.
+    fn run_window(&mut self, shared: &Shared, bound: WindowBound, budget: u64) -> u64 {
         let mut done = 0u64;
-        while let Some((time, _)) = self.queue.peek() {
-            if !bound.admits(time) {
-                break;
-            }
-            if done >= budget {
-                return (done, Some(self.now));
-            }
+        while done < budget && self.queue.peek().is_some_and(|head| bound.admits(head)) {
             let (time, key, event) = self.queue.pop().expect("peeked");
             self.now = self.now.max(time);
             self.cur_time = self.now;
@@ -688,18 +706,7 @@ impl<P: ProtocolNode> Core<P> {
             self.dispatch(shared, event);
             done += 1;
         }
-        (done, None)
-    }
-
-    /// Pops and processes exactly one event (the region's earliest),
-    /// returning its time. Callers guarantee the queue is non-empty.
-    fn step_one(&mut self, shared: &Shared) -> SimTime {
-        let (time, key, event) = self.queue.pop().expect("step_one on an empty region");
-        self.now = self.now.max(time);
-        self.cur_time = self.now;
-        self.cur_key = key;
-        self.dispatch(shared, event);
-        self.now
+        done
     }
 
     fn dispatch(&mut self, shared: &Shared, event: Event<P::Msg>) {
@@ -1310,9 +1317,10 @@ impl<P: ProtocolNode> Core<P> {
                     let base = port.paused_until.max(self.now);
                     port.paused_until = base + verdict.pause_upstream;
                 } else {
-                    // Zero-lookahead cross-region write: only reachable in
-                    // lockstep mode, where the barrier applies it before
-                    // the next event anywhere.
+                    // Zero-lookahead cross-region write: only reachable
+                    // when the engine's lookahead is zero, so the window
+                    // holds this one event and the barrier applies the
+                    // pause before the next event anywhere.
                     self.staged.push(Staged::Pause {
                         region,
                         upstream: u,
@@ -1674,8 +1682,19 @@ impl<P: ProtocolNode> Core<P> {
     }
 }
 
-/// `(events processed, budget-exhausted at)` for one region's window.
-type WindowOutcome = (u64, Option<SimTime>);
+/// Why [`Engine::drive`] stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Halt {
+    /// Every queue is empty.
+    Drained,
+    /// Nothing effective happened for the settle span and no
+    /// non-maintenance guard is enabled.
+    Settled,
+    /// The next pending event lies beyond `until`.
+    Passed,
+    /// The event budget is spent and an event within `until` is pending.
+    Budget,
+}
 
 /// The region-parallel discrete-event engine (see the module docs for
 /// the execution model; the public API is unchanged from the sequential
@@ -1702,11 +1721,9 @@ pub struct Engine<P: ProtocolNode> {
     /// events — so serial and regioned runs agree (see
     /// [`EngineStats::peak_queue_depth`]).
     peak_queue_depth: usize,
-    /// Conservative lockstep mode (PFC pause with several regions; see
-    /// the module docs).
-    lockstep: bool,
-    /// Conservative window width `W = link.delay_min`.
-    window: f64,
+    /// Minimum simulated delay of any cross-region effect — the width of
+    /// a conservative window (see the module docs for its three values).
+    lookahead: f64,
     /// Completed packets awaiting [`Engine::drain_completed_packets`],
     /// in canonical completion order.
     completed_packets: Vec<PacketRecord>,
@@ -1765,10 +1782,15 @@ impl<P: ProtocolNode> Engine<P> {
                 map.assign(v, r as u32);
             }
         }
-        let lockstep = part.regions.len() > 1
-            && config.congestion.enabled()
-            && matches!(config.congestion.discipline, DisciplineKind::Pause { .. });
-        let window = config.link.delay_min;
+        let lookahead = if part.regions.len() == 1 {
+            f64::INFINITY
+        } else if config.congestion.enabled()
+            && matches!(config.congestion.discipline, DisciplineKind::Pause { .. })
+        {
+            0.0
+        } else {
+            config.link.delay_min
+        };
         let mut cores: Vec<Core<P>> = (0..part.regions.len())
             .map(|i| Core::new(i as u32, &config))
             .collect();
@@ -1793,8 +1815,7 @@ impl<P: ProtocolNode> Engine<P> {
             factory: Box::new(factory),
             driver_opseq: 0,
             peak_queue_depth: 0,
-            lockstep,
-            window,
+            lookahead,
             completed_packets: Vec::new(),
             completed_flows: Vec::new(),
             staged_merge: Vec::new(),
@@ -2369,32 +2390,20 @@ impl<P: ProtocolNode> Engine<P> {
     // Running.
     // ------------------------------------------------------------------
 
-    /// The globally earliest queued `(time, key)` and its region.
-    fn global_next(&self) -> Option<(SimTime, usize)> {
-        let mut best: Option<(SimTime, EventKey, usize)> = None;
-        for (i, core) in self.cores.iter().enumerate() {
-            if let Some((t, k)) = core.queue.peek() {
-                let better = match best {
-                    None => true,
-                    Some((bt, bk, _)) => (t, k) < (bt, bk),
-                };
-                if better {
-                    best = Some((t, k, i));
-                }
-            }
-        }
-        best.map(|(t, _, i)| (t, i))
+    /// The globally earliest queued `(time, key)`.
+    fn global_next(&self) -> Option<(SimTime, EventKey)> {
+        self.cores.iter().filter_map(|c| c.queue.peek()).min()
     }
 
-    fn queues_empty(&self) -> bool {
-        self.cores.iter().all(|c| c.queue.is_empty())
-    }
-
-    /// Raises the engine clock to the furthest region clock.
-    fn sync_now(&mut self) {
-        for core in &self.cores {
-            self.now = self.now.max(core.now);
-        }
+    /// Whether both planes are drained: no non-maintenance guard enabled,
+    /// no control message in flight, no packet in flight and no flow
+    /// active. Periodic maintenance may still be queued — a drained
+    /// engine can only tick, never change a route or move a packet.
+    pub fn drained(&self) -> bool {
+        !self.any_enabled_non_maintenance()
+            && self.inflight_messages() == 0
+            && self.packets_in_flight() == 0
+            && self.flows_active() == 0
     }
 
     /// The time of the earliest queued event, if any.
@@ -2405,16 +2414,13 @@ impl<P: ProtocolNode> Engine<P> {
     /// Processes exactly one event (the globally earliest) and returns
     /// the clock after it — the hook fine-grained observers (e.g. the
     /// loop monitor checking every intermediate state) are built on.
-    /// Returns `None` when all queues are empty. Stepping is always
-    /// sequential (a one-event window with an immediate barrier).
+    /// Returns `None` when all queues are empty. A step is a zero-width
+    /// window with a budget of one, and the one place outside driver
+    /// mutations where `peak_queue_depth` is sampled.
     pub fn step(&mut self) -> Option<SimTime> {
-        let (_, i) = self.global_next()?;
-        let t = self.cores[i].step_one(&self.shared);
-        self.ingest_staged(None);
+        let (events, _) = self.drive(SimTime::new(f64::INFINITY), 0.0, 0.0, 1);
         self.sample_queue_depth();
-        self.flush();
-        self.now = self.now.max(t);
-        Some(self.now)
+        (events > 0).then_some(self.now)
     }
 
     /// Processes all events up to and including `until`, then advances the
@@ -2425,71 +2431,15 @@ impl<P: ProtocolNode> Engine<P> {
     /// [`EngineError::EventBudgetExhausted`] if the configured event budget
     /// runs out.
     pub fn run_until(&mut self, until: SimTime) -> Result<RunReport, EngineError> {
-        let mut events = 0u64;
         let max_events = self.shared.config.max_events;
-        if self.cores.len() == 1 {
-            // Single region: admit the whole span in one window (chunked
-            // so ordered observability flushes periodically). This is
-            // exactly the sequential event loop.
-            let bound = WindowBound::inclusive(until);
-            loop {
-                let budget = max_events.saturating_sub(events).min(OBS_CHUNK);
-                let (done, exhausted) = self.cores[0].run_window(&self.shared, bound, budget);
-                events += done;
-                self.flush();
-                self.sync_now();
-                match exhausted {
-                    Some(at) if events >= max_events => {
-                        return Err(EngineError::EventBudgetExhausted {
-                            at: at.max(self.now),
-                        });
-                    }
-                    Some(_) => continue,
-                    None => break,
-                }
-            }
-        } else if self.lockstep {
-            // Conservative lockstep: one globally-minimal event per
-            // barrier (see the module docs).
-            while let Some((t, i)) = self.global_next() {
-                if t > until {
-                    break;
-                }
-                if events >= max_events {
-                    return Err(EngineError::EventBudgetExhausted { at: self.now });
-                }
-                let tdone = self.cores[i].step_one(&self.shared);
-                self.ingest_staged(None);
-                self.flush();
-                self.now = self.now.max(tdone);
-                events += 1;
-            }
-        } else {
-            while let Some((t, _)) = self.global_next() {
-                if t > until {
-                    break;
-                }
-                if events >= max_events {
-                    return Err(EngineError::EventBudgetExhausted { at: self.now });
-                }
-                let bound = WindowBound::exclusive(t + self.window).cap(until);
-                let budget = max_events.saturating_sub(events);
-                let (done, exhausted) = self.execute_window(bound, budget);
-                events += done;
-                self.ingest_staged(Some(bound));
-                self.flush();
-                self.sync_now();
-                if let Some(at) = exhausted {
-                    return Err(EngineError::EventBudgetExhausted {
-                        at: at.max(self.now),
-                    });
-                }
-            }
+        let (events, halt) = self.drive(until, 0.0, self.lookahead, max_events);
+        if halt == Halt::Budget {
+            return Err(EngineError::EventBudgetExhausted { at: self.now });
         }
         self.now = self.now.max(until);
         Ok(RunReport {
             end: self.now,
-            quiescent: self.queues_empty(),
+            quiescent: halt == Halt::Drained,
             last_effective: self.last_effective(),
             events,
         })
@@ -2501,17 +2451,11 @@ impl<P: ProtocolNode> Engine<P> {
     /// is configured), the run ends when the event queues drain. With
     /// `settle > 0`, the run ends once no *effective* event (state or
     /// mirror change, or non-maintenance execution) has occurred for
-    /// `settle` simulated seconds — use a window larger than
-    /// `rho * syn_period + delay_max` so periodic refreshes that change
-    /// nothing do not keep the system "live".
-    ///
-    /// Windows are capped at `last_effective + settle` and `horizon`, so
-    /// no event a sequential engine would have left unprocessed at its
-    /// stop point is ever executed — stop decisions, event counts and end
-    /// times are region-count-invariant. When a cap lands before the
-    /// window's first event (settle boundary crossed while guards are
-    /// still enabled), the engine degrades to single-event steps until
-    /// the boundary resolves.
+    /// `settle` simulated seconds and no non-maintenance guard is enabled
+    /// — any remaining events are maintenance refreshes whose payloads
+    /// already match the receivers' mirrors (a divergent mirror would
+    /// have produced an effective refresh within the span), so use a
+    /// `settle` larger than `rho * syn_period + delay_max`.
     ///
     /// # Errors
     ///
@@ -2521,123 +2465,123 @@ impl<P: ProtocolNode> Engine<P> {
         horizon: SimTime,
         settle: f64,
     ) -> Result<RunReport, EngineError> {
-        let mut events = 0u64;
         let max_events = self.shared.config.max_events;
+        let (events, halt) = self.drive(horizon, settle, self.lookahead, max_events);
+        let last_effective = self.last_effective();
+        match halt {
+            Halt::Budget => return Err(EngineError::EventBudgetExhausted { at: self.now }),
+            Halt::Settled => self.now = self.now.max(last_effective + settle),
+            Halt::Passed => self.now = horizon,
+            Halt::Drained => {}
+        }
+        Ok(RunReport {
+            end: self.now,
+            quiescent: halt != Halt::Passed,
+            last_effective,
+            events,
+        })
+    }
+
+    /// The one run loop. Each turn takes the globally earliest pending
+    /// event, checks the stop conditions against it, runs one window —
+    /// `lookahead` wide from that event, capped at `until` and (with
+    /// `settle > 0`) at `last_effective + settle` — and closes it with the
+    /// barrier. Returns the number of events processed and why it stopped;
+    /// the clock is left at the last processed event.
+    ///
+    /// Caps only shrink a window and the stop conditions are re-checked
+    /// after every barrier, so no event a one-event-at-a-time engine would
+    /// have left unprocessed at its stop point is ever executed: stop
+    /// decisions, event counts and end times are the same for every
+    /// lookahead. A bound that rejects even the event it was built from —
+    /// a zero lookahead, or the settle span ending while guards are still
+    /// enabled — degrades to a window holding exactly that event.
+    fn drive(
+        &mut self,
+        until: SimTime,
+        settle: f64,
+        lookahead: f64,
+        max_events: u64,
+    ) -> (u64, Halt) {
+        // Cutting a window short on the event budget is only
+        // order-preserving for the ordered observability merge when no
+        // other region ran ahead inside the same window — with a finite
+        // lookahead the window's width is the flush cadence instead.
+        let chunk = if lookahead.is_finite() {
+            u64::MAX
+        } else {
+            OBS_CHUNK
+        };
+        let mut events = 0u64;
         loop {
-            let Some((t, i)) = self.global_next() else {
-                // Queues drained: truly quiescent.
-                return Ok(RunReport {
-                    end: self.now,
-                    quiescent: true,
-                    last_effective: self.last_effective(),
-                    events,
-                });
+            let Some(head) = self.global_next() else {
+                return (events, Halt::Drained);
             };
-            let le = self.last_effective();
-            if settle > 0.0
-                && t.seconds() > le.seconds() + settle
-                && !self.any_enabled_non_maintenance()
-            {
-                // Nothing effective for a whole settle window and no
-                // (possibly long-hold) protocol action pending: any
-                // remaining events are maintenance refreshes whose
-                // payloads already match the receivers' mirrors (a
-                // divergent mirror would have produced an effective
-                // refresh within the window — callers must use
-                // settle > rho * syn_period + delay_max).
-                self.now = self.now.max(le + settle);
-                return Ok(RunReport {
-                    end: self.now,
-                    quiescent: true,
-                    last_effective: le,
-                    events,
-                });
+            let quiet_until = (settle > 0.0).then(|| self.last_effective() + settle);
+            if quiet_until.is_some_and(|q| head.0 > q) && !self.any_enabled_non_maintenance() {
+                return (events, Halt::Settled);
             }
-            if t > horizon {
-                self.now = horizon;
-                return Ok(RunReport {
-                    end: self.now,
-                    quiescent: false,
-                    last_effective: le,
-                    events,
-                });
+            if head.0 > until {
+                return (events, Halt::Passed);
             }
             if events >= max_events {
-                return Err(EngineError::EventBudgetExhausted { at: self.now });
+                return (events, Halt::Budget);
             }
-            let mut bound = WindowBound::exclusive(t + self.window).cap(horizon);
-            if settle > 0.0 {
-                bound = bound.cap(le + settle);
+            let mut bound = WindowBound::exclusive(head.0 + lookahead).cap(until);
+            if let Some(q) = quiet_until {
+                bound = bound.cap(q);
             }
-            if self.lockstep || !bound.admits(t) {
-                // Lockstep discipline, or a stop-condition cap landed
-                // before the window's first event: one sequential step,
-                // then re-check the stop conditions.
-                let tdone = self.cores[i].step_one(&self.shared);
-                self.ingest_staged(None);
-                self.flush();
-                self.now = self.now.max(tdone);
-                events += 1;
-                continue;
+            let mut budget = (max_events - events).min(chunk);
+            if !bound.admits(head) {
+                bound = WindowBound::only(head);
+                budget = 1;
             }
-            let budget = max_events.saturating_sub(events);
-            let (done, exhausted) = self.execute_window(bound, budget);
-            events += done;
+            events += self.execute_window(bound, budget);
             self.ingest_staged(Some(bound));
             self.flush();
-            self.sync_now();
-            if let Some(at) = exhausted {
-                return Err(EngineError::EventBudgetExhausted {
-                    at: at.max(self.now),
-                });
+            for core in &self.cores {
+                self.now = self.now.max(core.now);
             }
         }
     }
 
-    /// Runs one conservative window on every region, concurrently when
-    /// `jobs > 1`. Regions are split into contiguous chunks, one scoped
-    /// worker thread per chunk; joining in spawn order makes the fold
-    /// deterministic (and the per-region results are order-free anyway).
-    fn execute_window(&mut self, bound: WindowBound, budget: u64) -> WindowOutcome {
+    /// Runs one conservative window on every region and returns the
+    /// number of events processed. Regions run concurrently when
+    /// `jobs > 1` and more than one of them has an admitted event: they
+    /// are split into contiguous chunks, one scoped worker thread per
+    /// chunk. The per-region results are order-free, so neither the
+    /// thread count nor the inline shortcut can change a trajectory.
+    fn execute_window(&mut self, bound: WindowBound, budget: u64) -> u64 {
         let Engine { cores, shared, .. } = self;
         let shared = &*shared;
+        let busy = cores
+            .iter()
+            .filter(|c| c.queue.peek().is_some_and(|head| bound.admits(head)))
+            .count();
         let jobs = shared.config.jobs.max(1).min(cores.len());
-        let outcomes: Vec<WindowOutcome> = if jobs <= 1 {
-            cores
+        if jobs <= 1 || busy <= 1 {
+            return cores
                 .iter_mut()
                 .map(|c| c.run_window(shared, bound, budget))
-                .collect()
-        } else {
-            let chunk = cores.len().div_ceil(jobs);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = cores
-                    .chunks_mut(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            part.iter_mut()
-                                .map(|c| c.run_window(shared, bound, budget))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("window worker panicked"))
-                    .collect()
-            })
-        };
-        let mut done = 0u64;
-        let mut exhausted: Option<SimTime> = None;
-        for (d, e) in outcomes {
-            done += d;
-            if let Some(at) = e {
-                exhausted = Some(match exhausted {
-                    Some(prev) => prev.max(at),
-                    None => at,
-                });
-            }
+                .sum();
         }
-        (done, exhausted)
+        let chunk = cores.len().div_ceil(jobs);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = cores
+                .chunks_mut(chunk)
+                .map(|part| {
+                    scope.spawn(move || {
+                        part.iter_mut()
+                            .map(|c| c.run_window(shared, bound, budget))
+                            .sum::<u64>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("window worker panicked"))
+                .sum()
+        })
     }
 
     /// Moves every staged cross-region effect into its target region at a
@@ -2663,7 +2607,7 @@ impl<P: ProtocolNode> Engine<P> {
                         msg,
                     } => {
                         debug_assert!(
-                            bound.is_none_or(|b| !b.admits(time)),
+                            bound.is_none_or(|b| !b.admits((time, key))),
                             "staged delivery inside its own window"
                         );
                         self.cores[region as usize].push_local(
@@ -2679,7 +2623,7 @@ impl<P: ProtocolNode> Engine<P> {
                         packet,
                     } => {
                         debug_assert!(
-                            bound.is_none_or(|b| !b.admits(time)),
+                            bound.is_none_or(|b| !b.admits((time, key))),
                             "staged packet inside its own window"
                         );
                         let core = &mut self.cores[region as usize];
@@ -2695,7 +2639,7 @@ impl<P: ProtocolNode> Engine<P> {
                         marked,
                     } => {
                         debug_assert!(
-                            bound.is_none_or(|b| !b.admits(time)),
+                            bound.is_none_or(|b| !b.admits((time, key))),
                             "staged flow ack inside its own window"
                         );
                         self.cores[region as usize].push_local(
@@ -2711,7 +2655,10 @@ impl<P: ProtocolNode> Engine<P> {
                         at,
                         quantum,
                     } => {
-                        debug_assert!(bound.is_none(), "cross-region pause outside lockstep mode");
+                        debug_assert!(
+                            self.lookahead == 0.0,
+                            "cross-region pause under a positive lookahead"
+                        );
                         let l = NodeId::new(self.shared.map.local(upstream));
                         let port = self.cores[region as usize].ports.entry(l, from);
                         let base = port.paused_until.max(at);

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use lsrp_graph::{generators, Distance, NodeId, RouteEntry, Weight};
 use lsrp_sim::{
     ActionId, ClockConfig, Effects, EnabledSet, Engine, EngineConfig, EngineError, LinkConfig,
-    ProtocolNode, SimTime,
+    ProtocolNode, RunReport, SimTime,
 };
 
 fn v(i: u32) -> NodeId {
@@ -597,6 +597,7 @@ fn stable_fingerprint_does_not_restart() {
 #[derive(Debug)]
 struct Livelock {
     id: NodeId,
+    hold: f64,
 }
 
 impl ProtocolNode for Livelock {
@@ -604,7 +605,7 @@ impl ProtocolNode for Livelock {
 
     fn enabled_actions(&self, _now_local: f64) -> EnabledSet {
         let mut s = EnabledSet::none();
-        s.enable(BCAST, 0.0);
+        s.enable(BCAST, self.hold);
         s
     }
 
@@ -641,10 +642,56 @@ fn event_budget_catches_livelocks() {
         max_events: 1_000,
         ..EngineConfig::default()
     };
-    let mut e = Engine::new(generators::path(2, 1), cfg, |id, _| Livelock { id });
+    let mut e = Engine::new(generators::path(2, 1), cfg, |id, _| Livelock {
+        id,
+        hold: 0.0,
+    });
     let err = e.run_to_quiescence(SimTime::new(1.0), 0.0).unwrap_err();
     assert!(matches!(err, EngineError::EventBudgetExhausted { .. }));
     assert!(err.to_string().contains("event budget"));
+}
+
+#[test]
+fn budget_exhaustion_reports_the_engine_clock_through_every_wrapper() {
+    // A short positive hold spreads the livelock over simulated time, so
+    // `at` is not trivially zero. Whichever wrapper hits the budget, and
+    // however the regions split it, `at` is the engine clock after the
+    // last window barrier.
+    type Run = fn(&mut Engine<Livelock>) -> Result<RunReport, EngineError>;
+    let wrappers: [(&str, Run); 3] = [
+        ("run_until", |e| e.run_until(SimTime::new(100.0))),
+        ("run_to_quiescence", |e| {
+            e.run_to_quiescence(SimTime::new(100.0), 0.0)
+        }),
+        // Every window is capped at `last_effective + settle`.
+        ("settle-capped", |e| {
+            e.run_to_quiescence(SimTime::new(100.0), 0.05)
+        }),
+    ];
+    for regions in [1, 4] {
+        for (name, run) in wrappers {
+            let cfg = EngineConfig {
+                max_events: 1_000,
+                ..EngineConfig::default()
+            }
+            .with_regions(regions)
+            .with_jobs(regions);
+            let mut e = Engine::new(generators::path(8, 1), cfg, |id, _| Livelock {
+                id,
+                hold: 0.01,
+            });
+            let EngineError::EventBudgetExhausted { at } = run(&mut e).unwrap_err();
+            assert_eq!(at, e.now(), "{name} regions={regions}");
+            assert!(
+                at > SimTime::ZERO && at < SimTime::new(100.0),
+                "{name} regions={regions}: at={at:?}"
+            );
+            assert!(
+                e.stats().total_events() >= 1_000,
+                "{name} regions={regions}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

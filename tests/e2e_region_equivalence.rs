@@ -8,11 +8,11 @@
 //! count or the worker-thread count. These tests pin that across the same
 //! cartesian slice as the scheduler-equivalence suite (topology shapes ×
 //! seeds × chaos fault schedules × congested data-plane traffic), for
-//! regions ∈ {1, 2, 4, 8} under varying `jobs`, including the PFC-pause
-//! lockstep fallback. Every engine statistic participates —
-//! `peak_queue_depth` is sampled at region-invariant points (window
-//! barriers and the driver boundaries), so it too must match the
-//! sequential engine exactly.
+//! regions ∈ {1, 2, 4, 8} under varying `jobs`, including PFC pause,
+//! whose zero lookahead makes every window a single event. Every engine
+//! statistic participates — `peak_queue_depth` is sampled only at
+//! region-invariant points (public `step()` calls and driver mutations),
+//! so it too must match the sequential engine exactly.
 
 use lsrp::analysis::{run_monitored, standard_monitors, WorkloadDriver, WorkloadSpec};
 use lsrp::core::{InitialState, LsrpSimulation, LsrpSimulationExt, TimingConfig};
@@ -176,9 +176,9 @@ fn regions_match_sequential_under_congested_traffic() {
 
 #[test]
 fn pause_discipline_lockstep_fallback_matches_sequential() {
-    // PFC pause writes the upstream port with zero lookahead, so the
-    // engine degrades to conservative lockstep when regions > 1; the
-    // fallback must still be byte-identical.
+    // PFC pause writes the upstream port with zero delay, so with
+    // regions > 1 the engine's lookahead is zero and every window holds
+    // one event; that must still be byte-identical.
     let seed = 91;
     let discipline = DisciplineKind::Pause {
         pause_at: 0.6,

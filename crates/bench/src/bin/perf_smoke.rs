@@ -2,15 +2,17 @@
 //! `BENCH_engine.json` at the repository root, and fail if events/sec
 //! falls below a deliberately generous floor.
 //!
-//! Floors are per-scenario (see [`events_per_sec_floor`]) and sit far
-//! below the throughput measured on an unremarkable development
-//! container, so they only trip on order-of-magnitude regressions (an
-//! accidental O(n) scan on the hot path, a deep clone per broadcast
-//! fan-out copy), never on machine noise.
+//! The floor ([`EVENTS_PER_SEC_FLOOR`]) sits far below the throughput
+//! measured on an unremarkable development container, so it only trips
+//! on order-of-magnitude regressions (an accidental O(n) scan on the hot
+//! path, a deep clone per broadcast fan-out copy), never on machine
+//! noise. Two machine-independent *ratio* gates sit beside it, each an
+//! interleaved min-of-N pair timed in this process: the streaming trace
+//! sink's overhead, and the growth of per-event cost with node degree.
 
 use std::path::Path;
 
-use lsrp_bench::engine_perf::{events_per_sec_floor, measure_all, to_json};
+use lsrp_bench::engine_perf::{measure_all, to_json, DEGREE_SWEEP_MAX_RATIO, EVENTS_PER_SEC_FLOOR};
 
 fn main() {
     let results = measure_all();
@@ -20,10 +22,9 @@ fn main() {
     print!("{doc}");
     let mut failed = false;
     for r in &results {
-        let floor = events_per_sec_floor(r.scenario);
-        let ok = r.events_per_sec >= floor;
+        let ok = r.events_per_sec >= EVENTS_PER_SEC_FLOOR;
         eprintln!(
-            "perf-smoke {}: {:.0} events/sec (floor {floor:.0}), \
+            "perf-smoke {}: {:.0} events/sec (floor {EVENTS_PER_SEC_FLOOR:.0}), \
              peak queue {} — {}",
             r.scenario,
             r.events_per_sec,
@@ -42,6 +43,20 @@ fn main() {
             "perf-smoke trace_overhead ratio: {:.1}% sink overhead vs NullSink \
              (budget 15%) — {}",
             overhead * 100.0,
+            if ok { "ok" } else { "OVER BUDGET" },
+        );
+        failed |= !ok;
+    }
+    if let (Some(narrow), Some(wide)) = (find("degree_sweep_25"), find("degree_sweep_200")) {
+        // Machine-independent: both sides are timed interleaved in this
+        // process, so only the shape of the cost curve is gated.
+        let ratio = narrow.events_per_sec / wide.events_per_sec;
+        let ok = ratio <= DEGREE_SWEEP_MAX_RATIO;
+        eprintln!(
+            "perf-smoke degree_sweep ratio: {:.2} us/event at degree 199 vs {:.2} at degree 24 \
+             = {ratio:.1}x (budget {DEGREE_SWEEP_MAX_RATIO:.0}x) — {}",
+            1e6 / wide.events_per_sec,
+            1e6 / narrow.events_per_sec,
             if ok { "ok" } else { "OVER BUDGET" },
         );
         failed |= !ok;

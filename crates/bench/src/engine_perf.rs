@@ -434,9 +434,9 @@ pub fn measure_traffic_scenario(iters: u32) -> EnginePerf {
 
 /// The internet-scale Clos cold start: a `fat_tree(76)` big-switch fabric
 /// (116,964 nodes, 329,232 edges, diameter 6) from fresh state to
-/// quiescence. This is the calendar-wheel scheduler's home regime — the
-/// cold-start burst puts hundreds of thousands of timers in flight, where
-/// a binary heap pays O(log n) per event and the wheel stays O(1).
+/// quiescence. The cold-start burst puts hundreds of thousands of timers
+/// in flight, and the switches have degree 76: the run exercises the
+/// scheduler at depth and guard evaluation at high degree at once.
 pub fn scale_bigswitch_sim() -> LsrpSimulation {
     LsrpSimulation::builder(generators::fat_tree(76), NodeId::new(0))
         .initial_state(InitialState::Fresh)
@@ -468,10 +468,7 @@ fn par_jobs() -> usize {
 }
 
 /// [`scale_bigswitch_sim`] under the region-parallel executor
-/// (DESIGN.md §15): 8 regions, one worker per hardware thread. Even on
-/// a single core this beats the sequential run — eight region-local
-/// calendar wheels each hold an eighth of the ~325k in-flight timers,
-/// so bucket scans touch a far smaller working set per event.
+/// (DESIGN.md §15): 8 regions, one worker per hardware thread.
 pub fn scale_bigswitch_par_sim() -> LsrpSimulation {
     LsrpSimulation::builder(generators::fat_tree(76), NodeId::new(0))
         .initial_state(InitialState::Fresh)
@@ -616,23 +613,27 @@ pub fn trace_overhead_sim() -> LsrpSimulation {
         .build()
 }
 
-/// Interleaved paired measurement of the trace-overhead flavors. The
-/// two flavors alternate iteration by iteration (so clock drift and
-/// neighbor load hit both equally) and each flavor's elapsed time is
-/// its *minimum* iteration time scaled to the iteration count — noise
-/// only ever adds time, so the minimum is the robust throughput
-/// estimate and the traced/null ratio stays stable on busy CI runners.
+/// Interleaved paired measurement of two cold-start flavors. The two
+/// alternate iteration by iteration (so clock drift and neighbor load
+/// hit both equally) and each flavor's elapsed time is its *minimum*
+/// iteration time scaled to the iteration count — noise only ever adds
+/// time, so the minimum is the robust throughput estimate and the ratio
+/// between the flavors stays stable on busy CI runners.
 ///
 /// # Panics
 ///
 /// Panics if an iteration fails to settle.
-pub fn measure_trace_overhead(iters: u32) -> (EnginePerf, EnginePerf) {
-    let one = |build: &dyn Fn() -> LsrpSimulation| {
+fn measure_paired(
+    iters: u32,
+    a: (&'static str, &dyn Fn() -> LsrpSimulation),
+    b: (&'static str, &dyn Fn() -> LsrpSimulation),
+) -> (EnginePerf, EnginePerf) {
+    let one = |(scenario, build): (&'static str, &dyn Fn() -> LsrpSimulation)| {
         let mut sim = build();
         let start = Instant::now();
         let report = sim.run_to_quiescence(1_000_000.0);
         let dt = start.elapsed();
-        assert!(report.quiescent, "trace-overhead run must settle");
+        assert!(report.quiescent, "{scenario} must settle");
         (dt, sim.stats())
     };
     let acc = |scenario: &'static str, runs: &[(Duration, lsrp_sim::EngineStats)]| {
@@ -656,15 +657,60 @@ pub fn measure_trace_overhead(iters: u32) -> (EnginePerf, EnginePerf) {
             deliveries_per_sec: delivered as f64 / secs,
         }
     };
-    let mut null_runs = Vec::new();
-    let mut traced_runs = Vec::new();
+    let mut a_runs = Vec::new();
+    let mut b_runs = Vec::new();
     for _ in 0..iters {
-        null_runs.push(one(&trace_overhead_null_sim));
-        traced_runs.push(one(&trace_overhead_sim));
+        a_runs.push(one(a));
+        b_runs.push(one(b));
     }
-    (
-        acc("trace_overhead_null", &null_runs),
-        acc("trace_overhead", &traced_runs),
+    (acc(a.0, &a_runs), acc(b.0, &b_runs))
+}
+
+/// The trace-overhead pair (`trace_overhead_null`, `trace_overhead`),
+/// measured by [`measure_paired`].
+///
+/// # Panics
+///
+/// Panics if an iteration fails to settle.
+pub fn measure_trace_overhead(iters: u32) -> (EnginePerf, EnginePerf) {
+    measure_paired(
+        iters,
+        ("trace_overhead_null", &trace_overhead_null_sim),
+        ("trace_overhead", &trace_overhead_sim),
+    )
+}
+
+/// A cold start on the complete graph `K_n`: every node has degree
+/// `n - 1`, so the per-event cost isolates what guard evaluation pays per
+/// neighbor.
+fn complete_sim(n: u32) -> LsrpSimulation {
+    LsrpSimulation::builder(generators::complete(n, 1), NodeId::new(0))
+        .initial_state(InitialState::Fresh)
+        .engine_config(engine_config())
+        .build()
+}
+
+/// How many times the per-event cost may grow from degree 24 to degree
+/// 199 (an 8.3× wider neighbor table). One `O(deg)` pass per evaluation
+/// measures ≈ 3× here; a guard that rescans the table per neighbor
+/// measured ≈ 9.5× before the single-pass evaluator.
+pub const DEGREE_SWEEP_MAX_RATIO: f64 = 4.0;
+
+/// The degree-sweep pair (`degree_sweep_25`, `degree_sweep_200`): cold
+/// starts on `complete(25)` and `complete(200)`, measured by
+/// [`measure_paired`]. `perf_smoke` holds the ratio of their µs/event to
+/// [`DEGREE_SWEEP_MAX_RATIO`] — per-event cost tracks node *degree*, not
+/// node count or queue depth, and this pair is the name for a regression
+/// of that class.
+///
+/// # Panics
+///
+/// Panics if an iteration fails to settle.
+pub fn measure_degree_sweep(iters: u32) -> (EnginePerf, EnginePerf) {
+    measure_paired(
+        iters,
+        ("degree_sweep_25", &|| complete_sim(25)),
+        ("degree_sweep_200", &|| complete_sim(200)),
     )
 }
 
@@ -693,6 +739,8 @@ fn measure_core() -> Vec<EnginePerf> {
 /// cold starts (single-iteration; a few seconds each in release mode).
 pub fn measure_all() -> Vec<EnginePerf> {
     let mut results = measure_core();
+    let (deg25, deg200) = measure_degree_sweep(5);
+    results.extend([deg25, deg200]);
     results.push(measure("scale_bigswitch", 1, scale_bigswitch_sim));
     results.push(measure("scale_bigswitch_par", 1, scale_bigswitch_par_sim));
     results.push(measure("scale_waxman_100k", 1, scale_waxman_100k_sim));
@@ -704,23 +752,19 @@ pub fn measure_all() -> Vec<EnginePerf> {
     results
 }
 
-/// The events/sec floor a scenario must clear in the perf smoke —
+/// The events/sec floor every scenario must clear in the perf smoke —
 /// deliberately generous (an order of magnitude under the measured
 /// throughput on an unremarkable container) so only real regressions
 /// trip it, never machine noise.
 ///
-/// `scale_bigswitch` gets its own floor: the 116k-node Clos cold start
-/// holds ~325k events in the queue at once and its per-event cost is
-/// dominated by engine bookkeeping over that working set (the wheel and
-/// the heap oracle measure within 3% of each other there), so its
-/// absolute events/sec sits far below the small-topology scenarios.
-#[must_use]
-pub fn events_per_sec_floor(scenario: &str) -> f64 {
-    match scenario {
-        "scale_bigswitch" | "scale_bigswitch_par" => 5_000.0,
-        _ => 20_000.0,
-    }
-}
+/// One floor for all: `scale_bigswitch` used to carry its own 5,000
+/// ev/s floor, explained by "engine bookkeeping over the 325k-deep
+/// queue". That diagnosis was wrong — per-event cost tracked node
+/// *degree* (a degree-quadratic guard scan in `crates/core`), not queue
+/// depth — and with the single-pass evaluator the Clos cold start clears
+/// the common floor like everything else. The degree dependence is now
+/// gated directly, by [`measure_degree_sweep`].
+pub const EVENTS_PER_SEC_FLOOR: f64 = 20_000.0;
 
 /// Renders the measurements as the `BENCH_engine.json` document.
 #[must_use]
@@ -746,7 +790,7 @@ pub fn to_json(results: &[EnginePerf]) -> String {
             r.elapsed_secs,
             r.events_per_sec,
             r.deliveries_per_sec,
-            events_per_sec_floor(r.scenario),
+            EVENTS_PER_SEC_FLOOR,
         );
         out.push_str(if i + 1 == results.len() {
             "}\n"

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use lsrp_graph::{Distance, Graph, NodeId, RouteTable, Weight};
+use lsrp_graph::{Distance, Graph, NodeId, RouteTable};
 use lsrp_sim::{Engine, EngineConfig, SimHarness};
 
 use crate::legitimacy;
@@ -120,10 +120,11 @@ impl LsrpSimulationBuilder {
         let timing = self.timing;
         let destination = self.destination;
         let engine = Engine::new(self.graph, self.engine, move |id, neighbors| {
-            let mut state = states
-                .remove(&id)
-                .unwrap_or_else(|| LsrpState::fresh(id, destination, neighbors.clone()));
-            state.set_neighbors(neighbors.clone());
+            // Prepared states were built from this same graph; a node
+            // (re)joining later starts fresh.
+            let state = states.remove(&id).unwrap_or_else(|| {
+                LsrpState::fresh(id, destination, neighbors.iter().map(|(&k, &w)| (k, w)))
+            });
             LsrpNode::new(state, timing)
         });
         // Settle window for quiescence detection: zero without a `SYN`
@@ -152,8 +153,7 @@ fn initial_states(
     };
     let mut states = BTreeMap::new();
     for v in graph.nodes() {
-        let neighbors: BTreeMap<NodeId, Weight> = graph.neighbors(v).collect();
-        let mut s = LsrpState::fresh(v, destination, neighbors);
+        let mut s = LsrpState::fresh(v, destination, graph.neighbors(v));
         if let Some(t) = &table {
             if let Some(e) = t.entry(v) {
                 s.d = e.distance;
@@ -177,10 +177,7 @@ fn initial_states(
         })
         .collect();
     for s in states.values_mut() {
-        let ids: Vec<NodeId> = s.neighbors.keys().copied().collect();
-        for k in ids {
-            s.mirrors.insert(k, snapshot[&k]);
-        }
+        s.fill_mirrors(|k| snapshot[&k]);
     }
     states
 }
@@ -198,14 +195,13 @@ fn arbitrary_states(graph: &Graph, destination: NodeId, seed: u64) -> BTreeMap<N
     };
     let mut states = BTreeMap::new();
     for v in graph.nodes() {
-        let neighbors: BTreeMap<NodeId, Weight> = graph.neighbors(v).collect();
-        let neighbor_ids: Vec<NodeId> = neighbors.keys().copied().collect();
-        let mut s = LsrpState::fresh(v, destination, neighbors);
+        let mut s = LsrpState::fresh(v, destination, graph.neighbors(v));
+        let degree = s.neighbors().len();
         s.d = random_distance(&mut rng);
         s.p = {
             let roll: f64 = rng.gen();
-            if roll < 0.7 && !neighbor_ids.is_empty() {
-                neighbor_ids[rng.gen_range(0..neighbor_ids.len())]
+            if roll < 0.7 && degree > 0 {
+                s.neighbors()[rng.gen_range(0..degree)].id
             } else if roll < 0.9 {
                 v
             } else {
@@ -214,14 +210,11 @@ fn arbitrary_states(graph: &Graph, destination: NodeId, seed: u64) -> BTreeMap<N
         };
         s.ghost = rng.gen_bool(0.15);
         s.t_last = rng.gen_range(0.0..1_000.0);
-        for k in neighbor_ids {
-            let m = Mirror {
-                d: random_distance(&mut rng),
-                p: if rng.gen_bool(0.5) { v } else { k },
-                ghost: rng.gen_bool(0.15),
-            };
-            s.mirrors.insert(k, m);
-        }
+        s.fill_mirrors(|k| Mirror {
+            d: random_distance(&mut rng),
+            p: if rng.gen_bool(0.5) { v } else { k },
+            ghost: rng.gen_bool(0.15),
+        });
         states.insert(v, s);
     }
     states
@@ -249,6 +242,8 @@ pub trait LsrpSimulationExt {
 
     /// Corrupts `v`'s mirror of neighbor `about` in place (used to model
     /// "neighbors have already learned the corrupted value" scenarios).
+    /// A no-op when `about` is not a neighbor of `v`: there is no such
+    /// mirror to corrupt.
     fn corrupt_mirror(&mut self, v: NodeId, about: NodeId, mirror: Mirror);
 
     /// Arbitrary in-place state mutation.
@@ -287,7 +282,7 @@ impl LsrpSimulationExt for LsrpSimulation {
 
     fn corrupt_mirror(&mut self, v: NodeId, about: NodeId, mirror: Mirror) {
         self.engine_mut().with_node_mut(v, |n| {
-            n.state_mut().mirrors.insert(about, mirror);
+            n.state_mut().set_mirror(about, mirror);
         });
     }
 
@@ -337,6 +332,38 @@ mod tests {
         let report = sim.run_to_quiescence(1_000_000.0);
         assert!(report.quiescent);
         assert!(sim.routes_correct());
+    }
+
+    #[test]
+    fn a_mirror_about_a_non_neighbor_is_not_written_nor_promoted_by_a_join() {
+        // What a ddmin replay can produce: the JoinEdge dropped, the
+        // MirrorOf that followed it kept.
+        let forged = Mirror {
+            d: Distance::ZERO,
+            p: v(8),
+            ghost: true,
+        };
+        let mut sim = LsrpSimulation::builder(generators::grid(3, 3, 1), v(0)).build();
+        let before = sim.engine().node(v(4)).unwrap().clone();
+        sim.corrupt_mirror(v(4), v(8), forged); // v8 is two hops from v4
+        sim.poison_mirror(v(4), v(8), Distance::ZERO);
+        assert_eq!(sim.engine().node(v(4)).unwrap(), &before);
+        // The edge appearing later starts unheard on v4's side.
+        sim.join_edge(v(4), v(8), 1).unwrap();
+        let row = *sim
+            .engine()
+            .node(v(4))
+            .unwrap()
+            .state()
+            .neighbor(v(8))
+            .unwrap();
+        assert_eq!((row.weight, row.heard), (1, None));
+        // About a real neighbor the write lands.
+        sim.corrupt_mirror(v(4), v(8), forged);
+        assert_eq!(
+            sim.engine().node(v(4)).unwrap().state().mirror(v(8)),
+            forged
+        );
     }
 
     #[test]

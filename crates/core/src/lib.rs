@@ -28,8 +28,9 @@
 //! assert!(sim.routes_correct());
 //! ```
 //!
-//! Module map: [`state`] (node variables), [`predicates`] (the guards
-//! `MP/SP/SW/CW/PS/SCW`), [`protocol`] (the actions `S1..SC`, `SYN`),
+//! Module map: [`state`] (node variables and the neighbor table),
+//! [`predicates`] (the guards `MP/SP/SW/CW/PS/SCW`, evaluated from one
+//! pass over that table), [`protocol`] (the actions `S1..SC`, `SYN`),
 //! [`timing`] (wave-speed constraints), [`legitimacy`] (the predicate `L`),
 //! [`builder`] (the [`LsrpSimulation`] facade).
 
@@ -38,6 +39,8 @@
 
 pub mod builder;
 pub mod legitimacy;
+#[cfg(test)]
+mod oracle;
 pub mod predicates;
 pub mod protocol;
 pub mod state;
@@ -45,5 +48,5 @@ pub mod timing;
 
 pub use crate::builder::{InitialState, LsrpSimulation, LsrpSimulationBuilder, LsrpSimulationExt};
 pub use crate::protocol::{actions, LsrpNode};
-pub use crate::state::{LsrpMsg, LsrpState, Mirror};
+pub use crate::state::{LsrpMsg, LsrpState, Mirror, Neighbor};
 pub use crate::timing::{InvalidTiming, TimingConfig};

@@ -18,207 +18,243 @@
 //!   must offer *at least* the node's corrupted-small value — required for
 //!   Figure 5, where `C2` corrects `d.v9` from the corrupted 1 up to 3 in
 //!   one step.
+//!
+//! # Evaluation
+//!
+//! Every predicate quantifies over `N.v`, and `SW.v.k` is itself asked
+//! once per neighbor, so evaluating them as written costs `O(deg²)`.
+//! Instead [`Guards::scan`] makes **one pass** over the neighbor table
+//! and keeps the four aggregates all of them reduce to; each predicate is
+//! then `O(1)` (DESIGN.md §5.1 gives the reductions). The quantifier-form
+//! definitions survive as the test-only `oracle` module, and a property
+//! test holds the two equal.
 
 use lsrp_graph::{Distance, NodeId};
 
-use crate::state::LsrpState;
+use crate::state::{LsrpState, Neighbor};
 
-/// `SP.v` — `v` is a (potential) source of fault propagation:
-/// no neighbor outside a containment wave can offer `v` a distance no
-/// greater than its current one, and `v`'s value is locally unjustifiable
-/// (destination with `d != 0`, or non-destination with finite `d`
-/// inconsistent with its parent's offer).
-pub fn sp(s: &LsrpState) -> bool {
-    // The destination is special: its only legitimate value is 0, no
-    // neighbor can ever justify anything else, and it never adopts routes
-    // (`SW` is false at the destination). So any nonzero value makes it a
-    // source outright — this realizes footnote 4's "the destination node
-    // can stabilize p.d to d when d.d ≠ 0" via `SP → C1 → C2`. Keeping the
-    // generic neighbor-offer blocker here would let *garbage* finite
-    // offers pin a corrupted destination forever while the rest of the
-    // network counts upward waiting for it (a live oscillation, found by
-    // the self-stabilization property test).
-    if s.id == s.dest {
-        return s.d != Distance::ZERO;
-    }
-    // A neighbor only "offers" a distance when (a) that distance is
-    // finite — an infinite offer is the absence of a route — and (b) the
-    // neighbor is not a *child* of v: a child's distance derives from v's
-    // own (possibly corrupted) value, so it cannot justify it. The child
-    // exclusion realizes the paper's §IV-C intuition that "a node that can
-    // select one of its descendants as its new parent … becomes a source
-    // of fault propagation"; without it, a node whose child holds a
-    // corrupted-small value would adopt the child and close a loop.
-    let no_better = !s.neighbors.keys().any(|&k| {
-        let m = s.mirror(k);
-        let offer = s.offer(k);
-        !m.ghost && m.p != s.id && !offer.is_infinite() && offer <= s.d
-    });
-    let unjustified = s.d != Distance::Infinite && s.d != s.offer(s.p);
-    no_better && unjustified
-}
-
-/// `MP.v` — `v` is a *minimal point*: the destination at its legitimate
-/// value, or a node that has initiated a containment wave that has not
-/// finished.
-pub fn mp(s: &LsrpState) -> bool {
-    (s.id == s.dest && s.d == Distance::ZERO) || (s.ghost && sp(s))
-}
-
-/// `SW.v.k` — `v` should propagate a stabilization wave from neighbor `k`:
+/// The guards of one node, evaluated from one pass over its neighbor
+/// table.
 ///
-/// * `k` offers `v` a distance no greater than `v`'s current one, and no
-///   neighbor offers less than `k` does;
-/// * if `k` is not the current parent, switching must strictly improve on
-///   the parent's offer — unless the parent is gone or inside a
-///   containment wave;
-/// * if `k` *is* the current parent, `v`'s distance must disagree with the
-///   parent's offer (the consistency-repair case).
-///
-/// The `S2` guard additionally requires `!ghost.k.v` (checked by the
-/// caller building the enabled set), since the state of a node involved in
-/// a containment wave is presumed corrupted.
-pub fn sw(s: &LsrpState, k: NodeId) -> bool {
-    // The destination never routes toward itself through a neighbor: its
-    // only legitimate state is (d = 0, p = self), restored via SP → C1 →
-    // C2. Letting a corrupted destination adopt neighbor routes would
-    // thread transient loops through the root, violating Theorem 3.
-    if s.id == s.dest {
-        return false;
-    }
-    if !s.is_neighbor(k) {
-        return false;
-    }
-    // Never adopt a node that claims to be our child — its value derives
-    // from ours (same child exclusion as in `SP` and `PS`).
-    if s.mirror(k).p == s.id {
-        return false;
-    }
-    // A routeless node with *finite-valued* children still attached must
-    // wait for them to detach before re-acquiring a route: the new route
-    // could thread through its own stale subtree (invisible beyond one
-    // hop) and close a cycle of forwarding-capable nodes. The wait is
-    // bounded — such a child sees its parent offering ∞ against its own
-    // finite distance, is therefore inconsistent, and acts within one
-    // wave (escape via S2, or containment via C1/C2). Routeless children
-    // are exempt: they cannot forward packets (no cycle through them) and
-    // an ∞-child of an ∞-parent is consistent and may legitimately wait
-    // for *us* to re-acquire first. This is the same wait-for-your-subtree
-    // discipline C2's guard applies during shrink-back.
-    if s.d.is_infinite()
-        && s.neighbors.keys().any(|&i| {
-            let m = s.mirror(i);
-            m.p == s.id && !m.d.is_infinite()
-        })
-    {
-        return false;
-    }
-    let offer_k = s.offer(k);
-    // Adopting an infinite "route" is meaningless (and would let routeless
-    // nodes form parent cycles among themselves): a stabilization wave
-    // only ever propagates finite distance values.
-    if offer_k.is_infinite() || offer_k > s.d {
-        return false;
-    }
-    // Minimality over the *adoptable* neighbors: a ghosted neighbor's or a
-    // child's lower offer must not veto adopting the best usable route —
-    // otherwise a child holding a corrupted-small value leaves its parent
-    // inert with an unjustifiable distance forever.
-    if s.neighbors.keys().any(|&i| {
-        let m = s.mirror(i);
-        !m.ghost && m.p != s.id && s.offer(i) < offer_k
-    }) {
-        return false;
-    }
-    if k == s.p {
-        s.d != offer_k
-    } else {
-        let parent_unusable = !s.is_neighbor(s.p) || s.mirror(s.p).ghost;
-        parent_unusable || offer_k < s.offer(s.p)
-    }
+/// A neighbor is **usable** when it is outside any containment wave and
+/// does not claim to be `v`'s child (`¬ghost.k.v ∧ p.k.v ≠ v`): a ghosted
+/// neighbor's state is presumed corrupted, and a child's distance derives
+/// from `v`'s own (possibly corrupted) value, so neither can justify or
+/// veto anything. The child exclusion realizes the paper's §IV-C
+/// intuition that "a node that can select one of its descendants as its
+/// new parent … becomes a source of fault propagation"; without it, a
+/// node whose child holds a corrupted-small value would adopt the child
+/// and close a loop — or be left inert by the child's veto, holding an
+/// unjustifiable distance forever.
+#[derive(Debug, Clone, Copy)]
+pub struct Guards<'a> {
+    s: &'a LsrpState,
+    /// Minimum offer over the usable neighbors (`∞` if there is none, or
+    /// none with a route).
+    min_usable: Distance,
+    /// Some neighbor claims to be `v`'s child with a finite distance.
+    finite_child: bool,
+    /// Some neighbor claims to be `v`'s child with `v`'s value copied
+    /// (`p.k.v = v ∧ d.k.v = d.v + w.v.k`).
+    copied_child: bool,
+    /// The table row of `p.v`, if the parent is a neighbor.
+    parent: Option<&'a Neighbor>,
 }
 
-/// `CW.v` — `v` should propagate a containment wave from its parent: the
-/// parent is a neighbor inside a containment wave, `v` has copied the
-/// parent's (corrupted) distance value, and no neighbor outside a
-/// containment wave offers strictly less than `v`'s current distance.
-pub fn cw(s: &LsrpState) -> bool {
-    s.is_neighbor(s.p)
-        && s.mirror(s.p).ghost
-        && s.d == s.offer(s.p)
-        && !s.neighbors.keys().any(|&k| {
-            let m = s.mirror(k);
-            !m.ghost && m.p != s.id && s.offer(k) < s.d
-        })
-}
-
-/// `PS.v.k` — `k` is a *parent substitute* for `v` during `C2`: a neighbor
-/// outside any containment wave, not a child of `v`, offering at least
-/// `v`'s current (corrupted-small) distance, and minimal among such
-/// neighbors.
-pub fn ps(s: &LsrpState, k: NodeId) -> bool {
-    if !s.is_neighbor(k) {
-        return false;
+impl<'a> Guards<'a> {
+    /// The single pass: `O(deg)`, no allocation.
+    pub fn scan(s: &'a LsrpState) -> Self {
+        let mut g = Guards {
+            s,
+            min_usable: Distance::Infinite,
+            finite_child: false,
+            copied_child: false,
+            parent: None,
+        };
+        for n in s.neighbors() {
+            if n.id == s.p {
+                g.parent = Some(n);
+            }
+            let m = n.mirror();
+            if m.p == s.id {
+                g.finite_child |= !m.d.is_infinite();
+                g.copied_child |= m.d == s.d.plus(n.weight);
+            } else if !m.ghost {
+                g.min_usable = g.min_usable.min(m.d.plus(n.weight));
+            }
+        }
+        g
     }
-    let mk = s.mirror(k);
-    if mk.ghost || mk.p == s.id {
-        return false;
-    }
-    // Known-grandchild exclusion: if k's mirrored parent is itself one of
-    // our children-by-mirror, adopting k would route straight back into
-    // our own subtree (one extra hop of locally-available knowledge beyond
-    // the paper's direct-child check — needed when corrupted containment
-    // flags trigger `C2` without the containment wave having detached the
-    // subtree first).
-    if s.neighbors.contains_key(&mk.p) && s.mirror(mk.p).p == s.id {
-        return false;
-    }
-    let offer_k = s.offer(k);
-    // An infinite offer is not a substitute — `C2` withdraws the route
-    // (`d, p := ∞, v`) instead, keeping the self-parent invariant for
-    // routeless nodes.
-    if offer_k.is_infinite() || offer_k < s.d {
-        return false;
-    }
-    // Minimality over non-ghost non-child neighbors (same rationale as in
-    // `sw`: unusable neighbors must not veto the best substitute).
-    !s.neighbors.keys().any(|&i| {
-        let m = s.mirror(i);
-        !m.ghost && m.p != s.id && s.offer(i) < offer_k
-    })
-}
 
-/// The best parent substitute (smallest offer, ties by id), if any.
-pub fn best_parent_substitute(s: &LsrpState) -> Option<NodeId> {
-    s.neighbors
-        .keys()
-        .copied()
-        .filter(|&k| ps(s, k))
-        .min_by_key(|&k| (s.offer(k), k))
-}
+    /// What the parent offers (`∞` if it is not a neighbor).
+    fn parent_offer(&self) -> Distance {
+        self.parent.map_or(Distance::Infinite, Neighbor::offer)
+    }
 
-/// The guard of `C2`: `v` is in a containment wave and no neighbor's
-/// mirror shows a child that copied `v`'s corrupted value
-/// (`p.k.v = v ∧ d.k.v = d.v + w.v.k`). While such a child exists the
-/// containment wave is still propagating outward; once none does, it
-/// shrinks back through `v`.
-pub fn c2_ready(s: &LsrpState) -> bool {
-    s.ghost
-        && !s.neighbors.iter().any(|(&k, &w)| {
-            let mk = s.mirror(k);
-            mk.p == s.id && mk.d == s.d.plus(w)
-        })
-}
+    fn parent_ghosted(&self) -> bool {
+        self.parent.is_some_and(|n| n.mirror().ghost)
+    }
 
-/// `SCW.v` — `v` should initiate or propagate a super-containment wave:
-/// the destination at its legitimate value, or a non-destination that is
-/// no longer a source of fault propagation and whose parent (if any) is
-/// not inside a containment wave.
-pub fn scw(s: &LsrpState) -> bool {
-    if s.id == s.dest {
-        s.d == Distance::ZERO
-    } else {
-        !sp(s) && (s.p == s.id || !s.mirror(s.p).ghost)
+    /// `SP.v` — `v` is a (potential) source of fault propagation:
+    /// no usable neighbor can offer `v` a distance no greater than its
+    /// current one, and `v`'s value is locally unjustifiable (destination
+    /// with `d != 0`, or non-destination with finite `d` inconsistent with
+    /// its parent's offer).
+    pub fn sp(&self) -> bool {
+        let s = self.s;
+        // The destination is special: its only legitimate value is 0, no
+        // neighbor can ever justify anything else, and it never adopts
+        // routes (`SW` is false at the destination). So any nonzero value
+        // makes it a source outright — this realizes footnote 4's "the
+        // destination node can stabilize p.d to d when d.d ≠ 0" via `SP →
+        // C1 → C2`. Keeping the generic neighbor-offer blocker here would
+        // let *garbage* finite offers pin a corrupted destination forever
+        // while the rest of the network counts upward waiting for it (a
+        // live oscillation, found by the self-stabilization property
+        // test).
+        if s.id == s.dest {
+            return s.d != Distance::ZERO;
+        }
+        // A neighbor only "offers" a distance when that distance is finite
+        // — an infinite offer is the absence of a route.
+        let no_better = self.min_usable.is_infinite() || self.min_usable > s.d;
+        let unjustified = s.d != Distance::Infinite && s.d != self.parent_offer();
+        no_better && unjustified
+    }
+
+    /// `MP.v` — `v` is a *minimal point*: the destination at its
+    /// legitimate value, or a node that has initiated a containment wave
+    /// that has not finished.
+    pub fn mp(&self) -> bool {
+        let s = self.s;
+        (s.id == s.dest && s.d == Distance::ZERO) || (s.ghost && self.sp())
+    }
+
+    /// `SW.v.k` — `v` should propagate a stabilization wave from neighbor
+    /// `k`:
+    ///
+    /// * `k` offers `v` a distance no greater than `v`'s current one, and
+    ///   no usable neighbor offers less than `k` does;
+    /// * if `k` is not the current parent, switching must strictly improve
+    ///   on the parent's offer — unless the parent is gone or inside a
+    ///   containment wave;
+    /// * if `k` *is* the current parent, `v`'s distance must disagree with
+    ///   the parent's offer (the consistency-repair case).
+    ///
+    /// The `S2` guard additionally requires `!ghost.k.v` (checked by the
+    /// caller building the enabled set), since the state of a node
+    /// involved in a containment wave is presumed corrupted.
+    pub fn sw(&self, k: &Neighbor) -> bool {
+        let s = self.s;
+        // The destination never routes toward itself through a neighbor:
+        // its only legitimate state is (d = 0, p = self), restored via SP
+        // → C1 → C2. Letting a corrupted destination adopt neighbor routes
+        // would thread transient loops through the root, violating
+        // Theorem 3.
+        if s.id == s.dest {
+            return false;
+        }
+        // Never adopt a node that claims to be our child.
+        if k.mirror().p == s.id {
+            return false;
+        }
+        // A routeless node with *finite-valued* children still attached
+        // must wait for them to detach before re-acquiring a route: the
+        // new route could thread through its own stale subtree (invisible
+        // beyond one hop) and close a cycle of forwarding-capable nodes.
+        // The wait is bounded — such a child sees its parent offering ∞
+        // against its own finite distance, is therefore inconsistent, and
+        // acts within one wave (escape via S2, or containment via C1/C2).
+        // Routeless children are exempt: they cannot forward packets (no
+        // cycle through them) and an ∞-child of an ∞-parent is consistent
+        // and may legitimately wait for *us* to re-acquire first. This is
+        // the same wait-for-your-subtree discipline C2's guard applies
+        // during shrink-back.
+        if s.d.is_infinite() && self.finite_child {
+            return false;
+        }
+        let offer_k = k.offer();
+        // Adopting an infinite "route" is meaningless (and would let
+        // routeless nodes form parent cycles among themselves): a
+        // stabilization wave only ever propagates finite distance values.
+        if offer_k.is_infinite() || offer_k > s.d {
+            return false;
+        }
+        // Minimality over the usable neighbors only.
+        if self.min_usable < offer_k {
+            return false;
+        }
+        if k.id == s.p {
+            s.d != offer_k
+        } else {
+            self.parent.is_none() || self.parent_ghosted() || offer_k < self.parent_offer()
+        }
+    }
+
+    /// `CW.v` — `v` should propagate a containment wave from its parent:
+    /// the parent is a neighbor inside a containment wave, `v` has copied
+    /// the parent's (corrupted) distance value, and no usable neighbor
+    /// offers strictly less than `v`'s current distance.
+    pub fn cw(&self) -> bool {
+        let s = self.s;
+        self.parent_ghosted() && s.d == self.parent_offer() && self.min_usable >= s.d
+    }
+
+    /// `PS.v.k` — `k` is a *parent substitute* for `v` during `C2`: a
+    /// usable neighbor offering at least `v`'s current (corrupted-small)
+    /// distance, and minimal among the usable neighbors.
+    pub fn ps(&self, k: &Neighbor) -> bool {
+        let s = self.s;
+        let mk = k.mirror();
+        if mk.ghost || mk.p == s.id {
+            return false;
+        }
+        // Known-grandchild exclusion: if k's mirrored parent is itself one
+        // of our children-by-mirror, adopting k would route straight back
+        // into our own subtree (one extra hop of locally-available
+        // knowledge beyond the paper's direct-child check — needed when
+        // corrupted containment flags trigger `C2` without the containment
+        // wave having detached the subtree first).
+        if s.neighbor(mk.p).is_some_and(|g| g.mirror().p == s.id) {
+            return false;
+        }
+        let offer_k = k.offer();
+        // An infinite offer is not a substitute — `C2` withdraws the route
+        // (`d, p := ∞, v`) instead, keeping the self-parent invariant for
+        // routeless nodes.
+        if offer_k.is_infinite() || offer_k < s.d {
+            return false;
+        }
+        self.min_usable >= offer_k
+    }
+
+    /// The best parent substitute (smallest offer, ties by id), if any.
+    /// Every substitute offers exactly the usable minimum, so the first
+    /// one in id order is it.
+    pub fn best_parent_substitute(&self) -> Option<NodeId> {
+        let found = self.s.neighbors().iter().find(|k| self.ps(k))?;
+        Some(found.id)
+    }
+
+    /// The guard of `C2`: `v` is in a containment wave and no neighbor's
+    /// mirror shows a child that copied `v`'s corrupted value. While such
+    /// a child exists the containment wave is still propagating outward;
+    /// once none does, it shrinks back through `v`.
+    pub fn c2_ready(&self) -> bool {
+        self.s.ghost && !self.copied_child
+    }
+
+    /// `SCW.v` — `v` should initiate or propagate a super-containment
+    /// wave: the destination at its legitimate value, or a non-destination
+    /// that is no longer a source of fault propagation and whose parent
+    /// (if any) is not inside a containment wave.
+    pub fn scw(&self) -> bool {
+        let s = self.s;
+        if s.id == s.dest {
+            s.d == Distance::ZERO
+        } else {
+            !self.sp() && (s.p == s.id || !self.parent_ghosted())
+        }
     }
 }
 
@@ -229,20 +265,61 @@ pub fn recovery_parent(s: &LsrpState) -> Option<NodeId> {
     if s.d.is_infinite() {
         return None; // routeless nodes keep the self parent
     }
-    let candidates = || s.neighbors.keys().copied().filter(|&k| s.offer(k) == s.d);
-    candidates()
-        .find(|&k| !s.mirror(k).ghost)
-        .or_else(|| candidates().next())
+    let candidates = || s.neighbors().iter().filter(|k| k.offer() == s.d);
+    let chosen = candidates()
+        .find(|k| !k.mirror().ghost)
+        .or_else(|| candidates().next())?;
+    Some(chosen.id)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use crate::state::{LsrpMsg, LsrpState};
     use std::collections::BTreeMap;
 
     fn v(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    // The cases below ask one predicate of one state, the paper's way;
+    // each shim answers from a fresh scan and checks the oracle agrees.
+    fn agreed<T: PartialEq + std::fmt::Debug>(fast: T, naive: T) -> T {
+        assert_eq!(fast, naive, "scan evaluator vs oracle");
+        fast
+    }
+    fn sp(s: &LsrpState) -> bool {
+        agreed(Guards::scan(s).sp(), oracle::sp(s))
+    }
+    fn mp(s: &LsrpState) -> bool {
+        agreed(Guards::scan(s).mp(), oracle::mp(s))
+    }
+    fn cw(s: &LsrpState) -> bool {
+        agreed(Guards::scan(s).cw(), oracle::cw(s))
+    }
+    fn scw(s: &LsrpState) -> bool {
+        agreed(Guards::scan(s).scw(), oracle::scw(s))
+    }
+    fn c2_ready(s: &LsrpState) -> bool {
+        agreed(Guards::scan(s).c2_ready(), oracle::c2_ready(s))
+    }
+    fn sw(s: &LsrpState, k: NodeId) -> bool {
+        let fast = s.neighbor(k).is_some_and(|k| Guards::scan(s).sw(k));
+        agreed(fast, oracle::sw(s, k))
+    }
+    fn ps(s: &LsrpState, k: NodeId) -> bool {
+        let fast = s.neighbor(k).is_some_and(|k| Guards::scan(s).ps(k));
+        agreed(fast, oracle::ps(s, k))
+    }
+    fn best_parent_substitute(s: &LsrpState) -> Option<NodeId> {
+        agreed(
+            Guards::scan(s).best_parent_substitute(),
+            oracle::best_parent_substitute(s),
+        )
+    }
+    fn recovery_parent(s: &LsrpState) -> Option<NodeId> {
+        agreed(super::recovery_parent(s), oracle::recovery_parent(s))
     }
 
     /// A node v0 with neighbors v1 (w=1) and v2 (w=1); destination v9.
@@ -324,9 +401,10 @@ mod tests {
 
     #[test]
     fn infinite_distance_is_never_sp() {
-        let mut s = base();
+        // Nothing heard: all offers infinite.
+        let mut s = LsrpState::fresh(v(0), v(9), BTreeMap::from([(v(1), 1), (v(2), 1)]));
         s.d = Distance::Infinite;
-        s.mirrors.clear(); // all offers infinite
+        s.p = v(1);
         assert!(!sp(&s));
     }
 

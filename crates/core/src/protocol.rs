@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use lsrp_graph::{Distance, NodeId, RouteEntry, Weight};
 use lsrp_sim::{ActionId, Effects, EnabledSet, ForgedAdvert, HarnessProtocol, ProtocolNode};
 
-use crate::predicates;
+use crate::predicates::{self, Guards};
 use crate::state::{LsrpMsg, LsrpState, Mirror};
 use crate::timing::TimingConfig;
 
@@ -93,17 +93,18 @@ impl LsrpNode {
     }
 
     /// Hash of the values a guard witnesses: our own route variables plus
-    /// the mirrors of the given neighbors. Used as the guard fingerprint
-    /// so holds restart when the witnessed information changes.
-    fn witness_fingerprint(&self, neighbors: &[lsrp_graph::NodeId]) -> u64 {
+    /// `(k, mirror of k)` for each witnessed neighbor, in the order given.
+    /// Used as the guard fingerprint so holds restart when the witnessed
+    /// information changes.
+    fn witness_fingerprint(&self, witnessed: impl IntoIterator<Item = (NodeId, Mirror)>) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.state.d.hash(&mut h);
         self.state.p.hash(&mut h);
         self.state.ghost.hash(&mut h);
-        for &k in neighbors {
+        for (k, mirror) in witnessed {
             k.hash(&mut h);
-            self.state.mirror(k).hash(&mut h);
+            mirror.hash(&mut h);
         }
         h.finish()
     }
@@ -122,9 +123,11 @@ impl ProtocolNode for LsrpNode {
     // re-evaluates guards after every event with a reusable buffer.
     fn enabled_actions_into(&self, now_local: f64, set: &mut EnabledSet) {
         let s = &self.state;
+        // One pass over the neighbor table; every guard below is O(1).
+        let g = Guards::scan(s);
 
         // S1: MP.v ∧ p.v ≠ v, hold 0.
-        if predicates::mp(s) && s.p != s.id {
+        if g.mp() && s.p != s.id {
             set.enable(ActionId::plain(actions::S1), 0.0);
         }
 
@@ -132,42 +135,44 @@ impl ProtocolNode for LsrpNode {
         // The hold restarts if the values the adoption is based on — our
         // own route or the mirrors of k and of the current parent —
         // change mid-hold (see EnabledSet::fingerprints).
-        for &k in s.neighbors.keys() {
-            if !s.mirror(k).ghost && predicates::sw(s, k) {
+        for k in s.neighbors() {
+            if !k.mirror().ghost && g.sw(k) {
                 set.enable_with_fingerprint(
-                    ActionId::with_param(actions::S2, k),
+                    ActionId::with_param(actions::S2, k.id),
                     self.timing.hd_s,
-                    self.witness_fingerprint(&[k, s.p]),
+                    self.witness_fingerprint([(k.id, k.mirror()), (s.p, s.mirror(s.p))]),
                 );
             }
         }
 
         // C1: ¬ghost.v ∧ (SP.v ∨ CW.v), hold hd_C.
-        if !s.ghost && (predicates::sp(s) || predicates::cw(s)) {
+        if !s.ghost && (g.sp() || g.cw()) {
             set.enable(ActionId::plain(actions::C1), self.timing.hd_c);
         }
+
+        // C2 and SC witness every mirror, hashed straight off the table.
+        let all_mirrors =
+            || self.witness_fingerprint(s.neighbors().iter().map(|k| (k.id, k.mirror())));
 
         // C2: ghost.v ∧ no perturbed child; hold 0 per the paper, or the
         // anti-race hd_c2 (see TimingConfig::hd_c2). With a nonzero hold,
         // the hold restarts on any witnessed-value change so the parent
         // substitute is chosen from settled information.
-        if predicates::c2_ready(s) {
-            let ks: Vec<_> = s.neighbors.keys().copied().collect();
+        if g.c2_ready() {
             set.enable_with_fingerprint(
                 ActionId::plain(actions::C2),
                 self.timing.hd_c2,
-                self.witness_fingerprint(&ks),
+                all_mirrors(),
             );
         }
 
         // SC: ghost.v ∧ SCW.v, hold hd_SC (fingerprinted: the recovery
         // parent must be chosen from settled mirrors).
-        if s.ghost && predicates::scw(s) {
-            let ks: Vec<_> = s.neighbors.keys().copied().collect();
+        if s.ghost && g.scw() {
             set.enable_with_fingerprint(
                 ActionId::plain(actions::SC),
                 self.timing.hd_sc,
-                self.witness_fingerprint(&ks),
+                all_mirrors(),
             );
         }
 
@@ -198,7 +203,7 @@ impl ProtocolNode for LsrpNode {
             }
             actions::C1 => {
                 self.set_ghost(true, fx);
-                if predicates::sp(&self.state) {
+                if Guards::scan(&self.state).sp() {
                     let me = self.state.id;
                     self.set_p(me, fx);
                 }
@@ -210,7 +215,7 @@ impl ProtocolNode for LsrpNode {
                     let me = self.state.id;
                     self.set_d(Distance::ZERO, fx);
                     self.set_p(me, fx);
-                } else if let Some(k) = predicates::best_parent_substitute(&self.state) {
+                } else if let Some(k) = Guards::scan(&self.state).best_parent_substitute() {
                     let d = self.state.offer(k);
                     self.set_d(d, fx);
                     self.set_p(k, fx);
@@ -249,8 +254,9 @@ impl ProtocolNode for LsrpNode {
         _now_local: f64,
         fx: &mut Effects<LsrpMsg>,
     ) {
-        // SYN2: record the neighbor's latest values.
-        if self.state.is_neighbor(from) && self.state.absorb(from, msg) {
+        // SYN2: record the neighbor's latest values (a message from a
+        // non-neighbor is dropped by `absorb`).
+        if self.state.absorb(from, msg) {
             fx.note_mirror_change();
         }
     }
@@ -261,12 +267,12 @@ impl ProtocolNode for LsrpNode {
         now_local: f64,
         fx: &mut Effects<LsrpMsg>,
     ) {
-        let grew = neighbors.keys().any(|k| !self.state.is_neighbor(*k));
-        let weights_changed = neighbors
+        // A new neighbor, or a surviving one whose weight changed.
+        let announce = neighbors
             .iter()
-            .any(|(k, w)| self.state.neighbors.get(k).is_some_and(|old| old != w));
-        self.state.set_neighbors(neighbors.clone());
-        if grew || weights_changed {
+            .any(|(&k, &w)| self.state.weight(k) != Some(w));
+        self.state.set_neighbors(neighbors);
+        if announce {
             // Link-up hello: let new neighbors learn our state without
             // waiting for the next SYN1 round.
             self.broadcast_state(now_local, fx);
@@ -307,7 +313,7 @@ impl HarnessProtocol for LsrpNode {
     }
 
     fn poison_mirror(&mut self, about: NodeId, advert: ForgedAdvert, _dest: NodeId) {
-        self.state.mirrors.insert(
+        self.state.set_mirror(
             about,
             Mirror {
                 d: advert.d,

@@ -9,8 +9,16 @@
 //! * mirrors `d.k.v`, `p.k.v`, `ghost.k.v` of each neighbor `k`'s latest
 //!   broadcast values.
 //!
-//! All fields are public: the fault model includes arbitrary state
-//! corruption, which experiments perform by mutating this struct directly.
+//! `d`, `p`, `ghost` and `t_last` are public fields: the fault model
+//! includes arbitrary state corruption, which experiments perform by
+//! mutating them directly. The neighbor table is private — one id-sorted
+//! `Vec` of [`Neighbor`] rows read through [`LsrpState::neighbors`] /
+//! [`mirror`](LsrpState::mirror) / [`weight`](LsrpState::weight) and
+//! written through [`set_mirror`](LsrpState::set_mirror) /
+//! [`set_neighbors`](LsrpState::set_neighbors) — because it keeps two
+//! conditions the guards rely on: rows are sorted by id, and a mirror
+//! exists only about a current neighbor (the paper has no `d.k.v` for
+//! `k ∉ N.v`).
 
 use std::collections::BTreeMap;
 
@@ -52,6 +60,33 @@ pub struct LsrpMsg {
     pub ghost: bool,
 }
 
+/// One row of a node's neighbor table: a neighbor `k ∈ N.v`, the edge
+/// weight `w.v.k`, and what has been heard from `k`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Neighbor {
+    /// The neighbor's id `k`.
+    pub id: NodeId,
+    /// Edge weight `w.v.k`.
+    pub weight: Weight,
+    /// `k`'s latest broadcast, `None` until one arrives. Distinct from
+    /// `Some(Mirror::unknown(k))`: a first message carrying exactly the
+    /// unknown values still counts as a mirror change.
+    pub heard: Option<Mirror>,
+}
+
+impl Neighbor {
+    /// The mirror `(d.k.v, p.k.v, ghost.k.v)` ([`Mirror::unknown`] if
+    /// nothing heard).
+    pub fn mirror(&self) -> Mirror {
+        self.heard.unwrap_or(Mirror::unknown(self.id))
+    }
+
+    /// The distance this neighbor offers: `d.k.v + w.v.k`.
+    pub fn offer(&self) -> Distance {
+        self.mirror().d.plus(self.weight)
+    }
+}
+
 /// The full protocol state of one LSRP node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LsrpState {
@@ -67,21 +102,34 @@ pub struct LsrpState {
     pub ghost: bool,
     /// Local-clock time of the last broadcast (`t.v`).
     pub t_last: f64,
-    /// Current neighbor set with edge weights (`N.v`, `w.v.k`).
-    pub neighbors: BTreeMap<NodeId, Weight>,
-    /// Mirrors of neighbor state (`d.k.v`, `p.k.v`, `ghost.k.v`).
-    pub mirrors: BTreeMap<NodeId, Mirror>,
+    /// `N.v` with `w.v.k` and the mirrors, sorted by neighbor id.
+    table: Vec<Neighbor>,
 }
 
 impl LsrpState {
     /// Fresh state for a node that knows nothing: no route, self parent
-    /// (the destination starts with `d = 0, p = dest` instead).
-    pub fn fresh(id: NodeId, dest: NodeId, neighbors: BTreeMap<NodeId, Weight>) -> Self {
+    /// (the destination starts with `d = 0, p = dest` instead), nothing
+    /// heard from any neighbor. `neighbors` yields each neighbor once, in
+    /// any order — a `BTreeMap<NodeId, Weight>` or `Graph::neighbors`.
+    pub fn fresh(
+        id: NodeId,
+        dest: NodeId,
+        neighbors: impl IntoIterator<Item = (NodeId, Weight)>,
+    ) -> Self {
         let (d, p) = if id == dest {
             (Distance::ZERO, dest)
         } else {
             (Distance::Infinite, id)
         };
+        let mut table: Vec<Neighbor> = neighbors
+            .into_iter()
+            .map(|(id, weight)| Neighbor {
+                id,
+                weight,
+                heard: None,
+            })
+            .collect();
+        table.sort_unstable_by_key(|n| n.id);
         LsrpState {
             id,
             dest,
@@ -89,31 +137,45 @@ impl LsrpState {
             p,
             ghost: false,
             t_last: 0.0,
-            neighbors,
-            mirrors: BTreeMap::new(),
+            table,
         }
     }
 
-    /// The mirror of neighbor `k` ([`Mirror::unknown`] if nothing heard).
+    /// The neighbor table, in id order.
+    pub fn neighbors(&self) -> &[Neighbor] {
+        &self.table
+    }
+
+    fn index_of(&self, k: NodeId) -> Option<usize> {
+        self.table.binary_search_by_key(&k, |n| n.id).ok()
+    }
+
+    /// The table row of `k`, if `k` is a neighbor.
+    pub fn neighbor(&self, k: NodeId) -> Option<&Neighbor> {
+        self.index_of(k).map(|i| &self.table[i])
+    }
+
+    /// The mirror of `k` ([`Mirror::unknown`] if nothing heard, or if `k`
+    /// is not a neighbor).
     pub fn mirror(&self, k: NodeId) -> Mirror {
-        self.mirrors
-            .get(&k)
-            .copied()
-            .unwrap_or_else(|| Mirror::unknown(k))
+        self.neighbor(k)
+            .map_or_else(|| Mirror::unknown(k), Neighbor::mirror)
+    }
+
+    /// The edge weight `w.v.k`, if `k` is a neighbor.
+    pub fn weight(&self, k: NodeId) -> Option<Weight> {
+        self.neighbor(k).map(|n| n.weight)
     }
 
     /// The distance neighbor `k` currently offers this node:
     /// `d.k.v + w.v.k`, or `∞` if `k` is not a neighbor.
     pub fn offer(&self, k: NodeId) -> Distance {
-        match self.neighbors.get(&k) {
-            Some(&w) => self.mirror(k).d.plus(w),
-            None => Distance::Infinite,
-        }
+        self.neighbor(k).map_or(Distance::Infinite, Neighbor::offer)
     }
 
     /// Whether `k` is currently a neighbor.
     pub fn is_neighbor(&self, k: NodeId) -> bool {
-        self.neighbors.contains_key(&k)
+        self.neighbor(k).is_some()
     }
 
     /// The broadcast message for the current state.
@@ -130,23 +192,48 @@ impl LsrpState {
         RouteEntry::new(self.d, self.p)
     }
 
-    /// Updates the mirror of `from` with a received message; returns `true`
-    /// when the mirror actually changed.
+    /// Overwrites the mirror of neighbor `k`; returns `true` when what was
+    /// stored changed — which the *first* value heard from `k` always
+    /// does, even one equal to [`Mirror::unknown`]. A write about a
+    /// non-neighbor is a no-op (returns `false`): the paper has no such
+    /// variable.
+    pub fn set_mirror(&mut self, k: NodeId, mirror: Mirror) -> bool {
+        self.index_of(k)
+            .is_some_and(|i| self.table[i].heard.replace(mirror) != Some(mirror))
+    }
+
+    /// Updates the mirror of `from` with a received message (`SYN2`);
+    /// same result as [`set_mirror`](Self::set_mirror).
     pub fn absorb(&mut self, from: NodeId, msg: &LsrpMsg) -> bool {
-        let new = Mirror {
-            d: msg.d,
-            p: msg.p,
-            ghost: msg.ghost,
-        };
-        let old = self.mirrors.insert(from, new);
-        old != Some(new)
+        self.set_mirror(
+            from,
+            Mirror {
+                d: msg.d,
+                p: msg.p,
+                ghost: msg.ghost,
+            },
+        )
+    }
+
+    /// Sets every neighbor's mirror to `of(k)`, in id order (initial-state
+    /// seeding: one pass, no lookups).
+    pub fn fill_mirrors(&mut self, mut of: impl FnMut(NodeId) -> Mirror) {
+        for n in &mut self.table {
+            n.heard = Some(of(n.id));
+        }
     }
 
     /// Reconciles the neighbor set after a topology change: installs the
-    /// new set and drops mirrors of vanished neighbors.
-    pub fn set_neighbors(&mut self, neighbors: BTreeMap<NodeId, Weight>) {
-        self.mirrors.retain(|k, _| neighbors.contains_key(k));
-        self.neighbors = neighbors;
+    /// new set, carrying over the mirrors of surviving neighbors only.
+    pub fn set_neighbors(&mut self, neighbors: &BTreeMap<NodeId, Weight>) {
+        self.table = neighbors
+            .iter()
+            .map(|(&id, &weight)| Neighbor {
+                id,
+                weight,
+                heard: self.neighbor(id).and_then(|n| n.heard),
+            })
+            .collect();
     }
 }
 
@@ -217,10 +304,69 @@ mod tests {
                 ghost: false,
             },
         );
-        s.set_neighbors(BTreeMap::from([(v(2), 1)]));
+        s.set_neighbors(&BTreeMap::from([(v(2), 1)]));
         assert!(!s.is_neighbor(v(1)));
         assert_eq!(s.mirror(v(1)), Mirror::unknown(v(1)));
         assert_eq!(s.offer(v(1)), Distance::Infinite);
+    }
+
+    #[test]
+    fn first_hearing_of_the_unknown_value_is_a_change() {
+        // The engine counts an event as effective when a mirror changed;
+        // "nothing heard" and "heard exactly the default" must differ.
+        let mut s = state();
+        let unknown = Mirror::unknown(v(1));
+        assert_eq!(s.mirror(v(1)), unknown);
+        let msg = LsrpMsg {
+            d: unknown.d,
+            p: unknown.p,
+            ghost: unknown.ghost,
+        };
+        assert!(s.absorb(v(1), &msg), "first message always changes");
+        assert!(!s.absorb(v(1), &msg), "the repeat does not");
+        assert_eq!(s.mirror(v(1)), unknown);
+    }
+
+    #[test]
+    fn mirror_about_a_non_neighbor_is_not_state() {
+        let mut s = state();
+        let forged = Mirror {
+            d: Distance::ZERO,
+            p: v(9),
+            ghost: true,
+        };
+        let before = s.clone();
+        assert!(!s.set_mirror(v(7), forged), "v7 is not a neighbor");
+        assert_eq!(s, before);
+        assert_eq!(s.mirror(v(7)), Mirror::unknown(v(7)));
+        // ...so a later edge to v7 starts unheard instead of promoting
+        // the forged entry, while surviving neighbors keep their mirrors
+        // and vanished ones lose theirs.
+        assert!(s.set_mirror(v(1), forged));
+        assert!(s.set_mirror(v(2), forged));
+        s.set_neighbors(&BTreeMap::from([(v(2), 5), (v(7), 1)]));
+        let ids: Vec<NodeId> = s.neighbors().iter().map(|n| n.id).collect();
+        assert_eq!(ids, [v(2), v(7)]);
+        assert_eq!(s.neighbor(v(7)).unwrap().heard, None);
+        assert_eq!(s.neighbor(v(2)).unwrap().heard, Some(forged));
+        assert_eq!(s.weight(v(2)), Some(5));
+        assert_eq!(s.mirror(v(1)), Mirror::unknown(v(1)));
+        // Re-adding v1 does not resurrect what was heard before it left.
+        s.set_neighbors(&BTreeMap::from([(v(1), 2), (v(2), 5)]));
+        assert_eq!(s.neighbor(v(1)).unwrap().heard, None);
+    }
+
+    #[test]
+    fn fresh_sorts_whatever_order_it_is_given() {
+        let s = LsrpState::fresh(v(0), v(9), [(v(5), 1), (v(2), 3), (v(4), 2)]);
+        let rows: Vec<(NodeId, Weight)> = s.neighbors().iter().map(|n| (n.id, n.weight)).collect();
+        assert_eq!(rows, [(v(2), 3), (v(4), 2), (v(5), 1)]);
+        let from_map = LsrpState::fresh(
+            v(0),
+            v(9),
+            BTreeMap::from([(v(2), 3), (v(4), 2), (v(5), 1)]),
+        );
+        assert_eq!(s, from_map);
     }
 
     #[test]

@@ -248,24 +248,22 @@ impl ReferenceMultiSimulationExt for ReferenceMultiSimulation {
         let mut prepared: BTreeMap<NodeId, Vec<(NodeId, LsrpState)>> = graph
             .nodes()
             .map(|id| {
-                let neighbors: BTreeMap<NodeId, Weight> = graph.neighbors(id).collect();
                 let states = dests
                     .iter()
                     .map(|&dest| {
                         let table = &tables[&dest];
-                        let mut s = LsrpState::fresh(id, dest, neighbors.clone());
+                        let mut s = LsrpState::fresh(id, dest, graph.neighbors(id));
                         if let Some(e) = table.entry(id) {
                             s.d = e.distance;
                             s.p = e.parent;
                         }
-                        for k in neighbors.keys() {
-                            let m = table.entry(*k).map_or(Mirror::unknown(*k), |e| Mirror {
+                        s.fill_mirrors(|k| {
+                            table.entry(k).map_or(Mirror::unknown(k), |e| Mirror {
                                 d: e.distance,
                                 p: e.parent,
                                 ghost: false,
-                            });
-                            s.mirrors.insert(*k, m);
-                        }
+                            })
+                        });
                         (dest, s)
                     })
                     .collect();
@@ -276,12 +274,13 @@ impl ReferenceMultiSimulationExt for ReferenceMultiSimulation {
             let states: Vec<(NodeId, LsrpState)> = prepared.remove(&id).unwrap_or_else(|| {
                 dests
                     .iter()
-                    .map(|&dest| (dest, LsrpState::fresh(id, dest, neighbors.clone())))
+                    .map(|&dest| {
+                        (
+                            dest,
+                            LsrpState::fresh(id, dest, neighbors.iter().map(|(&k, &w)| (k, w))),
+                        )
+                    })
                     .collect()
-            });
-            let states = states.into_iter().map(|(dest, mut s)| {
-                s.set_neighbors(neighbors.clone());
-                (dest, s)
             });
             ReferenceMultiNode::new(id, timing, states)
         });

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lsrp_core::{LsrpState, Mirror, TimingConfig};
-use lsrp_graph::{Distance, Graph, NodeId, RouteTable, Weight};
+use lsrp_graph::{Distance, Graph, NodeId, RouteTable};
 use lsrp_sim::{Engine, EngineConfig, ForgedAdvert, HarnessProtocol, SimHarness};
 
 use crate::dest::DestTable;
@@ -137,24 +137,22 @@ impl MultiLsrpSimulationBuilder {
             .graph
             .nodes()
             .map(|id| {
-                let neighbors: BTreeMap<NodeId, Weight> = self.graph.neighbors(id).collect();
                 let states = dest_table
                     .iter()
                     .map(|(di, dest)| {
                         let table = &tables[di.index()];
-                        let mut s = LsrpState::fresh(id, dest, neighbors.clone());
+                        let mut s = LsrpState::fresh(id, dest, self.graph.neighbors(id));
                         if let Some(e) = table.entry(id) {
                             s.d = e.distance;
                             s.p = e.parent;
                         }
-                        for k in neighbors.keys() {
-                            let m = table.entry(*k).map_or(Mirror::unknown(*k), |e| Mirror {
+                        s.fill_mirrors(|k| {
+                            table.entry(k).map_or(Mirror::unknown(k), |e| Mirror {
                                 d: e.distance,
                                 p: e.parent,
                                 ghost: false,
-                            });
-                            s.mirrors.insert(*k, m);
-                        }
+                            })
+                        });
                         s
                     })
                     .collect();
@@ -166,12 +164,10 @@ impl MultiLsrpSimulationBuilder {
             let states: Vec<LsrpState> = prepared.remove(&id).unwrap_or_else(|| {
                 dest_table
                     .iter()
-                    .map(|(_, dest)| LsrpState::fresh(id, dest, neighbors.clone()))
+                    .map(|(_, dest)| {
+                        LsrpState::fresh(id, dest, neighbors.iter().map(|(&k, &w)| (k, w)))
+                    })
                     .collect()
-            });
-            let states = states.into_iter().map(|mut s| {
-                s.set_neighbors(neighbors.clone());
-                s
             });
             MultiLsrpNode::new(id, timing, Arc::clone(&dest_table), states)
         });

@@ -6,13 +6,16 @@
 //! measured on an unremarkable development container, so it only trips
 //! on order-of-magnitude regressions (an accidental O(n) scan on the hot
 //! path, a deep clone per broadcast fan-out copy), never on machine
-//! noise. Two machine-independent *ratio* gates sit beside it, each an
+//! noise. Three machine-independent *ratio* gates sit beside it, each an
 //! interleaved min-of-N pair timed in this process: the streaming trace
-//! sink's overhead, and the growth of per-event cost with node degree.
+//! sink's overhead, the growth of per-event cost with node degree, and the
+//! calendar queue's lead over the binary heap on the hold model.
 
 use std::path::Path;
 
-use lsrp_bench::engine_perf::{measure_all, to_json, DEGREE_SWEEP_MAX_RATIO, EVENTS_PER_SEC_FLOOR};
+use lsrp_bench::engine_perf::{
+    measure_all, to_json, DEGREE_SWEEP_MAX_RATIO, EVENTS_PER_SEC_FLOOR, SCHED_HOLD_PAIRS,
+};
 
 fn main() {
     let results = measure_all();
@@ -60,6 +63,20 @@ fn main() {
             if ok { "ok" } else { "OVER BUDGET" },
         );
         failed |= !ok;
+    }
+    for (depth, wheel, heap, floor) in SCHED_HOLD_PAIRS {
+        if let (Some(wheel), Some(heap)) = (find(wheel), find(heap)) {
+            let ratio = wheel.events_per_sec / heap.events_per_sec;
+            let ok = ratio >= floor;
+            eprintln!(
+                "perf-smoke sched_hold ratio: wheel {:.0} ns vs heap {:.0} ns at depth {depth} \
+                 = {ratio:.2}x (floor {floor:.1}x) — {}",
+                1e9 / wheel.events_per_sec,
+                1e9 / heap.events_per_sec,
+                if ok { "ok" } else { "BELOW FLOOR" },
+            );
+            failed |= !ok;
+        }
     }
     if failed {
         eprintln!("perf-smoke: engine throughput regressed past the generous floor");

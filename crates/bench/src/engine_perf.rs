@@ -26,7 +26,12 @@ use lsrp_multi::{
     MultiLsrpSimulation, MultiLsrpSimulationExt, ReferenceMultiSimulation,
     ReferenceMultiSimulationExt,
 };
-use lsrp_sim::{CongAlgKind, CongestionConfig, EngineConfig, SinkKind};
+use lsrp_sim::{
+    CongAlgKind, CongestionConfig, EngineConfig, EventKey, EventQueue, SchedulerKind, SimTime,
+    SinkKind,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The fixed seed every throughput scenario runs under.
 pub const PERF_SEED: u64 = 42;
@@ -613,38 +618,47 @@ pub fn trace_overhead_sim() -> LsrpSimulation {
         .build()
 }
 
-/// Interleaved paired measurement of two cold-start flavors. The two
+/// One timed iteration of one flavor of a pair: `(elapsed, events,
+/// deliveries, peak queue depth)`.
+type PairedRun = (Duration, u64, u64, usize);
+
+/// One iteration of a cold-start flavor: builds the simulation, then
+/// times its run to quiescence.
+///
+/// # Panics
+///
+/// Panics if the run fails to settle.
+fn cold_start(scenario: &str, build: impl Fn() -> LsrpSimulation) -> PairedRun {
+    let mut sim = build();
+    let start = Instant::now();
+    let report = sim.run_to_quiescence(1_000_000.0);
+    let dt = start.elapsed();
+    assert!(report.quiescent, "{scenario} must settle");
+    let stats = sim.stats();
+    (
+        dt,
+        stats.total_events(),
+        stats.messages_delivered,
+        stats.peak_queue_depth,
+    )
+}
+
+/// Interleaved paired measurement of two flavors of one workload. The two
 /// alternate iteration by iteration (so clock drift and neighbor load
 /// hit both equally) and each flavor's elapsed time is its *minimum*
 /// iteration time scaled to the iteration count — noise only ever adds
 /// time, so the minimum is the robust throughput estimate and the ratio
 /// between the flavors stays stable on busy CI runners.
-///
-/// # Panics
-///
-/// Panics if an iteration fails to settle.
 fn measure_paired(
     iters: u32,
-    a: (&'static str, &dyn Fn() -> LsrpSimulation),
-    b: (&'static str, &dyn Fn() -> LsrpSimulation),
+    a: (&'static str, &dyn Fn() -> PairedRun),
+    b: (&'static str, &dyn Fn() -> PairedRun),
 ) -> (EnginePerf, EnginePerf) {
-    let one = |(scenario, build): (&'static str, &dyn Fn() -> LsrpSimulation)| {
-        let mut sim = build();
-        let start = Instant::now();
-        let report = sim.run_to_quiescence(1_000_000.0);
-        let dt = start.elapsed();
-        assert!(report.quiescent, "{scenario} must settle");
-        (dt, sim.stats())
-    };
-    let acc = |scenario: &'static str, runs: &[(Duration, lsrp_sim::EngineStats)]| {
-        let events: u64 = runs.iter().map(|(_, s)| s.total_events()).sum();
-        let delivered: u64 = runs.iter().map(|(_, s)| s.messages_delivered).sum();
-        let peak = runs
-            .iter()
-            .map(|(_, s)| s.peak_queue_depth)
-            .max()
-            .unwrap_or(0);
-        let min = runs.iter().map(|(d, _)| *d).min().unwrap_or(Duration::ZERO);
+    let acc = |scenario: &'static str, runs: &[PairedRun]| {
+        let events: u64 = runs.iter().map(|r| r.1).sum();
+        let delivered: u64 = runs.iter().map(|r| r.2).sum();
+        let peak = runs.iter().map(|r| r.3).max().unwrap_or(0);
+        let min = runs.iter().map(|r| r.0).min().unwrap_or(Duration::ZERO);
         let secs = (min.as_secs_f64() * f64::from(runs.len() as u32)).max(f64::MIN_POSITIVE);
         EnginePerf {
             scenario,
@@ -660,8 +674,8 @@ fn measure_paired(
     let mut a_runs = Vec::new();
     let mut b_runs = Vec::new();
     for _ in 0..iters {
-        a_runs.push(one(a));
-        b_runs.push(one(b));
+        a_runs.push(a.1());
+        b_runs.push(b.1());
     }
     (acc(a.0, &a_runs), acc(b.0, &b_runs))
 }
@@ -673,10 +687,11 @@ fn measure_paired(
 ///
 /// Panics if an iteration fails to settle.
 pub fn measure_trace_overhead(iters: u32) -> (EnginePerf, EnginePerf) {
+    let (null, traced) = ("trace_overhead_null", "trace_overhead");
     measure_paired(
         iters,
-        ("trace_overhead_null", &trace_overhead_null_sim),
-        ("trace_overhead", &trace_overhead_sim),
+        (null, &|| cold_start(null, trace_overhead_null_sim)),
+        (traced, &|| cold_start(traced, trace_overhead_sim)),
     )
 }
 
@@ -707,11 +722,74 @@ pub const DEGREE_SWEEP_MAX_RATIO: f64 = 4.0;
 ///
 /// Panics if an iteration fails to settle.
 pub fn measure_degree_sweep(iters: u32) -> (EnginePerf, EnginePerf) {
+    let (narrow, wide) = ("degree_sweep_25", "degree_sweep_200");
     measure_paired(
         iters,
-        ("degree_sweep_25", &|| complete_sim(25)),
-        ("degree_sweep_200", &|| complete_sim(200)),
+        (narrow, &|| cold_start(narrow, || complete_sim(25))),
+        (wide, &|| cold_start(wide, || complete_sim(200))),
     )
+}
+
+/// The hold-model pairs: queue depth, the wheel's and the heap's scenario
+/// names, and how many times faster than the heap the wheel must run.
+///
+/// The floors sit under what an unremarkable 2-core container measures:
+/// 1.14–1.45× at depth 1 000 (this loop reads 40–53 ns on the wheel
+/// depending on the crate it is compiled into), where the whole heap
+/// lives in the L1 cache and costs ≈ 57–64 ns a hold, and 2.0–2.3× at
+/// depth 300 000, where its sift paths leave the cache. The three-tier wheel this one replaced
+/// measured ≈ 0.9× and ≈ 1.0× against a heap that still paid for
+/// tombstones (≈ 83 ns at depth 1 000).
+pub const SCHED_HOLD_PAIRS: [(u64, &str, &str, f64); 2] = [
+    (1_000, "sched_hold_wheel_1k", "sched_hold_heap_1k", 1.05),
+    (
+        300_000,
+        "sched_hold_wheel_300k",
+        "sched_hold_heap_300k",
+        1.5,
+    ),
+];
+
+/// The classic hold model on the engine's event queue: fill it to
+/// `depth`, then time `holds` rounds of popping the earliest event and
+/// scheduling one a random increment (mean `depth`) later, so the depth
+/// stays put and the pending times spread one per simulated second.
+fn sched_hold(kind: SchedulerKind, depth: u64, holds: u64) -> PairedRun {
+    let mut rng = StdRng::seed_from_u64(PERF_SEED);
+    let mut queue: EventQueue<u64> = EventQueue::new(kind);
+    let mut k = 0u64;
+    let mut increment = || rng.gen_range(0.0..2.0 * depth as f64);
+    for _ in 0..depth {
+        queue.schedule(SimTime::new(increment()), EventKey::driver(k), k);
+        k += 1;
+    }
+    let start = Instant::now();
+    let mut sum = 0u64;
+    for _ in 0..holds {
+        let (t, _, item) = queue.pop().expect("the queue holds `depth` events");
+        sum = sum.wrapping_add(item);
+        queue.schedule(t + increment(), EventKey::driver(k), k);
+        k += 1;
+    }
+    std::hint::black_box(sum);
+    (start.elapsed(), holds, 0, depth as usize)
+}
+
+/// The scheduler pairs of [`SCHED_HOLD_PAIRS`], measured by
+/// [`measure_paired`] with one hold as one "event". `perf_smoke` holds
+/// the wheel to each pair's floor: the calendar queue has to keep earning
+/// its code over the `BinaryHeap` it is checked against.
+pub fn measure_sched_hold(iters: u32) -> Vec<EnginePerf> {
+    let mut results = Vec::new();
+    for (depth, wheel, heap, _) in SCHED_HOLD_PAIRS {
+        let (w, h) = measure_paired(
+            iters,
+            (wheel, &|| sched_hold(SchedulerKind::Wheel, depth, 400_000)),
+            (heap, &|| sched_hold(SchedulerKind::Heap, depth, 400_000)),
+        );
+        results.extend([w, h]);
+    }
+    results
 }
 
 /// The cheap scenarios — each sized for a sub-second release-mode run
@@ -741,6 +819,7 @@ pub fn measure_all() -> Vec<EnginePerf> {
     let mut results = measure_core();
     let (deg25, deg200) = measure_degree_sweep(5);
     results.extend([deg25, deg200]);
+    results.extend(measure_sched_hold(5));
     results.push(measure("scale_bigswitch", 1, scale_bigswitch_sim));
     results.push(measure("scale_bigswitch_par", 1, scale_bigswitch_par_sim));
     results.push(measure("scale_waxman_100k", 1, scale_waxman_100k_sim));

@@ -21,6 +21,7 @@ use lsrp_baselines::{
 use lsrp_core::{InitialState, LsrpSimulation, LsrpSimulationExt, TimingConfig};
 use lsrp_faults::corruption::{contiguous_region, corrupt_region_plan};
 use lsrp_faults::{CorruptionKind, Fault, FaultPlan};
+use lsrp_graph::shortest_path::ShortestPaths;
 use lsrp_graph::{generators, Distance, Graph, NodeId, RouteTable};
 use lsrp_multi::{MultiLsrpSimulation, MultiLsrpSimulationExt};
 use lsrp_sim::{ClockConfig, CongAlgKind, CongestionConfig, EngineConfig, LinkConfig, SinkKind};
@@ -86,6 +87,24 @@ pub fn paper_timing() -> TimingConfig {
     TimingConfig::paper_example(1.0)
 }
 
+/// DBF's configuration for `graph`: the default, with the bounded
+/// infinity raised just past the farthest node's true distance. DBF clamps
+/// any distance `>= infinity` to `∞`, so under the default 64 every node
+/// 64 or more from the destination (a 33x33 grid has some) would be
+/// routeless in DBF's own legitimate state.
+fn dbf_config(graph: &Graph, destination: NodeId) -> DbfConfig {
+    let farthest = ShortestPaths::dijkstra(graph, destination)
+        .iter()
+        .filter_map(|(_, d)| d.as_finite())
+        .max()
+        .unwrap_or(0);
+    let default = DbfConfig::default();
+    DbfConfig {
+        infinity: default.infinity.max(farthest + 1),
+        ..default
+    }
+}
+
 /// Builds one protocol over `graph` from a legitimate state (the given
 /// chosen tree, or the canonical one), under the matched paper timing.
 pub fn build(
@@ -110,13 +129,16 @@ pub fn build(
                     .build(),
             )
         }
-        Protocol::Dbf => Box::new(DbfSimulation::new(
-            graph,
-            destination,
-            table,
-            DbfConfig::default(),
-            engine,
-        )),
+        Protocol::Dbf => {
+            let config = dbf_config(&graph, destination);
+            Box::new(DbfSimulation::new(
+                graph,
+                destination,
+                table,
+                config,
+                engine,
+            ))
+        }
         Protocol::Dual => {
             // DUAL never counts to infinity, so a high bound is safe — and
             // needed so long injected loops (E9, L = 64) are not clamped
@@ -162,16 +184,13 @@ pub fn build_held(
                 .engine_config(engine)
                 .build(),
         ),
-        Protocol::Dbf => Box::new(DbfSimulation::new(
-            graph,
-            destination,
-            None,
-            DbfConfig {
+        Protocol::Dbf => {
+            let config = DbfConfig {
                 hold: timing.hd_s,
-                ..DbfConfig::default()
-            },
-            engine,
-        )),
+                ..dbf_config(&graph, destination)
+            };
+            Box::new(DbfSimulation::new(graph, destination, None, config, engine))
+        }
         Protocol::Dual => Box::new(DualSimulation::new(
             graph,
             destination,
@@ -321,7 +340,7 @@ pub fn recovery_cell(spec: &RecoveryCellSpec) -> RecoveryMetrics {
     };
     match spec.fault {
         RegionFault::CorruptPlan => {
-            let sp = lsrp_graph::shortest_path::ShortestPaths::dijkstra(&graph, dest);
+            let sp = ShortestPaths::dijkstra(&graph, dest);
             let table = sim.route_table();
             let mut rng = StdRng::seed_from_u64(spec.seed);
             let plan = corrupt_region_plan(&graph, &region, &sp, &table, &mut rng);
@@ -359,7 +378,7 @@ pub fn region_case_cell(
     seed: u64,
 ) -> RecoveryMetrics {
     let mut perturbed: std::collections::BTreeSet<NodeId> = std::collections::BTreeSet::new();
-    let sp = lsrp_graph::shortest_path::ShortestPaths::dijkstra(graph, dest);
+    let sp = ShortestPaths::dijkstra(graph, dest);
     let mut sim = build(protocol, graph.clone(), dest, None, seed);
     let table = sim.route_table();
     let mut rng = StdRng::seed_from_u64(seed);

@@ -295,3 +295,32 @@ fn unrecovered_require_correct_cell_is_an_error_naming_the_cell() {
          protocol=lsrp width=4 p=2 loss=1.0 seed=5"
     );
 }
+
+#[test]
+fn dbf_cell_recovers_on_a_grid_deeper_than_its_default_infinity() {
+    // A 40x40 grid has nodes 78 hops from the destination. With DBF's
+    // default bounded infinity of 64 they were clamped to no route even
+    // in the legitimate state, and this cell failed with the error above
+    // (quiescent=true, routes_correct=false) though nothing was wrong
+    // with the run; `cells::build` now sizes the bound to the graph.
+    let src = "[scenario]\n\
+               name = \"x\"\n\
+               kind = \"recovery\"\n\
+               [recovery]\n\
+               protocol = \"dbf\"\n\
+               width = 40\n\
+               p = 1\n\
+               seed = 42\n\
+               seed_mode = \"plus-width\"\n\
+               fault = \"corrupt-region\"\n\
+               [report]\n\
+               title = \"t\"\n\
+               columns = [\"protocol\", \"grid_n\", \"routes_correct\"]\n";
+    let scenario = load_str(src).expect("scenario parses");
+    let outcome = run_scenario(&scenario, ExecOptions::default()).expect("the cell recovers");
+    let report = outcome.report();
+    assert!(
+        report.contains("| DBF") && report.contains("| 1600"),
+        "{report}"
+    );
+}

@@ -49,7 +49,7 @@
 //! directly for the duration of one window; a window in which at most
 //! one region has work runs inline and spawns nothing.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -305,12 +305,55 @@ struct GuardTrack {
     fingerprint: u64,
 }
 
+/// A node's tracked guards, sorted by action id: a handful of entries
+/// that come and go with every enable and fire. The vector keeps its
+/// buffer across them, where a map allocates and frees a leaf each time.
+#[derive(Default)]
+struct Guards(Vec<(ActionId, GuardTrack)>);
+
+impl Guards {
+    /// Where `id` is tracked, or else where it would be inserted.
+    fn find(&self, id: ActionId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&id, |e| e.0)
+    }
+
+    fn get(&self, id: ActionId) -> Option<&GuardTrack> {
+        Some(&self.0[self.find(id).ok()?].1)
+    }
+
+    fn remove(&mut self, id: ActionId) {
+        if let Ok(at) = self.find(id) {
+            self.0.remove(at);
+        }
+    }
+
+    fn keys(&self) -> impl Iterator<Item = ActionId> + '_ {
+        self.0.iter().map(|e| e.0)
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(ActionId, &GuardTrack) -> bool) {
+        self.0.retain(|e| keep(e.0, &e.1));
+    }
+
+    /// Tracks `id` with `track()` unless it is tracked already; returns
+    /// the new track if so.
+    fn insert_if_vacant(
+        &mut self,
+        id: ActionId,
+        track: impl FnOnce() -> GuardTrack,
+    ) -> Option<GuardTrack> {
+        let at = self.find(id).err()?;
+        self.0.insert(at, (id, track()));
+        Some(self.0[at].1)
+    }
+}
+
 /// Everything the engine keeps per live node, stored densely by the
 /// node's *local* (in-region) id.
 struct Slot<P> {
     node: P,
     clock: Clock,
-    guards: BTreeMap<ActionId, GuardTrack>,
+    guards: Guards,
     /// The node's current neighbor/weight map, cached from the graph and
     /// rebuilt only on topology changes — broadcast fan-out, single-sends
     /// and delivery liveness checks read it instead of re-querying (or
@@ -547,7 +590,7 @@ struct Core<P: ProtocolNode> {
     packets_in_flight_weight: i64,
     active_flows: usize,
     staged: Vec<Staged<P::Msg>>,
-    obs: Vec<ObsRec>,
+    obs: VecDeque<ObsRec>,
     counts: Vec<CountOp>,
     /// Whether bounded-port occupancy transitions are recorded as
     /// [`ObsOp::Queue`] observations. Mirrors the installed sink's
@@ -593,7 +636,7 @@ impl<P: ProtocolNode> Core<P> {
             packets_in_flight_weight: 0,
             active_flows: 0,
             staged: Vec::new(),
-            obs: Vec::new(),
+            obs: VecDeque::new(),
             counts: Vec::new(),
             emit_queue_obs: false,
             scratch: Vec::new(),
@@ -669,7 +712,7 @@ impl<P: ProtocolNode> Core<P> {
     fn obs(&mut self, op: ObsOp) {
         let seq = self.opseq;
         self.opseq += 1;
-        self.obs.push(ObsRec {
+        self.obs.push_back(ObsRec {
             time: self.cur_time,
             key: self.cur_key,
             seq,
@@ -698,8 +741,10 @@ impl<P: ProtocolNode> Core<P> {
     /// top of its loop and decides whether the run's budget is spent.
     fn run_window(&mut self, shared: &Shared, bound: WindowBound, budget: u64) -> u64 {
         let mut done = 0u64;
-        while done < budget && self.queue.peek().is_some_and(|head| bound.admits(head)) {
-            let (time, key, event) = self.queue.pop().expect("peeked");
+        while done < budget {
+            let Some((time, key, event)) = self.queue.pop_if(|head| bound.admits(head)) else {
+                break;
+            };
             self.now = self.now.max(time);
             self.cur_time = self.now;
             self.cur_key = key;
@@ -755,7 +800,7 @@ impl<P: ProtocolNode> Core<P> {
                 let Some(slot) = self.slots.get_mut(NodeId::new(l)) else {
                     return; // node failed in the meantime
                 };
-                let Some(track) = slot.guards.get(&action) else {
+                let Some(track) = slot.guards.get(action) else {
                     return; // guard was disabled in the meantime
                 };
                 if track.generation != generation {
@@ -763,7 +808,7 @@ impl<P: ProtocolNode> Core<P> {
                 }
                 // Continuously enabled for the hold-time: execute.
                 self.stats.events.guard_fires += 1;
-                slot.guards.remove(&action);
+                slot.guards.remove(action);
                 if !P::is_maintenance(action) {
                     self.enabled_non_maintenance -= 1;
                 }
@@ -1062,28 +1107,29 @@ impl<P: ProtocolNode> Core<P> {
         // handful of entries, so membership and fingerprint lookups are
         // linear scans — no per-call set allocation.
         tracked.retain(|id, track| {
-            let keep = set.is_enabled(*id)
-                && set.fingerprint_of(*id).unwrap_or(track.fingerprint) == track.fingerprint;
-            if !keep && !P::is_maintenance(*id) {
+            let keep = set.is_enabled(id)
+                && set.fingerprint_of(id).unwrap_or(track.fingerprint) == track.fingerprint;
+            if !keep && !P::is_maintenance(id) {
                 *counter -= 1;
             }
             keep
         });
         let mut to_schedule = std::mem::take(&mut self.schedule_scratch);
+        let generation = &mut self.guard_gen[local as usize];
         for &(id, hold) in &set.actions {
-            if let std::collections::btree_map::Entry::Vacant(e) = tracked.entry(id) {
-                self.guard_gen[local as usize] += 1;
-                let generation = self.guard_gen[local as usize];
-                let fingerprint = set.fingerprint_of(id).unwrap_or(0);
-                e.insert(GuardTrack {
-                    generation,
-                    fingerprint,
-                });
+            let inserted = tracked.insert_if_vacant(id, || {
+                *generation += 1;
+                GuardTrack {
+                    generation: *generation,
+                    fingerprint: set.fingerprint_of(id).unwrap_or(0),
+                }
+            });
+            if let Some(track) = inserted {
                 if !P::is_maintenance(id) {
                     *counter += 1;
                 }
                 let fire = self.now + clock.real_duration(hold.max(0.0));
-                to_schedule.push((id, fire, generation));
+                to_schedule.push((id, fire, track.generation));
             }
         }
         for &(id, fire, generation) in &to_schedule {
@@ -1868,7 +1914,7 @@ impl<P: ProtocolNode> Engine<P> {
             Slot {
                 node,
                 clock,
-                guards: BTreeMap::new(),
+                guards: Guards::default(),
                 neighbors,
                 pending_wakeup: None,
             },
@@ -2038,7 +2084,7 @@ impl<P: ProtocolNode> Engine<P> {
                 .iter()
                 .flat_map(|c| c.slots.values())
                 .flat_map(|s| s.guards.keys())
-                .filter(|&&a| !P::is_maintenance(a))
+                .filter(|&a| !P::is_maintenance(a))
                 .count(),
             "non-maintenance guard counter drifted"
         );
@@ -2264,7 +2310,7 @@ impl<P: ProtocolNode> Engine<P> {
                 core.enabled_non_maintenance -= slot
                     .guards
                     .keys()
-                    .filter(|&&a| !P::is_maintenance(a))
+                    .filter(|&a| !P::is_maintenance(a))
                     .count();
             }
         }
@@ -2704,23 +2750,17 @@ impl<P: ProtocolNode> Engine<P> {
                 }
             }
         }
-        let mut streams: Vec<_> = cores
-            .iter_mut()
-            .filter(|c| !c.obs.is_empty())
-            .map(|c| c.obs.drain(..).peekable())
-            .collect();
+        // The streams are consumed in place, from the front: nothing is
+        // allocated, and with nothing recorded the loop ends at once.
         loop {
-            let mut best: Option<(usize, (SimTime, EventKey, u64))> = None;
-            for (i, s) in streams.iter_mut().enumerate() {
-                if let Some(rec) = s.peek() {
-                    let k = (rec.time, rec.key, rec.seq);
-                    if best.is_none_or(|(_, bk)| k < bk) {
-                        best = Some((i, k));
-                    }
-                }
-            }
-            let Some((i, _)) = best else { break };
-            let rec = streams[i].next().expect("peeked");
+            let heads = cores.iter().enumerate().filter_map(|(i, c)| {
+                let rec = c.obs.front()?;
+                Some((i, (rec.time, rec.key, rec.seq)))
+            });
+            let Some((i, _)) = heads.min_by_key(|&(_, k)| k) else {
+                break;
+            };
+            let rec = cores[i].obs.pop_front().expect("its head was just read");
             match rec.op {
                 ObsOp::Action(r) => sink.record_action(r, shared.config.record_trace),
                 ObsOp::ReceiveChange(t, v) => sink.record_receive_change(t, v),

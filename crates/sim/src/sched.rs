@@ -1,62 +1,51 @@
-//! Pluggable event schedulers: a calendar queue (hierarchical timing
-//! wheel) and the classic binary heap it replaces.
+//! Pluggable event schedulers: a calendar queue and the classic binary
+//! heap it is checked against.
 //!
-//! The engine orders every event by the key `(SimTime, EventKey)` —
-//! time first, then a *canonical* per-event key breaking ties. An
-//! [`EventKey`] is `(src, k)`: the raw id of the node whose handler
-//! emitted the event (`u32::MAX` for driver-side emissions) and a
-//! per-emitter counter value. Unlike the global sequence number this
-//! replaced, the key depends only on *which handler emitted the event
-//! and how many events that handler had emitted before* — never on the
-//! interleaving of other nodes' handlers. That makes the total order
-//! identical whether events are drawn from one global queue or merged
-//! from per-region queues at window barriers: the determinism contract
-//! of the region-parallel executor. Two schedulers that dequeue the
-//! same multiset of entries in the same `(time, key)` order drive
-//! byte-identical trajectories, so the heap stays available as an
-//! oracle the equivalence suite diffs the wheel against.
+//! The engine orders every event by `(SimTime, EventKey)` — time first,
+//! then the canonical per-event key of [`EventKey`], which depends only
+//! on its emitter's own history and so orders events the same way in one
+//! global queue as in per-region queues merged at window barriers. Two
+//! schedulers with the same dequeue order drive byte-identical runs, so
+//! the heap stays as the oracle the equivalence suite diffs against.
 //!
 //! # The calendar queue
 //!
-//! [`SchedulerKind::Wheel`] keys events into *days* of a fixed `width`
-//! (`day = floor(time / width)`) across three tiers:
+//! [`SchedulerKind::Wheel`] (DESIGN.md §14.2) keys events into *days*,
+//! `day = (time * inv_width) as u64`. Multiplying by a positive constant
+//! and truncating are both monotone, so `day(a) < day(b)` implies
+//! `a < b` and equal times share a day: splitting entries by day can
+//! never reorder them. Three tiers hold the pending entries:
 //!
-//! * **`current`** — every pending entry with `day <= cur_day`, kept in
-//!   a `(time, key)` min-heap. Because any entry with a later day has
-//!   `time >= (cur_day + 1) * width`, the top of `current` is always
-//!   the global minimum whenever `current` is non-empty. A heap rather
-//!   than a sorted vec keeps same-day insert at O(log c) in the day's
-//!   population c — dense cold-start bursts (100k+ timers landing in
-//!   one day before the first rotation can re-width) would make sorted
-//!   insertion O(c) per event, quadratic overall; with the heap the
-//!   wheel's worst case degenerates to exactly the oracle's behavior.
-//! * **near buckets** — entries with `cur_day < day < rotation_end`
-//!   append unsorted to `buckets[day % buckets.len()]` in O(1). Each
-//!   bucket holds at most one distinct day at a time (days beyond the
-//!   rotation horizon go to the overflow), so advancing the cursor
-//!   drains exactly one day per bucket and sorts only what it drained.
-//! * **overflow** — entries with `day >= rotation_end` (hold timers,
-//!   flow RTOs, far-future wakeups) sit in a `(time, key)`-ordered
-//!   binary heap until a rotation pulls them into the near tier.
+//! * **`current`** — every entry with `day <= cur_day`, in a
+//!   `(time, key)` min-heap whose top is the global minimum; every
+//!   operation leaves it non-empty whenever the queue is, which keeps
+//!   [`EventQueue::peek`] `&self` and O(1). A heap, because one day can
+//!   hold a whole same-instant burst (a cold start arms 100k+ timers for
+//!   one instant): the worst case is the oracle's O(log n), not O(n).
+//! * **near buckets** — entries with `cur_day < day < end_day` append
+//!   unsorted to `buckets[day % n]`; the window is fixed between
+//!   rotations, so a bucket holds one day. An occupancy bitmap finds the
+//!   next populated day, which is moved into `current` and heapified.
+//! * **far pile** — entries with `day >= end_day` (hold timers, flow
+//!   RTOs) append to one unsorted vector; only its minimum is tracked.
 //!
-//! When the near tier and `current` are both empty, the cursor *jumps*
-//! to the overflow minimum's day instead of scanning empty buckets; that
-//! jump is the **rotation**, and it is also where the wheel re-widths:
-//! bucket count tracks the pending-entry count (a power of two between
-//! `MIN_BUCKETS` and `MAX_BUCKETS`) and `width` re-targets the
-//! pending time span divided by the bucket count, so a queue of closely
-//! spaced events gets narrow buckets (little sorting per day) while a
-//! sparse far-flung queue gets wide ones (few empty-bucket scans).
-//! Monotone f64 division keeps day comparison consistent with time
-//! comparison, so the tier split can never reorder equal-time entries.
+//! When `current` and the near tier are both empty the window *rotates*:
+//! it restarts at the far minimum's day and one pass spreads every far
+//! entry it now covers. That pass scans the whole pile, so the pops since
+//! the previous rotation plus the entries this one captures must reach a
+//! fixed share of the pile, or the days are doubled until they do. The
+//! bucket count follows half the peak population since the last one.
 //!
-//! Cancellation ([`EventQueue::cancel`]) is by tombstone: the entry
-//! stays where it is and is discarded when it surfaces as the minimum.
-//! Every public operation re-normalizes so the reported minimum is
-//! always live, which keeps [`EventQueue::peek_time`] `&self`.
+//! The day width follows the event density at the head: every *epoch* of
+//! `max(MIN_EPOCH, 2 * len)` pops, if the simulated time that passed per
+//! pop no longer puts between half and twice [`PER_DAY`] pops in a day,
+//! every entry is tipped into the far pile and spread again under the
+//! width that does — O(len) once per `2 * len` pops, O(1) per pop. A
+//! width that stops fitting in mid-epoch costs speed, never order. There
+//! is no cancellation: engine timers carry a generation, and a stale one
+//! is dropped when it fires.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::time::SimTime;
@@ -65,13 +54,10 @@ use crate::time::SimTime;
 ///
 /// Both produce the exact `(time, key)` dequeue order, so the choice can
 /// never affect a trajectory — only throughput. The wheel is the default;
-/// the heap is kept as the determinism oracle (and as a fallback while
-/// profiling).
+/// the heap is kept as the determinism oracle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// Calendar queue / hierarchical timing wheel: O(1) amortized
-    /// enqueue and dequeue with a sorted-overflow tier for far-future
-    /// events.
+    /// Calendar queue: O(1) amortized enqueue and dequeue.
     #[default]
     Wheel,
     /// The classic global binary heap: O(log n) per operation.
@@ -112,8 +98,7 @@ impl EventKey {
     }
 }
 
-/// One queued entry. Ordered by `(time, key)` only; the payload never
-/// participates in comparisons.
+/// A queued entry, ordered by `(time, key)` *reversed* for std's max-heap.
 struct Entry<T> {
     time: SimTime,
     key: EventKey,
@@ -133,221 +118,297 @@ impl<T> PartialOrd for Entry<T> {
 }
 impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time.cmp(&other.time).then(self.key.cmp(&other.key))
+        (other.time, other.key).cmp(&(self.time, self.key))
     }
 }
 
-/// Smallest and largest near-tier sizes the re-width rule may pick.
+/// Bounds on the bucket count (a power of two).
 const MIN_BUCKETS: usize = 64;
-/// See [`MIN_BUCKETS`].
 const MAX_BUCKETS: usize = 1 << 16;
-/// Starting bucket width in simulated seconds (re-targeted on rotation).
+/// Starting day width in simulated seconds, and the bounds on widths.
 const INITIAL_WIDTH: f64 = 0.5;
-/// Widths are clamped to stay useful: a zero width would put every event
-/// in one day, an enormous one degenerates to a sorted vec.
 const MIN_WIDTH: f64 = 1e-9;
-/// See [`MIN_WIDTH`].
 const MAX_WIDTH: f64 = 1e12;
+/// Day numbers saturate here (`+∞` too), leaving room to add a window.
+const LAST_DAY: u64 = u64::MAX - 2 * MAX_BUCKETS as u64;
+/// Capacity a drained bucket keeps; a burst day's growth is given back.
+const KEEP: usize = 8;
+/// Pops per day the width rule aims for, within a factor of two.
+const PER_DAY: f64 = 3.0;
+/// Fewest pops between two density checks.
+const MIN_EPOCH: u64 = 4096;
+/// A rotation's scan of `f` far entries takes `f / PAID` pops or captures.
+const PAID: usize = 4;
 
-/// The calendar-queue tier structure (see the module docs).
+/// The calendar queue's tiers (see the module docs).
 struct Calendar<T> {
-    /// Near tier; bucket `b` holds entries whose day is congruent to `b`
-    /// and inside `(cur_day, rotation_end)`, unsorted.
+    /// Entries with `day <= cur_day`; the top is the global minimum.
+    current: BinaryHeap<Entry<T>>,
+    /// Bucket `b`: the one day in `(cur_day, end_day)` congruent to `b`.
     buckets: Vec<Vec<Entry<T>>>,
+    /// Bit `b` is set iff `buckets[b]` is non-empty.
+    occupied: Vec<u64>,
     /// Total entries across `buckets`.
     near_len: usize,
-    /// Bucket width in simulated seconds.
-    width: f64,
+    /// Entries with `day >= end_day`, unsorted.
+    far: Vec<Entry<T>>,
+    /// Earliest time in `far` (`+∞` when empty).
+    far_min: SimTime,
+    /// Reciprocal of the day width in simulated seconds.
+    inv_width: f64,
     /// The cursor: `current` covers every day up to and including this.
     cur_day: u64,
-    /// Exclusive horizon of the near tier; `day >= rotation_end` goes to
-    /// the overflow.
-    rotation_end: u64,
-    /// Entries with `day <= cur_day`, min-ordered by `(time, key)` (the
-    /// minimum is at the top; see the module docs for why this tier is a
-    /// heap rather than a sorted vec).
-    current: BinaryHeap<Reverse<Entry<T>>>,
-    /// Far-future tier, min-ordered by `(time, key)`.
-    overflow: BinaryHeap<Reverse<Entry<T>>>,
-    /// Latest event time ever enqueued (monotone; feeds the re-width
-    /// span estimate — a deliberate overestimate once events pop).
-    max_seen: f64,
+    /// Exclusive horizon of the near tier, fixed between rotations.
+    end_day: u64,
+    /// Pops ever made, and their number at the last rotation.
+    pops: u64,
+    year_start: u64,
+    /// The density epoch: (`pops`, popped time) at its start, `pops` at its end.
+    epoch: (u64, f64),
+    epoch_end: u64,
+    /// Largest population seen since the last rotation.
+    peak_len: usize,
+    /// Entries scanned or moved by rotations and retunes.
+    #[cfg(test)]
+    touched: u64,
 }
 
 impl<T> Calendar<T> {
     fn new() -> Self {
         Calendar {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            near_len: 0,
-            width: INITIAL_WIDTH,
-            cur_day: 0,
-            rotation_end: MIN_BUCKETS as u64,
             current: BinaryHeap::new(),
-            overflow: BinaryHeap::new(),
-            max_seen: 0.0,
+            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            occupied: vec![0; MIN_BUCKETS / 64],
+            near_len: 0,
+            far: Vec::new(),
+            far_min: SimTime::new(f64::INFINITY),
+            inv_width: 1.0 / INITIAL_WIDTH,
+            cur_day: 0,
+            end_day: MIN_BUCKETS as u64 + 1,
+            pops: 0,
+            year_start: 0,
+            epoch: (0, 0.0),
+            epoch_end: MIN_EPOCH,
+            peak_len: 0,
+            #[cfg(test)]
+            touched: 0,
         }
     }
 
-    /// The day an event at `t` belongs to. Monotone in `t` (f64 division
-    /// by a positive constant and `floor` are both monotone), so
-    /// `day(a) < day(b)` implies `a < b` — the property that keeps the
-    /// tier split order-consistent.
+    /// The day of `t`, monotone in `t` (the cast saturates).
     fn day(&self, t: SimTime) -> u64 {
-        let d = (t.seconds() / self.width).floor();
-        if d >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            d as u64
+        ((t.seconds() * self.inv_width) as u64).min(LAST_DAY)
+    }
+
+    fn len(&self) -> usize {
+        self.current.len() + self.near_len + self.far.len()
+    }
+
+    /// Counts towards `touched`; nothing outside tests.
+    fn touch(&mut self, _entries: usize) {
+        #[cfg(test)]
+        {
+            self.touched += _entries as u64;
         }
     }
 
-    fn is_empty(&self) -> bool {
-        self.current.is_empty() && self.near_len == 0 && self.overflow.is_empty()
+    /// Restarts the window so that `cur_day` is the day of `first`.
+    fn open_window(&mut self, first: SimTime) {
+        self.cur_day = self.day(first);
+        self.end_day = self.cur_day + self.buckets.len() as u64 + 1;
     }
 
     /// Inserts into whichever tier owns the entry's day.
     fn insert(&mut self, e: Entry<T>) {
-        self.max_seen = self.max_seen.max(e.time.seconds());
+        if self.current.is_empty() {
+            self.open_window(e.time); // the queue is empty
+        }
         let day = self.day(e.time);
         if day <= self.cur_day {
-            self.current.push(Reverse(e));
-        } else if day < self.rotation_end {
-            let n = self.buckets.len() as u64;
-            self.buckets[(day % n) as usize].push(e);
-            self.near_len += 1;
+            self.current.push(e);
+        } else if day < self.end_day {
+            self.push_near(day, e);
         } else {
-            self.overflow.push(Reverse(e));
+            self.far_min = self.far_min.min(e.time);
+            self.far.push(e);
         }
     }
 
-    /// Restores the invariant "`current` is non-empty whenever the queue
-    /// is non-empty" by advancing the cursor. `current` must be empty.
+    fn push_near(&mut self, day: u64, e: Entry<T>) {
+        let b = day as usize & (self.buckets.len() - 1);
+        self.buckets[b].push(e);
+        self.occupied[b / 64] |= 1 << (b % 64);
+        self.near_len += 1;
+    }
+
+    /// Pops the minimum if admitted; refills `current`, checks the epoch.
+    fn pop_if(&mut self, admit: impl FnOnce((SimTime, EventKey)) -> bool) -> Option<Entry<T>> {
+        let e = pop_head(&mut self.current, admit)?;
+        self.pops += 1;
+        if self.current.is_empty() {
+            self.advance();
+        }
+        if self.pops >= self.epoch_end {
+            self.retune(e.time.seconds());
+        }
+        Some(e)
+    }
+
+    /// Refills an empty `current` from the next populated day, or by a
+    /// rotation (which only parks the window if the far pile is empty).
+    #[inline(never)]
     fn advance(&mut self) {
-        debug_assert!(self.current.is_empty());
+        self.peak_len = self.peak_len.max(self.near_len + self.far.len());
         if self.near_len == 0 {
-            let Some(Reverse(min)) = self.overflow.peek() else {
-                return; // truly empty
-            };
-            let day = self.day(min.time);
-            self.rotate_to(day);
+            return self.rotate();
         }
-        // Scan the near window for the next populated day. `near_len > 0`
-        // here (either it was, or the rotation above pulled entries in —
-        // the overflow minimum's own day always lands in range).
-        let n = self.buckets.len() as u64;
-        for d in (self.cur_day + 1)..self.rotation_end {
-            let b = &mut self.buckets[(d % n) as usize];
-            if b.is_empty() {
-                continue;
-            }
-            self.near_len -= b.len();
-            // One day per bucket: heapify just what this day holds
-            // (O(len), and `current` is empty here by contract).
-            let mut entries = std::mem::take(&mut self.current).into_vec();
-            entries.extend(b.drain(..).map(Reverse));
-            self.current = BinaryHeap::from(entries);
-            self.cur_day = d;
-            return;
+        let mask = self.buckets.len() - 1;
+        let start = (self.cur_day as usize + 1) & mask;
+        // One lap over the bitmap from the cursor's bit, ending on the
+        // start word again for the days that wrapped below that bit; the
+        // near tier is not empty, so some bit is set.
+        let mut w = start / 64;
+        let mut bits = self.occupied[w] & (!0 << (start % 64));
+        while bits == 0 {
+            w = (w + 1) & (self.occupied.len() - 1);
+            bits = self.occupied[w];
         }
-        // The near window was exhausted without finding entries (only
-        // possible when a rotation landed everything in `current` — the
-        // day == cur_day case below) — or the invariant broke.
-        debug_assert!(
-            !self.current.is_empty() || self.is_empty(),
-            "calendar near tier lost entries"
-        );
+        let b = w * 64 + bits.trailing_zeros() as usize;
+        self.occupied[w] &= bits - 1;
+        self.cur_day += 1 + (b.wrapping_sub(start) & mask) as u64;
+        // `current` is empty: move the day into its buffer and heapify.
+        let mut today = std::mem::take(&mut self.current).into_vec();
+        today.append(&mut self.buckets[b]);
+        if self.buckets[b].capacity() > KEEP {
+            self.buckets[b].shrink_to(KEEP);
+        }
+        self.near_len -= today.len();
+        self.current = BinaryHeap::from(today);
     }
 
-    /// Rotation: jump the window so it starts at `day`, re-widthing the
-    /// near tier to the pending population, and pull every overflow
-    /// entry the new window covers back in. Only called with both
-    /// `current` and the near tier empty.
-    fn rotate_to(&mut self, day: u64) {
-        debug_assert!(self.current.is_empty() && self.near_len == 0);
-        self.resize(day);
-        let day = self.day(
-            self.overflow
-                .peek()
-                .map(|Reverse(e)| e.time)
-                .expect("rotation requires a pending overflow entry"),
-        );
-        // `cur_day = day - 1` so the minimum's own day is scanned by
-        // `advance` like any other near-tier day.
-        self.cur_day = day.saturating_sub(1);
-        self.rotation_end = self.cur_day + 1 + self.buckets.len() as u64;
-        let n = self.buckets.len() as u64;
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            let d = self.day(e.time);
-            if d >= self.rotation_end {
-                break;
+    /// Rotation (`current` and the near tier are empty): widens the days
+    /// until the scan is paid for, then spreads the pile.
+    #[cold]
+    fn rotate(&mut self) {
+        let paid = (self.pops - self.year_start) as usize;
+        if PAID * paid < self.far.len() {
+            // `levels[j]`: far entries that `j` doublings bring into the
+            // window. Entries on `LAST_DAY` are out of any window's reach.
+            self.open_window(self.far_min);
+            let year = self.end_day - self.cur_day;
+            let mut levels = [0usize; 65];
+            for e in &self.far {
+                let day = self.day(e.time);
+                if day < LAST_DAY {
+                    let years = (day - self.cur_day) / year;
+                    levels[(u64::BITS - years.leading_zeros()) as usize] += 1;
+                }
             }
-            let Some(Reverse(e)) = self.overflow.pop() else {
-                unreachable!("peeked")
-            };
-            if d <= self.cur_day {
-                // Possible only for day == cur_day after the saturating
-                // subtraction at day 0.
-                self.insert(e);
-            } else {
-                self.buckets[(d % n) as usize].push(e);
-                self.near_len += 1;
-            }
+            self.touch(self.far.len());
+            let reachable: usize = levels.iter().sum();
+            let mut captured = 0;
+            let doublings = levels.iter().position(|&at_level| {
+                captured += at_level;
+                PAID * (paid + captured) >= reachable
+            });
+            let doublings = doublings.expect("the last level reaches every entry");
+            let wider = self.inv_width * 0.5f64.powi(doublings as i32);
+            self.inv_width = wider.max(1.0 / MAX_WIDTH);
         }
+        self.spread();
     }
 
-    /// The automatic re-width: bucket count tracks the pending entry
-    /// count and width re-targets the pending span, so days hold O(1)
-    /// entries on average. Runs only at rotation, when the near tier is
-    /// empty — resizing never moves an entry between days mid-window.
-    fn resize(&mut self, min_day: u64) {
-        let pending = self.overflow.len();
-        let target = pending.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if target != self.buckets.len() {
+    /// Restarts the window at the far minimum's day and moves every far
+    /// entry it covers into `current` or its bucket. First, the bucket
+    /// count follows half the peak population (down only once far off);
+    /// at `PER_DAY` entries a day that fits the population 1.5 times.
+    fn spread(&mut self) {
+        let half = self.peak_len.max(self.far.len()) / 2;
+        let target = half.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
+        if target > self.buckets.len() || target * 16 <= self.buckets.len() {
             self.buckets.resize_with(target, Vec::new);
             self.buckets.shrink_to_fit();
+            self.occupied.resize(target / 64, 0);
         }
-        let lo = (min_day as f64) * self.width;
-        let span = (self.max_seen - lo).max(0.0);
-        if pending > 0 && span > 0.0 {
-            let w = span / target as f64;
-            self.width = w.clamp(MIN_WIDTH, MAX_WIDTH);
+        self.peak_len = self.far.len();
+        self.year_start = self.pops;
+        self.open_window(self.far_min);
+        self.touch(self.far.len());
+        let mut far = std::mem::take(&mut self.far);
+        let mut today = std::mem::take(&mut self.current).into_vec();
+        self.far_min = SimTime::new(f64::INFINITY);
+        let mut i = 0;
+        while i < far.len() {
+            let day = self.day(far[i].time);
+            if day >= self.end_day {
+                self.far_min = self.far_min.min(far[i].time);
+                i += 1;
+            } else if day == self.cur_day {
+                today.push(far.swap_remove(i));
+            } else {
+                self.push_near(day, far.swap_remove(i));
+            }
         }
+        self.far = far;
+        self.current = BinaryHeap::from(today);
     }
 
-    /// Resets the cursor for an empty wheel so the next insert starts a
-    /// fresh window (keeps long-lived engines from scanning dead days).
-    fn reset_empty(&mut self) {
-        debug_assert!(self.is_empty());
-        self.cur_day = 0;
-        self.rotation_end = self.buckets.len() as u64;
-        self.max_seen = 0.0;
+    /// The density check at an epoch's end, `now` being the time just
+    /// popped: re-buckets every entry if the day width no longer fits.
+    #[cold]
+    fn retune(&mut self, now: f64) {
+        let gap = (now - self.epoch.1) / (self.pops - self.epoch.0) as f64;
+        self.epoch = (self.pops, now);
+        self.epoch_end = self.pops + MIN_EPOCH.max(2 * self.len() as u64);
+        // Wanted width over actual width. No time passed (a same-instant
+        // burst) or an infinite jump says nothing about density.
+        let ratio = PER_DAY * gap * self.inv_width;
+        let informed = gap > 0.0 && gap.is_finite() && !(0.5..=2.0).contains(&ratio);
+        let Some(head) = self.current.peek().filter(|_| informed) else {
+            return;
+        };
+        self.far_min = head.time;
+        self.far.extend(self.current.drain());
+        for bucket in &mut self.buckets {
+            self.far.append(bucket);
+        }
+        self.occupied.fill(0);
+        self.near_len = 0;
+        self.touch(self.far.len());
+        self.inv_width = 1.0 / (PER_DAY * gap).clamp(MIN_WIDTH, MAX_WIDTH);
+        self.spread();
     }
 }
 
+/// Pops the top of `heap` if `admit` accepts its `(time, key)`.
+fn pop_head<T>(
+    heap: &mut BinaryHeap<Entry<T>>,
+    admit: impl FnOnce((SimTime, EventKey)) -> bool,
+) -> Option<Entry<T>> {
+    let head = heap.peek()?;
+    admit((head.time, head.key)).then(|| heap.pop())?
+}
+
 enum Inner<T> {
-    Heap(BinaryHeap<Reverse<Entry<T>>>),
+    Heap(BinaryHeap<Entry<T>>),
     Wheel(Calendar<T>),
 }
 
 /// The engine's event queue: a `(time, key)`-ordered priority queue with
 /// a pluggable backend (see [`SchedulerKind`] and the module docs).
 ///
-/// The caller supplies each entry's [`EventKey`]; dequeue order is
-/// exactly ascending `(time, key)` for both backends. Keys must be
-/// unique among pending entries (the engine's per-emitter counters
-/// guarantee this).
+/// The caller supplies each entry's [`EventKey`]; dequeue order is exactly
+/// ascending `(time, key)` for both backends. Keys must be unique among
+/// pending entries (the engine's per-emitter counters guarantee this).
 pub struct EventQueue<T> {
     inner: Inner<T>,
-    len: usize,
-    /// Tombstoned keys (see [`EventQueue::cancel`]).
-    cancelled: BTreeSet<EventKey>,
 }
 
 impl<T> fmt::Debug for EventQueue<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
             .field("kind", &self.kind())
-            .field("len", &self.len)
+            .field("len", &self.len())
             .finish()
     }
 }
@@ -355,14 +416,11 @@ impl<T> fmt::Debug for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// An empty queue on the chosen backend.
     pub fn new(kind: SchedulerKind) -> Self {
-        EventQueue {
-            inner: match kind {
-                SchedulerKind::Heap => Inner::Heap(BinaryHeap::new()),
-                SchedulerKind::Wheel => Inner::Wheel(Calendar::new()),
-            },
-            len: 0,
-            cancelled: BTreeSet::new(),
-        }
+        let inner = match kind {
+            SchedulerKind::Heap => Inner::Heap(BinaryHeap::new()),
+            SchedulerKind::Wheel => Inner::Wheel(Calendar::new()),
+        };
+        EventQueue { inner }
     }
 
     /// Which backend this queue runs on.
@@ -373,57 +431,36 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Pending entries (live — cancelled entries leave the count at
-    /// cancel time, not when their tombstone is collected).
+    /// Pending entries.
     pub fn len(&self) -> usize {
-        self.len
+        match &self.inner {
+            Inner::Heap(h) => h.len(),
+            Inner::Wheel(w) => w.len(),
+        }
     }
 
-    /// Whether no live entry is pending.
+    /// Whether no entry is pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.peek().is_none()
     }
 
     /// Enqueues `item` at `time` under the canonical `key`.
     pub fn schedule(&mut self, time: SimTime, key: EventKey, item: T) {
         let e = Entry { time, key, item };
         match &mut self.inner {
-            Inner::Heap(h) => h.push(Reverse(e)),
+            Inner::Heap(h) => h.push(e),
             Inner::Wheel(w) => w.insert(e),
         }
-        self.len += 1;
-        self.normalize();
-    }
-
-    /// Cancels the pending entry scheduled under `key`. The entry is
-    /// tombstoned in place and physically discarded when it surfaces as
-    /// the minimum. Cancelling a key that is already tombstoned (and not
-    /// yet collected) is a no-op; a key that is not pending — never
-    /// scheduled, or already popped — must not be cancelled, because the
-    /// queue cannot tell it apart from a pending one without tracking
-    /// every key it ever saw.
-    pub fn cancel(&mut self, key: EventKey) {
-        if !self.cancelled.insert(key) {
-            return;
-        }
-        debug_assert!(self.len > 0, "cancelled an entry that is not pending");
-        self.len -= 1;
-        self.normalize();
     }
 
     /// The earliest pending `(time, key)`, or `None` when empty. O(1):
-    /// every mutating operation leaves the minimum surfaced and live.
+    /// every mutating operation leaves the minimum surfaced.
     pub fn peek(&self) -> Option<(SimTime, EventKey)> {
-        if self.len == 0 {
-            return None;
-        }
         let e = match &self.inner {
-            Inner::Heap(h) => h.peek().map(|Reverse(e)| e),
-            Inner::Wheel(w) => w.current.peek().map(|Reverse(e)| e),
+            Inner::Heap(h) => h.peek(),
+            Inner::Wheel(w) => w.current.peek(),
         };
-        let e = e.expect("non-empty queue has a surfaced minimum");
-        debug_assert!(!self.cancelled.contains(&e.key), "minimum not normalized");
-        Some((e.time, e.key))
+        e.map(|e| (e.time, e.key))
     }
 
     /// The earliest pending time, or `None` when empty.
@@ -433,59 +470,28 @@ impl<T> EventQueue<T> {
 
     /// Dequeues the earliest pending entry.
     pub fn pop(&mut self) -> Option<(SimTime, EventKey, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        let e = self.pop_raw().expect("len > 0");
-        debug_assert!(!self.cancelled.contains(&e.key), "minimum not normalized");
-        self.len -= 1;
-        self.normalize();
+        self.pop_if(|_| true)
+    }
+
+    /// Dequeues the earliest pending entry if `admit` accepts its
+    /// `(time, key)`; otherwise leaves the queue untouched.
+    pub fn pop_if(
+        &mut self,
+        admit: impl FnOnce((SimTime, EventKey)) -> bool,
+    ) -> Option<(SimTime, EventKey, T)> {
+        let e = match &mut self.inner {
+            Inner::Heap(h) => pop_head(h, admit),
+            Inner::Wheel(w) => w.pop_if(admit),
+        }?;
         Some((e.time, e.key, e.item))
     }
-
-    /// Pops the physical minimum, live or tombstoned. `current` must be
-    /// populated (normalize/advance beforehand).
-    fn pop_raw(&mut self) -> Option<Entry<T>> {
-        match &mut self.inner {
-            Inner::Heap(h) => h.pop().map(|Reverse(e)| e),
-            Inner::Wheel(w) => {
-                if w.current.is_empty() {
-                    w.advance();
-                }
-                w.current.pop().map(|Reverse(e)| e)
-            }
-        }
-    }
-
-    /// Restores the peek invariant: surfaces the minimum (filling the
-    /// wheel's `current` tier) and collects tombstones off the top.
-    fn normalize(&mut self) {
-        loop {
-            let min_key = match &mut self.inner {
-                Inner::Heap(h) => h.peek().map(|Reverse(e)| e.key),
-                Inner::Wheel(w) => {
-                    if w.current.is_empty() && !w.is_empty() {
-                        w.advance();
-                    }
-                    w.current.peek().map(|Reverse(e)| e.key)
-                }
-            };
-            match min_key {
-                Some(key) if self.cancelled.remove(&key) => {
-                    self.pop_raw();
-                }
-                _ => break,
-            }
-        }
-        if self.len == 0 {
-            if let Inner::Wheel(w) = &mut self.inner {
-                if w.is_empty() {
-                    w.reset_empty();
-                }
-            }
-        }
-    }
 }
+
+// Shared with `tests/wheel_model.rs`, which checks the same sequences pop
+// for pop against the sorted-set model.
+#[cfg(test)]
+#[path = "../tests/sequences/mod.rs"]
+mod sequences;
 
 #[cfg(test)]
 mod tests {
@@ -536,9 +542,9 @@ mod tests {
     }
 
     #[test]
-    fn far_future_overflow_and_rotation() {
+    fn far_pile_and_rotation() {
         let mut q = EventQueue::new(SchedulerKind::Wheel);
-        // Far beyond the initial 64-bucket * 0.5s window: overflow tier.
+        // Far beyond the initial 64-bucket * 0.5s window: the far pile.
         q.schedule(SimTime::new(1_000_000.0), key(1), 1);
         q.schedule(SimTime::new(5.0), key(2), 2);
         q.schedule(SimTime::new(999_999.5), key(3), 3);
@@ -597,20 +603,18 @@ mod tests {
     }
 
     #[test]
-    fn cancel_tombstones_any_tier() {
+    fn pop_if_takes_the_head_only_when_admitted() {
         for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
             let mut q = EventQueue::new(kind);
-            let (a, b, c) = (key(1), key(2), key(3));
-            q.schedule(SimTime::new(1.0), a, 1);
-            q.schedule(SimTime::new(2.0), b, 2);
-            q.schedule(SimTime::new(1_000_000.0), c, 3); // overflow
-            q.cancel(a); // cancels the surfaced minimum
-            q.cancel(c); // cancels deep in the far tier
-            q.cancel(c); // double cancel before collection: no-op
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.peek(), Some((SimTime::new(2.0), b)));
-            assert_eq!(drain(&mut q), vec![(2.0, 2, 2)]);
-            assert!(q.is_empty());
+            q.schedule(SimTime::new(2.0), key(1), 20);
+            q.schedule(SimTime::new(f64::INFINITY), key(2), 99);
+            assert!(q.pop_if(|(t, _)| t < SimTime::new(2.0)).is_none());
+            assert_eq!(q.len(), 2, "{kind:?}: a refused pop changes nothing");
+            assert_eq!(q.peek(), Some((SimTime::new(2.0), key(1))));
+            let head = q.pop_if(|(t, k)| (t, k) == (SimTime::new(2.0), key(1)));
+            assert_eq!(head.map(|(_, _, x)| x), Some(20), "{kind:?}");
+            assert_eq!(q.pop().map(|(_, _, x)| x), Some(99), "{kind:?}");
+            assert!(q.is_empty() && q.pop_if(|_| true).is_none());
         }
     }
 
@@ -639,5 +643,42 @@ mod tests {
         q.schedule(SimTime::new(1.0), key(2), 2);
         let got: Vec<u32> = drain(&mut q).iter().map(|&(_, _, x)| x).collect();
         assert_eq!(got, vec![2, 1]);
+    }
+
+    /// The amortisation argument of the module docs, measured: over each
+    /// long sequence the entries scanned or moved by rotations and
+    /// retunes stay within a small constant per operation, the pops come
+    /// out in order, and the sequence did leave the initial geometry.
+    #[test]
+    fn rotations_and_retunes_touch_a_constant_number_of_entries_per_operation() {
+        for (name, ops) in sequences::all(0x15C0_FFEE) {
+            let mut q: EventQueue<()> = EventQueue::new(SchedulerKind::Wheel);
+            let (mut now, mut k) = (SimTime::ZERO, 0);
+            for op in &ops {
+                let at = match *op {
+                    sequences::Op::At(time) => SimTime::new(time),
+                    sequences::Op::After(dt) => now + dt,
+                    sequences::Op::Pop => {
+                        if let Some((t, _, ())) = q.pop() {
+                            assert!(t >= now, "{name}: popped {t} after {now}");
+                            now = t;
+                        }
+                        continue;
+                    }
+                };
+                q.schedule(at, key(k), ());
+                k += 1;
+            }
+            let Inner::Wheel(w) = &q.inner else {
+                unreachable!("built on the wheel")
+            };
+            let per_op = w.touched as f64 / ops.len() as f64;
+            println!("{name}: {per_op:.3} entries touched per operation");
+            assert!(per_op <= 3.0, "{name}: {per_op} entries per operation");
+            assert!(
+                w.buckets.len() > MIN_BUCKETS || w.inv_width != 1.0 / INITIAL_WIDTH,
+                "{name} never retuned or resized"
+            );
+        }
     }
 }

@@ -1,40 +1,35 @@
 //! Property test: the calendar-wheel scheduler is observationally
-//! identical to a sorted model under any interleaving of schedule,
-//! cancel, and pop.
+//! identical to a sorted model under any interleaving of schedule and
+//! pop.
 //!
 //! The model is the specification itself — a totally ordered set of
 //! `(time, key, payload)` triples popped in ascending `(time, key)`
 //! order, where the key is the engine's canonical `(src, k)` pair.
 //! Times are drawn from mixed magnitudes (sub-second bursts up
-//! to ~1e12) so runs cross bucket boundaries, spill into the sorted
-//! overflow tier, and force rotations and bucket re-widths; pops
-//! interleave with inserts so the cursor also walks backwards past
-//! already-visited days.
+//! to ~1e12) so runs cross bucket boundaries, spill into the far pile
+//! and force rotations; pops interleave with inserts so entries also
+//! land behind the cursor, in already-visited days. Those random
+//! sequences are short (at most 400 ops); the long seeded ones of
+//! `sequences/mod.rs` run the same check through density retunes and
+//! bucket-count changes.
 //!
 //! The vendored `proptest` stand-in only supplies range strategies, so
 //! each case draws a seed and expands it into an op sequence with the
 //! deterministic [`TestRng`] — a failing case reports the seed, which
 //! reproduces the exact sequence.
 
+mod sequences;
+
 use std::collections::BTreeSet;
+
+use sequences::Op;
 
 use lsrp_sim::{EventKey, EventQueue, SchedulerKind, SimTime};
 use proptest::prelude::*;
 
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    /// Schedule a new entry at this time.
-    Schedule(f64),
-    /// Cancel the pending entry selected by this index (mod pending
-    /// count); a no-op when nothing is pending.
-    Cancel(usize),
-    /// Pop the minimum and compare against the model.
-    Pop,
-}
-
-/// Totally ordered reference queue. Times are finite and non-negative,
-/// so the IEEE-754 bit pattern orders exactly like the number and the
-/// set pops in `(time, src, k)` order.
+/// Totally ordered reference queue. Times are non-negative (`+∞`
+/// included), so the IEEE-754 bit pattern orders exactly like the number
+/// and the set pops in `(time, src, k)` order.
 #[derive(Default)]
 struct Model {
     pending: BTreeSet<(u64, u32, u64, u32)>,
@@ -44,17 +39,6 @@ impl Model {
     fn schedule(&mut self, time: f64, key: EventKey, payload: u32) {
         self.pending
             .insert((time.to_bits(), key.src, key.k, payload));
-    }
-
-    /// Picks the `idx % len`-th pending entry (in pop order) and removes
-    /// it, returning its key. `None` when empty.
-    fn cancel_nth(&mut self, idx: usize) -> Option<EventKey> {
-        let &entry = self.pending.iter().nth(idx % self.pending.len().max(1))?;
-        self.pending.remove(&entry);
-        Some(EventKey {
-            src: entry.1,
-            k: entry.2,
-        })
     }
 
     fn pop(&mut self) -> Option<(SimTime, EventKey, u32)> {
@@ -84,7 +68,7 @@ fn unit(rng: &mut TestRng) -> f64 {
 
 /// Mixed-magnitude times: dense sub-second clusters (many entries per
 /// bucket), mid-range spread, and far-future outliers that land in the
-/// overflow tier and trigger rotation when reached.
+/// far pile and trigger rotation when reached.
 fn gen_time(rng: &mut TestRng) -> f64 {
     match rng.next_u64() % 10 {
         0..=3 => unit(rng),
@@ -101,8 +85,7 @@ fn gen_ops(seed: u64) -> Vec<Op> {
     let len = 1 + (rng.next_u64() % 400) as usize;
     (0..len)
         .map(|_| match rng.next_u64() % 10 {
-            0..=4 => Op::Schedule(gen_time(&mut rng)),
-            5 => Op::Cancel(rng.next_u64() as usize),
+            0..=5 => Op::At(gen_time(&mut rng)),
             _ => Op::Pop,
         })
         .collect()
@@ -113,28 +96,29 @@ fn gen_ops(seed: u64) -> Vec<Op> {
 fn check_backend(kind: SchedulerKind, ops: &[Op]) {
     let mut queue: EventQueue<u32> = EventQueue::new(kind);
     let mut model = Model::default();
+    let mut now = 0.0;
     for (i, op) in ops.iter().enumerate() {
-        match *op {
-            Op::Schedule(time) => {
-                let payload = i as u32;
-                // Cycle the src id so same-time ties exercise the
-                // src-before-k ordering, with k unique per op.
-                let key = EventKey {
-                    src: (i % 3) as u32,
-                    k: i as u64,
-                };
-                queue.schedule(SimTime::new(time), key, payload);
-                model.schedule(time, key, payload);
-            }
-            Op::Cancel(idx) => {
-                if let Some(key) = model.cancel_nth(idx) {
-                    queue.cancel(key);
-                }
-            }
-            Op::Pop => {
-                let got = queue.pop();
-                let want = model.pop();
-                assert_eq!(got, want, "op {i}: {kind:?} pop diverged from model");
+        let at = match *op {
+            Op::At(time) => Some(time),
+            Op::After(dt) => Some(now + dt),
+            Op::Pop => None,
+        };
+        if let Some(time) = at {
+            let payload = i as u32;
+            // Cycle the src id so same-time ties exercise the
+            // src-before-k ordering, with k unique per op.
+            let key = EventKey {
+                src: (i % 3) as u32,
+                k: i as u64,
+            };
+            queue.schedule(SimTime::new(time), key, payload);
+            model.schedule(time, key, payload);
+        } else {
+            let got = queue.pop();
+            let want = model.pop();
+            assert_eq!(got, want, "op {i}: {kind:?} pop diverged from model");
+            if let Some((t, _, _)) = got {
+                now = t.seconds();
             }
         }
         assert_eq!(queue.len(), model.pending.len(), "op {i}: len diverged");
@@ -153,13 +137,26 @@ fn check_backend(kind: SchedulerKind, ops: &[Op]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Any interleaving of schedule/cancel/pop on the wheel matches the
-    /// sorted model exactly, across magnitudes that exercise overflow
-    /// spill-in and rotation boundaries. The heap backend is held to the
+    /// Any interleaving of schedule/pop on the wheel matches the
+    /// sorted model exactly, across magnitudes that exercise the far
+    /// pile and rotation boundaries. The heap backend is held to the
     /// same specification, so wheel ≡ heap follows transitively.
     #[test]
     fn wheel_and_heap_match_sorted_model(seed in 0u64..1_000_000) {
         let ops = gen_ops(seed);
+        check_backend(SchedulerKind::Wheel, &ops);
+        check_backend(SchedulerKind::Heap, &ops);
+    }
+}
+
+/// The long sequences (hold model at two depths, traffic-shaped mix,
+/// same-instant burst, burst then silence over a large far pile, `+∞`
+/// times, inserts behind the cursor across retunes): every pop, length
+/// and head time matches the sorted model on both backends.
+#[test]
+fn long_sequences_match_sorted_model() {
+    for (name, ops) in sequences::all(0x15C0_FFEE) {
+        assert!(ops.len() >= 50_000, "{name} is too short to reach a retune");
         check_backend(SchedulerKind::Wheel, &ops);
         check_backend(SchedulerKind::Heap, &ops);
     }

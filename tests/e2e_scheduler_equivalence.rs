@@ -1,14 +1,14 @@
 //! Scheduler equivalence: the calendar-wheel event queue must be
 //! observationally *byte-identical* to the binary-heap oracle.
 //!
-//! Both backends contractually dequeue in exact `(time, seq)` order, so a
+//! Both backends contractually dequeue in exact `(time, key)` order, so a
 //! seeded run — trace, RNG draws, final tables, statistics — cannot depend
 //! on which one is installed. These tests pin that across topology shapes
 //! (grid, fat-tree, Waxman), arbitrary initial states, chaos fault
 //! schedules, and congested data-plane traffic: the full cartesian slice
 //! the engine's hot path sees in production campaigns.
 
-use lsrp::analysis::{run_monitored, standard_monitors, WorkloadDriver, WorkloadSpec};
+use lsrp::analysis::{run_monitored, standard_monitors, TrafficMode, WorkloadDriver, WorkloadSpec};
 use lsrp::core::{InitialState, LsrpSimulation, LsrpSimulationExt, TimingConfig};
 use lsrp::faults::{FaultProcess, FaultSchedule};
 use lsrp::graph::{generators, Distance, Graph, NodeId};
@@ -93,8 +93,9 @@ fn wheel_matches_heap_under_chaos() {
 }
 
 /// Runs the congested data-plane scenario: finite links, bounded queues,
-/// an aggregated workload, and a mid-run corruption, drained to empty.
-fn traffic_fingerprint(kind: SchedulerKind, seed: u64) -> String {
+/// the given workload, and a mid-run corruption, drained to empty.
+/// Returns the fingerprint and the number of events processed.
+fn traffic_fingerprint(kind: SchedulerKind, seed: u64, spec: &WorkloadSpec) -> (String, u64) {
     let graph = generators::grid(8, 8, 1);
     let dest = v(0);
     let victim = v(27);
@@ -110,8 +111,7 @@ fn traffic_fingerprint(kind: SchedulerKind, seed: u64) -> String {
         .build();
     sim.run_to_quiescence(100_000.0);
     let t0 = sim.now().seconds();
-    let spec = WorkloadSpec::default();
-    let mut workload = WorkloadDriver::new(&spec, &graph, &[dest], t0, duration, seed);
+    let mut workload = WorkloadDriver::new(spec, &graph, &[dest], t0, duration, seed);
     workload.ensure_scheduled(sim.engine_mut(), t0 + duration / 2.0);
     sim.run_until(t0 + duration / 2.0);
     sim.corrupt_distance(victim, Distance::ZERO);
@@ -129,20 +129,33 @@ fn traffic_fingerprint(kind: SchedulerKind, seed: u64) -> String {
             .map_or(sim.now(), |t: SimTime| t);
         sim.run_until(next.seconds() + 50.0);
     }
-    format!(
+    let fingerprint = format!(
         "now={:?} traffic={:?} stats={:?} table={:?}",
         sim.now(),
         sim.stats().traffic,
         sim.stats(),
         sim.route_table()
-    )
+    );
+    (fingerprint, sim.stats().total_events())
 }
 
 #[test]
 fn wheel_matches_heap_under_congested_traffic() {
-    for seed in [3, 91] {
-        let wheel = traffic_fingerprint(SchedulerKind::Wheel, seed);
-        let heap = traffic_fingerprint(SchedulerKind::Heap, seed);
+    // One probe per packet (160 packets/s offered to a destination whose
+    // two links carry 128) makes the second run long enough for the wheel
+    // to pass many density epochs (4096 pops at the least), so fingerprints
+    // are compared across retunes and bucket-count changes, not only on
+    // the geometry a queue starts with.
+    let aggregated = WorkloadSpec::default();
+    let per_packet = WorkloadSpec {
+        mode: TrafficMode::Exact,
+        rate: 2.5,
+        ..aggregated
+    };
+    for (seed, spec, at_least) in [(3, &aggregated, 0), (91, &per_packet, 100_000)] {
+        let (wheel, events) = traffic_fingerprint(SchedulerKind::Wheel, seed, spec);
+        let (heap, _) = traffic_fingerprint(SchedulerKind::Heap, seed, spec);
         assert_eq!(wheel, heap, "traffic runs diverged with seed {seed}");
+        assert!(events >= at_least, "seed {seed}: only {events} events");
     }
 }

@@ -175,13 +175,10 @@ pub fn chaos_run(graph: &Graph, destination: NodeId, config: &ChaosConfig, seed:
     // run they trace. Determinism makes this equivalent to re-building.
     let mut sim = settled_sim(graph, destination, config, seed);
     let t0 = sim.now().seconds();
-    let raw = config
+    let schedule = config
         .process
-        .generate(graph, destination, config.fault_window, seed);
-    let mut schedule = FaultSchedule::new();
-    for e in &raw.events {
-        schedule.push(t0 + e.at, e.fault.clone());
-    }
+        .generate(graph, destination, config.fault_window, seed)
+        .shifted(t0);
     let timing = *sim.timing();
     let mut monitors = standard_monitors(&timing, graph.node_count());
     let report = run_monitored(&mut sim, &schedule, config.horizon, &mut monitors);

@@ -188,7 +188,7 @@ mod tests {
             paper_fig1(),
             FIG1_DESTINATION,
             Some(fig1_route_table()),
-            DbfConfig::default(),
+            DbfConfig::for_graph(&paper_fig1(), FIG1_DESTINATION),
             lsrp_sim::EngineConfig::default(),
         );
         let m = measure_recovery(

@@ -163,13 +163,10 @@ pub fn multi_chaos_run(
         .build();
     sim.run_to_quiescence(config.horizon);
     let t0 = sim.now().seconds();
-    let raw = config
+    let schedule = config
         .process
-        .generate(graph, primary, config.fault_window, seed);
-    let mut schedule = FaultSchedule::new();
-    for e in &raw.events {
-        schedule.push(t0 + e.at, e.fault.clone());
-    }
+        .generate(graph, primary, config.fault_window, seed)
+        .shifted(t0);
     let mut events = 0u64;
     for (i, ev) in schedule.events.iter().enumerate() {
         if ev.at > sim.now().seconds() {

@@ -236,7 +236,7 @@ mod tests {
                 g.clone(),
                 v(0),
                 None,
-                DbfConfig::default(),
+                DbfConfig::for_graph(&g, v(0)),
                 EngineConfig::default(),
             )),
             Box::new(DualSimulation::new(

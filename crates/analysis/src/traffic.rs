@@ -763,14 +763,11 @@ pub fn traffic_run(
 ) -> TrafficRun {
     let mut sim = crate::chaos::settled_sim(graph, destination, &config.chaos, seed);
     let t0 = sim.now().seconds();
-    let raw = config
+    let schedule = config
         .chaos
         .process
-        .generate(graph, destination, config.chaos.fault_window, seed);
-    let mut schedule = FaultSchedule::new();
-    for e in &raw.events {
-        schedule.push(t0 + e.at, e.fault.clone());
-    }
+        .generate(graph, destination, config.chaos.fault_window, seed)
+        .shifted(t0);
     let timing = *sim.timing();
     let mut monitors = standard_monitors(&timing, graph.node_count());
     let mut workload = WorkloadDriver::new(
@@ -940,14 +937,11 @@ pub fn multi_traffic_run(
         .build();
     sim.run_to_quiescence(config.chaos.horizon);
     let t0 = sim.now().seconds();
-    let raw = config
+    let schedule = config
         .chaos
         .process
-        .generate(graph, primary, config.chaos.fault_window, seed);
-    let mut schedule = FaultSchedule::new();
-    for e in &raw.events {
-        schedule.push(t0 + e.at, e.fault.clone());
-    }
+        .generate(graph, primary, config.chaos.fault_window, seed)
+        .shifted(t0);
     let mut workload = WorkloadDriver::new(
         &config.workload,
         graph,

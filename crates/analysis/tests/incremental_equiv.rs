@@ -31,12 +31,9 @@ fn topologies() -> Vec<(&'static str, Graph)> {
 fn chaos_schedule(sim: &mut LsrpSimulation, graph: &Graph, seed: u64) -> FaultSchedule {
     sim.run_to_quiescence(100_000.0);
     let t0 = sim.now().seconds();
-    let raw = FaultProcess::standard().generate(graph, sim.destination(), 120.0, seed);
-    let mut schedule = FaultSchedule::new();
-    for e in &raw.events {
-        schedule.push(t0 + e.at, e.fault.clone());
-    }
-    schedule
+    FaultProcess::standard()
+        .generate(graph, sim.destination(), 120.0, seed)
+        .shifted(t0)
 }
 
 /// The route view rebuilt from scratch off the protocol nodes — the

@@ -20,6 +20,7 @@
 
 use std::collections::BTreeMap;
 
+use lsrp_graph::shortest_path::ShortestPaths;
 use lsrp_graph::{Distance, Graph, NodeId, RouteTable, Weight};
 use lsrp_sim::{
     ActionId, Effects, EnabledSet, Engine, EngineConfig, ForgedAdvert, HarnessProtocol,
@@ -48,6 +49,27 @@ impl Default for DbfConfig {
             hold: 17.0, // LSRP's paper-example hd_S, for fair comparisons
             infinity: 64,
             syn_period: None,
+        }
+    }
+}
+
+impl DbfConfig {
+    /// The default configuration with the bounded infinity raised just
+    /// past the farthest node's true distance from `destination` (and
+    /// left alone where the default already clears it). DBF clamps any
+    /// distance `>= infinity` to `∞`, so under the default 64 every node
+    /// 64 or more from the destination (a 33x33 grid has some) would be
+    /// routeless in DBF's own legitimate state.
+    pub fn for_graph(graph: &Graph, destination: NodeId) -> Self {
+        let farthest = ShortestPaths::dijkstra(graph, destination)
+            .iter()
+            .filter_map(|(_, d)| d.as_finite())
+            .max()
+            .unwrap_or(0);
+        let default = DbfConfig::default();
+        DbfConfig {
+            infinity: default.infinity.max(farthest + 1),
+            ..default
         }
     }
 }
@@ -323,6 +345,23 @@ mod tests {
         let report = s.run_to_quiescence(1_000.0);
         assert!(report.quiescent);
         assert_eq!(s.engine().trace().total_actions(), 0);
+        assert!(s.routes_correct());
+    }
+
+    #[test]
+    fn for_graph_lifts_infinity_past_the_farthest_node_only_when_needed() {
+        assert_eq!(
+            DbfConfig::for_graph(&generators::grid(4, 4, 1), v(0)),
+            DbfConfig::default()
+        );
+        // A 70-hop path: under the default clamp the last six nodes have
+        // no route even in the legitimate state.
+        let far = generators::path(70, 1);
+        let config = DbfConfig::for_graph(&far, v(0));
+        assert_eq!(config.infinity, 70);
+        assert_eq!(config.hold, DbfConfig::default().hold);
+        let mut s = DbfSimulation::new(far, v(0), None, config, EngineConfig::default());
+        assert!(s.run_to_quiescence(1_000.0).quiescent);
         assert!(s.routes_correct());
     }
 

@@ -13,7 +13,7 @@ use lsrp_bench::engine_perf::{
     allpairs_grid_reference_sim, allpairs_grid_sim, fig1_sim, grid200_sim, PERF_SEED,
 };
 use lsrp_core::{InitialState, LsrpSimulation, LsrpSimulationExt};
-use lsrp_faults::{FaultProcess, FaultSchedule};
+use lsrp_faults::FaultProcess;
 use lsrp_graph::{generators, Distance, NodeId};
 use lsrp_sim::EngineConfig;
 
@@ -95,11 +95,9 @@ fn bench_monitored_chaos(c: &mut Criterion) {
             .build();
         sim.run_to_quiescence(horizon);
         let t0 = sim.now().seconds();
-        let raw = FaultProcess::standard().generate(&graph, dest, 600.0, PERF_SEED);
-        let mut schedule = FaultSchedule::new();
-        for e in &raw.events {
-            schedule.push(t0 + e.at, e.fault.clone());
-        }
+        let schedule = FaultProcess::standard()
+            .generate(&graph, dest, 600.0, PERF_SEED)
+            .shifted(t0);
         (sim, schedule)
     };
     let (mut probe_sim, probe_schedule) = setup();

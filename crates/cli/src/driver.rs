@@ -58,13 +58,10 @@ fn build_protocol(
                     .build(),
             )
         }
-        ProtocolChoice::Dbf => Box::new(DbfSimulation::new(
-            graph,
-            dest,
-            None,
-            DbfConfig::default(),
-            engine,
-        )),
+        ProtocolChoice::Dbf => {
+            let config = DbfConfig::for_graph(&graph, dest);
+            Box::new(DbfSimulation::new(graph, dest, None, config, engine))
+        }
         ProtocolChoice::Dual => Box::new(DualSimulation::new(
             graph,
             dest,
@@ -496,6 +493,15 @@ mod tests {
         assert!(squashed.contains("contaminated nodes | 0"), "{out}");
         assert!(squashed.contains("healthy route flaps | 0"), "{out}");
         assert!(out.contains("C1@8"), "{out}");
+    }
+
+    #[test]
+    fn dbf_routes_every_node_of_a_graph_deeper_than_its_default_infinity() {
+        // The far corner of a 34x34 grid is 66 hops out, past DBF's
+        // default 64-hop clamp.
+        let out = run("run --topology grid:34x34 --protocol dbf --fault corrupt:7:0").unwrap();
+        let squashed: String = out.split_whitespace().collect::<Vec<_>>().join(" ");
+        assert!(squashed.contains("routes correct | true"), "{out}");
     }
 
     #[test]

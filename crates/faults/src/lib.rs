@@ -29,6 +29,9 @@ pub mod continuous;
 pub mod corruption;
 pub mod fault;
 pub mod loops;
+mod model;
+#[cfg(test)]
+mod oracle;
 pub mod plan;
 pub mod process;
 pub mod regions;

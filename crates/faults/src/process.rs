@@ -14,6 +14,16 @@
 //! node only with edges to neighbors that are still up, and never touches
 //! the destination (the paper's protocol has no route to a dead
 //! destination, so crashing it only tests trivial behavior).
+//!
+//! Every random choice is "the `k`-th candidate in [`Graph::nodes`] /
+//! [`Graph::edges`] order" for one `gen_range(0..count)`, and no draw at
+//! all when there is no candidate. The model (`model.rs`) answers
+//! that from rank-indexed trees in `O(log n)`; the test-only `oracle`
+//! module answers it by collecting the candidates from a cloned `Graph`,
+//! and the two must produce the same schedule, event for event.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -23,6 +33,7 @@ use lsrp_core::Mirror;
 use lsrp_graph::{Distance, Graph, NodeId, Weight};
 
 use crate::fault::{CorruptionKind, Fault};
+use crate::model::Model;
 use crate::schedule::FaultSchedule;
 
 /// What kind of chaos event a marker stands for.
@@ -35,14 +46,45 @@ enum MarkerKind {
     WeightDrift,
 }
 
-/// A pending restore: faults to re-apply when an outage ends.
+/// What to re-apply when an outage ends, in model ranks.
 #[derive(Debug)]
-struct PendingRestore {
-    at: f64,
-    crashed_node: Option<(NodeId, Vec<(NodeId, Weight)>)>,
-    edges: Vec<(NodeId, NodeId, Weight)>,
-    weights: Vec<(NodeId, NodeId, Weight)>,
+enum Restore {
+    /// A crashed node and the `(neighbor, edge, weight)` it went down with.
+    Node(u32, Vec<(u32, u32, Weight)>),
+    /// Failed edges and the costs they come back at.
+    Edges(Vec<(u32, Weight)>),
+    /// A drifted edge and its pre-drift cost.
+    Weight(u32, Weight),
 }
+
+/// A pending restore, ordered so a max-heap pops the earliest `at` first
+/// and, among equal times, the one scheduled first.
+#[derive(Debug)]
+struct Pending {
+    at: f64,
+    seq: usize,
+    restore: Restore,
+}
+
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.at.total_cmp(&self.at).then(other.seq.cmp(&self.seq))
+    }
+}
+
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Pending {}
 
 /// A seeded random fault-schedule generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,75 +199,66 @@ impl FaultProcess {
         }
         markers.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
 
-        let mut model = graph.clone();
-        let mut schedule = FaultSchedule::new();
-        let mut restores: Vec<PendingRestore> = Vec::new();
-
+        let mut walk = Walk {
+            model: Model::new(graph, destination),
+            schedule: FaultSchedule::new(),
+            restores: BinaryHeap::new(),
+            scheduled: 0,
+        };
         for (at, kind) in markers {
             // Restores due before this marker change the model first.
-            Self::apply_due_restores(&mut model, &mut schedule, &mut restores, at);
+            walk.apply_due_restores(at);
             let outage = rng.gen_range(self.min_outage..=self.max_outage);
-            match kind {
+            let Walk {
+                model, schedule, ..
+            } = &mut walk;
+            let restore = match kind {
                 MarkerKind::LinkFlap => {
                     // Only flap edges whose loss keeps both endpoints
                     // degree >= 1 in the model; isolating a node entirely
                     // is the NodeChurn class's job.
-                    let candidates: Vec<(NodeId, NodeId, Weight)> = model
-                        .edges()
-                        .filter(|&(a, b, _)| {
-                            model.neighbors(a).count() > 1 && model.neighbors(b).count() > 1
-                        })
-                        .collect();
-                    let Some(&(a, b, w)) = candidates.choose(&mut rng) else {
+                    let Some(e) = model.choose_flappable(&mut rng) else {
                         continue;
                     };
-                    model.remove_edge(a, b).expect("edge came from the model");
+                    let (a, b, w) = model.edge(e);
+                    model.remove_edge(e);
                     schedule.push(at, Fault::FailEdge(a, b));
-                    restores.push(PendingRestore {
-                        at: at + outage,
-                        crashed_node: None,
-                        edges: vec![(a, b, w)],
-                        weights: Vec::new(),
-                    });
+                    Restore::Edges(vec![(e, w)])
                 }
                 MarkerKind::NodeChurn => {
-                    let candidates: Vec<NodeId> =
-                        model.nodes().filter(|&v| v != destination).collect();
-                    let Some(&victim) = candidates.choose(&mut rng) else {
+                    let Some(victim) = model.choose_victim(&mut rng) else {
                         continue;
                     };
-                    let edges: Vec<(NodeId, Weight)> = model.neighbors(victim).collect();
-                    model.remove_node(victim).expect("node came from the model");
-                    schedule.push(at, Fault::FailNode(victim));
-                    restores.push(PendingRestore {
-                        at: at + outage,
-                        crashed_node: Some((victim, edges)),
-                        edges: Vec::new(),
-                        weights: Vec::new(),
-                    });
+                    let edges = model.remove_node(victim);
+                    schedule.push(at, Fault::FailNode(model.node(victim)));
+                    Restore::Node(victim, edges)
                 }
                 MarkerKind::Partition => {
-                    let cut = Self::random_cut(&model, destination, &mut rng);
+                    // A random cut separating a connected region not
+                    // containing the destination from the rest.
+                    let Some(seed_node) = model.choose_victim(&mut rng) else {
+                        continue;
+                    };
+                    let budget = (model.live_count() / 2).max(1);
+                    let target = rng.gen_range(1..=budget);
+                    let cut = model.cut_around(seed_node, target);
                     if cut.is_empty() {
                         continue;
                     }
-                    for &(a, b, _) in &cut {
-                        model.remove_edge(a, b).expect("cut edge is in the model");
+                    let mut edges = Vec::with_capacity(cut.len());
+                    for e in cut {
+                        let (a, b, w) = model.edge(e);
+                        model.remove_edge(e);
                         schedule.push(at, Fault::FailEdge(a, b));
+                        edges.push((e, w));
                     }
-                    restores.push(PendingRestore {
-                        at: at + outage,
-                        crashed_node: None,
-                        edges: cut,
-                        weights: Vec::new(),
-                    });
+                    Restore::Edges(edges)
                 }
                 MarkerKind::Corruption => {
-                    let candidates: Vec<NodeId> =
-                        model.nodes().filter(|&v| v != destination).collect();
-                    let Some(&victim) = candidates.choose(&mut rng) else {
+                    let Some(victim) = model.choose_victim(&mut rng) else {
                         continue;
                     };
+                    let victim_id = model.node(victim);
                     let kind = match rng.gen_range(0u32..3) {
                         0 => {
                             // A corrupted *broadcast* (the paper's §III-A
@@ -236,16 +269,18 @@ impl FaultProcess {
                             // trivially and spreads no waves.
                             let bound = 2 * graph.node_count() as u64 + 2;
                             let d = Distance::Finite(rng.gen_range(0..bound));
-                            let neighbors: Vec<NodeId> =
-                                model.neighbors(victim).map(|(n, _)| n).collect();
-                            let forged_parent = *neighbors.choose(&mut rng).unwrap_or(&victim);
+                            let neighbors: Vec<NodeId> = model
+                                .neighbors(victim)
+                                .map(|(n, _)| model.node(n))
+                                .collect();
+                            let forged_parent = *neighbors.choose(&mut rng).unwrap_or(&victim_id);
                             for &n in neighbors.iter().filter(|&&n| n != destination) {
                                 schedule.push(
                                     at,
                                     Fault::Corrupt {
                                         node: n,
                                         kind: CorruptionKind::MirrorOf {
-                                            about: victim,
+                                            about: victim_id,
                                             mirror: Mirror {
                                                 d,
                                                 p: forged_parent,
@@ -257,13 +292,22 @@ impl FaultProcess {
                             }
                             CorruptionKind::Distance(d)
                         }
-                        1 => {
-                            let all: Vec<NodeId> = graph.nodes().collect();
-                            CorruptionKind::Parent(*all.choose(&mut rng).expect("nonempty"))
-                        }
+                        1 => CorruptionKind::Parent(
+                            *model
+                                .original_nodes()
+                                .choose(&mut rng)
+                                .expect("the graph has its destination"),
+                        ),
                         _ => CorruptionKind::Ghost(rng.gen_bool(0.5)),
                     };
-                    schedule.push(at, Fault::Corrupt { node: victim, kind });
+                    schedule.push(
+                        at,
+                        Fault::Corrupt {
+                            node: victim_id,
+                            kind,
+                        },
+                    );
+                    continue;
                 }
                 MarkerKind::WeightDrift => {
                     // Re-cost one live edge (a metric change, not an
@@ -273,113 +317,96 @@ impl FaultProcess {
                     // Edges with a restore still pending are excluded, so
                     // "original" always means the pre-drift cost and every
                     // drift unwinds fully.
-                    let drifting = |a: NodeId, b: NodeId| {
-                        restores
-                            .iter()
-                            .any(|r| r.weights.iter().any(|&(x, y, _)| (x, y) == (a, b)))
-                    };
-                    let candidates: Vec<(NodeId, NodeId, Weight)> =
-                        model.edges().filter(|&(a, b, _)| !drifting(a, b)).collect();
-                    let Some(&(a, b, w)) = candidates.choose(&mut rng) else {
+                    let Some(e) = model.choose_driftable(&mut rng) else {
                         continue;
                     };
+                    let (a, b, w) = model.edge(e);
                     let drifted = w + rng.gen_range(1..=9u64);
-                    model
-                        .set_weight(a, b, drifted)
-                        .expect("edge came from the model");
+                    model.set_weight(e, drifted);
+                    model.set_drifting(e, true);
                     schedule.push(at, Fault::SetWeight(a, b, drifted));
-                    restores.push(PendingRestore {
-                        at: at + outage,
-                        crashed_node: None,
-                        edges: Vec::new(),
-                        weights: vec![(a, b, w)],
-                    });
+                    Restore::Weight(e, w)
                 }
-            }
+            };
+            walk.restore_at(at + outage, restore);
         }
-        Self::apply_due_restores(&mut model, &mut schedule, &mut restores, f64::INFINITY);
-        schedule
+        walk.apply_due_restores(f64::INFINITY);
+        walk.schedule
+    }
+}
+
+/// The state one [`FaultProcess::generate`] call walks forward in time.
+struct Walk {
+    model: Model,
+    schedule: FaultSchedule,
+    restores: BinaryHeap<Pending>,
+    /// Restores scheduled so far: the tie-break among equal times.
+    scheduled: usize,
+}
+
+impl Walk {
+    fn restore_at(&mut self, at: f64, restore: Restore) {
+        self.restores.push(Pending {
+            at,
+            seq: self.scheduled,
+            restore,
+        });
+        self.scheduled += 1;
     }
 
     /// Applies every pending restore due at or before `now` to the model
     /// and the schedule, earliest first.
-    fn apply_due_restores(
-        model: &mut Graph,
-        schedule: &mut FaultSchedule,
-        restores: &mut Vec<PendingRestore>,
-        now: f64,
-    ) {
-        loop {
-            let due: Option<usize> = restores
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.at <= now)
-                .min_by(|(_, x), (_, y)| x.at.partial_cmp(&y.at).expect("finite times"))
-                .map(|(i, _)| i);
-            let Some(i) = due else { return };
-            let r = restores.remove(i);
-            let at = if r.at.is_finite() { r.at } else { now };
-            if let Some((node, edges)) = r.crashed_node {
-                // Only rejoin with neighbors that are still up.
-                let live: Vec<(NodeId, Weight)> = edges
-                    .into_iter()
-                    .filter(|&(n, _)| model.has_node(n))
-                    .collect();
-                model.add_node(node);
-                for &(n, w) in &live {
-                    model.add_edge(node, n, w).expect("filtered to live nodes");
+    fn apply_due_restores(&mut self, now: f64) {
+        let Walk {
+            model,
+            schedule,
+            restores,
+            ..
+        } = self;
+        while restores.peek().is_some_and(|r| r.at <= now) {
+            let Pending { at, restore, .. } = restores.pop().expect("peeked");
+            match restore {
+                Restore::Node(v, edges) => {
+                    // Only rejoin with neighbors that are still up.
+                    model.add_node(v);
+                    let mut live = Vec::with_capacity(edges.len());
+                    for (n, e, w) in edges {
+                        if model.is_live(n) {
+                            model.add_edge(e, w);
+                            live.push((model.node(n), w));
+                        }
+                    }
+                    schedule.push(
+                        at,
+                        Fault::JoinNode {
+                            node: model.node(v),
+                            edges: live,
+                        },
+                    );
                 }
-                schedule.push(at, Fault::JoinNode { node, edges: live });
-            }
-            for (a, b, w) in r.edges {
-                if model.has_node(a) && model.has_node(b) && !model.has_edge(a, b) {
-                    model.add_edge(a, b, w).expect("checked endpoints");
-                    schedule.push(at, Fault::JoinEdge(a, b, w));
+                Restore::Edges(edges) => {
+                    for (e, w) in edges {
+                        let (a, b) = model.ends(e);
+                        if model.is_live(a) && model.is_live(b) && !model.is_present(e) {
+                            model.add_edge(e, w);
+                            schedule.push(at, Fault::JoinEdge(model.node(a), model.node(b), w));
+                        }
+                    }
                 }
-            }
-            for (a, b, w) in r.weights {
-                // A drifted edge may have flapped or lost an endpoint in
-                // the meantime; restore the cost only while it is up (the
-                // rejoin path re-adds edges at their original weight).
-                if model.has_edge(a, b) {
-                    model.set_weight(a, b, w).expect("checked edge");
-                    schedule.push(at, Fault::SetWeight(a, b, w));
-                }
-            }
-        }
-    }
-
-    /// A random cut separating a connected region not containing
-    /// `destination` from the rest: the edges crossing the region's
-    /// boundary. Empty when no such region exists.
-    fn random_cut(
-        model: &Graph,
-        destination: NodeId,
-        rng: &mut StdRng,
-    ) -> Vec<(NodeId, NodeId, Weight)> {
-        let candidates: Vec<NodeId> = model.nodes().filter(|&v| v != destination).collect();
-        let Some(&seed_node) = candidates.choose(rng) else {
-            return Vec::new();
-        };
-        let budget = (model.node_count() / 2).max(1);
-        let target = rng.gen_range(1..=budget);
-        // Grow a connected region from the seed node by BFS, never
-        // absorbing the destination.
-        let mut region = vec![seed_node];
-        let mut frontier = vec![seed_node];
-        while region.len() < target {
-            let Some(v) = frontier.pop() else { break };
-            for (n, _) in model.neighbors(v) {
-                if n != destination && !region.contains(&n) && region.len() < target {
-                    region.push(n);
-                    frontier.push(n);
+                Restore::Weight(e, w) => {
+                    // A drifted edge may have flapped or lost an endpoint
+                    // in the meantime; restore the cost only while it is
+                    // up (a rejoin re-adds it at the cost it went down
+                    // with).
+                    model.set_drifting(e, false);
+                    if model.is_present(e) {
+                        model.set_weight(e, w);
+                        let (a, b, _) = model.edge(e);
+                        schedule.push(at, Fault::SetWeight(a, b, w));
+                    }
                 }
             }
         }
-        model
-            .edges()
-            .filter(|&(a, b, _)| region.contains(&a) != region.contains(&b))
-            .collect()
     }
 }
 
@@ -405,50 +432,25 @@ mod tests {
     }
 
     #[test]
-    fn destination_is_never_crashed_or_corrupted() {
-        let g = generators::complete(6, 1);
-        let p = FaultProcess {
-            link_flaps: 5,
-            node_churn: 10,
-            partitions: 3,
-            corruptions: 10,
-            weight_drifts: 2,
-            min_outage: 5.0,
-            max_outage: 30.0,
+    fn restores_pop_earliest_first_and_ties_in_scheduling_order() {
+        // Equal restore times cannot be provoked through `generate` (they
+        // are sums of random floats), so the tie order is pinned here.
+        let mut walk = Walk {
+            model: Model::new(&generators::path(2, 1), v(0)),
+            schedule: FaultSchedule::new(),
+            restores: BinaryHeap::new(),
+            scheduled: 0,
         };
-        for seed in 0..16 {
-            let s = p.generate(&g, v(2), 300.0, seed);
-            for e in &s.events {
-                match &e.fault {
-                    Fault::FailNode(n) => assert_ne!(*n, v(2)),
-                    Fault::Corrupt { node, .. } => assert_ne!(*node, v(2)),
-                    _ => {}
-                }
-            }
+        for (at, tag) in [(7.0, 0), (3.0, 1), (7.0, 2), (3.0, 3), (5.0, 4)] {
+            walk.restore_at(at, Restore::Weight(0, tag));
         }
-    }
-
-    #[test]
-    fn every_outage_heals() {
-        // Fail/join events pair up: after the full schedule the modeled
-        // topology matches the original (nodes may rejoin with fewer edges
-        // only when a neighbor was down at restore time; on a complete
-        // graph with staggered outages this stays rare — just check node
-        // restoration here).
-        let g = generators::grid(3, 3, 1);
-        let p = FaultProcess::standard();
-        for seed in 0..8 {
-            let s = p.generate(&g, v(0), 400.0, seed);
-            let mut down: Vec<NodeId> = Vec::new();
-            for e in &s.events {
-                match &e.fault {
-                    Fault::FailNode(n) => down.push(*n),
-                    Fault::JoinNode { node, .. } => down.retain(|d| d != node),
-                    _ => {}
-                }
-            }
-            assert!(down.is_empty(), "seed {seed}: nodes left down: {down:?}");
-        }
+        let order: Vec<(f64, Weight)> = std::iter::from_fn(|| walk.restores.pop())
+            .map(|p| match p.restore {
+                Restore::Weight(_, tag) => (p.at, tag),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, [(3.0, 1), (3.0, 3), (5.0, 4), (7.0, 0), (7.0, 2)]);
     }
 
     #[test]

@@ -98,6 +98,25 @@ impl FaultSchedule {
         }
     }
 
+    /// The same faults, each `t0` later: how a schedule generated from
+    /// time zero is placed after a simulation's warm-up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t0` is negative or not finite.
+    #[must_use]
+    pub fn shifted(mut self, t0: f64) -> FaultSchedule {
+        assert!(
+            t0.is_finite() && t0 >= 0.0,
+            "shift must be finite and non-negative"
+        );
+        // Adding one non-negative offset keeps the (non-strict) time order.
+        for e in &mut self.events {
+            e.at += t0;
+        }
+        self
+    }
+
     /// Number of scheduled faults.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -394,6 +413,18 @@ mod tests {
         let times: Vec<f64> = s.events.iter().map(|e| e.at).collect();
         assert_eq!(times, vec![1.5, 5.0, 9.25, 12.0, 13.0]);
         assert_eq!(s.end_time(), 13.0);
+    }
+
+    #[test]
+    fn shifted_moves_every_fault_and_keeps_order() {
+        let s = sample_schedule();
+        let moved = s.clone().shifted(100.5);
+        let mut pushed = FaultSchedule::new();
+        for e in &s.events {
+            pushed.push(100.5 + e.at, e.fault.clone());
+        }
+        assert_eq!(moved, pushed);
+        assert_eq!(s.clone().shifted(0.0), s);
     }
 
     #[test]

@@ -348,8 +348,7 @@ pub fn waxman<R: Rng>(n: u32, alpha: f64, beta: f64, rng: &mut R) -> Graph {
     // order — hence the graph — is a pure function of the seed.
     let mut candidates: Vec<u32> = Vec::new();
     for i in 0..n as usize {
-        cells.neighbors_within(i, &points, radius, &mut candidates);
-        candidates.retain(|&j| j as usize > i);
+        cells.later_neighbors_within(i, &points, radius, &mut candidates);
         candidates.sort_unstable();
         for &j in &candidates {
             let p = beta * (-d(i, j as usize) / (alpha * l)).exp();
@@ -358,7 +357,7 @@ pub fn waxman<R: Rng>(n: u32, alpha: f64, beta: f64, rng: &mut R) -> Graph {
             }
         }
     }
-    patch_connectivity(&mut g, &points, &cells);
+    patch_connectivity(&mut g, &points);
     g
 }
 
@@ -388,9 +387,16 @@ impl SpatialHash {
         cy * side + cx
     }
 
-    /// Collects (into `out`) every point within `radius` of point `i`,
-    /// excluding `i` itself. Order is unspecified; callers sort.
-    fn neighbors_within(&self, i: usize, points: &[(f64, f64)], radius: f64, out: &mut Vec<u32>) {
+    /// Collects (into `out`) every point `j > i` within `radius` of point
+    /// `i` — each unordered pair once, from its smaller end. Order is
+    /// unspecified; callers sort.
+    fn later_neighbors_within(
+        &self,
+        i: usize,
+        points: &[(f64, f64)],
+        radius: f64,
+        out: &mut Vec<u32>,
+    ) {
         out.clear();
         let (x, y) = points[i];
         let r2 = radius * radius;
@@ -400,7 +406,7 @@ impl SpatialHash {
         for by in (cy - span).max(0)..=(cy + span).min(self.side as isize - 1) {
             for bx in (cx - span).max(0)..=(cx + span).min(self.side as isize - 1) {
                 for &j in &self.buckets[by as usize * self.side + bx as usize] {
-                    if j as usize == i {
+                    if j as usize <= i {
                         continue;
                     }
                     let (jx, jy) = points[j as usize];
@@ -415,10 +421,15 @@ impl SpatialHash {
 
 /// Links every stranded component to the geometrically nearest node of
 /// the component containing the smallest node id, using an expanding
-/// ring search over `cells` (ties broken by node id, so the patch is
-/// deterministic). Unlike the O(n² · components) scan in
+/// ring search over a spatial hash. Unlike the O(n² · components) scan in
 /// [`random_geometric`], this stays feasible at 100k nodes.
-fn patch_connectivity(g: &mut Graph, points: &[(f64, f64)], cells: &SpatialHash) {
+///
+/// The search is exact — it returns the minimum of `(d², absorbed id,
+/// member id)` over all pairs — so the chosen edges do not depend on the
+/// grid, which is therefore sized for the search itself (≈ 2 points per
+/// cell) rather than shared with the candidate-pair hash, whose cells
+/// span a whole link radius and hold dozens of points each.
+fn patch_connectivity(g: &mut Graph, points: &[(f64, f64)]) {
     // Union the components in ascending min-id order: each later
     // component attaches to the nearest node already absorbed.
     let mut comp = vec![u32::MAX; points.len()];
@@ -450,6 +461,7 @@ fn patch_connectivity(g: &mut Graph, points: &[(f64, f64)], cells: &SpatialHash)
     for &i in &comps[0] {
         absorbed[i as usize] = true;
     }
+    let cells = SpatialHash::new(points, (2.0 / points.len() as f64).sqrt());
     let side = cells.side as isize;
     for members in &comps[1..] {
         // Nearest (absorbed, stranded) pair over the whole component,
@@ -718,6 +730,41 @@ mod tests {
         let mut rng3 = StdRng::seed_from_u64(6);
         let c = waxman(200, 0.08, 0.7, &mut rng3);
         assert_ne!(a, c, "different seeds should differ");
+    }
+
+    #[test]
+    fn waxman_edge_lists_are_pinned() {
+        // FNV-1a over `(a, b, w)` in `Graph::edges` order, recorded before
+        // the pair collection and the patch grid were made cheaper: a
+        // dense small graph, one that is nearly all patch edges, and the
+        // benchmark's storm shape (mean degree ≈ 2, many stranded nodes).
+        let golden: [(u32, f64, f64, u64, usize, u64); 3] = [
+            (300, 0.08, 0.7, 7, 1_774, 0xc1ba_7653_7bc4_b1ae),
+            (5_000, 0.002, 0.5, 3, 5_001, 0x92c7_fb16_07a2_346f),
+            (
+                10_000,
+                0.001 * 10f64.sqrt(),
+                1.0,
+                42,
+                10_557,
+                0x4030_8ea7_f28c_9a4b,
+            ),
+        ];
+        for (n, alpha, beta, seed, edges, hash) in golden {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = waxman(n, alpha, beta, &mut rng);
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for (a, b, w) in g.edges() {
+                for x in [u64::from(a.raw()), u64::from(b.raw()), w] {
+                    h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(
+                (g.edge_count(), h),
+                (edges, hash),
+                "waxman({n}, {alpha}, {beta}) seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -87,24 +87,6 @@ pub fn paper_timing() -> TimingConfig {
     TimingConfig::paper_example(1.0)
 }
 
-/// DBF's configuration for `graph`: the default, with the bounded
-/// infinity raised just past the farthest node's true distance. DBF clamps
-/// any distance `>= infinity` to `∞`, so under the default 64 every node
-/// 64 or more from the destination (a 33x33 grid has some) would be
-/// routeless in DBF's own legitimate state.
-fn dbf_config(graph: &Graph, destination: NodeId) -> DbfConfig {
-    let farthest = ShortestPaths::dijkstra(graph, destination)
-        .iter()
-        .filter_map(|(_, d)| d.as_finite())
-        .max()
-        .unwrap_or(0);
-    let default = DbfConfig::default();
-    DbfConfig {
-        infinity: default.infinity.max(farthest + 1),
-        ..default
-    }
-}
-
 /// Builds one protocol over `graph` from a legitimate state (the given
 /// chosen tree, or the canonical one), under the matched paper timing.
 pub fn build(
@@ -130,7 +112,7 @@ pub fn build(
             )
         }
         Protocol::Dbf => {
-            let config = dbf_config(&graph, destination);
+            let config = DbfConfig::for_graph(&graph, destination);
             Box::new(DbfSimulation::new(
                 graph,
                 destination,
@@ -187,7 +169,7 @@ pub fn build_held(
         Protocol::Dbf => {
             let config = DbfConfig {
                 hold: timing.hd_s,
-                ..dbf_config(&graph, destination)
+                ..DbfConfig::for_graph(&graph, destination)
             };
             Box::new(DbfSimulation::new(graph, destination, None, config, engine))
         }

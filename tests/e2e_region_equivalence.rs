@@ -16,7 +16,7 @@
 
 use lsrp::analysis::{run_monitored, standard_monitors, WorkloadDriver, WorkloadSpec};
 use lsrp::core::{InitialState, LsrpSimulation, LsrpSimulationExt, TimingConfig};
-use lsrp::faults::{FaultProcess, FaultSchedule};
+use lsrp::faults::FaultProcess;
 use lsrp::graph::{generators, Distance, Graph, NodeId};
 use lsrp_sim::{
     ClockConfig, CongestionConfig, DisciplineKind, EngineConfig, EngineStats, LinkConfig, SimTime,
@@ -69,11 +69,9 @@ fn chaos_fingerprint(regions: usize, jobs: usize, graph: &Graph, seed: u64) -> S
     assert!(sim.run_to_quiescence(1_000_000.0).quiescent);
 
     let t0 = sim.now().seconds();
-    let raw = FaultProcess::standard().generate(graph, v(0), 120.0, seed);
-    let mut schedule = FaultSchedule::new();
-    for e in &raw.events {
-        schedule.push(t0 + e.at, e.fault.clone());
-    }
+    let schedule = FaultProcess::standard()
+        .generate(graph, v(0), 120.0, seed)
+        .shifted(t0);
     let timing = *sim.timing();
     let mut monitors = standard_monitors(&timing, graph.node_count());
     let report = run_monitored(&mut sim, &schedule, t0 + 100_000.0, &mut monitors);

@@ -10,7 +10,7 @@
 
 use lsrp::analysis::{run_monitored, standard_monitors, TrafficMode, WorkloadDriver, WorkloadSpec};
 use lsrp::core::{InitialState, LsrpSimulation, LsrpSimulationExt, TimingConfig};
-use lsrp::faults::{FaultProcess, FaultSchedule};
+use lsrp::faults::FaultProcess;
 use lsrp::graph::{generators, Distance, Graph, NodeId};
 use lsrp_sim::{ClockConfig, CongestionConfig, EngineConfig, LinkConfig, SchedulerKind, SimTime};
 use rand::rngs::StdRng;
@@ -54,11 +54,9 @@ fn chaos_fingerprint(kind: SchedulerKind, graph: &Graph, seed: u64) -> String {
     // Mid-run faults: the standard chaos process, replayed from the
     // quiescent point.
     let t0 = sim.now().seconds();
-    let raw = FaultProcess::standard().generate(graph, v(0), 120.0, seed);
-    let mut schedule = FaultSchedule::new();
-    for e in &raw.events {
-        schedule.push(t0 + e.at, e.fault.clone());
-    }
+    let schedule = FaultProcess::standard()
+        .generate(graph, v(0), 120.0, seed)
+        .shifted(t0);
     let timing = *sim.timing();
     let mut monitors = standard_monitors(&timing, graph.node_count());
     let report = run_monitored(&mut sim, &schedule, t0 + 100_000.0, &mut monitors);

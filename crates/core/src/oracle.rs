@@ -9,7 +9,7 @@
 use lsrp_graph::{Distance, NodeId};
 use lsrp_sim::{ActionId, EnabledSet};
 
-use crate::protocol::{actions, LsrpNode};
+use crate::protocol::{actions, LsrpNode, WordMixer};
 use crate::state::LsrpState;
 
 fn ids(s: &LsrpState) -> impl Iterator<Item = NodeId> + '_ {
@@ -119,11 +119,11 @@ pub fn recovery_parent(s: &LsrpState) -> Option<NodeId> {
         .or_else(|| candidates().next())
 }
 
-/// The fingerprint byte stream: `d, p, ghost`, then `(k, mirror(k))` for
-/// each witnessed id, through `DefaultHasher`.
+/// The fingerprint word stream: `d, p, ghost`, then `(k, mirror(k))` for
+/// each witnessed id, through the protocol's mixer.
 fn witness_fingerprint(s: &LsrpState, witnessed: &[NodeId]) -> u64 {
     use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = WordMixer::default();
     s.d.hash(&mut h);
     s.p.hash(&mut h);
     s.ghost.hash(&mut h);
@@ -147,7 +147,7 @@ pub fn enabled_actions(node: &LsrpNode, now_local: f64) -> EnabledSet {
             set.enable_with_fingerprint(
                 ActionId::with_param(actions::S2, k),
                 timing.hd_s,
-                witness_fingerprint(s, &[k, s.p]),
+                witness_fingerprint(s, &[s.p, k]),
             );
         }
     }
@@ -396,5 +396,131 @@ mod equivalence {
             c.by_action.iter().all(|&n| n >= floor),
             "an action is (almost) never enabled: {c:?}"
         );
+    }
+}
+
+/// The mixer under [`witness_fingerprint`]; the suite above holds the
+/// evaluator's fingerprints equal to that function's.
+mod mixer {
+    use super::*;
+    use crate::state::Mirror;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const ME: u32 = 50;
+
+    /// A state whose values sit close together, as a network's do, or a
+    /// few bit positions apart: a mixer that only shifts words against
+    /// each other cancels one such difference with the next.
+    fn generate(rng: &mut StdRng) -> LsrpState {
+        let degree = rng.gen_range(1..=5u32);
+        let stride = 1 << (5 * rng.gen_range(0..=5u32));
+        let id = |j: u32| NodeId::new(ME + j * stride);
+        let mut s = LsrpState::fresh(id(0), NodeId::new(0), (1..=degree).map(|j| (id(j), 1)));
+        s.d = distance(rng);
+        s.p = id(rng.gen_range(0..=degree + 1));
+        s.ghost = rng.gen_bool(0.5);
+        for j in 1..=degree {
+            if rng.gen_bool(0.8) {
+                let m = mirror(rng, &s);
+                s.set_mirror(id(j), m);
+            }
+        }
+        s
+    }
+
+    fn distance(rng: &mut StdRng) -> Distance {
+        match rng.gen_range(0..10) {
+            0 | 1 => Distance::Infinite,
+            2 => Distance::Finite(rng.gen()),
+            3 | 4 => Distance::Finite(rng.gen_range(0..8u64) << (5 * rng.gen_range(0..=12u32))),
+            _ => Distance::Finite(rng.gen_range(0..8)),
+        }
+    }
+
+    /// A mirror naming us, a neighbor or a stranger as its parent.
+    fn mirror(rng: &mut StdRng, s: &LsrpState) -> Mirror {
+        let rows = s.neighbors();
+        let stride = rows[0].id.raw() - ME;
+        Mirror {
+            d: distance(rng),
+            p: NodeId::new(ME + rng.gen_range(0..=rows.len() as u32 + 1) * stride),
+            ghost: rng.gen_bool(0.3),
+        }
+    }
+
+    /// Everything a fingerprint over `witnessed` is supposed to tell apart.
+    fn values(s: &LsrpState, witnessed: &[NodeId]) -> impl PartialEq {
+        let mirrors: Vec<_> = witnessed.iter().map(|&k| (k, s.mirror(k))).collect();
+        (s.d, s.p, s.ghost, mirrors)
+    }
+
+    /// What S2(k) witnesses, and what C2 and SC do.
+    fn witness_lists(s: &LsrpState, rng: &mut StdRng) -> [Vec<NodeId>; 2] {
+        let all: Vec<NodeId> = ids(s).collect();
+        let k = all[rng.gen_range(0..all.len())];
+        [vec![s.p, k], all]
+    }
+
+    #[test]
+    fn changing_any_one_witnessed_field_changes_the_fingerprint() {
+        let mut rng = StdRng::seed_from_u64(0x23_0001);
+        let mut flips = 0;
+        for case in 0..20_000 {
+            let s = generate(&mut rng);
+            for witnessed in witness_lists(&s, &mut rng) {
+                let k = witnessed[witnessed.len() - 1]; // a neighbor
+                let m = s.mirror(k);
+                let fresh = mirror(&mut rng, &s);
+                let mut changed = vec![s.clone(); 6];
+                changed[0].d = distance(&mut rng);
+                changed[1].p = fresh.p;
+                changed[2].ghost = !s.ghost;
+                changed[3].set_mirror(k, Mirror { d: fresh.d, ..m });
+                changed[4].set_mirror(k, Mirror { p: fresh.p, ..m });
+                changed[5].set_mirror(
+                    k,
+                    Mirror {
+                        ghost: !m.ghost,
+                        ..m
+                    },
+                );
+                let before = witness_fingerprint(&s, &witnessed);
+                for (field, t) in changed.iter().enumerate() {
+                    if values(t, &witnessed) != values(&s, &witnessed) {
+                        let after = witness_fingerprint(t, &witnessed);
+                        assert_ne!(before, after, "case {case} field {field}: {s:?} {t:?}");
+                        flips += usize::from(s.d.is_infinite() != t.d.is_infinite());
+                        flips += usize::from(m.d.is_infinite() != t.mirror(k).d.is_infinite());
+                    }
+                }
+            }
+        }
+        assert!(
+            flips >= 1_000,
+            "Finite <-> Infinite barely exercised: {flips}"
+        );
+    }
+
+    #[test]
+    fn no_collision_over_a_million_state_pairs() {
+        let mut rng = StdRng::seed_from_u64(0x23_0002);
+        let mut distinct = 0;
+        while distinct < 1_000_000 {
+            let (a, b) = (generate(&mut rng), generate(&mut rng));
+            if a.neighbors().len() != b.neighbors().len() {
+                continue;
+            }
+            for witnessed in witness_lists(&a, &mut rng) {
+                if values(&a, &witnessed) != values(&b, &witnessed) {
+                    distinct += 1;
+                    assert_ne!(
+                        witness_fingerprint(&a, &witnessed),
+                        witness_fingerprint(&b, &witnessed),
+                        "{a:?} {b:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -12,6 +12,7 @@
 //! | `SYN2` | message reception | 0 | update mirrors |
 
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 use lsrp_graph::{Distance, NodeId, RouteEntry, Weight};
 use lsrp_sim::{ActionId, Effects, EnabledSet, ForgedAdvert, HarnessProtocol, ProtocolNode};
@@ -92,21 +93,76 @@ impl LsrpNode {
         fx.broadcast(self.state.message());
     }
 
-    /// Hash of the values a guard witnesses: our own route variables plus
-    /// `(k, mirror of k)` for each witnessed neighbor, in the order given.
-    /// Used as the guard fingerprint so holds restart when the witnessed
-    /// information changes.
-    fn witness_fingerprint(&self, witnessed: impl IntoIterator<Item = (NodeId, Mirror)>) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+    /// The fingerprint prefix every guard shares: our own route variables.
+    fn own_witness(&self) -> WordMixer {
+        let mut h = WordMixer::default();
         self.state.d.hash(&mut h);
         self.state.p.hash(&mut h);
         self.state.ghost.hash(&mut h);
-        for (k, mirror) in witnessed {
-            k.hash(&mut h);
-            mirror.hash(&mut h);
+        h
+    }
+}
+
+/// The hasher behind guard fingerprints: the values a guard witnesses —
+/// our own route variables, then `(k, mirror of k)` per witnessed
+/// neighbor — so that a hold restarts when the witnessed information
+/// changes. A fingerprint is only ever compared with the one the same
+/// guard gave at the previous evaluation; nothing prints or stores one.
+/// So the hash needs no keying, only to tell different values apart:
+/// each word goes through one bijective step of the whole state, hence
+/// two streams that differ in a single word never collide. Being `Copy`,
+/// a common prefix is hashed once and continued per guard.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WordMixer(u64);
+
+impl Default for WordMixer {
+    fn default() -> Self {
+        WordMixer(0x9E37_79B9_7F4A_7C15)
+    }
+}
+
+impl WordMixer {
+    /// Continues the stream with `(k, mirror of k)`.
+    pub(crate) fn witness(mut self, k: NodeId, mirror: Mirror) -> Self {
+        k.hash(&mut self);
+        mirror.hash(&mut self);
+        self
+    }
+}
+
+impl Hasher for WordMixer {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// The splitmix64 finalizer over `state ^ word`: xor-shifts and odd
+    /// multiplications, each a bijection of the 64-bit state.
+    fn write_u64(&mut self, word: u64) {
+        let mut x = self.0 ^ word;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.0 = x ^ (x >> 31);
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.write_u64(i.into());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(i.into());
+    }
+
+    // Enum discriminants arrive as `isize`, which defaults to this.
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
         }
-        h.finish()
     }
 }
 
@@ -133,14 +189,18 @@ impl ProtocolNode for LsrpNode {
 
         // S2(k): SW.v.k ∧ ¬ghost.k.v, hold hd_S (one instance per k).
         // The hold restarts if the values the adoption is based on — our
-        // own route or the mirrors of k and of the current parent —
-        // change mid-hold (see EnabledSet::fingerprints).
+        // own route or the mirrors of the current parent and of k —
+        // change mid-hold (see EnabledSet::enable_with_fingerprint). All
+        // but k's mirror is common to every tied offer.
+        let mut shared = None;
         for k in s.neighbors() {
             if !k.mirror().ghost && g.sw(k) {
+                let shared =
+                    shared.get_or_insert_with(|| self.own_witness().witness(s.p, s.mirror(s.p)));
                 set.enable_with_fingerprint(
                     ActionId::with_param(actions::S2, k.id),
                     self.timing.hd_s,
-                    self.witness_fingerprint([(k.id, k.mirror()), (s.p, s.mirror(s.p))]),
+                    shared.witness(k.id, k.mirror()).finish(),
                 );
             }
         }
@@ -151,8 +211,11 @@ impl ProtocolNode for LsrpNode {
         }
 
         // C2 and SC witness every mirror, hashed straight off the table.
-        let all_mirrors =
-            || self.witness_fingerprint(s.neighbors().iter().map(|k| (k.id, k.mirror())));
+        let all_mirrors = || {
+            let own = self.own_witness();
+            let all = s.neighbors().iter();
+            all.fold(own, |h, k| h.witness(k.id, k.mirror())).finish()
+        };
 
         // C2: ghost.v ∧ no perturbed child; hold 0 per the paper, or the
         // anti-race hd_c2 (see TimingConfig::hd_c2). With a nonzero hold,

@@ -388,9 +388,9 @@ impl ProtocolNode for MultiLsrpNode {
         for &idx in &s.active {
             let tag = instance_tag(self.dests.node_of(DestId::from_index(idx as usize)));
             let c = &s.cache[idx as usize];
-            for &(id, hold) in &c.set.actions {
+            for (id, hold, fingerprint) in c.set.entries() {
                 let tagged = id.for_instance(tag);
-                match c.set.fingerprint_of(id) {
+                match fingerprint {
                     Some(fp) => {
                         out.enable_with_fingerprint(tagged, hold, fp);
                     }
@@ -570,12 +570,12 @@ mod tests {
         );
         // The advert was staged, not sent; FLUSH is now enabled.
         let set = node.enabled_actions(0.0);
-        assert!(set.is_enabled(ActionId::plain(FLUSH)));
+        assert!(set.actions.iter().any(|a| a.0 == ActionId::plain(FLUSH)));
         let mut fx = lsrp_sim::test_support::effects();
         node.execute(ActionId::plain(FLUSH), 0.0, &mut fx);
         // And after the flush the outbox is empty again.
         let set = node.enabled_actions(0.0);
-        assert!(!set.is_enabled(ActionId::plain(FLUSH)));
+        assert!(!set.actions.iter().any(|a| a.0 == ActionId::plain(FLUSH)));
     }
 
     #[test]

@@ -87,9 +87,9 @@ impl ProtocolNode for ReferenceMultiNode {
             inner.clear();
             node.enabled_actions_into(now_local, &mut inner);
             let tag = instance_tag(dest);
-            for &(id, hold) in &inner.actions {
+            for (id, hold, fingerprint) in inner.entries() {
                 let tagged = id.for_instance(tag);
-                match inner.fingerprint_of(id) {
+                match fingerprint {
                     Some(fp) => {
                         out.enable_with_fingerprint(tagged, hold, fp);
                     }

@@ -358,11 +358,12 @@ fn parse_value(s: &str, line: usize) -> Result<Spanned, TomlError> {
             if part.is_empty() {
                 continue;
             }
-            let item = parse_value(part, line)?;
-            if matches!(item.value, Value::Array(_)) {
+            // Refused before descending: `[[[[…` must not cost a stack
+            // frame per bracket.
+            if part.starts_with('[') {
                 return Err(TomlError::new(line, "nested arrays are not supported"));
             }
-            items.push(item);
+            items.push(parse_value(part, line)?);
         }
         Value::Array(items)
     } else if let Some(rest) = s.strip_prefix('"') {

@@ -63,6 +63,7 @@ use crate::congestion::{
 };
 use crate::effects::{Effects, SendTarget};
 use crate::flow::{FlowConfig, FlowRecord, FlowState, FlowTag};
+use crate::guards::{Guards, TrackScratch};
 use crate::node::{ActionId, EnabledSet, ProtocolNode};
 use crate::rng;
 use crate::sched::{EventKey, EventQueue};
@@ -299,55 +300,6 @@ enum Event<M> {
     },
 }
 
-#[derive(Debug, Clone, Copy)]
-struct GuardTrack {
-    generation: u64,
-    fingerprint: u64,
-}
-
-/// A node's tracked guards, sorted by action id: a handful of entries
-/// that come and go with every enable and fire. The vector keeps its
-/// buffer across them, where a map allocates and frees a leaf each time.
-#[derive(Default)]
-struct Guards(Vec<(ActionId, GuardTrack)>);
-
-impl Guards {
-    /// Where `id` is tracked, or else where it would be inserted.
-    fn find(&self, id: ActionId) -> Result<usize, usize> {
-        self.0.binary_search_by_key(&id, |e| e.0)
-    }
-
-    fn get(&self, id: ActionId) -> Option<&GuardTrack> {
-        Some(&self.0[self.find(id).ok()?].1)
-    }
-
-    fn remove(&mut self, id: ActionId) {
-        if let Ok(at) = self.find(id) {
-            self.0.remove(at);
-        }
-    }
-
-    fn keys(&self) -> impl Iterator<Item = ActionId> + '_ {
-        self.0.iter().map(|e| e.0)
-    }
-
-    fn retain(&mut self, mut keep: impl FnMut(ActionId, &GuardTrack) -> bool) {
-        self.0.retain(|e| keep(e.0, &e.1));
-    }
-
-    /// Tracks `id` with `track()` unless it is tracked already; returns
-    /// the new track if so.
-    fn insert_if_vacant(
-        &mut self,
-        id: ActionId,
-        track: impl FnOnce() -> GuardTrack,
-    ) -> Option<GuardTrack> {
-        let at = self.find(id).err()?;
-        self.0.insert(at, (id, track()));
-        Some(self.0[at].1)
-    }
-}
-
 /// Everything the engine keeps per live node, stored densely by the
 /// node's *local* (in-region) id.
 struct Slot<P> {
@@ -543,8 +495,7 @@ struct Shared {
 
 /// One region: an independent event queue plus every piece of engine
 /// state its nodes own. All hot-path state is indexed by *local* id, so
-/// a region's working set is proportional to its own size — on one core
-/// this is also why several small calendar wheels can beat one huge one.
+/// a region's working set is proportional to its own size.
 struct Core<P: ProtocolNode> {
     index: u32,
     queue: EventQueue<Event<P::Msg>>,
@@ -604,8 +555,8 @@ struct Core<P: ProtocolNode> {
     fx_scratch: Effects<P::Msg>,
     /// Reusable guard-evaluation buffer for [`Core::reevaluate_floored`].
     enabled_scratch: EnabledSet,
-    /// Reusable hold-timer scheduling buffer.
-    schedule_scratch: Vec<(ActionId, SimTime, u64)>,
+    /// Reusable hold-tracking buffers.
+    track_scratch: TrackScratch,
 }
 
 impl<P: ProtocolNode> Core<P> {
@@ -642,7 +593,7 @@ impl<P: ProtocolNode> Core<P> {
             scratch: Vec::new(),
             fx_scratch: Effects::new(),
             enabled_scratch: EnabledSet::none(),
-            schedule_scratch: Vec::new(),
+            track_scratch: TrackScratch::default(),
         }
     }
 
@@ -1098,54 +1049,32 @@ impl<P: ProtocolNode> Core<P> {
         let mut set = std::mem::take(&mut self.enabled_scratch);
         set.clear();
         slot.node.enabled_actions_into(now_local, &mut set);
-        let counter = &mut self.enabled_non_maintenance;
         let slot = self.slots.get_mut(lid).expect("checked above");
-        let tracked = &mut slot.guards;
-        // An action stays "continuously enabled" only while its guard is
-        // true AND its fingerprint (the values the guard witnesses) is
-        // unchanged; otherwise the hold restarts. Guard sets are a
-        // handful of entries, so membership and fingerprint lookups are
-        // linear scans — no per-call set allocation.
-        tracked.retain(|id, track| {
-            let keep = set.is_enabled(id)
-                && set.fingerprint_of(id).unwrap_or(track.fingerprint) == track.fingerprint;
-            if !keep && !P::is_maintenance(id) {
-                *counter -= 1;
-            }
-            keep
-        });
-        let mut to_schedule = std::mem::take(&mut self.schedule_scratch);
-        let generation = &mut self.guard_gen[local as usize];
-        for &(id, hold) in &set.actions {
-            let inserted = tracked.insert_if_vacant(id, || {
-                *generation += 1;
-                GuardTrack {
-                    generation: *generation,
-                    fingerprint: set.fingerprint_of(id).unwrap_or(0),
-                }
-            });
-            if let Some(track) = inserted {
-                if !P::is_maintenance(id) {
-                    *counter += 1;
-                }
-                let fire = self.now + clock.real_duration(hold.max(0.0));
-                to_schedule.push((id, fire, track.generation));
-            }
-        }
-        for &(id, fire, generation) in &to_schedule {
-            let key = self.lane_key(shared, v, false);
-            self.push_local(
-                fire,
-                key,
-                Event::GuardTimer {
-                    node: v,
-                    action: id,
-                    generation,
-                },
+        // Most evaluations find nothing enabled and nothing held.
+        if !(set.actions.is_empty() && slot.guards.is_empty()) {
+            let mut scratch = std::mem::take(&mut self.track_scratch);
+            slot.guards.track(
+                &set,
+                &mut scratch,
+                &mut self.guard_gen[local as usize],
+                &mut self.enabled_non_maintenance,
+                P::is_maintenance,
             );
+            for started in &scratch.started {
+                let fire = self.now + clock.real_duration(started.hold.max(0.0));
+                let key = self.lane_key(shared, v, false);
+                self.push_local(
+                    fire,
+                    key,
+                    Event::GuardTimer {
+                        node: v,
+                        action: started.id,
+                        generation: started.generation,
+                    },
+                );
+            }
+            self.track_scratch = scratch;
         }
-        to_schedule.clear();
-        self.schedule_scratch = to_schedule;
         if let Some(wl) = set.wakeup_local {
             // `real_time_at_local` never returns a time before `now`; a
             // wakeup may therefore land *at* `now` (same instant, later in

@@ -37,8 +37,11 @@ pub mod congestion;
 pub mod effects;
 pub mod engine;
 pub mod flow;
+mod guards;
 pub mod harness;
 pub mod node;
+#[cfg(test)]
+mod oracle;
 pub(crate) mod rng;
 pub mod sched;
 pub mod sink;

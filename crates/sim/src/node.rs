@@ -76,10 +76,11 @@ pub struct EnabledSet {
     /// re-arm when the candidate route changes (BGP's
     /// MinRouteAdvertisementInterval behaves this way), and is what makes
     /// LSRP's loop freedom robust to mid-hold mirror updates (DESIGN.md
-    /// §5). Actions without a fingerprint never restart. Stored as a flat
-    /// list (guard sets are tiny, and clearing keeps its capacity — see
-    /// [`EnabledSet::clear`]); look up with [`EnabledSet::fingerprint_of`].
-    pub fingerprints: Vec<(ActionId, u64)>,
+    /// §5). Actions without a fingerprint never restart. Each is stored
+    /// behind its action's position in `actions`, in ascending order:
+    /// [`EnabledSet::enable_with_fingerprint`] is the only writer, so
+    /// [`EnabledSet::entries`] reads both lists in lockstep.
+    fingerprints: Vec<(usize, u64)>,
     /// If some guard is a function of the local clock (e.g. LSRP's
     /// periodic `SYN1`), the earliest local-clock reading at which guards
     /// should be re-evaluated even if no event arrives.
@@ -114,22 +115,21 @@ impl EnabledSet {
         hold_local: f64,
         fingerprint: u64,
     ) -> &mut Self {
+        self.fingerprints.push((self.actions.len(), fingerprint));
         self.actions.push((id, hold_local));
-        self.fingerprints.push((id, fingerprint));
         self
     }
 
-    /// The fingerprint recorded for `id`, if any.
-    pub fn fingerprint_of(&self, id: ActionId) -> Option<u64> {
-        self.fingerprints
+    /// Every enabled action in emission order, as `(id, hold, fingerprint)`.
+    pub fn entries(&self) -> impl Iterator<Item = (ActionId, f64, Option<u64>)> + '_ {
+        let mut fingerprints = self.fingerprints.iter().peekable();
+        self.actions
             .iter()
-            .find(|&&(fid, _)| fid == id)
-            .map(|&(_, fp)| fp)
-    }
-
-    /// Whether `id` is among the enabled actions.
-    pub fn is_enabled(&self, id: ActionId) -> bool {
-        self.actions.iter().any(|&(aid, _)| aid == id)
+            .enumerate()
+            .map(move |(at, &(id, hold))| {
+                let fingerprint = fingerprints.next_if(|f| f.0 == at).map(|f| f.1);
+                (id, hold, fingerprint)
+            })
     }
 
     /// Requests a wakeup at the given local-clock reading (keeps the
@@ -260,5 +260,25 @@ mod tests {
         s.enable(ActionId::plain(1), 2.0).wake_at(9.0).wake_at(5.0);
         assert_eq!(s.actions.len(), 1);
         assert_eq!(s.wakeup_local, Some(5.0));
+    }
+
+    #[test]
+    fn entries_pair_each_action_with_its_own_fingerprint() {
+        let (a, b) = (ActionId::plain(1), ActionId::plain(2));
+        let mut s = EnabledSet::none();
+        s.enable(b, 1.0)
+            .enable(a, 2.0)
+            .enable_with_fingerprint(a, 3.0, 7)
+            .enable_with_fingerprint(b, 4.0, 9);
+        let entries: Vec<_> = s.entries().collect();
+        let expected = [
+            (b, 1.0, None),
+            (a, 2.0, None),
+            (a, 3.0, Some(7)),
+            (b, 4.0, Some(9)),
+        ];
+        assert_eq!(entries, expected);
+        s.clear();
+        assert_eq!(s.entries().count(), 0);
     }
 }

@@ -1,127 +1,42 @@
-//! E13 (extension of §III-B's availability claim): forwarding-plane
-//! availability during recovery, E14: robustness of the containment
-//! shape under the full asynchronous model (jittered delays, drifting
-//! clocks), and E18: the reliable-link ablation.
-//!
-//! The tables are wrappers over the checked-in scenario files
-//! (`scenarios/e13_availability.toml`, `e14_robustness.toml`,
-//! `e18_message_loss.toml`); the cell functions delegate to
-//! `lsrp_scenario::cells` so `lsrp run` on the same files is
-//! byte-identical.
+//! Tests of E13 (forwarding-plane availability during recovery), E14
+//! (containment under jittered delays and drifting clocks) and E18 (the
+//! reliable-link ablation): the cells in `lsrp_scenario::cells` the
+//! checked-in scenario files compile to, and `e13_availability.toml`
+//! against the hand-coded loop it replaced.
 
-use lsrp_analysis::Table;
-use lsrp_scenario::cells::{
-    recovery_cell, snapshot_hijack_cell, EngineModel, RecoveryCellSpec, RegionFault,
-};
-use lsrp_scenario::schema::{ScenarioBody, SweepValue};
-use lsrp_scenario::{run_scenario, ExecOptions};
-
-use crate::build::Protocol;
-use crate::scaling::load_scenario;
-
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// One availability run: a *prefix-hijack black hole* — a region of `p`
-/// nodes near the destination claims `(d, p) := (0, self)`, i.e. "I am the
-/// destination", dropping all transit traffic — with the neighborhood
-/// having learned the bogus advertisement. Forwarding availability is
-/// sampled every simulated second until recovery completes.
-pub fn availability_run(
-    protocol: Protocol,
-    w: u32,
-    p: usize,
-    seed: u64,
-) -> lsrp_analysis::AvailabilityTrace {
-    snapshot_hijack_cell(protocol, w, p, seed, 1.0)
-}
-
-/// E13 table: availability statistics during recovery.
-pub fn e13_availability(w: u32, p: usize) -> Table {
-    let mut s = load_scenario(include_str!("../../../scenarios/e13_availability.toml"));
-    if let ScenarioBody::Hijack(h) = &mut s.body {
-        h.width = w;
-        h.p = Some(p);
-    }
-    run_scenario(&s, ExecOptions::sharded(default_jobs()))
-        .expect("e13 scenario runs")
-        .into_table()
-}
-
-/// One E14 run: the E6 scaling cell under jittered link delays and
-/// adversarial (alternating) clock drift, with hold times re-derived for
-/// the harsher model via `TimingConfig::for_network`.
-pub fn robustness_run(
-    protocol: Protocol,
-    w: u32,
-    p: usize,
-    seed: u64,
-) -> lsrp_analysis::RecoveryMetrics {
-    recovery_cell(&RecoveryCellSpec {
-        protocol,
-        width: w,
-        p,
-        seed,
-        fault: RegionFault::Blackhole,
-        model: EngineModel::Harsh {
-            jitter: (0.5, 1.5),
-            rho: 1.5,
-        },
-    })
-}
-
-/// E14 table: containment under the full asynchronous model.
-pub fn e14_robustness(w: u32, sizes: &[usize]) -> Table {
-    let mut s = load_scenario(include_str!("../../../scenarios/e14_robustness.toml"));
-    if let ScenarioBody::Recovery(r) = &mut s.body {
-        r.width = Some(w);
-        #[allow(clippy::cast_possible_wrap)]
-        r.sweep.set_axis(
-            "p",
-            sizes.iter().map(|&p| SweepValue::Int(p as i64)).collect(),
-        );
-    }
-    run_scenario(&s, ExecOptions::sharded(default_jobs()))
-        .expect("e14 scenario runs")
-        .into_table()
-}
-
-/// One E18 run: recovery from a size-`p` black hole under lossy links —
-/// an ablation of the paper's reliable-channel assumption. LSRP needs the
-/// periodic `SYN` refresh to tolerate loss (a lost broadcast is
-/// re-advertised within one period).
-pub fn lossy_run(loss: f64, w: u32, p: usize, seed: u64) -> lsrp_analysis::RecoveryMetrics {
-    recovery_cell(&RecoveryCellSpec {
-        protocol: Protocol::Lsrp,
-        width: w,
-        p,
-        seed,
-        fault: RegionFault::Blackhole,
-        model: EngineModel::Lossy {
-            loss,
-            syn_period: 5.0,
-        },
-    })
-}
-
-/// E18 table: LSRP recovery under message loss.
-pub fn e18_message_loss(rates: &[f64]) -> Table {
-    let mut s = load_scenario(include_str!("../../../scenarios/e18_message_loss.toml"));
-    if let ScenarioBody::Recovery(r) = &mut s.body {
-        r.sweep.set_axis(
-            "loss",
-            rates.iter().map(|&x| SweepValue::Float(x)).collect(),
-        );
-    }
-    run_scenario(&s, ExecOptions::sharded(default_jobs()))
-        .expect("e18 scenario runs")
-        .into_table()
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use lsrp_analysis::{table::fmt_f64, AvailabilityTrace, RecoveryMetrics, Table};
+    use lsrp_scenario::cells::{
+        recovery_cell, snapshot_hijack_cell, EngineModel, RecoveryCellSpec, RegionFault,
+    };
+
+    use crate::build::{Protocol, ALL_PROTOCOLS};
+    use crate::scaling::corpus::hijack;
+
+    /// One availability run: a *prefix-hijack black hole* — a region of `p`
+    /// nodes near the destination claims `(d, p) := (0, self)`, dropping all
+    /// transit traffic — sampled every simulated second until recovery.
+    fn availability_run(protocol: Protocol, w: u32, p: usize, seed: u64) -> AvailabilityTrace {
+        snapshot_hijack_cell(protocol, w, p, seed, 1.0)
+    }
+
+    /// A size-`p` black hole on a `w`x`w` grid under `model`.
+    fn blackhole_run(
+        protocol: Protocol,
+        w: u32,
+        p: usize,
+        seed: u64,
+        model: EngineModel,
+    ) -> RecoveryMetrics {
+        recovery_cell(&RecoveryCellSpec {
+            protocol,
+            width: w,
+            p,
+            seed,
+            fault: RegionFault::Blackhole,
+            model,
+        })
+    }
 
     #[test]
     fn lsrp_stays_nearly_fully_available() {
@@ -140,13 +55,25 @@ mod tests {
 
     #[test]
     fn lsrp_recovers_under_ten_percent_loss() {
-        let m = lossy_run(0.10, 8, 2, 9);
+        // LSRP needs the periodic `SYN` refresh to tolerate loss: a lost
+        // broadcast is re-advertised within one period.
+        let model = EngineModel::Lossy {
+            loss: 0.10,
+            syn_period: 5.0,
+        };
+        let m = blackhole_run(Protocol::Lsrp, 8, 2, 9, model);
         assert!(m.quiescent && m.routes_correct, "{m:?}");
     }
 
     #[test]
     fn containment_survives_drift_and_jitter() {
-        let m = robustness_run(Protocol::Lsrp, 10, 2, 5);
+        // Jittered link delays and adversarial (alternating) clock drift, with
+        // hold times re-derived via `TimingConfig::for_network`.
+        let model = EngineModel::Harsh {
+            jitter: (0.5, 1.5),
+            rho: 1.5,
+        };
+        let m = blackhole_run(Protocol::Lsrp, 10, 2, 5, model);
         assert!(m.quiescent && m.routes_correct);
         assert!(
             m.contaminated.len() <= 10,
@@ -157,8 +84,6 @@ mod tests {
 
     #[test]
     fn scenario_e13_is_byte_identical_to_the_legacy_loop() {
-        use crate::build::ALL_PROTOCOLS;
-        use lsrp_analysis::table::fmt_f64;
         let (w, p) = (10u32, 2usize);
         let mut t = Table::new(
             format!(
@@ -180,6 +105,11 @@ mod tests {
                 format!("{:.1}", a.lost),
             ]);
         }
-        assert_eq!(t.to_string(), e13_availability(w, p).to_string());
+        let src = include_str!("../../../scenarios/e13_availability.toml");
+        let scenario = hijack(src, 2, |h| {
+            h.width = w;
+            h.p = Some(p);
+        });
+        assert_eq!(t.to_string(), scenario.to_string());
     }
 }

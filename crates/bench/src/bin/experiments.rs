@@ -1,9 +1,10 @@
 //! Regenerates every figure and analytical claim of the paper and prints
 //! them as markdown (the source of EXPERIMENTS.md).
 //!
-//! Usage: `experiments [e1|e3|e4|e5|e6|e7|e8|e9|e10|e11|e12|all]...`
-//! (default: all). `e6 --destinations N|all-pairs` runs the E6 sweep on
-//! the dense multi-destination plane instead of the single-tree one.
+//! Usage: `experiments [e1|e2|…|e21|all]...` (default: all; an id that is
+//! not in the table below exits 2 naming the ones that are).
+//! `e6 --destinations N|all-pairs` runs the E6 sweep on the dense
+//! multi-destination plane instead of the single-tree one.
 //!
 //! Every experiment is driven through its checked-in scenario file in
 //! `scenarios/` — this binary is a dispatcher over the same campaign
@@ -18,8 +19,11 @@ use lsrp_scenario::{
     load_str, run_scenario_with, DestinationsSpec, ExecOptions, Scenario, ScenarioResult,
 };
 
-/// (answering ids, scenario file) in EXPERIMENTS.md order.
-const EXPERIMENTS: &[(&[&str], &str)] = &[
+/// (answering ids, scenario file).
+type Experiment = (&'static [&'static str], &'static str);
+
+/// Every experiment, in EXPERIMENTS.md order.
+const EXPERIMENTS: &[Experiment] = &[
     (
         &["e1", "e2"],
         include_str!("../../../../scenarios/e1_e2_fig2_vs_fig5.toml"),
@@ -98,8 +102,19 @@ const EXPERIMENTS: &[(&[&str], &str)] = &[
 
 const E6_MULTI: &str = include_str!("../../../../scenarios/e6_multi.toml");
 
-fn want(args: &[String], id: &str) -> bool {
-    args.is_empty() || args.iter().any(|a| a == id || a == "all")
+/// The experiments `args` name, in table order — every one for `all` or no
+/// argument at all — or, for an argument that is neither `all` nor an id
+/// of the table, an error naming the ids that are.
+fn select(args: &[String]) -> Result<Vec<&'static Experiment>, String> {
+    let answers = |(ids, _): &Experiment, a: &String| a == "all" || ids.contains(&a.as_str());
+    let unknown = |a: &&String| !EXPERIMENTS.iter().any(|e| answers(e, a));
+    if let Some(bad) = args.iter().find(unknown) {
+        let ids = EXPERIMENTS.iter().flat_map(|(ids, _)| ids.iter().copied());
+        let ids = ids.collect::<Vec<_>>().join(", ");
+        return Err(format!("unknown experiment `{bad}` (want all, {ids})"));
+    }
+    let wanted = |e: &&Experiment| args.is_empty() || args.iter().any(|a| answers(e, a));
+    Ok(EXPERIMENTS.iter().filter(wanted).collect())
 }
 
 /// Parses a trailing `--destinations N|all-pairs` flag (for the E6 multi
@@ -150,7 +165,10 @@ fn run_one(s: &Scenario, jobs: usize) -> usize {
 fn main() {
     let mut args: Vec<String> = env::args().skip(1).collect();
     let destinations = take_destinations(&mut args);
-    let args = args;
+    let selected = select(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!("# LSRP reproduction — experiment outputs\n");
@@ -159,10 +177,7 @@ fn main() {
     println!("hold 17). See DESIGN.md §4 for the experiment index.\n");
 
     let mut failed = 0;
-    for (ids, src) in EXPERIMENTS {
-        if !ids.iter().any(|id| want(&args, id)) {
-            continue;
-        }
+    for (ids, src) in selected {
         if ids[0] == "e6" {
             if let Some(dests) = destinations {
                 let mut s = load_str(E6_MULTI).expect("checked-in scenario parses");
@@ -184,5 +199,30 @@ fn main() {
     if failed > 0 {
         eprintln!("{failed} expectation(s) failed");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(args: &[&str]) -> Result<Vec<&'static str>, String> {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_string()).collect();
+        Ok(select(&args)?.iter().map(|(ids, _)| ids[0]).collect())
+    }
+
+    #[test]
+    fn an_unknown_id_is_an_error_naming_the_table() {
+        let e = ids(&["e13", "e99"]).unwrap_err();
+        assert!(e.contains("`e99`") && e.contains("all, e1, e2, e3"), "{e}");
+        assert!(e.ends_with("e20, e21)"), "{e}");
+    }
+
+    #[test]
+    fn ids_select_their_rows_and_all_selects_every_row() {
+        assert_eq!(ids(&["e13"]).unwrap(), ["e13"]);
+        assert_eq!(ids(&["e2", "e13"]).unwrap(), ["e1", "e13"]);
+        assert_eq!(ids(&["all"]).unwrap().len(), EXPERIMENTS.len());
+        assert_eq!(ids(&[]).unwrap(), ids(&["e4", "all"]).unwrap());
     }
 }

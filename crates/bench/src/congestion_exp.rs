@@ -1,95 +1,58 @@
-//! E21 (congestion lane): LSRP repair waves racing hotspot congestion.
-//!
-//! E20 measures live availability with fire-and-forget probes on
-//! unlimited links; here the data plane is congestion-realistic — links
-//! serialize at a finite rate, egress queues are bounded drop-tail, and
-//! the workload is stateful Go-Back-N flows under AIMD. A size-`p`
-//! prefix-hijack black hole lands mid-transfer, so the repair wave and
-//! the hotspot's queue pressure compete for the same links: every
+//! Tests of E21 (congestion lane): LSRP repair waves racing hotspot
+//! congestion. Links serialize at a finite rate, egress queues are
+//! bounded drop-tail, and the workload is stateful Go-Back-N flows under
+//! AIMD; a size-`p` prefix-hijack black hole lands mid-transfer, so every
 //! black-holed segment is a retransmission that deepens the very queues
 //! the recovery traffic crosses. The claim under test is that local
 //! stabilization keeps the collision survivable — after convergence the
 //! transport layer recovers at least 90% weighted goodput, with drop
-//! causes (queue overflow vs black hole) separately accounted.
-//!
-//! The table is a wrapper over `scenarios/e21_congested_recovery.toml`;
-//! the run itself lives in `lsrp_scenario::cells::live_hijack_cell`.
+//! causes (queue overflow vs black hole) separately accounted — and that
+//! `scenarios/e21_congested_recovery.toml` prints what the hand-coded
+//! loop it replaced printed.
 
-use lsrp_analysis::{Table, TrafficSummary, WorkloadKind, WorkloadSpec};
-use lsrp_scenario::cells::{live_hijack_cell, LiveHijackSpec};
-use lsrp_scenario::schema::{ScenarioBody, SweepValue};
-use lsrp_scenario::{run_scenario, ExecOptions};
-use lsrp_sim::{CongAlgKind, CongestionConfig};
-
-use crate::scaling::load_scenario;
-
-/// One congested-recovery run on a `w`x`w` grid: settle, start hotspot
-/// Go-Back-N flows over finite-rate links and bounded drop-tail queues,
-/// stream 30 s cleanly, then have a contiguous region of `p` nodes near
-/// the destination hijack the prefix while the flows keep retransmitting
-/// until every transfer completes.
-///
-/// # Panics
-///
-/// Panics if the run fails to drain, leaves incorrect routes, or breaks
-/// packet conservation.
-pub fn congested_recovery_run(w: u32, p: usize, seed: u64) -> TrafficSummary {
-    live_hijack_cell(&LiveHijackSpec {
-        width: w,
-        p,
-        seed,
-        workload: WorkloadSpec {
-            kind: WorkloadKind::Hotspot,
-            flows: 64,
-            ..WorkloadSpec::default()
-        },
-        duration: 240.0,
-        prefault: 30.0,
-        window: 10.0,
-        // Rate 400 weight/s serializes an aggregate segment (weight 125)
-        // in ~0.3 s; capacity 1500 holds 12 of them — a hotspot crossing
-        // one egress port saturates it.
-        congestion: Some(CongestionConfig::limited(400.0, 1_500)),
-        transport: Some(CongAlgKind::Aimd {
-            initial: 4,
-            max: 64,
-        }),
-    })
-    .summary
-}
-
-/// E21 table: goodput, queue pressure and flow completion times as the
-/// perturbation grows, at fixed network size and fixed offered load.
-pub fn e21_congested_recovery(w: u32, sizes: &[usize]) -> Table {
-    let mut s = load_scenario(include_str!(
-        "../../../scenarios/e21_congested_recovery.toml"
-    ));
-    if let ScenarioBody::Hijack(h) = &mut s.body {
-        h.width = w;
-        #[allow(clippy::cast_possible_wrap)]
-        h.sweep.set_axis(
-            "p",
-            sizes.iter().map(|&p| SweepValue::Int(p as i64)).collect(),
-        );
-    }
-    run_scenario(
-        &s,
-        ExecOptions::sharded(std::thread::available_parallelism().map_or(1, |n| n.get())),
-    )
-    .expect("e21 scenario runs")
-    .into_table()
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use lsrp_analysis::{Table, TrafficSummary, WorkloadKind, WorkloadSpec};
+    use lsrp_scenario::cells::{live_hijack_cell, LiveHijackSpec};
+    use lsrp_sim::{CongAlgKind, CongestionConfig};
+
+    use crate::scaling::corpus::{hijack, ints};
+
+    /// One congested-recovery run on a `w`x`w` grid: settle, start hotspot
+    /// Go-Back-N flows over finite-rate links and bounded drop-tail queues,
+    /// stream 30 s cleanly, then have a contiguous region of `p` nodes near
+    /// the destination hijack the prefix while the flows keep retransmitting
+    /// until every transfer completes.
+    fn congested_recovery_run(w: u32, p: usize, seed: u64) -> TrafficSummary {
+        live_hijack_cell(&LiveHijackSpec {
+            width: w,
+            p,
+            seed,
+            workload: WorkloadSpec {
+                kind: WorkloadKind::Hotspot,
+                flows: 64,
+                ..WorkloadSpec::default()
+            },
+            duration: 240.0,
+            prefault: 30.0,
+            window: 10.0,
+            // Rate 400 weight/s serializes an aggregate segment (weight 125)
+            // in ~0.3 s; capacity 1500 holds 12 of them — a hotspot crossing
+            // one egress port saturates it.
+            congestion: Some(CongestionConfig::limited(400.0, 1_500)),
+            transport: Some(CongAlgKind::Aimd {
+                initial: 4,
+                max: 64,
+            }),
+        })
+        .summary
+    }
 
     #[test]
     fn goodput_recovers_after_convergence() {
-        // The ISSUE acceptance gate: a hotspot workload saturates a
-        // bounded queue during a size-p perturbation, and Go-Back-N
-        // recovers >= 90% weighted goodput once the control plane
-        // converges (here: all of it, since no endpoint dies).
+        // A hotspot workload saturates a bounded queue during a size-p
+        // perturbation, and Go-Back-N recovers >= 90% weighted goodput
+        // once the control plane converges (here: all of it, since no
+        // endpoint dies).
         let s = congested_recovery_run(8, 4, 3);
         assert!(s.counts.injected > 0);
         assert!(
@@ -155,6 +118,11 @@ mod tests {
                 format!("{:.1}", s.max_fct),
             ]);
         }
-        assert_eq!(t.to_string(), e21_congested_recovery(w, &sizes).to_string());
+        let src = include_str!("../../../scenarios/e21_congested_recovery.toml");
+        let scenario = hijack(src, 2, |h| {
+            h.width = w;
+            h.sweep.set_axis("p", ints(&sizes));
+        });
+        assert_eq!(t.to_string(), scenario.to_string());
     }
 }

@@ -1,95 +1,23 @@
-//! E7 (Lemmas 2–3, Corollaries 1–2): multiple perturbed regions stabilize
-//! independently when far apart; adjoining regions degrade toward the sum
-//! of their sizes.
+//! Tests of E7 (Lemmas 2–3, Corollaries 1–2): multiple perturbed regions
+//! stabilize independently when far apart; adjoining regions degrade
+//! toward the sum of their sizes. The table is `scenarios/e7_regions.toml`,
+//! one `lsrp_scenario::cells::region_case_cell` per row.
 
-use std::collections::BTreeSet;
-
-use lsrp_analysis::{measure_recovery, table::fmt_f64, RecoveryMetrics, Table};
-use lsrp_faults::corruption::{contiguous_region, corrupt_region_plan};
-use lsrp_graph::{generators, NodeId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::build::{build, Protocol};
-use crate::scaling::apply_plan_generic;
-use crate::HORIZON;
-
-fn v(i: u32) -> NodeId {
-    NodeId::new(i)
-}
-
-/// Corrupts `k` regions of `size` nodes each on a long ring, with region
-/// seeds `separation` hops apart, and measures the recovery.
-pub fn multi_region_run(
-    ring_len: u32,
-    region_size: usize,
-    seeds: &[u32],
-    seed: u64,
-) -> RecoveryMetrics {
-    let graph = generators::ring(ring_len, 1);
-    let dest = v(0);
-    let mut perturbed: BTreeSet<NodeId> = BTreeSet::new();
-    let sp = lsrp_graph::shortest_path::ShortestPaths::dijkstra(&graph, dest);
-    let mut sim = build(Protocol::Lsrp, graph.clone(), dest, None, seed);
-    let table = sim.route_table();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut plans = Vec::new();
-    for &s in seeds {
-        let region = contiguous_region(&graph, v(s), region_size, dest);
-        plans.push(corrupt_region_plan(&graph, &region, &sp, &table, &mut rng));
-        perturbed.extend(region);
-    }
-    measure_recovery(sim.as_mut(), &perturbed, HORIZON, |s| {
-        for plan in &plans {
-            apply_plan_generic(s, plan);
-        }
-    })
-}
-
-/// E7 table: one region vs two far regions vs two adjoining regions.
-pub fn e7_regions(ring_len: u32, region_size: usize) -> Table {
-    let far_a = ring_len / 4;
-    let far_b = 3 * ring_len / 4;
-    let adj_b = far_a + region_size as u32;
-    let mut t = Table::new(
-        "E7 — Lemmas 2/3: concurrent stabilization of multiple perturbed regions (LSRP, ring)",
-        &[
-            "scenario",
-            "total perturbed",
-            "stabilization time",
-            "contamination range",
-        ],
-    );
-    let cases: Vec<(String, Vec<u32>)> = vec![
-        (format!("one region of {region_size}"), vec![far_a]),
-        (
-            format!(
-                "two far regions of {region_size} (half-distance ~{})",
-                ring_len / 4
-            ),
-            vec![far_a, far_b],
-        ),
-        (
-            format!("two adjoining regions of {region_size}"),
-            vec![far_a, adj_b],
-        ),
-    ];
-    for (label, seeds) in cases {
-        let m = multi_region_run(ring_len, region_size, &seeds, 5);
-        assert!(m.quiescent && m.routes_correct, "{label}");
-        t.row(&[
-            label,
-            m.perturbation_size.to_string(),
-            fmt_f64(m.stabilization_time),
-            m.contamination_range.to_string(),
-        ]);
-    }
-    t
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use lsrp_analysis::RecoveryMetrics;
+    use lsrp_graph::{generators, NodeId};
+    use lsrp_scenario::cells::region_case_cell;
+
+    use crate::build::Protocol;
+    use crate::scaling::corpus::recovery;
+
+    /// Corrupts one region of `size` nodes at each of `seeds` on a ring of
+    /// `ring_len`, concurrently, and measures the joint recovery.
+    fn multi_region_run(ring_len: u32, size: usize, seeds: &[u32], seed: u64) -> RecoveryMetrics {
+        let graph = generators::ring(ring_len, 1);
+        let regions: Vec<(NodeId, usize)> = seeds.iter().map(|&s| (NodeId::new(s), size)).collect();
+        region_case_cell(Protocol::Lsrp, &graph, NodeId::new(0), &regions, seed)
+    }
 
     #[test]
     fn far_regions_stabilize_like_one() {
@@ -108,7 +36,8 @@ mod tests {
 
     #[test]
     fn table_renders_three_scenarios() {
-        let t = e7_regions(48, 3);
+        let src = include_str!("../../../scenarios/e7_regions.toml");
+        let t = recovery(src, 2, |_| {});
         assert_eq!(t.len(), 3);
     }
 }

@@ -1,29 +1,16 @@
 //! E6 (Theorem 2 / Lemma 1): stabilization time and contamination range
-//! scale with the perturbation size, not the network size — and E10
-//! (Corollary 4 / Theorem 5): recurring faults stay contained.
+//! scale with the perturbation size, not the network size.
 //!
-//! The sweep tables are thin wrappers over the checked-in scenario
-//! files (`scenarios/e6_scaling.toml` and friends): the wrapper loads
-//! the scenario, narrows its sweep axes to the caller's arguments and
-//! runs it through the campaign compiler — so `lsrp run` on the same
-//! file produces byte-identical output.
+//! The E6, E10 and E16 tables themselves are `scenarios/e6_scaling.toml`
+//! and friends, run by `experiments` and `lsrp run` through the campaign
+//! compiler; what lives here is the one cell E11's builtin shares with
+//! them, and the tests that hold the checked-in files to the hand-coded
+//! loops they replaced.
 
-use lsrp_analysis::{RecoveryMetrics, Table};
+use lsrp_analysis::RecoveryMetrics;
 use lsrp_scenario::cells::{recovery_cell, EngineModel, RecoveryCellSpec, RegionFault};
-use lsrp_scenario::schema::{Scenario, ScenarioBody, SweepValue};
-use lsrp_scenario::{load_str, run_scenario, DestinationsSpec, ExecOptions};
-
-pub use lsrp_scenario::cells::apply_plan_generic;
 
 use crate::build::Protocol;
-
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-pub(crate) fn load_scenario(src: &str) -> Scenario {
-    load_str(src).expect("checked-in scenario file parses")
-}
 
 /// Runs one (protocol, grid width, perturbation size) cell: a contiguous
 /// region near the destination corner is corrupted small (worst case) with
@@ -39,118 +26,84 @@ pub fn scaling_cell(protocol: Protocol, width: u32, p: usize, seed: u64) -> Reco
     })
 }
 
-/// E6 headline table: sweep perturbation size at fixed network size, and
-/// network size at fixed perturbation size.
-///
-/// Every `(protocol, width, p)` cell is a pure function of its inputs, so
-/// the sweep fans out over worker threads and merges back in cell order —
-/// the table is byte-identical to the serial sweep.
-pub fn e6_scaling(widths: &[u32], sizes: &[usize]) -> Table {
-    let mut s = load_scenario(include_str!("../../../scenarios/e6_scaling.toml"));
-    if let ScenarioBody::Recovery(r) = &mut s.body {
-        r.sweep.set_axis(
-            "width",
-            widths
-                .iter()
-                .map(|&w| SweepValue::Int(i64::from(w)))
-                .collect(),
-        );
-        #[allow(clippy::cast_possible_wrap)]
-        r.sweep.set_axis(
-            "p",
-            sizes.iter().map(|&p| SweepValue::Int(p as i64)).collect(),
-        );
-    }
-    run_scenario(&s, ExecOptions::sharded(default_jobs()))
-        .expect("e6 scenario runs")
-        .into_table()
-}
+/// How the tests of this crate drive a checked-in scenario file: parse
+/// it, narrow it to a test-sized sweep, run it through the campaign
+/// compiler on `jobs` workers.
+#[cfg(test)]
+pub(crate) mod corpus {
+    use lsrp_analysis::Table;
+    use lsrp_scenario::schema::{HijackScenario, RecoveryScenario, ScenarioBody, SweepValue};
+    use lsrp_scenario::{load_str, run_scenario, ExecOptions};
 
-/// E6 on the dense multi-destination plane: the perturbation-size sweep
-/// with every node running one LSRP instance per destination over the
-/// batched wire. `dests` of `None` means all-pairs (one tree per node).
-///
-/// Cells are pure functions of their inputs and fan out over `jobs`
-/// worker threads; results merge back in cell order, so the table is
-/// byte-identical for every `jobs` value.
-pub fn e6_scaling_multi(
-    widths: &[u32],
-    sizes: &[usize],
-    dests: Option<usize>,
-    jobs: usize,
-) -> Table {
-    let mut s = load_scenario(include_str!("../../../scenarios/e6_multi.toml"));
-    if let ScenarioBody::Recovery(r) = &mut s.body {
-        r.destinations = match dests {
-            None => Some(DestinationsSpec::AllPairs),
-            Some(n) => Some(DestinationsSpec::Count(
-                u32::try_from(n).expect("destination count fits u32"),
-            )),
-        };
-        r.sweep.set_axis(
-            "width",
-            widths
-                .iter()
-                .map(|&w| SweepValue::Int(i64::from(w)))
-                .collect(),
-        );
-        #[allow(clippy::cast_possible_wrap)]
-        r.sweep.set_axis(
-            "p",
-            sizes.iter().map(|&p| SweepValue::Int(p as i64)).collect(),
-        );
+    pub(crate) fn ints<T: Copy + TryInto<i64>>(values: &[T]) -> Vec<SweepValue> {
+        let int = |v: T| v.try_into().ok().expect("axis value fits i64");
+        values.iter().map(|&v| SweepValue::Int(int(v))).collect()
     }
-    run_scenario(&s, ExecOptions::sharded(jobs))
-        .expect("e6 multi scenario runs")
-        .into_table()
-}
 
-/// E16 — route stability (§I, §IV-B): next-hop flaps at *healthy* nodes
-/// during recovery. The paper singles out route flapping as "a severe
-/// kind of routing instability" that fault propagation causes; LSRP's
-/// containment keeps healthy nodes' routes pinned.
-pub fn e16_route_stability(width: u32, sizes: &[usize]) -> Table {
-    let mut s = load_scenario(include_str!("../../../scenarios/e16_route_stability.toml"));
-    if let ScenarioBody::Recovery(r) = &mut s.body {
-        r.width = Some(width);
-        #[allow(clippy::cast_possible_wrap)]
-        r.sweep.set_axis(
-            "p",
-            sizes.iter().map(|&p| SweepValue::Int(p as i64)).collect(),
-        );
+    fn run(src: &str, jobs: usize, narrow: impl FnOnce(&mut ScenarioBody)) -> Table {
+        let mut s = load_str(src).expect("checked-in scenario file parses");
+        narrow(&mut s.body);
+        run_scenario(&s, ExecOptions::sharded(jobs))
+            .expect("checked-in scenario runs")
+            .into_table()
     }
-    run_scenario(&s, ExecOptions::sharded(default_jobs()))
-        .expect("e16 scenario runs")
-        .into_table()
-}
 
-/// E10 — Corollary 4 / Theorem 5: a fault recurring with a sufficiently
-/// large interval stays locally contained; contamination is measured over
-/// the *whole* multi-occurrence run. A thin wrapper over
-/// `scenarios/e10_continuous.toml` with its period axis narrowed.
-pub fn e10_continuous(intervals: &[f64]) -> Table {
-    let mut s = load_scenario(include_str!("../../../scenarios/e10_continuous.toml"));
-    if let ScenarioBody::Recovery(r) = &mut s.body {
-        r.sweep.set_axis(
-            "period",
-            intervals.iter().map(|&x| SweepValue::Float(x)).collect(),
-        );
+    pub(crate) fn recovery(
+        src: &str,
+        jobs: usize,
+        narrow: impl FnOnce(&mut RecoveryScenario),
+    ) -> Table {
+        run(src, jobs, |body| match body {
+            ScenarioBody::Recovery(r) => narrow(r),
+            _ => panic!("not a recovery scenario"),
+        })
     }
-    run_scenario(&s, ExecOptions::sharded(default_jobs()))
-        .expect("e10 scenario runs")
-        .into_table()
+
+    pub(crate) fn hijack(
+        src: &str,
+        jobs: usize,
+        narrow: impl FnOnce(&mut HijackScenario),
+    ) -> Table {
+        run(src, jobs, |body| match body {
+            ScenarioBody::Hijack(h) => narrow(h),
+            _ => panic!("not a hijack scenario"),
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::corpus::{ints, recovery};
     use super::*;
     use crate::build::ALL_PROTOCOLS;
-    use lsrp_analysis::{measure_recovery, table::fmt_f64};
+    use lsrp_analysis::{measure_recovery, table::fmt_f64, Table};
     use lsrp_faults::corruption::contiguous_region;
     use lsrp_graph::{generators, Distance, NodeId};
+    use lsrp_scenario::schema::SweepValue;
+    use lsrp_scenario::DestinationsSpec;
 
     fn v(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    fn e6_scaling(widths: &[u32], sizes: &[usize]) -> Table {
+        let src = include_str!("../../../scenarios/e6_scaling.toml");
+        recovery(src, 2, |r| {
+            r.sweep.set_axis("width", ints(widths));
+            r.sweep.set_axis("p", ints(sizes));
+        })
+    }
+
+    /// E6 on the dense multi-destination plane; `dests` of `None` means
+    /// all-pairs (one tree per node).
+    fn e6_scaling_multi(widths: &[u32], sizes: &[usize], dests: Option<u32>, jobs: usize) -> Table {
+        let src = include_str!("../../../scenarios/e6_multi.toml");
+        recovery(src, jobs, |r| {
+            r.destinations =
+                Some(dests.map_or(DestinationsSpec::AllPairs, DestinationsSpec::Count));
+            r.sweep.set_axis("width", ints(widths));
+            r.sweep.set_axis("p", ints(sizes));
+        })
     }
 
     #[test]
@@ -265,7 +218,9 @@ mod tests {
 
     #[test]
     fn recurring_faults_stay_contained() {
-        let t = e10_continuous(&[120.0]);
+        let src = include_str!("../../../scenarios/e10_continuous.toml");
+        let period = vec![SweepValue::Float(120.0)];
+        let t = recovery(src, 2, |r| r.sweep.set_axis("period", period));
         assert_eq!(t.len(), 1);
         assert!(t.to_string().contains("true"));
     }

@@ -1,76 +1,41 @@
-//! E20 (§III-B, live data plane): availability measured with *in-flight
-//! packets* while LSRP recovers from a prefix-hijack black hole.
-//!
-//! E13 samples snapshot forwarding availability from frozen route tables;
-//! this experiment forwards a live aggregated workload on the engine's
-//! own queue while the control plane stabilizes, so delivery fractions,
-//! drop fates and path stretch come from packets that actually raced the
-//! recovery waves. The paper's claim is that contamination stays confined
-//! to the vicinity of a size-`p` perturbation, so availability degrades
-//! with `p` — not with network size — and returns to 1 once containment
-//! completes.
-//!
-//! The table is a wrapper over `scenarios/e20_live_availability.toml`;
-//! the run itself lives in `lsrp_scenario::cells::live_hijack_cell`.
+//! Tests of E20 (§III-B, live data plane): availability measured with
+//! *in-flight packets* while LSRP recovers from a prefix-hijack black
+//! hole. E13 samples snapshot availability from frozen route tables; here
+//! a live aggregated workload forwards on the engine's own queue while
+//! the control plane stabilizes, so delivery fractions, drop fates and
+//! path stretch come from packets that actually raced the recovery waves.
+//! The paper's claim is that availability degrades with the perturbation
+//! size `p`, not with network size, and returns to 1 once containment
+//! completes — and `scenarios/e20_live_availability.toml` must print what
+//! the hand-coded loop it replaced printed.
 
-use lsrp_analysis::{Table, TrafficSummary, WorkloadSpec};
-use lsrp_scenario::cells::{live_hijack_cell, LiveHijackSpec};
-use lsrp_scenario::schema::{ScenarioBody, SweepValue};
-use lsrp_scenario::{run_scenario, ExecOptions};
-
-use crate::scaling::load_scenario;
-
-/// One live-availability run on a `w`x`w` grid: settle, stream 30 s of
-/// clean traffic, then have a contiguous region of `p` nodes near the
-/// destination hijack the prefix (`(d, p) := (0, self)`, neighbors
-/// poisoned) while the workload keeps flowing until both planes drain.
-///
-/// # Panics
-///
-/// Panics if the run fails to drain or leaves incorrect routes.
-pub fn live_availability_run(w: u32, p: usize, seed: u64) -> TrafficSummary {
-    live_hijack_cell(&LiveHijackSpec {
-        width: w,
-        p,
-        seed,
-        workload: WorkloadSpec {
-            flows: 128,
-            ..WorkloadSpec::default()
-        },
-        duration: 240.0,
-        prefault: 30.0,
-        window: 10.0,
-        congestion: None,
-        transport: None,
-    })
-    .summary
-}
-
-/// E20 table: live availability during recovery as the perturbation
-/// grows, at fixed network size.
-pub fn e20_live_availability(w: u32, sizes: &[usize]) -> Table {
-    let mut s = load_scenario(include_str!(
-        "../../../scenarios/e20_live_availability.toml"
-    ));
-    if let ScenarioBody::Hijack(h) = &mut s.body {
-        h.width = w;
-        #[allow(clippy::cast_possible_wrap)]
-        h.sweep.set_axis(
-            "p",
-            sizes.iter().map(|&p| SweepValue::Int(p as i64)).collect(),
-        );
-    }
-    run_scenario(
-        &s,
-        ExecOptions::sharded(std::thread::available_parallelism().map_or(1, |n| n.get())),
-    )
-    .expect("e20 scenario runs")
-    .into_table()
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use lsrp_analysis::{Table, TrafficSummary, WorkloadSpec};
+    use lsrp_scenario::cells::{live_hijack_cell, LiveHijackSpec};
+
+    use crate::scaling::corpus::{hijack, ints};
+
+    /// One live-availability run on a `w`x`w` grid: settle, stream 30 s of
+    /// clean traffic, then have a contiguous region of `p` nodes near the
+    /// destination hijack the prefix (`(d, p) := (0, self)`, neighbors
+    /// poisoned) while the workload keeps flowing until both planes drain.
+    fn live_availability_run(w: u32, p: usize, seed: u64) -> TrafficSummary {
+        live_hijack_cell(&LiveHijackSpec {
+            width: w,
+            p,
+            seed,
+            workload: WorkloadSpec {
+                flows: 128,
+                ..WorkloadSpec::default()
+            },
+            duration: 240.0,
+            prefault: 30.0,
+            window: 10.0,
+            congestion: None,
+            transport: None,
+        })
+        .summary
+    }
 
     #[test]
     fn availability_dents_scale_with_perturbation_size() {
@@ -121,6 +86,11 @@ mod tests {
                 format!("{:.3}", s.max_stretch),
             ]);
         }
-        assert_eq!(t.to_string(), e20_live_availability(w, &sizes).to_string());
+        let src = include_str!("../../../scenarios/e20_live_availability.toml");
+        let scenario = hijack(src, 2, |h| {
+            h.width = w;
+            h.sweep.set_axis("p", ints(&sizes));
+        });
+        assert_eq!(t.to_string(), scenario.to_string());
     }
 }

@@ -239,3 +239,21 @@ fn quiet_start_is_equivalent() {
     let dests: Vec<NodeId> = graph.nodes().collect();
     assert_equivalent(graph, dests, &[], "quiet3x3");
 }
+
+#[test]
+fn batching_beats_the_per_destination_baseline() {
+    // The all-pairs 6x6 grid (36 trees) under a full-table corruption at a
+    // central node: identical protocol work on both planes, one advert per
+    // wire message on the reference. DESIGN.md §10 quotes these counts.
+    let graph = generators::grid(6, 6, 1);
+    let dests: Vec<NodeId> = graph.nodes().collect();
+    let mut dense = MultiLsrpSimulation::builder(graph.clone(), dests.clone()).build();
+    let mut reference = ReferenceMultiSimulation::reference(graph, dests, EngineConfig::default());
+    dense.corrupt_all_instances(v(14), |d| (Distance::Finite(1), d));
+    reference.corrupt_all_instances(v(14), |d| (Distance::Finite(1), d));
+    assert!(dense.run_to_quiescence(1_000_000.0).quiescent);
+    assert!(reference.run_to_quiescence(1_000_000.0).quiescent);
+    let (ds, rs) = (dense.stats(), reference.stats());
+    assert_eq!((ds.messages_delivered, ds.adverts_delivered), (8, 252));
+    assert_eq!((rs.messages_delivered, rs.adverts_delivered), (256, 256));
+}

@@ -1076,8 +1076,8 @@ fn expand_hijack(h: &HijackScenario) -> Result<Vec<HCell>, String> {
 }
 
 /// Lowers a live-mode hijack scenario into the concrete cell specs the
-/// sharded runner executes, in sweep order. Exposed so the perf-smoke
-/// harness can time exactly the cell a scenario file compiles to.
+/// sharded runner executes, in sweep order — exactly the cells a
+/// scenario file compiles to.
 ///
 /// # Errors
 ///

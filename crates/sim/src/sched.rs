@@ -38,7 +38,7 @@
 //!
 //! The day width follows the event density at the head: every *epoch* of
 //! `max(MIN_EPOCH, 2 * len)` pops, if the simulated time that passed per
-//! pop no longer puts between half and twice [`PER_DAY`] pops in a day,
+//! pop no longer puts between half and twice `PER_DAY` pops in a day,
 //! every entry is tipped into the far pile and spread again under the
 //! width that does — O(len) once per `2 * len` pops, O(1) per pop. A
 //! width that stops fitting in mid-epoch costs speed, never order. There

@@ -6,97 +6,130 @@
 //! `e6 --destinations N|all-pairs` runs the E6 sweep on the dense
 //! multi-destination plane instead of the single-tree one.
 //!
-//! Every experiment is driven through its checked-in scenario file in
-//! `scenarios/` — this binary is a dispatcher over the same campaign
-//! compiler `lsrp run` uses, so `lsrp run scenarios/e6_scaling.toml`
-//! prints the E6 block byte-identically.
+//! Experiments with a checked-in scenario file in `scenarios/` run
+//! through the same campaign compiler `lsrp run` uses, so `lsrp run
+//! scenarios/e6_scaling.toml` prints the E6 block byte-identically. The
+//! figure regenerations and theorem checks whose fault choreography the
+//! scenario schema does not express are plain calls into this crate.
 
 use std::env;
+use std::fmt::Write as _;
 
-use lsrp_bench::scenario_runner::BenchRunner;
+use lsrp_bench::{figures, loops_exp, multi_exp, overhead, selfstab, waves};
 use lsrp_scenario::schema::ScenarioBody;
 use lsrp_scenario::{
-    load_str, run_scenario_with, DestinationsSpec, ExecOptions, Scenario, ScenarioResult,
+    load_str, run_scenario, DestinationsSpec, ExecOptions, Scenario, ScenarioResult,
 };
 
-/// (answering ids, scenario file).
-type Experiment = (&'static [&'static str], &'static str);
+/// How an experiment runs.
+enum Source {
+    /// A checked-in scenario file, run through the campaign compiler.
+    File(&'static str),
+    /// A hand-coded experiment that renders its own report.
+    Code(fn() -> String),
+}
+
+/// (answering ids, how it runs).
+type Experiment = (&'static [&'static str], Source);
 
 /// Every experiment, in EXPERIMENTS.md order.
 const EXPERIMENTS: &[Experiment] = &[
     (
         &["e1", "e2"],
-        include_str!("../../../../scenarios/e1_e2_fig2_vs_fig5.toml"),
+        Source::Code(|| {
+            let (table, timelines) = figures::e1_e2_fig2_vs_fig5();
+            let mut out = format!("{table}\n");
+            for (title, tl) in timelines {
+                let _ = write!(out, "**{title}**\n\n```\n{tl}```\n\n");
+            }
+            let _ = writeln!(out, "{}", figures::e4b_dependent_sets());
+            out
+        }),
     ),
-    (&["e3"], include_str!("../../../../scenarios/e3_fig6.toml")),
-    (&["e4"], include_str!("../../../../scenarios/e4_fig7.toml")),
+    (
+        &["e3"],
+        Source::Code(|| {
+            let (table, tl) = figures::e3_fig6();
+            format!("{table}\n**LSRP timeline (d.v11 := 2)**\n\n```\n{tl}```\n\n")
+        }),
+    ),
+    (
+        &["e4"],
+        Source::Code(|| format!("{}\n", figures::e4_fig7())),
+    ),
     (
         &["e5"],
-        include_str!("../../../../scenarios/e5_selfstab.toml"),
+        Source::Code(|| format!("{}\n", selfstab::e5_selfstab(&[16, 32, 64], 10))),
     ),
     (
         &["e6"],
-        include_str!("../../../../scenarios/e6_scaling.toml"),
+        Source::File(include_str!("../../../../scenarios/e6_scaling.toml")),
     ),
     (
         &["e7"],
-        include_str!("../../../../scenarios/e7_regions.toml"),
+        Source::File(include_str!("../../../../scenarios/e7_regions.toml")),
     ),
     (
         &["e8"],
-        include_str!("../../../../scenarios/e8_loop_freedom.toml"),
+        Source::Code(|| format!("{}\n", loops_exp::e8_loop_freedom(14, 20))),
     ),
     (
         &["e9"],
-        include_str!("../../../../scenarios/e9_loop_breakage.toml"),
+        Source::Code(|| format!("{}\n", loops_exp::e9_loop_breakage(&[4, 8, 16, 32, 64]))),
     ),
     (
         &["e10"],
-        include_str!("../../../../scenarios/e10_continuous.toml"),
+        Source::File(include_str!("../../../../scenarios/e10_continuous.toml")),
     ),
     (
         &["e11"],
-        include_str!("../../../../scenarios/e11_overhead.toml"),
+        Source::Code(|| format!("{}\n", overhead::e11_overhead(&[8, 16, 24], &[2]))),
     ),
     (
         &["e12"],
-        include_str!("../../../../scenarios/e12_wave_ratio.toml"),
+        Source::Code(|| format!("{}\n", waves::e12_wave_ratio(&[1.2, 1.5, 2.125, 4.0, 8.0]))),
     ),
     (
         &["e13"],
-        include_str!("../../../../scenarios/e13_availability.toml"),
+        Source::File(include_str!("../../../../scenarios/e13_availability.toml")),
     ),
     (
         &["e14"],
-        include_str!("../../../../scenarios/e14_robustness.toml"),
+        Source::File(include_str!("../../../../scenarios/e14_robustness.toml")),
     ),
     (
         &["e15"],
-        include_str!("../../../../scenarios/e15_c2_ablation.toml"),
+        Source::Code(|| format!("{}\n", loops_exp::e15_c2_ablation(14, 30))),
     ),
     (
         &["e16"],
-        include_str!("../../../../scenarios/e16_route_stability.toml"),
+        Source::File(include_str!(
+            "../../../../scenarios/e16_route_stability.toml"
+        )),
     ),
     (
         &["e17"],
-        include_str!("../../../../scenarios/e17_containment_depth.toml"),
+        Source::Code(|| format!("{}\n", waves::e17_containment_depth(&[1, 2, 4, 8, 16]))),
     ),
     (
         &["e18"],
-        include_str!("../../../../scenarios/e18_message_loss.toml"),
+        Source::File(include_str!("../../../../scenarios/e18_message_loss.toml")),
     ),
     (
         &["e19"],
-        include_str!("../../../../scenarios/e19_full_table.toml"),
+        Source::Code(|| format!("{}\n", multi_exp::e19_full_table(8, &[1, 4, 16, 64]))),
     ),
     (
         &["e20"],
-        include_str!("../../../../scenarios/e20_live_availability.toml"),
+        Source::File(include_str!(
+            "../../../../scenarios/e20_live_availability.toml"
+        )),
     ),
     (
         &["e21"],
-        include_str!("../../../../scenarios/e21_congested_recovery.toml"),
+        Source::File(include_str!(
+            "../../../../scenarios/e21_congested_recovery.toml"
+        )),
     ),
 ];
 
@@ -144,7 +177,7 @@ fn take_destinations(args: &mut Vec<String>) -> Option<Option<usize>> {
 /// Runs one scenario and prints its report; returns the number of failed
 /// expectations.
 fn run_one(s: &Scenario, jobs: usize) -> usize {
-    match run_scenario_with(s, ExecOptions::sharded(jobs), Some(&BenchRunner)) {
+    match run_scenario(s, ExecOptions::sharded(jobs)) {
         Ok(outcome) => {
             match &outcome.result {
                 ScenarioResult::Table(t) => println!("{t}"),
@@ -177,7 +210,14 @@ fn main() {
     println!("hold 17). See DESIGN.md §4 for the experiment index.\n");
 
     let mut failed = 0;
-    for (ids, src) in selected {
+    for (ids, source) in selected {
+        let src = match source {
+            Source::Code(run) => {
+                print!("{}", run());
+                continue;
+            }
+            Source::File(src) => src,
+        };
         if ids[0] == "e6" {
             if let Some(dests) = destinations {
                 let mut s = load_str(E6_MULTI).expect("checked-in scenario parses");
@@ -216,6 +256,17 @@ mod tests {
         let e = ids(&["e13", "e99"]).unwrap_err();
         assert!(e.contains("`e99`") && e.contains("all, e1, e2, e3"), "{e}");
         assert!(e.ends_with("e20, e21)"), "{e}");
+    }
+
+    #[test]
+    fn the_table_answers_e1_to_e21_each_once() {
+        let mut ids: Vec<&str> = EXPERIMENTS
+            .iter()
+            .flat_map(|(ids, _)| ids.iter().copied())
+            .collect();
+        ids.sort_by_key(|id| id[1..].parse::<u32>().unwrap());
+        let want: Vec<String> = (1..=21).map(|n| format!("e{n}")).collect();
+        assert_eq!(ids, want);
     }
 
     #[test]

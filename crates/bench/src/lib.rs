@@ -1,12 +1,12 @@
 //! Experiment scenarios regenerating every figure and analytical claim of
 //! the paper, and the paired perf readings CI gates.
 //!
-//! Every experiment of DESIGN.md §4 is a checked-in file in `scenarios/`;
-//! the `experiments` binary prints them all — its output is the source of
-//! EXPERIMENTS.md — through the same campaign compiler `lsrp run` uses.
-//! The modules here hold the hand-coded cells the `builtin` scenario
-//! kinds still call ([`scenario_runner`]), returning markdown [`Table`]s
-//! (plus rendered timelines where the paper draws space-time diagrams).
+//! The `experiments` binary prints every experiment of DESIGN.md §4 — its
+//! output is the source of EXPERIMENTS.md. Those with a checked-in file in
+//! `scenarios/` run through the same campaign compiler `lsrp run` uses;
+//! the rest call the hand-coded experiments in the modules here, which
+//! return markdown [`Table`]s (plus rendered timelines where the paper
+//! draws space-time diagrams).
 //! [`engine_perf`] is the `perf_smoke` binary's table of paired shape
 //! readings; wall-clock numbers are `bash benchmark/run.sh`'s.
 //!
@@ -22,7 +22,6 @@ pub mod loops_exp;
 pub mod multi_exp;
 pub mod overhead;
 pub mod scaling;
-pub mod scenario_runner;
 pub mod selfstab;
 pub mod waves;
 

@@ -3,7 +3,7 @@
 //!
 //! The E6, E10 and E16 tables themselves are `scenarios/e6_scaling.toml`
 //! and friends, run by `experiments` and `lsrp run` through the campaign
-//! compiler; what lives here is the one cell E11's builtin shares with
+//! compiler; what lives here is the one cell E11's experiment shares with
 //! them, and the tests that hold the checked-in files to the hand-coded
 //! loops they replaced.
 

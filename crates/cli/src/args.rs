@@ -170,7 +170,7 @@ pub enum Command {
     /// `viz <trace file>`: render a structured trace into a
     /// self-contained SVG/HTML visualization.
     Viz {
-        /// Path to the trace file (JSONL or binary).
+        /// Path to the JSONL trace file.
         input: String,
         /// Output path; defaults to the input with an `.html` extension.
         out: Option<String>,
@@ -615,10 +615,9 @@ retransmissions, timeouts and flow-completion times.
 `--trace-out PATH` (on `chaos`, `traffic`, and scenario runs) streams a
 versioned structured event log of the campaign's first run to PATH:
 wave fronts, route deltas, queue depths, packet and flow fates, in JSONL
-(or length-prefixed binary via a scenario `[trace]` section, DESIGN.md
-§16). The trace is byte-identical for every `--jobs`/`--regions` value,
-and omitting it keeps every report byte-identical to the untraced
-engine. `viz` renders a trace into a self-contained HTML page — wave
+(DESIGN.md §16). The trace is byte-identical for every
+`--jobs`/`--regions` value, and omitting it keeps every report
+byte-identical to the untraced engine. `viz` renders a trace into a self-contained HTML page — wave
 heatmap over the topology, availability/goodput/queue time series,
 route-flap strip — or just the heatmap SVG with `-o out.svg`.
 

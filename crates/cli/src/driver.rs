@@ -15,7 +15,6 @@ use lsrp_baselines::{
     BaselineSimulation, DbfConfig, DbfSimulation, DualConfig, DualSimulation, PvConfig,
     PvSimulation,
 };
-use lsrp_bench::scenario_runner::BenchRunner;
 use lsrp_core::{InitialState, LsrpSimulation, LsrpSimulationExt};
 use lsrp_graph::{generators, topologies, Graph, NodeId};
 use lsrp_scenario::exec::{run_chaos, run_traffic};
@@ -23,9 +22,7 @@ use lsrp_scenario::schema::{
     CampaignScenario, CongestionSection, FaultsSection, ScenarioBody, TraceSection,
     TrafficScenario, WorkloadSection,
 };
-use lsrp_scenario::{
-    expand_list, load_str, run_scenario_with, ExecOptions, Scenario, ScenarioResult,
-};
+use lsrp_scenario::{expand_list, load_str, run_scenario, ExecOptions, Scenario, ScenarioResult};
 use lsrp_sim::EngineConfig;
 
 use crate::args::{Command, FaultSpec, ParseError, ProtocolChoice, TopologySpec, HELP};
@@ -336,7 +333,7 @@ pub fn run_command(cmd: &Command) -> Result<String, ParseError> {
             }
             let s = s;
             let opts = ExecOptions::sharded(*jobs).with_regions(*regions);
-            let outcome = run_scenario_with(&s, opts, Some(&BenchRunner)).map_err(ParseError)?;
+            let outcome = run_scenario(&s, opts).map_err(ParseError)?;
             match &outcome.result {
                 // A table report matches the experiments binary's
                 // `println!("{table}")` framing.

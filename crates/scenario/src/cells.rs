@@ -345,9 +345,9 @@ pub fn recovery_cell(spec: &RecoveryCellSpec) -> RecoveryMetrics {
 /// One concurrent-regions case (E7, Lemmas 2–3): every listed region —
 /// a `(seed node, size)` pair grown into a contiguous patch away from
 /// `dest` — is corrupted by its own seeded plan *in the same run*, and
-/// the joint recovery is measured. A port of the former hand-coded E7
-/// builtin loop: one RNG seeded with `seed` draws the plans in region
-/// order, so the reported bytes match the builtin's.
+/// the joint recovery is measured. One RNG seeded with `seed` draws the
+/// plans in region order, so the reported bytes match the hand-coded E7
+/// loop this replaced.
 ///
 /// # Panics
 ///
@@ -438,7 +438,7 @@ pub fn recurring_cell(spec: &RecurringCellSpec) -> RecurringMetrics {
         );
         region.extend(r);
     }
-    let mut sim = LsrpSimulation::builder(graph.clone(), dest)
+    let mut sim = LsrpSimulation::builder(graph, dest)
         .timing(paper_timing())
         .build();
     let plan: FaultPlan = region

@@ -186,33 +186,15 @@ pub fn expect_vocabulary(body: &ScenarioBody) -> &'static [&'static str] {
             "mean_stretch",
             "max_stretch",
         ],
-        ScenarioBody::Builtin(_) => &[],
     }
-}
-
-/// A runner for `builtin` scenarios: resolves an experiment id to the
-/// hand-coded implementation (the bench crate registers one covering
-/// E1–E19's non-sweep experiments).
-pub trait BuiltinRunner {
-    /// Runs experiment `id` with the scenario's `[params]` and returns
-    /// its rendered report.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for unknown ids or bad parameters.
-    fn run(
-        &self,
-        id: &str,
-        params: &[(String, crate::schema::ParamValue)],
-    ) -> Result<String, String>;
 }
 
 /// A scenario's rendered result.
 #[derive(Debug, Clone)]
 pub enum ScenarioResult {
-    /// A report table (recovery/hijack kinds and most builtins).
+    /// A report table (recovery/hijack kinds).
     Table(Table),
-    /// Pre-rendered text (chaos/traffic campaigns, multi-table builtins).
+    /// Pre-rendered text (chaos/traffic campaigns).
     Text(String),
 }
 
@@ -746,9 +728,8 @@ fn run_region_cases(
     let mut failures = Vec::new();
     let seed = r.seed;
     let specs: Vec<Vec<(NodeId, usize)>> = cases.iter().map(|(_, v)| v.clone()).collect();
-    let g = graph.clone();
     let results = run_sharded(jobs, specs.len(), move |i| {
-        region_case_cell(protocol, &g, dest, &specs[i], seed)
+        region_case_cell(protocol, &graph, dest, &specs[i], seed)
     });
     for ((label, regions), m) in cases.iter().zip(&results) {
         if r.require_correct {
@@ -1235,19 +1216,14 @@ fn run_hijack(
 // Entry points
 // ---------------------------------------------------------------------
 
-/// Runs a scenario under the given execution options and an optional
-/// builtin runner. The report is byte-identical for any `jobs` and
-/// `regions` value.
+/// Runs a scenario under the given execution options. The report is
+/// byte-identical for any `jobs` and `regions` value.
 ///
 /// # Errors
 ///
 /// Returns a message when the scenario cannot be lowered (bad cell
-/// resolution, missing runner) or a campaign rejects its inputs.
-pub fn run_scenario_with(
-    s: &Scenario,
-    opts: ExecOptions,
-    runner: Option<&dyn BuiltinRunner>,
-) -> Result<ScenarioOutcome, String> {
+/// resolution) or a campaign rejects its inputs.
+pub fn run_scenario(s: &Scenario, opts: ExecOptions) -> Result<ScenarioOutcome, String> {
     match &s.body {
         ScenarioBody::Chaos(c) => {
             let (text, bad) = run_chaos(c, opts)?;
@@ -1275,30 +1251,7 @@ pub fn run_scenario_with(
         }
         ScenarioBody::Recovery(r) => run_recovery(r, opts.jobs, &s.expect),
         ScenarioBody::Hijack(h) => run_hijack(h, opts.jobs, &s.expect),
-        ScenarioBody::Builtin(b) => {
-            let Some(runner) = runner else {
-                return Err(format!(
-                    "scenario '{}' has kind 'builtin' (id {}) but no experiment runner is wired in",
-                    s.name, b.id
-                ));
-            };
-            let text = runner.run(&b.id, &b.params)?;
-            Ok(ScenarioOutcome {
-                result: ScenarioResult::Text(text),
-                failures: Vec::new(),
-            })
-        }
     }
-}
-
-/// Runs a scenario without a builtin runner (recovery/hijack/chaos/
-/// traffic kinds only).
-///
-/// # Errors
-///
-/// As [`run_scenario_with`]; additionally errors on `builtin` kinds.
-pub fn run_scenario(s: &Scenario, opts: ExecOptions) -> Result<ScenarioOutcome, String> {
-    run_scenario_with(s, opts, None)
 }
 
 /// Statically expands a scenario into one human-readable line per cell
@@ -1394,6 +1347,5 @@ pub fn expand_list(s: &Scenario) -> Result<Vec<String>, String> {
                 })
                 .collect())
         }
-        ScenarioBody::Builtin(b) => Ok(vec![format!("builtin experiment {}", b.id)]),
     }
 }

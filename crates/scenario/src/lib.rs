@@ -33,9 +33,6 @@ pub mod spec;
 pub mod toml;
 
 pub use cells::{Protocol, ALL_PROTOCOLS};
-pub use exec::{
-    expand_list, run_scenario, run_scenario_with, BuiltinRunner, ExecOptions, ScenarioOutcome,
-    ScenarioResult,
-};
-pub use schema::{load_str, ParamValue, Scenario, ScenarioBody};
+pub use exec::{expand_list, run_scenario, ExecOptions, ScenarioOutcome, ScenarioResult};
+pub use schema::{load_str, Scenario, ScenarioBody};
 pub use spec::{DestinationsSpec, TopologySpec};

@@ -2,7 +2,7 @@
 //! scenario file's [`crate::toml`] tree, with line/field diagnostics.
 //!
 //! A scenario file is one `[scenario]` header plus kind-specific
-//! sections. Five kinds exist:
+//! sections. Four kinds exist:
 //!
 //! - `chaos` — a randomized fault-process campaign (the `lsrp chaos`
 //!   shape): `[topology]`, `[campaign]`, `[faults]`, optional `[trace]`.
@@ -16,8 +16,6 @@
 //! - `hijack` — a prefix-hijack availability experiment, snapshot
 //!   (E13) or live (E20/E21): `[hijack]`, `[workload]`,
 //!   `[congestion]`, `[report]`, `[sweep]` / `[[case]]`.
-//! - `builtin` — dispatch to a registered hand-coded experiment by id
-//!   with a free-form `[params]` table.
 //!
 //! Every parse error names the offending line and field. Unknown
 //! fields and sections are rejected, so a typo never silently falls
@@ -60,8 +58,6 @@ pub enum ScenarioBody {
     Recovery(RecoveryScenario),
     /// A prefix-hijack availability experiment.
     Hijack(HijackScenario),
-    /// A registered hand-coded experiment.
-    Builtin(BuiltinScenario),
 }
 
 impl Scenario {
@@ -72,7 +68,6 @@ impl Scenario {
             ScenarioBody::Traffic(_) => "traffic",
             ScenarioBody::Recovery(_) => "recovery",
             ScenarioBody::Hijack(_) => "hijack",
-            ScenarioBody::Builtin(_) => "builtin",
         }
     }
 }
@@ -116,8 +111,6 @@ impl CampaignScenario {
 pub struct TraceSection {
     /// Output file path.
     pub path: String,
-    /// On-disk encoding: `"jsonl"` (default) or `"binary"`.
-    pub format: String,
     /// Event-class filter (`None` = all classes); validated against the
     /// `lsrp-trace` vocabulary at parse time.
     pub classes: Option<Vec<String>>,
@@ -131,7 +124,6 @@ impl TraceSection {
     pub fn new(path: impl Into<String>) -> TraceSection {
         TraceSection {
             path: path.into(),
-            format: "jsonl".to_string(),
             classes: None,
             snapshot_every: None,
         }
@@ -141,11 +133,10 @@ impl TraceSection {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid format or class list (both are validated at
-    /// parse time, so this is unreachable from a loaded scenario).
+    /// Panics on an invalid class list (validated at parse time, so this
+    /// is unreachable from a loaded scenario).
     pub fn config(&self, topology: &str) -> lsrp_trace::TraceConfig {
         let mut cfg = lsrp_trace::TraceConfig::new(&self.path);
-        cfg.format = lsrp_trace::TraceFormat::parse(&self.format).expect("validated at parse time");
         if let Some(classes) = &self.classes {
             cfg.classes =
                 lsrp_trace::EventClasses::from_names(classes).expect("validated at parse time");
@@ -398,31 +389,6 @@ pub struct HijackScenario {
     pub report: ReportSection,
     /// The sweep axes.
     pub sweep: Sweep,
-}
-
-/// The `builtin` kind: a registered hand-coded experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BuiltinScenario {
-    /// Experiment id (e.g. `e7`), resolved by a
-    /// [`crate::exec::BuiltinRunner`].
-    pub id: String,
-    /// Free-form parameters passed through to the runner.
-    pub params: Vec<(String, ParamValue)>,
-}
-
-/// A line-free scalar or list for builtin parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParamValue {
-    /// A string.
-    Str(String),
-    /// An integer.
-    Int(i64),
-    /// A float.
-    Float(f64),
-    /// A boolean.
-    Bool(bool),
-    /// A homogeneous-or-not list.
-    List(Vec<ParamValue>),
 }
 
 /// A sweep-axis value.
@@ -1066,10 +1032,6 @@ fn parse_trace(root: &Table, seen: &mut Vec<&'static str>) -> Result<Option<Trac
         ));
     };
     let mut out = TraceSection::new(path);
-    if let Some((s, line)) = f.str("format")? {
-        f.checked("format", line, lsrp_trace::TraceFormat::parse(&s))?;
-        out.format = s;
-    }
     if let Some((classes, line)) = f.str_list("classes")? {
         f.checked(
             "classes",
@@ -1593,43 +1555,6 @@ fn parse_hijack(root: &Table, seen: &mut Vec<&'static str>) -> Result<HijackScen
     })
 }
 
-fn param_value(sp: &Spanned) -> ParamValue {
-    match &sp.value {
-        Value::Str(s) => ParamValue::Str(s.clone()),
-        Value::Int(i) => ParamValue::Int(*i),
-        Value::Float(x) => ParamValue::Float(*x),
-        Value::Bool(b) => ParamValue::Bool(*b),
-        Value::Array(items) => ParamValue::List(items.iter().map(param_value).collect()),
-    }
-}
-
-fn parse_builtin(root: &Table, seen: &mut Vec<&'static str>) -> Result<BuiltinScenario, String> {
-    let Some(table) = section(root, "builtin", seen, "builtin")? else {
-        return Err("missing required [builtin] section".to_string());
-    };
-    let mut f = Fields::new("builtin", table);
-    let Some((id, _)) = f.str("id")? else {
-        return Err(format!(
-            "line {}: [builtin] needs an 'id' field (e.g. id = \"e7\")",
-            table.line
-        ));
-    };
-    f.finish()?;
-    let mut params = Vec::new();
-    if let Some(ptable) = section(root, "params", seen, "params")? {
-        for (key, entry) in &ptable.entries {
-            let Entry::Value(sp) = entry else {
-                return Err(format!(
-                    "line {}: [params] field '{key}' must be a scalar or array",
-                    ptable.line
-                ));
-            };
-            params.push((key.clone(), param_value(sp)));
-        }
-    }
-    Ok(BuiltinScenario { id, params })
-}
-
 /// Parses a scenario file's text.
 ///
 /// # Errors
@@ -1652,7 +1577,7 @@ pub fn load_str(src: &str) -> Result<Scenario, String> {
     };
     let Some((kind, kind_line)) = f.str("kind")? else {
         return Err(format!(
-            "line {}: [scenario] needs a 'kind' field (chaos, traffic, recovery, hijack, builtin)",
+            "line {}: [scenario] needs a 'kind' field (chaos, traffic, recovery, hijack)",
             header.line
         ));
     };
@@ -1684,10 +1609,9 @@ pub fn load_str(src: &str) -> Result<Scenario, String> {
         }
         "recovery" => ScenarioBody::Recovery(parse_recovery(&root, &mut seen)?),
         "hijack" => ScenarioBody::Hijack(parse_hijack(&root, &mut seen)?),
-        "builtin" => ScenarioBody::Builtin(parse_builtin(&root, &mut seen)?),
         other => {
             return Err(format!(
-                "line {kind_line}: unknown scenario kind '{other}' (try chaos, traffic, recovery, hijack, builtin)"
+                "line {kind_line}: unknown scenario kind '{other}' (try chaos, traffic, recovery, hijack)"
             ))
         }
     };
@@ -1728,331 +1652,4 @@ pub fn load_str(src: &str) -> Result<Scenario, String> {
         body,
         expect,
     })
-}
-
-// ---------------------------------------------------------------------
-// Canonical emission (round-trip oracle)
-// ---------------------------------------------------------------------
-
-struct Emitter {
-    out: String,
-}
-
-impl Emitter {
-    fn new() -> Self {
-        Emitter { out: String::new() }
-    }
-
-    fn sect(&mut self, name: &str) {
-        if !self.out.is_empty() {
-            self.out.push('\n');
-        }
-        self.out.push_str(&format!("[{name}]\n"));
-    }
-
-    fn kv(&mut self, key: &str, value: &str) {
-        self.out.push_str(&format!("{key} = {value}\n"));
-    }
-
-    fn string(&mut self, key: &str, s: &str) {
-        self.kv(key, &toml::escape(s));
-    }
-
-    fn int(&mut self, key: &str, v: impl fmt::Display) {
-        self.kv(key, &v.to_string());
-    }
-
-    fn float(&mut self, key: &str, x: f64) {
-        self.kv(key, &toml::fmt_float(x));
-    }
-
-    fn boolean(&mut self, key: &str, b: bool) {
-        self.kv(key, &b.to_string());
-    }
-
-    fn arr_sect(&mut self, name: &str) {
-        if !self.out.is_empty() {
-            self.out.push('\n');
-        }
-        self.out.push_str(&format!("[[{name}]]\n"));
-    }
-}
-
-fn emit_sweep_value(v: &SweepValue) -> String {
-    match v {
-        SweepValue::Int(i) => i.to_string(),
-        SweepValue::Float(x) => toml::fmt_float(*x),
-        SweepValue::Str(s) => toml::escape(s),
-        SweepValue::Bool(b) => b.to_string(),
-    }
-}
-
-fn emit_param_value(v: &ParamValue) -> String {
-    match v {
-        ParamValue::Str(s) => toml::escape(s),
-        ParamValue::Int(i) => i.to_string(),
-        ParamValue::Float(x) => toml::fmt_float(*x),
-        ParamValue::Bool(b) => b.to_string(),
-        ParamValue::List(items) => {
-            let inner: Vec<String> = items.iter().map(emit_param_value).collect();
-            format!("[{}]", inner.join(", "))
-        }
-    }
-}
-
-fn emit_campaign(e: &mut Emitter, c: &CampaignScenario) {
-    e.sect("topology");
-    e.string("spec", &c.topology.to_string());
-    if let Some(seed) = c.topology_seed {
-        e.int("seed", seed);
-    }
-    if let Some(dest) = c.destination {
-        e.int("destination", dest.raw());
-    }
-    e.sect("campaign");
-    e.int("runs", c.runs);
-    e.int("seed", c.seed);
-    e.float("horizon", c.horizon);
-    if let Some(d) = c.destinations {
-        e.string("destinations", &d.to_string());
-    }
-    e.sect("faults");
-    e.int("link_flaps", c.faults.process.link_flaps);
-    e.int("node_churn", c.faults.process.node_churn);
-    e.int("partitions", c.faults.process.partitions);
-    e.int("corruptions", c.faults.process.corruptions);
-    e.int("weight_drifts", c.faults.process.weight_drifts);
-    e.float("min_outage", c.faults.process.min_outage);
-    e.float("max_outage", c.faults.process.max_outage);
-    e.float("window", c.faults.window);
-    if let Some(t) = &c.trace {
-        e.sect("trace");
-        e.string("path", &t.path);
-        e.string("format", &t.format);
-        if let Some(classes) = &t.classes {
-            let items: Vec<String> = classes.iter().map(|c| toml::escape(c)).collect();
-            e.kv("classes", &format!("[{}]", items.join(", ")));
-        }
-        if let Some(n) = t.snapshot_every {
-            e.int("snapshot_every", n);
-        }
-    }
-}
-
-fn emit_workload(e: &mut Emitter, w: &WorkloadSection) {
-    e.sect("workload");
-    let kind = match w.kind {
-        WorkloadKind::Poisson => "poisson",
-        WorkloadKind::AllPairs => "all-pairs",
-        WorkloadKind::Hotspot => "hotspot",
-    };
-    e.string("kind", kind);
-    e.int("flows", w.flows);
-    e.float("rate", w.rate);
-    e.boolean("exact", w.exact);
-}
-
-fn emit_congestion(e: &mut Emitter, c: &CongestionSection) {
-    e.sect("congestion");
-    if let Some(r) = c.link_rate {
-        e.float("link_rate", r);
-    }
-    if let Some(q) = c.queue_cap {
-        e.int("queue_cap", q);
-    }
-    let discipline = match c.discipline {
-        DisciplineKind::DropTail => "drop-tail",
-        DisciplineKind::Ecn { .. } => "ecn",
-        DisciplineKind::Pause { .. } => "pause",
-    };
-    e.string("discipline", discipline);
-    if let Some(cc) = c.cc {
-        let name = match cc {
-            CongAlgKind::FixedWindow { .. } => "fixed",
-            CongAlgKind::Aimd { .. } => "aimd",
-        };
-        e.string("cc", name);
-    }
-}
-
-fn emit_report(e: &mut Emitter, r: &ReportSection) {
-    e.sect("report");
-    e.string("title", &r.title);
-    let cols: Vec<String> = r.columns.iter().map(|c| toml::escape(c)).collect();
-    e.kv("columns", &format!("[{}]", cols.join(", ")));
-}
-
-fn emit_sweep(e: &mut Emitter, s: &Sweep) {
-    if !s.axes.is_empty() {
-        e.sect("sweep");
-        for (name, values) in &s.axes {
-            let vals: Vec<String> = values.iter().map(emit_sweep_value).collect();
-            e.kv(name, &format!("[{}]", vals.join(", ")));
-        }
-    }
-    for case in &s.cases {
-        e.sect("[case]");
-        for (name, v) in case {
-            e.kv(name, &emit_sweep_value(v));
-        }
-    }
-}
-
-impl Scenario {
-    /// Canonical TOML emission: `load_str(s.to_toml())` parses back to
-    /// an equal `Scenario` (the round-trip oracle the golden tests
-    /// assert for every checked-in file).
-    pub fn to_toml(&self) -> String {
-        let mut e = Emitter::new();
-        e.sect("scenario");
-        e.string("name", &self.name);
-        e.string("kind", self.kind());
-        if let Some(d) = &self.description {
-            e.string("description", d);
-        }
-        if !self.expect.is_empty() {
-            let items: Vec<String> = self
-                .expect
-                .iter()
-                .map(|x| toml::escape(&x.to_string()))
-                .collect();
-            e.kv("expect", &format!("[{}]", items.join(", ")));
-        }
-        match &self.body {
-            ScenarioBody::Chaos(c) => emit_campaign(&mut e, c),
-            ScenarioBody::Traffic(t) => {
-                emit_campaign(&mut e, &t.base);
-                emit_workload(&mut e, &t.workload);
-                emit_congestion(&mut e, &t.congestion);
-                e.sect("traffic");
-                e.float("duration", t.duration);
-            }
-            ScenarioBody::Recovery(r) => {
-                if let Some(t) = &r.topology {
-                    e.sect("topology");
-                    e.string("spec", &t.to_string());
-                    if let Some(seed) = r.topology_seed {
-                        e.int("seed", seed);
-                    }
-                }
-                e.sect("recovery");
-                if let Some(p) = r.protocol {
-                    e.string("protocol", p.as_str());
-                }
-                if let Some(w) = r.width {
-                    e.int("width", w);
-                }
-                if let Some(p) = r.p {
-                    e.int("p", p);
-                }
-                e.int("seed", r.seed);
-                e.string(
-                    "seed_mode",
-                    match r.seed_mode {
-                        SeedMode::Fixed => "fixed",
-                        SeedMode::PlusWidth => "plus-width",
-                    },
-                );
-                e.string(
-                    "fault",
-                    match r.fault {
-                        RegionFault::CorruptPlan => "corrupt-region",
-                        RegionFault::Blackhole => "blackhole-region",
-                    },
-                );
-                e.string(
-                    "plane",
-                    match r.plane {
-                        Plane::Single => "single",
-                        Plane::Multi => "multi",
-                    },
-                );
-                if let Some(d) = r.destinations {
-                    e.string("destinations", &d.to_string());
-                }
-                e.boolean("require_correct", r.require_correct);
-                for region in &r.regions {
-                    e.arr_sect("fault.region");
-                    e.string("case", &region.case);
-                    e.int("seed_node", region.seed_node.raw());
-                    if let Some(size) = region.size {
-                        e.int("size", size);
-                    }
-                }
-                for rec in &r.recurring {
-                    e.arr_sect("fault.recurring");
-                    e.int("seed_node", rec.seed_node.raw());
-                    if let Some(size) = rec.size {
-                        e.int("size", size);
-                    }
-                    if let Some(p) = rec.period {
-                        e.float("period", p);
-                    }
-                    if rec.jitter != 0.0 {
-                        e.float("jitter", rec.jitter);
-                    }
-                    e.int("occurrences", rec.occurrences);
-                }
-                if r.engine != EngineSection::default() {
-                    e.sect("engine");
-                    if let Some((lo, hi)) = r.engine.jitter {
-                        e.kv(
-                            "jitter",
-                            &format!("[{}, {}]", toml::fmt_float(lo), toml::fmt_float(hi)),
-                        );
-                    }
-                    if let Some(rho) = r.engine.clock_rho {
-                        e.float("clock_rho", rho);
-                    }
-                    if let Some(loss) = r.engine.loss {
-                        e.float("loss", loss);
-                    }
-                    if let Some(s) = r.engine.syn_period {
-                        e.float("syn_period", s);
-                    }
-                }
-                emit_report(&mut e, &r.report);
-                emit_sweep(&mut e, &r.sweep);
-            }
-            ScenarioBody::Hijack(h) => {
-                e.sect("hijack");
-                e.string(
-                    "mode",
-                    match h.mode {
-                        HijackMode::Snapshot => "snapshot",
-                        HijackMode::Live => "live",
-                    },
-                );
-                e.int("width", h.width);
-                if let Some(p) = h.p {
-                    e.int("p", p);
-                }
-                if let Some(p) = h.protocol {
-                    e.string("protocol", p.as_str());
-                }
-                e.int("seed", h.seed);
-                e.float("prefault", h.prefault);
-                e.float("window", h.window);
-                e.float("sample_every", h.sample_every);
-                e.float("duration", h.duration);
-                emit_workload(&mut e, &h.workload);
-                if let Some(c) = &h.congestion {
-                    emit_congestion(&mut e, c);
-                }
-                emit_report(&mut e, &h.report);
-                emit_sweep(&mut e, &h.sweep);
-            }
-            ScenarioBody::Builtin(b) => {
-                e.sect("builtin");
-                e.string("id", &b.id);
-                if !b.params.is_empty() {
-                    e.sect("params");
-                    for (key, v) in &b.params {
-                        e.kv(key, &emit_param_value(v));
-                    }
-                }
-            }
-        }
-        e.out
-    }
 }

@@ -443,23 +443,6 @@ fn unescape(s: &str, line: usize) -> Result<String, TomlError> {
     Ok(out)
 }
 
-/// Escapes a string for canonical emission.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Formats a float so it re-parses as a float (never as an integer).
 pub fn fmt_float(x: f64) -> String {
     if x.fract() == 0.0 && x.abs() < 1e15 {

@@ -19,6 +19,16 @@ fn unknown_field_names_line_and_section() {
                [faults]\n\
                link_flapz = 3\n";
     assert_eq!(err(src), "line 7: unknown field 'link_flapz' in [faults]");
+    // The trace encoding is JSONL only; there is no format to choose.
+    let src = "[scenario]\n\
+               name = \"x\"\n\
+               kind = \"chaos\"\n\
+               [topology]\n\
+               spec = \"grid:4x4\"\n\
+               [trace]\n\
+               path = \"t.jsonl\"\n\
+               format = \"jsonl\"\n";
+    assert_eq!(err(src), "line 8: unknown field 'format' in [trace]");
 }
 
 #[test]
@@ -177,13 +187,15 @@ fn jitter_without_clock_rho_is_rejected() {
 
 #[test]
 fn unknown_kind_is_rejected_at_the_kind_line() {
-    let src = "[scenario]\n\
-               name = \"x\"\n\
-               kind = \"stress\"\n";
-    assert_eq!(
-        err(src),
-        "line 3: unknown scenario kind 'stress' (try chaos, traffic, recovery, hijack, builtin)"
-    );
+    for kind in ["stress", "builtin"] {
+        let src = format!("[scenario]\nname = \"x\"\nkind = \"{kind}\"\n");
+        assert_eq!(
+            err(&src),
+            format!(
+                "line 3: unknown scenario kind '{kind}' (try chaos, traffic, recovery, hijack)"
+            )
+        );
+    }
 }
 
 #[test]

@@ -1,9 +1,8 @@
 //! Golden tests over the checked-in `scenarios/` corpus: every file
-//! must parse, survive a canonical-emission round trip, and expand to
-//! at least one cell.
+//! must parse and expand to at least one cell.
 
+use lsrp_scenario::expand_list;
 use lsrp_scenario::schema::load_str;
-use lsrp_scenario::{expand_list, ScenarioBody};
 
 fn corpus() -> Vec<(String, String)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
@@ -14,7 +13,7 @@ fn corpus() -> Vec<(String, String)> {
         .collect();
     files.sort();
     assert!(
-        files.len() >= 20,
+        files.len() >= 17,
         "scenarios/ corpus shrank to {} files",
         files.len()
     );
@@ -36,24 +35,6 @@ fn every_scenario_file_parses() {
 }
 
 #[test]
-fn every_scenario_file_round_trips_through_canonical_emission() {
-    for (name, text) in corpus() {
-        let parsed = load_str(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let emitted = parsed.to_toml();
-        let reparsed = load_str(&emitted).unwrap_or_else(|e| {
-            panic!("{name}: canonical emission failed to re-parse: {e}\n{emitted}")
-        });
-        assert_eq!(parsed, reparsed, "{name}: round trip changed the scenario");
-        // The emission is a fixpoint: emitting the re-parse is identical.
-        assert_eq!(
-            emitted,
-            reparsed.to_toml(),
-            "{name}: emission not canonical"
-        );
-    }
-}
-
-#[test]
 fn every_scenario_file_expands() {
     for (name, text) in corpus() {
         let parsed = load_str(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -64,25 +45,12 @@ fn every_scenario_file_expands() {
 
 #[test]
 fn corpus_covers_every_experiment() {
-    // E1–E21 from EXPERIMENTS.md, with E1/E2 sharing one scenario file.
-    let corpus = corpus();
-    let mut builtin_ids = Vec::new();
-    let mut names = Vec::new();
-    for (_, text) in &corpus {
-        let s = load_str(text).unwrap();
-        names.push(s.name.clone());
-        if let ScenarioBody::Builtin(b) = &s.body {
-            builtin_ids.push(b.id.clone());
-        }
-    }
-    for id in [
-        "e1", "e3", "e4", "e5", "e8", "e9", "e11", "e12", "e15", "e17", "e19",
-    ] {
-        assert!(
-            builtin_ids.iter().any(|b| b == id),
-            "no builtin scenario for {id}"
-        );
-    }
+    // The EXPERIMENTS.md experiments with a scenario file; the rest are
+    // hand-coded rows of the `experiments` binary's table.
+    let names: Vec<String> = corpus()
+        .iter()
+        .map(|(_, text)| load_str(text).unwrap().name)
+        .collect();
     for name in [
         "e6-scaling",
         "e6-multi",

@@ -220,9 +220,6 @@ pub struct EngineConfig {
     /// (it almost always indicates a zero-hold action livelock in a
     /// protocol under test).
     pub max_events: u64,
-    /// Whether to record individual action/variable-change records in the
-    /// trace (counters are always kept).
-    pub record_trace: bool,
     /// Which [`crate::sink::TraceSink`] the engine writes its
     /// observability stream through. Sink choice never affects simulation
     /// behavior, only what is recorded.
@@ -343,7 +340,6 @@ impl Default for EngineConfig {
             clocks: ClockConfig::Ideal,
             seed: 0,
             max_events: 50_000_000,
-            record_trace: true,
             sink: SinkKind::Full,
             sink_factory: None,
             congestion: CongestionConfig::default(),

@@ -2665,7 +2665,6 @@ impl<P: ProtocolNode> Engine<P> {
             view,
             completed_packets,
             completed_flows,
-            shared,
             ..
         } = self;
         for core in cores.iter_mut() {
@@ -2691,7 +2690,7 @@ impl<P: ProtocolNode> Engine<P> {
             };
             let rec = cores[i].obs.pop_front().expect("its head was just read");
             match rec.op {
-                ObsOp::Action(r) => sink.record_action(r, shared.config.record_trace),
+                ObsOp::Action(r) => sink.record_action(r),
                 ObsOp::ReceiveChange(t, v) => sink.record_receive_change(t, v),
                 ObsOp::View(v, e) => {
                     sink.record_view_update(rec.time, v, e);

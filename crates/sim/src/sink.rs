@@ -72,10 +72,8 @@ impl MarkerKind {
 /// what to retain. `Send` is required so whole engines can run inside
 /// worker threads of the parallel campaign executor.
 pub trait TraceSink: Send {
-    /// An action executed. `keep_records` mirrors
-    /// [`crate::EngineConfig::record_trace`]: when `false`, sinks should
-    /// keep counters but drop per-action records.
-    fn record_action(&mut self, rec: ActionRecord, keep_records: bool);
+    /// An action executed.
+    fn record_action(&mut self, rec: ActionRecord);
 
     /// A receive handler changed a protocol variable at `time` on `node`.
     fn record_receive_change(&mut self, time: SimTime, node: NodeId);
@@ -188,8 +186,8 @@ pub trait TraceSink: Send {
 pub type FullTrace = Trace;
 
 impl TraceSink for Trace {
-    fn record_action(&mut self, rec: ActionRecord, keep_records: bool) {
-        Trace::record_action(self, rec, keep_records);
+    fn record_action(&mut self, rec: ActionRecord) {
+        Trace::record_action(self, rec);
     }
 
     fn record_receive_change(&mut self, time: SimTime, node: NodeId) {
@@ -248,7 +246,7 @@ pub struct CountsOnly {
 }
 
 impl TraceSink for CountsOnly {
-    fn record_action(&mut self, rec: ActionRecord, _keep_records: bool) {
+    fn record_action(&mut self, rec: ActionRecord) {
         if rec.maintenance {
             self.maintenance_actions += 1;
         } else {
@@ -297,7 +295,7 @@ impl TraceSink for CountsOnly {
 pub struct NullSink;
 
 impl TraceSink for NullSink {
-    fn record_action(&mut self, _rec: ActionRecord, _keep_records: bool) {}
+    fn record_action(&mut self, _rec: ActionRecord) {}
     fn record_receive_change(&mut self, _time: SimTime, _node: NodeId) {}
     fn count_sent(&mut self, _from: NodeId) {}
     fn count_delivered(&mut self) {}
@@ -398,8 +396,8 @@ mod tests {
     #[test]
     fn counts_only_tracks_scalars() {
         let mut s = CountsOnly::default();
-        s.record_action(rec(false, true), true);
-        s.record_action(rec(true, false), true);
+        s.record_action(rec(false, true));
+        s.record_action(rec(true, false));
         s.record_receive_change(SimTime::new(2.0), NodeId::new(1));
         s.count_sent(NodeId::new(1));
         s.count_delivered();
@@ -421,7 +419,7 @@ mod tests {
     #[test]
     fn full_trace_sink_matches_trace_semantics() {
         let mut t = Trace::new();
-        TraceSink::record_action(&mut t, rec(false, true), true);
+        TraceSink::record_action(&mut t, rec(false, true));
         TraceSink::count_sent(&mut t, NodeId::new(3));
         assert_eq!(t.actions.len(), 1);
         assert_eq!(t.total_actions(), 1);

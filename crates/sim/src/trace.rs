@@ -133,7 +133,7 @@ impl Trace {
         out
     }
 
-    pub(crate) fn record_action(&mut self, rec: ActionRecord, keep_records: bool) {
+    pub(crate) fn record_action(&mut self, rec: ActionRecord) {
         let counts = if rec.maintenance {
             &mut self.maintenance_counts
         } else {
@@ -143,9 +143,7 @@ impl Trace {
         if rec.var_changed {
             self.var_changes.push((rec.time, rec.node));
         }
-        if keep_records {
-            self.actions.push(rec);
-        }
+        self.actions.push(rec);
     }
 
     pub(crate) fn record_receive_change(&mut self, time: SimTime, node: NodeId) {
@@ -171,9 +169,9 @@ mod tests {
     #[test]
     fn acted_nodes_excludes_maintenance() {
         let mut t = Trace::new();
-        t.record_action(rec(1.0, 1, false, true), true);
-        t.record_action(rec(2.0, 2, true, false), true);
-        t.record_action(rec(3.0, 3, false, false), true);
+        t.record_action(rec(1.0, 1, false, true));
+        t.record_action(rec(2.0, 2, true, false));
+        t.record_action(rec(3.0, 3, false, false));
         assert_eq!(
             t.acted_nodes_since(SimTime::ZERO),
             BTreeSet::from([NodeId::new(1), NodeId::new(3)])
@@ -187,10 +185,10 @@ mod tests {
     #[test]
     fn acted_nodes_fast_path_matches_the_scan() {
         let mut t = Trace::new();
-        t.record_action(rec(1.0, 1, false, true), true);
-        t.record_action(rec(2.0, 2, true, false), true);
-        t.record_action(rec(3.0, 1, false, false), true);
-        t.record_action(rec(4.0, 5, false, false), true);
+        t.record_action(rec(1.0, 1, false, true));
+        t.record_action(rec(2.0, 2, true, false));
+        t.record_action(rec(3.0, 1, false, false));
+        t.record_action(rec(4.0, 5, false, false));
         for since in [0.0, 1.0, 2.5, 9.0] {
             let since = SimTime::new(since);
             let scanned: BTreeSet<NodeId> = t
@@ -206,8 +204,8 @@ mod tests {
     #[test]
     fn last_var_change_and_counts() {
         let mut t = Trace::new();
-        t.record_action(rec(1.0, 1, false, true), true);
-        t.record_action(rec(4.0, 2, false, true), true);
+        t.record_action(rec(1.0, 1, false, true));
+        t.record_action(rec(4.0, 2, false, true));
         assert_eq!(
             t.last_var_change_since(SimTime::ZERO),
             Some(SimTime::new(4.0))
@@ -220,19 +218,20 @@ mod tests {
     #[test]
     fn timeline_groups_by_node() {
         let mut t = Trace::new();
-        t.record_action(rec(1.0, 7, false, true), true);
-        t.record_action(rec(2.0, 7, false, true), true);
+        t.record_action(rec(1.0, 7, false, true));
+        t.record_action(rec(2.0, 7, false, true));
         let tl = t.timeline();
         assert_eq!(tl[&NodeId::new(7)].len(), 2);
     }
 
     #[test]
-    fn counters_survive_record_off() {
+    fn reset_clears_records_and_counters() {
         let mut t = Trace::new();
-        t.record_action(rec(1.0, 1, false, true), false);
-        assert!(t.actions.is_empty());
+        t.record_action(rec(1.0, 1, false, true));
+        assert_eq!(t.actions.len(), 1);
         assert_eq!(t.total_actions(), 1);
         t.reset();
+        assert!(t.actions.is_empty());
         assert_eq!(t.total_actions(), 0);
     }
 }

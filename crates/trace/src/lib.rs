@@ -4,8 +4,7 @@
 //! region-invariant observability hook the engine exposes — actions,
 //! route-view deltas, per-port queue transitions, packet and flow fates,
 //! driver markers — is serialized as one *frame* of a versioned,
-//! schema'd stream, either JSONL (one JSON object per line) or a
-//! length-prefixed binary framing of the same JSON payloads.
+//! schema'd JSONL stream (one JSON object per line).
 //!
 //! Design constraints, in order:
 //!
@@ -59,9 +58,6 @@ fn push_bool(out: &mut String, v: bool) {
 /// Trace schema version (the `"v"` field of the header frame). Bump on
 /// any breaking change to frame layout; additive fields do not bump it.
 pub const SCHEMA_VERSION: u32 = 1;
-
-/// Magic prefix of binary trace files.
-pub const BINARY_MAGIC: &[u8; 8] = b"LSRPTRCB";
 
 /// Write-behind buffer size: the only event-rate-facing allocation, and
 /// it is fixed.
@@ -166,51 +162,12 @@ impl Default for EventClasses {
     }
 }
 
-/// On-disk trace encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceFormat {
-    /// One JSON object per line (the default; `grep`/`jq`-friendly).
-    #[default]
-    Jsonl,
-    /// [`BINARY_MAGIC`], then frames of `u8` tag + `u32` little-endian
-    /// payload length + the same JSON payload bytes. Denser framing for
-    /// long runs; [`reader::read_trace`] auto-detects either format.
-    Binary,
-}
-
-impl TraceFormat {
-    /// Parses the scenario spelling.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message listing the accepted spellings.
-    pub fn parse(s: &str) -> Result<TraceFormat, String> {
-        match s {
-            "jsonl" => Ok(TraceFormat::Jsonl),
-            "binary" => Ok(TraceFormat::Binary),
-            other => Err(format!(
-                "unknown trace format '{other}' (expected \"jsonl\" or \"binary\")"
-            )),
-        }
-    }
-
-    /// The scenario spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TraceFormat::Jsonl => "jsonl",
-            TraceFormat::Binary => "binary",
-        }
-    }
-}
-
 /// Configuration of a [`StreamingSink`] (the scenario `[trace]` section
 /// and the CLI `--trace-out` flag both lower to this).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Output file path.
     pub path: PathBuf,
-    /// On-disk encoding.
-    pub format: TraceFormat,
     /// Which event classes to write.
     pub classes: EventClasses,
     /// Ordered-event frames between `snap` frames (0 disables them;
@@ -227,29 +184,10 @@ impl TraceConfig {
     pub fn new(path: impl Into<PathBuf>) -> TraceConfig {
         TraceConfig {
             path: path.into(),
-            format: TraceFormat::default(),
             classes: EventClasses::all(),
             snapshot_every: 65_536,
             topology: None,
         }
-    }
-}
-
-/// Binary frame tags, by frame kind.
-fn tag_of(kind: &str) -> u8 {
-    match kind {
-        "hdr" => 0,
-        "topo" => 1,
-        "act" => 2,
-        "wave" => 3,
-        "rt" => 4,
-        "q" => 5,
-        "pkt" => 6,
-        "flow" => 7,
-        "mark" => 8,
-        "snap" => 9,
-        "end" => 10,
-        _ => u8::MAX,
     }
 }
 
@@ -272,7 +210,6 @@ struct StreamTally {
 /// region-invariant observability record as a frame.
 pub struct StreamingSink {
     out: BufWriter<File>,
-    format: TraceFormat,
     classes: EventClasses,
     snapshot_every: u64,
     topology: Option<String>,
@@ -306,7 +243,6 @@ pub struct StreamingSink {
 impl std::fmt::Debug for StreamingSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamingSink")
-            .field("format", &self.format)
             .field("events", &self.events)
             .field("finished", &self.finished)
             .finish_non_exhaustive()
@@ -324,13 +260,8 @@ impl StreamingSink {
     /// Propagates file-creation errors.
     pub fn create(config: TraceConfig, inner: SinkKind) -> io::Result<StreamingSink> {
         let file = File::create(&config.path)?;
-        let mut out = BufWriter::with_capacity(WRITE_BUFFER, file);
-        if config.format == TraceFormat::Binary {
-            out.write_all(BINARY_MAGIC)?;
-        }
         Ok(StreamingSink {
-            out,
-            format: config.format,
+            out: BufWriter::with_capacity(WRITE_BUFFER, file),
             classes: config.classes,
             snapshot_every: config.snapshot_every,
             topology: config.topology,
@@ -353,26 +284,14 @@ impl StreamingSink {
         })
     }
 
-    /// Writes the assembled `self.line` as one frame of kind `kind`.
-    fn emit(&mut self, kind: &str) {
+    /// Writes the assembled `self.line` as one frame.
+    fn emit(&mut self) {
         if self.io_failed {
             self.line.clear();
             return;
         }
-        let res = match self.format {
-            TraceFormat::Jsonl => {
-                self.line.push('\n');
-                self.out.write_all(self.line.as_bytes())
-            }
-            TraceFormat::Binary => {
-                let len = u32::try_from(self.line.len()).unwrap_or(u32::MAX);
-                self.out
-                    .write_all(&[tag_of(kind)])
-                    .and_then(|()| self.out.write_all(&len.to_le_bytes()))
-                    .and_then(|()| self.out.write_all(self.line.as_bytes()))
-            }
-        };
-        if let Err(e) = res {
+        self.line.push('\n');
+        if let Err(e) = self.out.write_all(self.line.as_bytes()) {
             eprintln!("lsrp-trace: write failed, disabling trace output: {e}");
             self.io_failed = true;
         }
@@ -424,7 +343,7 @@ impl StreamingSink {
         );
         self.push_tally();
         self.line.push('}');
-        self.emit("snap");
+        self.emit();
     }
 
     /// Writes the `end` frame and flushes. Called automatically on drop;
@@ -451,7 +370,7 @@ impl StreamingSink {
         );
         self.push_tally();
         self.line.push('}');
-        self.emit("end");
+        self.emit();
         if !self.io_failed {
             if let Err(e) = self.out.flush() {
                 eprintln!("lsrp-trace: final flush failed: {e}");
@@ -479,7 +398,7 @@ impl Drop for StreamingSink {
 }
 
 impl TraceSink for StreamingSink {
-    fn record_action(&mut self, rec: ActionRecord, keep_records: bool) {
+    fn record_action(&mut self, rec: ActionRecord) {
         let t = rec.time.seconds();
         self.last_time = t;
         self.tally.actions += 1;
@@ -501,7 +420,7 @@ impl TraceSink for StreamingSink {
                 self.line.push_str(",\"dt\":");
                 push_f64(&mut self.line, (t - self.epoch_time).max(0.0));
                 self.line.push('}');
-                self.emit("wave");
+                self.emit();
                 self.after_event_frame();
             }
         }
@@ -517,10 +436,10 @@ impl TraceSink for StreamingSink {
             self.line.push_str(",\"var\":");
             push_bool(&mut self.line, rec.var_changed);
             self.line.push('}');
-            self.emit("act");
+            self.emit();
             self.after_event_frame();
         }
-        self.inner.record_action(rec, keep_records);
+        self.inner.record_action(rec);
     }
 
     fn record_receive_change(&mut self, time: SimTime, node: NodeId) {
@@ -596,7 +515,7 @@ impl TraceSink for StreamingSink {
             &mut self.line,
             format_args!("],\"snapshot_every\":{}}}", self.snapshot_every),
         );
-        self.emit("hdr");
+        self.emit();
 
         let nodes: Vec<u32> = graph.nodes().map(NodeId::raw).collect();
         for chunk in nodes.chunks(NODE_CHUNK) {
@@ -608,7 +527,7 @@ impl TraceSink for StreamingSink {
                 let _ = std::fmt::Write::write_fmt(&mut self.line, format_args!("{n}"));
             }
             self.line.push_str("]}");
-            self.emit("topo");
+            self.emit();
         }
         let edges: Vec<(u32, u32, u64)> = graph
             .edges()
@@ -623,7 +542,7 @@ impl TraceSink for StreamingSink {
                 let _ = std::fmt::Write::write_fmt(&mut self.line, format_args!("[{a},{b},{w}]"));
             }
             self.line.push_str("]}");
-            self.emit("topo");
+            self.emit();
         }
     }
 
@@ -657,7 +576,7 @@ impl TraceSink for StreamingSink {
                 None => self.line.push_str("null"),
             }
             self.line.push('}');
-            self.emit("mark");
+            self.emit();
             self.after_event_frame();
         }
         self.inner.record_marker(time, kind, a, b);
@@ -688,7 +607,7 @@ impl TraceSink for StreamingSink {
                 }
                 None => self.line.push_str("\"up\":false}"),
             }
-            self.emit("rt");
+            self.emit();
             self.after_event_frame();
         }
         self.inner.record_view_update(time, node, entry);
@@ -736,7 +655,7 @@ impl TraceSink for StreamingSink {
                 None => self.line.push_str("null"),
             }
             self.line.push('}');
-            self.emit("pkt");
+            self.emit();
             self.after_event_frame();
         }
         self.inner.record_packet_done(rec);
@@ -769,7 +688,7 @@ impl TraceSink for StreamingSink {
             self.line.push_str(",\"goodput\":");
             push_f64(&mut self.line, rec.goodput());
             self.line.push('}');
-            self.emit("flow");
+            self.emit();
             self.after_event_frame();
         }
         self.inner.record_flow_done(rec);
@@ -801,7 +720,7 @@ impl TraceSink for StreamingSink {
             self.line.push_str(",\"drop\":");
             push_bool(&mut self.line, dropped);
             self.line.push('}');
-            self.emit("q");
+            self.emit();
             self.after_event_frame();
         }
         self.inner
@@ -856,13 +775,6 @@ mod tests {
         assert_eq!(c.names(), vec!["waves", "routes"]);
         assert!(EventClasses::from_names(&["bogus"]).is_err());
         assert_eq!(EventClasses::all().names().len(), 8);
-    }
-
-    #[test]
-    fn formats_parse() {
-        assert_eq!(TraceFormat::parse("jsonl").unwrap(), TraceFormat::Jsonl);
-        assert_eq!(TraceFormat::parse("binary").unwrap(), TraceFormat::Binary);
-        assert!(TraceFormat::parse("xml").is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Trace-file reading: auto-detects JSONL vs binary framing and returns
-//! the frames as parsed [`Json`] values.
+//! Trace-file reading: parses a JSONL trace and returns the frames as
+//! [`Json`] values.
 //!
 //! Frames come back in file order; consumers dispatch on the `"k"`
 //! field. `lsrp viz` and the golden schema tests are the two in-repo
@@ -10,29 +10,16 @@ use std::io;
 use std::path::Path;
 
 use crate::json::{parse, Json};
-use crate::BINARY_MAGIC;
 
-/// Reads every frame of a trace file (either format).
+/// Reads every frame of a trace file.
 ///
 /// # Errors
 ///
 /// I/O errors are passed through; malformed frames surface as
-/// [`io::ErrorKind::InvalidData`] with the offending offset or line.
+/// [`io::ErrorKind::InvalidData`] with the offending line.
 pub fn read_trace(path: &Path) -> io::Result<Vec<Json>> {
     let bytes = fs::read(path)?;
-    if bytes.starts_with(BINARY_MAGIC) {
-        read_binary(&bytes[BINARY_MAGIC.len()..])
-    } else {
-        read_jsonl(&bytes)
-    }
-}
-
-fn bad(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-fn read_jsonl(bytes: &[u8]) -> io::Result<Vec<Json>> {
-    let text = std::str::from_utf8(bytes).map_err(|e| bad(e.to_string()))?;
+    let text = std::str::from_utf8(&bytes).map_err(|e| bad(e.to_string()))?;
     let mut frames = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.is_empty() {
@@ -44,24 +31,8 @@ fn read_jsonl(bytes: &[u8]) -> io::Result<Vec<Json>> {
     Ok(frames)
 }
 
-fn read_binary(mut bytes: &[u8]) -> io::Result<Vec<Json>> {
-    let mut frames = Vec::new();
-    let mut offset = BINARY_MAGIC.len();
-    while !bytes.is_empty() {
-        if bytes.len() < 5 {
-            return Err(bad(format!("truncated frame header at offset {offset}")));
-        }
-        let len = u32::from_le_bytes([bytes[1], bytes[2], bytes[3], bytes[4]]) as usize;
-        if bytes.len() < 5 + len {
-            return Err(bad(format!("truncated frame payload at offset {offset}")));
-        }
-        let payload = std::str::from_utf8(&bytes[5..5 + len]).map_err(|e| bad(e.to_string()))?;
-        let v = parse(payload).map_err(|e| bad(format!("offset {offset}: {e}")))?;
-        frames.push(v);
-        bytes = &bytes[5 + len..];
-        offset += 5 + len;
-    }
-    Ok(frames)
+fn bad(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// The frame kind (`"k"` field), when present.
@@ -72,10 +43,9 @@ pub fn kind(frame: &Json) -> Option<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
 
     #[test]
-    fn reads_both_formats() {
+    fn reads_jsonl_frames() {
         let dir = std::env::temp_dir().join("lsrp-trace-test-reader");
         std::fs::create_dir_all(&dir).unwrap();
 
@@ -86,21 +56,7 @@ mod tests {
         assert_eq!(kind(&frames[0]), Some("hdr"));
         assert_eq!(kind(&frames[1]), Some("end"));
 
-        let bin = dir.join("a.bin");
-        let mut f = std::fs::File::create(&bin).unwrap();
-        f.write_all(BINARY_MAGIC).unwrap();
-        let payload = b"{\"k\":\"act\",\"t\":2}";
-        f.write_all(&[2u8]).unwrap();
-        f.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
-        f.write_all(payload).unwrap();
-        drop(f);
-        let frames = read_trace(&bin).unwrap();
-        assert_eq!(frames.len(), 1);
-        assert_eq!(kind(&frames[0]), Some("act"));
-        assert_eq!(frames[0].get("t").unwrap().as_f64(), Some(2.0));
-
         let _ = std::fs::remove_file(&jsonl);
-        let _ = std::fs::remove_file(&bin);
     }
 
     #[test]
@@ -108,8 +64,10 @@ mod tests {
         let dir = std::env::temp_dir().join("lsrp-trace-test-reader");
         std::fs::create_dir_all(&dir).unwrap();
         let bin = dir.join("trunc.bin");
-        let mut data = BINARY_MAGIC.to_vec();
-        data.extend_from_slice(&[2u8, 200, 0, 0, 0]); // claims 200 bytes, has none
+        // The retired binary framing: magic, then a header claiming 200
+        // payload bytes that are not there. It is not JSONL either.
+        let mut data = b"LSRPTRCB".to_vec();
+        data.extend_from_slice(&[2u8, 200, 0, 0, 0]);
         std::fs::write(&bin, &data).unwrap();
         let err = read_trace(&bin).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);

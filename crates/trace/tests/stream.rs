@@ -1,9 +1,8 @@
 //! Integration tests over the streaming sink, driving real LSRP
 //! simulations: the golden JSONL schema snapshot (exact per-kind key
 //! sets, pinned so any layout change forces a deliberate
-//! `SCHEMA_VERSION` decision), JSONL/binary frame equivalence, and the
-//! bounded-memory guarantee (the sink's footprint is O(nodes), flat in
-//! the event count).
+//! `SCHEMA_VERSION` decision) and the bounded-memory guarantee (the
+//! sink's footprint is O(nodes), flat in the event count).
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -14,7 +13,7 @@ use lsrp_sim::sink::SinkKind;
 use lsrp_sim::EngineConfig;
 use lsrp_trace::json::Json;
 use lsrp_trace::reader::{kind, read_trace};
-use lsrp_trace::{streaming_factory, TraceConfig, TraceFormat, SCHEMA_VERSION};
+use lsrp_trace::{streaming_factory, TraceConfig, SCHEMA_VERSION};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("lsrp-trace-itest");
@@ -25,9 +24,8 @@ fn tmp(name: &str) -> PathBuf {
 /// The canonical small traced run: a 4x4 grid stabilized from arbitrary
 /// state, one corruption, re-stabilized. `snapshot_every` is lowered so
 /// the run crosses several snap cadences.
-fn traced_run(path: &Path, format: TraceFormat) -> Vec<Json> {
+fn traced_run(path: &Path) -> Vec<Json> {
     let mut config = TraceConfig::new(path);
-    config.format = format;
     config.topology = Some("grid:4x4".to_string());
     config.snapshot_every = 64;
     let factory = streaming_factory(config, SinkKind::Full).unwrap();
@@ -83,7 +81,7 @@ fn golden_signatures(kind: &str) -> &'static [&'static str] {
 #[test]
 fn golden_jsonl_schema_snapshot() {
     let path = tmp("golden.jsonl");
-    let frames = traced_run(&path, TraceFormat::Jsonl);
+    let frames = traced_run(&path);
 
     // Every frame matches one of the golden per-kind signatures.
     for frame in &frames {
@@ -150,19 +148,6 @@ fn golden_jsonl_schema_snapshot() {
         "actions,drops,flows,markers,packets,queues,routes,waves"
     );
     assert!(end.get("msgs").unwrap().get("sent").and_then(Json::as_u64) > Some(0));
-}
-
-#[test]
-fn binary_format_decodes_to_the_same_frames() {
-    let jsonl = tmp("pair.jsonl");
-    let binary = tmp("pair.bin");
-    let a = traced_run(&jsonl, TraceFormat::Jsonl);
-    let b = traced_run(&binary, TraceFormat::Binary);
-    assert_eq!(a.len(), b.len(), "frame counts differ across formats");
-    assert_eq!(a, b, "decoded frames differ across formats");
-    // And the binary file really is binary-framed, not JSONL.
-    let head = std::fs::read(&binary).unwrap();
-    assert!(head.starts_with(b"LSRPTRCB"), "missing binary magic");
 }
 
 #[test]

@@ -1,13 +1,15 @@
 //! Chaos campaigns: seeded adversarial runs judged by online monitors.
 //!
-//! A *campaign* replays N independent chaos runs against one topology.
+//! A *campaign* replays N independent chaos runs against one topology,
+//! toward one destination or many, with or without a traffic workload
+//! riding the same engine — all through [`run_campaign`].
 //! Each run derives everything — the stochastic fault schedule (via
 //! [`lsrp_faults::FaultProcess`]), the engine's link-delay and loss
 //! randomness, and hence every monitor verdict — from a single `u64`
 //! seed, so:
 //!
 //! * the same seed reproduces the same violations **byte for byte** (the
-//!   campaign [`report`](ChaosCampaign::report) is deterministic text);
+//!   campaign [`report`](Campaign::report) is deterministic text);
 //! * a violating run can be handed to [`minimize_run`], which replays
 //!   candidate subsequences under the original seed and ddmin-shrinks the
 //!   schedule to a 1-minimal reproduction;
@@ -20,9 +22,12 @@
 //! reach its fault-free fixpoint (monitors must judge *recovery*, not
 //! cold-start convergence), then drive the fault schedule one engine
 //! event at a time through [`run_monitored`] with the
-//! [`standard_monitors`] set.
+//! [`standard_monitors`] set. The multi-destination plane
+//! ([`crate::multi_chaos`]) and traffic runs ([`crate::traffic`]) follow
+//! the same settle, offset, drive, judge protocol with their own loops.
 
 use std::fmt::Write as _;
+use std::ops::Range;
 
 use lsrp_core::{LsrpSimulation, LsrpSimulationExt};
 use lsrp_faults::{FaultProcess, FaultSchedule, ScheduleParseError};
@@ -30,6 +35,9 @@ use lsrp_graph::{Graph, NodeId};
 use lsrp_sim::EngineConfig;
 
 use crate::monitor::{run_monitored, standard_monitors, MonitorReport, Violation};
+use crate::multi_chaos::multi_chaos_run;
+use crate::parallel::run_sharded;
+use crate::traffic::{multi_traffic_run, traffic_run, TrafficConfig, TrafficSummary};
 
 /// Everything one chaos run needs besides its seed.
 #[derive(Debug, Clone)]
@@ -64,65 +72,113 @@ impl Default for ChaosConfig {
     }
 }
 
-/// One completed chaos run.
+/// What every run of a campaign routes toward.
 #[derive(Debug, Clone)]
-pub struct ChaosRun {
+pub enum Target {
+    /// One destination tree, judged by the [`standard_monitors`].
+    Destination(NodeId),
+    /// The dense multi-destination plane ([`lsrp_multi`]), judged on
+    /// quiescence plus every tree's route correctness.
+    Destinations(Vec<NodeId>),
+}
+
+/// What every run of a campaign drives.
+#[derive(Debug, Clone)]
+pub enum CampaignConfig {
+    /// The fault process alone.
+    Chaos(ChaosConfig),
+    /// The fault process with a traffic workload riding the same engine.
+    Traffic(TrafficConfig),
+}
+
+/// One completed campaign run.
+#[derive(Debug, Clone)]
+pub struct CampaignRun {
     /// The run's seed (schedule generation and engine randomness).
     pub seed: u64,
     /// The generated fault schedule (absolute sim times).
     pub schedule: FaultSchedule,
-    /// The monitored outcome.
+    /// The monitored outcome. Multi-destination runs carry no online
+    /// monitors, so their `violations` stay empty.
     pub report: MonitorReport,
+    /// Multi-destination runs: whether every destination's route table
+    /// was correct at the end (`None` on one destination).
+    pub routes_correct: Option<bool>,
+    /// Traffic runs: the data-plane verdict (`None` on chaos alone).
+    /// Boxed so a chaos run stays small on its way through the sharded
+    /// runner's channel: inline, it costs `campaign_sweep` 2 MiB of peak
+    /// RSS.
+    pub traffic: Option<Box<TrafficSummary>>,
 }
 
-impl ChaosRun {
-    /// Whether any monitor fired.
+impl CampaignRun {
+    /// Whether the run failed: a monitor fired on one destination, or the
+    /// multi-destination plane did not settle to correct routes.
     pub fn violating(&self) -> bool {
-        !self.report.violations.is_empty()
+        match self.routes_correct {
+            Some(correct) => !(self.report.quiescent && correct),
+            None => !self.report.violations.is_empty(),
+        }
     }
 }
 
 /// A finished campaign over one topology.
 #[derive(Debug, Clone)]
-pub struct ChaosCampaign {
+pub struct Campaign {
     /// Topology spec string (opaque here; the CLI resolves it).
     pub topology: String,
-    /// Destination used by every run.
-    pub destination: NodeId,
+    /// What every run routes toward.
+    pub target: Target,
+    /// What every run drives.
+    pub config: CampaignConfig,
     /// All runs, in seed order.
-    pub runs: Vec<ChaosRun>,
+    pub runs: Vec<CampaignRun>,
 }
 
-impl ChaosCampaign {
+impl Campaign {
     /// The violating runs.
-    pub fn violating(&self) -> impl Iterator<Item = &ChaosRun> {
+    pub fn violating(&self) -> impl Iterator<Item = &CampaignRun> {
         self.runs.iter().filter(|r| r.violating())
     }
 
     /// Renders the campaign as deterministic text: same topology, seeds
-    /// and config produce the identical string, byte for byte.
+    /// and config produce the identical string, byte for byte, for every
+    /// worker count.
     pub fn report(&self) -> String {
         let mut out = String::new();
-        let bad = self.violating().count();
+        let kind = match self.config {
+            CampaignConfig::Chaos(_) => "chaos",
+            CampaignConfig::Traffic(_) => "traffic",
+        };
+        let (plane, target) = match &self.target {
+            Target::Destination(d) => ("", format!("destination {d}")),
+            Target::Destinations(ds) => ("multi ", format!("destinations {}", ds.len())),
+        };
         let _ = writeln!(
             out,
-            "chaos campaign: topology {} destination {} runs {} violating {}",
+            "{plane}{kind} campaign: topology {} {target} runs {} violating {}",
             self.topology,
-            self.destination,
             self.runs.len(),
-            bad
+            self.violating().count()
         );
         for run in &self.runs {
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "run seed={} faults={} events={} end={} quiescent={} violations={}",
+                "run seed={} faults={} events={} end={} quiescent={} ",
                 run.seed,
                 run.schedule.len(),
                 run.report.events,
                 run.report.end,
                 run.report.quiescent,
-                run.report.violations.len()
             );
+            let _ = match run.routes_correct {
+                Some(correct) => write!(out, "routes_correct={correct}"),
+                None => write!(out, "violations={}", run.report.violations.len()),
+            };
+            if let Some(traffic) = &run.traffic {
+                let _ = write!(out, " {}", traffic.report_fragment());
+            }
+            out.push('\n');
             for v in &run.report.violations {
                 let _ = writeln!(out, "  {v}");
             }
@@ -168,7 +224,12 @@ pub fn replay(
 
 /// Runs one seeded chaos run: generates the schedule from the fault
 /// process (offset past initial convergence) and replays it.
-pub fn chaos_run(graph: &Graph, destination: NodeId, config: &ChaosConfig, seed: u64) -> ChaosRun {
+pub(crate) fn chaos_run(
+    graph: &Graph,
+    destination: NodeId,
+    config: &ChaosConfig,
+    seed: u64,
+) -> CampaignRun {
     // Settle once and keep the simulation: the schedule starts after the
     // fault-free fixpoint, and driving the *same* engine keeps one-shot
     // streaming sinks (see `EngineConfig::sink_factory`) attached to the
@@ -182,42 +243,77 @@ pub fn chaos_run(graph: &Graph, destination: NodeId, config: &ChaosConfig, seed:
     let timing = *sim.timing();
     let mut monitors = standard_monitors(&timing, graph.node_count());
     let report = run_monitored(&mut sim, &schedule, config.horizon, &mut monitors);
-    ChaosRun {
+    CampaignRun {
         seed,
         schedule,
         report,
+        routes_correct: None,
+        traffic: None,
     }
 }
 
-/// Runs a campaign of `runs` chaos runs with seeds `base_seed..`.
-pub fn chaos_campaign(
+/// Runs one campaign run per seed in `seeds` toward `target`, sharded
+/// over `jobs` worker threads. Runs are keyed by seed and merged in seed
+/// order, so the campaign and its [`Campaign::report`] are byte-identical
+/// for every `jobs` value.
+///
+/// A one-shot streaming sink on the engine config
+/// (`EngineConfig::sink_factory`) traces run 0 alone, whatever `jobs` is.
+///
+/// ```
+/// # mod lsrp { pub mod analysis { pub use lsrp_analysis::*; } pub mod graph { pub use lsrp_graph::*; } }
+/// use lsrp::analysis::chaos::{minimize_run, run_campaign, CampaignConfig, ChaosConfig, Target};
+/// use lsrp::graph::{generators, NodeId};
+///
+/// let g = generators::grid(6, 6, 1);
+/// let cfg = ChaosConfig::default();
+/// let dest = NodeId::new(0);
+/// let (target, config) = (Target::Destination(dest), CampaignConfig::Chaos(cfg.clone()));
+/// let campaign = run_campaign(&g, "grid:6x6", target, config, 1..11, 1);
+/// print!("{}", campaign.report());
+/// for run in campaign.violating() {
+///     let (minimal, violation) = minimize_run(&g, dest, &cfg, run);
+///     println!("{violation}\n{}", minimal.to_text()); // check in as a regression test
+/// }
+/// ```
+///
+/// # Panics
+///
+/// Panics if `target` names no destination or a node outside `graph`.
+pub fn run_campaign(
     graph: &Graph,
-    destination: NodeId,
     topology: &str,
-    config: &ChaosConfig,
-    base_seed: u64,
-    runs: u32,
-) -> ChaosCampaign {
-    // A one-shot streaming sink traces the campaign's *first* run only;
-    // every other run gets a config with the factory stripped so the
-    // fallback kind is chosen deterministically, not by build order.
-    let stripped = config.engine.sink_factory.is_some().then(|| {
-        let mut c = config.clone();
-        c.engine = c.engine.clone().without_sink_factory();
-        c
+    target: Target,
+    config: CampaignConfig,
+    seeds: Range<u64>,
+    jobs: usize,
+) -> Campaign {
+    // Every run but the first gets a factory-stripped config, so which
+    // run is traced never depends on which worker builds first.
+    let mut rest = config.clone();
+    let (CampaignConfig::Chaos(chaos) | CampaignConfig::Traffic(TrafficConfig { chaos, .. })) =
+        &mut rest;
+    chaos.engine.sink_factory = None;
+    let (g, t, first) = (graph.clone(), target.clone(), config.clone());
+    let seeds: Vec<u64> = seeds.collect();
+    let runs = run_sharded(jobs, seeds.len(), move |i| {
+        let (cfg, seed) = (if i == 0 { &first } else { &rest }, seeds[i]);
+        match (&t, cfg) {
+            (Target::Destination(d), CampaignConfig::Chaos(c)) => chaos_run(&g, *d, c, seed),
+            (Target::Destinations(ds), CampaignConfig::Chaos(c)) => {
+                multi_chaos_run(&g, ds, c, seed)
+            }
+            (Target::Destination(d), CampaignConfig::Traffic(c)) => traffic_run(&g, *d, c, seed),
+            (Target::Destinations(ds), CampaignConfig::Traffic(c)) => {
+                multi_traffic_run(&g, ds, c, seed)
+            }
+        }
     });
-    ChaosCampaign {
+    Campaign {
         topology: topology.to_string(),
-        destination,
-        runs: (0..u64::from(runs))
-            .map(|i| {
-                let cfg = match (&stripped, i) {
-                    (Some(s), i) if i > 0 => s,
-                    _ => config,
-                };
-                chaos_run(graph, destination, cfg, base_seed + i)
-            })
-            .collect(),
+        target,
+        config,
+        runs,
     }
 }
 
@@ -234,7 +330,7 @@ pub fn minimize_run(
     graph: &Graph,
     destination: NodeId,
     config: &ChaosConfig,
-    run: &ChaosRun,
+    run: &CampaignRun,
 ) -> (FaultSchedule, Violation) {
     let kind = run
         .report
@@ -385,14 +481,22 @@ mod tests {
         }
     }
 
+    /// A serial single-destination chaos campaign on `grid:3x3`.
+    fn grid_campaign(seeds: Range<u64>) -> Campaign {
+        let g = generators::grid(3, 3, 1);
+        let (target, config) = (
+            Target::Destination(v(0)),
+            CampaignConfig::Chaos(small_config()),
+        );
+        run_campaign(&g, "grid:3x3", target, config, seeds, 1)
+    }
+
     #[test]
     fn same_seed_gives_a_byte_identical_report() {
-        let g = generators::grid(3, 3, 1);
-        let cfg = small_config();
-        let a = chaos_campaign(&g, v(0), "grid:3x3", &cfg, 7, 3);
-        let b = chaos_campaign(&g, v(0), "grid:3x3", &cfg, 7, 3);
+        let a = grid_campaign(7..10);
+        let b = grid_campaign(7..10);
         assert_eq!(a.report(), b.report());
-        let c = chaos_campaign(&g, v(0), "grid:3x3", &cfg, 8, 3);
+        let c = grid_campaign(8..11);
         assert_ne!(a.report(), c.report(), "different seeds, different runs");
     }
 
@@ -400,8 +504,7 @@ mod tests {
     fn standard_chaos_on_a_grid_is_clean() {
         // LSRP under its own guarantees: the standard fault process on a
         // healthy grid must not trip any monitor.
-        let g = generators::grid(3, 3, 1);
-        let campaign = chaos_campaign(&g, v(0), "grid:3x3", &small_config(), 1, 3);
+        let campaign = grid_campaign(1..4);
         for run in &campaign.runs {
             assert!(run.report.quiescent, "seed {} did not settle", run.seed);
             assert!(

@@ -32,8 +32,8 @@ pub mod traffic;
 pub mod waves;
 
 pub use crate::chaos::{
-    chaos_campaign, chaos_run, minimize_run, replay, replay_repro, ChaosCampaign, ChaosConfig,
-    ChaosRun, ReproCase,
+    minimize_run, replay, replay_repro, run_campaign, Campaign, CampaignConfig, CampaignRun,
+    ChaosConfig, ReproCase, Target,
 };
 pub use crate::forwarding::{measure_availability, AvailabilityTrace, PacketFate};
 pub use crate::loops::{measure_loop_breakage, LoopBreakage, LoopScreen};
@@ -42,16 +42,11 @@ pub use crate::monitor::{
     run_monitored, standard_monitors, ContaminationMonitor, ConvergenceMonitor, LoopMonitor,
     Monitor, MonitorReport, Violation, ViolationKind, WaveOrderMonitor,
 };
-pub use crate::multi_chaos::{
-    multi_chaos_campaign_with_jobs, multi_chaos_run, MultiChaosCampaign, MultiChaosRun,
-};
-pub use crate::parallel::{chaos_campaign_with_jobs, run_sharded};
+pub use crate::parallel::run_sharded;
 pub use crate::sim_trait::RoutingSimulation;
 pub use crate::table::Table;
 pub use crate::traffic::{
-    multi_traffic_campaign_with_jobs, multi_traffic_run, run_traffic_monitored,
-    traffic_campaign_with_jobs, traffic_run, AvailabilityMonitor, MultiTrafficCampaign,
-    MultiTrafficRun, TrafficCampaign, TrafficConfig, TrafficMode, TrafficRun, TrafficSummary,
+    run_traffic_monitored, AvailabilityMonitor, TrafficConfig, TrafficMode, TrafficSummary,
     WorkloadDriver, WorkloadKind, WorkloadSpec,
 };
 pub use crate::waves::{track_containment, wave_stats, ContainmentEpisode, WaveStats};

@@ -1,101 +1,32 @@
-//! Chaos campaigns against the dense multi-destination plane.
+//! Chaos runs against the dense multi-destination plane.
 //!
-//! The single-destination campaigns in [`crate::chaos`] judge one routing
-//! computation with the full online-monitor set. This module drives the
+//! Single-destination runs judge one routing computation with the full
+//! online-monitor set. A [`Target::Destinations`] campaign drives the
 //! same seeded fault schedules against a [`MultiLsrpSimulation`] — every
 //! node running one LSRP instance per destination over the batched wire —
 //! and judges the outcomes every tree must satisfy: the network goes
 //! quiescent, and *every* destination's route table is correct afterward.
 //!
 //! Determinism contract: a run is a pure function of `(graph,
-//! destinations, config, seed)`, so [`MultiChaosCampaign::report`] is
-//! byte-identical across repetitions and across worker counts
-//! ([`multi_chaos_campaign_with_jobs`] merges in seed order).
+//! destinations, config, seed)`, so the campaign report is byte-identical
+//! across repetitions and across worker counts ([`run_campaign`] merges
+//! in seed order).
 //!
 //! Fault mapping: topology faults apply verbatim (they perturb every
 //! tree at once). State corruptions target the named node's instance
 //! toward a destination chosen round-robin by fault index — except
 //! distance corruptions with an explicit value, which keep it — so a
 //! schedule exercises different trees deterministically.
+//!
+//! [`Target::Destinations`]: crate::chaos::Target::Destinations
+//! [`run_campaign`]: crate::chaos::run_campaign
 
-use std::fmt::Write as _;
-
-use lsrp_faults::{CorruptionKind, Fault, FaultSchedule};
+use lsrp_faults::{CorruptionKind, Fault};
 use lsrp_graph::{Distance, Graph, NodeId};
 use lsrp_multi::{MultiLsrpSimulation, MultiLsrpSimulationExt};
 
-use crate::chaos::ChaosConfig;
-use crate::parallel::run_sharded;
-
-/// One completed multi-destination chaos run.
-#[derive(Debug, Clone)]
-pub struct MultiChaosRun {
-    /// The run's seed (schedule generation and engine randomness).
-    pub seed: u64,
-    /// The generated fault schedule (absolute sim times).
-    pub schedule: FaultSchedule,
-    /// Whether the network reached quiescence before the horizon.
-    pub quiescent: bool,
-    /// Whether every destination's route table was correct at the end.
-    pub routes_correct: bool,
-    /// Engine events processed after the fault-free fixpoint.
-    pub events: u64,
-    /// Simulated end time.
-    pub end: f64,
-}
-
-impl MultiChaosRun {
-    /// Whether the run failed either verdict.
-    pub fn violating(&self) -> bool {
-        !(self.quiescent && self.routes_correct)
-    }
-}
-
-/// A finished multi-destination campaign over one topology.
-#[derive(Debug, Clone)]
-pub struct MultiChaosCampaign {
-    /// Topology spec string (opaque here; the CLI resolves it).
-    pub topology: String,
-    /// The destinations every run routes toward.
-    pub destinations: Vec<NodeId>,
-    /// All runs, in seed order.
-    pub runs: Vec<MultiChaosRun>,
-}
-
-impl MultiChaosCampaign {
-    /// The violating runs.
-    pub fn violating(&self) -> impl Iterator<Item = &MultiChaosRun> {
-        self.runs.iter().filter(|r| r.violating())
-    }
-
-    /// Renders the campaign as deterministic text: same topology, seeds
-    /// and config produce the identical string, byte for byte.
-    pub fn report(&self) -> String {
-        let mut out = String::new();
-        let bad = self.violating().count();
-        let _ = writeln!(
-            out,
-            "multi chaos campaign: topology {} destinations {} runs {} violating {}",
-            self.topology,
-            self.destinations.len(),
-            self.runs.len(),
-            bad
-        );
-        for run in &self.runs {
-            let _ = writeln!(
-                out,
-                "run seed={} faults={} events={} end={:.6}s quiescent={} routes_correct={}",
-                run.seed,
-                run.schedule.len(),
-                run.events,
-                run.end,
-                run.quiescent,
-                run.routes_correct
-            );
-        }
-        out
-    }
-}
+use crate::chaos::{CampaignRun, ChaosConfig};
+use crate::monitor::MonitorReport;
 
 /// Applies one fault to the multi-destination plane. `ordinal` is the
 /// fault's index within its schedule; it picks which tree a state
@@ -151,12 +82,12 @@ pub(crate) fn apply_multi(fault: &Fault, sim: &mut MultiLsrpSimulation, ordinal:
 /// # Panics
 ///
 /// Panics if `destinations` is empty or names nodes outside `graph`.
-pub fn multi_chaos_run(
+pub(crate) fn multi_chaos_run(
     graph: &Graph,
     destinations: &[NodeId],
     config: &ChaosConfig,
     seed: u64,
-) -> MultiChaosRun {
+) -> CampaignRun {
     let primary = *destinations.iter().min().expect("need destinations");
     let mut sim = MultiLsrpSimulation::builder(graph.clone(), destinations.to_vec())
         .engine_config(config.engine.clone().with_seed(seed))
@@ -176,45 +107,24 @@ pub fn multi_chaos_run(
     }
     let tail = sim.run_to_quiescence(config.horizon);
     events += tail.events;
-    MultiChaosRun {
+    CampaignRun {
         seed,
         schedule,
-        quiescent: tail.quiescent,
-        routes_correct: sim.all_routes_correct(),
-        events,
-        end: sim.now().seconds(),
-    }
-}
-
-/// Runs a campaign of `runs` multi-destination chaos runs with seeds
-/// `base_seed..`, sharded over `jobs` worker threads. Runs are keyed by
-/// seed and merged in seed order, so the campaign report is
-/// byte-identical for every `jobs` value.
-pub fn multi_chaos_campaign_with_jobs(
-    graph: &Graph,
-    destinations: &[NodeId],
-    topology: &str,
-    config: &ChaosConfig,
-    base_seed: u64,
-    runs: u32,
-    jobs: usize,
-) -> MultiChaosCampaign {
-    let g = graph.clone();
-    let dests = destinations.to_vec();
-    let cfg = config.clone();
-    let run_results = run_sharded(jobs, runs as usize, move |i| {
-        multi_chaos_run(&g, &dests, &cfg, base_seed + i as u64)
-    });
-    MultiChaosCampaign {
-        topology: topology.to_string(),
-        destinations: destinations.to_vec(),
-        runs: run_results,
+        report: MonitorReport {
+            violations: Vec::new(),
+            end: sim.now(),
+            quiescent: tail.quiescent,
+            events,
+        },
+        routes_correct: Some(sim.all_routes_correct()),
+        traffic: None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{run_campaign, Campaign, CampaignConfig, Target};
     use lsrp_faults::FaultProcess;
     use lsrp_graph::generators;
 
@@ -234,40 +144,39 @@ mod tests {
         }
     }
 
+    /// A multi-destination chaos campaign on `grid:3x3` toward every
+    /// `step`-th node.
+    fn grid_campaign(step: usize, seeds: std::ops::Range<u64>, jobs: usize) -> Campaign {
+        let g = generators::grid(3, 3, 1);
+        let target = Target::Destinations(g.nodes().step_by(step).collect());
+        let config = CampaignConfig::Chaos(small_config());
+        run_campaign(&g, "grid:3x3", target, config, seeds, jobs)
+    }
+
     #[test]
     fn standard_chaos_leaves_every_tree_correct() {
-        let g = generators::grid(3, 3, 1);
-        let dests: Vec<NodeId> = g.nodes().collect();
-        let campaign =
-            multi_chaos_campaign_with_jobs(&g, &dests, "grid:3x3", &small_config(), 1, 3, 1);
+        let campaign = grid_campaign(1, 1..4, 1);
         for run in &campaign.runs {
-            assert!(run.quiescent, "seed {} did not settle", run.seed);
-            assert!(run.routes_correct, "seed {} left a bad tree", run.seed);
-            assert!(run.events > 0, "seed {} processed no events", run.seed);
+            assert!(run.report.quiescent, "seed {} did not settle", run.seed);
+            assert_eq!(run.routes_correct, Some(true), "seed {}", run.seed);
+            assert!(run.report.events > 0, "seed {}: no events", run.seed);
         }
     }
 
     #[test]
     fn same_seed_gives_a_byte_identical_report() {
-        let g = generators::grid(3, 3, 1);
-        let dests: Vec<NodeId> = g.nodes().step_by(2).collect();
-        let cfg = small_config();
-        let a = multi_chaos_campaign_with_jobs(&g, &dests, "grid:3x3", &cfg, 7, 3, 1);
-        let b = multi_chaos_campaign_with_jobs(&g, &dests, "grid:3x3", &cfg, 7, 3, 1);
+        let a = grid_campaign(2, 7..10, 1);
+        let b = grid_campaign(2, 7..10, 1);
         assert_eq!(a.report(), b.report());
-        let c = multi_chaos_campaign_with_jobs(&g, &dests, "grid:3x3", &cfg, 8, 3, 1);
+        let c = grid_campaign(2, 8..11, 1);
         assert_ne!(a.report(), c.report(), "different seeds, different runs");
     }
 
     #[test]
     fn parallel_campaign_report_is_byte_identical_to_serial() {
-        let g = generators::grid(3, 3, 1);
-        let dests: Vec<NodeId> = g.nodes().collect();
-        let cfg = small_config();
-        let serial = multi_chaos_campaign_with_jobs(&g, &dests, "grid:3x3", &cfg, 11, 4, 1);
+        let serial = grid_campaign(1, 11..15, 1);
         for jobs in [2, 4, 7] {
-            let parallel =
-                multi_chaos_campaign_with_jobs(&g, &dests, "grid:3x3", &cfg, 11, 4, jobs);
+            let parallel = grid_campaign(1, 11..15, jobs);
             assert_eq!(serial.report(), parallel.report(), "jobs={jobs}");
         }
     }

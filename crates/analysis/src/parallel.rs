@@ -10,10 +10,7 @@
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 
-use lsrp_graph::{Graph, NodeId};
 use threadpool::ThreadPool;
-
-use crate::chaos::{chaos_campaign, chaos_run, ChaosCampaign, ChaosConfig};
 
 /// Runs `task(0..count)` on `jobs` worker threads and returns the results
 /// in index order.
@@ -57,51 +54,11 @@ pub fn run_sharded<T: Send + 'static>(
         .collect()
 }
 
-/// [`chaos_campaign`] sharded over `jobs` worker threads.
-///
-/// Runs are keyed by seed (`base_seed..base_seed + runs`) and merged in
-/// seed order, so the campaign — and its [`ChaosCampaign::report`] — is
-/// byte-identical to the serial campaign for every `jobs` value.
-pub fn chaos_campaign_with_jobs(
-    graph: &Graph,
-    destination: NodeId,
-    topology: &str,
-    config: &ChaosConfig,
-    base_seed: u64,
-    runs: u32,
-    jobs: usize,
-) -> ChaosCampaign {
-    if jobs <= 1 {
-        return chaos_campaign(graph, destination, topology, config, base_seed, runs);
-    }
-    let graph = graph.clone();
-    let config = config.clone();
-    // Under parallel sharding a one-shot streaming sink must still land
-    // on run 0 — not on whichever worker builds first — so every other
-    // run gets a factory-stripped config.
-    let stripped = config.engine.sink_factory.is_some().then(|| {
-        let mut c = config.clone();
-        c.engine = c.engine.clone().without_sink_factory();
-        c
-    });
-    let run_results = run_sharded(jobs, runs as usize, move |i| {
-        let cfg = match (&stripped, i) {
-            (Some(s), i) if i > 0 => s,
-            _ => &config,
-        };
-        chaos_run(&graph, destination, cfg, base_seed + i as u64)
-    });
-    ChaosCampaign {
-        topology: topology.to_string(),
-        destination,
-        runs: run_results,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsrp_graph::generators;
+    use crate::chaos::{run_campaign, CampaignConfig, ChaosConfig, Target};
+    use lsrp_graph::{generators, NodeId};
 
     #[test]
     fn sharded_results_arrive_in_index_order() {
@@ -120,7 +77,7 @@ mod tests {
     #[test]
     fn parallel_campaign_report_is_byte_identical_to_serial() {
         let g = generators::grid(3, 3, 1);
-        let config = ChaosConfig {
+        let config = CampaignConfig::Chaos(ChaosConfig {
             process: lsrp_faults::FaultProcess {
                 link_flaps: 1,
                 node_churn: 1,
@@ -132,12 +89,14 @@ mod tests {
             },
             fault_window: 300.0,
             ..ChaosConfig::default()
+        });
+        let campaign = |jobs| {
+            let target = Target::Destination(NodeId::new(0));
+            run_campaign(&g, "grid:3x3", target, config.clone(), 11..15, jobs).report()
         };
-        let dest = NodeId::new(0);
-        let serial = chaos_campaign(&g, dest, "grid:3x3", &config, 11, 4);
+        let serial = campaign(1);
         for jobs in [2, 4, 7] {
-            let parallel = chaos_campaign_with_jobs(&g, dest, "grid:3x3", &config, 11, 4, jobs);
-            assert_eq!(serial.report(), parallel.report(), "jobs={jobs}");
+            assert_eq!(serial, campaign(jobs), "jobs={jobs}");
         }
     }
 }

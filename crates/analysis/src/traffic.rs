@@ -19,13 +19,14 @@
 //!   ledger and the RouteView delta log, maintaining windowed delivery
 //!   fractions, path stretch vs `shortest_path`, and the live fraction of
 //!   nodes holding a finite route — all in O(changes).
-//! * [`traffic_run`] / [`multi_traffic_run`] and their campaigns: the
-//!   chaos-run protocol (settle, offset schedule, drive, judge) with a
-//!   workload riding the same engine. Reports are byte-identical across
-//!   worker counts, like every other campaign in this crate.
+//! * [`TrafficConfig`] campaigns through
+//!   [`run_campaign`](crate::chaos::run_campaign): the chaos-run protocol
+//!   (settle, offset schedule, drive, judge) with a workload riding the
+//!   same engine, toward one destination or many. Reports are
+//!   byte-identical across worker counts, like every other campaign in
+//!   this crate.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,11 +41,10 @@ use lsrp_sim::{
     ProtocolNode, RouteCursor, SimHarness, SimTime, TrafficCounts,
 };
 
-use crate::chaos::ChaosConfig;
+use crate::chaos::{CampaignRun, ChaosConfig};
 use crate::monitor::{
     drive_monitored, standard_monitors, Monitor, MonitorReport, Violation, ViolationKind,
 };
-use crate::parallel::run_sharded;
 
 // ---------------------------------------------------------------------
 // Workloads.
@@ -628,7 +628,7 @@ impl TrafficSummary {
     /// One deterministic report fragment (appended to campaign run lines).
     /// Extended append-only: the PR-5 prefix is stable, congestion-lane
     /// fields follow it.
-    fn report_fragment(&self) -> String {
+    pub(crate) fn report_fragment(&self) -> String {
         let c = &self.counts;
         let g = &self.congestion;
         format!(
@@ -712,26 +712,6 @@ fn availability_violation(summary: &TrafficSummary, floor: f64, end: SimTime) ->
     })
 }
 
-/// One completed traffic run (single-destination plane).
-#[derive(Debug, Clone)]
-pub struct TrafficRun {
-    /// The run's seed.
-    pub seed: u64,
-    /// The generated fault schedule (absolute sim times).
-    pub schedule: FaultSchedule,
-    /// The monitored control-plane outcome.
-    pub report: MonitorReport,
-    /// The data-plane verdict.
-    pub traffic: TrafficSummary,
-}
-
-impl TrafficRun {
-    /// Whether any monitor (control- or data-plane) fired.
-    pub fn violating(&self) -> bool {
-        !self.report.violations.is_empty()
-    }
-}
-
 /// [`run_monitored`](crate::monitor::run_monitored) with `workload`
 /// riding the same engine: the workload is scheduled ahead of each
 /// segment of the fault schedule and `avail` observes the packet ledger
@@ -755,12 +735,12 @@ pub fn run_traffic_monitored(
 /// Runs one seeded traffic run: settle to the fault-free fixpoint,
 /// generate the fault schedule past convergence, inject the workload from
 /// the fixpoint on, and judge both planes.
-pub fn traffic_run(
+pub(crate) fn traffic_run(
     graph: &Graph,
     destination: NodeId,
     config: &TrafficConfig,
     seed: u64,
-) -> TrafficRun {
+) -> CampaignRun {
     let mut sim = crate::chaos::settled_sim(graph, destination, &config.chaos, seed);
     let t0 = sim.now().seconds();
     let schedule = config
@@ -793,129 +773,18 @@ pub fn traffic_run(
     if let Some(v) = availability_violation(&traffic, config.availability_floor, report.end) {
         report.violations.push(v);
     }
-    TrafficRun {
+    CampaignRun {
         seed,
         schedule,
         report,
-        traffic,
-    }
-}
-
-/// A finished traffic campaign over one topology.
-#[derive(Debug, Clone)]
-pub struct TrafficCampaign {
-    /// Topology spec string (opaque here; the CLI resolves it).
-    pub topology: String,
-    /// Destination used by every run.
-    pub destination: NodeId,
-    /// All runs, in seed order.
-    pub runs: Vec<TrafficRun>,
-}
-
-impl TrafficCampaign {
-    /// The violating runs.
-    pub fn violating(&self) -> impl Iterator<Item = &TrafficRun> {
-        self.runs.iter().filter(|r| r.violating())
-    }
-
-    /// Renders the campaign as deterministic text (byte-identical across
-    /// repetitions and worker counts).
-    pub fn report(&self) -> String {
-        let mut out = String::new();
-        let bad = self.violating().count();
-        let _ = writeln!(
-            out,
-            "traffic campaign: topology {} destination {} runs {} violating {}",
-            self.topology,
-            self.destination,
-            self.runs.len(),
-            bad
-        );
-        for run in &self.runs {
-            let _ = writeln!(
-                out,
-                "run seed={} faults={} events={} end={} quiescent={} violations={} {}",
-                run.seed,
-                run.schedule.len(),
-                run.report.events,
-                run.report.end,
-                run.report.quiescent,
-                run.report.violations.len(),
-                run.traffic.report_fragment(),
-            );
-            for v in &run.report.violations {
-                let _ = writeln!(out, "  {v}");
-            }
-        }
-        out
-    }
-}
-
-/// Runs a traffic campaign of `runs` seeded runs (seeds `base_seed..`)
-/// sharded over `jobs` worker threads; runs are keyed by seed and merged
-/// in seed order, so the report is byte-identical for every `jobs` value.
-pub fn traffic_campaign_with_jobs(
-    graph: &Graph,
-    destination: NodeId,
-    topology: &str,
-    config: &TrafficConfig,
-    base_seed: u64,
-    runs: u32,
-    jobs: usize,
-) -> TrafficCampaign {
-    let g = graph.clone();
-    let cfg = config.clone();
-    // A one-shot streaming sink traces run 0 only; every other run gets
-    // a factory-stripped config so sink assignment is deterministic no
-    // matter which worker builds first.
-    let stripped = cfg.chaos.engine.sink_factory.is_some().then(|| {
-        let mut c = cfg.clone();
-        c.chaos.engine = c.chaos.engine.clone().without_sink_factory();
-        c
-    });
-    let run_results = run_sharded(jobs, runs as usize, move |i| {
-        let run_cfg = match (&stripped, i) {
-            (Some(s), i) if i > 0 => s,
-            _ => &cfg,
-        };
-        traffic_run(&g, destination, run_cfg, base_seed + i as u64)
-    });
-    TrafficCampaign {
-        topology: topology.to_string(),
-        destination,
-        runs: run_results,
+        routes_correct: None,
+        traffic: Some(Box::new(traffic)),
     }
 }
 
 // ---------------------------------------------------------------------
 // Multi-destination traffic.
 // ---------------------------------------------------------------------
-
-/// One completed multi-destination traffic run.
-#[derive(Debug, Clone)]
-pub struct MultiTrafficRun {
-    /// The run's seed.
-    pub seed: u64,
-    /// The generated fault schedule (absolute sim times).
-    pub schedule: FaultSchedule,
-    /// Whether both planes drained before the horizon.
-    pub quiescent: bool,
-    /// Whether every destination's route table was correct at the end.
-    pub routes_correct: bool,
-    /// Engine events processed after the fault-free fixpoint.
-    pub events: u64,
-    /// Simulated end time.
-    pub end: f64,
-    /// The data-plane verdict.
-    pub traffic: TrafficSummary,
-}
-
-impl MultiTrafficRun {
-    /// Whether the run failed either control-plane verdict.
-    pub fn violating(&self) -> bool {
-        !(self.quiescent && self.routes_correct)
-    }
-}
 
 /// Runs one seeded traffic run against the dense multi-destination plane:
 /// packets target every configured destination round-robin and follow
@@ -925,12 +794,12 @@ impl MultiTrafficRun {
 /// # Panics
 ///
 /// Panics if `destinations` is empty or names nodes outside `graph`.
-pub fn multi_traffic_run(
+pub(crate) fn multi_traffic_run(
     graph: &Graph,
     destinations: &[NodeId],
     config: &TrafficConfig,
     seed: u64,
-) -> MultiTrafficRun {
+) -> CampaignRun {
     let primary = *destinations.iter().min().expect("need destinations");
     let mut sim = MultiLsrpSimulation::builder(graph.clone(), destinations.to_vec())
         .engine_config(config.chaos.engine.clone().with_seed(seed))
@@ -986,84 +855,17 @@ pub fn multi_traffic_run(
     avail.observe(&mut sim);
     let quiescent = sim.engine().drained();
     let traffic = avail.finish(sim.stats().traffic, sim.stats().congestion);
-    MultiTrafficRun {
+    CampaignRun {
         seed,
         schedule,
-        quiescent,
-        routes_correct: sim.all_routes_correct(),
-        events,
-        end: sim.now().seconds(),
-        traffic,
-    }
-}
-
-/// A finished multi-destination traffic campaign.
-#[derive(Debug, Clone)]
-pub struct MultiTrafficCampaign {
-    /// Topology spec string.
-    pub topology: String,
-    /// The destinations every run routes toward.
-    pub destinations: Vec<NodeId>,
-    /// All runs, in seed order.
-    pub runs: Vec<MultiTrafficRun>,
-}
-
-impl MultiTrafficCampaign {
-    /// The violating runs.
-    pub fn violating(&self) -> impl Iterator<Item = &MultiTrafficRun> {
-        self.runs.iter().filter(|r| r.violating())
-    }
-
-    /// Renders the campaign as deterministic text.
-    pub fn report(&self) -> String {
-        let mut out = String::new();
-        let bad = self.violating().count();
-        let _ = writeln!(
-            out,
-            "multi traffic campaign: topology {} destinations {} runs {} violating {}",
-            self.topology,
-            self.destinations.len(),
-            self.runs.len(),
-            bad
-        );
-        for run in &self.runs {
-            let _ = writeln!(
-                out,
-                "run seed={} faults={} events={} end={:.6}s quiescent={} routes_correct={} {}",
-                run.seed,
-                run.schedule.len(),
-                run.events,
-                run.end,
-                run.quiescent,
-                run.routes_correct,
-                run.traffic.report_fragment(),
-            );
-        }
-        out
-    }
-}
-
-/// Runs a multi-destination traffic campaign sharded over `jobs` workers
-/// (byte-identical reports for every `jobs` value).
-pub fn multi_traffic_campaign_with_jobs(
-    graph: &Graph,
-    destinations: &[NodeId],
-    topology: &str,
-    config: &TrafficConfig,
-    base_seed: u64,
-    runs: u32,
-    jobs: usize,
-) -> MultiTrafficCampaign {
-    let g = graph.clone();
-    let dests = destinations.to_vec();
-    let cfg = config.clone();
-    let run_results = run_sharded(jobs, runs as usize, move |i| {
-        multi_traffic_run(&g, &dests, &cfg, base_seed + i as u64)
-    });
-    MultiTrafficCampaign {
-        topology: topology.to_string(),
-        destinations: destinations.to_vec(),
-        runs: run_results,
+        report: MonitorReport {
+            violations: Vec::new(),
+            end: sim.now(),
+            quiescent,
+            events,
+        },
+        routes_correct: Some(sim.all_routes_correct()),
+        traffic: Some(Box::new(traffic)),
     }
 }
 
@@ -1234,7 +1036,7 @@ mod tests {
         };
         let run = traffic_run(&g, v(0), &config, 7);
         assert!(run.report.quiescent, "flows drained before the horizon");
-        let s = &run.traffic;
+        let s = run.traffic.as_ref().expect("a traffic run");
         assert!(s.flows_completed > 0);
         assert_eq!(s.flows_aborted, 0);
         assert!((s.goodput_fraction() - 1.0).abs() < 1e-12);

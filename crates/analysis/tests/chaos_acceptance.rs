@@ -5,7 +5,8 @@
 //! violation.
 
 use lsrp_analysis::chaos::{
-    chaos_campaign, chaos_run, minimize_run, replay_repro, ChaosConfig, ReproCase,
+    minimize_run, replay_repro, run_campaign, Campaign, CampaignConfig, ChaosConfig, ReproCase,
+    Target,
 };
 use lsrp_analysis::monitor::{
     run_monitored, standard_monitors, Monitor, ViolationKind, WaveOrderMonitor,
@@ -129,12 +130,20 @@ fn broken_config() -> ChaosConfig {
     }
 }
 
+/// Four broken-hierarchy runs on `grid:5x5`, seeds 11..15.
+fn broken_campaign() -> Campaign {
+    let g = generators::grid(5, 5, 1);
+    let (target, config) = (
+        Target::Destination(v(0)),
+        CampaignConfig::Chaos(broken_config()),
+    );
+    run_campaign(&g, "grid:5x5", target, config, 11..15, 1)
+}
+
 #[test]
 fn violating_campaigns_are_byte_identical_per_seed() {
-    let g = generators::grid(5, 5, 1);
-    let cfg = broken_config();
-    let a = chaos_campaign(&g, v(0), "grid:5x5", &cfg, 11, 4);
-    let b = chaos_campaign(&g, v(0), "grid:5x5", &cfg, 11, 4);
+    let a = broken_campaign();
+    let b = broken_campaign();
     assert!(
         a.violating().count() > 0,
         "the broken hierarchy should violate somewhere in 4 runs:\n{}",
@@ -147,7 +156,7 @@ fn violating_campaigns_are_byte_identical_per_seed() {
 fn minimized_schedule_replays_to_the_same_violation() {
     let g = generators::grid(5, 5, 1);
     let cfg = broken_config();
-    let campaign = chaos_campaign(&g, v(0), "grid:5x5", &cfg, 11, 4);
+    let campaign = broken_campaign();
     let run = campaign
         .violating()
         .next()
@@ -182,11 +191,15 @@ fn minimized_schedule_replays_to_the_same_violation() {
 
 #[test]
 fn single_run_reproduces_exactly() {
-    // chaos_run is the unit the CLI builds on: same inputs, same outcome.
+    // A one-seed campaign is the unit the CLI builds on: same inputs,
+    // same outcome.
     let g = generators::grid(4, 4, 1);
-    let cfg = ChaosConfig::default();
-    let a = chaos_run(&g, v(0), &cfg, 3);
-    let b = chaos_run(&g, v(0), &cfg, 3);
+    let run = || {
+        let config = CampaignConfig::Chaos(ChaosConfig::default());
+        let mut c = run_campaign(&g, "grid:4x4", Target::Destination(v(0)), config, 3..4, 1);
+        c.runs.remove(0)
+    };
+    let (a, b) = (run(), run());
     assert_eq!(a.schedule.to_text(), b.schedule.to_text());
     assert_eq!(a.report.violations, b.report.violations);
     assert_eq!(a.report.events, b.report.events);

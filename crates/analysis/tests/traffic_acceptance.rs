@@ -4,11 +4,9 @@
 
 use proptest::prelude::*;
 
+use lsrp_analysis::chaos::{run_campaign, CampaignConfig, Target};
 use lsrp_analysis::forwarding::{availability, forward_packet, PacketFate};
-use lsrp_analysis::traffic::{
-    multi_traffic_campaign_with_jobs, traffic_campaign_with_jobs, traffic_run, TrafficConfig,
-    WorkloadSpec,
-};
+use lsrp_analysis::traffic::{TrafficConfig, WorkloadSpec};
 use lsrp_core::{LsrpSimulation, LsrpSimulationExt};
 use lsrp_graph::shortest_path::ShortestPaths;
 use lsrp_graph::{generators, Distance, Graph, NodeId};
@@ -196,38 +194,44 @@ fn traffic_runs_packets_through_chaos() {
     let g = generators::grid(4, 4, 1);
     let mut config = small_traffic_config();
     config.chaos.fault_window = 150.0;
-    let run = traffic_run(&g, v(0), &config, 7);
+    let (target, config) = (Target::Destination(v(0)), CampaignConfig::Traffic(config));
+    let run = run_campaign(&g, "grid:4x4", target, config, 7..8, 1)
+        .runs
+        .remove(0);
+    let traffic = run.traffic.expect("a traffic run");
     assert!(!run.schedule.is_empty(), "chaos must inject faults");
-    assert!(run.traffic.counts.injected > 0, "workload must inject");
+    assert!(traffic.counts.injected > 0, "workload must inject");
     assert!(
-        run.traffic.counts.completed() == run.traffic.counts.injected,
+        traffic.counts.completed() == traffic.counts.injected,
         "all packets complete by quiescence"
     );
     assert!(run.report.quiescent, "both planes drain");
-    assert!(run.traffic.delivered_fraction() > 0.0);
+    assert!(traffic.delivered_fraction() > 0.0);
+}
+
+/// A `grid:3x3` traffic campaign's report, sharded over `jobs` workers.
+fn grid3_report(target: Target, seeds: std::ops::Range<u64>, jobs: usize) -> String {
+    let g = generators::grid(3, 3, 1);
+    let mut config = small_traffic_config();
+    config.chaos.fault_window = 100.0;
+    let config = CampaignConfig::Traffic(config);
+    run_campaign(&g, "grid3", target, config, seeds, jobs).report()
 }
 
 #[test]
 fn traffic_campaign_reports_are_byte_identical_across_jobs() {
-    let g = generators::grid(3, 3, 1);
-    let mut config = small_traffic_config();
-    config.chaos.fault_window = 100.0;
-    let serial = traffic_campaign_with_jobs(&g, v(0), "grid3", &config, 40, 4, 1).report();
-    let two = traffic_campaign_with_jobs(&g, v(0), "grid3", &config, 40, 4, 2).report();
-    let four = traffic_campaign_with_jobs(&g, v(0), "grid3", &config, 40, 4, 4).report();
-    assert_eq!(serial, two);
-    assert_eq!(serial, four);
+    let report = |jobs| grid3_report(Target::Destination(v(0)), 40..44, jobs);
+    let serial = report(1);
+    assert_eq!(serial, report(2));
+    assert_eq!(serial, report(4));
     assert!(serial.contains("traffic campaign: topology grid3"));
 }
 
 #[test]
 fn multi_traffic_campaign_reports_are_byte_identical_across_jobs() {
-    let g = generators::grid(3, 3, 1);
-    let dests = vec![v(0), v(8)];
-    let mut config = small_traffic_config();
-    config.chaos.fault_window = 100.0;
-    let serial = multi_traffic_campaign_with_jobs(&g, &dests, "grid3", &config, 50, 3, 1).report();
-    let three = multi_traffic_campaign_with_jobs(&g, &dests, "grid3", &config, 50, 3, 3).report();
+    let report = |jobs| grid3_report(Target::Destinations(vec![v(0), v(8)]), 50..53, jobs);
+    let serial = report(1);
+    let three = report(3);
     assert_eq!(serial, three);
     assert!(serial.contains("multi traffic campaign: topology grid3 destinations 2"));
     for line in serial.lines().skip(1) {

@@ -3,29 +3,18 @@
 //! The value vocabulary (`--topology`, `--workload`, `--destinations`,
 //! `--link-rate` range checks, ...) is shared with the scenario-file
 //! loader through [`lsrp_scenario::spec`], so a spelling accepted on the
-//! command line is accepted in a scenario file and vice versa.
+//! command line is accepted in a scenario file and vice versa. The
+//! `chaos` and `traffic` flags fill in the [`Scenario`] value they run
+//! as, with the scenario-file defaults.
 
 use std::fmt;
 
-use lsrp_analysis::traffic::WorkloadKind;
 use lsrp_graph::{Distance, NodeId};
+use lsrp_scenario::schema::{CampaignScenario, TraceSection, TrafficScenario};
 use lsrp_scenario::spec::{check, parse_cong_alg, parse_discipline, parse_workload};
-use lsrp_sim::{CongAlgKind, DisciplineKind};
+use lsrp_scenario::{Protocol, Scenario, ScenarioBody};
 
 pub use lsrp_scenario::{DestinationsSpec, TopologySpec};
-
-/// Which protocol to drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolChoice {
-    /// The paper's protocol.
-    Lsrp,
-    /// Distributed Bellman-Ford.
-    Dbf,
-    /// DUAL-lite.
-    Dual,
-    /// Path-vector (BGP-lite).
-    Pv,
-}
 
 /// A fault selector, e.g. `corrupt:9:1`, `fail-node:5`, `loop:8`.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +45,7 @@ pub enum Command {
         /// Destination node (defaults to the topology's natural root).
         dest: Option<NodeId>,
         /// Protocol to run.
-        protocol: ProtocolChoice,
+        protocol: Protocol,
         /// Faults to inject at time zero.
         faults: Vec<FaultSpec>,
         /// Engine seed.
@@ -105,67 +94,13 @@ pub enum Command {
         /// Seed for random generators.
         seed: u64,
     },
-    /// `chaos`: run seeded adversarial campaigns with online invariant
-    /// monitors, minimizing any violating schedule.
-    Chaos {
-        /// Topology to build.
-        topology: TopologySpec,
-        /// Destination node.
-        dest: Option<NodeId>,
-        /// Base seed; run `i` uses `seed + i`.
-        seed: u64,
-        /// Number of independent runs.
-        runs: u32,
-        /// Per-run simulated-time budget.
-        horizon: f64,
-        /// Worker threads running the campaign (results are merged in
-        /// seed order, so the report is identical for every value).
+    /// `chaos` or `traffic`: the flag-built campaign scenario, run
+    /// exactly as `run FILE.toml` runs the equivalent file.
+    Campaign {
+        /// The `chaos` or `traffic` scenario the flags describe.
+        scenario: Box<Scenario>,
+        /// Worker threads (the report is byte-identical for every value).
         jobs: usize,
-        /// Route toward many destinations (the dense multi-destination
-        /// plane) instead of the single `--dest`.
-        destinations: Option<DestinationsSpec>,
-        /// Stream a structured event trace of the first run to this path.
-        trace_out: Option<String>,
-    },
-    /// `traffic`: a chaos campaign with live packet forwarding riding the
-    /// same engine — workload generators inject packets that hop against
-    /// the live route tables while faults land, and the run is judged on
-    /// data-plane availability as well as the control-plane monitors.
-    Traffic {
-        /// Topology to build.
-        topology: TopologySpec,
-        /// Destination node.
-        dest: Option<NodeId>,
-        /// Base seed; run `i` uses `seed + i`.
-        seed: u64,
-        /// Number of independent runs.
-        runs: u32,
-        /// Per-run simulated-time budget.
-        horizon: f64,
-        /// Worker threads (reports are byte-identical for every value).
-        jobs: usize,
-        /// Route toward many destinations instead of the single `--dest`.
-        destinations: Option<DestinationsSpec>,
-        /// Traffic shape.
-        workload: WorkloadKind,
-        /// Number of flows (ignored by `all-pairs`).
-        flows: usize,
-        /// Injection duration in simulated seconds.
-        duration: f64,
-        /// Exact per-packet injection instead of aggregated sampling.
-        exact: bool,
-        /// Link serialization rate in weighted packets per second;
-        /// `None` keeps links infinitely fast (the congestion lane off).
-        link_rate: Option<f64>,
-        /// Per-port egress queue capacity in weighted packets.
-        queue_cap: Option<u64>,
-        /// Queue discipline for bounded ports.
-        discipline: DisciplineKind,
-        /// Promote flows to stateful Go-Back-N transfers under this
-        /// congestion-control algorithm.
-        cc: Option<CongAlgKind>,
-        /// Stream a structured event trace of the first run to this path.
-        trace_out: Option<String>,
     },
     /// `viz <trace file>`: render a structured trace into a
     /// self-contained SVG/HTML visualization.
@@ -367,25 +302,15 @@ impl Command {
         }
 
         let mut topology = None;
-        let mut dest = None;
-        let mut protocol = ProtocolChoice::Lsrp;
+        let mut protocol = Protocol::Lsrp;
         let mut faults = Vec::new();
-        let mut seed = 0u64;
         let mut timeline = false;
-        let mut runs = 5u32;
-        let mut horizon = 100_000.0f64;
         let mut jobs = 1usize;
-        let mut destinations = None;
-        let mut workload = WorkloadKind::Poisson;
-        let mut flows = 64usize;
-        let mut duration = 600.0f64;
-        let mut exact = false;
-        let mut link_rate = None;
-        let mut queue_cap = None;
-        let mut discipline = DisciplineKind::DropTail;
         let mut discipline_set = false;
-        let mut cc = None;
-        let mut trace_out = None;
+        // The campaign the flags describe; `run`, `compare` and `topo`
+        // read `--dest` and `--seed` back out of it. Its topology is a
+        // placeholder until the loop has seen `--topology`.
+        let mut t = TrafficScenario::new(CampaignScenario::new(TopologySpec::Fig1));
 
         while let Some(flag) = args.next() {
             let mut value = |what: &str| {
@@ -396,26 +321,20 @@ impl Command {
                 "--topology" | "-t" => {
                     topology = Some(TopologySpec::parse(&value("topology")?).map_err(err)?);
                 }
-                "--dest" | "-d" => dest = Some(parse_node(&value("node id")?)?),
+                "--dest" | "-d" => t.base.destination = Some(parse_node(&value("node id")?)?),
                 "--protocol" | "-p" => {
-                    protocol = match value("protocol")?.as_str() {
-                        "lsrp" => ProtocolChoice::Lsrp,
-                        "dbf" => ProtocolChoice::Dbf,
-                        "dual" => ProtocolChoice::Dual,
-                        "pv" => ProtocolChoice::Pv,
-                        other => return Err(err(format!("unknown protocol '{other}'"))),
-                    }
+                    protocol = Protocol::parse(&value("protocol")?).map_err(err)?
                 }
                 "--fault" | "-f" => faults.push(FaultSpec::parse(&value("fault")?)?),
                 "--seed" | "-s" => {
-                    seed = value("seed")?.parse().map_err(|_| err("invalid seed"))?
+                    t.base.seed = value("seed")?.parse().map_err(|_| err("invalid seed"))?
                 }
                 "--timeline" => timeline = true,
                 "--runs" | "-n" => {
-                    runs = value("run count")?
+                    let n = value("run count")?
                         .parse()
                         .map_err(|_| err("invalid run count"))?;
-                    runs = check::runs(runs).map_err(|e| err(format!("--runs {e}")))?;
+                    t.base.runs = check::runs(n).map_err(|e| err(format!("--runs {e}")))?;
                 }
                 "--jobs" | "-j" => {
                     jobs = value("job count")?
@@ -424,76 +343,82 @@ impl Command {
                     jobs = check::jobs(jobs).map_err(|e| err(format!("--jobs {e}")))?;
                 }
                 "--destinations" | "-D" => {
-                    destinations =
+                    t.base.destinations =
                         Some(DestinationsSpec::parse(&value("destination count")?).map_err(err)?);
                 }
                 "--horizon" => {
                     let h: f64 = value("horizon")?
                         .parse()
                         .map_err(|_| err("invalid horizon"))?;
-                    horizon = check::positive(h).map_err(|e| err(format!("--horizon {e}")))?;
+                    t.base.horizon =
+                        check::positive(h).map_err(|e| err(format!("--horizon {e}")))?;
                 }
                 "--workload" | "-w" => {
-                    workload = parse_workload(&value("workload")?).map_err(err)?;
+                    t.workload.kind = parse_workload(&value("workload")?).map_err(err)?;
                 }
                 "--flows" => {
-                    flows = value("flow count")?
+                    let n = value("flow count")?
                         .parse()
                         .map_err(|_| err("invalid flow count"))?;
-                    flows = check::flows(flows).map_err(|e| err(format!("--flows {e}")))?;
+                    t.workload.flows = check::flows(n).map_err(|e| err(format!("--flows {e}")))?;
                 }
                 "--duration" => {
                     let d: f64 = value("duration")?
                         .parse()
                         .map_err(|_| err("invalid duration"))?;
-                    duration = check::positive(d).map_err(|e| err(format!("--duration {e}")))?;
+                    t.duration = check::positive(d).map_err(|e| err(format!("--duration {e}")))?;
                 }
-                "--exact" => exact = true,
+                "--exact" => t.workload.exact = true,
                 "--link-rate" => {
                     let r: f64 = value("rate")?
                         .parse()
                         .map_err(|_| err("invalid link rate"))?;
-                    link_rate =
+                    t.congestion.link_rate =
                         Some(check::positive(r).map_err(|e| err(format!("--link-rate {e}")))?);
                 }
                 "--queue-cap" => {
                     let c: u64 = value("capacity")?
                         .parse()
                         .map_err(|_| err("invalid queue capacity"))?;
-                    queue_cap =
+                    t.congestion.queue_cap =
                         Some(check::queue_cap(c).map_err(|e| err(format!("--queue-cap {e}")))?);
                 }
                 "--discipline" => {
-                    discipline = parse_discipline(&value("discipline")?).map_err(err)?;
+                    t.congestion.discipline =
+                        parse_discipline(&value("discipline")?).map_err(err)?;
                     discipline_set = true;
                 }
                 "--cc" => {
-                    cc = Some(parse_cong_alg(&value("congestion control")?).map_err(err)?);
+                    t.congestion.cc =
+                        Some(parse_cong_alg(&value("congestion control")?).map_err(err)?);
                 }
-                "--trace-out" => trace_out = Some(value("file path")?),
+                "--trace-out" => t.base.trace = Some(TraceSection::new(value("file path")?)),
                 other => return Err(err(format!("unknown flag '{other}'"))),
             }
         }
 
         let topology = topology.ok_or_else(|| err("--topology is required"))?;
-        if destinations.is_some() && sub != "chaos" && sub != "traffic" {
+        let campaign = sub == "chaos" || sub == "traffic";
+        if t.base.destinations.is_some() && !campaign {
             return Err(err(
                 "--destinations is only valid with `lsrp chaos` or `lsrp traffic`",
             ));
         }
-        if (link_rate.is_some() || queue_cap.is_some() || discipline_set || cc.is_some())
+        let c = &t.congestion;
+        if (c.link_rate.is_some() || c.queue_cap.is_some() || discipline_set || c.cc.is_some())
             && sub != "traffic"
         {
             return Err(err(
                 "--link-rate/--queue-cap/--discipline/--cc are only valid with `lsrp traffic`",
             ));
         }
-        if trace_out.is_some() && sub != "chaos" && sub != "traffic" {
+        if t.base.trace.is_some() && !campaign {
             return Err(err(
                 "--trace-out is only valid with `lsrp chaos`, `lsrp traffic` or a scenario run",
             ));
         }
-        check::congestion_shape(link_rate, queue_cap, discipline_set).map_err(err)?;
+        check::congestion_shape(c.link_rate, c.queue_cap, discipline_set).map_err(err)?;
+        let (dest, seed) = (t.base.destination, t.base.seed);
         match sub.as_str() {
             "run" => Ok(Command::Run {
                 topology,
@@ -510,34 +435,21 @@ impl Command {
                 seed,
             }),
             "topo" => Ok(Command::Topo { topology, seed }),
-            "chaos" => Ok(Command::Chaos {
-                topology,
-                dest,
-                seed,
-                runs,
-                horizon,
-                jobs,
-                destinations,
-                trace_out,
-            }),
-            "traffic" => Ok(Command::Traffic {
-                topology,
-                dest,
-                seed,
-                runs,
-                horizon,
-                jobs,
-                destinations,
-                workload,
-                flows,
-                duration,
-                exact,
-                link_rate,
-                queue_cap,
-                discipline,
-                cc,
-                trace_out,
-            }),
+            "chaos" | "traffic" => {
+                t.base.topology = topology;
+                let body = if sub == "chaos" {
+                    ScenarioBody::Chaos(t.base)
+                } else {
+                    ScenarioBody::Traffic(t)
+                };
+                let scenario = Box::new(Scenario {
+                    name: sub.clone(),
+                    description: None,
+                    body,
+                    expect: Vec::new(),
+                });
+                Ok(Command::Campaign { scenario, jobs })
+            }
             other => Err(err(format!(
                 "unknown command '{other}' (run, scenario, compare, topo, chaos, traffic, viz, help)"
             ))),
@@ -640,9 +552,28 @@ EXAMPLES:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsrp_analysis::WorkloadKind;
+    use lsrp_sim::{CongAlgKind, DisciplineKind};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// The scenario body and job count a `chaos`/`traffic` invocation
+    /// parses to.
+    fn campaign(s: &str) -> (ScenarioBody, usize) {
+        match Command::parse(argv(s)).unwrap() {
+            Command::Campaign { scenario, jobs } => (scenario.body, jobs),
+            other => panic!("wrong command: {other:?}"),
+        }
+    }
+
+    /// The traffic scenario a `traffic` invocation parses to.
+    fn traffic(s: &str) -> TrafficScenario {
+        match campaign(s).0 {
+            ScenarioBody::Traffic(t) => t,
+            other => panic!("wrong body: {other:?}"),
+        }
     }
 
     #[test]
@@ -662,7 +593,7 @@ mod tests {
             } => {
                 assert_eq!(topology, TopologySpec::Grid(8, 8));
                 assert_eq!(dest, Some(NodeId::new(3)));
-                assert_eq!(protocol, ProtocolChoice::Dbf);
+                assert_eq!(protocol, Protocol::Dbf);
                 assert_eq!(faults.len(), 2);
                 assert_eq!(seed, 7);
                 assert!(timeline);
@@ -749,16 +680,25 @@ mod tests {
             Command::parse(argv("topo --topology ring:8 --trace-out t.jsonl")).is_err(),
             "--trace-out must be chaos/traffic/scenario-run only"
         );
-        match Command::parse(argv(
-            "chaos --topology grid:4x4 --runs 1 --trace-out t.jsonl",
-        ))
-        .unwrap()
-        {
-            Command::Chaos { trace_out, .. } => {
-                assert_eq!(trace_out.as_deref(), Some("t.jsonl"));
-            }
-            other => panic!("wrong command: {other:?}"),
+        match campaign("chaos --topology grid:4x4 --runs 1 --trace-out t.jsonl").0 {
+            ScenarioBody::Chaos(c) => assert_eq!(c.trace, Some(TraceSection::new("t.jsonl"))),
+            other => panic!("wrong body: {other:?}"),
         }
+        // A multi-destination campaign parses, but refuses to trace when
+        // it runs, before it creates the trace file.
+        let path = std::env::temp_dir().join("lsrp-cli-multi-trace.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let cmd = Command::parse(argv(&format!(
+            "chaos --topology grid:3x3 --destinations 2 --trace-out {}",
+            path.display()
+        )))
+        .unwrap();
+        let e = crate::driver::run_command(&cmd).unwrap_err();
+        assert!(
+            e.0.contains("tracing is not supported on multi-destination campaigns"),
+            "{e:?}"
+        );
+        assert!(!path.exists(), "a refused trace must not create its file");
     }
 
     #[test]
@@ -827,23 +767,18 @@ mod tests {
 
     #[test]
     fn parses_chaos_destinations() {
-        let c = Command::parse(argv(
-            "chaos --topology grid:4x4 --destinations all-pairs --runs 2",
-        ))
-        .unwrap();
-        match c {
-            Command::Chaos { destinations, .. } => {
-                assert_eq!(destinations, Some(DestinationsSpec::AllPairs));
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-        let c = Command::parse(argv("chaos --topology grid:4x4 -D 5")).unwrap();
-        match c {
-            Command::Chaos { destinations, .. } => {
-                assert_eq!(destinations, Some(DestinationsSpec::Count(5)));
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
+        let destinations = |s: &str| match campaign(s).0 {
+            ScenarioBody::Chaos(c) => c.destinations,
+            other => panic!("wrong body: {other:?}"),
+        };
+        assert_eq!(
+            destinations("chaos --topology grid:4x4 --destinations all-pairs --runs 2"),
+            Some(DestinationsSpec::AllPairs)
+        );
+        assert_eq!(
+            destinations("chaos --topology grid:4x4 -D 5"),
+            Some(DestinationsSpec::Count(5))
+        );
         assert!(Command::parse(argv("chaos --topology grid:4x4 --destinations 0")).is_err());
         assert!(Command::parse(argv("chaos --topology grid:4x4 --destinations x")).is_err());
         // Only chaos and traffic understand the flag.
@@ -852,46 +787,18 @@ mod tests {
 
     #[test]
     fn parses_traffic_flags() {
-        let c = Command::parse(argv(
-            "traffic --topology grid:4x4 --workload hotspot --flows 8 --duration 90 --exact --jobs 2",
-        ))
-        .unwrap();
-        match c {
-            Command::Traffic {
-                workload,
-                flows,
-                duration,
-                exact,
-                jobs,
-                destinations,
-                ..
-            } => {
-                assert_eq!(workload, WorkloadKind::Hotspot);
-                assert_eq!(flows, 8);
-                assert_eq!(duration, 90.0);
-                assert!(exact);
-                assert_eq!(jobs, 2);
-                assert_eq!(destinations, None);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-        let c = Command::parse(argv(
-            "traffic --topology grid:4x4 --destinations 3 --workload all-pairs",
-        ))
-        .unwrap();
-        match c {
-            Command::Traffic {
-                workload,
-                destinations,
-                exact,
-                ..
-            } => {
-                assert_eq!(workload, WorkloadKind::AllPairs);
-                assert_eq!(destinations, Some(DestinationsSpec::Count(3)));
-                assert!(!exact);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
+        let s = "traffic --topology grid:4x4 --workload hotspot --flows 8 --duration 90 --exact --jobs 2";
+        let t = traffic(s);
+        assert_eq!(t.workload.kind, WorkloadKind::Hotspot);
+        assert_eq!(t.workload.flows, 8);
+        assert_eq!(t.duration, 90.0);
+        assert!(t.workload.exact);
+        assert_eq!(campaign(s).1, 2);
+        assert_eq!(t.base.destinations, None);
+        let t = traffic("traffic --topology grid:4x4 --destinations 3 --workload all-pairs");
+        assert_eq!(t.workload.kind, WorkloadKind::AllPairs);
+        assert_eq!(t.base.destinations, Some(DestinationsSpec::Count(3)));
+        assert!(!t.workload.exact);
         assert!(Command::parse(argv("traffic --topology grid:4x4 --workload bursty")).is_err());
         assert!(Command::parse(argv("traffic --topology grid:4x4 --flows 0")).is_err());
         assert!(Command::parse(argv("traffic --topology grid:4x4 --duration -3")).is_err());
@@ -899,46 +806,25 @@ mod tests {
 
     #[test]
     fn parses_congestion_flags() {
-        let c = Command::parse(argv(
+        let c = traffic(
             "traffic --topology grid:4x4 --link-rate 400 --queue-cap 1500 --discipline ecn --cc aimd",
-        ))
-        .unwrap();
-        match c {
-            Command::Traffic {
-                link_rate,
-                queue_cap,
-                discipline,
-                cc,
-                ..
-            } => {
-                assert_eq!(link_rate, Some(400.0));
-                assert_eq!(queue_cap, Some(1500));
-                assert_eq!(discipline, DisciplineKind::Ecn { mark_at: 0.5 });
-                assert_eq!(
-                    cc,
-                    Some(CongAlgKind::Aimd {
-                        initial: 4,
-                        max: 64
-                    })
-                );
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
+        )
+        .congestion;
+        assert_eq!(c.link_rate, Some(400.0));
+        assert_eq!(c.queue_cap, Some(1500));
+        assert_eq!(c.discipline, DisciplineKind::Ecn { mark_at: 0.5 });
+        assert_eq!(
+            c.cc,
+            Some(CongAlgKind::Aimd {
+                initial: 4,
+                max: 64
+            })
+        );
         // The lane stays off by default, and --cc works on its own.
-        let c = Command::parse(argv("traffic --topology grid:4x4 --cc fixed")).unwrap();
-        match c {
-            Command::Traffic {
-                link_rate,
-                queue_cap,
-                cc,
-                ..
-            } => {
-                assert_eq!(link_rate, None);
-                assert_eq!(queue_cap, None);
-                assert_eq!(cc, Some(CongAlgKind::FixedWindow { window: 8 }));
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
+        let c = traffic("traffic --topology grid:4x4 --cc fixed").congestion;
+        assert_eq!(c.link_rate, None);
+        assert_eq!(c.queue_cap, None);
+        assert_eq!(c.cc, Some(CongAlgKind::FixedWindow { window: 8 }));
     }
 
     #[test]

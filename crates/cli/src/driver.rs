@@ -1,10 +1,10 @@
 //! Scenario driver: builds topologies and protocols from parsed args,
 //! injects faults, runs and reports.
 //!
-//! The `chaos` and `traffic` subcommands are thin shells over the
-//! scenario compiler's [`lsrp_scenario::exec::run_chaos`] and
-//! [`lsrp_scenario::exec::run_traffic`] lowerings — a flag invocation
-//! and the equivalent scenario file produce byte-identical reports.
+//! The `chaos` and `traffic` subcommands run the scenario value their
+//! flags describe through [`run_scenario`], the same path as
+//! `lsrp run FILE.toml` — a flag invocation and the equivalent scenario
+//! file produce byte-identical reports.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -17,23 +17,17 @@ use lsrp_baselines::{
 };
 use lsrp_core::{InitialState, LsrpSimulation, LsrpSimulationExt};
 use lsrp_graph::{generators, topologies, Graph, NodeId};
-use lsrp_scenario::exec::{run_chaos, run_traffic};
-use lsrp_scenario::schema::{
-    CampaignScenario, CongestionSection, FaultsSection, ScenarioBody, TraceSection,
-    TrafficScenario, WorkloadSection,
+use lsrp_scenario::schema::{ScenarioBody, TraceSection};
+use lsrp_scenario::{
+    expand_list, load_str, run_scenario, ExecOptions, Protocol, Scenario, ScenarioResult,
+    ALL_PROTOCOLS,
 };
-use lsrp_scenario::{expand_list, load_str, run_scenario, ExecOptions, Scenario, ScenarioResult};
 use lsrp_sim::EngineConfig;
 
-use crate::args::{Command, FaultSpec, ParseError, ProtocolChoice, TopologySpec, HELP};
-
-/// Builds the topology and its natural destination.
-pub fn build_topology(spec: &TopologySpec, seed: u64) -> (Graph, NodeId) {
-    spec.build(seed)
-}
+use crate::args::{Command, FaultSpec, ParseError, TopologySpec, HELP};
 
 fn build_protocol(
-    choice: ProtocolChoice,
+    choice: Protocol,
     topo: &TopologySpec,
     graph: Graph,
     dest: NodeId,
@@ -41,7 +35,7 @@ fn build_protocol(
 ) -> Box<dyn RoutingSimulation> {
     let engine = EngineConfig::default().with_seed(seed);
     match choice {
-        ProtocolChoice::Lsrp => {
+        Protocol::Lsrp => {
             let initial = if *topo == TopologySpec::Fig1 {
                 // Start from the figure's chosen tree (v7/v8 via v9).
                 InitialState::Table(topologies::fig1_route_table())
@@ -55,18 +49,18 @@ fn build_protocol(
                     .build(),
             )
         }
-        ProtocolChoice::Dbf => {
+        Protocol::Dbf => {
             let config = DbfConfig::for_graph(&graph, dest);
             Box::new(DbfSimulation::new(graph, dest, None, config, engine))
         }
-        ProtocolChoice::Dual => Box::new(DualSimulation::new(
+        Protocol::Dual => Box::new(DualSimulation::new(
             graph,
             dest,
             None,
             DualConfig::default(),
             engine,
         )),
-        ProtocolChoice::Pv => Box::new(PvSimulation::new(
+        Protocol::Pv => Box::new(PvSimulation::new(
             graph,
             dest,
             None,
@@ -166,7 +160,7 @@ fn apply_fault(sim: &mut dyn RoutingSimulation, spec: &FaultSpec, topo: &Topolog
 }
 
 fn run_one(
-    choice: ProtocolChoice,
+    choice: Protocol,
     topo: &TopologySpec,
     dest: Option<NodeId>,
     faults: &[FaultSpec],
@@ -174,7 +168,7 @@ fn run_one(
     want_timeline: bool,
     out: &mut String,
 ) -> Result<(), ParseError> {
-    let (graph, natural_dest) = build_topology(topo, seed);
+    let (graph, natural_dest) = topo.build(seed);
     let dest = dest.unwrap_or(natural_dest);
     if !graph.has_node(dest) {
         return Err(ParseError(format!(
@@ -262,6 +256,36 @@ fn set_trace_out(s: &mut Scenario, path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Runs a scenario, from a file or from `chaos`/`traffic` flags, and
+/// appends its report to `out`. Failed expectations print the report and
+/// return an error, so the exit code goes nonzero.
+fn run_loaded(s: &Scenario, opts: ExecOptions, out: &mut String) -> Result<(), ParseError> {
+    let outcome = run_scenario(s, opts).map_err(ParseError)?;
+    match &outcome.result {
+        // A table report matches the experiments binary's
+        // `println!("{table}")` framing.
+        ScenarioResult::Table(t) => {
+            let _ = writeln!(out, "{t}");
+        }
+        ScenarioResult::Text(text) => out.push_str(text),
+    }
+    if !outcome.failures.is_empty() {
+        // The report still belongs on stdout; the failures ride
+        // the error path so the exit code goes nonzero.
+        print!("{out}");
+        let mut msg = format!(
+            "{}: {} expectation(s) failed",
+            s.name,
+            outcome.failures.len()
+        );
+        for f in &outcome.failures {
+            let _ = write!(msg, "\n  {f}");
+        }
+        return Err(ParseError(msg));
+    }
+    Ok(())
+}
+
 /// `viz` output default: the input path with its extension swapped.
 fn default_viz_out(input: &str, ext: &str) -> String {
     match input.rsplit_once('.') {
@@ -297,7 +321,7 @@ pub fn run_command(cmd: &Command) -> Result<String, ParseError> {
             let _ = writeln!(out, "wrote {target}");
         }
         Command::Topo { topology, seed } => {
-            let (g, dest) = build_topology(topology, *seed);
+            let (g, dest) = topology.build(*seed);
             let mut t = Table::new(format!("{topology:?}"), &["metric", "value"]);
             t.row(&["nodes".to_string(), g.node_count().to_string()]);
             t.row(&["edges".to_string(), g.edge_count().to_string()]);
@@ -331,31 +355,11 @@ pub fn run_command(cmd: &Command) -> Result<String, ParseError> {
             if let Some(trace_path) = trace_out {
                 set_trace_out(&mut s, trace_path).map_err(ParseError)?;
             }
-            let s = s;
             let opts = ExecOptions::sharded(*jobs).with_regions(*regions);
-            let outcome = run_scenario(&s, opts).map_err(ParseError)?;
-            match &outcome.result {
-                // A table report matches the experiments binary's
-                // `println!("{table}")` framing.
-                ScenarioResult::Table(t) => {
-                    let _ = writeln!(out, "{t}");
-                }
-                ScenarioResult::Text(text) => out.push_str(text),
-            }
-            if !outcome.failures.is_empty() {
-                // The report still belongs on stdout; the failures ride
-                // the error path so the exit code goes nonzero.
-                print!("{out}");
-                let mut msg = format!(
-                    "{}: {} expectation(s) failed",
-                    s.name,
-                    outcome.failures.len()
-                );
-                for f in &outcome.failures {
-                    let _ = write!(msg, "\n  {f}");
-                }
-                return Err(ParseError(msg));
-            }
+            run_loaded(&s, opts, &mut out)?;
+        }
+        Command::Campaign { scenario, jobs } => {
+            run_loaded(scenario, ExecOptions::sharded(*jobs), &mut out)?;
         }
         Command::ScenarioCheck { paths } => {
             for path in paths {
@@ -371,91 +375,13 @@ pub fn run_command(cmd: &Command) -> Result<String, ParseError> {
                 let _ = writeln!(out, "{line}");
             }
         }
-        Command::Chaos {
-            topology,
-            dest,
-            seed,
-            runs,
-            horizon,
-            jobs,
-            destinations,
-            trace_out,
-        } => {
-            let c = CampaignScenario {
-                topology: topology.clone(),
-                topology_seed: None,
-                destination: *dest,
-                destinations: *destinations,
-                seed: *seed,
-                runs: *runs,
-                horizon: *horizon,
-                faults: FaultsSection::default(),
-                trace: trace_out.clone().map(TraceSection::new),
-            };
-            let (text, _violating) =
-                run_chaos(&c, ExecOptions::sharded(*jobs)).map_err(ParseError)?;
-            out.push_str(&text);
-        }
-        Command::Traffic {
-            topology,
-            dest,
-            seed,
-            runs,
-            horizon,
-            jobs,
-            destinations,
-            workload,
-            flows,
-            duration,
-            exact,
-            link_rate,
-            queue_cap,
-            discipline,
-            cc,
-            trace_out,
-        } => {
-            let t = TrafficScenario {
-                base: CampaignScenario {
-                    topology: topology.clone(),
-                    topology_seed: None,
-                    destination: *dest,
-                    destinations: *destinations,
-                    seed: *seed,
-                    runs: *runs,
-                    horizon: *horizon,
-                    faults: FaultsSection::default(),
-                    trace: trace_out.clone().map(TraceSection::new),
-                },
-                workload: WorkloadSection {
-                    kind: *workload,
-                    flows: *flows,
-                    exact: *exact,
-                    ..WorkloadSection::default()
-                },
-                duration: *duration,
-                congestion: CongestionSection {
-                    link_rate: *link_rate,
-                    queue_cap: *queue_cap,
-                    discipline: *discipline,
-                    cc: *cc,
-                },
-            };
-            let (text, _violating) =
-                run_traffic(&t, ExecOptions::sharded(*jobs)).map_err(ParseError)?;
-            out.push_str(&text);
-        }
         Command::Compare {
             topology,
             dest,
             faults,
             seed,
         } => {
-            for p in [
-                ProtocolChoice::Lsrp,
-                ProtocolChoice::Dbf,
-                ProtocolChoice::Dual,
-                ProtocolChoice::Pv,
-            ] {
+            for p in ALL_PROTOCOLS {
                 run_one(p, topology, *dest, faults, *seed, false, &mut out)?;
                 out.push('\n');
             }

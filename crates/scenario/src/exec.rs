@@ -11,8 +11,7 @@ use std::fmt::Write as _;
 
 use lsrp_analysis::table::fmt_f64;
 use lsrp_analysis::{
-    chaos, chaos_campaign_with_jobs, multi_chaos_campaign_with_jobs,
-    multi_traffic_campaign_with_jobs, run_sharded, traffic_campaign_with_jobs, ChaosConfig, Table,
+    minimize_run, run_campaign, run_sharded, CampaignConfig, ChaosConfig, ReproCase, Table, Target,
     TrafficConfig, TrafficMode, WorkloadSpec,
 };
 use lsrp_sim::EngineConfig;
@@ -353,7 +352,7 @@ fn bool_metric(b: bool) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Chaos / traffic lowering (shared with the CLI driver)
+// Chaos / traffic lowering
 // ---------------------------------------------------------------------
 
 /// How a scenario run is executed: `jobs` worker shards fan cells out
@@ -435,124 +434,71 @@ fn install_trace(
     Ok(())
 }
 
-/// Lowers and runs a `chaos` scenario: exactly the `lsrp chaos` path,
-/// including the minimized-repro appendix for violating runs.
-///
-/// # Errors
-///
-/// Returns a message when the destination is absent or a destination
-/// count exceeds the topology.
-pub fn run_chaos(c: &CampaignScenario, opts: ExecOptions) -> Result<(String, u64), String> {
+/// Lowers and runs a `chaos` campaign, or a `traffic` one when `traffic`
+/// is set, and returns the report with its violating-run count. Only a
+/// single-destination chaos campaign appends a minimized repro per
+/// violating run.
+fn campaign_report(
+    c: &CampaignScenario,
+    traffic: Option<&TrafficScenario>,
+    opts: ExecOptions,
+) -> Result<(String, u64), String> {
     let (graph, natural_dest) = c.topology.build(c.topology_seed());
     let dest = c.destination.unwrap_or(natural_dest);
     if !graph.has_node(dest) {
         return Err(format!("destination {dest} is not in the topology"));
     }
-    let mut config = ChaosConfig {
+    let topology = c.topology.to_string();
+    let mut engine = EngineConfig::default();
+    if let Some(t) = traffic {
+        engine = engine.with_congestion(t.congestion.config());
+    }
+    let mut chaos = ChaosConfig {
         horizon: c.horizon,
         fault_window: c.faults.window,
         process: c.faults.process,
-        engine: opts.engine(EngineConfig::default()),
+        engine: opts.engine(engine),
         ..ChaosConfig::default()
     };
-    install_trace(&mut config.engine, c, &c.topology.to_string())?;
-    if let Some(spec) = c.destinations {
-        let dests = spec.resolve(&graph)?;
-        let campaign = multi_chaos_campaign_with_jobs(
-            &graph,
-            &dests,
-            &c.topology.to_string(),
-            &config,
-            c.seed,
-            c.runs,
-            opts.jobs,
-        );
-        let bad = campaign.violating().count() as u64;
-        return Ok((campaign.report(), bad));
-    }
-    let campaign = chaos_campaign_with_jobs(
-        &graph,
-        dest,
-        &c.topology.to_string(),
-        &config,
-        c.seed,
-        c.runs,
-        opts.jobs,
-    );
-    let mut out = campaign.report();
-    let bad = campaign.violating().count() as u64;
-    for run in campaign.violating() {
-        let (minimized, violation) = chaos::minimize_run(&graph, dest, &config, run);
-        let repro = chaos::ReproCase {
-            topology: c.topology.to_string(),
-            topology_seed: c.topology_seed(),
-            destination: dest,
-            seed: run.seed,
-            schedule: minimized,
-        };
-        let _ = write!(
-            out,
-            "\nminimized repro for seed {} ({violation}):\n{}",
-            run.seed,
-            repro.to_text()
-        );
-    }
-    Ok((out, bad))
-}
-
-/// Lowers and runs a `traffic` scenario: exactly the `lsrp traffic`
-/// path.
-///
-/// # Errors
-///
-/// Returns a message when the destination is absent or a destination
-/// count exceeds the topology.
-pub fn run_traffic(t: &TrafficScenario, opts: ExecOptions) -> Result<(String, u64), String> {
-    let c = &t.base;
-    let (graph, natural_dest) = c.topology.build(c.topology_seed());
-    let dest = c.destination.unwrap_or(natural_dest);
-    if !graph.has_node(dest) {
-        return Err(format!("destination {dest} is not in the topology"));
-    }
-    let mut config = TrafficConfig {
-        chaos: ChaosConfig {
-            horizon: c.horizon,
-            fault_window: c.faults.window,
-            process: c.faults.process,
-            engine: opts.engine(EngineConfig::default().with_congestion(t.congestion.config())),
-            ..ChaosConfig::default()
-        },
-        transport: t.congestion.cc,
-        workload: workload_spec(&t.workload),
-        duration: t.duration,
-        ..TrafficConfig::default()
+    install_trace(&mut chaos.engine, c, &topology)?;
+    let target = match c.destinations {
+        Some(spec) => Target::Destinations(spec.resolve(&graph)?),
+        None => Target::Destination(dest),
     };
-    install_trace(&mut config.chaos.engine, c, &c.topology.to_string())?;
-    if let Some(spec) = c.destinations {
-        let dests = spec.resolve(&graph)?;
-        let campaign = multi_traffic_campaign_with_jobs(
-            &graph,
-            &dests,
-            &c.topology.to_string(),
-            &config,
-            c.seed,
-            c.runs,
-            opts.jobs,
-        );
-        let bad = campaign.violating().count() as u64;
-        return Ok((campaign.report(), bad));
+    let config = match traffic {
+        None => CampaignConfig::Chaos(chaos),
+        Some(t) => CampaignConfig::Traffic(TrafficConfig {
+            chaos,
+            transport: t.congestion.cc,
+            workload: workload_spec(&t.workload),
+            duration: t.duration,
+            ..TrafficConfig::default()
+        }),
+    };
+    let seeds = c.seed..c.seed + u64::from(c.runs);
+    let campaign = run_campaign(&graph, &topology, target, config, seeds, opts.jobs);
+    let mut out = campaign.report();
+    if let (Target::Destination(dest), CampaignConfig::Chaos(config)) =
+        (&campaign.target, &campaign.config)
+    {
+        for run in campaign.violating() {
+            let (minimized, violation) = minimize_run(&graph, *dest, config, run);
+            let repro = ReproCase {
+                topology: topology.clone(),
+                topology_seed: c.topology_seed(),
+                destination: *dest,
+                seed: run.seed,
+                schedule: minimized,
+            };
+            let _ = write!(
+                out,
+                "\nminimized repro for seed {} ({violation}):\n{}",
+                run.seed,
+                repro.to_text()
+            );
+        }
     }
-    let campaign = traffic_campaign_with_jobs(
-        &graph,
-        dest,
-        &c.topology.to_string(),
-        &config,
-        c.seed,
-        c.runs,
-        opts.jobs,
-    );
-    let bad = campaign.violating().count() as u64;
-    Ok((campaign.report(), bad))
+    Ok((out, campaign.violating().count() as u64))
 }
 
 // ---------------------------------------------------------------------
@@ -1224,34 +1170,21 @@ fn run_hijack(
 /// Returns a message when the scenario cannot be lowered (bad cell
 /// resolution) or a campaign rejects its inputs.
 pub fn run_scenario(s: &Scenario, opts: ExecOptions) -> Result<ScenarioOutcome, String> {
-    match &s.body {
-        ScenarioBody::Chaos(c) => {
-            let (text, bad) = run_chaos(c, opts)?;
-            let mut failures = Vec::new();
-            #[allow(clippy::cast_precision_loss)]
-            let metrics: Vec<(&str, f64)> =
-                vec![("violating", bad as f64), ("runs", f64::from(c.runs))];
-            eval_expectations(&s.expect, &metrics, &[], "campaign", &mut failures);
-            Ok(ScenarioOutcome {
-                result: ScenarioResult::Text(text),
-                failures,
-            })
-        }
-        ScenarioBody::Traffic(t) => {
-            let (text, bad) = run_traffic(t, opts)?;
-            let mut failures = Vec::new();
-            #[allow(clippy::cast_precision_loss)]
-            let metrics: Vec<(&str, f64)> =
-                vec![("violating", bad as f64), ("runs", f64::from(t.base.runs))];
-            eval_expectations(&s.expect, &metrics, &[], "campaign", &mut failures);
-            Ok(ScenarioOutcome {
-                result: ScenarioResult::Text(text),
-                failures,
-            })
-        }
-        ScenarioBody::Recovery(r) => run_recovery(r, opts.jobs, &s.expect),
-        ScenarioBody::Hijack(h) => run_hijack(h, opts.jobs, &s.expect),
-    }
+    let (c, traffic) = match &s.body {
+        ScenarioBody::Chaos(c) => (c, None),
+        ScenarioBody::Traffic(t) => (&t.base, Some(t)),
+        ScenarioBody::Recovery(r) => return run_recovery(r, opts.jobs, &s.expect),
+        ScenarioBody::Hijack(h) => return run_hijack(h, opts.jobs, &s.expect),
+    };
+    let (text, bad) = campaign_report(c, traffic, opts)?;
+    let mut failures = Vec::new();
+    #[allow(clippy::cast_precision_loss)]
+    let metrics: Vec<(&str, f64)> = vec![("violating", bad as f64), ("runs", f64::from(c.runs))];
+    eval_expectations(&s.expect, &metrics, &[], "campaign", &mut failures);
+    Ok(ScenarioOutcome {
+        result: ScenarioResult::Text(text),
+        failures,
+    })
 }
 
 /// Statically expands a scenario into one human-readable line per cell

@@ -83,7 +83,7 @@ pub struct CampaignScenario {
     pub destination: Option<NodeId>,
     /// Dense multi-destination plane (`None` = single tree).
     pub destinations: Option<DestinationsSpec>,
-    /// Base seed; run `i` uses `seed + 1 + i`.
+    /// Base seed; run `i` uses `seed + i`.
     pub seed: u64,
     /// Number of runs.
     pub runs: u32,
@@ -97,6 +97,22 @@ pub struct CampaignScenario {
 }
 
 impl CampaignScenario {
+    /// A campaign over `topology` with every other field at its
+    /// scenario-file default (the `lsrp chaos` flag defaults too).
+    pub fn new(topology: TopologySpec) -> CampaignScenario {
+        CampaignScenario {
+            topology,
+            topology_seed: None,
+            destination: None,
+            destinations: None,
+            seed: 0,
+            runs: 5,
+            horizon: 100_000.0,
+            faults: FaultsSection::default(),
+            trace: None,
+        }
+    }
+
     /// The seed used to build randomized topologies.
     pub fn topology_seed(&self) -> u64 {
         self.topology_seed.unwrap_or(self.seed)
@@ -226,6 +242,20 @@ pub struct TrafficScenario {
     pub duration: f64,
     /// Data-plane limits and transport.
     pub congestion: CongestionSection,
+}
+
+impl TrafficScenario {
+    /// `base` with the scenario-file traffic defaults (the `lsrp traffic`
+    /// flag defaults too): the default workload for 600 s over
+    /// unlimited links.
+    pub fn new(base: CampaignScenario) -> TrafficScenario {
+        TrafficScenario {
+            base,
+            workload: WorkloadSection::default(),
+            duration: 600.0,
+            congestion: CongestionSection::default(),
+        }
+    }
 }
 
 /// How a recovery cell's seed derives from the scenario seed.
@@ -965,9 +995,9 @@ fn parse_campaign(root: &Table, seen: &mut Vec<&'static str>) -> Result<Campaign
             topo_table.line
         ));
     };
-    let topology = f.checked("spec", line, TopologySpec::parse(&spec))?;
-    let topology_seed = f.unsigned("seed")?.map(|(v, _)| v);
-    let destination = f
+    let mut c = CampaignScenario::new(f.checked("spec", line, TopologySpec::parse(&spec))?);
+    c.topology_seed = f.unsigned("seed")?.map(|(v, _)| v);
+    c.destination = f
         .unsigned("destination")?
         .map(|(v, line)| {
             u32::try_from(v)
@@ -977,47 +1007,33 @@ fn parse_campaign(root: &Table, seen: &mut Vec<&'static str>) -> Result<Campaign
         .transpose()?;
     f.finish()?;
 
-    let mut runs = 5_u32;
-    let mut seed = 0_u64;
-    let mut horizon = 100_000.0_f64;
-    let mut destinations = None;
     if let Some(table) = section(root, "campaign", seen, "campaign")? {
         let mut f = Fields::new("campaign", table);
         if let Some((v, line)) = f.unsigned("runs")? {
             let v = u32::try_from(v)
                 .map_err(|_| format!("line {line}: [campaign] field 'runs' is out of range"))?;
-            runs = f.checked("runs", line, check::runs(v))?;
+            c.runs = f.checked("runs", line, check::runs(v))?;
         }
         if let Some((v, _)) = f.unsigned("seed")? {
-            seed = v;
+            c.seed = v;
         }
         if let Some((v, line)) = f.float("horizon")? {
-            horizon = f.checked("horizon", line, check::positive(v))?;
+            c.horizon = f.checked("horizon", line, check::positive(v))?;
         }
         if let Some((s, line)) = f.str("destinations")? {
-            destinations = Some(f.checked("destinations", line, DestinationsSpec::parse(&s))?);
+            c.destinations = Some(f.checked("destinations", line, DestinationsSpec::parse(&s))?);
         }
         f.finish()?;
     }
-    let faults = parse_faults(root, seen)?;
-    let trace = parse_trace(root, seen)?;
-    if trace.is_some() && destinations.is_some() {
+    c.faults = parse_faults(root, seen)?;
+    c.trace = parse_trace(root, seen)?;
+    if c.trace.is_some() && c.destinations.is_some() {
         return Err(
             "[trace] is not supported on multi-destination campaigns (drop 'destinations' or the [trace] section)"
                 .to_string(),
         );
     }
-    Ok(CampaignScenario {
-        topology,
-        topology_seed,
-        destination,
-        destinations,
-        seed,
-        runs,
-        horizon,
-        faults,
-        trace,
-    })
+    Ok(c)
 }
 
 fn parse_trace(root: &Table, seen: &mut Vec<&'static str>) -> Result<Option<TraceSection>, String> {
@@ -1588,24 +1604,18 @@ pub fn load_str(src: &str) -> Result<Scenario, String> {
     let body = match kind.as_str() {
         "chaos" => ScenarioBody::Chaos(parse_campaign(&root, &mut seen)?),
         "traffic" => {
-            let base = parse_campaign(&root, &mut seen)?;
-            let workload = parse_workload_section(&root, &mut seen)?;
-            let congestion = parse_congestion(&root, &mut seen)?.unwrap_or_default();
-            let mut duration = 600.0;
+            let mut t = TrafficScenario::new(parse_campaign(&root, &mut seen)?);
+            t.workload = parse_workload_section(&root, &mut seen)?;
+            t.congestion = parse_congestion(&root, &mut seen)?.unwrap_or_default();
             seen.push("traffic");
             if let Some(table) = section(&root, "traffic", &mut seen, "traffic")? {
                 let mut f = Fields::new("traffic", table);
                 if let Some((v, line)) = f.float("duration")? {
-                    duration = f.checked("duration", line, check::positive(v))?;
+                    t.duration = f.checked("duration", line, check::positive(v))?;
                 }
                 f.finish()?;
             }
-            ScenarioBody::Traffic(TrafficScenario {
-                base,
-                workload,
-                duration,
-                congestion,
-            })
+            ScenarioBody::Traffic(t)
         }
         "recovery" => ScenarioBody::Recovery(parse_recovery(&root, &mut seen)?),
         "hijack" => ScenarioBody::Hijack(parse_hijack(&root, &mut seen)?),

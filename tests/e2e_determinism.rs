@@ -3,8 +3,8 @@
 
 use std::collections::BTreeSet;
 
-use lsrp::analysis::{chaos_campaign, chaos_campaign_with_jobs, ChaosConfig};
 use lsrp::analysis::{measure_recovery, RoutingSimulation};
+use lsrp::analysis::{run_campaign, CampaignConfig, ChaosConfig, Target};
 use lsrp::core::{InitialState, LsrpSimulation, LsrpSimulationExt, TimingConfig};
 use lsrp::graph::{generators, Distance, NodeId};
 use lsrp_sim::{ClockConfig, EngineConfig, LinkConfig, SinkKind};
@@ -119,13 +119,16 @@ fn sink_choice_never_changes_the_simulation() {
 #[test]
 fn parallel_campaign_matches_serial_byte_for_byte() {
     let g = generators::grid(4, 4, 1);
-    let config = ChaosConfig::default();
-    let serial = chaos_campaign(&g, v(0), "grid:4x4", &config, 7, 6);
+    let report = |jobs| {
+        let target = Target::Destination(v(0));
+        let config = CampaignConfig::Chaos(ChaosConfig::default());
+        run_campaign(&g, "grid:4x4", target, config, 7..13, jobs).report()
+    };
+    let serial = report(1);
     for jobs in [2, 5] {
-        let parallel = chaos_campaign_with_jobs(&g, v(0), "grid:4x4", &config, 7, 6, jobs);
         assert_eq!(
-            serial.report(),
-            parallel.report(),
+            serial,
+            report(jobs),
             "campaign report must not depend on worker count (jobs={jobs})"
         );
     }

@@ -145,19 +145,31 @@ impl Pair {
 
 /// Every paired reading `perf_smoke` takes: five gates and two reports.
 ///
-/// Beside each bound, the A/A spread of two sets of ten back-to-back
-/// `perf_smoke` runs on an unremarkable 2-core container (PR 24, every
-/// gated side at ≥ 61 ms per iteration, twenty of twenty passing):
+/// Beside each bound, the A/A spread of ten back-to-back `perf_smoke`
+/// runs on a 2-core container (every gated side at ≥ 52 ms per
+/// iteration, ten of ten passing). The container was noisy: one run in
+/// ten read every side 30–60 % slow, hence the wide per-side ranges.
 ///
-/// | pair | guards | bound | twenty runs read |
+/// | pair | guards | bound | ten runs read |
 /// |---|---|---|---|
-/// | `trace_overhead` | what the streaming sink adds to one event: a fixed amount of formatting and writing, so gated as an amount — as a share of the null baseline it failed whenever the *engine* got faster | ≤ 0.15 µs | 0.037–0.042 µs (0.33 traced, 0.29 null) |
-/// | `degree_sweep` | growth of per-event cost from degree 24 to degree 199 (8.3× wider): one `O(deg)` scan per evaluation; a guard that rescans the table per neighbour read ≈ 9.5×, and a 4× bound left these runs 0.5 % of headroom | ≤ 4.5× | 3.77–3.98× (1.38–1.46 vs 0.37 µs) |
-/// | `sched_hold`, depth 1k | the calendar queue's lead over the `BinaryHeap` while the whole heap sits in L1 | ≥ 1.05× | 1.31–1.36× (47–48 vs 62–65 ns) |
-/// | `sched_hold`, depth 300k | the same once the heap's sift paths leave the cache | ≥ 1.5× | 1.95–2.19× (119–141 vs 255–288 ns) |
-/// | `faults_generate` | growth of planning the same 10,000 markers from a 16×16 to a 64×64 grid (16× the nodes): `O(log E)` per marker; a pass over the topology per marker read ≈ 45× | ≤ 20× | 4.27–4.34× (26.3–26.7 vs 6.1–6.3 ms) |
-/// | `scale_bigswitch` | sequential over 8-region time on the Clos cold start — ROADMAP item 2's decision rule, reported, not gated | — | 0.85–1.58×, median 1.53, 17 of 20 in 1.45–1.58 (807–841 vs 525–948 ms, 2 hardware threads) |
-/// | `scale_waxman_100k` | the same on the sparse irregular graph | — | 0.89–1.13×, median 1.05 (250–274 vs 243–300 ms) |
+/// | `trace_overhead` | what the streaming sink adds to one event: a fixed amount of formatting and writing, so gated as an amount — as a share of the null baseline it failed whenever the *engine* got faster | ≤ 0.15 µs | 0.065–0.130 µs, median 0.093 (0.30–0.56 traced, 0.22–0.43 null) |
+/// | `degree_sweep` | growth of per-event cost from degree 24 to degree 199 (8.3× wider): one `O(deg)` scan per evaluation; a guard that rescans the table per neighbour read ≈ 9.5× | ≤ 4.5× | 3.78–4.40×, median 4.04 (1.22–2.35 vs 0.30–0.53 µs) |
+/// | `sched_hold`, depth 1k | the calendar queue's lead over the `BinaryHeap` while the whole heap sits in L1 | ≥ 1.3× | 1.38–1.70×, median 1.60 (38–62 vs 63–100 ns) |
+/// | `sched_hold`, depth 300k | the same once the heap's sift paths leave the cache | ≥ 2.9× | 3.14–3.46×, median 3.26 (157–191 vs 531–646 ns) |
+/// | `faults_generate` | growth of planning the same 10,000 markers from a 16×16 to a 64×64 grid (16× the nodes): `O(log E)` per marker; a pass over the topology per marker read ≈ 45× | ≤ 20× | 3.62–4.16× (25.8–29.4 vs 6.5–7.6 ms) |
+/// | `scale_bigswitch` | sequential over 8-region time on the Clos cold start — ROADMAP item 2's decision rule, reported, not gated | — | 1.05–1.49×, median 1.36 (708–833 vs 491–742 ms, 2 hardware threads) |
+/// | `scale_waxman_100k` | the same on the sparse irregular graph | — | 0.67–0.89×, median 0.78 (232–267 vs 268–401 ms) |
+///
+/// `trace_overhead` is a difference, so it grows when the null side gets
+/// faster and the traced side does not follow: flat `EdgeSlots` rows took
+/// ≈ 50 ns/event off the null side and ≈ 10 off the traced one.
+///
+/// The `sched_hold` floors sit under the ten-run minimum and, at 300k,
+/// above what the queue reads with its open day kept as a heap (2.51–2.75×
+/// in five runs), so losing the sorted day fails the gate. On a box busy
+/// with other work every reading drifts: three runs there read
+/// 2.62–2.80× at 300k and put `trace_overhead` and `degree_sweep` out of
+/// bounds too.
 ///
 /// `degree_sweep` sees the `O(deg)` scan only: `complete(d)` with unit
 /// weights never ties two offers, so the cost of fingerprinting and
@@ -188,7 +200,7 @@ pub static PAIRS: [Pair; 7] = [
         a: side("sched_hold_wheel_1k", 4, || sched_hold(Wheel, 1_000)),
         b: side("sched_hold_heap_1k", 4, || sched_hold(Heap, 1_000)),
         compare: Compare::UsPerEvent,
-        bound: Some(Bound::AtLeast(1.05)),
+        bound: Some(Bound::AtLeast(1.3)),
     },
     Pair {
         name: "sched_hold",
@@ -196,7 +208,7 @@ pub static PAIRS: [Pair; 7] = [
         a: side("sched_hold_wheel_300k", 2, || sched_hold(Wheel, 300_000)),
         b: side("sched_hold_heap_300k", 2, || sched_hold(Heap, 300_000)),
         compare: Compare::UsPerEvent,
-        bound: Some(Bound::AtLeast(1.5)),
+        bound: Some(Bound::AtLeast(2.9)),
     },
     Pair {
         name: "faults_generate",

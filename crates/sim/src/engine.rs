@@ -505,11 +505,13 @@ struct Core<P: ProtocolNode> {
     /// Egress port state by (local tail, global head); congestion lane.
     ports: EdgeSlots<PortState>,
     arena: PacketArena,
-    /// Flow sender state for flows homed here, by flow id.
-    flows: BTreeMap<u32, FlowState>,
+    /// Flow sender state for flows homed here, indexed by the dense global
+    /// flow id (`None` for flows homed elsewhere).
+    flows: Vec<Option<FlowState>>,
     /// Go-Back-N receiver cursors (`recv_next`) for flows *delivering*
-    /// here, by flow id — receiver state lives with the destination.
-    flow_recv: BTreeMap<u32, u64>,
+    /// here, indexed by flow id — receiver state lives with the
+    /// destination.
+    flow_recv: Vec<u64>,
     /// Per-local-node control-lane emission counters (event keys).
     ctrl_emit: Vec<u64>,
     /// Per-local-node traffic-lane emission counters (event keys).
@@ -568,8 +570,8 @@ impl<P: ProtocolNode> Core<P> {
             links: EdgeSlots::new(),
             ports: EdgeSlots::new(),
             arena: PacketArena::default(),
-            flows: BTreeMap::new(),
-            flow_recv: BTreeMap::new(),
+            flows: Vec::new(),
+            flow_recv: Vec::new(),
             ctrl_emit: Vec::new(),
             traffic_emit: Vec::new(),
             guard_gen: Vec::new(),
@@ -1454,7 +1456,11 @@ impl<P: ProtocolNode> Core<P> {
         marked: bool,
         injected_at: SimTime,
     ) {
-        let recv_next = self.flow_recv.entry(tag.flow).or_insert(0);
+        let idx = tag.flow as usize;
+        if idx >= self.flow_recv.len() {
+            self.flow_recv.resize(idx + 1, 0);
+        }
+        let recv_next = &mut self.flow_recv[idx];
         if tag.seq == *recv_next {
             *recv_next += 1;
         }
@@ -1496,7 +1502,7 @@ impl<P: ProtocolNode> Core<P> {
     /// congestion algorithm, restart the retransmit timer while data is
     /// outstanding, and complete the flow on full coverage.
     fn flow_on_ack(&mut self, shared: &Shared, id: u32, ack: u64, marked: bool) {
-        let Some(f) = self.flows.get_mut(&id) else {
+        let Some(f) = self.flows.get_mut(id as usize).and_then(Option::as_mut) else {
             return;
         };
         if f.done {
@@ -1541,7 +1547,7 @@ impl<P: ProtocolNode> Core<P> {
     /// The retransmit timer fires: exponential backoff, congestion
     /// response, and the Go-Back-N resend of everything outstanding.
     fn flow_on_timer(&mut self, shared: &Shared, id: u32, generation: u64) {
-        let Some(f) = self.flows.get_mut(&id) else {
+        let Some(f) = self.flows.get_mut(id as usize).and_then(Option::as_mut) else {
             return;
         };
         if f.done || f.timer_generation != generation {
@@ -1583,7 +1589,7 @@ impl<P: ProtocolNode> Core<P> {
     /// are homed where their source lives), so pumping never stages.
     fn flow_pump(&mut self, shared: &Shared, id: u32) {
         loop {
-            let Some(f) = self.flows.get_mut(&id) else {
+            let Some(f) = self.flows.get_mut(id as usize).and_then(Option::as_mut) else {
                 return;
             };
             if f.done {
@@ -1610,7 +1616,9 @@ impl<P: ProtocolNode> Core<P> {
 
     /// Terminal transition: records the flow and stales its timer.
     fn finish_flow(&mut self, id: u32) {
-        let f = self.flows.get_mut(&id).expect("finishing an unknown flow");
+        let f = self.flows[id as usize]
+            .as_mut()
+            .expect("finishing an unknown flow");
         f.done = true;
         f.timer_generation += 1;
         let record = FlowRecord {
@@ -2158,24 +2166,22 @@ impl<P: ProtocolNode> Engine<P> {
         let core = &mut self.cores[home as usize];
         core.begin_driver(now, opseq);
         core.stats.congestion.flow_offered_weight += config.segments * config.seg_weight;
-        core.flows.insert(
-            id,
-            FlowState {
-                src,
-                dest,
-                cc: config.cc.build(),
-                base: 0,
-                next_seq: 0,
-                rto: config.rto_initial,
-                timer_generation: 1,
-                retransmitted: 0,
-                timeouts: 0,
-                marks: 0,
-                started_at: at,
-                done: false,
-                config,
-            },
-        );
+        core.flows.resize_with(id as usize + 1, || None);
+        core.flows[id as usize] = Some(FlowState {
+            src,
+            dest,
+            cc: config.cc.build(),
+            base: 0,
+            next_seq: 0,
+            rto: config.rto_initial,
+            timer_generation: 1,
+            retransmitted: 0,
+            timeouts: 0,
+            marks: 0,
+            started_at: at,
+            done: false,
+            config,
+        });
         core.active_flows += 1;
         let key = core.lane_key(&self.shared, src, true);
         core.push_local(

@@ -16,20 +16,25 @@
 //! `a < b` and equal times share a day: splitting entries by day can
 //! never reorder them. Three tiers hold the pending entries:
 //!
-//! * **`current`** — every entry with `day <= cur_day`, in a
-//!   `(time, key)` min-heap whose top is the global minimum; every
-//!   operation leaves it non-empty whenever the queue is, which keeps
-//!   [`EventQueue::peek`] `&self` and O(1). A heap, because one day can
-//!   hold a whole same-instant burst (a cold start arms 100k+ timers for
-//!   one instant): the worst case is the oracle's O(log n), not O(n).
+//! * **the open day** — every entry with `day <= cur_day`, in two parts:
+//!   `today`, the day as it stood when it opened, sorted once and popped
+//!   from the end of a `Vec`; and `late`, a `(time, key)` min-heap of
+//!   whatever was inserted for a day already open. The earlier of their
+//!   two heads is the global minimum, and every operation leaves one of
+//!   them non-empty whenever the queue is, which keeps
+//!   [`EventQueue::peek`] `&self` and O(1). No entry is ever inserted
+//!   into sorted order: a same-instant burst (a cold start arms 100k+
+//!   timers for one instant) lands in `late`, so the worst case stays
+//!   the oracle's O(log n), and sorting a day of `d` entries costs what
+//!   its `d` heap pops would.
 //! * **near buckets** — entries with `cur_day < day < end_day` append
 //!   unsorted to `buckets[day % n]`; the window is fixed between
 //!   rotations, so a bucket holds one day. An occupancy bitmap finds the
-//!   next populated day, which is moved into `current` and heapified.
+//!   next populated day, whose buffer becomes `today` and is sorted.
 //! * **far pile** — entries with `day >= end_day` (hold timers, flow
 //!   RTOs) append to one unsorted vector; only its minimum is tracked.
 //!
-//! When `current` and the near tier are both empty the window *rotates*:
+//! When the open day and the near tier are both empty the window *rotates*:
 //! it restarts at the far minimum's day and one pass spreads every far
 //! entry it now covers. That pass scans the whole pile, so the pops since
 //! the previous rotation plus the entries this one captures must reach a
@@ -142,8 +147,12 @@ const PAID: usize = 4;
 
 /// The calendar queue's tiers (see the module docs).
 struct Calendar<T> {
-    /// Entries with `day <= cur_day`; the top is the global minimum.
-    current: BinaryHeap<Entry<T>>,
+    /// The open day, sorted descending by `(time, key)` — ascending in
+    /// `Entry`'s reversed order — so its minimum is the last element. Keys
+    /// are unique, so the unstable sort is deterministic.
+    today: Vec<Entry<T>>,
+    /// Entries inserted once their day was open (`day <= cur_day`).
+    late: BinaryHeap<Entry<T>>,
     /// Bucket `b`: the one day in `(cur_day, end_day)` congruent to `b`.
     buckets: Vec<Vec<Entry<T>>>,
     /// Bit `b` is set iff `buckets[b]` is non-empty.
@@ -156,7 +165,7 @@ struct Calendar<T> {
     far_min: SimTime,
     /// Reciprocal of the day width in simulated seconds.
     inv_width: f64,
-    /// The cursor: `current` covers every day up to and including this.
+    /// The cursor: `today` and `late` cover every day up to and including this.
     cur_day: u64,
     /// Exclusive horizon of the near tier, fixed between rotations.
     end_day: u64,
@@ -176,7 +185,8 @@ struct Calendar<T> {
 impl<T> Calendar<T> {
     fn new() -> Self {
         Calendar {
-            current: BinaryHeap::new(),
+            today: Vec::new(),
+            late: BinaryHeap::new(),
             buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: vec![0; MIN_BUCKETS / 64],
             near_len: 0,
@@ -201,7 +211,13 @@ impl<T> Calendar<T> {
     }
 
     fn len(&self) -> usize {
-        self.current.len() + self.near_len + self.far.len()
+        self.today.len() + self.late.len() + self.near_len + self.far.len()
+    }
+
+    /// The earliest pending entry: the earlier of the open tiers' heads
+    /// (`Entry` orders reversed, and `None` loses to any entry).
+    fn head(&self) -> Option<&Entry<T>> {
+        self.today.last().max(self.late.peek())
     }
 
     /// Counts towards `touched`; nothing outside tests.
@@ -220,12 +236,12 @@ impl<T> Calendar<T> {
 
     /// Inserts into whichever tier owns the entry's day.
     fn insert(&mut self, e: Entry<T>) {
-        if self.current.is_empty() {
+        if self.today.is_empty() && self.late.is_empty() {
             self.open_window(e.time); // the queue is empty
         }
         let day = self.day(e.time);
         if day <= self.cur_day {
-            self.current.push(e);
+            self.late.push(e);
         } else if day < self.end_day {
             self.push_near(day, e);
         } else {
@@ -241,11 +257,23 @@ impl<T> Calendar<T> {
         self.near_len += 1;
     }
 
-    /// Pops the minimum if admitted; refills `current`, checks the epoch.
+    /// Pops the minimum if admitted, from whichever open tier holds it;
+    /// opens the next day once both are empty, checks the epoch.
     fn pop_if(&mut self, admit: impl FnOnce((SimTime, EventKey)) -> bool) -> Option<Entry<T>> {
-        let e = pop_head(&mut self.current, admit)?;
+        let late = self.late.peek();
+        let from_late = late > self.today.last();
+        let head = if from_late { late } else { self.today.last() }?;
+        if !admit((head.time, head.key)) {
+            return None;
+        }
+        let e = if from_late {
+            self.late.pop()
+        } else {
+            self.today.pop()
+        };
+        let e = e.expect("the head was just seen");
         self.pops += 1;
-        if self.current.is_empty() {
+        if self.today.is_empty() && self.late.is_empty() {
             self.advance();
         }
         if self.pops >= self.epoch_end {
@@ -254,8 +282,8 @@ impl<T> Calendar<T> {
         Some(e)
     }
 
-    /// Refills an empty `current` from the next populated day, or by a
-    /// rotation (which only parks the window if the far pile is empty).
+    /// Opens the next populated day once `today` and `late` are empty, or
+    /// rotates (which only parks the window if the far pile is empty).
     #[inline(never)]
     fn advance(&mut self) {
         self.peak_len = self.peak_len.max(self.near_len + self.far.len());
@@ -276,17 +304,16 @@ impl<T> Calendar<T> {
         let b = w * 64 + bits.trailing_zeros() as usize;
         self.occupied[w] &= bits - 1;
         self.cur_day += 1 + (b.wrapping_sub(start) & mask) as u64;
-        // `current` is empty: move the day into its buffer and heapify.
-        let mut today = std::mem::take(&mut self.current).into_vec();
-        today.append(&mut self.buckets[b]);
+        // `today` is empty: trade buffers with the bucket and sort the day.
+        std::mem::swap(&mut self.today, &mut self.buckets[b]);
         if self.buckets[b].capacity() > KEEP {
             self.buckets[b].shrink_to(KEEP);
         }
-        self.near_len -= today.len();
-        self.current = BinaryHeap::from(today);
+        self.near_len -= self.today.len();
+        self.today.sort_unstable();
     }
 
-    /// Rotation (`current` and the near tier are empty): widens the days
+    /// Rotation (every tier but the far pile is empty): widens the days
     /// until the scan is paid for, then spreads the pile.
     #[cold]
     fn rotate(&mut self) {
@@ -319,7 +346,8 @@ impl<T> Calendar<T> {
     }
 
     /// Restarts the window at the far minimum's day and moves every far
-    /// entry it covers into `current` or its bucket. First, the bucket
+    /// entry it covers into `today` or its bucket, sorting `today` (every
+    /// tier but the far pile is empty on entry). First, the bucket
     /// count follows half the peak population (down only once far off);
     /// at `PER_DAY` entries a day that fits the population 1.5 times.
     fn spread(&mut self) {
@@ -335,7 +363,6 @@ impl<T> Calendar<T> {
         self.open_window(self.far_min);
         self.touch(self.far.len());
         let mut far = std::mem::take(&mut self.far);
-        let mut today = std::mem::take(&mut self.current).into_vec();
         self.far_min = SimTime::new(f64::INFINITY);
         let mut i = 0;
         while i < far.len() {
@@ -344,13 +371,13 @@ impl<T> Calendar<T> {
                 self.far_min = self.far_min.min(far[i].time);
                 i += 1;
             } else if day == self.cur_day {
-                today.push(far.swap_remove(i));
+                self.today.push(far.swap_remove(i));
             } else {
                 self.push_near(day, far.swap_remove(i));
             }
         }
         self.far = far;
-        self.current = BinaryHeap::from(today);
+        self.today.sort_unstable();
     }
 
     /// The density check at an epoch's end, `now` being the time just
@@ -364,11 +391,12 @@ impl<T> Calendar<T> {
         // burst) or an infinite jump says nothing about density.
         let ratio = PER_DAY * gap * self.inv_width;
         let informed = gap > 0.0 && gap.is_finite() && !(0.5..=2.0).contains(&ratio);
-        let Some(head) = self.current.peek().filter(|_| informed) else {
+        let Some(head) = self.head().filter(|_| informed) else {
             return;
         };
         self.far_min = head.time;
-        self.far.extend(self.current.drain());
+        self.far.append(&mut self.today);
+        self.far.extend(self.late.drain());
         for bucket in &mut self.buckets {
             self.far.append(bucket);
         }
@@ -458,7 +486,7 @@ impl<T> EventQueue<T> {
     pub fn peek(&self) -> Option<(SimTime, EventKey)> {
         let e = match &self.inner {
             Inner::Heap(h) => h.peek(),
-            Inner::Wheel(w) => w.current.peek(),
+            Inner::Wheel(w) => w.head(),
         };
         e.map(|e| (e.time, e.key))
     }
@@ -655,9 +683,14 @@ mod tests {
             let mut q: EventQueue<()> = EventQueue::new(SchedulerKind::Wheel);
             let (mut now, mut k) = (SimTime::ZERO, 0);
             for op in &ops {
+                // Any unique key will do here: the keys `Follow` asks for
+                // matter to the pop order, which `tests/wheel_model.rs`
+                // checks.
                 let at = match *op {
                     sequences::Op::At(time) => SimTime::new(time),
                     sequences::Op::After(dt) => now + dt,
+                    sequences::Op::Follow => now,
+                    sequences::Op::PopIf(_) => unreachable!("no long sequence refuses a pop"),
                     sequences::Op::Pop => {
                         if let Some((t, _, ())) = q.pop() {
                             assert!(t >= now, "{name}: popped {t} after {now}");

@@ -4,12 +4,11 @@
 //! clock, guard tracking, pending wakeups) on every event. Keyed
 //! `BTreeMap`s pay a pointer chase per lookup; topologies in this
 //! repository use compact ids (`0..n` from the generators), so a plain
-//! vector indexed by [`NodeId::raw`] is both smaller and faster. The two
-//! containers here keep the *deterministic ascending-id iteration order*
+//! vector indexed by [`NodeId::raw`] is both smaller and faster.
+//! [`NodeSlots`] keeps the *deterministic ascending-id iteration order*
 //! the maps provided — every consumer of engine iteration order (route
-//! tables, quiescence checks, trace reports) relies on it.
-
-use std::collections::BTreeMap;
+//! tables, quiescence checks, trace reports) relies on it. [`EdgeSlots`]
+//! has no iteration at all, so no order of its rows is observable.
 
 use lsrp_graph::NodeId;
 
@@ -113,12 +112,13 @@ impl<T> NodeSlots<T> {
 /// A map from directed edges `(from, to)` to `T`, dense in `from`.
 ///
 /// The `from` side is a vector indexed by [`NodeId::raw`] (every live node
-/// sends on its edges constantly); the `to` side stays a small ordered map
-/// (a node's degree is tiny compared to `n`). Iteration order — ascending
-/// `from`, then ascending `to` — is deterministic.
+/// sends on its edges constantly); the `to` side is a row of `(to, T)`
+/// pairs sorted by `to` and binary-searched (a node's degree is tiny
+/// compared to `n`, and an edge is inserted into its row once, on its
+/// first touch).
 #[derive(Debug, Clone, Default)]
 pub struct EdgeSlots<T> {
-    rows: Vec<BTreeMap<NodeId, T>>,
+    rows: Vec<Vec<(NodeId, T)>>,
 }
 
 impl<T> EdgeSlots<T> {
@@ -129,7 +129,9 @@ impl<T> EdgeSlots<T> {
 
     /// Read access to the state of edge `(from, to)`.
     pub fn get(&self, from: NodeId, to: NodeId) -> Option<&T> {
-        self.rows.get(from.raw() as usize).and_then(|r| r.get(&to))
+        let row = self.rows.get(from.raw() as usize)?;
+        let i = row.binary_search_by_key(&to, |&(head, _)| head).ok()?;
+        Some(&row[i].1)
     }
 }
 
@@ -139,9 +141,16 @@ impl<T: Default> EdgeSlots<T> {
     pub fn entry(&mut self, from: NodeId, to: NodeId) -> &mut T {
         let idx = from.raw() as usize;
         if idx >= self.rows.len() {
-            self.rows.resize_with(idx + 1, BTreeMap::new);
+            self.rows.resize_with(idx + 1, Vec::new);
         }
-        self.rows[idx].entry(to).or_default()
+        let row = &mut self.rows[idx];
+        let i = row
+            .binary_search_by_key(&to, |&(head, _)| head)
+            .unwrap_or_else(|i| {
+                row.insert(i, (to, T::default()));
+                i
+            });
+        &mut row[i].1
     }
 }
 
@@ -267,5 +276,32 @@ mod tests {
         assert_eq!(e.get(v(2), v(1)), None);
         *e.entry(v(0), v(7)) |= false;
         assert_eq!(e.get(v(0), v(7)), Some(&false));
+    }
+
+    #[test]
+    fn edge_slots_row_of_a_clos_switch_degree() {
+        // Forty heads (a Clos switch's degree), every third id, touched in
+        // a shuffled order: each row insert lands mid-row at least once.
+        let mut heads: Vec<u32> = (0..40).map(|i| 3 * i + 1).collect();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for i in (1..heads.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            heads.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let mut e: EdgeSlots<u32> = EdgeSlots::new();
+        for &h in &heads {
+            *e.entry(v(5), v(h)) += 1000 + h;
+        }
+        for &h in &heads {
+            *e.entry(v(5), v(h)) += 1; // a second touch finds, not inserts
+        }
+        for id in 0..130 {
+            let want = (id % 3 == 1 && id < 120).then_some(1001 + id);
+            assert_eq!(e.get(v(5), v(id)).copied(), want, "head {id}");
+        }
+        assert_eq!(e.get(v(4), v(1)), None);
+        assert_eq!(e.get(v(6), v(1)), None);
     }
 }

@@ -18,8 +18,18 @@ pub enum Op {
     /// Schedule an entry this long after the most recently popped time
     /// (after time zero before the first pop).
     After(f64),
+    /// Schedule an entry at the most recently popped instant under a key
+    /// smaller than that popped entry's: the engine's zero-hold guard
+    /// timer, armed on a lower-numbered node while it handles a message.
+    /// It lands in a day that is already open and pops next.
+    Follow,
     /// Pop the minimum.
     Pop,
+    /// Pop through `pop_if` with an admission test that refuses (`false`)
+    /// or admits exactly the model's head (`true`). Only the short random
+    /// sequences of `wheel_model.rs` build these.
+    #[allow(dead_code)]
+    PopIf(bool),
 }
 
 /// SplitMix64: small, seedable, and good enough to shape a workload.
@@ -134,6 +144,27 @@ fn behind_the_cursor(rng: &mut Rng) -> Vec<Op> {
     ops
 }
 
+/// A hold model on whole seconds, so dozens of entries share each
+/// instant, in which half the pops schedule a zero-hold follow-up at the
+/// popped instant under a smaller key instead of an entry up to a minute
+/// later: an open day's sorted entries and the ones inserted after it
+/// opened interleave at equal times, in chains of follow-ups of
+/// follow-ups.
+fn follow_ups(rng: &mut Rng) -> Vec<Op> {
+    let mut ops = Vec::new();
+    let later = |rng: &mut Rng| Op::After((rng.next_u64() % 64) as f64);
+    ops.extend((0..2_000).map(|_| later(rng)));
+    for _ in 0..30_000 {
+        ops.push(Op::Pop);
+        ops.push(if rng.next_u64().is_multiple_of(2) {
+            Op::Follow
+        } else {
+            later(rng)
+        });
+    }
+    ops
+}
+
 /// Every long sequence, by name, from one seed.
 pub fn all(seed: u64) -> Vec<(&'static str, Vec<Op>)> {
     let rng = &mut Rng::new(seed);
@@ -145,5 +176,6 @@ pub fn all(seed: u64) -> Vec<(&'static str, Vec<Op>)> {
         ("burst_then_silence", burst_then_silence(rng)),
         ("with_infinities", with_infinities(rng)),
         ("behind_the_cursor", behind_the_cursor(rng)),
+        ("follow_ups", follow_ups(rng)),
     ]
 }

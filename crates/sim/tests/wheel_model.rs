@@ -8,10 +8,13 @@
 //! Times are drawn from mixed magnitudes (sub-second bursts up
 //! to ~1e12) so runs cross bucket boundaries, spill into the far pile
 //! and force rotations; pops interleave with inserts so entries also
-//! land behind the cursor, in already-visited days. Those random
-//! sequences are short (at most 400 ops); the long seeded ones of
-//! `sequences/mod.rs` run the same check through density retunes and
-//! bucket-count changes.
+//! land behind the cursor, in already-visited days, and bounded pops
+//! (`pop_if`) either refuse or admit exactly the model's head. After
+//! every op the queue's head `(time, key)` and length must match the
+//! model's. Those random sequences are short (at most 400 ops); the long
+//! seeded ones of `sequences/mod.rs` run the same check through density
+//! retunes, bucket-count changes and same-instant follow-ups that pop
+//! ahead of the rest of their instant.
 //!
 //! The vendored `proptest` stand-in only supplies range strategies, so
 //! each case draws a seed and expands it into an op sequence with the
@@ -54,11 +57,9 @@ impl Model {
         ))
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
-        self.pending
-            .iter()
-            .next()
-            .map(|&(t, _, _, _)| SimTime::new(f64::from_bits(t)))
+    fn peek(&self) -> Option<(SimTime, EventKey)> {
+        let &(t, src, k, _) = self.pending.iter().next()?;
+        Some((SimTime::new(f64::from_bits(t)), EventKey { src, k }))
     }
 }
 
@@ -80,53 +81,77 @@ fn gen_time(rng: &mut TestRng) -> f64 {
 
 /// Expands a seed into an op sequence: schedules dominate early so the
 /// queue fills, and pops dominate by weight enough to drain regularly.
+/// One op in ten follows up the last pop at its instant, and one in ten
+/// is a bounded pop that refuses or admits with equal odds.
 fn gen_ops(seed: u64) -> Vec<Op> {
     let mut rng = TestRng::deterministic(seed);
     let len = 1 + (rng.next_u64() % 400) as usize;
     (0..len)
         .map(|_| match rng.next_u64() % 10 {
-            0..=5 => Op::At(gen_time(&mut rng)),
+            0..=4 => Op::At(gen_time(&mut rng)),
+            5 => Op::Follow,
+            6 => Op::PopIf(rng.next_u64().is_multiple_of(2)),
             _ => Op::Pop,
         })
         .collect()
 }
 
-/// Runs one op sequence against the given backend, checking every pop
-/// (and the final drain) against the model.
+/// Runs one op sequence against the given backend, checking every pop,
+/// the head and length after every op, and the final drain against the
+/// model.
 fn check_backend(kind: SchedulerKind, ops: &[Op]) {
     let mut queue: EventQueue<u32> = EventQueue::new(kind);
     let mut model = Model::default();
     let mut now = 0.0;
     for (i, op) in ops.iter().enumerate() {
-        let at = match *op {
-            Op::At(time) => Some(time),
-            Op::After(dt) => Some(now + dt),
-            Op::Pop => None,
+        // Ordinary entries cycle src over 1..=3 so same-time ties exercise
+        // the src-before-k ordering, with k unique per op. A follow-up
+        // takes src 0 and a k that falls as ops go on, so its key sorts
+        // below every other one scheduled so far — the popped entry's
+        // included.
+        let ordinary = EventKey {
+            src: 1 + (i % 3) as u32,
+            k: i as u64,
         };
-        if let Some(time) = at {
+        let at = match *op {
+            Op::At(time) => Some((time, ordinary)),
+            Op::After(dt) => Some((now + dt, ordinary)),
+            Op::Follow => Some((
+                now,
+                EventKey {
+                    src: 0,
+                    k: u64::MAX - i as u64,
+                },
+            )),
+            Op::PopIf(false) => {
+                let got = queue.pop_if(|_| false);
+                assert!(got.is_none(), "op {i}: {kind:?} popped past a refusal");
+                None
+            }
+            Op::Pop | Op::PopIf(true) => {
+                let head = model.peek();
+                let got = match op {
+                    Op::Pop => queue.pop(),
+                    _ => queue.pop_if(|at| Some(at) == head),
+                };
+                assert_eq!(
+                    got,
+                    model.pop(),
+                    "op {i}: {kind:?} {op:?} diverged from model"
+                );
+                if let Some((t, _, _)) = got {
+                    now = t.seconds();
+                }
+                None
+            }
+        };
+        if let Some((time, key)) = at {
             let payload = i as u32;
-            // Cycle the src id so same-time ties exercise the
-            // src-before-k ordering, with k unique per op.
-            let key = EventKey {
-                src: (i % 3) as u32,
-                k: i as u64,
-            };
             queue.schedule(SimTime::new(time), key, payload);
             model.schedule(time, key, payload);
-        } else {
-            let got = queue.pop();
-            let want = model.pop();
-            assert_eq!(got, want, "op {i}: {kind:?} pop diverged from model");
-            if let Some((t, _, _)) = got {
-                now = t.seconds();
-            }
         }
         assert_eq!(queue.len(), model.pending.len(), "op {i}: len diverged");
-        assert_eq!(
-            queue.peek_time(),
-            model.peek_time(),
-            "op {i}: peek_time diverged"
-        );
+        assert_eq!(queue.peek(), model.peek(), "op {i}: peek diverged");
     }
     while let Some(want) = model.pop() {
         assert_eq!(queue.pop(), Some(want), "final drain diverged");
@@ -151,8 +176,9 @@ proptest! {
 
 /// The long sequences (hold model at two depths, traffic-shaped mix,
 /// same-instant burst, burst then silence over a large far pile, `+∞`
-/// times, inserts behind the cursor across retunes): every pop, length
-/// and head time matches the sorted model on both backends.
+/// times, inserts behind the cursor across retunes, zero-hold follow-ups
+/// at shared instants): every pop, length and head `(time, key)` matches
+/// the sorted model on both backends.
 #[test]
 fn long_sequences_match_sorted_model() {
     for (name, ops) in sequences::all(0x15C0_FFEE) {

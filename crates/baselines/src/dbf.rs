@@ -18,16 +18,14 @@
 //! its owner corrects it, so the corruption races ahead until it falls off
 //! the leaves of the routing tree.
 
-use std::collections::BTreeMap;
-
 use lsrp_graph::shortest_path::ShortestPaths;
 use lsrp_graph::{Distance, Graph, NodeId, RouteTable, Weight};
 use lsrp_sim::{
     ActionId, Effects, EnabledSet, Engine, EngineConfig, ForgedAdvert, HarnessProtocol,
-    ProtocolNode, SimHarness,
+    NeighborTable, ProtocolNode, SimHarness,
 };
 
-use crate::BaselineSimulation;
+use crate::{clamped_offer, BaselineSimulation};
 
 /// Configuration for [`DbfNode`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,21 +97,19 @@ pub struct DbfNode {
     pub p: NodeId,
     /// Local-clock time of the last broadcast.
     pub t_last: f64,
-    /// Neighbor weights.
-    pub neighbors: BTreeMap<NodeId, Weight>,
-    /// Mirrors of neighbors' advertised distances.
-    pub mirrors: BTreeMap<NodeId, Distance>,
+    /// Neighbor weights and mirrors of their advertised distances.
+    pub neighbors: NeighborTable<Distance>,
     config: DbfConfig,
 }
 
 impl DbfNode {
-    /// Creates a node with the given initial route.
+    /// Creates a node with the given initial route and nothing heard.
     pub fn new(
         id: NodeId,
         dest: NodeId,
         d: Distance,
         p: NodeId,
-        neighbors: BTreeMap<NodeId, Weight>,
+        neighbors: &[(NodeId, Weight)],
         config: DbfConfig,
     ) -> Self {
         DbfNode {
@@ -122,8 +118,7 @@ impl DbfNode {
             d,
             p,
             t_last: 0.0,
-            neighbors,
-            mirrors: BTreeMap::new(),
+            neighbors: NeighborTable::new(neighbors.iter().copied()),
             config,
         }
     }
@@ -131,15 +126,9 @@ impl DbfNode {
     /// The distance neighbor `k` offers (`∞` if unheard or not a
     /// neighbor), clamped by the bounded infinity.
     pub fn offer(&self, k: NodeId) -> Distance {
-        let Some(&w) = self.neighbors.get(&k) else {
-            return Distance::Infinite;
-        };
-        let d = self.mirrors.get(&k).copied().unwrap_or(Distance::Infinite);
-        let o = d.plus(w);
-        match o.as_finite() {
-            Some(v) if v >= self.config.infinity => Distance::Infinite,
-            _ => o,
-        }
+        self.neighbors.get(k).map_or(Distance::Infinite, |n| {
+            clamped_offer(n, self.config.infinity)
+        })
     }
 
     /// The Bellman-Ford target `(d, p)` given current mirrors. Ties keep
@@ -151,8 +140,9 @@ impl DbfNode {
         }
         let best = self
             .neighbors
-            .keys()
-            .map(|&k| (self.offer(k), k))
+            .rows()
+            .iter()
+            .map(|n| (clamped_offer(n, self.config.infinity), n.id))
             .min()
             .filter(|(o, _)| !o.is_infinite());
         match best {
@@ -212,21 +202,18 @@ impl ProtocolNode for DbfNode {
         _now_local: f64,
         fx: &mut Effects<DbfMsg>,
     ) {
-        if self.neighbors.contains_key(&from) && self.mirrors.insert(from, msg.d) != Some(msg.d) {
+        if self.neighbors.record(from, &msg.d) {
             fx.note_mirror_change();
         }
     }
 
     fn on_neighbors_changed(
         &mut self,
-        neighbors: &BTreeMap<NodeId, Weight>,
+        neighbors: &[(NodeId, Weight)],
         now_local: f64,
         fx: &mut Effects<DbfMsg>,
     ) {
-        let grew = neighbors.keys().any(|k| !self.neighbors.contains_key(k));
-        self.mirrors.retain(|k, _| neighbors.contains_key(k));
-        self.neighbors = neighbors.clone();
-        if grew {
+        if self.neighbors.reconcile(neighbors).joined {
             self.t_last = now_local;
             fx.broadcast(DbfMsg { d: self.d });
         }
@@ -258,7 +245,7 @@ impl HarnessProtocol for DbfNode {
     }
 
     fn poison_mirror(&mut self, about: NodeId, advert: ForgedAdvert, _dest: NodeId) {
-        self.mirrors.insert(about, advert.d);
+        self.neighbors.record(about, &advert.d);
     }
 
     fn inject_route(&mut self, d: Distance, p: NodeId, _dest: NodeId) {
@@ -266,9 +253,9 @@ impl HarnessProtocol for DbfNode {
         self.p = p;
         // Make the injected parent look attractive so plain DBF keeps
         // the loop until values count up past it.
-        self.mirrors.insert(
+        self.neighbors.record(
             p,
-            d.plus(0).as_finite().map_or(Distance::Infinite, |x| {
+            &d.plus(0).as_finite().map_or(Distance::Infinite, |x| {
                 Distance::Finite(x.saturating_sub(1))
             }),
         );
@@ -306,13 +293,11 @@ impl BaselineSimulation for DbfSimulation {
                 destination,
                 entry.distance,
                 entry.parent,
-                neighbors.clone(),
+                neighbors,
                 config,
             );
-            for k in neighbors.keys() {
-                let kd = table.entry(*k).map_or(Distance::Infinite, |e| e.distance);
-                node.mirrors.insert(*k, kd);
-            }
+            node.neighbors
+                .fill(|k| table.entry(k).map_or(Distance::Infinite, |e| e.distance));
             node
         });
         DbfSimulation::from_parts(engine, destination, 0.0, ())
@@ -452,18 +437,10 @@ mod tests {
             infinity: 10,
             ..DbfConfig::default()
         };
-        let n = DbfNode::new(
-            v(1),
-            v(0),
-            Distance::Finite(3),
-            v(0),
-            BTreeMap::from([(v(0), 5)]),
-            cfg,
-        );
-        let mut n = n;
-        n.mirrors.insert(v(0), Distance::Finite(6));
+        let mut n = DbfNode::new(v(1), v(0), Distance::Finite(3), v(0), &[(v(0), 5)], cfg);
+        n.neighbors.record(v(0), &Distance::Finite(6));
         assert!(n.offer(v(0)).is_infinite(), "6 + 5 >= 10 clamps to ∞");
-        n.mirrors.insert(v(0), Distance::Finite(4));
+        n.neighbors.record(v(0), &Distance::Finite(4));
         assert_eq!(n.offer(v(0)), Distance::Finite(9));
     }
 }

@@ -27,15 +27,15 @@
 //! diffusing computation that walks the loop, i.e. time proportional to
 //! loop length (experiment E9).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use lsrp_graph::{Distance, Graph, NodeId, RouteTable, Weight};
 use lsrp_sim::{
     ActionId, Effects, EnabledSet, Engine, EngineConfig, ForgedAdvert, HarnessProtocol,
-    ProtocolNode, SimHarness,
+    NeighborTable, ProtocolNode, SimHarness,
 };
 
-use crate::BaselineSimulation;
+use crate::{clamped_offer, BaselineSimulation};
 
 /// Configuration for [`DualNode`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,10 +97,8 @@ pub struct DualNode {
     pub fd: Distance,
     /// Current successor (self when routeless).
     pub succ: NodeId,
-    /// Neighbor weights.
-    pub neighbors: BTreeMap<NodeId, Weight>,
-    /// Mirrors of neighbors' advertised distances.
-    pub mirrors: BTreeMap<NodeId, Distance>,
+    /// Neighbor weights and mirrors of their advertised distances.
+    pub neighbors: NeighborTable<Distance>,
     /// `Some` while a diffusing computation is in progress.
     pub active: Option<ActiveState>,
     /// Queries owed a reply once we are passive with a settled route.
@@ -109,13 +107,14 @@ pub struct DualNode {
 }
 
 impl DualNode {
-    /// Creates a passive node with the given initial route.
+    /// Creates a passive node with the given initial route and nothing
+    /// heard.
     pub fn new(
         id: NodeId,
         dest: NodeId,
         d: Distance,
         succ: NodeId,
-        neighbors: BTreeMap<NodeId, Weight>,
+        neighbors: &[(NodeId, Weight)],
         config: DualConfig,
     ) -> Self {
         DualNode {
@@ -124,8 +123,7 @@ impl DualNode {
             d,
             fd: d,
             succ,
-            neighbors,
-            mirrors: BTreeMap::new(),
+            neighbors: NeighborTable::new(neighbors.iter().copied()),
             active: None,
             owed_replies: BTreeSet::new(),
             config,
@@ -134,29 +132,19 @@ impl DualNode {
 
     /// The clamped distance neighbor `k` offers.
     pub fn offer(&self, k: NodeId) -> Distance {
-        let Some(&w) = self.neighbors.get(&k) else {
-            return Distance::Infinite;
-        };
-        let d = self.mirrors.get(&k).copied().unwrap_or(Distance::Infinite);
-        let o = d.plus(w);
-        match o.as_finite() {
-            Some(v) if v >= self.config.infinity => Distance::Infinite,
-            _ => o,
-        }
-    }
-
-    /// The advertised distance of `k` as mirrored.
-    fn advertised(&self, k: NodeId) -> Distance {
-        self.mirrors.get(&k).copied().unwrap_or(Distance::Infinite)
+        self.neighbors.get(k).map_or(Distance::Infinite, |n| {
+            clamped_offer(n, self.config.infinity)
+        })
     }
 
     /// Best neighbor satisfying the Source Node Condition
     /// (`advertised < fd`), by offered distance then id.
     fn best_feasible(&self) -> Option<(Distance, NodeId)> {
         self.neighbors
-            .keys()
-            .filter(|&&k| self.advertised(k) < self.fd)
-            .map(|&k| (self.offer(k), k))
+            .rows()
+            .iter()
+            .filter(|n| n.heard.unwrap_or(Distance::Infinite) < self.fd)
+            .map(|n| (clamped_offer(n, self.config.infinity), n.id))
             .filter(|(o, _)| !o.is_infinite())
             .min()
     }
@@ -164,8 +152,9 @@ impl DualNode {
     /// Best neighbor regardless of feasibility.
     fn best_any(&self) -> Option<(Distance, NodeId)> {
         self.neighbors
-            .keys()
-            .map(|&k| (self.offer(k), k))
+            .rows()
+            .iter()
+            .map(|n| (clamped_offer(n, self.config.infinity), n.id))
             .filter(|(o, _)| !o.is_infinite())
             .min()
     }
@@ -222,7 +211,7 @@ impl DualNode {
     fn flush_owed(&mut self, fx: &mut Effects<DualMsg>) {
         let owed = std::mem::take(&mut self.owed_replies);
         for k in owed {
-            if self.neighbors.contains_key(&k) {
+            if self.neighbors.get(k).is_some() {
                 fx.send_to(k, DualMsg::Reply(self.d));
             }
         }
@@ -237,7 +226,7 @@ impl DualNode {
         }
         self.d = via_succ;
         self.fd = self.fd.min(via_succ);
-        let pending: BTreeSet<NodeId> = self.neighbors.keys().copied().collect();
+        let pending: BTreeSet<NodeId> = self.neighbors.rows().iter().map(|n| n.id).collect();
         if pending.is_empty() {
             // No one to ask: equivalent to an instantly-finished diffusion.
             self.active = Some(ActiveState::default());
@@ -327,18 +316,16 @@ impl ProtocolNode for DualNode {
         _now_local: f64,
         fx: &mut Effects<DualMsg>,
     ) {
-        if !self.neighbors.contains_key(&from) {
+        if self.neighbors.get(from).is_none() {
             return;
         }
-        let record = |this: &mut Self, d: Distance, fx: &mut Effects<DualMsg>| {
-            if this.mirrors.insert(from, d) != Some(d) {
-                fx.note_mirror_change();
-            }
-        };
+        let (DualMsg::Update(d) | DualMsg::Query(d) | DualMsg::Reply(d)) = *msg;
+        if self.neighbors.record(from, &d) {
+            fx.note_mirror_change();
+        }
         match *msg {
-            DualMsg::Update(d) => record(self, d, fx),
-            DualMsg::Query(d) => {
-                record(self, d, fx);
+            DualMsg::Update(_) => {}
+            DualMsg::Query(_) => {
                 if self.id == self.dest {
                     fx.send_to(from, DualMsg::Reply(Distance::ZERO));
                 } else if self.active.is_some() {
@@ -355,8 +342,7 @@ impl ProtocolNode for DualNode {
                     fx.send_to(from, DualMsg::Reply(self.d));
                 }
             }
-            DualMsg::Reply(d) => {
-                record(self, d, fx);
+            DualMsg::Reply(_) => {
                 let finished = match &mut self.active {
                     Some(a) => {
                         a.pending.remove(&from);
@@ -373,17 +359,16 @@ impl ProtocolNode for DualNode {
 
     fn on_neighbors_changed(
         &mut self,
-        neighbors: &BTreeMap<NodeId, Weight>,
+        neighbors: &[(NodeId, Weight)],
         _now_local: f64,
         fx: &mut Effects<DualMsg>,
     ) {
-        let grew = neighbors.keys().any(|k| !self.neighbors.contains_key(k));
-        self.mirrors.retain(|k, _| neighbors.contains_key(k));
-        self.owed_replies.retain(|k| neighbors.contains_key(k));
-        self.neighbors = neighbors.clone();
+        let joined = self.neighbors.reconcile(neighbors).joined;
+        let table = &self.neighbors;
+        self.owed_replies.retain(|&k| table.get(k).is_some());
         let finished = match &mut self.active {
             Some(a) => {
-                a.pending.retain(|k| self.neighbors.contains_key(k));
+                a.pending.retain(|&k| table.get(k).is_some());
                 a.pending.is_empty()
             }
             None => false,
@@ -391,7 +376,7 @@ impl ProtocolNode for DualNode {
         if finished {
             self.finish_diffusion(fx);
         }
-        if grew {
+        if joined {
             fx.broadcast(DualMsg::Update(self.d));
         }
     }
@@ -426,7 +411,7 @@ impl HarnessProtocol for DualNode {
     }
 
     fn poison_mirror(&mut self, about: NodeId, advert: ForgedAdvert, _dest: NodeId) {
-        self.mirrors.insert(about, advert.d);
+        self.neighbors.record(about, &advert.d);
     }
 
     fn inject_route(&mut self, d: Distance, p: NodeId, _dest: NodeId) {
@@ -466,13 +451,11 @@ impl BaselineSimulation for DualSimulation {
                 destination,
                 entry.distance,
                 entry.parent,
-                neighbors.clone(),
+                neighbors,
                 config,
             );
-            for k in neighbors.keys() {
-                let kd = table.entry(*k).map_or(Distance::Infinite, |e| e.distance);
-                node.mirrors.insert(*k, kd);
-            }
+            node.neighbors
+                .fill(|k| table.entry(k).map_or(Distance::Infinite, |e| e.distance));
             node
         });
         DualSimulation::from_parts(engine, destination, 0.0, ())

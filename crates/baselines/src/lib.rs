@@ -28,8 +28,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use lsrp_graph::{Graph, NodeId, RouteTable};
-use lsrp_sim::EngineConfig;
+use lsrp_graph::{Distance, Graph, NodeId, RouteTable};
+use lsrp_sim::{EngineConfig, Neighbor};
 
 pub mod dbf;
 pub mod dual;
@@ -55,6 +55,16 @@ pub trait BaselineSimulation {
         config: Self::Config,
         engine_config: EngineConfig,
     ) -> Self;
+}
+
+/// The distance neighbor `n` offers (`∞` if unheard), collapsed to `∞`
+/// at DBF's and DUAL's bounded `infinity`.
+fn clamped_offer(n: &Neighbor<Distance>, infinity: u64) -> Distance {
+    let o = n.heard.unwrap_or(Distance::Infinite).plus(n.weight);
+    match o.as_finite() {
+        Some(v) if v >= infinity => Distance::Infinite,
+        _ => o,
+    }
 }
 
 pub use crate::dbf::{DbfConfig, DbfMsg, DbfNode, DbfSimulation};

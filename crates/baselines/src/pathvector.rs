@@ -19,8 +19,8 @@ use std::collections::BTreeMap;
 
 use lsrp_graph::{Distance, Graph, NodeId, RouteTable, Weight};
 use lsrp_sim::{
-    ActionId, Effects, EnabledSet, Engine, EngineConfig, ForgedAdvert, HarnessProtocol,
-    ProtocolNode, SimHarness,
+    ActionId, Effects, EnabledSet, Engine, EngineConfig, ForgedAdvert, HarnessProtocol, Neighbor,
+    NeighborTable, ProtocolNode, SimHarness,
 };
 
 use crate::BaselineSimulation;
@@ -80,48 +80,44 @@ pub struct PvNode {
     pub dest: NodeId,
     /// Current route (distance + path).
     pub route: PvRoute,
-    /// Neighbor weights.
-    pub neighbors: BTreeMap<NodeId, Weight>,
-    /// Mirrors of neighbors' advertised routes.
-    pub mirrors: BTreeMap<NodeId, PvRoute>,
+    /// Neighbor weights and mirrors of their advertised routes.
+    pub neighbors: NeighborTable<PvRoute>,
     config: PvConfig,
 }
 
 impl PvNode {
-    /// Creates a node with the given initial route.
+    /// Creates a node with the given initial route and nothing heard.
     pub fn new(
         id: NodeId,
         dest: NodeId,
         route: PvRoute,
-        neighbors: BTreeMap<NodeId, Weight>,
+        neighbors: &[(NodeId, Weight)],
         config: PvConfig,
     ) -> Self {
         PvNode {
             id,
             dest,
             route,
-            neighbors,
-            mirrors: BTreeMap::new(),
+            neighbors: NeighborTable::new(neighbors.iter().copied()),
             config,
         }
     }
 
-    /// The route offered by neighbor `k`: its advertised route extended by
+    /// The route neighbor `n` offers: its advertised route extended by
     /// the connecting edge — `None` when unusable (unknown, too long, or
     /// its path already contains us: the loop-prevention check).
-    fn offer(&self, k: NodeId) -> Option<PvRoute> {
-        let &w = self.neighbors.get(&k)?;
-        let adv = self.mirrors.get(&k)?;
-        let d = adv.d.plus(w);
+    fn offer(&self, n: &Neighbor<PvRoute>) -> Option<PvRoute> {
+        let adv = n.heard.as_ref()?;
+        let d = adv.d.plus(n.weight);
         if d.is_infinite()
             || adv.path.len() + 1 > self.config.max_path
             || adv.path.contains(&self.id)
-            || k == self.id
+            || n.id == self.id
         {
             return None;
         }
         let mut path = Vec::with_capacity(adv.path.len() + 1);
-        path.push(k);
+        path.push(n.id);
         path.extend_from_slice(&adv.path);
         Some(PvRoute { d, path })
     }
@@ -136,8 +132,9 @@ impl PvNode {
             };
         }
         self.neighbors
-            .keys()
-            .filter_map(|&k| self.offer(k))
+            .rows()
+            .iter()
+            .filter_map(|n| self.offer(n))
             .min_by(|a, b| {
                 a.d.cmp(&b.d)
                     .then(a.path.len().cmp(&b.path.len()))
@@ -173,22 +170,18 @@ impl ProtocolNode for PvNode {
     }
 
     fn on_receive(&mut self, from: NodeId, msg: &PvMsg, _now_local: f64, fx: &mut Effects<PvMsg>) {
-        if self.neighbors.contains_key(&from) && self.mirrors.get(&from) != Some(msg) {
-            self.mirrors.insert(from, msg.clone());
+        if self.neighbors.record(from, msg) {
             fx.note_mirror_change();
         }
     }
 
     fn on_neighbors_changed(
         &mut self,
-        neighbors: &BTreeMap<NodeId, Weight>,
+        neighbors: &[(NodeId, Weight)],
         _now_local: f64,
         fx: &mut Effects<PvMsg>,
     ) {
-        let grew = neighbors.keys().any(|k| !self.neighbors.contains_key(k));
-        self.mirrors.retain(|k, _| neighbors.contains_key(k));
-        self.neighbors = neighbors.clone();
-        if grew {
+        if self.neighbors.reconcile(neighbors).joined {
             fx.broadcast(self.route.clone());
         }
     }
@@ -225,9 +218,9 @@ impl HarnessProtocol for PvNode {
     }
 
     fn poison_mirror(&mut self, about: NodeId, advert: ForgedAdvert, dest: NodeId) {
-        self.mirrors.insert(
+        self.neighbors.record(
             about,
-            PvRoute {
+            &PvRoute {
                 d: advert.d,
                 path: if about == dest {
                     Vec::new()
@@ -321,11 +314,9 @@ impl BaselineSimulation for PvSimulation {
         }
         let engine = Engine::new(graph, engine_config, move |id, neighbors| {
             let route = paths.get(&id).cloned().unwrap_or_else(PvRoute::none);
-            let mut node = PvNode::new(id, destination, route, neighbors.clone(), config);
-            for k in neighbors.keys() {
-                node.mirrors
-                    .insert(*k, paths.get(k).cloned().unwrap_or_else(PvRoute::none));
-            }
+            let mut node = PvNode::new(id, destination, route, neighbors, config);
+            node.neighbors
+                .fill(|k| paths.get(&k).cloned().unwrap_or_else(PvRoute::none));
             node
         });
         PvSimulation::from_parts(engine, destination, 0.0, ())
@@ -389,22 +380,22 @@ mod tests {
             v(1),
             v(0),
             PvRoute::none(),
-            BTreeMap::from([(v(2), 1)]),
+            &[(v(2), 1)],
             PvConfig::default(),
         );
         // v2 advertises a path THROUGH v1: must be rejected.
-        n.mirrors.insert(
+        n.neighbors.record(
             v(2),
-            PvRoute {
+            &PvRoute {
                 d: Distance::Finite(3),
                 path: vec![v(1), v(0)],
             },
         );
         assert_eq!(n.target(), PvRoute::none());
         // A clean path is accepted.
-        n.mirrors.insert(
+        n.neighbors.record(
             v(2),
-            PvRoute {
+            &PvRoute {
                 d: Distance::Finite(3),
                 path: vec![v(3), v(0)],
             },

@@ -122,9 +122,9 @@ impl LsrpSimulationBuilder {
         let engine = Engine::new(self.graph, self.engine, move |id, neighbors| {
             // Prepared states were built from this same graph; a node
             // (re)joining later starts fresh.
-            let state = states.remove(&id).unwrap_or_else(|| {
-                LsrpState::fresh(id, destination, neighbors.iter().map(|(&k, &w)| (k, w)))
-            });
+            let state = states
+                .remove(&id)
+                .unwrap_or_else(|| LsrpState::fresh(id, destination, neighbors.iter().copied()));
             LsrpNode::new(state, timing)
         });
         // Settle window for quiescence detection: zero without a `SYN`
@@ -177,7 +177,7 @@ fn initial_states(
         })
         .collect();
     for s in states.values_mut() {
-        s.fill_mirrors(|k| snapshot[&k]);
+        s.neighbors.fill(|k| snapshot[&k]);
     }
     states
 }
@@ -196,12 +196,12 @@ fn arbitrary_states(graph: &Graph, destination: NodeId, seed: u64) -> BTreeMap<N
     let mut states = BTreeMap::new();
     for v in graph.nodes() {
         let mut s = LsrpState::fresh(v, destination, graph.neighbors(v));
-        let degree = s.neighbors().len();
+        let degree = s.neighbors.rows().len();
         s.d = random_distance(&mut rng);
         s.p = {
             let roll: f64 = rng.gen();
             if roll < 0.7 && degree > 0 {
-                s.neighbors()[rng.gen_range(0..degree)].id
+                s.neighbors.rows()[rng.gen_range(0..degree)].id
             } else if roll < 0.9 {
                 v
             } else {
@@ -210,7 +210,7 @@ fn arbitrary_states(graph: &Graph, destination: NodeId, seed: u64) -> BTreeMap<N
         };
         s.ghost = rng.gen_bool(0.15);
         s.t_last = rng.gen_range(0.0..1_000.0);
-        s.fill_mirrors(|k| Mirror {
+        s.neighbors.fill(|k| Mirror {
             d: random_distance(&mut rng),
             p: if rng.gen_bool(0.5) { v } else { k },
             ghost: rng.gen_bool(0.15),
@@ -282,7 +282,7 @@ impl LsrpSimulationExt for LsrpSimulation {
 
     fn corrupt_mirror(&mut self, v: NodeId, about: NodeId, mirror: Mirror) {
         self.engine_mut().with_node_mut(v, |n| {
-            n.state_mut().set_mirror(about, mirror);
+            n.state_mut().neighbors.record(about, &mirror);
         });
     }
 
@@ -355,7 +355,8 @@ mod tests {
             .node(v(4))
             .unwrap()
             .state()
-            .neighbor(v(8))
+            .neighbors
+            .get(v(8))
             .unwrap();
         assert_eq!((row.weight, row.heard), (1, None));
         // About a real neighbor the write lands.

@@ -48,5 +48,5 @@ pub mod timing;
 
 pub use crate::builder::{InitialState, LsrpSimulation, LsrpSimulationBuilder, LsrpSimulationExt};
 pub use crate::protocol::{actions, LsrpNode};
-pub use crate::state::{LsrpMsg, LsrpState, Mirror, Neighbor};
+pub use crate::state::{LsrpMsg, LsrpState, Mirror, Neighbor, NeighborExt};
 pub use crate::timing::{InvalidTiming, TimingConfig};

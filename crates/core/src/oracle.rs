@@ -13,7 +13,7 @@ use crate::protocol::{actions, LsrpNode, WordMixer};
 use crate::state::LsrpState;
 
 fn ids(s: &LsrpState) -> impl Iterator<Item = NodeId> + '_ {
-    s.neighbors().iter().map(|n| n.id)
+    s.neighbors.rows().iter().map(|n| n.id)
 }
 
 /// `¬ghost.k.v ∧ p.k.v ≠ v`.
@@ -39,7 +39,7 @@ pub fn mp(s: &LsrpState) -> bool {
 }
 
 pub fn sw(s: &LsrpState, k: NodeId) -> bool {
-    if s.id == s.dest || !s.is_neighbor(k) || s.mirror(k).p == s.id {
+    if s.id == s.dest || s.neighbors.get(k).is_none() || s.mirror(k).p == s.id {
         return false;
     }
     if s.d.is_infinite()
@@ -60,24 +60,24 @@ pub fn sw(s: &LsrpState, k: NodeId) -> bool {
     if k == s.p {
         s.d != offer_k
     } else {
-        let parent_unusable = !s.is_neighbor(s.p) || s.mirror(s.p).ghost;
+        let parent_unusable = s.neighbors.get(s.p).is_none() || s.mirror(s.p).ghost;
         parent_unusable || offer_k < s.offer(s.p)
     }
 }
 
 pub fn cw(s: &LsrpState) -> bool {
-    s.is_neighbor(s.p)
+    s.neighbors.get(s.p).is_some()
         && s.mirror(s.p).ghost
         && s.d == s.offer(s.p)
         && !ids(s).any(|k| usable(s, k) && s.offer(k) < s.d)
 }
 
 pub fn ps(s: &LsrpState, k: NodeId) -> bool {
-    if !s.is_neighbor(k) || !usable(s, k) {
+    if s.neighbors.get(k).is_none() || !usable(s, k) {
         return false;
     }
     let grandparent = s.mirror(k).p;
-    if s.is_neighbor(grandparent) && s.mirror(grandparent).p == s.id {
+    if s.neighbors.get(grandparent).is_some() && s.mirror(grandparent).p == s.id {
         return false;
     }
     let offer_k = s.offer(k);
@@ -95,7 +95,7 @@ pub fn best_parent_substitute(s: &LsrpState) -> Option<NodeId> {
 
 pub fn c2_ready(s: &LsrpState) -> bool {
     s.ghost
-        && !s.neighbors().iter().any(|n| {
+        && !s.neighbors.rows().iter().any(|n| {
             let mk = s.mirror(n.id);
             mk.p == s.id && mk.d == s.d.plus(n.weight)
         })
@@ -182,7 +182,7 @@ pub fn enabled_actions(node: &LsrpNode, now_local: f64) -> EnabledSet {
 mod equivalence {
     use super::*;
     use crate::predicates::{self, Guards};
-    use crate::state::Mirror;
+    use crate::state::{Mirror, NeighborExt};
     use crate::timing::TimingConfig;
     use lsrp_sim::ProtocolNode;
     use rand::rngs::StdRng;
@@ -279,9 +279,9 @@ mod equivalence {
                 // ours (PS's known-grandchild exclusion).
                 neighbors[rng.gen_range(0..degree)].0
             };
-            s.set_mirror(
+            s.neighbors.record(
                 k,
-                Mirror {
+                &Mirror {
                     d,
                     p,
                     ghost: rng.gen_bool(p_ghost),
@@ -296,7 +296,7 @@ mod equivalence {
     }
 
     fn record(c: &mut Coverage, s: &LsrpState) {
-        let rows = s.neighbors();
+        let rows = s.neighbors.rows();
         c.degree_0 += usize::from(rows.is_empty());
         c.degree_64 += usize::from(rows.len() == 64);
         c.unheard += usize::from(rows.iter().any(|n| n.heard.is_none()));
@@ -308,8 +308,8 @@ mod equivalence {
         c.routeless_with_finite_child += usize::from(s.d.is_infinite() && child(true));
         c.routeless_with_routeless_child += usize::from(s.d.is_infinite() && child(false));
         c.parent_self += usize::from(s.p == s.id);
-        c.parent_neighbor += usize::from(s.is_neighbor(s.p));
-        c.parent_stranger += usize::from(s.p != s.id && !s.is_neighbor(s.p));
+        c.parent_neighbor += usize::from(s.neighbors.get(s.p).is_some());
+        c.parent_stranger += usize::from(s.p != s.id && s.neighbors.get(s.p).is_none());
         c.corrupted_destination += usize::from(s.id == s.dest && s.d != Distance::ZERO);
     }
 
@@ -339,7 +339,7 @@ mod equivalence {
             assert_eq!(g.cw(), cw(s), "CW, case {case}: {s:?}");
             assert_eq!(g.scw(), scw(s), "SCW, case {case}: {s:?}");
             assert_eq!(g.c2_ready(), c2_ready(s), "C2, case {case}: {s:?}");
-            for k in s.neighbors() {
+            for k in s.neighbors.rows() {
                 assert_eq!(g.sw(k), sw(s, k.id), "SW.{}, case {case}: {s:?}", k.id);
                 assert_eq!(g.ps(k), ps(s, k.id), "PS.{}, case {case}: {s:?}", k.id);
             }
@@ -423,7 +423,7 @@ mod mixer {
         for j in 1..=degree {
             if rng.gen_bool(0.8) {
                 let m = mirror(rng, &s);
-                s.set_mirror(id(j), m);
+                s.neighbors.record(id(j), &m);
             }
         }
         s
@@ -440,7 +440,7 @@ mod mixer {
 
     /// A mirror naming us, a neighbor or a stranger as its parent.
     fn mirror(rng: &mut StdRng, s: &LsrpState) -> Mirror {
-        let rows = s.neighbors();
+        let rows = s.neighbors.rows();
         let stride = rows[0].id.raw() - ME;
         Mirror {
             d: distance(rng),
@@ -476,11 +476,11 @@ mod mixer {
                 changed[0].d = distance(&mut rng);
                 changed[1].p = fresh.p;
                 changed[2].ghost = !s.ghost;
-                changed[3].set_mirror(k, Mirror { d: fresh.d, ..m });
-                changed[4].set_mirror(k, Mirror { p: fresh.p, ..m });
-                changed[5].set_mirror(
+                changed[3].neighbors.record(k, &Mirror { d: fresh.d, ..m });
+                changed[4].neighbors.record(k, &Mirror { p: fresh.p, ..m });
+                changed[5].neighbors.record(
                     k,
-                    Mirror {
+                    &Mirror {
                         ghost: !m.ghost,
                         ..m
                     },
@@ -508,7 +508,7 @@ mod mixer {
         let mut distinct = 0;
         while distinct < 1_000_000 {
             let (a, b) = (generate(&mut rng), generate(&mut rng));
-            if a.neighbors().len() != b.neighbors().len() {
+            if a.neighbors.rows().len() != b.neighbors.rows().len() {
                 continue;
             }
             for witnessed in witness_lists(&a, &mut rng) {

@@ -31,7 +31,7 @@
 
 use lsrp_graph::{Distance, NodeId};
 
-use crate::state::{LsrpState, Neighbor};
+use crate::state::{LsrpState, Neighbor, NeighborExt};
 
 /// The guards of one node, evaluated from one pass over its neighbor
 /// table.
@@ -71,7 +71,7 @@ impl<'a> Guards<'a> {
             copied_child: false,
             parent: None,
         };
-        for n in s.neighbors() {
+        for n in s.neighbors.rows() {
             if n.id == s.p {
                 g.parent = Some(n);
             }
@@ -215,7 +215,7 @@ impl<'a> Guards<'a> {
         // knowledge beyond the paper's direct-child check — needed when
         // corrupted containment flags trigger `C2` without the containment
         // wave having detached the subtree first).
-        if s.neighbor(mk.p).is_some_and(|g| g.mirror().p == s.id) {
+        if s.neighbors.get(mk.p).is_some_and(|g| g.mirror().p == s.id) {
             return false;
         }
         let offer_k = k.offer();
@@ -232,7 +232,7 @@ impl<'a> Guards<'a> {
     /// Every substitute offers exactly the usable minimum, so the first
     /// one in id order is it.
     pub fn best_parent_substitute(&self) -> Option<NodeId> {
-        let found = self.s.neighbors().iter().find(|k| self.ps(k))?;
+        let found = self.s.neighbors.rows().iter().find(|k| self.ps(k))?;
         Some(found.id)
     }
 
@@ -265,7 +265,7 @@ pub fn recovery_parent(s: &LsrpState) -> Option<NodeId> {
     if s.d.is_infinite() {
         return None; // routeless nodes keep the self parent
     }
-    let candidates = || s.neighbors().iter().filter(|k| k.offer() == s.d);
+    let candidates = || s.neighbors.rows().iter().filter(|k| k.offer() == s.d);
     let chosen = candidates()
         .find(|k| !k.mirror().ghost)
         .or_else(|| candidates().next())?;
@@ -277,7 +277,6 @@ mod tests {
     use super::*;
     use crate::oracle;
     use crate::state::{LsrpMsg, LsrpState};
-    use std::collections::BTreeMap;
 
     fn v(i: u32) -> NodeId {
         NodeId::new(i)
@@ -305,11 +304,11 @@ mod tests {
         agreed(Guards::scan(s).c2_ready(), oracle::c2_ready(s))
     }
     fn sw(s: &LsrpState, k: NodeId) -> bool {
-        let fast = s.neighbor(k).is_some_and(|k| Guards::scan(s).sw(k));
+        let fast = s.neighbors.get(k).is_some_and(|k| Guards::scan(s).sw(k));
         agreed(fast, oracle::sw(s, k))
     }
     fn ps(s: &LsrpState, k: NodeId) -> bool {
-        let fast = s.neighbor(k).is_some_and(|k| Guards::scan(s).ps(k));
+        let fast = s.neighbors.get(k).is_some_and(|k| Guards::scan(s).ps(k));
         agreed(fast, oracle::ps(s, k))
     }
     fn best_parent_substitute(s: &LsrpState) -> Option<NodeId> {
@@ -324,7 +323,7 @@ mod tests {
 
     /// A node v0 with neighbors v1 (w=1) and v2 (w=1); destination v9.
     fn base() -> LsrpState {
-        let mut s = LsrpState::fresh(v(0), v(9), BTreeMap::from([(v(1), 1), (v(2), 1)]));
+        let mut s = LsrpState::fresh(v(0), v(9), [(v(1), 1), (v(2), 1)]);
         s.absorb(
             v(1),
             &LsrpMsg {
@@ -402,7 +401,7 @@ mod tests {
     #[test]
     fn infinite_distance_is_never_sp() {
         // Nothing heard: all offers infinite.
-        let mut s = LsrpState::fresh(v(0), v(9), BTreeMap::from([(v(1), 1), (v(2), 1)]));
+        let mut s = LsrpState::fresh(v(0), v(9), [(v(1), 1), (v(2), 1)]);
         s.d = Distance::Infinite;
         s.p = v(1);
         assert!(!sp(&s));
@@ -413,7 +412,7 @@ mod tests {
         // Footnote-4 semantics: the destination's only repair path is
         // SP -> C1 -> C2, so any nonzero value makes it a source, even
         // when (garbage) finite offers are below it.
-        let mut s = LsrpState::fresh(v(9), v(9), BTreeMap::from([(v(1), 1)]));
+        let mut s = LsrpState::fresh(v(9), v(9), [(v(1), 1)]);
         s.d = Distance::Finite(5);
         s.absorb(
             v(1),
@@ -485,7 +484,7 @@ mod tests {
 
     #[test]
     fn destination_with_nonzero_distance_is_sp() {
-        let mut s = LsrpState::fresh(v(9), v(9), BTreeMap::from([(v(1), 1)]));
+        let mut s = LsrpState::fresh(v(9), v(9), [(v(1), 1)]);
         s.d = Distance::Finite(5);
         // neighbor offers more than 5:
         s.absorb(
@@ -721,7 +720,7 @@ mod tests {
 
     #[test]
     fn scw_at_destination() {
-        let mut s = LsrpState::fresh(v(9), v(9), BTreeMap::from([(v(1), 1)]));
+        let mut s = LsrpState::fresh(v(9), v(9), [(v(1), 1)]);
         s.ghost = true;
         assert!(scw(&s), "destination with d = 0 always super-contains");
         s.d = Distance::Finite(2);

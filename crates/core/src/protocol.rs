@@ -11,14 +11,13 @@
 //! | `SYN1` | refresh due (clock) | 0 | broadcast (maintenance) |
 //! | `SYN2` | message reception | 0 | update mirrors |
 
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 use lsrp_graph::{Distance, NodeId, RouteEntry, Weight};
 use lsrp_sim::{ActionId, Effects, EnabledSet, ForgedAdvert, HarnessProtocol, ProtocolNode};
 
 use crate::predicates::{self, Guards};
-use crate::state::{LsrpMsg, LsrpState, Mirror};
+use crate::state::{LsrpMsg, LsrpState, Mirror, NeighborExt};
 use crate::timing::TimingConfig;
 
 /// Action kind tags (the `kind` field of [`ActionId`]).
@@ -193,7 +192,7 @@ impl ProtocolNode for LsrpNode {
         // change mid-hold (see EnabledSet::enable_with_fingerprint). All
         // but k's mirror is common to every tied offer.
         let mut shared = None;
-        for k in s.neighbors() {
+        for k in s.neighbors.rows() {
             if !k.mirror().ghost && g.sw(k) {
                 let shared =
                     shared.get_or_insert_with(|| self.own_witness().witness(s.p, s.mirror(s.p)));
@@ -213,7 +212,7 @@ impl ProtocolNode for LsrpNode {
         // C2 and SC witness every mirror, hashed straight off the table.
         let all_mirrors = || {
             let own = self.own_witness();
-            let all = s.neighbors().iter();
+            let all = s.neighbors.rows().iter();
             all.fold(own, |h, k| h.witness(k.id, k.mirror())).finish()
         };
 
@@ -326,16 +325,13 @@ impl ProtocolNode for LsrpNode {
 
     fn on_neighbors_changed(
         &mut self,
-        neighbors: &BTreeMap<NodeId, Weight>,
+        neighbors: &[(NodeId, Weight)],
         now_local: f64,
         fx: &mut Effects<LsrpMsg>,
     ) {
         // A new neighbor, or a surviving one whose weight changed.
-        let announce = neighbors
-            .iter()
-            .any(|(&k, &w)| self.state.weight(k) != Some(w));
-        self.state.set_neighbors(neighbors);
-        if announce {
+        let changed = self.state.neighbors.reconcile(neighbors);
+        if changed.joined || changed.reweighted {
             // Link-up hello: let new neighbors learn our state without
             // waiting for the next SYN1 round.
             self.broadcast_state(now_local, fx);
@@ -376,9 +372,9 @@ impl HarnessProtocol for LsrpNode {
     }
 
     fn poison_mirror(&mut self, about: NodeId, advert: ForgedAdvert, _dest: NodeId) {
-        self.state.set_mirror(
+        self.state.neighbors.record(
             about,
-            Mirror {
+            &Mirror {
                 d: advert.d,
                 p: advert.parent,
                 ghost: advert.ghost,
@@ -401,7 +397,7 @@ mod tests {
     }
 
     fn node_with(d: u64, p: u32) -> LsrpNode {
-        let mut s = LsrpState::fresh(v(0), v(9), BTreeMap::from([(v(1), 1), (v(2), 1)]));
+        let mut s = LsrpState::fresh(v(0), v(9), [(v(1), 1), (v(2), 1)]);
         s.d = Distance::Finite(d);
         s.p = v(p);
         s.absorb(
@@ -503,7 +499,7 @@ mod tests {
 
     #[test]
     fn c2_at_destination_resets_to_zero() {
-        let mut s = LsrpState::fresh(v(9), v(9), BTreeMap::from([(v(1), 1)]));
+        let mut s = LsrpState::fresh(v(9), v(9), [(v(1), 1)]);
         s.d = Distance::Finite(7);
         s.p = v(1);
         s.ghost = true;
@@ -535,7 +531,7 @@ mod tests {
 
     #[test]
     fn s1_fixes_destination_parent() {
-        let mut s = LsrpState::fresh(v(9), v(9), BTreeMap::from([(v(1), 1)]));
+        let mut s = LsrpState::fresh(v(9), v(9), [(v(1), 1)]);
         s.p = v(1); // corrupted parent at the destination
         let n = LsrpNode::new(s, TimingConfig::paper_example(1.0));
         let set = n.enabled_actions(0.0);
@@ -548,7 +544,7 @@ mod tests {
     #[test]
     fn syn1_fires_on_schedule_and_on_corrupted_timestamp() {
         let timing = TimingConfig::paper_example(1.0).with_syn_period(10.0);
-        let s = LsrpState::fresh(v(0), v(9), BTreeMap::from([(v(1), 1)]));
+        let s = LsrpState::fresh(v(0), v(9), [(v(1), 1)]);
         let n = LsrpNode::new(s, timing);
         // Not due yet at local time 5 -> wakeup requested at 10.
         let set = n.enabled_actions(5.0);

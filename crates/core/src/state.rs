@@ -9,20 +9,14 @@
 //! * mirrors `d.k.v`, `p.k.v`, `ghost.k.v` of each neighbor `k`'s latest
 //!   broadcast values.
 //!
-//! `d`, `p`, `ghost` and `t_last` are public fields: the fault model
-//! includes arbitrary state corruption, which experiments perform by
-//! mutating them directly. The neighbor table is private — one id-sorted
-//! `Vec` of [`Neighbor`] rows read through [`LsrpState::neighbors`] /
-//! [`mirror`](LsrpState::mirror) / [`weight`](LsrpState::weight) and
-//! written through [`set_mirror`](LsrpState::set_mirror) /
-//! [`set_neighbors`](LsrpState::set_neighbors) — because it keeps two
-//! conditions the guards rely on: rows are sorted by id, and a mirror
-//! exists only about a current neighbor (the paper has no `d.k.v` for
-//! `k ∉ N.v`).
-
-use std::collections::BTreeMap;
+//! Every field is public: the fault model includes arbitrary state
+//! corruption, which experiments perform by mutating fields directly.
+//! `N.v` and the mirrors live in a [`NeighborTable`], which keeps the
+//! invariants the guards rely on (rows sorted by id, mirrors only about
+//! current neighbors); [`NeighborExt`] reads a row the LSRP way.
 
 use lsrp_graph::{Distance, NodeId, RouteEntry, Weight};
+use lsrp_sim::NeighborTable;
 
 /// A node's view of one neighbor's latest broadcast `(d, p, ghost)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,29 +54,26 @@ pub struct LsrpMsg {
     pub ghost: bool,
 }
 
-/// One row of a node's neighbor table: a neighbor `k ∈ N.v`, the edge
-/// weight `w.v.k`, and what has been heard from `k`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Neighbor {
-    /// The neighbor's id `k`.
-    pub id: NodeId,
-    /// Edge weight `w.v.k`.
-    pub weight: Weight,
-    /// `k`'s latest broadcast, `None` until one arrives. Distinct from
-    /// `Some(Mirror::unknown(k))`: a first message carrying exactly the
-    /// unknown values still counts as a mirror change.
-    pub heard: Option<Mirror>,
-}
+/// One row of an LSRP neighbor table. `heard: None` differs from
+/// `Some(Mirror::unknown(k))`: a first message with those values counts.
+pub type Neighbor = lsrp_sim::Neighbor<Mirror>;
 
-impl Neighbor {
+/// LSRP's reading of a [`Neighbor`] row.
+pub trait NeighborExt {
     /// The mirror `(d.k.v, p.k.v, ghost.k.v)` ([`Mirror::unknown`] if
     /// nothing heard).
-    pub fn mirror(&self) -> Mirror {
+    fn mirror(&self) -> Mirror;
+
+    /// The distance this neighbor offers: `d.k.v + w.v.k`.
+    fn offer(&self) -> Distance;
+}
+
+impl NeighborExt for Neighbor {
+    fn mirror(&self) -> Mirror {
         self.heard.unwrap_or(Mirror::unknown(self.id))
     }
 
-    /// The distance this neighbor offers: `d.k.v + w.v.k`.
-    pub fn offer(&self) -> Distance {
+    fn offer(&self) -> Distance {
         self.mirror().d.plus(self.weight)
     }
 }
@@ -103,14 +94,14 @@ pub struct LsrpState {
     /// Local-clock time of the last broadcast (`t.v`).
     pub t_last: f64,
     /// `N.v` with `w.v.k` and the mirrors, sorted by neighbor id.
-    table: Vec<Neighbor>,
+    pub neighbors: NeighborTable<Mirror>,
 }
 
 impl LsrpState {
     /// Fresh state for a node that knows nothing: no route, self parent
     /// (the destination starts with `d = 0, p = dest` instead), nothing
     /// heard from any neighbor. `neighbors` yields each neighbor once, in
-    /// any order — a `BTreeMap<NodeId, Weight>` or `Graph::neighbors`.
+    /// any order (see [`NeighborTable::new`]).
     pub fn fresh(
         id: NodeId,
         dest: NodeId,
@@ -121,15 +112,6 @@ impl LsrpState {
         } else {
             (Distance::Infinite, id)
         };
-        let mut table: Vec<Neighbor> = neighbors
-            .into_iter()
-            .map(|(id, weight)| Neighbor {
-                id,
-                weight,
-                heard: None,
-            })
-            .collect();
-        table.sort_unstable_by_key(|n| n.id);
         LsrpState {
             id,
             dest,
@@ -137,45 +119,24 @@ impl LsrpState {
             p,
             ghost: false,
             t_last: 0.0,
-            table,
+            neighbors: NeighborTable::new(neighbors),
         }
-    }
-
-    /// The neighbor table, in id order.
-    pub fn neighbors(&self) -> &[Neighbor] {
-        &self.table
-    }
-
-    fn index_of(&self, k: NodeId) -> Option<usize> {
-        self.table.binary_search_by_key(&k, |n| n.id).ok()
-    }
-
-    /// The table row of `k`, if `k` is a neighbor.
-    pub fn neighbor(&self, k: NodeId) -> Option<&Neighbor> {
-        self.index_of(k).map(|i| &self.table[i])
     }
 
     /// The mirror of `k` ([`Mirror::unknown`] if nothing heard, or if `k`
     /// is not a neighbor).
     pub fn mirror(&self, k: NodeId) -> Mirror {
-        self.neighbor(k)
+        self.neighbors
+            .get(k)
             .map_or_else(|| Mirror::unknown(k), Neighbor::mirror)
-    }
-
-    /// The edge weight `w.v.k`, if `k` is a neighbor.
-    pub fn weight(&self, k: NodeId) -> Option<Weight> {
-        self.neighbor(k).map(|n| n.weight)
     }
 
     /// The distance neighbor `k` currently offers this node:
     /// `d.k.v + w.v.k`, or `∞` if `k` is not a neighbor.
     pub fn offer(&self, k: NodeId) -> Distance {
-        self.neighbor(k).map_or(Distance::Infinite, Neighbor::offer)
-    }
-
-    /// Whether `k` is currently a neighbor.
-    pub fn is_neighbor(&self, k: NodeId) -> bool {
-        self.neighbor(k).is_some()
+        self.neighbors
+            .get(k)
+            .map_or(Distance::Infinite, Neighbor::offer)
     }
 
     /// The broadcast message for the current state.
@@ -192,48 +153,17 @@ impl LsrpState {
         RouteEntry::new(self.d, self.p)
     }
 
-    /// Overwrites the mirror of neighbor `k`; returns `true` when what was
-    /// stored changed — which the *first* value heard from `k` always
-    /// does, even one equal to [`Mirror::unknown`]. A write about a
-    /// non-neighbor is a no-op (returns `false`): the paper has no such
-    /// variable.
-    pub fn set_mirror(&mut self, k: NodeId, mirror: Mirror) -> bool {
-        self.index_of(k)
-            .is_some_and(|i| self.table[i].heard.replace(mirror) != Some(mirror))
-    }
-
     /// Updates the mirror of `from` with a received message (`SYN2`);
-    /// same result as [`set_mirror`](Self::set_mirror).
+    /// same result as [`NeighborTable::record`].
     pub fn absorb(&mut self, from: NodeId, msg: &LsrpMsg) -> bool {
-        self.set_mirror(
+        self.neighbors.record(
             from,
-            Mirror {
+            &Mirror {
                 d: msg.d,
                 p: msg.p,
                 ghost: msg.ghost,
             },
         )
-    }
-
-    /// Sets every neighbor's mirror to `of(k)`, in id order (initial-state
-    /// seeding: one pass, no lookups).
-    pub fn fill_mirrors(&mut self, mut of: impl FnMut(NodeId) -> Mirror) {
-        for n in &mut self.table {
-            n.heard = Some(of(n.id));
-        }
-    }
-
-    /// Reconciles the neighbor set after a topology change: installs the
-    /// new set, carrying over the mirrors of surviving neighbors only.
-    pub fn set_neighbors(&mut self, neighbors: &BTreeMap<NodeId, Weight>) {
-        self.table = neighbors
-            .iter()
-            .map(|(&id, &weight)| Neighbor {
-                id,
-                weight,
-                heard: self.neighbor(id).and_then(|n| n.heard),
-            })
-            .collect();
     }
 }
 
@@ -246,8 +176,7 @@ mod tests {
     }
 
     fn state() -> LsrpState {
-        let neighbors = BTreeMap::from([(v(1), 2), (v(2), 1)]);
-        LsrpState::fresh(v(0), v(9), neighbors)
+        LsrpState::fresh(v(0), v(9), [(v(1), 2), (v(2), 1)])
     }
 
     #[test]
@@ -260,7 +189,7 @@ mod tests {
 
     #[test]
     fn fresh_destination_is_rooted() {
-        let s = LsrpState::fresh(v(9), v(9), BTreeMap::new());
+        let s = LsrpState::fresh(v(9), v(9), []);
         assert_eq!(s.d, Distance::ZERO);
         assert_eq!(s.p, v(9));
     }
@@ -304,8 +233,8 @@ mod tests {
                 ghost: false,
             },
         );
-        s.set_neighbors(&BTreeMap::from([(v(2), 1)]));
-        assert!(!s.is_neighbor(v(1)));
+        s.neighbors.reconcile(&[(v(2), 1)]);
+        assert!(s.neighbors.get(v(1)).is_none());
         assert_eq!(s.mirror(v(1)), Mirror::unknown(v(1)));
         assert_eq!(s.offer(v(1)), Distance::Infinite);
     }
@@ -336,37 +265,38 @@ mod tests {
             ghost: true,
         };
         let before = s.clone();
-        assert!(!s.set_mirror(v(7), forged), "v7 is not a neighbor");
+        assert!(!s.neighbors.record(v(7), &forged), "v7 is not a neighbor");
         assert_eq!(s, before);
         assert_eq!(s.mirror(v(7)), Mirror::unknown(v(7)));
         // ...so a later edge to v7 starts unheard instead of promoting
         // the forged entry, while surviving neighbors keep their mirrors
         // and vanished ones lose theirs.
-        assert!(s.set_mirror(v(1), forged));
-        assert!(s.set_mirror(v(2), forged));
-        s.set_neighbors(&BTreeMap::from([(v(2), 5), (v(7), 1)]));
-        let ids: Vec<NodeId> = s.neighbors().iter().map(|n| n.id).collect();
+        assert!(s.neighbors.record(v(1), &forged));
+        assert!(s.neighbors.record(v(2), &forged));
+        s.neighbors.reconcile(&[(v(2), 5), (v(7), 1)]);
+        let ids: Vec<NodeId> = s.neighbors.rows().iter().map(|n| n.id).collect();
         assert_eq!(ids, [v(2), v(7)]);
-        assert_eq!(s.neighbor(v(7)).unwrap().heard, None);
-        assert_eq!(s.neighbor(v(2)).unwrap().heard, Some(forged));
-        assert_eq!(s.weight(v(2)), Some(5));
+        assert_eq!(s.neighbors.get(v(7)).unwrap().heard, None);
+        assert_eq!(s.neighbors.get(v(2)).unwrap().heard, Some(forged));
+        assert_eq!(s.neighbors.get(v(2)).unwrap().weight, 5);
         assert_eq!(s.mirror(v(1)), Mirror::unknown(v(1)));
         // Re-adding v1 does not resurrect what was heard before it left.
-        s.set_neighbors(&BTreeMap::from([(v(1), 2), (v(2), 5)]));
-        assert_eq!(s.neighbor(v(1)).unwrap().heard, None);
+        s.neighbors.reconcile(&[(v(1), 2), (v(2), 5)]);
+        assert_eq!(s.neighbors.get(v(1)).unwrap().heard, None);
     }
 
     #[test]
     fn fresh_sorts_whatever_order_it_is_given() {
         let s = LsrpState::fresh(v(0), v(9), [(v(5), 1), (v(2), 3), (v(4), 2)]);
-        let rows: Vec<(NodeId, Weight)> = s.neighbors().iter().map(|n| (n.id, n.weight)).collect();
+        let rows: Vec<(NodeId, Weight)> = s
+            .neighbors
+            .rows()
+            .iter()
+            .map(|n| (n.id, n.weight))
+            .collect();
         assert_eq!(rows, [(v(2), 3), (v(4), 2), (v(5), 1)]);
-        let from_map = LsrpState::fresh(
-            v(0),
-            v(9),
-            BTreeMap::from([(v(2), 3), (v(4), 2), (v(5), 1)]),
-        );
-        assert_eq!(s, from_map);
+        let sorted = LsrpState::fresh(v(0), v(9), [(v(2), 3), (v(4), 2), (v(5), 1)]);
+        assert_eq!(s, sorted);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use lsrp_core::{LsrpMsg, LsrpNode, LsrpState, TimingConfig};
@@ -447,7 +447,7 @@ impl ProtocolNode for MultiLsrpNode {
 
     fn on_neighbors_changed(
         &mut self,
-        neighbors: &BTreeMap<NodeId, Weight>,
+        neighbors: &[(NodeId, Weight)],
         now_local: f64,
         fx: &mut Effects<MultiMsg>,
     ) {
@@ -510,7 +510,7 @@ mod tests {
     }
 
     fn two_instance_node() -> MultiLsrpNode {
-        let neighbors = BTreeMap::from([(v(1), 1)]);
+        let neighbors = [(v(1), 1)];
         let timing = TimingConfig::paper_example(1.0);
         let dests = DestTable::new([v(0), v(1)]);
         MultiLsrpNode::new(
@@ -518,7 +518,7 @@ mod tests {
             timing,
             dests,
             [
-                LsrpState::fresh(v(0), v(0), neighbors.clone()),
+                LsrpState::fresh(v(0), v(0), neighbors),
                 LsrpState::fresh(v(0), v(1), neighbors),
             ],
         )
@@ -614,11 +614,11 @@ mod tests {
     fn route_entry_reports_the_primary_destination() {
         // Regression (satellite): the facade entry must be the *lowest
         // configured id*'s instance, not "whatever instance comes first".
-        let neighbors = BTreeMap::from([(v(1), 1)]);
+        let neighbors = [(v(1), 1)];
         let timing = TimingConfig::paper_example(1.0);
         // Intern in scrambled order; the table sorts, so primary is v0.
         let dests = DestTable::new([v(3), v(0)]);
-        let mut s0 = LsrpState::fresh(v(1), v(0), neighbors.clone());
+        let mut s0 = LsrpState::fresh(v(1), v(0), neighbors);
         s0.d = lsrp_graph::Distance::Finite(7);
         let mut s3 = LsrpState::fresh(v(1), v(3), neighbors);
         s3.d = lsrp_graph::Distance::Finite(9);

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use lsrp_core::{LsrpMsg, LsrpNode, LsrpState, Mirror, TimingConfig};
+use lsrp_core::{LsrpMsg, LsrpNode, LsrpState, TimingConfig};
 use lsrp_graph::{Distance, Graph, NodeId, RouteEntry, RouteTable, Weight};
 use lsrp_sim::{
     ActionId, Effects, EnabledSet, Engine, EngineConfig, ForgedAdvert, HarnessProtocol,
@@ -21,7 +21,7 @@ use lsrp_sim::{
 };
 
 use crate::node::{dest_of_tag, instance_tag};
-use crate::simulation::MultiMeta;
+use crate::simulation::{legitimate_state, MultiMeta};
 
 /// One destination's advert as its own wire message (the pre-batching
 /// format: one engine delivery per destination per neighbor).
@@ -133,7 +133,7 @@ impl ProtocolNode for ReferenceMultiNode {
 
     fn on_neighbors_changed(
         &mut self,
-        neighbors: &BTreeMap<NodeId, Weight>,
+        neighbors: &[(NodeId, Weight)],
         now_local: f64,
         fx: &mut Effects<ReferenceMsg>,
     ) {
@@ -250,22 +250,7 @@ impl ReferenceMultiSimulationExt for ReferenceMultiSimulation {
             .map(|id| {
                 let states = dests
                     .iter()
-                    .map(|&dest| {
-                        let table = &tables[&dest];
-                        let mut s = LsrpState::fresh(id, dest, graph.neighbors(id));
-                        if let Some(e) = table.entry(id) {
-                            s.d = e.distance;
-                            s.p = e.parent;
-                        }
-                        s.fill_mirrors(|k| {
-                            table.entry(k).map_or(Mirror::unknown(k), |e| Mirror {
-                                d: e.distance,
-                                p: e.parent,
-                                ghost: false,
-                            })
-                        });
-                        (dest, s)
-                    })
+                    .map(|&dest| (dest, legitimate_state(&graph, id, dest, &tables[&dest])))
                     .collect();
                 (id, states)
             })
@@ -274,12 +259,7 @@ impl ReferenceMultiSimulationExt for ReferenceMultiSimulation {
             let states: Vec<(NodeId, LsrpState)> = prepared.remove(&id).unwrap_or_else(|| {
                 dests
                     .iter()
-                    .map(|&dest| {
-                        (
-                            dest,
-                            LsrpState::fresh(id, dest, neighbors.iter().map(|(&k, &w)| (k, w))),
-                        )
-                    })
+                    .map(|&dest| (dest, LsrpState::fresh(id, dest, neighbors.iter().copied())))
                     .collect()
             });
             ReferenceMultiNode::new(id, timing, states)

@@ -139,22 +139,7 @@ impl MultiLsrpSimulationBuilder {
             .map(|id| {
                 let states = dest_table
                     .iter()
-                    .map(|(di, dest)| {
-                        let table = &tables[di.index()];
-                        let mut s = LsrpState::fresh(id, dest, self.graph.neighbors(id));
-                        if let Some(e) = table.entry(id) {
-                            s.d = e.distance;
-                            s.p = e.parent;
-                        }
-                        s.fill_mirrors(|k| {
-                            table.entry(k).map_or(Mirror::unknown(k), |e| Mirror {
-                                d: e.distance,
-                                p: e.parent,
-                                ghost: false,
-                            })
-                        });
-                        s
-                    })
+                    .map(|(di, dest)| legitimate_state(&self.graph, id, dest, &tables[di.index()]))
                     .collect();
                 (id, states)
             })
@@ -164,9 +149,7 @@ impl MultiLsrpSimulationBuilder {
             let states: Vec<LsrpState> = prepared.remove(&id).unwrap_or_else(|| {
                 dest_table
                     .iter()
-                    .map(|(_, dest)| {
-                        LsrpState::fresh(id, dest, neighbors.iter().map(|(&k, &w)| (k, w)))
-                    })
+                    .map(|(_, dest)| LsrpState::fresh(id, dest, neighbors.iter().copied()))
                     .collect()
             });
             MultiLsrpNode::new(id, timing, Arc::clone(&dest_table), states)
@@ -299,6 +282,29 @@ impl MultiLsrpSimulationExt for MultiLsrpSimulation {
             }
         });
     }
+}
+
+/// `id`'s instance toward `dest` at the legitimate state `table`, with
+/// mirrors consistent with it (both builders' prepared states).
+pub(crate) fn legitimate_state(
+    graph: &Graph,
+    id: NodeId,
+    dest: NodeId,
+    table: &RouteTable,
+) -> LsrpState {
+    let mut s = LsrpState::fresh(id, dest, graph.neighbors(id));
+    if let Some(e) = table.entry(id) {
+        s.d = e.distance;
+        s.p = e.parent;
+    }
+    s.neighbors.fill(|k| {
+        table.entry(k).map_or(Mirror::unknown(k), |e| Mirror {
+            d: e.distance,
+            p: e.parent,
+            ghost: false,
+        })
+    });
+    s
 }
 
 /// Refills `out` with the current per-node entries toward `dest` in one

@@ -306,14 +306,22 @@ struct Slot<P> {
     node: P,
     clock: Clock,
     guards: Guards,
-    /// The node's current neighbor/weight map, cached from the graph and
-    /// rebuilt only on topology changes — broadcast fan-out, single-sends
-    /// and delivery liveness checks read it instead of re-querying (or
-    /// re-collecting) graph adjacency per message.
-    neighbors: BTreeMap<NodeId, Weight>,
+    /// The node's id-sorted neighbors and weights, cached from the graph
+    /// and refilled in place only on topology changes — fan-out, sends
+    /// and liveness checks read it instead of graph adjacency, and the
+    /// node's `on_neighbors_changed` receives it.
+    neighbors: Vec<(NodeId, Weight)>,
     /// The live wakeup, if any: its scheduled real time plus the local
     /// reading the node asked to be re-evaluated at.
     pending_wakeup: Option<(SimTime, f64)>,
+}
+
+impl<P> Slot<P> {
+    /// The weight of the edge to `k`, if `k` is a neighbor.
+    fn weight(&self, k: NodeId) -> Option<Weight> {
+        let i = self.neighbors.binary_search_by_key(&k, |&(n, _)| n).ok()?;
+        Some(self.neighbors[i].1)
+    }
 }
 
 /// Per-directed-edge link state, owned by the tail node's region.
@@ -333,8 +341,8 @@ struct LinkState {
     data_draws: u64,
 }
 
-/// Factory producing a protocol node from its id and initial neighbor map.
-type NodeFactory<P> = Box<dyn FnMut(NodeId, &BTreeMap<NodeId, Weight>) -> P>;
+/// Factory producing a protocol node from its id and id-sorted neighbors.
+type NodeFactory<P> = Box<dyn FnMut(NodeId, &[(NodeId, Weight)]) -> P>;
 
 /// Order-free sink tallies, buffered per region and applied (unsorted) at
 /// each barrier — tallies commute, so they skip the ordered-merge cost.
@@ -712,12 +720,12 @@ impl<P: ProtocolNode> Core<P> {
             Event::Deliver { from, to, msg } => {
                 self.stats.events.deliveries += 1;
                 self.inflight -= 1;
-                // Liveness check via the receiver's cached neighbor map:
+                // Liveness check via the receiver's cached neighbor list:
                 // one dense-slot lookup instead of a graph adjacency query
                 // per delivery (the cache is re-synced on topology change).
                 let live = self
                     .slot(shared, to)
-                    .is_some_and(|s| s.neighbors.contains_key(&from));
+                    .is_some_and(|s| s.weight(from).is_some());
                 if !live {
                     self.stats.dropped_dead_receiver += 1;
                     self.counts.push(CountOp::DroppedDead);
@@ -853,11 +861,11 @@ impl<P: ProtocolNode> Core<P> {
                 SendTarget::Broadcast => {
                     // One allocation per send: every fan-out copy holds a
                     // handle to the same payload. Fan-out reads the
-                    // sender's cached neighbor map, not graph adjacency.
+                    // sender's cached neighbor list, not graph adjacency.
                     let msg = Arc::new(msg);
                     let mut scratch = std::mem::take(&mut self.scratch);
                     if let Some(slot) = self.slot(shared, from) {
-                        scratch.extend(slot.neighbors.keys().copied());
+                        scratch.extend(slot.neighbors.iter().map(|&(n, _)| n));
                     }
                     for &n in &scratch {
                         self.schedule_delivery(shared, from, n, Arc::clone(&msg));
@@ -868,7 +876,7 @@ impl<P: ProtocolNode> Core<P> {
                 SendTarget::To(n) => {
                     if self
                         .slot(shared, from)
-                        .is_some_and(|s| s.neighbors.contains_key(&n))
+                        .is_some_and(|s| s.weight(n).is_some())
                     {
                         self.schedule_delivery(shared, from, n, Arc::new(msg));
                     }
@@ -1178,7 +1186,7 @@ impl<P: ProtocolNode> Core<P> {
             }
         };
         // The route may point across an edge that no longer exists.
-        let Some(&edge_weight) = slot.neighbors.get(&next) else {
+        let Some(edge_weight) = slot.weight(next) else {
             let at = p.at;
             return self.complete_packet(shared, p, PacketStatus::LinkDown { at });
         };
@@ -1373,7 +1381,7 @@ impl<P: ProtocolNode> Core<P> {
             .expect("port drain on an unlimited link");
         let alive = self
             .slot(shared, from)
-            .is_some_and(|s| s.neighbors.contains_key(&to));
+            .is_some_and(|s| s.weight(to).is_some());
         let lf = NodeId::new(shared.map.local(from));
         let port = self.ports.entry(lf, to);
         if port.queue.is_empty() {
@@ -1654,10 +1662,8 @@ impl<P: ProtocolNode> Core<P> {
         slot.neighbors.clear();
         slot.neighbors.extend(graph.neighbors(v));
         let now_local = slot.clock.local(now);
-        let Slot {
-            node, neighbors, ..
-        } = slot;
-        node.on_neighbors_changed(neighbors, now_local, &mut fx);
+        slot.node
+            .on_neighbors_changed(&slot.neighbors, now_local, &mut fx);
         self.apply_effects(shared, v, &mut fx, None);
         fx.clear();
         self.fx_scratch = fx;
@@ -1744,7 +1750,7 @@ impl<P: ProtocolNode> Engine<P> {
     pub fn new(
         graph: Graph,
         config: EngineConfig,
-        factory: impl FnMut(NodeId, &BTreeMap<NodeId, Weight>) -> P + 'static,
+        factory: impl FnMut(NodeId, &[(NodeId, Weight)]) -> P + 'static,
     ) -> Self {
         config.link.validate();
         config.congestion.validate();
@@ -1822,7 +1828,7 @@ impl<P: ProtocolNode> Engine<P> {
     /// Instantiates `v`'s protocol node and installs its slot in its home
     /// region (the region assignment must already exist).
     fn spawn_node(&mut self, v: NodeId) {
-        let neighbors: BTreeMap<NodeId, Weight> = self.graph.neighbors(v).collect();
+        let neighbors: Vec<(NodeId, Weight)> = self.graph.neighbors(v).collect();
         let node = (self.factory)(v, &neighbors);
         let entry = ViewEntry {
             route: node.route_entry(),

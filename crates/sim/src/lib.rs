@@ -39,6 +39,7 @@ pub mod engine;
 pub mod flow;
 mod guards;
 pub mod harness;
+pub mod neighbors;
 pub mod node;
 #[cfg(test)]
 mod oracle;
@@ -72,6 +73,7 @@ pub use crate::effects::{Effects, SendBatch};
 pub use crate::engine::{Engine, EngineError, EngineStats, EventCounts, RunReport};
 pub use crate::flow::{Aimd, CongAlg, CongAlgKind, FixedWindow, FlowConfig, FlowRecord, FlowTag};
 pub use crate::harness::{ForgedAdvert, HarnessProtocol, SimHarness};
+pub use crate::neighbors::{Neighbor, NeighborTable, Reconciled};
 pub use crate::node::{ActionId, EnabledSet, ProtocolNode};
 pub use crate::sched::{EventKey, EventQueue, SchedulerKind};
 pub use crate::sink::{

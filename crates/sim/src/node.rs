@@ -1,6 +1,5 @@
 //! The protocol-node abstraction: guarded actions with hold-times.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use lsrp_graph::{NodeId, RouteEntry, Weight};
@@ -193,12 +192,13 @@ pub trait ProtocolNode: Send {
         fx: &mut Effects<Self::Msg>,
     );
 
-    /// Informs the node of its current neighbor set (called once at start
-    /// and again after every topology change affecting it). Implementations
-    /// should drop mirrors of vanished neighbors.
+    /// Informs the node of its neighbor set after every topology change
+    /// affecting it: sorted by id, one entry per neighbor. Implementations
+    /// should drop mirrors of vanished neighbors, as
+    /// [`crate::NeighborTable::reconcile`] does.
     fn on_neighbors_changed(
         &mut self,
-        neighbors: &BTreeMap<NodeId, Weight>,
+        neighbors: &[(NodeId, Weight)],
         now_local: f64,
         fx: &mut Effects<Self::Msg>,
     );

@@ -1,8 +1,6 @@
 //! Adversarial link-model tests: per-cause drop accounting, Gilbert–Elliott
 //! bursty loss, and message duplication.
 
-use std::collections::BTreeMap;
-
 use lsrp_graph::{generators, NodeId, RouteEntry, Weight};
 use lsrp_sim::{
     ActionId, Effects, EnabledSet, Engine, EngineConfig, GilbertElliott, LinkConfig, ProtocolNode,
@@ -48,7 +46,7 @@ impl ProtocolNode for Burst {
 
     fn on_neighbors_changed(
         &mut self,
-        _neighbors: &BTreeMap<NodeId, Weight>,
+        _neighbors: &[(NodeId, Weight)],
         _now_local: f64,
         _fx: &mut Effects<u32>,
     ) {

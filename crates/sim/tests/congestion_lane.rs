@@ -4,89 +4,16 @@
 //! byte-identical under any congestion config, and unlimited configs
 //! reproduce the PR-5 packet lane exactly.
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::{drive, path_entries, static_engine, v, StaticRouter};
 use lsrp_graph::{generators, Distance, Graph, NodeId, RouteEntry, Weight};
 use lsrp_sim::{
     ActionId, CongAlgKind, CongestionConfig, DisciplineKind, Effects, EnabledSet, Engine,
     EngineConfig, FlowConfig, LinkConfig, PacketStatus, ProtocolNode, SimTime,
 };
-
-fn v(i: u32) -> NodeId {
-    NodeId::new(i)
-}
-
-/// The packet-lane fixture: a node with a frozen route entry and no
-/// control plane (see `packet_lane.rs`).
-#[derive(Debug)]
-struct StaticRouter {
-    entry: RouteEntry,
-}
-
-impl ProtocolNode for StaticRouter {
-    type Msg = ();
-
-    fn enabled_actions(&self, _now_local: f64) -> EnabledSet {
-        EnabledSet::none()
-    }
-
-    fn execute(&mut self, _action: ActionId, _now_local: f64, _fx: &mut Effects<()>) {
-        unreachable!("static routers have no actions");
-    }
-
-    fn on_receive(&mut self, _from: NodeId, _msg: &(), _now_local: f64, _fx: &mut Effects<()>) {}
-
-    fn on_neighbors_changed(
-        &mut self,
-        _neighbors: &BTreeMap<NodeId, Weight>,
-        _now_local: f64,
-        _fx: &mut Effects<()>,
-    ) {
-    }
-
-    fn route_entry(&self) -> RouteEntry {
-        self.entry
-    }
-
-    fn action_name(_action: ActionId) -> &'static str {
-        "none"
-    }
-
-    fn is_maintenance(_action: ActionId) -> bool {
-        false
-    }
-}
-
-fn static_engine(
-    graph: Graph,
-    config: EngineConfig,
-    entries: BTreeMap<NodeId, RouteEntry>,
-) -> Engine<StaticRouter> {
-    Engine::new(graph, config, move |id, _| StaticRouter {
-        entry: entries
-            .get(&id)
-            .copied()
-            .unwrap_or_else(|| RouteEntry::no_route(id)),
-    })
-}
-
-/// Entries for a path 0-1-2-...: everyone points down toward v0.
-fn path_entries(n: u32, weight: u64) -> BTreeMap<NodeId, RouteEntry> {
-    (0..n)
-        .map(|i| {
-            let entry = if i == 0 {
-                RouteEntry::new(Distance::ZERO, v(0))
-            } else {
-                RouteEntry::new(Distance::Finite(u64::from(i) * weight), v(i - 1))
-            };
-            (v(i), entry)
-        })
-        .collect()
-}
-
-fn drive(engine: &mut Engine<StaticRouter>) {
-    engine.run_until(SimTime::new(100_000.0)).expect("run");
-}
 
 fn conservation_ok(engine: &Engine<StaticRouter>) -> bool {
     let t = engine.stats().traffic;
@@ -511,7 +438,7 @@ impl ProtocolNode for Flood {
 
     fn on_neighbors_changed(
         &mut self,
-        _neighbors: &BTreeMap<NodeId, Weight>,
+        _neighbors: &[(NodeId, Weight)],
         _now_local: f64,
         _fx: &mut Effects<u32>,
     ) {

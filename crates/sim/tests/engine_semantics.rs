@@ -2,8 +2,6 @@
 //! FIFO links, topology faults, quiescence and budgets — exercised through
 //! small purpose-built toy protocols.
 
-use std::collections::BTreeMap;
-
 use lsrp_graph::{generators, Distance, NodeId, RouteEntry, Weight};
 use lsrp_sim::{
     ActionId, ClockConfig, Effects, EnabledSet, Engine, EngineConfig, EngineError, LinkConfig,
@@ -71,7 +69,7 @@ impl ProtocolNode for Flood {
 
     fn on_neighbors_changed(
         &mut self,
-        _neighbors: &BTreeMap<NodeId, Weight>,
+        _neighbors: &[(NodeId, Weight)],
         _now_local: f64,
         _fx: &mut Effects<u32>,
     ) {
@@ -250,7 +248,7 @@ impl ProtocolNode for Burst {
 
     fn on_neighbors_changed(
         &mut self,
-        _neighbors: &BTreeMap<NodeId, Weight>,
+        _neighbors: &[(NodeId, Weight)],
         _now_local: f64,
         _fx: &mut Effects<u32>,
     ) {
@@ -414,7 +412,7 @@ impl ProtocolNode for Ticker {
 
     fn on_neighbors_changed(
         &mut self,
-        _neighbors: &BTreeMap<NodeId, Weight>,
+        _neighbors: &[(NodeId, Weight)],
         _now_local: f64,
         _fx: &mut Effects<()>,
     ) {
@@ -537,7 +535,7 @@ impl ProtocolNode for Witnessed {
 
     fn on_neighbors_changed(
         &mut self,
-        _neighbors: &BTreeMap<NodeId, Weight>,
+        _neighbors: &[(NodeId, Weight)],
         _now_local: f64,
         _fx: &mut Effects<()>,
     ) {
@@ -617,7 +615,7 @@ impl ProtocolNode for Livelock {
 
     fn on_neighbors_changed(
         &mut self,
-        _neighbors: &BTreeMap<NodeId, Weight>,
+        _neighbors: &[(NodeId, Weight)],
         _now_local: f64,
         _fx: &mut Effects<()>,
     ) {
@@ -748,7 +746,7 @@ impl ProtocolNode for Hub {
 
     fn on_neighbors_changed(
         &mut self,
-        _neighbors: &BTreeMap<NodeId, Weight>,
+        _neighbors: &[(NodeId, Weight)],
         _now_local: f64,
         _fx: &mut Effects<CountedPayload>,
     ) {

@@ -65,6 +65,7 @@ pub fn measure_recovery<S: RoutingSimulation + ?Sized>(
     inject: impl FnOnce(&mut S),
 ) -> RecoveryMetrics {
     sim.reset_trace();
+    let sent0 = sim.stats().messages_sent;
     let t0 = sim.now();
     inject(sim);
     // Step event by event so healthy nodes' next-hop changes (route
@@ -130,7 +131,7 @@ pub fn measure_recovery<S: RoutingSimulation + ?Sized>(
         contaminated,
         contamination_range,
         actions: sim.trace().total_actions(),
-        messages: sim.trace().messages_sent,
+        messages: sim.stats().messages_sent - sent0,
         healthy_route_flaps,
         quiescent: report.quiescent,
         routes_correct: sim.routes_correct(),

@@ -2,7 +2,8 @@
 
 use lsrp_graph::{Distance, Graph, GraphError, NodeId, RouteTable, Weight};
 use lsrp_sim::{
-    HarnessProtocol, RouteCursor, RouteDelta, RouteView, RunReport, SimHarness, SimTime, Trace,
+    EngineStats, HarnessProtocol, RouteCursor, RouteDelta, RouteView, RunReport, SimHarness,
+    SimTime, Trace,
 };
 
 /// The operations every routing-protocol simulation exposes to the
@@ -57,6 +58,10 @@ pub trait RoutingSimulation {
 
     /// Clears the trace (before the measured phase).
     fn reset_trace(&mut self);
+
+    /// The engine's cumulative counters — the message ledger; a phase's
+    /// count is the difference of two reads.
+    fn stats(&self) -> EngineStats;
 
     /// Current simulated time.
     fn now(&self) -> SimTime;
@@ -163,6 +168,10 @@ impl<P: HarnessProtocol> RoutingSimulation for SimHarness<P> {
 
     fn reset_trace(&mut self) {
         SimHarness::reset_trace(self);
+    }
+
+    fn stats(&self) -> EngineStats {
+        SimHarness::stats(self)
     }
 
     fn now(&self) -> SimTime {

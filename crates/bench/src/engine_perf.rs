@@ -255,7 +255,8 @@ fn cold_start(graph: Graph, config: EngineConfig) -> Run {
     Run { elapsed, events }
 }
 
-/// A counters-only sink, so trace retention does not dominate a reading.
+/// A sink that records nothing, so trace retention does not dominate a
+/// reading.
 fn counts_only() -> EngineConfig {
     EngineConfig::default().with_sink(SinkKind::CountsOnly)
 }
@@ -282,17 +283,18 @@ impl Drop for TraceScratch {
 }
 
 /// A 1000-node grid cold start — the frame-heaviest regime: every action
-/// writes `act` + `wave` + `rt` frames — on a plain [`SinkKind::Null`]
-/// sink, or `traced` with the streaming sink writing full JSONL over it.
+/// writes `act` + `wave` + `rt` frames — on a plain
+/// [`SinkKind::CountsOnly`] sink, or `traced` with the streaming sink
+/// writing full JSONL over it.
 fn trace_overhead(traced: bool) -> Run {
     let grid = generators::grid(40, 25, 1);
-    let config = EngineConfig::default().with_sink(SinkKind::Null);
+    let config = counts_only();
     if !traced {
         return cold_start(grid, config);
     }
     let scratch = TraceScratch::create();
     let trace = lsrp_trace::TraceConfig::new(scratch.0.clone());
-    let factory = lsrp_trace::streaming_factory(trace, SinkKind::Null);
+    let factory = lsrp_trace::streaming_factory(trace, SinkKind::CountsOnly);
     let factory = factory.expect("scratch trace file opens");
     cold_start(grid, config.with_sink_factory(factory))
 }

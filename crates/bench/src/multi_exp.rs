@@ -23,6 +23,7 @@ pub fn full_table_run(w: u32, dests: usize, seed: u64) -> (u64, u64, f64, usize)
         .build();
     let victim = v(w + 1);
     sim.engine_mut().reset_trace();
+    let sent0 = sim.stats().messages_sent;
     let t0 = sim.now();
     sim.corrupt_all_instances(victim, |_| (Distance::ZERO, victim));
     let report = sim.run_to_quiescence(HORIZON);
@@ -32,7 +33,8 @@ pub fn full_table_run(w: u32, dests: usize, seed: u64) -> (u64, u64, f64, usize)
         .last_var_change_since(t0)
         .map_or(0.0, |t| t.seconds() - t0.seconds());
     let acting = trace.acted_nodes_since(t0).len();
-    (trace.total_actions(), trace.messages_sent, stab, acting)
+    let sent = sim.stats().messages_sent - sent0;
+    (trace.total_actions(), sent, stab, acting)
 }
 
 /// E19 table: sweep the number of destination trees.

@@ -1,7 +1,9 @@
 //! Never-panic property: whatever argument list the binary is handed,
-//! `Command::parse` answers `Ok` or `Err`.
+//! `Command::parse` answers `Ok` or `Err` — and so does `run_command`
+//! for every topology spec the parser lets through.
 
 use lsrp_cli::args::Command;
+use lsrp_cli::run_command;
 use proptest::fuzz;
 use proptest::prelude::*;
 
@@ -47,4 +49,57 @@ fn arbitrary_arguments_never_panic_the_parser() {
         accepted >= 1_000 && rejected >= 5_000,
         "{accepted} / {rejected}"
     );
+}
+
+/// One degenerate value per generator precondition; each must be refused
+/// with an error before any generator runs.
+const DEGENERATE_TOPOLOGIES: &[&str] = &[
+    "grid:0x0",
+    "grid:4x0",
+    "ring:1",
+    "ring:2",
+    "path:0",
+    "fattree:0",
+    "fattree:3",
+    "lollipop:0:0",
+    "er:5:2",
+    "er:0:0.5",
+    "geo:3:-1",
+    "ba:3:0",
+    "ba:2:2",
+    "waxman:0:0.5:0.5",
+    "waxman:5:0:0.5",
+    "waxman:5:0.5:2",
+    "cliques:1:1",
+];
+
+/// Parses and runs `args`, reporting a panic as a test failure that
+/// names the argument list.
+fn run_args(args: &[&str]) -> Result<String, String> {
+    let owned: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    std::panic::catch_unwind(|| {
+        let cmd = Command::parse(owned).map_err(|e| e.to_string())?;
+        run_command(&cmd).map_err(|e| e.to_string())
+    })
+    .unwrap_or_else(|_| panic!("`lsrp {}` panicked", args.join(" ")))
+}
+
+#[test]
+fn topology_specs_never_panic_the_binary() {
+    for spec in WORDS
+        .split_whitespace()
+        .chain(DEGENERATE_TOPOLOGIES.iter().copied())
+    {
+        let _ = run_args(&["topo", "--topology", spec]);
+    }
+    for spec in DEGENERATE_TOPOLOGIES {
+        let err = run_args(&["topo", "--topology", spec]).expect_err(spec);
+        assert!(err.contains("invalid topology"), "{spec}: {err}");
+    }
+    for args in [
+        ["run", "--topology", "lollipop:0:0", "--fault", "loop"],
+        ["chaos", "--topology", "ring:2", "--runs", "1"],
+    ] {
+        assert!(run_args(&args).is_err(), "{args:?}");
+    }
 }

@@ -75,55 +75,99 @@ impl TopologySpec {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the accepted spellings.
+    /// Returns a message naming the accepted spellings, or — for a value
+    /// [`TopologySpec::build`] cannot build — its generator's message.
     pub fn parse(s: &str) -> Result<Self, String> {
         let mut parts = s.split(':');
         let kind = parts.next().unwrap_or_default();
         let rest: Vec<&str> = parts.collect();
-        match (kind, rest.as_slice()) {
+        let spec = match (kind, rest.as_slice()) {
             ("grid", [wh]) => {
                 let (w, h) = wh
                     .split_once('x')
                     .ok_or_else(|| format!("grid wants WxH, got {wh}"))?;
-                Ok(TopologySpec::Grid(
-                    parse_u32(w, "grid width")?,
-                    parse_u32(h, "grid height")?,
-                ))
+                TopologySpec::Grid(parse_u32(w, "grid width")?, parse_u32(h, "grid height")?)
             }
-            ("ring", [n]) => Ok(TopologySpec::Ring(parse_u32(n, "ring size")?)),
-            ("path", [n]) => Ok(TopologySpec::Path(parse_u32(n, "path size")?)),
-            ("er", [n, p]) => Ok(TopologySpec::ErdosRenyi(
+            ("ring", [n]) => TopologySpec::Ring(parse_u32(n, "ring size")?),
+            ("path", [n]) => TopologySpec::Path(parse_u32(n, "path size")?),
+            ("er", [n, p]) => TopologySpec::ErdosRenyi(
                 parse_u32(n, "node count")?,
                 p.parse().map_err(|_| format!("invalid probability: {p}"))?,
-            )),
-            ("geo", [n, r]) => Ok(TopologySpec::Geometric(
+            ),
+            ("geo", [n, r]) => TopologySpec::Geometric(
                 parse_u32(n, "node count")?,
                 r.parse().map_err(|_| format!("invalid radius: {r}"))?,
-            )),
-            ("ba", [n, m]) => Ok(TopologySpec::PreferentialAttachment(
+            ),
+            ("ba", [n, m]) => TopologySpec::PreferentialAttachment(
                 parse_u32(n, "node count")?,
                 parse_u32(m, "attachment degree")?,
-            )),
-            ("lollipop", [tail, ring]) => Ok(TopologySpec::Lollipop(
+            ),
+            ("lollipop", [tail, ring]) => TopologySpec::Lollipop(
                 parse_u32(tail, "tail length")?,
                 parse_u32(ring, "loop length")?,
-            )),
-            ("waxman", [n, a, b]) => Ok(TopologySpec::Waxman(
+            ),
+            ("waxman", [n, a, b]) => TopologySpec::Waxman(
                 parse_u32(n, "node count")?,
                 a.parse().map_err(|_| format!("invalid alpha: {a}"))?,
                 b.parse().map_err(|_| format!("invalid beta: {b}"))?,
-            )),
-            ("cliques", [k, m]) => Ok(TopologySpec::RingOfCliques(
+            ),
+            ("cliques", [k, m]) => TopologySpec::RingOfCliques(
                 parse_u32(k, "clique count")?,
                 parse_u32(m, "clique size")?,
-            )),
-            ("fattree", [k]) => Ok(TopologySpec::FatTree(parse_u32(k, "fat-tree arity")?)),
-            ("fig1", []) => Ok(TopologySpec::Fig1),
-            _ => Err(format!(
-                "unknown topology '{s}' (try grid:8x8, ring:32, path:16, er:40:0.1, \
-                 geo:60:0.18, ba:50:2, lollipop:2:8, waxman:1000:0.05:0.7, \
-                 cliques:8:6, fattree:8, fig1)"
-            )),
+            ),
+            ("fattree", [k]) => TopologySpec::FatTree(parse_u32(k, "fat-tree arity")?),
+            ("fig1", []) => TopologySpec::Fig1,
+            _ => {
+                return Err(format!(
+                    "unknown topology '{s}' (try grid:8x8, ring:32, path:16, er:40:0.1, \
+                     geo:60:0.18, ba:50:2, lollipop:2:8, waxman:1000:0.05:0.7, \
+                     cliques:8:6, fattree:8, fig1)"
+                ))
+            }
+        };
+        spec.check()
+            .map_err(|why| format!("invalid topology '{s}': {why}"))?;
+        Ok(spec)
+    }
+
+    /// The preconditions the generators assert, in the order they assert
+    /// them and with their messages: a spec that passes builds without
+    /// panicking.
+    fn check(&self) -> Result<(), &'static str> {
+        let require = |ok: bool, why: &'static str| if ok { Ok(()) } else { Err(why) };
+        match *self {
+            TopologySpec::Grid(w, h) => require(w > 0 && h > 0, "grid dimensions must be positive"),
+            TopologySpec::Ring(n) => require(n >= 3, "ring needs at least three nodes"),
+            TopologySpec::Path(n) => require(n > 0, "path needs at least one node"),
+            TopologySpec::ErdosRenyi(n, p) => {
+                require((0.0..=1.0).contains(&p), "probability must be in [0, 1]")?;
+                require(n > 0, "tree needs at least one node")
+            }
+            TopologySpec::Geometric(n, r) => {
+                require(n > 0, "geometric graph needs at least one node")?;
+                require(r > 0.0, "radius must be positive")
+            }
+            TopologySpec::PreferentialAttachment(n, m) => {
+                require(m >= 1, "each newcomer needs at least one edge")?;
+                require(n > m, "need more nodes than attachment edges")
+            }
+            TopologySpec::Lollipop(_, ring) => {
+                require(ring >= 3, "loop needs at least three nodes")
+            }
+            TopologySpec::Waxman(n, alpha, beta) => {
+                require(n > 0, "waxman graph needs at least one node")?;
+                require(alpha > 0.0, "alpha must be positive")?;
+                require(beta > 0.0 && beta <= 1.0, "beta must be in (0, 1]")
+            }
+            TopologySpec::RingOfCliques(k, m) => {
+                require(k >= 3, "ring of cliques needs at least three cliques")?;
+                require(m >= 2, "cliques need at least two nodes")
+            }
+            TopologySpec::FatTree(k) => require(
+                k >= 2 && k.is_multiple_of(2),
+                "fat-tree arity must be even and >= 2",
+            ),
+            TopologySpec::Fig1 => Ok(()),
         }
     }
 
@@ -383,6 +427,61 @@ mod tests {
         }
         assert!(TopologySpec::parse("mesh:3").is_err());
         assert!(TopologySpec::parse("grid:8").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_exactly_what_build_would_panic_on() {
+        use TopologySpec::*;
+        let nan = f64::NAN;
+        for spec in [
+            Grid(0, 0),
+            Grid(3, 0),
+            Ring(1),
+            Ring(2),
+            Path(0),
+            FatTree(0),
+            FatTree(3),
+            Lollipop(0, 0),
+            Lollipop(4, 2),
+            ErdosRenyi(5, 2.0),
+            ErdosRenyi(0, 0.5),
+            ErdosRenyi(5, nan),
+            Geometric(3, -1.0),
+            Geometric(0, 0.5),
+            PreferentialAttachment(3, 0),
+            PreferentialAttachment(2, 2),
+            Waxman(0, 0.5, 0.5),
+            Waxman(5, 0.0, 0.5),
+            Waxman(5, 0.5, 2.0),
+            Waxman(5, 0.5, 0.0),
+            RingOfCliques(1, 1),
+            RingOfCliques(3, 1),
+        ] {
+            let s = spec.to_string();
+            let panic = std::panic::catch_unwind(|| spec.build(1)).expect_err(&s);
+            let why = panic
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap();
+            let err = TopologySpec::parse(&s).expect_err(&s);
+            assert_eq!(err, format!("invalid topology '{s}': {why}"));
+        }
+        for s in [
+            "grid:1x1",
+            "ring:3",
+            "path:1",
+            "fattree:2",
+            "lollipop:0:3",
+            "er:1:0",
+            "er:3:1",
+            "geo:1:0.1",
+            "ba:2:1",
+            "waxman:1:0.1:1",
+            "cliques:3:2",
+        ] {
+            TopologySpec::parse(s).expect(s).build(1);
+        }
     }
 
     #[test]

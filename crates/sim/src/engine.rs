@@ -32,14 +32,16 @@
 //! every region count and worker count (DESIGN.md §15 gives the full
 //! determinism argument).
 //!
-//! Observability is split in two streams so the sink and route view stay
-//! strictly sequential: order-free tallies (`CountOp`) are applied
-//! as-is at each barrier, while ordered records (`ObsOp`: actions,
-//! variable changes, view updates, packet/flow completions) carry their
-//! originating `(time, key, seq)` and are applied through a k-way merge
-//! of the per-region streams (see `Engine::flush` for why a merge and
-//! not a sort) — reproducing exactly the order a single-queue engine
-//! would have produced them in.
+//! Observability stays strictly sequential: message totals live only in
+//! the per-region [`EngineStats`] (summed on read, handed to the sink once
+//! by [`TraceSink::close`] when the engine drops), while ordered records
+//! (`ObsOp`: actions, variable changes, view updates, packet/flow
+//! completions) carry their originating `(time, key, seq)` and are applied
+//! through a k-way merge of the per-region streams (see `Engine::flush`
+//! for why a merge and not a sort) — reproducing exactly the order a
+//! single-queue engine would have produced them in. Route updates pass
+//! through the [`RouteView`] first and reach the sink only when they
+//! change an entry.
 //!
 //! Worker threads come from `std::thread::scope`, not the vendored
 //! `threadpool` crate: the pool's `execute` requires `'static` closures,
@@ -78,14 +80,8 @@ use crate::view::{RouteCursor, RouteDelta, RouteView, ViewEntry};
 static EMPTY_TRACE: Trace = Trace {
     actions: Vec::new(),
     var_changes: Vec::new(),
-    messages_sent: 0,
-    messages_delivered: 0,
-    dropped_lossy_link: 0,
-    dropped_dead_receiver: 0,
-    messages_duplicated: 0,
     action_counts: BTreeMap::new(),
     maintenance_counts: BTreeMap::new(),
-    sent_counts: BTreeMap::new(),
 };
 
 /// The driver's flush cadence: a window that is unbounded in time is cut
@@ -159,12 +155,16 @@ impl EventCounts {
 /// Always-on engine health statistics, independent of the configured
 /// [`TraceSink`] — a handful of scalar counters the hot path maintains
 /// unconditionally, so throughput reports exist even when the sink
-/// records nothing. Counters are kept per region and summed on read;
-/// every field is region-count-invariant, including `peak_queue_depth`,
-/// which the engine samples as the *total* pending-event count (summed
-/// across regions) at region-invariant logical points — engine
-/// construction, every driver mutation, every data-plane injection and
-/// every single-stepped event — rather than inside region-local pushes.
+/// records nothing. This is the engine's only message ledger: no sink
+/// counts messages, and a streaming sink's end-of-run totals are these
+/// ([`TraceSink::close`]). Nothing resets them; measure a phase as the
+/// difference of two [`Engine::stats`] reads. Counters are kept per
+/// region and summed on read; every field is region-count-invariant,
+/// including `peak_queue_depth`, which the engine samples as the *total*
+/// pending-event count (summed across regions) at region-invariant
+/// logical points — engine construction, every driver mutation, every
+/// data-plane injection and every single-stepped event — rather than
+/// inside region-local pushes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Processed events by kind.
@@ -185,7 +185,9 @@ pub struct EngineStats {
     pub messages_duplicated: u64,
     /// Messages dropped by the loss model.
     pub dropped_lossy_link: u64,
-    /// Messages dropped on dead edges/receivers.
+    /// Messages dropped on dead edges/receivers. With the queue drained,
+    /// `messages_delivered + messages_dropped() == messages_sent +
+    /// messages_duplicated`.
     pub dropped_dead_receiver: u64,
     /// High-water mark of total pending events across all region queues,
     /// sampled at region-invariant points (see the struct docs). Injected
@@ -209,6 +211,11 @@ impl EngineStats {
             + self.events.port_drains
             + self.events.flow_acks
             + self.events.flow_timers
+    }
+
+    /// Total messages dropped, over all causes.
+    pub fn messages_dropped(&self) -> u64 {
+        self.dropped_lossy_link + self.dropped_dead_receiver
     }
 
     fn absorb(&mut self, o: &EngineStats) {
@@ -343,16 +350,6 @@ struct LinkState {
 
 /// Factory producing a protocol node from its id and id-sorted neighbors.
 type NodeFactory<P> = Box<dyn FnMut(NodeId, &[(NodeId, Weight)]) -> P>;
-
-/// Order-free sink tallies, buffered per region and applied (unsorted) at
-/// each barrier — tallies commute, so they skip the ordered-merge cost.
-enum CountOp {
-    Sent(NodeId),
-    Delivered,
-    DroppedLossy,
-    DroppedDead,
-    Duplicated,
-}
 
 /// Ordered observability operations: everything whose *application order*
 /// is observable (trace records, route-view updates and their deltas,
@@ -552,7 +549,6 @@ struct Core<P: ProtocolNode> {
     active_flows: usize,
     staged: Vec<Staged<P::Msg>>,
     obs: VecDeque<ObsRec>,
-    counts: Vec<CountOp>,
     /// Whether bounded-port occupancy transitions are recorded as
     /// [`ObsOp::Queue`] observations. Mirrors the installed sink's
     /// [`TraceSink::wants_queue_samples`] answer; observation-only, so
@@ -598,7 +594,6 @@ impl<P: ProtocolNode> Core<P> {
             active_flows: 0,
             staged: Vec::new(),
             obs: VecDeque::new(),
-            counts: Vec::new(),
             emit_queue_obs: false,
             scratch: Vec::new(),
             fx_scratch: Effects::new(),
@@ -728,12 +723,10 @@ impl<P: ProtocolNode> Core<P> {
                     .is_some_and(|s| s.weight(from).is_some());
                 if !live {
                     self.stats.dropped_dead_receiver += 1;
-                    self.counts.push(CountOp::DroppedDead);
                     return;
                 }
                 self.stats.messages_delivered += 1;
                 self.stats.adverts_delivered += P::advert_count(msg.as_ref());
-                self.counts.push(CountOp::Delivered);
                 let l = self.local_checked(shared, to).expect("slot checked above");
                 let now = self.now;
                 let mut fx = std::mem::take(&mut self.fx_scratch);
@@ -888,7 +881,6 @@ impl<P: ProtocolNode> Core<P> {
     fn schedule_delivery(&mut self, shared: &Shared, from: NodeId, to: NodeId, msg: Arc<P::Msg>) {
         self.stats.messages_sent += 1;
         self.stats.adverts_sent += P::advert_count(msg.as_ref());
-        self.counts.push(CountOp::Sent(from));
         let lf = NodeId::new(shared.map.local(from));
         let seed = shared.config.seed;
         let loss_probability = match shared.config.link.loss {
@@ -933,7 +925,6 @@ impl<P: ProtocolNode> Core<P> {
             state.ctrl_draws += 1;
             if rng::chance(bits, loss_probability) {
                 self.stats.dropped_lossy_link += 1;
-                self.counts.push(CountOp::DroppedLossy);
                 return;
             }
         }
@@ -952,7 +943,6 @@ impl<P: ProtocolNode> Core<P> {
         };
         if duplicate {
             self.stats.messages_duplicated += 1;
-            self.counts.push(CountOp::Duplicated);
             let at = self.link_arrival_time(shared, lf, from, to);
             self.emit_deliver(shared, at, from, to, Arc::clone(&msg));
         }
@@ -1834,8 +1824,7 @@ impl<P: ProtocolNode> Engine<P> {
             route: node.route_entry(),
             containment: node.in_containment(),
         };
-        self.view.record(v, Some(entry));
-        self.sink.record_view_update(self.now, v, Some(entry));
+        publish_route(&mut self.view, self.sink.as_mut(), self.now, v, Some(entry));
         let idx = v.raw() as usize;
         if idx >= self.shared.alive.len() {
             self.shared.alive.resize(idx + 1, false);
@@ -1901,10 +1890,10 @@ impl<P: ProtocolNode> Engine<P> {
         self.cores.len()
     }
 
-    /// The execution trace so far. When the configured sink keeps no trace
-    /// ([`crate::sink::CountsOnly`] / [`crate::sink::NullSink`]), this is a
-    /// permanently empty trace — use [`Engine::stats`] for counters that
-    /// are always maintained.
+    /// The execution trace so far: actions and variable changes. When the
+    /// configured sink keeps no trace ([`crate::sink::CountsOnly`]), this
+    /// is a permanently empty trace. Message counts are not part of it —
+    /// they live in [`Engine::stats`], which is always maintained.
     pub fn trace(&self) -> &Trace {
         self.sink.trace().unwrap_or(&EMPTY_TRACE)
     }
@@ -1914,18 +1903,9 @@ impl<P: ProtocolNode> Engine<P> {
         self.sink.as_ref()
     }
 
-    /// Replaces the trace sink (e.g. to stop recording after a warm-up).
-    pub fn set_sink(&mut self, mut sink: Box<dyn TraceSink>) {
-        sink.attach(&self.graph, self.shared.config.seed);
-        let want = sink.wants_queue_samples();
-        for c in &mut self.cores {
-            c.emit_queue_obs = want;
-        }
-        self.sink = sink;
-    }
-
-    /// Clears the trace (counters and records) — typically right after a
-    /// warm-up phase, so measurements cover only the perturbation.
+    /// Clears the sink's records — typically right after a warm-up phase,
+    /// so measurements cover only the perturbation. [`Engine::stats`] is
+    /// cumulative and unaffected: read it here to take a baseline.
     pub fn reset_trace(&mut self) {
         self.sink
             .record_marker(self.now, MarkerKind::Reset, None, None);
@@ -2258,8 +2238,7 @@ impl<P: ProtocolNode> Engine<P> {
         if let Some(s) = self.shared.alive.get_mut(v.raw() as usize) {
             *s = false;
         }
-        self.view.record(v, None);
-        self.sink.record_view_update(self.now, v, None);
+        publish_route(&mut self.view, self.sink.as_mut(), self.now, v, None);
         self.mark_effective();
         for n in neighbors {
             self.notify_neighbors_changed(n);
@@ -2657,10 +2636,9 @@ impl<P: ProtocolNode> Engine<P> {
         self.staged_merge = buf;
     }
 
-    /// Applies buffered observability at a barrier: order-free tallies
-    /// drain unsorted into the sink; ordered records are applied via a
-    /// greedy k-way merge of the per-region streams, always taking the
-    /// stream whose head has the smallest `(time, key, seq)`.
+    /// Applies buffered observability at a barrier: ordered records are
+    /// applied via a greedy k-way merge of the per-region streams, always
+    /// taking the stream whose head has the smallest `(time, key, seq)`.
     ///
     /// The merge deliberately preserves each region's *execution* order
     /// rather than globally sorting: an event may schedule a same-time
@@ -2679,17 +2657,6 @@ impl<P: ProtocolNode> Engine<P> {
             completed_flows,
             ..
         } = self;
-        for core in cores.iter_mut() {
-            for op in core.counts.drain(..) {
-                match op {
-                    CountOp::Sent(v) => sink.count_sent(v),
-                    CountOp::Delivered => sink.count_delivered(),
-                    CountOp::DroppedLossy => sink.count_dropped_lossy(),
-                    CountOp::DroppedDead => sink.count_dropped_dead(),
-                    CountOp::Duplicated => sink.count_duplicated(),
-                }
-            }
-        }
         // The streams are consumed in place, from the front: nothing is
         // allocated, and with nothing recorded the loop ends at once.
         loop {
@@ -2704,10 +2671,7 @@ impl<P: ProtocolNode> Engine<P> {
             match rec.op {
                 ObsOp::Action(r) => sink.record_action(r),
                 ObsOp::ReceiveChange(t, v) => sink.record_receive_change(t, v),
-                ObsOp::View(v, e) => {
-                    sink.record_view_update(rec.time, v, e);
-                    view.record(v, e);
-                }
+                ObsOp::View(v, e) => publish_route(view, sink.as_mut(), rec.time, v, e),
                 ObsOp::PacketDone(r) => {
                     sink.record_packet_done(&r);
                     completed_packets.push(r);
@@ -2724,5 +2688,28 @@ impl<P: ProtocolNode> Engine<P> {
                 } => sink.record_queue_sample(rec.time, from, to, occupancy, dropped),
             }
         }
+    }
+}
+
+impl<P: ProtocolNode> Drop for Engine<P> {
+    /// Hands the sink the run's message totals ([`TraceSink::close`]).
+    fn drop(&mut self) {
+        let stats = self.stats();
+        self.sink.close(&stats);
+    }
+}
+
+/// Records `v`'s entry in the route view and, when that changed it,
+/// forwards the update to the sink — the one place route updates are
+/// deduplicated.
+fn publish_route(
+    view: &mut RouteView,
+    sink: &mut dyn TraceSink,
+    time: SimTime,
+    v: NodeId,
+    entry: Option<ViewEntry>,
+) {
+    if view.record(v, entry) {
+        sink.record_view_update(time, v, entry);
     }
 }

@@ -76,9 +76,7 @@ pub use crate::harness::{ForgedAdvert, HarnessProtocol, SimHarness};
 pub use crate::neighbors::{Neighbor, NeighborTable, Reconciled};
 pub use crate::node::{ActionId, EnabledSet, ProtocolNode};
 pub use crate::sched::{EventKey, EventQueue, SchedulerKind};
-pub use crate::sink::{
-    CountsOnly, FullTrace, MarkerKind, NullSink, SinkFactory, SinkKind, TraceSink,
-};
+pub use crate::sink::{CountsOnly, FullTrace, MarkerKind, SinkFactory, SinkKind, TraceSink};
 pub use crate::slots::{EdgeSlots, NodeSlots, RegionMap};
 pub use crate::time::SimTime;
 pub use crate::trace::{ActionRecord, Trace};

@@ -2,23 +2,24 @@
 //!
 //! Analysis code (monitors, measurements, timelines) wants the full
 //! [`Trace`] — per-action records, per-node counters, variable-change
-//! times. Benchmarks want cheap counters. Raw throughput runs want
-//! nothing at all. The engine therefore writes its observability stream
-//! through a [`TraceSink`]:
+//! times. Benchmarks and throughput runs want nothing recorded. The
+//! engine therefore writes its observability stream through a
+//! [`TraceSink`], built from one of two [`SinkKind`]s:
 //!
 //! * [`FullTrace`] (an alias for [`Trace`]) — everything; the default, and
 //!   what every monitor and measurement in `lsrp-analysis` consumes.
-//! * [`CountsOnly`] — scalar counters only; no per-action records, no
-//!   per-node maps, no allocation on the hot path.
-//! * [`NullSink`] — discards everything.
+//! * [`CountsOnly`] — records nothing; no allocation on the hot path.
 //!
-//! Engine-health statistics (event counts by kind, message totals, peak
-//! queue depth — see [`crate::engine::EngineStats`]) are *not* routed
-//! through the sink: they are a handful of scalar increments the engine
-//! always maintains, so throughput reports exist even with a [`NullSink`].
+//! Counts are never kept by a sink. Event counts by kind, message totals
+//! and peak queue depth live in [`EngineStats`], the engine's one ledger,
+//! which it maintains whatever the sink — hence the name [`CountsOnly`]:
+//! the counts are all there is. A sink only consumes: the engine hands it
+//! ordered records as they happen and the final [`EngineStats`] once, via
+//! [`TraceSink::close`].
 
 use lsrp_graph::{Graph, NodeId};
 
+use crate::engine::EngineStats;
 use crate::flow::FlowRecord;
 use crate::time::SimTime;
 use crate::trace::{ActionRecord, Trace};
@@ -78,21 +79,6 @@ pub trait TraceSink: Send {
     /// A receive handler changed a protocol variable at `time` on `node`.
     fn record_receive_change(&mut self, time: SimTime, node: NodeId);
 
-    /// A message was handed to a link by `from`.
-    fn count_sent(&mut self, from: NodeId);
-
-    /// A message was delivered to a live receiver.
-    fn count_delivered(&mut self);
-
-    /// A message was dropped by the link's loss model.
-    fn count_dropped_lossy(&mut self);
-
-    /// A message was dropped because its edge or receiver was gone.
-    fn count_dropped_dead(&mut self);
-
-    /// An extra copy was scheduled by the link's duplication model.
-    fn count_duplicated(&mut self);
-
     /// Clears everything recorded so far.
     fn reset(&mut self);
 
@@ -101,13 +87,8 @@ pub trait TraceSink: Send {
         None
     }
 
-    /// The scalar counters, if this sink is a [`CountsOnly`].
-    fn counts(&self) -> Option<&CountsOnly> {
-        None
-    }
-
     // -----------------------------------------------------------------
-    // Streaming hooks. All default to no-ops so the three built-in
+    // Streaming hooks. All default to no-ops so the two built-in
     // sinks — and the zero-trace fast path — are untouched; a streaming
     // sink (e.g. `lsrp-trace`'s `StreamingSink`) overrides them. Every
     // hook below is fed exclusively from region-invariant engine points
@@ -133,9 +114,9 @@ pub trait TraceSink: Send {
         let _ = (time, kind, a, b);
     }
 
-    /// `node`'s route-view entry was (re)published at `time`. Callers do
-    /// not dedup; sinks interested in route *deltas* keep their own
-    /// last-seen cache (exactly like [`crate::view::RouteView`] does).
+    /// `node`'s route-view entry changed at `time` (`None` = node down).
+    /// Updates arrive deduplicated: the engine forwards only those that
+    /// changed its [`crate::view::RouteView`], so each call is a delta.
     fn record_view_update(&mut self, time: SimTime, node: NodeId, entry: Option<ViewEntry>) {
         let _ = (time, node, entry);
     }
@@ -180,6 +161,12 @@ pub trait TraceSink: Send {
     fn footprint(&self) -> Option<usize> {
         None
     }
+
+    /// The run is over: called once, when the engine drops, with its
+    /// final [`EngineStats`] (every message since the engine was built).
+    fn close(&mut self, stats: &EngineStats) {
+        let _ = stats;
+    }
 }
 
 /// The full-fidelity sink: [`Trace`] itself.
@@ -194,27 +181,6 @@ impl TraceSink for Trace {
         Trace::record_receive_change(self, time, node);
     }
 
-    fn count_sent(&mut self, from: NodeId) {
-        self.messages_sent += 1;
-        *self.sent_counts.entry(from).or_insert(0) += 1;
-    }
-
-    fn count_delivered(&mut self) {
-        self.messages_delivered += 1;
-    }
-
-    fn count_dropped_lossy(&mut self) {
-        self.dropped_lossy_link += 1;
-    }
-
-    fn count_dropped_dead(&mut self) {
-        self.dropped_dead_receiver += 1;
-    }
-
-    fn count_duplicated(&mut self) {
-        self.messages_duplicated += 1;
-    }
-
     fn reset(&mut self) {
         Trace::reset(self);
     }
@@ -224,84 +190,14 @@ impl TraceSink for Trace {
     }
 }
 
-/// A sink retaining scalar counters only — no records, no per-node maps.
+/// A sink that records nothing: the run's counts are the engine's
+/// [`EngineStats`], which it keeps whatever the sink.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountsOnly {
-    /// Non-maintenance actions executed.
-    pub actions: u64,
-    /// Maintenance actions executed.
-    pub maintenance_actions: u64,
-    /// Protocol-variable changes noted (in actions or receive handlers).
-    pub var_changes: u64,
-    /// Messages handed to links.
-    pub messages_sent: u64,
-    /// Messages delivered.
-    pub messages_delivered: u64,
-    /// Messages dropped by the loss model.
-    pub dropped_lossy_link: u64,
-    /// Messages dropped on dead edges/receivers.
-    pub dropped_dead_receiver: u64,
-    /// Extra copies scheduled by the duplication model.
-    pub messages_duplicated: u64,
-}
+pub struct CountsOnly;
 
 impl TraceSink for CountsOnly {
-    fn record_action(&mut self, rec: ActionRecord) {
-        if rec.maintenance {
-            self.maintenance_actions += 1;
-        } else {
-            self.actions += 1;
-        }
-        if rec.var_changed {
-            self.var_changes += 1;
-        }
-    }
-
-    fn record_receive_change(&mut self, _time: SimTime, _node: NodeId) {
-        self.var_changes += 1;
-    }
-
-    fn count_sent(&mut self, _from: NodeId) {
-        self.messages_sent += 1;
-    }
-
-    fn count_delivered(&mut self) {
-        self.messages_delivered += 1;
-    }
-
-    fn count_dropped_lossy(&mut self) {
-        self.dropped_lossy_link += 1;
-    }
-
-    fn count_dropped_dead(&mut self) {
-        self.dropped_dead_receiver += 1;
-    }
-
-    fn count_duplicated(&mut self) {
-        self.messages_duplicated += 1;
-    }
-
-    fn reset(&mut self) {
-        *self = CountsOnly::default();
-    }
-
-    fn counts(&self) -> Option<&CountsOnly> {
-        Some(self)
-    }
-}
-
-/// A sink that discards everything (raw-throughput runs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
     fn record_action(&mut self, _rec: ActionRecord) {}
     fn record_receive_change(&mut self, _time: SimTime, _node: NodeId) {}
-    fn count_sent(&mut self, _from: NodeId) {}
-    fn count_delivered(&mut self) {}
-    fn count_dropped_lossy(&mut self) {}
-    fn count_dropped_dead(&mut self) {}
-    fn count_duplicated(&mut self) {}
     fn reset(&mut self) {}
 }
 
@@ -316,10 +212,8 @@ pub enum SinkKind {
     /// Full [`Trace`] (the default; required by analysis and monitors).
     #[default]
     Full,
-    /// Scalar counters only ([`CountsOnly`]).
+    /// Record nothing ([`CountsOnly`]): only [`EngineStats`] counts.
     CountsOnly,
-    /// Record nothing ([`NullSink`]).
-    Null,
 }
 
 impl SinkKind {
@@ -327,8 +221,7 @@ impl SinkKind {
     pub fn build(self) -> Box<dyn TraceSink> {
         match self {
             SinkKind::Full => Box::new(Trace::new()),
-            SinkKind::CountsOnly => Box::new(CountsOnly::default()),
-            SinkKind::Null => Box::new(NullSink),
+            SinkKind::CountsOnly => Box::new(CountsOnly),
         }
     }
 }
@@ -394,46 +287,21 @@ mod tests {
     }
 
     #[test]
-    fn counts_only_tracks_scalars() {
-        let mut s = CountsOnly::default();
-        s.record_action(rec(false, true));
-        s.record_action(rec(true, false));
-        s.record_receive_change(SimTime::new(2.0), NodeId::new(1));
-        s.count_sent(NodeId::new(1));
-        s.count_delivered();
-        s.count_duplicated();
-        s.count_dropped_lossy();
-        s.count_dropped_dead();
-        assert_eq!(s.actions, 1);
-        assert_eq!(s.maintenance_actions, 1);
-        assert_eq!(s.var_changes, 2);
-        assert_eq!(s.messages_sent, 1);
-        assert_eq!(s.messages_delivered, 1);
-        assert_eq!(s.messages_duplicated, 1);
-        assert_eq!(s.dropped_lossy_link, 1);
-        assert_eq!(s.dropped_dead_receiver, 1);
-        s.reset();
-        assert_eq!(s, CountsOnly::default());
-    }
-
-    #[test]
     fn full_trace_sink_matches_trace_semantics() {
         let mut t = Trace::new();
         TraceSink::record_action(&mut t, rec(false, true));
-        TraceSink::count_sent(&mut t, NodeId::new(3));
         assert_eq!(t.actions.len(), 1);
         assert_eq!(t.total_actions(), 1);
-        assert_eq!(t.messages_sent, 1);
-        assert_eq!(t.sent_counts[&NodeId::new(3)], 1);
         assert!(TraceSink::trace(&t).is_some());
-        assert!(TraceSink::counts(&t).is_none());
+        TraceSink::reset(&mut t);
+        assert!(t.actions.is_empty());
     }
 
     #[test]
     fn kinds_build_the_right_sink() {
         assert!(SinkKind::Full.build().trace().is_some());
-        assert!(SinkKind::CountsOnly.build().counts().is_some());
-        let null = SinkKind::Null.build();
-        assert!(null.trace().is_none() && null.counts().is_none());
+        let mut counts = SinkKind::CountsOnly.build();
+        counts.record_action(rec(false, true));
+        assert!(counts.trace().is_none() && counts.footprint().is_none());
     }
 }

@@ -1,9 +1,10 @@
 //! Execution traces: what ran where and when.
 //!
-//! The analysis crate derives every paper metric from the trace:
-//! stabilization time (last protocol-variable change), contamination (the
-//! set of nodes that executed non-maintenance actions), and control
-//! overhead (messages sent).
+//! The analysis crate derives the paper's per-node metrics from the
+//! trace: stabilization time (last protocol-variable change) and
+//! contamination (the set of nodes that executed non-maintenance
+//! actions). Control overhead (messages sent) is not traced: it is a
+//! count, and counts live in [`crate::engine::EngineStats`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -38,25 +39,10 @@ pub struct Trace {
     /// changes made inside receive handlers, e.g. a mirror-triggered
     /// distance update in protocols that update on receipt).
     pub var_changes: Vec<(SimTime, NodeId)>,
-    /// Total messages handed to links.
-    pub messages_sent: u64,
-    /// Total messages delivered.
-    pub messages_delivered: u64,
-    /// Messages dropped by the link's loss model (i.i.d. or bursty).
-    pub dropped_lossy_link: u64,
-    /// Messages dropped because their edge or receiving endpoint was gone
-    /// at delivery time (fail-stop faults racing in-flight traffic).
-    pub dropped_dead_receiver: u64,
-    /// Extra copies delivered by the link's duplication model. When the
-    /// queue is drained, `messages_delivered + messages_dropped() ==
-    /// messages_sent + messages_duplicated`.
-    pub messages_duplicated: u64,
     /// Per-node count of non-maintenance action executions.
     pub action_counts: BTreeMap<NodeId, u64>,
     /// Per-node count of maintenance action executions.
     pub maintenance_counts: BTreeMap<NodeId, u64>,
-    /// Per-node messages sent.
-    pub sent_counts: BTreeMap<NodeId, u64>,
 }
 
 impl Trace {
@@ -69,11 +55,6 @@ impl Trace {
     /// an experiment).
     pub fn reset(&mut self) {
         *self = Trace::default();
-    }
-
-    /// Total messages dropped, over all causes.
-    pub fn messages_dropped(&self) -> u64 {
-        self.dropped_lossy_link + self.dropped_dead_receiver
     }
 
     /// Nodes that executed at least one non-maintenance action at or after

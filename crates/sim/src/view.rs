@@ -165,12 +165,12 @@ impl RouteView {
     }
 
     /// Records `v`'s current entry (`None` = node down), updating the
-    /// dense view and, when logging, the change log. No-change refreshes
-    /// are free and log nothing.
-    pub(crate) fn record(&mut self, v: NodeId, new: Option<ViewEntry>) {
+    /// dense view and, when logging, the change log, and returns whether
+    /// the entry changed. No-change refreshes are free and log nothing.
+    pub(crate) fn record(&mut self, v: NodeId, new: Option<ViewEntry>) -> bool {
         let old = self.entries.get(v).copied();
         if old == new {
-            return;
+            return false;
         }
         match new {
             Some(e) => {
@@ -183,6 +183,7 @@ impl RouteView {
         if self.logging {
             self.log.push(RouteDelta { node: v, old, new });
         }
+        true
     }
 }
 
@@ -223,8 +224,11 @@ mod tests {
         assert_eq!(view.cursor(), RouteCursor(0), "no log before enabling");
         view.enable_logging();
         let c = view.cursor();
-        view.record(v(0), Some(entry(0, 0))); // no change: nothing logged
-        view.record(v(0), Some(entry(2, 1)));
+        assert!(
+            !view.record(v(0), Some(entry(0, 0))),
+            "no change: nothing logged"
+        );
+        assert!(view.record(v(0), Some(entry(2, 1))));
         let deltas = view.deltas_since(c);
         assert_eq!(deltas.len(), 1);
         assert_eq!(deltas[0].node, v(0));

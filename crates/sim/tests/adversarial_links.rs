@@ -88,10 +88,10 @@ fn total_loss_drops_everything_as_lossy_link() {
     let e = run(EngineConfig::default()
         .with_link(LinkConfig::constant(1.0).with_loss(1.0))
         .with_seed(3));
-    assert_eq!(e.trace().messages_sent, 32);
-    assert_eq!(e.trace().dropped_lossy_link, 32);
-    assert_eq!(e.trace().dropped_dead_receiver, 0);
-    assert_eq!(e.trace().messages_delivered, 0);
+    assert_eq!(e.stats().messages_sent, 32);
+    assert_eq!(e.stats().dropped_lossy_link, 32);
+    assert_eq!(e.stats().dropped_dead_receiver, 0);
+    assert_eq!(e.stats().messages_delivered, 0);
     assert!(e.node(v(1)).unwrap().inbox.is_empty());
 }
 
@@ -102,9 +102,9 @@ fn drop_causes_never_mix() {
     let e = run(EngineConfig::default()
         .with_link(LinkConfig::constant(1.0).with_loss(0.5))
         .with_seed(11));
-    assert_eq!(e.trace().dropped_dead_receiver, 0);
+    assert_eq!(e.stats().dropped_dead_receiver, 0);
     assert_eq!(
-        e.trace().messages_delivered + e.trace().dropped_lossy_link,
+        e.stats().messages_delivered + e.stats().dropped_lossy_link,
         32
     );
 }
@@ -117,9 +117,9 @@ fn in_flight_messages_on_failed_edges_count_as_dead_receiver() {
     assert_eq!(e.inflight_messages(), 32);
     e.fail_edge(v(0), v(1)).unwrap();
     e.run_to_quiescence(SimTime::new(100.0), 0.0).unwrap();
-    assert_eq!(e.trace().dropped_dead_receiver, 32);
-    assert_eq!(e.trace().dropped_lossy_link, 0);
-    assert_eq!(e.trace().messages_dropped(), 32);
+    assert_eq!(e.stats().dropped_dead_receiver, 32);
+    assert_eq!(e.stats().dropped_lossy_link, 0);
+    assert_eq!(e.stats().messages_dropped(), 32);
 }
 
 // ---------------------------------------------------------------------
@@ -137,8 +137,8 @@ fn gilbert_elliott_lossless_states_drop_nothing() {
     let e = run(EngineConfig::default()
         .with_link(LinkConfig::constant(1.0).with_bursty_loss(ge))
         .with_seed(5));
-    assert_eq!(e.trace().messages_delivered, 32);
-    assert_eq!(e.trace().dropped_lossy_link, 0);
+    assert_eq!(e.stats().messages_delivered, 32);
+    assert_eq!(e.stats().dropped_lossy_link, 0);
 }
 
 #[test]
@@ -155,8 +155,8 @@ fn gilbert_elliott_absorbing_bad_state_blackholes_the_edge() {
     let e = run(EngineConfig::default()
         .with_link(LinkConfig::constant(1.0).with_bursty_loss(ge))
         .with_seed(5));
-    assert_eq!(e.trace().dropped_lossy_link, 32);
-    assert_eq!(e.trace().messages_delivered, 0);
+    assert_eq!(e.stats().dropped_lossy_link, 32);
+    assert_eq!(e.stats().messages_delivered, 0);
 }
 
 #[test]
@@ -176,7 +176,7 @@ fn gilbert_elliott_produces_loss_runs_not_scattered_loss() {
         let e = run(EngineConfig::default()
             .with_link(LinkConfig::constant(1.0).with_bursty_loss(ge))
             .with_seed(seed));
-        dropped += e.trace().dropped_lossy_link;
+        dropped += e.stats().dropped_lossy_link;
         let inbox = &e.node(v(1)).unwrap().inbox;
         // Count maximal runs of consecutive lost sequence numbers.
         let received: Vec<bool> = (0..32).map(|i| inbox.contains(&i)).collect();
@@ -223,9 +223,9 @@ fn certain_duplication_delivers_every_message_twice() {
     let e = run(EngineConfig::default()
         .with_link(LinkConfig::constant(1.0).with_duplication(1.0))
         .with_seed(9));
-    assert_eq!(e.trace().messages_sent, 32);
-    assert_eq!(e.trace().messages_duplicated, 32);
-    assert_eq!(e.trace().messages_delivered, 64);
+    assert_eq!(e.stats().messages_sent, 32);
+    assert_eq!(e.stats().messages_duplicated, 32);
+    assert_eq!(e.stats().messages_delivered, 64);
     let inbox = &e.node(v(1)).unwrap().inbox;
     assert_eq!(inbox.len(), 64);
     // FIFO still holds across copies: the stream is nondecreasing with
@@ -245,7 +245,7 @@ fn duplication_and_loss_balance_the_message_ledger() {
                 .with_duplication(0.4),
         )
         .with_seed(17));
-    let t = e.trace();
+    let t = e.stats();
     assert_eq!(
         t.messages_delivered + t.messages_dropped(),
         t.messages_sent + t.messages_duplicated,

@@ -123,9 +123,9 @@ fn quiescent_report_when_nothing_is_enabled() {
     assert!(!e.any_enabled_non_maintenance());
     assert_eq!(e.inflight_messages(), 0);
     // Messages on the 2-path: v0's bcast (1 neighbor) + v1's bcast back.
-    assert_eq!(e.trace().messages_sent, 2);
+    assert_eq!(e.stats().messages_sent, 2);
     assert_eq!(
-        e.trace().messages_delivered + e.trace().messages_dropped(),
+        e.stats().messages_delivered + e.stats().messages_dropped(),
         2
     );
 }
@@ -329,9 +329,9 @@ fn failing_an_edge_drops_in_flight_messages() {
     e.fail_edge(v(0), v(1)).unwrap();
     e.run_to_quiescence(SimTime::new(100.0), 0.0).unwrap();
     assert_eq!(e.node(v(1)).unwrap().level, None);
-    assert_eq!(e.trace().messages_dropped(), 1);
-    assert_eq!(e.trace().dropped_dead_receiver, 1);
-    assert_eq!(e.trace().dropped_lossy_link, 0);
+    assert_eq!(e.stats().messages_dropped(), 1);
+    assert_eq!(e.stats().dropped_dead_receiver, 1);
+    assert_eq!(e.stats().dropped_lossy_link, 0);
 }
 
 #[test]
@@ -477,12 +477,12 @@ fn lossy_links_drop_a_fraction_of_messages() {
     let got = e.node(v(1)).unwrap().inbox.len();
     assert!(got < 32, "some of the 32 messages must be lost");
     assert!(got > 0, "not all should be lost at p = 0.5");
-    assert_eq!(e.trace().messages_sent, 32);
+    assert_eq!(e.stats().messages_sent, 32);
     assert_eq!(
-        e.trace().messages_dropped() + e.trace().messages_delivered,
+        e.stats().messages_dropped() + e.stats().messages_delivered,
         32
     );
-    assert_eq!(e.trace().dropped_lossy_link, e.trace().messages_dropped());
+    assert_eq!(e.stats().dropped_lossy_link, e.stats().messages_dropped());
 }
 
 // ---------------------------------------------------------------------

@@ -10,13 +10,15 @@
 //!
 //! 1. **Region invariance.** Every frame derives from the engine's
 //!    ordered ObsOps merge or from serial driver context, so the trace
-//!    file is byte-identical for every `--regions` value. Unordered
-//!    message tallies (whose barrier-drain order *does* vary) appear
-//!    only as commutative totals in the final `end` frame.
-//! 2. **Bounded memory.** The sink retains O(nodes) state (a route
-//!    dedup cache and a wave-epoch stamp per node) plus a fixed-size
-//!    write-behind buffer — never O(events). [`TraceSink::footprint`]
-//!    reports the retained bytes so tests can pin this.
+//!    file is byte-identical for every `--regions` value. Message totals
+//!    are not streamed: the `end` frame carries the engine's final
+//!    [`EngineStats`], handed over by [`TraceSink::close`].
+//! 2. **Bounded memory.** The sink retains O(nodes) state (a wave-epoch
+//!    stamp per node) plus a fixed-size write-behind buffer — never
+//!    O(events). Route updates arrive already deduplicated by the
+//!    engine's route view, so the sink keeps no route cache.
+//!    [`TraceSink::footprint`] reports the retained bytes so tests can
+//!    pin this.
 //! 3. **Self-description.** The stream opens with a header frame
 //!    (schema version, seed, topology label) and topology frames
 //!    (nodes, edges), carries periodic `snap` frames so a reader can
@@ -46,7 +48,7 @@ use lsrp_sim::sink::{MarkerKind, SinkFactory, SinkKind, TraceSink};
 use lsrp_sim::trace::{ActionRecord, Trace};
 use lsrp_sim::traffic::{PacketRecord, PacketStatus};
 use lsrp_sim::view::ViewEntry;
-use lsrp_sim::{CountsOnly, SimTime};
+use lsrp_sim::{EngineStats, SimTime};
 
 use crate::json::{push_f64, push_str_escaped, push_u64};
 
@@ -206,8 +208,8 @@ struct StreamTally {
 }
 
 /// The streaming trace sink: wraps an inner built-in sink (so analysis
-/// code still sees its [`Trace`]/[`CountsOnly`]) and writes every
-/// region-invariant observability record as a frame.
+/// code still sees its [`Trace`], when the inner kind keeps one) and
+/// writes every region-invariant observability record as a frame.
 pub struct StreamingSink {
     out: BufWriter<File>,
     classes: EventClasses,
@@ -216,8 +218,6 @@ pub struct StreamingSink {
     inner: Box<dyn TraceSink>,
     /// Reusable frame assembly buffer (bounded: frames are small).
     line: String,
-    /// Dense last-written route entries, for delta dedup (O(nodes)).
-    routes: Vec<Option<ViewEntry>>,
     /// Per-node wave stamp: `epoch + 1` once the node's wave frame for
     /// the current epoch was written, 0 otherwise (O(nodes)).
     wave_seen: Vec<u32>,
@@ -229,13 +229,6 @@ pub struct StreamingSink {
     /// Time of the last written frame.
     last_time: f64,
     tally: StreamTally,
-    // Unordered message totals: only ever surfaced as commutative sums
-    // in the `end` frame.
-    msg_sent: u64,
-    msg_delivered: u64,
-    msg_dropped_lossy: u64,
-    msg_dropped_dead: u64,
-    msg_duplicated: u64,
     io_failed: bool,
     finished: bool,
 }
@@ -252,8 +245,7 @@ impl std::fmt::Debug for StreamingSink {
 impl StreamingSink {
     /// Opens `config.path` and builds the sink; `inner` is the built-in
     /// sink kind the run would have used without tracing (its records
-    /// remain available through [`TraceSink::trace`] /
-    /// [`TraceSink::counts`]).
+    /// remain available through [`TraceSink::trace`]).
     ///
     /// # Errors
     ///
@@ -267,18 +259,12 @@ impl StreamingSink {
             topology: config.topology,
             inner: inner.build(),
             line: String::with_capacity(256),
-            routes: Vec::new(),
             wave_seen: Vec::new(),
             epoch: 0,
             epoch_time: 0.0,
             events: 0,
             last_time: 0.0,
             tally: StreamTally::default(),
-            msg_sent: 0,
-            msg_delivered: 0,
-            msg_dropped_lossy: 0,
-            msg_dropped_dead: 0,
-            msg_duplicated: 0,
             io_failed: false,
             finished: false,
         })
@@ -346,9 +332,11 @@ impl StreamingSink {
         self.emit();
     }
 
-    /// Writes the `end` frame and flushes. Called automatically on drop;
-    /// idempotent.
-    pub fn finish(&mut self) {
+    /// Writes the `end` frame, with `stats`' message totals, and flushes.
+    /// The engine calls it through [`TraceSink::close`] when it drops; a
+    /// sink dropped without ever being closed (its factory never built an
+    /// engine) writes zero totals. Idempotent.
+    fn finish(&mut self, stats: &EngineStats) {
         if self.finished {
             return;
         }
@@ -361,11 +349,11 @@ impl StreamingSink {
                 ",\"seq\":{},\"msgs\":{{\"sent\":{},\"delivered\":{},\"dropped_lossy\":{},\
                  \"dropped_dead\":{},\"duplicated\":{}}},\"tally\":",
                 self.events,
-                self.msg_sent,
-                self.msg_delivered,
-                self.msg_dropped_lossy,
-                self.msg_dropped_dead,
-                self.msg_duplicated,
+                stats.messages_sent,
+                stats.messages_delivered,
+                stats.dropped_lossy_link,
+                stats.dropped_dead_receiver,
+                stats.messages_duplicated,
             ),
         );
         self.push_tally();
@@ -393,7 +381,7 @@ impl StreamingSink {
 
 impl Drop for StreamingSink {
     fn drop(&mut self) {
-        self.finish();
+        self.finish(&EngineStats::default());
     }
 }
 
@@ -446,31 +434,6 @@ impl TraceSink for StreamingSink {
         self.inner.record_receive_change(time, node);
     }
 
-    fn count_sent(&mut self, from: NodeId) {
-        self.msg_sent += 1;
-        self.inner.count_sent(from);
-    }
-
-    fn count_delivered(&mut self) {
-        self.msg_delivered += 1;
-        self.inner.count_delivered();
-    }
-
-    fn count_dropped_lossy(&mut self) {
-        self.msg_dropped_lossy += 1;
-        self.inner.count_dropped_lossy();
-    }
-
-    fn count_dropped_dead(&mut self) {
-        self.msg_dropped_dead += 1;
-        self.inner.count_dropped_dead();
-    }
-
-    fn count_duplicated(&mut self) {
-        self.msg_duplicated += 1;
-        self.inner.count_duplicated();
-    }
-
     fn reset(&mut self) {
         // The file stays cumulative — the engine records a `reset`
         // marker just before calling this, so readers know where the
@@ -480,10 +443,6 @@ impl TraceSink for StreamingSink {
 
     fn trace(&self) -> Option<&Trace> {
         self.inner.trace()
-    }
-
-    fn counts(&self) -> Option<&CountsOnly> {
-        self.inner.counts()
     }
 
     fn attach(&mut self, graph: &Graph, seed: u64) {
@@ -583,14 +542,6 @@ impl TraceSink for StreamingSink {
     }
 
     fn record_view_update(&mut self, time: SimTime, node: NodeId, entry: Option<ViewEntry>) {
-        let idx = node.raw() as usize;
-        if idx >= self.routes.len() {
-            self.routes.resize(idx + 1, None);
-        }
-        if self.routes[idx] == entry {
-            return;
-        }
-        self.routes[idx] = entry;
         self.tally.routes += 1;
         if self.classes.contains(EventClasses::ROUTES) {
             let t = time.seconds();
@@ -731,11 +682,14 @@ impl TraceSink for StreamingSink {
         self.classes.contains(EventClasses::QUEUES)
     }
 
+    fn close(&mut self, stats: &EngineStats) {
+        self.finish(stats);
+    }
+
     fn footprint(&self) -> Option<usize> {
         Some(
             WRITE_BUFFER
                 + self.line.capacity()
-                + self.routes.capacity() * std::mem::size_of::<Option<ViewEntry>>()
                 + self.wave_seen.capacity() * std::mem::size_of::<u32>(),
         )
     }

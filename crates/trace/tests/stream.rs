@@ -1,16 +1,19 @@
 //! Integration tests over the streaming sink, driving real LSRP
 //! simulations: the golden JSONL schema snapshot (exact per-kind key
 //! sets, pinned so any layout change forces a deliberate
-//! `SCHEMA_VERSION` decision) and the bounded-memory guarantee (the
-//! sink's footprint is O(nodes), flat in the event count).
+//! `SCHEMA_VERSION` decision), the bounded-memory guarantee (the
+//! sink's footprint is O(nodes), flat in the event count), and the
+//! two facts the sink reports but does not own: the `end` frame's
+//! message totals are the engine's `EngineStats`, and the `rt` frames
+//! are the route view's deltas.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use lsrp_core::{InitialState, LsrpSimulation, LsrpSimulationExt};
+use lsrp_core::{InitialState, LsrpSimulation, LsrpSimulationExt, TimingConfig};
 use lsrp_graph::{generators, Distance, NodeId};
 use lsrp_sim::sink::SinkKind;
-use lsrp_sim::EngineConfig;
+use lsrp_sim::{EngineConfig, LinkConfig, RouteDelta};
 use lsrp_trace::json::Json;
 use lsrp_trace::reader::{kind, read_trace};
 use lsrp_trace::{streaming_factory, TraceConfig, SCHEMA_VERSION};
@@ -147,7 +150,107 @@ fn golden_jsonl_schema_snapshot() {
         signature(end.get("tally").unwrap()),
         "actions,drops,flows,markers,packets,queues,routes,waves"
     );
-    assert!(end.get("msgs").unwrap().get("sent").and_then(Json::as_u64) > Some(0));
+}
+
+/// A traced 5x5 grid over a lossy, duplicating link, from arbitrary state.
+fn lossy_traced_sim(path: &Path) -> LsrpSimulation {
+    let factory = streaming_factory(TraceConfig::new(path), SinkKind::CountsOnly).unwrap();
+    let engine = EngineConfig::default()
+        .with_seed(19)
+        .with_link(
+            LinkConfig::jittered(0.5, 1.5)
+                .with_loss(0.1)
+                .with_duplication(0.1),
+        )
+        .with_sink_factory(factory);
+    LsrpSimulation::builder(generators::grid(5, 5, 1), NodeId::new(0))
+        .timing(TimingConfig::for_network(1.4, 1.5).with_syn_period(4.0))
+        .initial_state(InitialState::Arbitrary { seed: 4 })
+        .engine_config(engine)
+        .build()
+}
+
+/// Stabilizes, flaps one link's weight, corrupts a node, fails a node
+/// with messages in flight, and re-stabilizes.
+fn eventful_run(sim: &mut LsrpSimulation) {
+    sim.run_until(200.0);
+    for w in [5, 1, 7, 1] {
+        sim.set_weight(NodeId::new(6), NodeId::new(7), w).unwrap();
+        sim.run_until(sim.now().seconds() + 60.0);
+    }
+    sim.corrupt_distance(NodeId::new(18), Distance::ZERO);
+    sim.run_until(sim.now().seconds() + 0.7);
+    assert!(sim.engine().inflight_messages() > 0);
+    sim.fail_node(NodeId::new(12)).unwrap();
+    sim.run_until(sim.now().seconds() + 300.0);
+}
+
+#[test]
+fn end_frame_message_totals_are_the_engine_stats() {
+    let path = tmp("msgs.jsonl");
+    let mut sim = lossy_traced_sim(&path);
+    eventful_run(&mut sim);
+    let stats = sim.stats();
+    drop(sim); // closes the sink: writes the `end` frame
+    let frames = read_trace(&path).unwrap();
+    let end = frames.last().unwrap();
+    assert_eq!(kind(end), Some("end"));
+    let msgs = end.get("msgs").unwrap();
+    for (key, want) in [
+        ("sent", stats.messages_sent),
+        ("delivered", stats.messages_delivered),
+        ("dropped_lossy", stats.dropped_lossy_link),
+        ("dropped_dead", stats.dropped_dead_receiver),
+        ("duplicated", stats.messages_duplicated),
+    ] {
+        assert!(want > 0, "the run must exercise '{key}'");
+        assert_eq!(
+            msgs.get(key).and_then(Json::as_u64),
+            Some(want),
+            "msgs.{key}"
+        );
+    }
+}
+
+#[test]
+fn rt_frames_are_the_route_view_deltas() {
+    let path = tmp("routes.jsonl");
+    let mut sim = lossy_traced_sim(&path);
+    let cursor = sim.route_cursor();
+    eventful_run(&mut sim);
+    let deltas: Vec<RouteDelta> = sim.route_deltas_since(cursor).to_vec();
+    drop(sim);
+    let frames = read_trace(&path).unwrap();
+    let rt: Vec<&Json> = frames.iter().filter(|f| kind(f) == Some("rt")).collect();
+    // The cursor was taken right after construction, whose only route
+    // frames are the 25 initial entries at t = 0.
+    let (initial, logged) = rt.split_at(25);
+    assert!(initial
+        .iter()
+        .all(|f| f.get("t").and_then(Json::as_f64) == Some(0.0)));
+    assert!(
+        deltas.iter().any(|d| d.new.is_none()),
+        "the run fails a node"
+    );
+    assert!(deltas.len() > 100, "only {} deltas", deltas.len());
+    assert_eq!(logged.len(), deltas.len(), "one rt frame per view delta");
+    for (frame, delta) in logged.iter().zip(&deltas) {
+        let n = frame.get("n").and_then(Json::as_u64);
+        assert_eq!(n, Some(u64::from(delta.node.raw())));
+        match delta.new {
+            Some(e) => {
+                let d = match e.route.distance {
+                    Distance::Finite(d) => Some(d),
+                    Distance::Infinite => None,
+                };
+                assert_eq!(frame.get("d").and_then(Json::as_u64), d, "{frame:?}");
+                let p = frame.get("p").and_then(Json::as_u64);
+                assert_eq!(p, Some(u64::from(e.route.parent.raw())));
+                assert_eq!(frame.get("c").and_then(Json::as_bool), Some(e.containment));
+            }
+            None => assert_eq!(frame.get("up").and_then(Json::as_bool), Some(false)),
+        }
+    }
 }
 
 #[test]
@@ -206,7 +309,7 @@ fn sink_memory_is_bounded_at_100k_nodes() {
     sim.corrupt_distance(NodeId::new(50_000), Distance::ZERO);
     assert!(sim.run_to_quiescence(1_000_000.0).quiescent);
     let footprint = sim.engine().sink().footprint().unwrap();
-    // 1 MiB write buffer + O(nodes) route/wave state. ~64 bytes per
+    // 1 MiB write buffer + O(nodes) wave state. ~64 bytes per
     // node of slack is generous; the point is it is not O(events).
     assert!(
         footprint < (1 << 20) + nodes * 64 + (1 << 16),

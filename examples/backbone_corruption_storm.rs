@@ -20,6 +20,7 @@ use rand::SeedableRng;
 fn storm(sim: &mut dyn RoutingSimulation, victims: &[NodeId]) -> (usize, usize, u64) {
     sim.run_to_quiescence(100_000.0);
     sim.reset_trace();
+    let sent0 = sim.stats().messages_sent;
     let t0 = sim.now();
     let perturbed: BTreeSet<NodeId> = victims.iter().copied().collect();
     // Five bursts of misconfiguration, 120 simulated seconds apart. Each
@@ -42,7 +43,7 @@ fn storm(sim: &mut dyn RoutingSimulation, victims: &[NodeId]) -> (usize, usize, 
     let contaminated = lsrp::graph::contamination::contaminated_nodes(&perturbed, &acted);
     let range =
         lsrp::graph::contamination::range_of_contamination(sim.graph(), &perturbed, &contaminated);
-    (contaminated.len(), range, sim.trace().messages_sent)
+    (contaminated.len(), range, sim.stats().messages_sent - sent0)
 }
 
 fn main() {

@@ -57,7 +57,7 @@ fn different_seeds_differ() {
 #[test]
 fn sink_choice_never_changes_the_simulation() {
     // The trace sink is pure observability: the same seeded run under
-    // Full / CountsOnly / Null sinks must produce identical engine
+    // the Full and CountsOnly sinks must produce identical engine
     // statistics, identical final tables, and identical end times — only
     // what is *recorded* differs.
     let run_with = |sink: SinkKind| {
@@ -77,43 +77,24 @@ fn sink_choice_never_changes_the_simulation() {
         (
             report.end,
             format!("{:?}", sim.route_table()),
-            format!("{stats:?}"),
-            sim.engine().sink().counts().copied(),
-            sim.engine().sink().trace().map(|t| {
-                (
-                    t.total_actions(),
-                    t.messages_sent,
-                    t.messages_delivered,
-                    t.dropped_lossy_link,
-                    t.dropped_dead_receiver,
-                    t.messages_duplicated,
-                )
-            }),
+            stats,
+            sim.engine().sink().trace().map(|t| t.total_actions()),
         )
     };
-    let (end_f, table_f, stats_f, counts_f, trace_f) = run_with(SinkKind::Full);
-    let (end_c, table_c, stats_c, counts_c, trace_c) = run_with(SinkKind::CountsOnly);
-    let (end_n, table_n, stats_n, counts_n, trace_n) = run_with(SinkKind::Null);
+    let (end_f, table_f, stats_f, actions_f) = run_with(SinkKind::Full);
+    let (end_c, table_c, stats_c, actions_c) = run_with(SinkKind::CountsOnly);
     assert_eq!(end_f, end_c);
-    assert_eq!(end_f, end_n);
     assert_eq!(table_f, table_c);
-    assert_eq!(table_f, table_n);
-    assert_eq!(stats_f, stats_c, "EngineStats must not depend on the sink");
-    assert_eq!(stats_f, stats_n);
-    // Retention differs exactly as advertised: only Full keeps a trace,
-    // only CountsOnly exposes counters, Null keeps nothing — but where a
-    // number exists in both, it agrees.
-    let (actions, sent, delivered, lossy, dead, dup) = trace_f.expect("full sink keeps a trace");
-    assert!(trace_c.is_none() && trace_n.is_none());
-    assert!(counts_f.is_none() && counts_n.is_none());
-    let counts = counts_c.expect("counts-only sink keeps counters");
-    assert_eq!(counts.actions, actions);
-    assert_eq!(counts.messages_sent, sent);
-    assert_eq!(counts.messages_delivered, delivered);
-    assert_eq!(counts.dropped_lossy_link, lossy);
-    assert_eq!(counts.dropped_dead_receiver, dead);
-    assert_eq!(counts.messages_duplicated, dup);
-    assert!(sent > 0 && delivered > 0);
+    assert_eq!(
+        format!("{stats_f:?}"),
+        format!("{stats_c:?}"),
+        "EngineStats must not depend on the sink"
+    );
+    // Retention differs exactly as advertised: only Full keeps a trace;
+    // the message counts are the engine's, whatever the sink.
+    assert!(actions_f.expect("full sink keeps a trace") > 0);
+    assert!(actions_c.is_none());
+    assert!(stats_f.messages_sent > 0 && stats_f.messages_delivered > 0);
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Experiment scenarios regenerating every figure and analytical claim of
-//! the paper, and the paired perf readings CI gates.
+//! the paper.
 //!
 //! The `experiments` binary prints every experiment of DESIGN.md §4 — its
 //! output is the source of EXPERIMENTS.md. Those with a checked-in file in
@@ -7,8 +7,6 @@
 //! the rest call the hand-coded experiments in the modules here, which
 //! return markdown [`Table`]s (plus rendered timelines where the paper
 //! draws space-time diagrams).
-//! [`engine_perf`] is the `perf_smoke` binary's table of paired shape
-//! readings; wall-clock numbers are `bash benchmark/run.sh`'s.
 //!
 //! [`Table`]: lsrp_analysis::Table
 
@@ -16,7 +14,6 @@
 #![warn(missing_docs)]
 
 pub mod build;
-pub mod engine_perf;
 pub mod figures;
 pub mod loops_exp;
 pub mod multi_exp;

@@ -70,9 +70,11 @@ fn build_protocol(
     }
 }
 
-/// The nodes a fault spec perturbs, computed from the (pre-fault) graph.
+/// The nodes a fault spec perturbs, checked against `graph` — the
+/// topology the faults before it left — which then takes the fault too,
+/// so the next spec is checked against the graph it will meet.
 fn perturbed_by(
-    graph: &lsrp_graph::Graph,
+    graph: &mut Graph,
     spec: &FaultSpec,
     topo: &TopologySpec,
 ) -> Result<BTreeSet<NodeId>, ParseError> {
@@ -88,7 +90,7 @@ fn perturbed_by(
             .then_some(())
             .ok_or_else(|| ParseError(format!("edge ({a}, {b}) is not in the topology")))
     };
-    Ok(match *spec {
+    let perturbed = match *spec {
         FaultSpec::Corrupt(node, _) => BTreeSet::from([check_node(node)?]),
         FaultSpec::FailNode(node) => {
             check_node(node)?;
@@ -103,8 +105,13 @@ fn perturbed_by(
             check_node(b)?;
             BTreeSet::from([a, b])
         }
-        FaultSpec::SetWeight(a, b, _) => {
+        FaultSpec::SetWeight(a, b, w) => {
             check_edge(a, b)?;
+            if w == 0 {
+                return Err(ParseError(format!(
+                    "edge ({a}, {b}) cannot take weight 0: weights are positive"
+                )));
+            }
             BTreeSet::from([a, b])
         }
         FaultSpec::Loop => {
@@ -113,14 +120,33 @@ fn perturbed_by(
                     "--fault loop requires a lollipop topology".to_string(),
                 ));
             };
-            generators::lollipop_ring(tail, ring_len)
-                .into_iter()
-                .collect()
+            let cycle = loop_cycle(tail, ring_len);
+            for hop in cycle.windows(2) {
+                check_edge(hop[0], hop[1])?;
+            }
+            cycle.into_iter().collect()
         }
-    })
+    };
+    // Mirrors `apply_fault`: a join the graph refuses is only warned about.
+    let _ = match *spec {
+        FaultSpec::FailNode(node) => graph.remove_node(node),
+        FaultSpec::FailEdge(a, b) => graph.remove_edge(a, b),
+        FaultSpec::JoinEdge(a, b, w) => graph.add_edge(a, b, w),
+        FaultSpec::SetWeight(a, b, w) => graph.set_weight(a, b, w),
+        FaultSpec::Corrupt(..) | FaultSpec::Loop => Ok(()),
+    };
+    Ok(perturbed)
 }
 
-/// Applies one (pre-validated) fault spec.
+/// The cycle `--fault loop` closes on a lollipop's ring, each node's
+/// parent the next; `cycle_assignment` reads the weights of its hops.
+fn loop_cycle(tail: u32, ring_len: u32) -> Vec<NodeId> {
+    let mut ring = generators::lollipop_ring(tail, ring_len);
+    ring.rotate_left(1);
+    ring
+}
+
+/// Applies one fault spec, validated by [`perturbed_by`] in order.
 fn apply_fault(sim: &mut dyn RoutingSimulation, spec: &FaultSpec, topo: &TopologySpec) {
     match *spec {
         FaultSpec::Corrupt(node, d) => {
@@ -143,9 +169,8 @@ fn apply_fault(sim: &mut dyn RoutingSimulation, spec: &FaultSpec, topo: &Topolog
             let TopologySpec::Lollipop(tail, ring_len) = *topo else {
                 unreachable!("validated against the topology");
             };
-            let mut ring = generators::lollipop_ring(tail, ring_len);
-            ring.rotate_left(1);
-            let assignment = lsrp_faults::loops::cycle_assignment(sim.graph(), &ring, 1);
+            let cycle = loop_cycle(tail, ring_len);
+            let assignment = lsrp_faults::loops::cycle_assignment(sim.graph(), &cycle, 1);
             for &(node, d, p) in &assignment {
                 sim.inject_route(node, d, p);
             }
@@ -176,8 +201,9 @@ fn run_one(
         )));
     }
     let mut perturbed = BTreeSet::new();
+    let mut faulted = graph.clone();
     for f in faults {
-        perturbed.extend(perturbed_by(&graph, f, topo)?);
+        perturbed.extend(perturbed_by(&mut faulted, f, topo)?);
     }
 
     let mut sim = build_protocol(choice, topo, graph, dest, seed);

@@ -103,3 +103,31 @@ fn topology_specs_never_panic_the_binary() {
         assert!(run_args(&args).is_err(), "{args:?}");
     }
 }
+
+/// Fault lists each of whose faults is valid on the original topology,
+/// but not on the one the faults before it leave.
+const FAULT_LISTS: [(&str, &[&str]); 6] = [
+    ("grid:3x3", &["weight:0:1:0"]),
+    ("grid:3x3", &["fail-node:1", "fail-node:1"]),
+    ("grid:3x3", &["fail-edge:0:1", "fail-edge:0:1"]),
+    ("grid:3x3", &["fail-node:1", "fail-edge:1:2"]),
+    ("grid:3x3", &["fail-node:1", "weight:1:2:3"]),
+    ("lollipop:3:4", &["fail-node:6", "loop"]),
+];
+
+#[test]
+fn fault_lists_are_checked_in_order_and_never_panic_the_binary() {
+    for command in ["run", "compare"] {
+        for (topology, faults) in FAULT_LISTS {
+            let mut args = vec![command, "--topology", topology];
+            for fault in faults {
+                args.extend(["--fault", fault]);
+            }
+            let err = run_args(&args).expect_err(&args.join(" "));
+            assert!(
+                err.contains("edge (") || err.contains("is not in"),
+                "{args:?}: {err}"
+            );
+        }
+    }
+}

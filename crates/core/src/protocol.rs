@@ -165,6 +165,12 @@ impl Hasher for WordMixer {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Guard evaluations made on this thread.
+    static EVALUATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl ProtocolNode for LsrpNode {
     type Msg = LsrpMsg;
 
@@ -177,6 +183,8 @@ impl ProtocolNode for LsrpNode {
     // The guard logic lives in the buffer-filling variant: the engine
     // re-evaluates guards after every event with a reusable buffer.
     fn enabled_actions_into(&self, now_local: f64, set: &mut EnabledSet) {
+        #[cfg(test)]
+        EVALUATIONS.with(|c| c.set(c.get() + 1));
         let s = &self.state;
         // One pass over the neighbor table; every guard below is O(1).
         let g = Guards::scan(s);
@@ -598,5 +606,45 @@ mod tests {
         );
         assert!(LsrpNode::is_maintenance(ActionId::plain(actions::SYN1)));
         assert!(!LsrpNode::is_maintenance(ActionId::plain(actions::S1)));
+    }
+
+    /// The guards read `(rows, evaluations)` over a fresh-state cold start
+    /// on `K_n`, where every node has degree `n - 1`.
+    fn cold_start_reads(n: u32) -> (u64, u64) {
+        use crate::state::ROWS_READ;
+        use crate::{InitialState, LsrpSimulation, LsrpSimulationExt};
+        use lsrp_graph::generators;
+        use std::cell::Cell;
+        let counts = || (ROWS_READ.with(Cell::get), EVALUATIONS.with(Cell::get));
+        let before = counts();
+        let mut sim = LsrpSimulation::builder(generators::complete(n, 1), v(0))
+            .initial_state(InitialState::Fresh)
+            .engine_config(lsrp_sim::EngineConfig::default().with_seed(42))
+            .build();
+        assert!(sim.run_to_quiescence(1_000_000.0).quiescent);
+        let after = counts();
+        (after.0 - before.0, after.1 - before.1)
+    }
+
+    /// Guard evaluation is one pass over the neighbor table: the rows it
+    /// reads per evaluation grow linearly in degree, four per neighbor on
+    /// `K_25` and `K_200` alike. The bounds are the counts measured.
+    /// Letting `SW.v.k` scan the table again for each neighbor `k` —
+    /// `O(deg²)` at worst, about six reads per neighbor on these cold
+    /// starts — exceeds them.
+    #[test]
+    fn guard_evaluation_reads_each_neighbor_row_a_constant_number_of_times() {
+        for (n, bound) in [(25, 60_000), (200, 31_840_000)] {
+            let (rows, evaluations) = cold_start_reads(n);
+            let per_neighbor = rows as f64 / evaluations as f64 / f64::from(n - 1);
+            println!(
+                "K_{n}: {rows} rows over {evaluations} evaluations, {per_neighbor:.3} per neighbor"
+            );
+            assert!(rows <= bound, "K_{n}: {rows} rows read");
+            assert!(
+                rows <= 4 * u64::from(n - 1) * evaluations,
+                "K_{n}: {per_neighbor}"
+            );
+        }
     }
 }

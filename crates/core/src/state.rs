@@ -70,12 +70,21 @@ pub trait NeighborExt {
 
 impl NeighborExt for Neighbor {
     fn mirror(&self) -> Mirror {
+        #[cfg(test)]
+        ROWS_READ.with(|c| c.set(c.get() + 1));
         self.heard.unwrap_or(Mirror::unknown(self.id))
     }
 
     fn offer(&self) -> Distance {
         self.mirror().d.plus(self.weight)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Neighbor rows read on this thread: every read of a row goes
+    /// through [`NeighborExt::mirror`].
+    pub(crate) static ROWS_READ: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// The full protocol state of one LSRP node.

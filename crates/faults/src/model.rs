@@ -13,6 +13,18 @@ use rand::Rng;
 
 use lsrp_graph::{Graph, NodeId, Weight};
 
+#[cfg(test)]
+thread_local! {
+    /// Fenwick steps plus adjacency entries visited on this thread.
+    pub(crate) static STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one step towards `STEPS`; nothing outside tests.
+fn visit() {
+    #[cfg(test)]
+    STEPS.with(|c| c.set(c.get() + 1));
+}
+
 /// A subset of the ranks `0..n` that counts its members and finds the
 /// `k`-th smallest in `O(log n)`.
 #[derive(Debug)]
@@ -49,6 +61,7 @@ impl RankSet {
         self.member[rank] = on;
         let mut i = rank + 1;
         while i < self.tree.len() {
+            visit();
             if on {
                 self.tree[i] += 1;
             } else {
@@ -69,6 +82,7 @@ impl RankSet {
         let mut pos = 0;
         let mut step = n.checked_ilog2().map_or(0, |b| 1usize << b);
         while step > 0 {
+            visit();
             let next = pos + step;
             if next <= n && self.tree[next] as usize <= k {
                 pos = next;
@@ -216,7 +230,10 @@ impl Model {
         self.adj[lo as usize..hi as usize]
             .iter()
             .copied()
-            .filter(|&(_, e)| self.present[e as usize])
+            .filter(|&(_, e)| {
+                visit();
+                self.present[e as usize]
+            })
     }
 
     pub(crate) fn choose_victim(&self, rng: &mut StdRng) -> Option<u32> {
@@ -268,6 +285,7 @@ impl Model {
                 continue;
             }
             for i in self.adj_start[x]..self.adj_start[x + 1] {
+                visit();
                 let f = self.adj[i as usize].1 as usize;
                 if self.present[f] {
                     self.flappable.set(f, self.is_flappable(f));
@@ -330,6 +348,7 @@ impl Model {
                 if region.len() == target {
                     break;
                 }
+                visit();
                 if self.present[e as usize] && n != destination && self.stamp[n as usize] != epoch {
                     self.stamp[n as usize] = epoch;
                     region.push(n);

@@ -518,6 +518,41 @@ mod tests {
         assert!(s.events.iter().all(|e| !e.fault.is_topological()));
     }
 
+    /// The planning work of 10,000 markers in a 3:2:1:3:1 mix on a
+    /// `width`×`width` grid: Fenwick steps plus adjacency entries visited.
+    fn planning_steps(width: u32) -> u64 {
+        use crate::model::STEPS;
+        let process = FaultProcess {
+            link_flaps: 3_000,
+            node_churn: 2_000,
+            partitions: 1_000,
+            corruptions: 3_000,
+            weight_drifts: 1_000,
+            ..FaultProcess::standard()
+        };
+        let graph = generators::grid(width, width, 1);
+        let before = STEPS.with(std::cell::Cell::get);
+        process.generate(&graph, v(0), 1_000_000.0, 42);
+        STEPS.with(std::cell::Cell::get) - before
+    }
+
+    /// Planning a marker costs `O(log E)` Fenwick steps plus the
+    /// adjacency of the nodes it touches — a partition's region grows
+    /// with the topology by design, everything else does not. The bounds
+    /// are the counts measured; one pass over the topology per marker
+    /// (collecting the candidates to draw from) exceeds them.
+    #[test]
+    fn planning_a_marker_never_passes_over_the_topology() {
+        for (width, bound) in [(16, 1_174_689), (64, 8_812_255)] {
+            let steps = planning_steps(width);
+            println!(
+                "{width}x{width}: {steps} steps, {:.1} per marker",
+                steps as f64 / 1e4
+            );
+            assert!(steps <= bound, "{width}x{width}: {steps} steps");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "max_outage must be >= min_outage")]
     fn inverted_outage_bounds_rejected() {

@@ -307,7 +307,9 @@ pub struct ContaminationMonitor {
     baseline: Option<Graph>,
     episode_start: f64,
     perturbed: std::collections::BTreeSet<NodeId>,
-    distances: BTreeMap<NodeId, usize>,
+    /// Hop distance to the perturbed region by raw id, in the baseline;
+    /// `usize::MAX` marks an id the region does not reach.
+    distances: Vec<usize>,
     cursor: usize,
     reported: std::collections::BTreeSet<NodeId>,
 }
@@ -322,7 +324,7 @@ impl ContaminationMonitor {
             baseline: None,
             episode_start: 0.0,
             perturbed: std::collections::BTreeSet::new(),
-            distances: BTreeMap::new(),
+            distances: Vec::new(),
             cursor: 0,
             reported: std::collections::BTreeSet::new(),
         }
@@ -371,7 +373,10 @@ impl Monitor for ContaminationMonitor {
         if self.baseline.is_none() {
             // Snapshot the pre-fault topology: ranges are measured in the
             // initial-state graph, as in §III-A.
-            self.baseline = Some(sim.graph().clone());
+            let baseline = sim.graph().clone();
+            let slots = baseline.max_node_id().map_or(0, |v| v.raw() as usize + 1);
+            self.distances = vec![usize::MAX; slots];
+            self.baseline = Some(baseline);
             self.episode_start = at.seconds();
         }
         let graph = sim.graph();
@@ -380,20 +385,21 @@ impl Monitor for ContaminationMonitor {
             .filter(|&v| self.perturbed.insert(v))
             .collect();
         let baseline = self.baseline.as_ref().expect("set above");
-        // Decrease-only relaxation from the new sources; nodes absent from
-        // the map stay "unreachable" exactly as in the from-scratch BFS.
+        // Decrease-only relaxation from the new sources; ids left at
+        // `usize::MAX` stay "unreachable" exactly as in the from-scratch BFS.
         let mut queue = VecDeque::new();
         for &s in &fresh {
-            if baseline.has_node(s) && self.distances.get(&s).is_none_or(|&d| d > 0) {
-                self.distances.insert(s, 0);
+            if baseline.has_node(s) && self.distances[s.raw() as usize] > 0 {
+                self.distances[s.raw() as usize] = 0;
                 queue.push_back(s);
             }
         }
         while let Some(u) = queue.pop_front() {
-            let d = self.distances[&u];
+            let d = self.distances[u.raw() as usize] + 1;
             for (n, _) in baseline.neighbors(u) {
-                if self.distances.get(&n).is_none_or(|&cur| cur > d + 1) {
-                    self.distances.insert(n, d + 1);
+                let slot = &mut self.distances[n.raw() as usize];
+                if *slot > d {
+                    *slot = d;
                     queue.push_back(n);
                 }
             }
@@ -417,11 +423,10 @@ impl Monitor for ContaminationMonitor {
             {
                 continue;
             }
-            let hops = self
-                .distances
-                .get(&rec.node)
-                .copied()
-                .unwrap_or(baseline.node_count());
+            let hops = match self.distances.get(rec.node.raw() as usize) {
+                Some(&d) if d != usize::MAX => d,
+                _ => baseline.node_count(),
+            };
             if hops > bound {
                 self.reported.insert(rec.node);
                 out.push(Violation {
@@ -1002,7 +1007,8 @@ mod tests {
         );
         assert_eq!(m.perturbed.len(), 1);
         assert_eq!(m.bound(), 1);
-        assert_eq!(m.distances.get(&v(4)), Some(&3));
+        assert_eq!(m.distances[4], 3);
+        assert_eq!(m.distances.len(), 8);
     }
 
     #[test]

@@ -131,3 +131,29 @@ fn fault_lists_are_checked_in_order_and_never_panic_the_binary() {
         }
     }
 }
+
+/// A malformed trace is one error that names the file once, whichever
+/// layer rejects it: the reader (not JSON) or the renderer (no `hdr`
+/// frame, no `topo` frame).
+#[test]
+fn viz_names_a_malformed_trace_file_exactly_once() {
+    let dir = std::env::temp_dir().join(format!("lsrp-viz-errors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("out.html");
+    let hdr = r#"{"k":"hdr","schema":"lsrp-trace","v":1}"#;
+    for (name, body) in [
+        ("empty.jsonl", ""),
+        ("hdr-only.jsonl", hdr),
+        ("not-json.jsonl", "this is not json"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, body).unwrap();
+        let path = path.to_str().unwrap();
+        let err = run_args(&["viz", path, "-o", out.to_str().unwrap()]).expect_err(name);
+        assert!(!err.contains('\n'), "{name}: one line: {err}");
+        assert!(err.starts_with(&format!("{path}: ")), "{name}: {err}");
+        assert_eq!(err.matches(name).count(), 1, "{name}: {err}");
+    }
+    assert!(!out.exists(), "no page is written for a malformed trace");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

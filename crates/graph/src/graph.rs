@@ -50,6 +50,12 @@ impl std::error::Error for GraphError {}
 /// Node and edge iteration order is deterministic (sorted by id), which keeps
 /// every simulation in this repository reproducible from a seed.
 ///
+/// Storage is dense by raw node id, like the engine's `NodeSlots`: slot `i`
+/// holds node `i`'s row (its `(neighbor, weight)` pairs, sorted by neighbor
+/// and binary-searched), or `None` when no such node exists. The slot vector
+/// never ends in `None`, so the derived equality is structural and the
+/// largest id is the last slot. Sparse ids work; they only waste capacity.
+///
 /// ```
 /// use lsrp_graph::{Graph, NodeId};
 ///
@@ -65,8 +71,12 @@ impl std::error::Error for GraphError {}
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Graph {
-    adj: BTreeMap<NodeId, BTreeMap<NodeId, Weight>>,
+    adj: Vec<Option<Row>>,
+    nodes: usize,
 }
+
+/// One node's edges: `(neighbor, weight)`, sorted by neighbor.
+type Row = Vec<(NodeId, Weight)>;
 
 impl Graph {
     /// Creates an empty graph.
@@ -74,9 +84,39 @@ impl Graph {
         Graph::default()
     }
 
+    fn row(&self, v: NodeId) -> Option<&Row> {
+        self.adj.get(v.raw() as usize)?.as_ref()
+    }
+
+    fn row_mut(&mut self, v: NodeId) -> &mut Row {
+        self.adj[v.raw() as usize]
+            .as_mut()
+            .expect("endpoint exists")
+    }
+
+    /// Position of `b` in `a`'s row, if the edge exists.
+    fn find(&self, a: NodeId, b: NodeId) -> Option<usize> {
+        self.row(a)?.binary_search_by_key(&b, |&(n, _)| n).ok()
+    }
+
     /// Adds an isolated node; does nothing if the node already exists.
     pub fn add_node(&mut self, v: NodeId) {
-        self.adj.entry(v).or_default();
+        let i = v.raw() as usize;
+        if i >= self.adj.len() {
+            self.adj.resize_with(i + 1, || None);
+        }
+        if self.adj[i].is_none() {
+            self.adj[i] = Some(Vec::new());
+            self.nodes += 1;
+        }
+    }
+
+    /// Inserts `b` into `a`'s row at its sorted place (the edge is absent).
+    fn insert_half(&mut self, a: NodeId, b: NodeId, weight: Weight) {
+        self.add_node(a);
+        let row = self.row_mut(a);
+        let at = row.partition_point(|&(n, _)| n < b);
+        row.insert(at, (b, weight));
     }
 
     /// Adds an undirected edge with the given positive weight, creating the
@@ -97,8 +137,8 @@ impl Graph {
         if self.has_edge(a, b) {
             return Err(GraphError::DuplicateEdge(a, b));
         }
-        self.adj.entry(a).or_default().insert(b, weight);
-        self.adj.entry(b).or_default().insert(a, weight);
+        self.insert_half(a, b, weight);
+        self.insert_half(b, a, weight);
         Ok(())
     }
 
@@ -112,17 +152,11 @@ impl Graph {
         if weight == 0 {
             return Err(GraphError::ZeroWeight(a, b));
         }
-        if !self.has_edge(a, b) {
+        let (Some(i), Some(j)) = (self.find(a, b), self.find(b, a)) else {
             return Err(GraphError::MissingEdge(a, b));
-        }
-        self.adj
-            .get_mut(&a)
-            .expect("endpoint exists")
-            .insert(b, weight);
-        self.adj
-            .get_mut(&b)
-            .expect("endpoint exists")
-            .insert(a, weight);
+        };
+        self.row_mut(a)[i].1 = weight;
+        self.row_mut(b)[j].1 = weight;
         Ok(())
     }
 
@@ -132,11 +166,11 @@ impl Graph {
     ///
     /// Returns [`GraphError::MissingEdge`] if the edge does not exist.
     pub fn remove_edge(&mut self, a: NodeId, b: NodeId) -> Result<(), GraphError> {
-        if !self.has_edge(a, b) {
+        let (Some(i), Some(j)) = (self.find(a, b), self.find(b, a)) else {
             return Err(GraphError::MissingEdge(a, b));
-        }
-        self.adj.get_mut(&a).expect("endpoint exists").remove(&b);
-        self.adj.get_mut(&b).expect("endpoint exists").remove(&a);
+        };
+        self.row_mut(a).remove(i);
+        self.row_mut(b).remove(j);
         Ok(())
     }
 
@@ -146,133 +180,134 @@ impl Graph {
     ///
     /// Returns [`GraphError::MissingNode`] if the node does not exist.
     pub fn remove_node(&mut self, v: NodeId) -> Result<(), GraphError> {
-        let neighbors = self.adj.remove(&v).ok_or(GraphError::MissingNode(v))?;
-        for n in neighbors.keys() {
-            self.adj.get_mut(n).expect("neighbor exists").remove(&v);
+        let neighbors = self
+            .adj
+            .get_mut(v.raw() as usize)
+            .and_then(Option::take)
+            .ok_or(GraphError::MissingNode(v))?;
+        self.nodes -= 1;
+        for (n, _) in neighbors {
+            let j = self.find(n, v).expect("edges are symmetric");
+            self.row_mut(n).remove(j);
+        }
+        while matches!(self.adj.last(), Some(None)) {
+            self.adj.pop();
         }
         Ok(())
     }
 
     /// Returns `true` if the node exists.
     pub fn has_node(&self, v: NodeId) -> bool {
-        self.adj.contains_key(&v)
+        self.row(v).is_some()
     }
 
     /// Returns `true` if the edge exists.
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.adj.get(&a).is_some_and(|n| n.contains_key(&b))
+        self.find(a, b).is_some()
     }
 
     /// Returns the weight of edge `(a, b)`, if present.
     pub fn weight(&self, a: NodeId, b: NodeId) -> Option<Weight> {
-        self.adj.get(&a).and_then(|n| n.get(&b)).copied()
+        let row = self.row(a)?;
+        row.binary_search_by_key(&b, |&(n, _)| n)
+            .ok()
+            .map(|i| row[i].1)
     }
 
-    /// Iterates over all nodes in ascending id order.
+    /// Iterates over all nodes in ascending id order. The iterator's
+    /// `size_hint` is exact, so collecting it allocates once.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.adj.keys().copied()
+        Nodes {
+            slots: self.adj.iter().enumerate(),
+            left: self.nodes,
+        }
     }
 
     /// Iterates over the neighbors of `v` (with edge weights) in ascending
     /// id order. Yields nothing for an unknown node.
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
-        self.adj
-            .get(&v)
-            .into_iter()
-            .flat_map(|n| n.iter().map(|(&k, &w)| (k, w)))
+        self.row(v).map_or(&[][..], Vec::as_slice).iter().copied()
     }
 
     /// Iterates over undirected edges as `(a, b, w)` with `a < b`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, Weight)> + '_ {
-        self.adj.iter().flat_map(|(&a, n)| {
-            n.iter()
-                .filter(move |(&b, _)| a < b)
-                .map(move |(&b, &w)| (a, b, w))
+        self.nodes().flat_map(move |a| {
+            self.neighbors(a)
+                .filter(move |&(b, _)| a < b)
+                .map(move |(b, w)| (a, b, w))
         })
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.nodes
     }
 
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.adj.values().map(BTreeMap::len).sum::<usize>() / 2
+        self.adj.iter().flatten().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Degree of `v` (0 for an unknown node).
     pub fn degree(&self, v: NodeId) -> usize {
-        self.adj.get(&v).map_or(0, BTreeMap::len)
+        self.row(v).map_or(0, Vec::len)
+    }
+
+    /// Hop distances from every node of `sources` present in the graph, by
+    /// raw id; `usize::MAX` marks an unreached id.
+    fn bfs(&self, sources: impl IntoIterator<Item = NodeId>) -> Vec<usize> {
+        let mut dist = vec![usize::MAX; self.adj.len()];
+        let mut queue = VecDeque::new();
+        for s in sources {
+            if self.has_node(s) && dist[s.raw() as usize] != 0 {
+                dist[s.raw() as usize] = 0;
+                queue.push_back(s);
+            }
+        }
+        while let Some(v) = queue.pop_front() {
+            let d = dist[v.raw() as usize] + 1;
+            for (n, _) in self.neighbors(v) {
+                let slot = &mut dist[n.raw() as usize];
+                if *slot == usize::MAX {
+                    *slot = d;
+                    queue.push_back(n);
+                }
+            }
+        }
+        dist
+    }
+
+    /// The reached ids of a [`Self::bfs`] result with their distances, in
+    /// ascending id order.
+    fn reached(dist: Vec<usize>) -> impl Iterator<Item = (NodeId, usize)> {
+        dist.into_iter()
+            .enumerate()
+            .filter(|&(_, d)| d != usize::MAX)
+            .map(|(i, d)| (NodeId::new(i as u32), d))
     }
 
     /// Returns the set of nodes reachable from `from` (including `from`),
     /// or an empty set if `from` does not exist.
     pub fn component_of(&self, from: NodeId) -> BTreeSet<NodeId> {
-        let mut seen = BTreeSet::new();
-        if !self.has_node(from) {
-            return seen;
-        }
-        let mut queue = VecDeque::from([from]);
-        seen.insert(from);
-        while let Some(v) = queue.pop_front() {
-            for (n, _) in self.neighbors(v) {
-                if seen.insert(n) {
-                    queue.push_back(n);
-                }
-            }
-        }
-        seen
+        Self::reached(self.bfs([from])).map(|(v, _)| v).collect()
     }
 
     /// Returns `true` when the graph is connected (and non-empty).
     pub fn is_connected(&self) -> bool {
         match self.nodes().next() {
-            Some(first) => self.component_of(first).len() == self.node_count(),
+            Some(first) => Self::reached(self.bfs([first])).count() == self.nodes,
             None => false,
         }
     }
 
     /// Hop (unweighted) distances from `from` to every reachable node.
     pub fn hop_distances(&self, from: NodeId) -> BTreeMap<NodeId, usize> {
-        let mut dist = BTreeMap::new();
-        if !self.has_node(from) {
-            return dist;
-        }
-        dist.insert(from, 0);
-        let mut queue = VecDeque::from([from]);
-        while let Some(v) = queue.pop_front() {
-            let d = dist[&v];
-            for (n, _) in self.neighbors(v) {
-                if let std::collections::btree_map::Entry::Vacant(e) = dist.entry(n) {
-                    e.insert(d + 1);
-                    queue.push_back(n);
-                }
-            }
-        }
-        dist
+        Self::reached(self.bfs([from])).collect()
     }
 
     /// Hop distances from any node of `sources` (multi-source BFS).
     pub fn hop_distances_from_set(&self, sources: &BTreeSet<NodeId>) -> BTreeMap<NodeId, usize> {
-        let mut dist = BTreeMap::new();
-        let mut queue = VecDeque::new();
-        for &s in sources {
-            if self.has_node(s) {
-                dist.insert(s, 0);
-                queue.push_back(s);
-            }
-        }
-        while let Some(v) = queue.pop_front() {
-            let d = dist[&v];
-            for (n, _) in self.neighbors(v) {
-                if let std::collections::btree_map::Entry::Vacant(e) = dist.entry(n) {
-                    e.insert(d + 1);
-                    queue.push_back(n);
-                }
-            }
-        }
-        dist
+        Self::reached(self.bfs(sources.iter().copied())).collect()
     }
 
     /// The hop diameter of the graph (longest shortest hop path), or `None`
@@ -283,15 +318,35 @@ impl Graph {
         }
         let mut diameter = 0;
         for v in self.nodes() {
-            let ecc = self.hop_distances(v).into_values().max().unwrap_or(0);
-            diameter = diameter.max(ecc);
+            let ecc = Self::reached(self.bfs([v])).map(|(_, d)| d).max();
+            diameter = diameter.max(ecc.unwrap_or(0));
         }
         Some(diameter)
     }
 
     /// Largest node id present, used by generators to mint fresh ids.
     pub fn max_node_id(&self) -> Option<NodeId> {
-        self.adj.keys().next_back().copied()
+        self.adj.len().checked_sub(1).map(|i| NodeId::new(i as u32))
+    }
+}
+
+/// [`Graph::nodes`]: the occupied slots, with an exact `size_hint`.
+struct Nodes<'a> {
+    slots: std::iter::Enumerate<std::slice::Iter<'a, Option<Row>>>,
+    left: usize,
+}
+
+impl Iterator for Nodes<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        let (i, _) = self.slots.find(|(_, row)| row.is_some())?;
+        self.left -= 1;
+        Some(NodeId::new(i as u32))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 

@@ -31,6 +31,8 @@ pub mod contamination;
 pub mod generators;
 pub mod graph;
 pub mod id;
+#[cfg(test)]
+mod oracle;
 pub mod partition;
 pub mod regions;
 pub mod shortest_path;

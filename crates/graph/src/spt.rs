@@ -7,7 +7,7 @@
 //! baseline protocols expose their state as a `RouteTable` so that
 //! legitimacy checks, loop monitoring and perturbation accounting are shared.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::graph::Graph;
@@ -44,6 +44,10 @@ impl fmt::Display for RouteEntry {
 
 /// A destination-rooted routing state: one [`RouteEntry`] per up node.
 ///
+/// Entries are stored densely by raw node id (`None` for ids without an
+/// entry). The vector never ends in `None`, so the derived equality is
+/// structural; iteration is in ascending id order.
+///
 /// ```
 /// use lsrp_graph::{generators, NodeId, RouteTable};
 ///
@@ -55,7 +59,8 @@ impl fmt::Display for RouteEntry {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouteTable {
-    entries: BTreeMap<NodeId, RouteEntry>,
+    entries: Vec<Option<RouteEntry>>,
+    len: usize,
 }
 
 impl RouteTable {
@@ -69,7 +74,7 @@ impl RouteTable {
     /// smallest-id legitimate parent (deterministic tie-breaking).
     pub fn legitimate(graph: &Graph, destination: NodeId) -> Self {
         let sp = ShortestPaths::dijkstra(graph, destination);
-        let mut entries = BTreeMap::new();
+        let mut table = RouteTable::new();
         for v in graph.nodes() {
             let d = sp.distance(v);
             let parent = if v == destination || d.is_infinite() {
@@ -80,19 +85,30 @@ impl RouteTable {
                     .next()
                     .expect("reachable non-destination node has a parent")
             };
-            entries.insert(v, RouteEntry::new(d, parent));
+            table.insert(v, RouteEntry::new(d, parent));
         }
-        RouteTable { entries }
+        table
     }
 
     /// Inserts or replaces the entry for `v`.
     pub fn insert(&mut self, v: NodeId, entry: RouteEntry) {
-        self.entries.insert(v, entry);
+        let i = v.raw() as usize;
+        if i >= self.entries.len() {
+            self.entries.resize(i + 1, None);
+        }
+        if self.entries[i].replace(entry).is_none() {
+            self.len += 1;
+        }
     }
 
     /// Removes the entry for `v` (e.g. after a fail-stop).
     pub fn remove(&mut self, v: NodeId) -> Option<RouteEntry> {
-        self.entries.remove(&v)
+        let old = self.entries.get_mut(v.raw() as usize)?.take()?;
+        self.len -= 1;
+        while matches!(self.entries.last(), Some(None)) {
+            self.entries.pop();
+        }
+        Some(old)
     }
 
     /// Empties the table (scratch-table reuse: consumers that snapshot
@@ -100,26 +116,30 @@ impl RouteTable {
     /// building a new one per call).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.len = 0;
     }
 
     /// Returns the entry of `v`, if present.
     pub fn entry(&self, v: NodeId) -> Option<RouteEntry> {
-        self.entries.get(&v).copied()
+        self.entries.get(v.raw() as usize).copied().flatten()
     }
 
     /// Iterates over `(node, entry)` in ascending node order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, RouteEntry)> + '_ {
-        self.entries.iter().map(|(&v, &e)| (v, e))
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| Some((NodeId::new(i as u32), (*e)?)))
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Checks that this table is a *correct* shortest-path routing state for
@@ -157,40 +177,45 @@ impl RouteTable {
     /// route" / destination convention); a parent outside the table ends
     /// the walk.
     pub fn find_loops(&self) -> Vec<BTreeSet<NodeId>> {
+        const FRESH: u8 = 0;
+        const ON_PATH: u8 = 1;
+        const CLASSIFIED: u8 = 2;
+        // Walk state by raw id. A parent outside the table's id range
+        // ends its walk at once, so it never needs a state of its own.
+        let mut state = vec![FRESH; self.entries.len()];
         let mut loops: Vec<BTreeSet<NodeId>> = Vec::new();
-        let mut classified: BTreeMap<NodeId, bool> = BTreeMap::new(); // v -> on_some_loop
+        let mut path: Vec<NodeId> = Vec::new();
         for (start, _) in self.iter() {
-            if classified.contains_key(&start) {
+            if state[start.raw() as usize] == CLASSIFIED {
                 continue;
             }
             // Walk parent pointers, recording the path.
-            let mut path: Vec<NodeId> = Vec::new();
-            let mut on_path: BTreeSet<NodeId> = BTreeSet::new();
+            path.clear();
             let mut cur = start;
             let outcome_loop: Option<BTreeSet<NodeId>> = loop {
-                if let Some(&known) = classified.get(&cur) {
-                    // Joins an already classified walk; nothing new loops
-                    // unless `known` marks a loop that includes cur only —
-                    // either way the current path is not on a new loop.
-                    let _ = known;
-                    break None;
-                }
-                if on_path.contains(&cur) {
-                    // Found a fresh cycle: the suffix of `path` from `cur`.
-                    let pos = path.iter().position(|&x| x == cur).expect("on path");
-                    break Some(path[pos..].iter().copied().collect());
+                match state.get_mut(cur.raw() as usize) {
+                    // Joins an already classified walk: the current path
+                    // is not on a new loop.
+                    Some(&mut CLASSIFIED) => break None,
+                    Some(&mut ON_PATH) => {
+                        // Found a fresh cycle: the suffix of `path` from `cur`.
+                        let pos = path.iter().position(|&x| x == cur).expect("on path");
+                        break Some(path[pos..].iter().copied().collect());
+                    }
+                    Some(fresh) => *fresh = ON_PATH,
+                    None => {}
                 }
                 path.push(cur);
-                on_path.insert(cur);
                 let next = match self.entry(cur) {
                     Some(e) if e.parent != cur => e.parent,
                     _ => break None, // self-parent or missing: no loop here
                 };
                 cur = next;
             };
-            let loop_members = outcome_loop.clone().unwrap_or_default();
-            for v in path {
-                classified.insert(v, loop_members.contains(&v));
+            for v in &path {
+                if let Some(s) = state.get_mut(v.raw() as usize) {
+                    *s = CLASSIFIED;
+                }
             }
             if let Some(l) = outcome_loop {
                 loops.push(l);
@@ -234,15 +259,17 @@ impl RouteTable {
 
 impl FromIterator<(NodeId, RouteEntry)> for RouteTable {
     fn from_iter<I: IntoIterator<Item = (NodeId, RouteEntry)>>(iter: I) -> Self {
-        RouteTable {
-            entries: iter.into_iter().collect(),
-        }
+        let mut table = RouteTable::new();
+        table.extend(iter);
+        table
     }
 }
 
 impl Extend<(NodeId, RouteEntry)> for RouteTable {
     fn extend<I: IntoIterator<Item = (NodeId, RouteEntry)>>(&mut self, iter: I) {
-        self.entries.extend(iter);
+        for (v, e) in iter {
+            self.insert(v, e);
+        }
     }
 }
 

@@ -557,28 +557,32 @@ pub fn render_html(frames: &[Json]) -> Result<String, String> {
     Ok(page)
 }
 
-fn invalid(path: &str, e: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("{path}: {e}"))
+/// A malformed-trace error. It does not name the file: the caller holds
+/// the path and prefixes it once, as it does for I/O and parse errors.
+fn invalid(e: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
 /// Reads a trace file and renders the heatmap SVG.
 ///
 /// # Errors
 ///
-/// I/O errors pass through; malformed traces are `InvalidData`.
+/// I/O errors pass through; malformed traces are `InvalidData`. Neither
+/// names `path`.
 pub fn render_svg_file(path: &str) -> io::Result<String> {
     let frames = read_trace(Path::new(path))?;
-    render_svg(&frames).map_err(|e| invalid(path, e))
+    render_svg(&frames).map_err(invalid)
 }
 
 /// Reads a trace file and renders the full HTML page.
 ///
 /// # Errors
 ///
-/// I/O errors pass through; malformed traces are `InvalidData`.
+/// I/O errors pass through; malformed traces are `InvalidData`. Neither
+/// names `path`.
 pub fn render_html_file(path: &str) -> io::Result<String> {
     let frames = read_trace(Path::new(path))?;
-    render_html(&frames).map_err(|e| invalid(path, e))
+    render_html(&frames).map_err(invalid)
 }
 
 #[cfg(test)]

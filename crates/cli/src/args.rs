@@ -490,8 +490,9 @@ and the checked-in `scenarios/` corpus) into concrete experiment cells,
 fans them out over `--jobs` worker threads and prints the report —
 byte-identical for every `--jobs` value, and byte-identical to the
 hand-coded experiment the file replaced. `--regions N` additionally
-partitions the engine *inside* each chaos/traffic cell into N regions
-executed concurrently in conservative time windows (DESIGN.md §15);
+partitions the engine *inside* each chaos/traffic cell into up to N
+regions — at most one per node, and one under the PFC pause discipline
+— executed concurrently in conservative time windows (DESIGN.md §15);
 the report stays byte-identical for every region count. `scenario
 check` parses and statically expands files without running them;
 `scenario expand` prints one line per compiled cell.

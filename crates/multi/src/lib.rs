@@ -34,14 +34,12 @@
 
 pub mod dest;
 pub mod node;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod simulation;
 
 pub use crate::dest::{DestId, DestTable};
 pub use crate::node::{dest_of_tag, instance_tag, MultiLsrpNode, MultiMsg, FLUSH};
-pub use crate::reference::{
-    ReferenceMultiNode, ReferenceMultiSimulation, ReferenceMultiSimulationExt,
-};
 pub use crate::simulation::{
     MultiLsrpSimulation, MultiLsrpSimulationBuilder, MultiLsrpSimulationExt, MultiMeta,
 };

@@ -1,15 +1,13 @@
-//! The pre-dense multi-destination plane, preserved as a behavioral
-//! oracle.
+//! Test-only oracle: the pre-dense multi-destination plane.
 //!
 //! [`ReferenceMultiNode`] is the architecture the dense plane replaced:
 //! every node keeps a `BTreeMap<NodeId, LsrpNode>` of per-destination
 //! instances, every advert travels as its own wire message, and guard
-//! evaluation rescans *all* instances on every event. It is kept (not as a
-//! museum piece, but as an executable specification) so the equivalence
-//! suite can run the old semantics against the new plane across seeds ×
-//! topologies × fault schedules and assert identical quiescence verdicts
-//! and final per-destination route tables — and so benchmarks can quote
-//! the batching win in delivered messages against a live baseline.
+//! evaluation rescans *all* instances on every event. It is kept as an
+//! executable specification: the suite in [`equivalence`] runs the old
+//! semantics against the new plane across seeds × topologies × fault
+//! schedules and asserts identical quiescence verdicts and final
+//! per-destination route tables.
 
 use std::collections::BTreeMap;
 
@@ -198,7 +196,7 @@ impl HarnessProtocol for ReferenceMultiNode {
 pub type ReferenceMultiSimulation = SimHarness<ReferenceMultiNode>;
 
 /// The oracle's facade: the subset of [`crate::MultiLsrpSimulationExt`]
-/// the equivalence suite and baseline benchmarks need.
+/// the equivalence suite needs.
 pub trait ReferenceMultiSimulationExt {
     /// Builds a simulation routing toward every destination, each instance
     /// starting at its canonical legitimate state with consistent mirrors
@@ -216,9 +214,6 @@ pub trait ReferenceMultiSimulationExt {
     /// The route table toward one destination (per-call rebuild — the
     /// pre-dense behavior).
     fn route_table_for(&self, dest: NodeId) -> RouteTable;
-
-    /// Whether *every* destination's table is correct.
-    fn all_routes_correct(&self) -> bool;
 
     /// Corrupts the distance of `node`'s instance toward `dest`.
     fn corrupt_instance_distance(&mut self, node: NodeId, dest: NodeId, d: Distance);
@@ -297,12 +292,6 @@ impl ReferenceMultiSimulationExt for ReferenceMultiSimulation {
             .collect()
     }
 
-    fn all_routes_correct(&self) -> bool {
-        ReferenceMultiSimulationExt::destinations(self)
-            .iter()
-            .all(|&d| self.route_table_for(d).is_correct(self.graph(), d))
-    }
-
     fn corrupt_instance_distance(&mut self, node: NodeId, dest: NodeId, d: Distance) {
         self.engine_mut().with_node_mut(node, |n| {
             if let Some(i) = n.instance_mut(dest) {
@@ -329,3 +318,5 @@ impl ReferenceMultiSimulationExt for ReferenceMultiSimulation {
         });
     }
 }
+
+mod equivalence;

@@ -12,11 +12,10 @@
 //! unbatched reference.
 
 use lsrp_graph::{generators, Distance, Graph, NodeId, Weight};
-use lsrp_multi::{
-    MultiLsrpSimulation, MultiLsrpSimulationExt, ReferenceMultiSimulation,
-    ReferenceMultiSimulationExt,
-};
 use lsrp_sim::EngineConfig;
+
+use super::{ReferenceMultiSimulation, ReferenceMultiSimulationExt};
+use crate::{MultiLsrpSimulation, MultiLsrpSimulationExt};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

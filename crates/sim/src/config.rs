@@ -3,7 +3,6 @@
 
 use crate::clock::ClockConfig;
 use crate::congestion::CongestionConfig;
-use crate::sched::SchedulerKind;
 use crate::sink::{SinkFactory, SinkKind};
 
 /// Parameters of the two-state Gilbert–Elliott bursty-loss channel.
@@ -236,16 +235,12 @@ pub struct EngineConfig {
     /// plane never reads this, so zero-traffic trajectories are identical
     /// for every setting.
     pub congestion: CongestionConfig,
-    /// Which event-queue backend orders the run (see
-    /// [`crate::sched::SchedulerKind`]). Both backends dequeue in exact
-    /// `(time, seq)` order, so this can never change a trajectory — the
-    /// heap is kept as the determinism oracle for the calendar queue.
-    pub scheduler: SchedulerKind,
     /// Number of topology regions the engine partitions the graph into
     /// (see [`lsrp_graph::partition`]). Each region runs its own event
     /// queue inside conservative lookahead windows; results are
     /// byte-identical for every region count. `1` (the default) is the
-    /// plain sequential engine.
+    /// plain sequential engine. The engine builds at most one region per
+    /// node, and exactly one under the PFC pause discipline.
     pub regions: usize,
     /// Worker threads executing regions inside a window. `1` (the
     /// default) runs regions inline on the calling thread; higher values
@@ -311,13 +306,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the event-queue backend (builder style).
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Sets the region count (builder style). Zero is treated as 1.
     #[must_use]
     pub fn with_regions(mut self, regions: usize) -> Self {
@@ -343,7 +331,6 @@ impl Default for EngineConfig {
             sink: SinkKind::Full,
             sink_factory: None,
             congestion: CongestionConfig::default(),
-            scheduler: SchedulerKind::Wheel,
             regions: 1,
             jobs: 1,
         }

@@ -16,14 +16,13 @@
 //!   window spans the whole run;
 //! * `link.delay_min` with several regions — every cross-region
 //!   interaction rides a link and arrives at least that much later, so
-//!   the events of one window are causally independent across regions;
-//! * `0` with several regions under [`DisciplineKind::Pause`] — PFC pause
-//!   writes the *upstream* port's `paused_until` at the instant a frame
-//!   is enqueued, a zero-delay cross-region effect. A zero-width window
-//!   rejects even its own first event, and the driver's answer to that
-//!   (the same one it gives when a stop condition lands before the next
-//!   event) is a window holding exactly the globally earliest event:
-//!   the sequential schedule.
+//!   the events of one window are causally independent across regions.
+//!
+//! PFC pause ([`DisciplineKind::Pause`]) writes the *upstream* port's
+//! `paused_until` at the instant a frame is enqueued — a zero-delay
+//! effect on a neighbour that does not ride a link — so under that
+//! discipline the engine runs as one region. The region count is also
+//! capped at the node count: every region holds a node.
 //!
 //! Cross-region events produced inside a window are *staged* into
 //! per-region buffers and merged into the target queues at the barrier;
@@ -68,7 +67,7 @@ use crate::flow::{FlowConfig, FlowRecord, FlowState, FlowTag};
 use crate::guards::{Guards, TrackScratch};
 use crate::node::{ActionId, EnabledSet, ProtocolNode};
 use crate::rng;
-use crate::sched::{EventKey, EventQueue};
+use crate::sched::{EventKey, EventQueue, SchedulerKind};
 use crate::sink::{MarkerKind, TraceSink};
 use crate::slots::{EdgeSlots, NodeSlots, RegionMap};
 use crate::time::SimTime;
@@ -411,16 +410,6 @@ enum Staged<M> {
         ack: u64,
         marked: bool,
     },
-    /// PFC pause of the remote upstream port `(upstream, from)` — only
-    /// ever staged under a zero lookahead (see the module docs), where
-    /// `at` is the globally current instant.
-    Pause {
-        region: u32,
-        upstream: NodeId,
-        from: NodeId,
-        at: SimTime,
-        quantum: f64,
-    },
 }
 
 /// Admission bound of one conservative window over the canonical
@@ -462,6 +451,10 @@ impl WindowBound {
         }
     }
 
+    // Called once per popped event from the generic run loop, which is
+    // compiled in the crate that names the protocol: `#[inline]` lets it
+    // inline there (see `EventQueue`).
+    #[inline]
     fn admits(&self, at: (SimTime, EventKey)) -> bool {
         if self.inclusive {
             at <= self.limit
@@ -566,10 +559,10 @@ struct Core<P: ProtocolNode> {
 }
 
 impl<P: ProtocolNode> Core<P> {
-    fn new(index: u32, config: &EngineConfig) -> Self {
+    fn new(index: u32) -> Self {
         Core {
             index,
-            queue: EventQueue::new(config.scheduler),
+            queue: EventQueue::new(SchedulerKind::Wheel),
             slots: NodeSlots::new(),
             links: EdgeSlots::new(),
             ports: EdgeSlots::new(),
@@ -1283,27 +1276,14 @@ impl<P: ProtocolNode> Core<P> {
         if verdict.pause_upstream > 0.0 {
             // Backpressure one hop upstream (802.3x-style pause quanta);
             // packets injected *at* `from` have no upstream port to pause.
+            // The engine runs pause as one region, so the upstream port
+            // is this region's.
             if let Some(u) = upstream {
                 self.stats.congestion.pause_frames += 1;
-                let region = shared.map.region(u).unwrap_or(0);
-                if region == self.index {
-                    let lu = NodeId::new(shared.map.local(u));
-                    let port = self.ports.entry(lu, from);
-                    let base = port.paused_until.max(self.now);
-                    port.paused_until = base + verdict.pause_upstream;
-                } else {
-                    // Zero-lookahead cross-region write: only reachable
-                    // when the engine's lookahead is zero, so the window
-                    // holds this one event and the barrier applies the
-                    // pause before the next event anywhere.
-                    self.staged.push(Staged::Pause {
-                        region,
-                        upstream: u,
-                        from,
-                        at: self.now,
-                        quantum: verdict.pause_upstream,
-                    });
-                }
+                let lu = NodeId::new(shared.map.local(u));
+                let port = self.ports.entry(lu, from);
+                let base = port.paused_until.max(self.now);
+                port.paused_until = base + verdict.pause_upstream;
             }
         }
         if !verdict.admit {
@@ -1701,7 +1681,7 @@ pub struct Engine<P: ProtocolNode> {
     /// [`EngineStats::peak_queue_depth`]).
     peak_queue_depth: usize,
     /// Minimum simulated delay of any cross-region effect — the width of
-    /// a conservative window (see the module docs for its three values).
+    /// a conservative window (see the module docs for its two values).
     lookahead: f64,
     /// Completed packets awaiting [`Engine::drain_completed_packets`],
     /// in canonical completion order.
@@ -1754,7 +1734,16 @@ impl<P: ProtocolNode> Engine<P> {
             .unwrap_or_else(|| config.sink.build());
         sink.attach(&graph, config.seed);
         let emit_queue_obs = sink.wants_queue_samples();
-        let part = partition(&graph, config.regions.max(1));
+        // Pause has a zero-delay cross-region effect, and a region
+        // without a node is a queue and a barrier share for nothing.
+        let pause = config.congestion.enabled()
+            && matches!(config.congestion.discipline, DisciplineKind::Pause { .. });
+        let regions = if pause {
+            1
+        } else {
+            config.regions.min(graph.node_count()).max(1)
+        };
+        let part = partition(&graph, regions);
         let mut map = RegionMap::new(part.regions.len());
         for (r, nodes) in part.regions.iter().enumerate() {
             for &v in nodes {
@@ -1763,15 +1752,11 @@ impl<P: ProtocolNode> Engine<P> {
         }
         let lookahead = if part.regions.len() == 1 {
             f64::INFINITY
-        } else if config.congestion.enabled()
-            && matches!(config.congestion.discipline, DisciplineKind::Pause { .. })
-        {
-            0.0
         } else {
             config.link.delay_min
         };
         let mut cores: Vec<Core<P>> = (0..part.regions.len())
-            .map(|i| Core::new(i as u32, &config))
+            .map(|i| Core::new(i as u32))
             .collect();
         for c in &mut cores {
             c.emit_queue_obs = emit_queue_obs;
@@ -2460,8 +2445,9 @@ impl<P: ProtocolNode> Engine<P> {
     /// have left unprocessed at its stop point is ever executed: stop
     /// decisions, event counts and end times are the same for every
     /// lookahead. A bound that rejects even the event it was built from —
-    /// a zero lookahead, or the settle span ending while guards are still
-    /// enabled — degrades to a window holding exactly that event.
+    /// the zero width `step` passes, or the settle span ending while
+    /// guards are still enabled — degrades to a window holding exactly
+    /// that event.
     fn drive(
         &mut self,
         until: SimTime,
@@ -2613,22 +2599,6 @@ impl<P: ProtocolNode> Engine<P> {
                             key,
                             Event::FlowAck { flow, ack, marked },
                         );
-                    }
-                    Staged::Pause {
-                        region,
-                        upstream,
-                        from,
-                        at,
-                        quantum,
-                    } => {
-                        debug_assert!(
-                            self.lookahead == 0.0,
-                            "cross-region pause under a positive lookahead"
-                        );
-                        let l = NodeId::new(self.shared.map.local(upstream));
-                        let port = self.cores[region as usize].ports.entry(l, from);
-                        let base = port.paused_until.max(at);
-                        port.paused_until = base + quantum;
                     }
                 }
             }

@@ -1,16 +1,16 @@
-//! Pluggable event schedulers: a calendar queue and the classic binary
-//! heap it is checked against.
+//! The engine's event queue: a calendar queue over the canonical
+//! `(time, key)` order.
 //!
 //! The engine orders every event by `(SimTime, EventKey)` — time first,
 //! then the canonical per-event key of [`EventKey`], which depends only
 //! on its emitter's own history and so orders events the same way in one
-//! global queue as in per-region queues merged at window barriers. Two
-//! schedulers with the same dequeue order drive byte-identical runs, so
-//! the heap stays as the oracle the equivalence suite diffs against.
+//! global queue as in per-region queues merged at window barriers.
+//! `tests/wheel_model.rs` holds the queue to a sorted-set model of that
+//! order, op for op.
 //!
 //! # The calendar queue
 //!
-//! [`SchedulerKind::Wheel`] (DESIGN.md §14.2) keys events into *days*,
+//! The queue (DESIGN.md §14.2) keys events into *days*,
 //! `day = (time * inv_width) as u64`. Multiplying by a positive constant
 //! and truncating are both monotone, so `day(a) < day(b)` implies
 //! `a < b` and equal times share a day: splitting entries by day can
@@ -25,7 +25,7 @@
 //!   [`EventQueue::peek`] `&self` and O(1). No entry is ever inserted
 //!   into sorted order: a same-instant burst (a cold start arms 100k+
 //!   timers for one instant) lands in `late`, so the worst case stays
-//!   the oracle's O(log n), and sorting a day of `d` entries costs what
+//!   a binary heap's O(log n), and sorting a day of `d` entries costs what
 //!   its `d` heap pops would.
 //! * **near buckets** — entries with `cur_day < day < end_day` append
 //!   unsorted to `buckets[day % n]`; the window is fixed between
@@ -55,19 +55,16 @@ use std::fmt;
 
 use crate::time::SimTime;
 
-/// Which data structure orders the engine's event queue.
+/// The event queue's backend: the calendar queue is the only one.
 ///
-/// Both produce the exact `(time, key)` dequeue order, so the choice can
-/// never affect a trajectory — only throughput. The wheel is the default;
-/// the heap is kept as the determinism oracle, and as the `O(log n)`
-/// baseline its comparison count per hold is read against (DESIGN.md §8.6).
+/// It stays a one-variant enum so that [`EventQueue::new`] keeps the
+/// signature that callers outside this workspace (the benchmark's
+/// scheduler hold model) build a queue with.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Calendar queue: O(1) amortized enqueue and dequeue.
     #[default]
     Wheel,
-    /// The classic global binary heap: O(log n) per operation.
-    Heap,
 }
 
 /// The canonical tie-breaking key of one event: the raw id of the node
@@ -132,7 +129,8 @@ impl<T> Ord for Entry<T> {
 
 #[cfg(test)]
 thread_local! {
-    /// `(time, key)` comparisons made on this thread, by either backend.
+    /// `(time, key)` comparisons made on this thread, by the calendar
+    /// queue or by the tests' binary-heap baseline.
     static COMPARISONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -225,6 +223,7 @@ impl<T> Calendar<T> {
 
     /// The earliest pending entry: the earlier of the open tiers' heads
     /// (`Entry` orders reversed, and `None` loses to any entry).
+    #[inline]
     fn head(&self) -> Option<&Entry<T>> {
         self.today.last().max(self.late.peek())
     }
@@ -244,6 +243,7 @@ impl<T> Calendar<T> {
     }
 
     /// Inserts into whichever tier owns the entry's day.
+    #[inline]
     fn insert(&mut self, e: Entry<T>) {
         if self.today.is_empty() && self.late.is_empty() {
             self.open_window(e.time); // the queue is empty
@@ -268,6 +268,7 @@ impl<T> Calendar<T> {
 
     /// Pops the minimum if admitted, from whichever open tier holds it;
     /// opens the next day once both are empty, checks the epoch.
+    #[inline]
     fn pop_if(&mut self, admit: impl FnOnce((SimTime, EventKey)) -> bool) -> Option<Entry<T>> {
         let late = self.late.peek();
         let from_late = late > self.today.last();
@@ -417,63 +418,44 @@ impl<T> Calendar<T> {
     }
 }
 
-/// Pops the top of `heap` if `admit` accepts its `(time, key)`.
-fn pop_head<T>(
-    heap: &mut BinaryHeap<Entry<T>>,
-    admit: impl FnOnce((SimTime, EventKey)) -> bool,
-) -> Option<Entry<T>> {
-    let head = heap.peek()?;
-    admit((head.time, head.key)).then(|| heap.pop())?
-}
-
-enum Inner<T> {
-    Heap(BinaryHeap<Entry<T>>),
-    Wheel(Calendar<T>),
-}
-
-/// The engine's event queue: a `(time, key)`-ordered priority queue with
-/// a pluggable backend (see [`SchedulerKind`] and the module docs).
+/// The engine's event queue: a `(time, key)`-ordered priority queue on
+/// the calendar queue of the module docs.
 ///
 /// The caller supplies each entry's [`EventKey`]; dequeue order is exactly
-/// ascending `(time, key)` for both backends. Keys must be unique among
-/// pending entries (the engine's per-emitter counters guarantee this).
+/// ascending `(time, key)`. Keys must be unique among pending entries (the
+/// engine's per-emitter counters guarantee this).
+///
+/// The per-event operations (`schedule`, `peek`, `pop_if` and the calendar
+/// methods under them) are `#[inline]`: the engine is generic over the
+/// protocol, so its run loop is compiled in the crate that names one and
+/// split across that crate's codegen units, and without the hint whether
+/// these calls inline depends on the split. Without it the benchmark's
+/// `traffic_congested` ran ≈ 19 % slower (2-core x86-64, thirty
+/// alternating 1 s pairs).
 pub struct EventQueue<T> {
-    inner: Inner<T>,
+    calendar: Calendar<T>,
 }
 
 impl<T> fmt::Debug for EventQueue<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
-            .field("kind", &self.kind())
             .field("len", &self.len())
             .finish()
     }
 }
 
 impl<T> EventQueue<T> {
-    /// An empty queue on the chosen backend.
-    pub fn new(kind: SchedulerKind) -> Self {
-        let inner = match kind {
-            SchedulerKind::Heap => Inner::Heap(BinaryHeap::new()),
-            SchedulerKind::Wheel => Inner::Wheel(Calendar::new()),
-        };
-        EventQueue { inner }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> SchedulerKind {
-        match self.inner {
-            Inner::Heap(_) => SchedulerKind::Heap,
-            Inner::Wheel(_) => SchedulerKind::Wheel,
+    /// An empty queue. [`SchedulerKind`] has one variant; the argument
+    /// only keeps the constructor's signature.
+    pub fn new(_kind: SchedulerKind) -> Self {
+        EventQueue {
+            calendar: Calendar::new(),
         }
     }
 
     /// Pending entries.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Heap(h) => h.len(),
-            Inner::Wheel(w) => w.len(),
-        }
+        self.calendar.len()
     }
 
     /// Whether no entry is pending.
@@ -482,22 +464,16 @@ impl<T> EventQueue<T> {
     }
 
     /// Enqueues `item` at `time` under the canonical `key`.
+    #[inline]
     pub fn schedule(&mut self, time: SimTime, key: EventKey, item: T) {
-        let e = Entry { time, key, item };
-        match &mut self.inner {
-            Inner::Heap(h) => h.push(e),
-            Inner::Wheel(w) => w.insert(e),
-        }
+        self.calendar.insert(Entry { time, key, item });
     }
 
     /// The earliest pending `(time, key)`, or `None` when empty. O(1):
     /// every mutating operation leaves the minimum surfaced.
+    #[inline]
     pub fn peek(&self) -> Option<(SimTime, EventKey)> {
-        let e = match &self.inner {
-            Inner::Heap(h) => h.peek(),
-            Inner::Wheel(w) => w.head(),
-        };
-        e.map(|e| (e.time, e.key))
+        self.calendar.head().map(|e| (e.time, e.key))
     }
 
     /// The earliest pending time, or `None` when empty.
@@ -512,14 +488,12 @@ impl<T> EventQueue<T> {
 
     /// Dequeues the earliest pending entry if `admit` accepts its
     /// `(time, key)`; otherwise leaves the queue untouched.
+    #[inline]
     pub fn pop_if(
         &mut self,
         admit: impl FnOnce((SimTime, EventKey)) -> bool,
     ) -> Option<(SimTime, EventKey, T)> {
-        let e = match &mut self.inner {
-            Inner::Heap(h) => pop_head(h, admit),
-            Inner::Wheel(w) => w.pop_if(admit),
-        }?;
+        let e = self.calendar.pop_if(admit)?;
         Some((e.time, e.key, e.item))
     }
 }
@@ -539,48 +513,84 @@ mod tests {
         EventKey { src: 0, k }
     }
 
-    fn drain(q: &mut EventQueue<u32>) -> Vec<(f64, u64, u32)> {
+    /// What the tests ask of a `(time, key)` priority queue: the calendar
+    /// queue, and std's binary heap over the same entries — the `O(log n)`
+    /// baseline a hold's comparison count is read against.
+    trait Backend<T> {
+        fn push(&mut self, time: SimTime, key: EventKey, item: T);
+        fn pop_min(&mut self) -> Option<(SimTime, EventKey, T)>;
+    }
+
+    impl<T> Backend<T> for EventQueue<T> {
+        fn push(&mut self, time: SimTime, key: EventKey, item: T) {
+            self.schedule(time, key, item);
+        }
+        fn pop_min(&mut self) -> Option<(SimTime, EventKey, T)> {
+            self.pop()
+        }
+    }
+
+    impl<T> Backend<T> for BinaryHeap<Entry<T>> {
+        fn push(&mut self, time: SimTime, key: EventKey, item: T) {
+            BinaryHeap::push(self, Entry { time, key, item });
+        }
+        fn pop_min(&mut self) -> Option<(SimTime, EventKey, T)> {
+            self.pop().map(|e| (e.time, e.key, e.item))
+        }
+    }
+
+    fn wheel<T>() -> EventQueue<T> {
+        EventQueue::new(SchedulerKind::Wheel)
+    }
+
+    fn drain(q: &mut impl Backend<u32>) -> Vec<(f64, u64, u32)> {
         let mut out = Vec::new();
-        while let Some((t, key, x)) = q.pop() {
+        while let Some((t, key, x)) = q.pop_min() {
             out.push((t.seconds(), key.k, x));
         }
         out
     }
 
+    /// The calendar queue and the heap baseline pop the same entries in
+    /// the same `(time, key)` order, so the hold counts below compare two
+    /// queues doing the same work.
     #[test]
     fn both_backends_pop_in_time_key_order() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let mut q = EventQueue::new(kind);
-            q.schedule(SimTime::new(3.0), key(1), 30);
-            q.schedule(SimTime::new(1.0), key(2), 10);
-            q.schedule(SimTime::new(2.0), key(3), 20);
-            q.schedule(SimTime::new(1.0), key(4), 11); // same time, later k
-            assert_eq!(q.len(), 4);
-            assert_eq!(q.peek_time(), Some(SimTime::new(1.0)));
-            let order: Vec<u32> = drain(&mut q).iter().map(|&(_, _, x)| x).collect();
-            assert_eq!(order, vec![10, 11, 20, 30], "{kind:?}");
-            assert!(q.is_empty());
+        fn fill(q: &mut impl Backend<u32>) {
+            q.push(SimTime::new(3.0), key(1), 30);
+            q.push(SimTime::new(1.0), key(2), 10);
+            q.push(SimTime::new(2.0), key(3), 20);
+            q.push(SimTime::new(1.0), key(4), 11); // same time, later k
         }
+        let mut q = wheel();
+        fill(&mut q);
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(SimTime::new(1.0)));
+        let mut heap = BinaryHeap::new();
+        fill(&mut heap);
+        for drained in [drain(&mut q), drain(&mut heap)] {
+            let order: Vec<u32> = drained.iter().map(|&(_, _, x)| x).collect();
+            assert_eq!(order, vec![10, 11, 20, 30]);
+        }
+        assert!(q.is_empty());
     }
 
     #[test]
     fn same_time_ties_break_on_src_before_k() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let mut q = EventQueue::new(kind);
-            // Node 5 scheduled first, but node 2's key sorts earlier;
-            // the driver key (src = u32::MAX) sorts last.
-            q.schedule(SimTime::new(1.0), EventKey { src: 5, k: 0 }, 50);
-            q.schedule(SimTime::new(1.0), EventKey::driver(0), 99);
-            q.schedule(SimTime::new(1.0), EventKey { src: 2, k: 7 }, 27);
-            q.schedule(SimTime::new(1.0), EventKey { src: 2, k: 3 }, 23);
-            let order: Vec<u32> = drain(&mut q).iter().map(|&(_, _, x)| x).collect();
-            assert_eq!(order, vec![23, 27, 50, 99], "{kind:?}");
-        }
+        let mut q = wheel();
+        // Node 5 scheduled first, but node 2's key sorts earlier;
+        // the driver key (src = u32::MAX) sorts last.
+        q.schedule(SimTime::new(1.0), EventKey { src: 5, k: 0 }, 50);
+        q.schedule(SimTime::new(1.0), EventKey::driver(0), 99);
+        q.schedule(SimTime::new(1.0), EventKey { src: 2, k: 7 }, 27);
+        q.schedule(SimTime::new(1.0), EventKey { src: 2, k: 3 }, 23);
+        let order: Vec<u32> = drain(&mut q).iter().map(|&(_, _, x)| x).collect();
+        assert_eq!(order, vec![23, 27, 50, 99]);
     }
 
     #[test]
     fn far_pile_and_rotation() {
-        let mut q = EventQueue::new(SchedulerKind::Wheel);
+        let mut q = wheel();
         // Far beyond the initial 64-bucket * 0.5s window: the far pile.
         q.schedule(SimTime::new(1_000_000.0), key(1), 1);
         q.schedule(SimTime::new(5.0), key(2), 2);
@@ -602,7 +612,7 @@ mod tests {
     fn bucket_boundary_times_stay_ordered() {
         // Times at exact multiples of the initial width land on day
         // boundaries; ordering must be unaffected.
-        let mut q = EventQueue::new(SchedulerKind::Wheel);
+        let mut q = wheel();
         let times = [0.0, 0.5, 0.5, 1.0, 31.5, 32.0, 32.5, 64.0];
         for (i, &t) in times.iter().enumerate() {
             q.schedule(SimTime::new(t), key(i as u64), i as u32);
@@ -615,7 +625,7 @@ mod tests {
     fn interleaved_pop_and_push_at_now() {
         // The engine's shape: pop an event, push successors at the same
         // or slightly later time, repeat.
-        let mut q = EventQueue::new(SchedulerKind::Wheel);
+        let mut q = wheel();
         let mut next_k = 0u64;
         let mut k = || {
             next_k += 1;
@@ -641,23 +651,21 @@ mod tests {
 
     #[test]
     fn pop_if_takes_the_head_only_when_admitted() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let mut q = EventQueue::new(kind);
-            q.schedule(SimTime::new(2.0), key(1), 20);
-            q.schedule(SimTime::new(f64::INFINITY), key(2), 99);
-            assert!(q.pop_if(|(t, _)| t < SimTime::new(2.0)).is_none());
-            assert_eq!(q.len(), 2, "{kind:?}: a refused pop changes nothing");
-            assert_eq!(q.peek(), Some((SimTime::new(2.0), key(1))));
-            let head = q.pop_if(|(t, k)| (t, k) == (SimTime::new(2.0), key(1)));
-            assert_eq!(head.map(|(_, _, x)| x), Some(20), "{kind:?}");
-            assert_eq!(q.pop().map(|(_, _, x)| x), Some(99), "{kind:?}");
-            assert!(q.is_empty() && q.pop_if(|_| true).is_none());
-        }
+        let mut q = wheel();
+        q.schedule(SimTime::new(2.0), key(1), 20);
+        q.schedule(SimTime::new(f64::INFINITY), key(2), 99);
+        assert!(q.pop_if(|(t, _)| t < SimTime::new(2.0)).is_none());
+        assert_eq!(q.len(), 2, "a refused pop changes nothing");
+        assert_eq!(q.peek(), Some((SimTime::new(2.0), key(1))));
+        let head = q.pop_if(|(t, k)| (t, k) == (SimTime::new(2.0), key(1)));
+        assert_eq!(head.map(|(_, _, x)| x), Some(20));
+        assert_eq!(q.pop().map(|(_, _, x)| x), Some(99));
+        assert!(q.is_empty() && q.pop_if(|_| true).is_none());
     }
 
     #[test]
     fn empty_reset_keeps_working_after_drain() {
-        let mut q = EventQueue::new(SchedulerKind::Wheel);
+        let mut q = wheel();
         q.schedule(SimTime::new(10_000.0), key(1), 1);
         assert_eq!(drain(&mut q).len(), 1);
         // Re-use after drain from a large time: the cursor reset means a
@@ -674,7 +682,7 @@ mod tests {
         // surfaced minimum must still pop first (the engine never does
         // this — pushes are at `time >= now` — but the property test
         // does, and correctness must not depend on the caller).
-        let mut q = EventQueue::new(SchedulerKind::Wheel);
+        let mut q = wheel();
         q.schedule(SimTime::new(500.0), key(1), 1);
         assert_eq!(q.peek_time(), Some(SimTime::new(500.0)));
         q.schedule(SimTime::new(1.0), key(2), 2);
@@ -689,7 +697,7 @@ mod tests {
     #[test]
     fn rotations_and_retunes_touch_a_constant_number_of_entries_per_operation() {
         for (name, ops) in sequences::all(0x15C0_FFEE) {
-            let mut q: EventQueue<()> = EventQueue::new(SchedulerKind::Wheel);
+            let mut q: EventQueue<()> = wheel();
             let (mut now, mut k) = (SimTime::ZERO, 0);
             for op in &ops {
                 // Any unique key will do here: the keys `Follow` asks for
@@ -711,9 +719,7 @@ mod tests {
                 q.schedule(at, key(k), ());
                 k += 1;
             }
-            let Inner::Wheel(w) = &q.inner else {
-                unreachable!("built on the wheel")
-            };
+            let w = &q.calendar;
             let per_op = w.touched as f64 / ops.len() as f64;
             println!("{name}: {per_op:.3} entries touched per operation");
             assert!(per_op <= 3.0, "{name}: {per_op} entries per operation");
@@ -726,37 +732,38 @@ mod tests {
 
     const HOLDS: u64 = 200_000;
 
-    /// The classic hold model: fill the queue to `depth`, then pop the
-    /// earliest entry and schedule one a random increment (mean `depth`)
-    /// later, [`HOLDS`] times. Returns the comparisons those holds made.
-    fn hold_comparisons(kind: SchedulerKind, depth: u64) -> u64 {
+    /// The classic hold model: fill the empty queue `q` to `depth`, then
+    /// pop the earliest entry and schedule one a random increment (mean
+    /// `depth`) later, [`HOLDS`] times. Returns the comparisons those
+    /// holds made.
+    fn hold_comparisons(mut q: impl Backend<()>, depth: u64) -> u64 {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(42);
         let mut increment = || rng.gen_range(0.0..2.0 * depth as f64);
-        let mut q = EventQueue::new(kind);
         for k in 0..depth {
-            q.schedule(SimTime::new(increment()), key(k), ());
+            q.push(SimTime::new(increment()), key(k), ());
         }
         let before = COMPARISONS.with(std::cell::Cell::get);
         for k in depth..depth + HOLDS {
-            let (t, _, ()) = q.pop().expect("the queue holds `depth` entries");
-            q.schedule(t + increment(), key(k), ());
+            let (t, _, ()) = q.pop_min().expect("the queue holds `depth` entries");
+            q.push(t + increment(), key(k), ());
         }
         COMPARISONS.with(std::cell::Cell::get) - before
     }
 
     /// The calendar queue's claim, as a count: a hold costs the wheel a
     /// constant number of `(time, key)` comparisons at any depth (under
-    /// two at both depths here), where the heap pays `O(log depth)`. The
-    /// bounds are the counts measured with the open day sorted once and
-    /// popped from a `Vec`; keeping the open day as a heap instead
-    /// (sifting on every pop) exceeds them at both depths.
+    /// two at both depths here), where std's binary heap over the same
+    /// entries pays `O(log depth)`. The bounds are the counts measured
+    /// with the open day sorted once and popped from a `Vec`; keeping the
+    /// open day as a heap instead (sifting on every pop) exceeds them at
+    /// both depths.
     #[test]
     fn a_hold_costs_the_wheel_a_constant_number_of_comparisons() {
         for (depth, bound) in [(1_000, 261_251), (300_000, 382_450)] {
-            let wheel = hold_comparisons(SchedulerKind::Wheel, depth);
-            let heap = hold_comparisons(SchedulerKind::Heap, depth);
+            let wheel = hold_comparisons(EventQueue::new(SchedulerKind::Wheel), depth);
+            let heap = hold_comparisons(BinaryHeap::new(), depth);
             let per_hold = |n: u64| n as f64 / HOLDS as f64;
             println!(
                 "depth {depth}: wheel {wheel} ({:.3} per hold), heap {heap} ({:.3} per hold)",

@@ -1,7 +1,7 @@
 //! Long seeded operation sequences for the event queue, shared by
-//! `tests/wheel_model.rs` (every pop against the sorted-set model, both
-//! backends) and the unit tests of `src/sched.rs` (the amortised-work
-//! bound, which needs the calendar's private counter). Each sequence is
+//! `tests/wheel_model.rs` (every pop against the sorted-set model) and
+//! the unit tests of `src/sched.rs` (the amortised-work bound, which
+//! needs the calendar's private counter). Each sequence is
 //! long enough to cross several density epochs, so it runs through
 //! retunes, bucket-count changes and rotations that the short random
 //! interleavings never reach. Only `std` is used: the file is compiled

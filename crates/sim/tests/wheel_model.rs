@@ -1,4 +1,4 @@
-//! Property test: the calendar-wheel scheduler is observationally
+//! Property test: the calendar-wheel event queue is observationally
 //! identical to a sorted model under any interleaving of schedule and
 //! pop.
 //!
@@ -96,11 +96,10 @@ fn gen_ops(seed: u64) -> Vec<Op> {
         .collect()
 }
 
-/// Runs one op sequence against the given backend, checking every pop,
-/// the head and length after every op, and the final drain against the
-/// model.
-fn check_backend(kind: SchedulerKind, ops: &[Op]) {
-    let mut queue: EventQueue<u32> = EventQueue::new(kind);
+/// Runs one op sequence against the queue, checking every pop, the head
+/// and length after every op, and the final drain against the model.
+fn check_queue(ops: &[Op]) {
+    let mut queue: EventQueue<u32> = EventQueue::new(SchedulerKind::Wheel);
     let mut model = Model::default();
     let mut now = 0.0;
     for (i, op) in ops.iter().enumerate() {
@@ -125,7 +124,7 @@ fn check_backend(kind: SchedulerKind, ops: &[Op]) {
             )),
             Op::PopIf(false) => {
                 let got = queue.pop_if(|_| false);
-                assert!(got.is_none(), "op {i}: {kind:?} popped past a refusal");
+                assert!(got.is_none(), "op {i}: popped past a refusal");
                 None
             }
             Op::Pop | Op::PopIf(true) => {
@@ -134,11 +133,7 @@ fn check_backend(kind: SchedulerKind, ops: &[Op]) {
                     Op::Pop => queue.pop(),
                     _ => queue.pop_if(|at| Some(at) == head),
                 };
-                assert_eq!(
-                    got,
-                    model.pop(),
-                    "op {i}: {kind:?} {op:?} diverged from model"
-                );
+                assert_eq!(got, model.pop(), "op {i}: {op:?} diverged from model");
                 if let Some((t, _, _)) = got {
                     now = t.seconds();
                 }
@@ -164,13 +159,10 @@ proptest! {
 
     /// Any interleaving of schedule/pop on the wheel matches the
     /// sorted model exactly, across magnitudes that exercise the far
-    /// pile and rotation boundaries. The heap backend is held to the
-    /// same specification, so wheel ≡ heap follows transitively.
+    /// pile and rotation boundaries.
     #[test]
-    fn wheel_and_heap_match_sorted_model(seed in 0u64..1_000_000) {
-        let ops = gen_ops(seed);
-        check_backend(SchedulerKind::Wheel, &ops);
-        check_backend(SchedulerKind::Heap, &ops);
+    fn wheel_matches_sorted_model(seed in 0u64..1_000_000) {
+        check_queue(&gen_ops(seed));
     }
 }
 
@@ -178,12 +170,11 @@ proptest! {
 /// same-instant burst, burst then silence over a large far pile, `+∞`
 /// times, inserts behind the cursor across retunes, zero-hold follow-ups
 /// at shared instants): every pop, length and head `(time, key)` matches
-/// the sorted model on both backends.
+/// the sorted model.
 #[test]
 fn long_sequences_match_sorted_model() {
     for (name, ops) in sequences::all(0x15C0_FFEE) {
         assert!(ops.len() >= 50_000, "{name} is too short to reach a retune");
-        check_backend(SchedulerKind::Wheel, &ops);
-        check_backend(SchedulerKind::Heap, &ops);
+        check_queue(&ops);
     }
 }

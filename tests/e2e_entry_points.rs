@@ -2,7 +2,9 @@
 //! `Engine::run_to_quiescence` are three wrappers over one window driver,
 //! so driving the same seeded run through any of them must walk the same
 //! trajectory — for every region count and queue discipline, i.e. for
-//! every lookahead the engine can be built with (`∞`, `delay_min`, `0`).
+//! both lookaheads the engine can be built with (`∞`, `delay_min`), and
+//! for PFC pause, which the engine runs as one region whatever it is
+//! asked for.
 //!
 //! The run crosses everything the driver has to get right at once: a
 //! seeded chaos schedule applied mid-run (so

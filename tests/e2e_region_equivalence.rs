@@ -6,11 +6,12 @@
 //! barriers in canonical `(time, key)` order, so a seeded run — trace,
 //! RNG draws, final tables, statistics — cannot depend on the region
 //! count or the worker-thread count. These tests pin that across the same
-//! cartesian slice as the scheduler-equivalence suite (topology shapes ×
-//! seeds × chaos fault schedules × congested data-plane traffic), for
-//! regions ∈ {1, 2, 4, 8} under varying `jobs`, including PFC pause,
-//! whose zero lookahead makes every window a single event. Every engine
-//! statistic participates — `peak_queue_depth` is sampled only at
+//! cartesian slice as the trajectory goldens (topology shapes × seeds ×
+//! chaos fault schedules × congested data-plane traffic), for regions ∈
+//! {1, 2, 4, 8} under varying `jobs`, plus two configurations the engine
+//! shrinks: PFC pause, whose zero-delay upstream write makes it run as
+//! one region, and more regions than nodes. Every engine statistic
+//! participates — `peak_queue_depth` is sampled only at
 //! region-invariant points (public `step()` calls and driver mutations),
 //! so it too must match the sequential engine exactly.
 
@@ -51,9 +52,10 @@ fn stats_fingerprint(stats: EngineStats) -> String {
 }
 
 /// Runs a chaotic control-plane scenario with the given region/job split
-/// and returns the full observable fingerprint: every action record, the
-/// final route table, and the (region-invariant) engine statistics.
-fn chaos_fingerprint(regions: usize, jobs: usize, graph: &Graph, seed: u64) -> String {
+/// and returns the full observable fingerprint — every action record, the
+/// final route table, and the (region-invariant) engine statistics — and
+/// the number of regions the engine built.
+fn chaos_fingerprint(regions: usize, jobs: usize, graph: &Graph, seed: u64) -> (String, usize) {
     let engine = EngineConfig::default()
         .with_seed(seed)
         .with_link(LinkConfig::jittered(0.5, 1.5))
@@ -83,21 +85,22 @@ fn chaos_fingerprint(regions: usize, jobs: usize, graph: &Graph, seed: u64) -> S
         .iter()
         .map(|r| (r.node, r.time.seconds(), r.name, r.maintenance))
         .collect();
-    format!(
+    let fingerprint = format!(
         "events={} actions={actions:?} table={:?} stats={}",
         report.events,
         sim.route_table(),
         stats_fingerprint(sim.stats())
-    )
+    );
+    (fingerprint, sim.engine().regions())
 }
 
 #[test]
 fn regions_match_sequential_under_chaos() {
     for (name, graph) in topologies() {
         let seed = 7;
-        let baseline = chaos_fingerprint(1, 1, &graph, seed);
+        let (baseline, _) = chaos_fingerprint(1, 1, &graph, seed);
         for (regions, jobs) in MATRIX {
-            let par = chaos_fingerprint(regions, jobs, &graph, seed);
+            let (par, _) = chaos_fingerprint(regions, jobs, &graph, seed);
             assert_eq!(
                 par, baseline,
                 "regions={regions} jobs={jobs} diverged from sequential on {name}"
@@ -106,15 +109,31 @@ fn regions_match_sequential_under_chaos() {
     }
 }
 
+#[test]
+fn regions_are_capped_at_the_node_count() {
+    // 64 regions asked of 16 nodes: the engine builds at most one region
+    // per node, and the run still matches the sequential one.
+    let graph = generators::grid(4, 4, 1);
+    let seed = 7;
+    let (baseline, _) = chaos_fingerprint(1, 1, &graph, seed);
+    let (par, built) = chaos_fingerprint(64, 2, &graph, seed);
+    assert!(built <= 16, "64 regions asked of 16 nodes built {built}");
+    assert_eq!(
+        par, baseline,
+        "64 regions on grid4x4 diverged from sequential"
+    );
+}
+
 /// Runs the congested data-plane scenario — finite links, bounded
 /// queues, an aggregated workload, a mid-run corruption — drained to
-/// empty, under the given discipline and region/job split.
+/// empty, under the given discipline and region/job split. Returns the
+/// fingerprint and the number of regions the engine built.
 fn traffic_fingerprint(
     regions: usize,
     jobs: usize,
     discipline: DisciplineKind,
     seed: u64,
-) -> String {
+) -> (String, usize) {
     let graph = generators::grid(8, 8, 1);
     let dest = v(0);
     let victim = v(27);
@@ -150,21 +169,22 @@ fn traffic_fingerprint(
             .map_or(sim.now(), |t: SimTime| t);
         sim.run_until(next.seconds() + 50.0);
     }
-    format!(
+    let fingerprint = format!(
         "now={:?} traffic={:?} stats={} table={:?}",
         sim.now(),
         sim.stats().traffic,
         stats_fingerprint(sim.stats()),
         sim.route_table()
-    )
+    );
+    (fingerprint, sim.engine().regions())
 }
 
 #[test]
 fn regions_match_sequential_under_congested_traffic() {
     let seed = 3;
-    let baseline = traffic_fingerprint(1, 1, DisciplineKind::DropTail, seed);
+    let (baseline, _) = traffic_fingerprint(1, 1, DisciplineKind::DropTail, seed);
     for (regions, jobs) in MATRIX {
-        let par = traffic_fingerprint(regions, jobs, DisciplineKind::DropTail, seed);
+        let (par, _) = traffic_fingerprint(regions, jobs, DisciplineKind::DropTail, seed);
         assert_eq!(
             par, baseline,
             "regions={regions} jobs={jobs} diverged on congested traffic"
@@ -174,20 +194,22 @@ fn regions_match_sequential_under_congested_traffic() {
 
 #[test]
 fn pause_discipline_lockstep_fallback_matches_sequential() {
-    // PFC pause writes the upstream port with zero delay, so with
-    // regions > 1 the engine's lookahead is zero and every window holds
-    // one event; that must still be byte-identical.
+    // PFC pause writes the upstream port with zero delay, an effect no
+    // lookahead window can hold across regions, so the engine runs it as
+    // one region whatever it is asked for; that must still be
+    // byte-identical.
     let seed = 91;
     let discipline = DisciplineKind::Pause {
         pause_at: 0.6,
         quantum: 1.5,
     };
-    let baseline = traffic_fingerprint(1, 1, discipline, seed);
+    let (baseline, _) = traffic_fingerprint(1, 1, discipline, seed);
     for (regions, jobs) in [(2, 2), (4, 4)] {
-        let par = traffic_fingerprint(regions, jobs, discipline, seed);
+        let (par, built) = traffic_fingerprint(regions, jobs, discipline, seed);
+        assert_eq!(built, 1, "regions={regions}: pause built {built} regions");
         assert_eq!(
             par, baseline,
-            "regions={regions} jobs={jobs} diverged under PFC lockstep"
+            "regions={regions} jobs={jobs} diverged under PFC pause"
         );
     }
 }

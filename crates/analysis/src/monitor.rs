@@ -138,7 +138,7 @@ pub trait Monitor {
 /// O(changes · degree) per check instead of re-deriving `lg` for every
 /// node. Faults may change the topology (weights, adjacency), so any fault
 /// forces one full rebuild at the next check. Verdicts are identical to
-/// [`ConvergenceMonitor::full_rescan`], the pre-incremental reference mode.
+/// the pre-incremental full-rescan reference mode the crate's tests keep.
 #[derive(Debug)]
 pub struct ConvergenceMonitor {
     deadline: f64,
@@ -174,7 +174,8 @@ impl ConvergenceMonitor {
 
     /// Reference mode: identical verdicts, but every check re-derives `lg`
     /// for every node (kept for the incremental-equivalence tests).
-    pub fn full_rescan(deadline: f64) -> Self {
+    #[cfg(test)]
+    fn full_rescan(deadline: f64) -> Self {
         ConvergenceMonitor {
             full_rescan: true,
             ..Self::new(deadline)
@@ -621,8 +622,8 @@ impl Monitor for WaveOrderMonitor {
 /// the monitor fall back to the canonical
 /// [`find_routing_loops`](lsrp_graph::RouteTable::find_routing_loops), so
 /// reported [`Violation`]s (cycle membership, order, detail) are
-/// bit-identical to [`LoopMonitor::full_rescan`], the pre-incremental
-/// reference mode.
+/// bit-identical to the pre-incremental full-rescan reference mode the
+/// crate's tests keep.
 #[derive(Debug)]
 pub struct LoopMonitor {
     window: f64,
@@ -652,7 +653,8 @@ impl LoopMonitor {
 
     /// Reference mode: identical verdicts, but every check clones and
     /// walks the full table (kept for the incremental-equivalence tests).
-    pub fn full_rescan(window: f64, check_interval: f64) -> Self {
+    #[cfg(test)]
+    fn full_rescan(window: f64, check_interval: f64) -> Self {
         LoopMonitor {
             full_rescan: true,
             ..Self::new(window, check_interval)
@@ -885,6 +887,9 @@ pub fn standard_monitors(timing: &lsrp_core::TimingConfig, n: usize) -> Vec<Box<
         )),
     ]
 }
+
+#[cfg(test)]
+mod incremental_equiv;
 
 #[cfg(test)]
 mod tests {

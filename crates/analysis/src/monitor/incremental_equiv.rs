@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use lsrp_analysis::{
+use crate::{
     measure_recovery, run_monitored, ConvergenceMonitor, LoopMonitor, LoopScreen, Monitor,
     RoutingSimulation,
 };

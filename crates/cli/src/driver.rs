@@ -127,14 +127,16 @@ fn perturbed_by(
             cycle.into_iter().collect()
         }
     };
-    // Mirrors `apply_fault`: a join the graph refuses is only warned about.
-    let _ = match *spec {
+    // Mirrors `apply_fault`, which expects every change to succeed; only a
+    // join (self-loop, weight 0, existing edge) can be refused here.
+    match *spec {
         FaultSpec::FailNode(node) => graph.remove_node(node),
         FaultSpec::FailEdge(a, b) => graph.remove_edge(a, b),
         FaultSpec::JoinEdge(a, b, w) => graph.add_edge(a, b, w),
         FaultSpec::SetWeight(a, b, w) => graph.set_weight(a, b, w),
         FaultSpec::Corrupt(..) | FaultSpec::Loop => Ok(()),
-    };
+    }
+    .map_err(|e| ParseError(e.to_string()))?;
     Ok(perturbed)
 }
 
@@ -158,12 +160,7 @@ fn apply_fault(sim: &mut dyn RoutingSimulation, spec: &FaultSpec, topo: &Topolog
         }
         FaultSpec::FailNode(node) => sim.fail_node(node).expect("validated"),
         FaultSpec::FailEdge(a, b) => sim.fail_edge(a, b).expect("validated"),
-        FaultSpec::JoinEdge(a, b, w) => {
-            // Joining an existing edge is a user error surfaced here.
-            if let Err(e) = sim.join_edge(a, b, w) {
-                eprintln!("warning: {e}");
-            }
-        }
+        FaultSpec::JoinEdge(a, b, w) => sim.join_edge(a, b, w).expect("validated"),
         FaultSpec::SetWeight(a, b, w) => sim.set_weight(a, b, w).expect("validated"),
         FaultSpec::Loop => {
             let TopologySpec::Lollipop(tail, ring_len) = *topo else {

@@ -4,6 +4,7 @@
 
 use lsrp_cli::args::Command;
 use lsrp_cli::run_command;
+use lsrp_graph::{GraphError, NodeId};
 use proptest::fuzz;
 use proptest::prelude::*;
 
@@ -128,6 +129,33 @@ fn fault_lists_are_checked_in_order_and_never_panic_the_binary() {
                 err.contains("edge (") || err.contains("is not in"),
                 "{args:?}: {err}"
             );
+        }
+    }
+}
+
+/// Joins the graph refuses fail the run with the graph's own message,
+/// before anything runs: an existing edge, a self-loop, weight 0, and a
+/// second join of an edge the first one made.
+#[test]
+fn a_refused_join_fails_the_run_with_the_graph_error() {
+    let v = NodeId::new;
+    let refused: [(&[&str], GraphError); 4] = [
+        (&["join-edge:0:1:1"], GraphError::DuplicateEdge(v(0), v(1))),
+        (&["join-edge:0:0:1"], GraphError::SelfLoop(v(0))),
+        (&["join-edge:0:4:0"], GraphError::ZeroWeight(v(0), v(4))),
+        (
+            &["join-edge:0:4:1", "join-edge:0:4:1"],
+            GraphError::DuplicateEdge(v(0), v(4)),
+        ),
+    ];
+    for command in ["run", "compare"] {
+        for (faults, error) in &refused {
+            let mut args = vec![command, "--topology", "grid:3x3"];
+            for fault in *faults {
+                args.extend(["--fault", fault]);
+            }
+            let err = run_args(&args).expect_err(&args.join(" "));
+            assert!(err.contains(&error.to_string()), "{args:?}: {err}");
         }
     }
 }

@@ -451,10 +451,6 @@ impl WindowBound {
         }
     }
 
-    // Called once per popped event from the generic run loop, which is
-    // compiled in the crate that names the protocol: `#[inline]` lets it
-    // inline there (see `EventQueue`).
-    #[inline]
     fn admits(&self, at: (SimTime, EventKey)) -> bool {
         if self.inclusive {
             at <= self.limit

@@ -223,7 +223,6 @@ impl<T> Calendar<T> {
 
     /// The earliest pending entry: the earlier of the open tiers' heads
     /// (`Entry` orders reversed, and `None` loses to any entry).
-    #[inline]
     fn head(&self) -> Option<&Entry<T>> {
         self.today.last().max(self.late.peek())
     }
@@ -243,7 +242,6 @@ impl<T> Calendar<T> {
     }
 
     /// Inserts into whichever tier owns the entry's day.
-    #[inline]
     fn insert(&mut self, e: Entry<T>) {
         if self.today.is_empty() && self.late.is_empty() {
             self.open_window(e.time); // the queue is empty
@@ -268,7 +266,6 @@ impl<T> Calendar<T> {
 
     /// Pops the minimum if admitted, from whichever open tier holds it;
     /// opens the next day once both are empty, checks the epoch.
-    #[inline]
     fn pop_if(&mut self, admit: impl FnOnce((SimTime, EventKey)) -> bool) -> Option<Entry<T>> {
         let late = self.late.peek();
         let from_late = late > self.today.last();
@@ -424,14 +421,6 @@ impl<T> Calendar<T> {
 /// The caller supplies each entry's [`EventKey`]; dequeue order is exactly
 /// ascending `(time, key)`. Keys must be unique among pending entries (the
 /// engine's per-emitter counters guarantee this).
-///
-/// The per-event operations (`schedule`, `peek`, `pop_if` and the calendar
-/// methods under them) are `#[inline]`: the engine is generic over the
-/// protocol, so its run loop is compiled in the crate that names one and
-/// split across that crate's codegen units, and without the hint whether
-/// these calls inline depends on the split. Without it the benchmark's
-/// `traffic_congested` ran ≈ 19 % slower (2-core x86-64, thirty
-/// alternating 1 s pairs).
 pub struct EventQueue<T> {
     calendar: Calendar<T>,
 }
@@ -464,14 +453,12 @@ impl<T> EventQueue<T> {
     }
 
     /// Enqueues `item` at `time` under the canonical `key`.
-    #[inline]
     pub fn schedule(&mut self, time: SimTime, key: EventKey, item: T) {
         self.calendar.insert(Entry { time, key, item });
     }
 
     /// The earliest pending `(time, key)`, or `None` when empty. O(1):
     /// every mutating operation leaves the minimum surfaced.
-    #[inline]
     pub fn peek(&self) -> Option<(SimTime, EventKey)> {
         self.calendar.head().map(|e| (e.time, e.key))
     }
@@ -488,7 +475,6 @@ impl<T> EventQueue<T> {
 
     /// Dequeues the earliest pending entry if `admit` accepts its
     /// `(time, key)`; otherwise leaves the queue untouched.
-    #[inline]
     pub fn pop_if(
         &mut self,
         admit: impl FnOnce((SimTime, EventKey)) -> bool,

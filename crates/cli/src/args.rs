@@ -9,6 +9,7 @@
 
 use std::fmt;
 
+use lsrp_analysis::WorkloadKind;
 use lsrp_graph::{Distance, NodeId};
 use lsrp_scenario::schema::{CampaignScenario, TraceSection, TrafficScenario};
 use lsrp_scenario::spec::{check, parse_cong_alg, parse_discipline, parse_workload};
@@ -307,6 +308,7 @@ impl Command {
         let mut timeline = false;
         let mut jobs = 1usize;
         let mut discipline_set = false;
+        let mut duration_set = false;
         // The campaign the flags describe; `run`, `compare` and `topo`
         // read `--dest` and `--seed` back out of it. Its topology is a
         // placeholder until the loop has seen `--topology`.
@@ -367,6 +369,7 @@ impl Command {
                         .parse()
                         .map_err(|_| err("invalid duration"))?;
                     t.duration = check::positive(d).map_err(|e| err(format!("--duration {e}")))?;
+                    duration_set = true;
                 }
                 "--exact" => t.workload.exact = true,
                 "--link-rate" => {
@@ -418,6 +421,19 @@ impl Command {
             ));
         }
         check::congestion_shape(c.link_rate, c.queue_cap, discipline_set).map_err(err)?;
+        if sub == "traffic" {
+            let w = &t.workload;
+            let nodes = topology.node_count();
+            let destinations = t.base.destinations.map_or(1, |d| d.count(nodes));
+            let flows = check::workload_flows(w.kind, w.flows, nodes, destinations);
+            let flag = match w.kind {
+                _ if duration_set => "--duration",
+                WorkloadKind::AllPairs => "--topology",
+                WorkloadKind::Poisson | WorkloadKind::Hotspot => "--flows",
+            };
+            check::workload_weight(flows, w.rate, t.duration, w.exact)
+                .map_err(|e| err(format!("{flag} {e}")))?;
+        }
         let (dest, seed) = (t.base.destination, t.base.seed);
         match sub.as_str() {
             "run" => Ok(Command::Run {
@@ -553,7 +569,6 @@ EXAMPLES:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsrp_analysis::WorkloadKind;
     use lsrp_sim::{CongAlgKind, DisciplineKind};
 
     fn argv(s: &str) -> Vec<String> {

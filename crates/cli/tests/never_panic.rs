@@ -86,6 +86,32 @@ fn run_args(args: &[&str]) -> Result<String, String> {
 }
 
 #[test]
+fn a_workload_heavier_than_2_53_packets_is_refused() {
+    // Accepted before: a debug run panicked on `segments * seg_weight`,
+    // and all-pairs flows (one per node and destination) on a large
+    // topology wrapped the weighted counters.
+    for (args, flag) in [
+        (
+            "traffic --topology grid:3x3 --runs 1 --flows 2 --duration 1e300 \
+             --link-rate 200 --cc aimd",
+            "--duration",
+        ),
+        (
+            "traffic --topology grid:1000x1000 --destinations all-pairs --workload all-pairs",
+            "--topology",
+        ),
+    ] {
+        let err = Command::parse(args.split_whitespace().map(str::to_string)).unwrap_err();
+        assert!(
+            err.0
+                .starts_with(&format!("{flag} makes the workload offer"))
+                && err.0.ends_with("2^53"),
+            "{err:?}"
+        );
+    }
+}
+
+#[test]
 fn topology_specs_never_panic_the_binary() {
     for spec in WORDS
         .split_whitespace()

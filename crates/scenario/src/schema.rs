@@ -761,6 +761,48 @@ impl<'a> Fields<'a> {
     }
 }
 
+/// Rejects a workload heavier than 2^53 packets (see
+/// [`check::workload_weight`]) over `nodes` nodes, `destinations`
+/// destinations and `duration` seconds (set in `[duration_section]`),
+/// naming the first field of its weight that the file sets.
+fn check_workload(
+    root: &Table,
+    w: &WorkloadSection,
+    (nodes, destinations, duration): (u64, u64, f64),
+    duration_section: &'static str,
+) -> Result<(), String> {
+    let flows = check::workload_flows(w.kind, w.flows, nodes, destinations);
+    let Err(msg) = check::workload_weight(flows, w.rate, duration, w.exact) else {
+        return Ok(());
+    };
+    // The defaults are light, so the file sets one of these: `flows`,
+    // or the `kind` that makes every node a source.
+    let count = match w.kind {
+        WorkloadKind::AllPairs => "kind",
+        WorkloadKind::Poisson | WorkloadKind::Hotspot => "flows",
+    };
+    let fields = [
+        ("workload", "rate"),
+        (duration_section, "duration"),
+        ("workload", count),
+    ];
+    let (section, key, line) = (fields.into_iter())
+        .find_map(|(s, k)| Some((s, k, value_line(root, s, k)?)))
+        .unwrap_or(("workload", "rate", 0));
+    Err(format!("line {line}: [{section}] field '{key}' {msg}"))
+}
+
+/// The line of `[section] key = ...`, if the file sets it.
+fn value_line(root: &Table, section: &str, key: &str) -> Option<usize> {
+    let Entry::Table(table) = root.get(section)? else {
+        return None;
+    };
+    let Entry::Value(spanned) = table.get(key)? else {
+        return None;
+    };
+    Some(spanned.line)
+}
+
 /// Looks up a top-level section table, recording it as seen.
 fn section<'a>(
     root: &'a Table,
@@ -1543,6 +1585,10 @@ fn parse_hijack(root: &Table, seen: &mut Vec<&'static str>) -> Result<HijackScen
     f.finish()?;
 
     let workload = parse_workload_section(root, seen)?;
+    if mode == HijackMode::Live {
+        let nodes = u64::from(width) * u64::from(width);
+        check_workload(root, &workload, (nodes, 1, duration), "hijack")?;
+    }
     let congestion = parse_congestion(root, seen)?;
     let vocab = match mode {
         HijackMode::Live => crate::exec::HIJACK_LIVE_COLUMNS,
@@ -1615,6 +1661,10 @@ pub fn load_str(src: &str) -> Result<Scenario, String> {
                 }
                 f.finish()?;
             }
+            let nodes = t.base.topology.node_count();
+            let destinations = t.base.destinations.map_or(1, |d| d.count(nodes));
+            let weight = (nodes, destinations, t.duration);
+            check_workload(&root, &t.workload, weight, "traffic")?;
             ScenarioBody::Traffic(t)
         }
         "recovery" => ScenarioBody::Recovery(parse_recovery(&root, &mut seen)?),

@@ -171,6 +171,25 @@ impl TopologySpec {
         }
     }
 
+    /// How many nodes [`TopologySpec::build`] makes, without building.
+    pub fn node_count(&self) -> u64 {
+        let n = |x: u32| u64::from(x);
+        match *self {
+            TopologySpec::Grid(w, h) => n(w) * n(h),
+            TopologySpec::Ring(k)
+            | TopologySpec::Path(k)
+            | TopologySpec::ErdosRenyi(k, _)
+            | TopologySpec::Geometric(k, _)
+            | TopologySpec::PreferentialAttachment(k, _)
+            | TopologySpec::Waxman(k, _, _) => n(k),
+            TopologySpec::Lollipop(tail, ring) => n(tail) + 1 + n(ring),
+            TopologySpec::RingOfCliques(k, m) => n(k) * n(m),
+            // Cores, pods, and `k/2` hosts under each of `k²/2` edge switches.
+            TopologySpec::FatTree(k) => n(k) * n(k) / 4 + n(k) * n(k) + n(k).pow(3) / 4,
+            TopologySpec::Fig1 => topologies::paper_fig1().node_count() as u64,
+        }
+    }
+
     /// Builds the topology and its natural destination.
     pub fn build(&self, seed: u64) -> (Graph, NodeId) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -240,6 +259,16 @@ impl DestinationsSpec {
         Ok(DestinationsSpec::Count(n))
     }
 
+    /// How many destinations this resolves to over `nodes` nodes; a
+    /// count above `nodes` is capped, as [`DestinationsSpec::resolve`]
+    /// rejects it.
+    pub fn count(&self, nodes: u64) -> u64 {
+        match *self {
+            DestinationsSpec::AllPairs => nodes,
+            DestinationsSpec::Count(n) => u64::from(n).min(nodes),
+        }
+    }
+
     /// Resolves to concrete destination nodes over `graph`.
     ///
     /// # Errors
@@ -296,6 +325,8 @@ pub fn parse_cong_alg(s: &str) -> Result<CongAlgKind, String> {
 /// it unchanged or a message like "must be at least 1"; the caller adds
 /// the flag or field name.
 pub mod check {
+    use lsrp_analysis::traffic::{TrafficMode, WorkloadKind};
+
     /// Run counts must be at least 1.
     ///
     /// # Errors
@@ -355,6 +386,51 @@ pub mod check {
             return Err("must be positive and finite".to_string());
         }
         Ok(x)
+    }
+
+    /// The flows a workload of `kind` runs over `nodes` nodes toward
+    /// `destinations` destinations: one per node and destination for
+    /// all-pairs, its `flows` field otherwise.
+    pub fn workload_flows(kind: WorkloadKind, flows: usize, nodes: u64, destinations: u64) -> f64 {
+        match kind {
+            WorkloadKind::AllPairs => nodes as f64 * destinations as f64,
+            WorkloadKind::Poisson | WorkloadKind::Hotspot => flows as f64,
+        }
+    }
+
+    /// A workload may represent at most 2^53 packets, so every weighted
+    /// traffic counter stays exact and far from `u64` overflow. The
+    /// weight is `flows x rate x duration` as the injection mode counts
+    /// it, `flows` as [`workload_flows`] counts them: `ceil(rate x
+    /// duration)` weight-1 packets per flow in exact mode, one probe of
+    /// `round(rate x sample_every)` per sampling window otherwise (a
+    /// Go-Back-N transport sends the same weight).
+    ///
+    /// # Errors
+    ///
+    /// Rejects a workload heavier than 2^53 packets.
+    pub fn workload_weight(
+        flows: f64,
+        rate: f64,
+        duration: f64,
+        exact: bool,
+    ) -> Result<(), String> {
+        let per_flow = if exact {
+            (rate * duration).ceil().max(1.0)
+        } else {
+            let TrafficMode::Aggregate { sample_every } = TrafficMode::default() else {
+                unreachable!("the default mode aggregates")
+            };
+            (duration / sample_every).ceil().max(1.0) * (rate * sample_every).round().max(1.0)
+        };
+        let weight = flows * per_flow;
+        if weight > 9_007_199_254_740_992.0 {
+            return Err(format!(
+                "makes the workload offer {weight:e} represented packets \
+                 (flows x rate x duration), more than 2^53"
+            ));
+        }
+        Ok(())
     }
 
     /// Queue capacities must be at least 1.
@@ -479,8 +555,24 @@ mod tests {
             "ba:2:1",
             "waxman:1:0.1:1",
             "cliques:3:2",
+            "grid:3x4",
+            "ring:7",
+            "path:6",
+            "fattree:4",
+            "lollipop:2:5",
+            "er:10:0.2",
+            "geo:12:0.5",
+            "ba:9:2",
+            "waxman:15:0.4:0.6",
+            "cliques:4:3",
+            "fig1",
         ] {
-            TopologySpec::parse(s).expect(s).build(1);
+            let spec = TopologySpec::parse(s).expect(s);
+            assert_eq!(
+                spec.node_count(),
+                spec.build(1).0.node_count() as u64,
+                "{s}"
+            );
         }
     }
 
@@ -510,5 +602,11 @@ mod tests {
         assert!(check::loss(1.5).is_err());
         assert!(check::congestion_shape(None, Some(10), false).is_err());
         assert!(check::congestion_shape(Some(10.0), Some(10), true).is_ok());
+        assert!(check::workload_weight(64.0, 25.0, 600.0, false).is_ok());
+        assert!(check::workload_weight(1.0, 1e17, 600.0, false).is_err());
+        assert!(check::workload_weight(1.0, 1e14, 600.0, true).is_err());
+        let all_pairs = check::workload_flows(WorkloadKind::AllPairs, 1, 3600, 1);
+        assert_eq!(all_pairs, 3600.0);
+        assert!(check::workload_weight(all_pairs, 1.2e13, 600.0, false).is_err());
     }
 }

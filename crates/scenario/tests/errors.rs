@@ -336,3 +336,58 @@ fn dbf_cell_recovers_on_a_grid_deeper_than_its_default_infinity() {
         "{report}"
     );
 }
+
+#[test]
+fn a_workload_heavier_than_2_53_packets_is_rejected_at_its_field() {
+    // Each used to be accepted and overflowed the engine's weighted
+    // packet counters: 1 flow at 1e300 packets/s; 2 transport flows
+    // lasting 1e300 s; all-pairs flows, one per node (whatever `flows`
+    // says), on a 60x60 grid at 1.2e13 packets/s; all-pairs flows to
+    // every node of a 1000x1000 grid at the default rate; and a live
+    // hijack's workload.
+    let head = |kind: &str, topology: &str| {
+        format!("[scenario]\nname = \"x\"\nkind = \"{kind}\"\n[topology]\nspec = \"{topology}\"\n")
+    };
+    let traffic = head("traffic", "grid:3x3");
+    let cases = [
+        (
+            format!("{traffic}[workload]\nflows = 1\nrate = 1e300\n"),
+            "line 8: [workload] field 'rate'",
+        ),
+        (
+            format!(
+                "{traffic}[workload]\nflows = 2\n[congestion]\nlink_rate = 200.0\ncc = \"aimd\"\n\
+                 [traffic]\nduration = 1e300\n"
+            ),
+            "line 12: [traffic] field 'duration'",
+        ),
+        (
+            format!(
+                "{}[workload]\nkind = \"all-pairs\"\nflows = 1\nrate = 1.2e13\n",
+                head("traffic", "grid:60x60")
+            ),
+            "line 9: [workload] field 'rate'",
+        ),
+        (
+            format!(
+                "{}[campaign]\ndestinations = \"all-pairs\"\n[workload]\nkind = \"all-pairs\"\n",
+                head("traffic", "grid:1000x1000")
+            ),
+            "line 9: [workload] field 'kind'",
+        ),
+        (
+            "[scenario]\nname = \"x\"\nkind = \"hijack\"\n[hijack]\nwidth = 12\np = 2\n\
+             [workload]\nrate = 1e300\n[report]\ntitle = \"t\"\ncolumns = [\"p\"]\n"
+                .to_string(),
+            "line 8: [workload] field 'rate'",
+        ),
+    ];
+    for (src, field) in cases {
+        let msg = err(&src);
+        assert!(
+            msg.starts_with(&format!("{field} makes the workload offer"))
+                && msg.ends_with("more than 2^53"),
+            "{msg}"
+        );
+    }
+}

@@ -291,14 +291,6 @@ impl EngineConfig {
         self
     }
 
-    /// Drops any custom sink constructor (builder style) — campaigns use
-    /// this to restrict tracing to a single designated run.
-    #[must_use]
-    pub fn without_sink_factory(mut self) -> Self {
-        self.sink_factory = None;
-        self
-    }
-
     /// Sets the data-plane congestion limits (builder style).
     #[must_use]
     pub fn with_congestion(mut self, congestion: CongestionConfig) -> Self {
@@ -340,6 +332,12 @@ impl Default for EngineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_sequential_engine_is_the_default() {
+        let c = EngineConfig::default();
+        assert_eq!((c.regions, c.jobs), (1, 1));
+    }
 
     #[test]
     fn constant_link_is_valid() {

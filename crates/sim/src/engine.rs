@@ -1961,14 +1961,6 @@ impl<P: ProtocolNode> Engine<P> {
         self.view.trim(cursor);
     }
 
-    /// Whether any node is currently involved in a containment wave.
-    pub fn any_in_containment(&self) -> bool {
-        self.cores
-            .iter()
-            .flat_map(|c| c.slots.values())
-            .any(|s| s.node.in_containment())
-    }
-
     /// Number of messages currently in flight. Cross-region messages
     /// increment at the sender's region and decrement at the receiver's;
     /// the global sum is the true count.
@@ -2002,11 +1994,6 @@ impl<P: ProtocolNode> Engine<P> {
             le = le.max(core.last_effective);
         }
         le
-    }
-
-    /// Processed-event counts by kind (see [`EventCounts`]).
-    pub fn event_counts(&self) -> EventCounts {
-        self.stats().events
     }
 
     /// Always-on engine health statistics, merged across regions (see

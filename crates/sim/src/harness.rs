@@ -116,11 +116,6 @@ impl<P: HarnessProtocol> SimHarness<P> {
         &self.meta
     }
 
-    /// Mutable access to the protocol metadata.
-    pub fn meta_mut(&mut self) -> &mut P::Meta {
-        &mut self.meta
-    }
-
     /// The current topology.
     pub fn graph(&self) -> &Graph {
         self.engine.graph()
@@ -129,12 +124,6 @@ impl<P: HarnessProtocol> SimHarness<P> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.engine.now()
-    }
-
-    /// The settle window used by [`SimHarness::run_to_quiescence`] (0 for
-    /// protocols without periodic maintenance).
-    pub fn settle_window(&self) -> f64 {
-        self.settle
     }
 
     /// The current route table.

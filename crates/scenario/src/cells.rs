@@ -9,6 +9,8 @@
 //! moved behind a declarative parameter surface so their reports stay
 //! byte-identical whether driven by Rust code or by a scenario file.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use lsrp_analysis::forwarding::measure_availability;
 use lsrp_analysis::{
     measure_recovery, AvailabilityMonitor, AvailabilityTrace, RecoveryMetrics, RoutingSimulation,
@@ -33,6 +35,52 @@ pub const HORIZON: f64 = 5_000_000.0;
 
 fn v(i: u32) -> NodeId {
     NodeId::new(i)
+}
+
+/// Grows the contiguous region of `size` nodes from `seed` away from
+/// `dest`, or says how few of them `graph` holds.
+pub(crate) fn region(
+    graph: &Graph,
+    seed: NodeId,
+    size: usize,
+    dest: NodeId,
+) -> Result<BTreeSet<NodeId>, String> {
+    let region = contiguous_region(graph, seed, size, dest);
+    if region.len() == size {
+        return Ok(region);
+    }
+    Err(format!(
+        "the topology holds only {} of the {size} region nodes grown from node {}",
+        region.len(),
+        seed.raw()
+    ))
+}
+
+/// Where a grid sweep cell's region grows from: one hop into the
+/// `width` x `width` grid from the destination corner.
+pub(crate) fn corner(width: u32) -> NodeId {
+    v(width + 1)
+}
+
+/// The region of `p` nodes a grid sweep cell perturbs.
+fn corner_region(graph: &Graph, width: u32, p: usize) -> BTreeSet<NodeId> {
+    region(graph, corner(width), p, v(0)).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Checks that each `(width, seed, size)` region fits its `width` x
+/// `width` grid, grown away from the destination corner, building each
+/// grid once; an error carries the index of the first that does not.
+pub(crate) fn grid_fits(
+    regions: impl IntoIterator<Item = (u32, NodeId, usize)>,
+) -> Result<(), (usize, String)> {
+    let mut grids = BTreeMap::new();
+    for (i, (width, seed, size)) in regions.into_iter().enumerate() {
+        let graph = grids
+            .entry(width)
+            .or_insert_with(|| generators::grid(width, width, 1));
+        region(graph, seed, size, v(0)).map_err(|e| (i, e))?;
+    }
+    Ok(())
 }
 
 /// The protocols under comparison.
@@ -295,9 +343,7 @@ pub fn recovery_cell(spec: &RecoveryCellSpec) -> RecoveryMetrics {
     let width = spec.width;
     let graph = generators::grid(width, width, 1);
     let dest = v(0);
-    let seed_node = v(width + 1);
-    let region = contiguous_region(&graph, seed_node, spec.p, dest);
-    assert_eq!(region.len(), spec.p, "grid too small for p = {}", spec.p);
+    let region = corner_region(&graph, width, spec.p);
     let mut sim = match spec.model {
         EngineModel::Ideal => build(spec.protocol, graph.clone(), dest, None, spec.seed),
         EngineModel::Harsh {
@@ -359,19 +405,14 @@ pub fn region_case_cell(
     regions: &[(NodeId, usize)],
     seed: u64,
 ) -> RecoveryMetrics {
-    let mut perturbed: std::collections::BTreeSet<NodeId> = std::collections::BTreeSet::new();
+    let mut perturbed = BTreeSet::new();
     let sp = ShortestPaths::dijkstra(graph, dest);
     let mut sim = build(protocol, graph.clone(), dest, None, seed);
     let table = sim.route_table();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut plans = Vec::new();
     for &(node, size) in regions {
-        let region = contiguous_region(graph, node, size, dest);
-        assert_eq!(
-            region.len(),
-            size,
-            "topology too small for a region of {size} at {node}"
-        );
+        let region = region(graph, node, size, dest).unwrap_or_else(|e| panic!("{e}"));
         plans.push(corrupt_region_plan(graph, &region, &sp, &table, &mut rng));
         perturbed.extend(region);
     }
@@ -428,15 +469,9 @@ pub struct RecurringMetrics {
 pub fn recurring_cell(spec: &RecurringCellSpec) -> RecurringMetrics {
     let graph = generators::grid(spec.width, spec.width, 1);
     let dest = v(0);
-    let mut region: std::collections::BTreeSet<NodeId> = std::collections::BTreeSet::new();
+    let mut region = BTreeSet::new();
     for &(node, size) in &spec.regions {
-        let r = contiguous_region(&graph, node, size, dest);
-        assert_eq!(
-            r.len(),
-            size,
-            "grid too small for a region of {size} at {node}"
-        );
-        region.extend(r);
+        region.extend(self::region(&graph, node, size, dest).unwrap_or_else(|e| panic!("{e}")));
     }
     let mut sim = LsrpSimulation::builder(graph, dest)
         .timing(paper_timing())
@@ -458,8 +493,7 @@ pub fn recurring_cell(spec: &RecurringCellSpec) -> RecurringMetrics {
         .drive_lsrp(&mut sim, HORIZON)
         .expect("plan applies");
     let acted = sim.engine().trace().acted_nodes_since(t0);
-    let contaminated: std::collections::BTreeSet<NodeId> =
-        acted.difference(&region).copied().collect();
+    let contaminated: BTreeSet<NodeId> = acted.difference(&region).copied().collect();
     let range =
         lsrp_graph::contamination::range_of_contamination(sim.graph(), &region, &contaminated);
     RecurringMetrics {
@@ -489,8 +523,7 @@ pub fn multi_recovery_cell(
 ) -> (f64, u64, u64, usize) {
     let graph = generators::grid(width, width, 1);
     let destinations: Vec<NodeId> = graph.nodes().take(dests).collect();
-    let region = contiguous_region(&graph, v(width + 1), p, v(0));
-    assert_eq!(region.len(), p, "grid too small for p = {p}");
+    let region = corner_region(&graph, width, p);
     let mut sim = MultiLsrpSimulation::builder(graph, destinations)
         .seed(seed)
         .build();
@@ -522,7 +555,8 @@ pub fn multi_recovery_cell(
 ///
 /// # Panics
 ///
-/// Panics if the protocol fails to recover.
+/// Panics if the grid cannot fit the region, or if the protocol fails
+/// to recover.
 pub fn snapshot_hijack_cell(
     protocol: Protocol,
     w: u32,
@@ -532,7 +566,7 @@ pub fn snapshot_hijack_cell(
 ) -> AvailabilityTrace {
     let graph = generators::grid(w, w, 1);
     let dest = v(0);
-    let region = contiguous_region(&graph, v(w + 1), p, dest);
+    let region = corner_region(&graph, w, p);
     let mut sim = build(protocol, graph.clone(), dest, None, seed);
     sim.reset_trace();
     for &node in &region {
@@ -593,8 +627,9 @@ pub struct LiveHijackOutcome {
 ///
 /// # Panics
 ///
-/// Panics if the run fails to drain, leaves incorrect routes, or (with
-/// a transport) breaks packet conservation.
+/// Panics if the grid cannot fit the region, if the run fails to drain
+/// or leaves incorrect routes, or (with a transport) if it breaks packet
+/// conservation.
 pub fn live_hijack_cell(spec: &LiveHijackSpec) -> LiveHijackOutcome {
     let w = spec.width;
     let graph = generators::grid(w, w, 1);
@@ -635,13 +670,7 @@ pub fn live_hijack_cell(spec: &LiveHijackSpec) -> LiveHijackOutcome {
     // its neighborhood has already learned the bogus advertisement. The
     // topology is untouched, so the monitor's stretch truth stays valid
     // and flows can always recover by retransmission.
-    let region = contiguous_region(&graph, v(w + 1), spec.p, dest);
-    assert_eq!(
-        region.len(),
-        spec.p,
-        "grid must fit a size-{} region",
-        spec.p
-    );
+    let region = corner_region(&graph, w, spec.p);
     for &node in &region {
         sim.inject_route(node, Distance::ZERO, node);
         let neighbors: Vec<NodeId> = graph.neighbors(node).map(|(k, _)| k).collect();

@@ -6,185 +6,582 @@
 //! merges shard results back in cell-index order — so the rendered
 //! report is byte-identical for any `--jobs` value, and byte-identical
 //! to the legacy serial loops the scenario files replaced.
+//!
+//! What each cell kind reports is declared once, as a `Report`: its
+//! fields in report order (column key, header, expectation metric and
+//! how the value is read), its expectation variables and its sweep
+//! axes. The schema checks a file's `columns`, `expect` and `[sweep]`
+//! against that declaration, and `Report::tabulate` runs, renders and
+//! judges every kind from it.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use lsrp_analysis::table::fmt_f64;
 use lsrp_analysis::{
-    minimize_run, run_campaign, run_sharded, CampaignConfig, ChaosConfig, ReproCase, Table, Target,
-    TrafficConfig, TrafficMode, WorkloadSpec,
+    minimize_run, run_campaign, run_sharded, AvailabilityTrace, CampaignConfig, ChaosConfig,
+    RecoveryMetrics, ReproCase, Table, Target, TrafficConfig, TrafficMode, WorkloadSpec,
 };
+use lsrp_graph::{Graph, NodeId};
 use lsrp_sim::EngineConfig;
 
-use lsrp_graph::NodeId;
-
 use crate::cells::{
-    live_hijack_cell, multi_recovery_cell, recovery_cell, recurring_cell, region_case_cell,
-    snapshot_hijack_cell, EngineModel, LiveHijackSpec, Protocol, RecoveryCellSpec,
-    RecurringCellSpec,
+    corner, grid_fits, live_hijack_cell, multi_recovery_cell, recovery_cell, recurring_cell,
+    region, region_case_cell, snapshot_hijack_cell, EngineModel, LiveHijackOutcome, LiveHijackSpec,
+    Protocol, RecoveryCellSpec, RecurringCellSpec, RecurringMetrics,
 };
 use crate::schema::{
-    Binding, CampaignScenario, Expectation, HijackMode, HijackScenario, Plane, RecoveryScenario,
-    Rhs, Scenario, ScenarioBody, SeedMode, SweepValue, TrafficScenario, WorkloadSection,
+    CampaignScenario, CongestionSection, Expectation, HijackMode, HijackScenario, Plane,
+    RecoveryScenario, ReportSection, Rhs, Scenario, ScenarioBody, SeedMode, Sweep, SweepValue,
+    TrafficScenario, WorkloadSection,
 };
-use crate::spec::DestinationsSpec;
+use crate::spec::{check, DestinationsSpec};
+use crate::toml::fmt_float;
 
-/// Column keys a single-plane recovery scenario may report.
-pub const RECOVERY_COLUMNS: &[&str] = &[
-    "protocol",
-    "grid_n",
-    "p",
-    "stab_time",
-    "range",
-    "contaminated",
-    "messages",
-    "flaps",
-    "actions",
-    "routes_correct",
-    "loss",
-];
+// ---------------------------------------------------------------------
+// What each cell kind reports
+// ---------------------------------------------------------------------
 
-/// Column keys a `[[fault.region]]` multi-region recovery scenario may
-/// report (one row per case).
-pub const REGION_CASE_COLUMNS: &[&str] = &[
-    "case",
-    "perturbed",
-    "stab_time",
-    "range",
-    "contaminated",
-    "messages",
-    "actions",
-    "routes_correct",
-];
+/// One reported value: the text its column shows and the number an
+/// expectation compares.
+enum Val {
+    /// A count.
+    Count(u64),
+    /// A real, shown by [`fmt_f64`].
+    Real(f64),
+    /// A real, shown with this many decimals.
+    Fixed(f64, usize),
+    /// A flag, compared as 1 or 0.
+    Flag(bool),
+    /// Text no expectation compares.
+    Text(String),
+}
 
-/// Column keys a `[[fault.recurring]]` recovery scenario may report
-/// (one row per resolved period).
-pub const RECURRING_COLUMNS: &[&str] = &["period", "range", "contaminated", "routes_correct"];
+use Val::{Count, Fixed, Flag, Real, Text};
 
-/// Column keys a multi-plane recovery scenario may report.
-pub const RECOVERY_MULTI_COLUMNS: &[&str] = &[
-    "grid_n",
-    "trees",
-    "p",
-    "stab_time",
-    "messages_delivered",
-    "adverts_delivered",
-    "acting",
-];
+impl Val {
+    fn show(self) -> String {
+        match self {
+            Count(n) => n.to_string(),
+            Real(x) => fmt_f64(x),
+            Fixed(x, decimals) => format!("{x:.decimals$}"),
+            Flag(b) => b.to_string(),
+            Text(s) => s,
+        }
+    }
 
-/// Column keys a live hijack scenario may report.
-pub const HIJACK_LIVE_COLUMNS: &[&str] = &[
-    "p",
-    "delivered",
-    "min_window",
-    "lost",
-    "mean_stretch",
-    "max_stretch",
-    "goodput",
-    "queue_drops",
-    "blackholed",
-    "peak_queue",
-    "retransmitted",
-    "timeouts",
-    "fct_mean",
-    "fct_max",
-];
-
-/// Column keys a snapshot hijack scenario may report.
-pub const HIJACK_SNAPSHOT_COLUMNS: &[&str] = &["protocol", "min_avail", "degraded", "lost_avail"];
-
-/// The exact legacy header a column key renders as.
-///
-/// # Panics
-///
-/// Panics on a key outside the vocabulary (the schema validates keys at
-/// parse time, so this is unreachable from a loaded scenario).
-pub fn column_header(key: &str) -> &'static str {
-    match key {
-        "protocol" => "protocol",
-        "grid_n" => "n (grid)",
-        "p" => "perturbation p",
-        "period" => "interval",
-        "case" => "scenario",
-        "perturbed" => "total perturbed",
-        "stab_time" => "stabilization time",
-        "range" => "contamination range",
-        "contaminated" => "contaminated nodes",
-        "messages" => "messages",
-        "flaps" => "healthy-node route flaps",
-        "actions" => "protocol actions",
-        "routes_correct" => "routes correct",
-        "loss" => "loss rate",
-        "trees" => "destination trees",
-        "messages_delivered" => "messages delivered",
-        "adverts_delivered" => "adverts delivered",
-        "acting" => "acting nodes",
-        "delivered" => "delivered fraction",
-        "min_window" => "min window availability",
-        "lost" => "packets lost",
-        "mean_stretch" => "mean stretch",
-        "max_stretch" => "max stretch",
-        "goodput" => "goodput fraction",
-        "queue_drops" => "queue drops",
-        "blackholed" => "blackholed",
-        "peak_queue" => "peak queue depth",
-        "retransmitted" => "retransmitted",
-        "timeouts" => "flow timeouts",
-        "fct_mean" => "mean FCT",
-        "fct_max" => "max FCT",
-        "min_avail" => "min availability",
-        "degraded" => "degraded seconds",
-        "lost_avail" => "availability-seconds lost",
-        other => panic!("column key '{other}' escaped schema validation"),
+    #[allow(clippy::cast_precision_loss)]
+    fn number(&self) -> f64 {
+        match self {
+            Count(n) => *n as f64,
+            Real(x) | Fixed(x, _) => *x,
+            Flag(b) => f64::from(u8::from(*b)),
+            Text(_) => f64::NAN,
+        }
     }
 }
 
-/// The expectation metrics a scenario body can evaluate.
-pub fn expect_vocabulary(body: &ScenarioBody) -> &'static [&'static str] {
-    match body {
-        ScenarioBody::Chaos(_) | ScenarioBody::Traffic(_) => &["violating", "runs"],
-        ScenarioBody::Recovery(r) if r.plane == Plane::Multi => &[
+/// One field of a cell kind's result.
+pub(crate) struct Field<C, R> {
+    /// Column key and header, if `[report] columns` can show the field.
+    column: Option<(&'static str, &'static str)>,
+    /// Metric name, if an `expect` entry can compare the field.
+    metric: Option<&'static str>,
+    /// Reads the field from a cell and its result.
+    read: fn(&C, &R) -> Val,
+}
+
+/// A field shown as a column, never compared.
+const fn col<C, R>(
+    key: &'static str,
+    header: &'static str,
+    read: fn(&C, &R) -> Val,
+) -> Field<C, R> {
+    Field {
+        column: Some((key, header)),
+        metric: None,
+        read,
+    }
+}
+
+/// A field compared by expectations, never shown.
+const fn metric<C, R>(name: &'static str, read: fn(&C, &R) -> Val) -> Field<C, R> {
+    Field {
+        column: None,
+        metric: Some(name),
+        read,
+    }
+}
+
+/// A field both shown as a column and compared as a metric.
+const fn both<C, R>(
+    key: &'static str,
+    header: &'static str,
+    name: &'static str,
+    read: fn(&C, &R) -> Val,
+) -> Field<C, R> {
+    Field {
+        column: Some((key, header)),
+        metric: Some(name),
+        read,
+    }
+}
+
+/// The inputs a sweep binding can set on a cell; each kind fills the
+/// ones it has from its fixed fields first.
+#[derive(Debug, Clone, Copy, Default)]
+struct Point {
+    protocol: Option<Protocol>,
+    width: Option<u32>,
+    p: Option<usize>,
+    loss: Option<f64>,
+    period: Option<f64>,
+}
+
+/// An expectation variable: its name and how it is read from a cell.
+type Var<C> = (&'static str, fn(&C) -> f64);
+
+/// A sweep axis: its name and how one of its values sets a [`Point`].
+type Axis = (
+    &'static str,
+    fn(&mut Point, &SweepValue) -> Result<(), String>,
+);
+
+fn int(v: &SweepValue) -> Result<i64, String> {
+    match v {
+        SweepValue::Int(i) => Ok(*i),
+        other => Err(format!("needs integer values, got {other}")),
+    }
+}
+
+fn number(v: &SweepValue) -> Result<f64, String> {
+    match v {
+        SweepValue::Float(x) => Ok(*x),
+        #[allow(clippy::cast_precision_loss)]
+        SweepValue::Int(i) => Ok(*i as f64),
+        other => Err(format!("needs number values, got {other}")),
+    }
+}
+
+const PROTOCOL: Axis = ("protocol", |pt, v| {
+    let SweepValue::Str(s) = v else {
+        return Err(format!("needs protocol names, got {v}"));
+    };
+    pt.protocol = Some(Protocol::parse(s).map_err(|e| format!("has an {e}"))?);
+    Ok(())
+});
+const WIDTH: Axis = ("width", |pt, v| {
+    let w = u32::try_from(int(v)?).ok().filter(|&w| w >= 2);
+    pt.width = Some(w.ok_or_else(|| format!("value {v} must be at least 2"))?);
+    Ok(())
+});
+const P: Axis = ("p", |pt, v| {
+    pt.p = Some(usize::try_from(int(v)?).map_err(|_| format!("value {v} is out of range"))?);
+    Ok(())
+});
+const LOSS: Axis = ("loss", |pt, v| {
+    pt.loss = Some(check::loss(number(v)?)?);
+    Ok(())
+});
+const PERIOD: Axis = ("period", |pt, v| {
+    pt.period = Some(number(v)?);
+    Ok(())
+});
+
+/// What one cell kind reports, declared once: the schema validates a
+/// file against it and [`Report::tabulate`] renders and judges from it.
+pub(crate) struct Report<C: 'static, R: 'static> {
+    /// Every field, in report order.
+    fields: &'static [Field<C, R>],
+    /// The per-cell variables an expectation's right-hand side can name.
+    vars: &'static [Var<C>],
+    /// The sweep axes, in the order they are listed.
+    axes: &'static [Axis],
+    /// How an expectation failure names the cell.
+    label: fn(&C) -> String,
+}
+
+/// The names a cell kind declares, for the parse-time checks.
+pub(crate) struct Vocabulary {
+    /// Column keys.
+    pub(crate) columns: Vec<&'static str>,
+    /// Expectation metrics.
+    pub(crate) metrics: Vec<&'static str>,
+    /// Expectation variables.
+    pub(crate) vars: Vec<&'static str>,
+    /// Sweep axes.
+    pub(crate) axes: Vec<&'static str>,
+}
+
+/// Single-plane recovery cells, one per `(protocol, width, p, loss)`.
+pub(crate) const RECOVERY: Report<RCell, RecoveryMetrics> = Report {
+    fields: &[
+        col("protocol", "protocol", |_, m| Text(m.protocol.to_string())),
+        col("grid_n", "n (grid)", |c, _| {
+            Count(u64::from(c.width * c.width))
+        }),
+        col("p", "perturbation p", |c, _| Count(c.p as u64)),
+        both(
+            "stab_time",
+            "stabilization time",
             "stabilization_time",
+            |_, m| Real(m.stabilization_time),
+        ),
+        both(
+            "range",
+            "contamination range",
+            "contamination_range",
+            |_, m| Count(m.contamination_range as u64),
+        ),
+        both(
+            "contaminated",
+            "contaminated nodes",
+            "contaminated",
+            |_, m| Count(m.contaminated.len() as u64),
+        ),
+        metric("max_contamination", |_, m| {
+            Count(m.contaminated.len() as u64)
+        }),
+        metric("perturbed", |_, m| Count(m.perturbation_size as u64)),
+        both("messages", "messages", "messages", |_, m| Count(m.messages)),
+        both("flaps", "healthy-node route flaps", "flaps", |_, m| {
+            Count(m.healthy_route_flaps)
+        }),
+        both("actions", "protocol actions", "actions", |_, m| {
+            Count(m.actions)
+        }),
+        both(
+            "routes_correct",
+            "routes correct",
+            "routes_correct",
+            |_, m| Flag(m.routes_correct),
+        ),
+        metric("quiescent", |_, m| Flag(m.quiescent)),
+        col("loss", "loss rate", |c, _| {
+            Text(format!("{:.0}%", c.loss * 100.0))
+        }),
+    ],
+    vars: &[
+        ("width", |c| f64::from(c.width)),
+        ("p", |c| c.p as f64),
+        ("loss", |c| c.loss),
+    ],
+    axes: &[PROTOCOL, WIDTH, P, LOSS],
+    label: |c| c.describe(Plane::Single),
+};
+
+/// Multi-plane recovery cells: stabilization time, messages delivered,
+/// adverts delivered and acting nodes over every destination tree.
+pub(crate) const MULTI: Report<RCell, (f64, u64, u64, usize)> = Report {
+    fields: &[
+        col("grid_n", "n (grid)", |c, _| {
+            Count(u64::from(c.width * c.width))
+        }),
+        col("trees", "destination trees", |c, _| Count(c.trees as u64)),
+        col("p", "perturbation p", |c, _| Count(c.p as u64)),
+        both(
+            "stab_time",
+            "stabilization time",
+            "stabilization_time",
+            |_, m| Real(m.0),
+        ),
+        both(
             "messages_delivered",
+            "messages delivered",
+            "messages_delivered",
+            |_, m| Count(m.1),
+        ),
+        both(
             "adverts_delivered",
-            "acting",
-        ],
-        ScenarioBody::Recovery(r) if !r.recurring.is_empty() => &[
-            "contamination_range",
-            "contaminated",
-            "routes_correct",
-            "quiescent",
-        ],
-        ScenarioBody::Recovery(_) => &[
+            "adverts delivered",
+            "adverts_delivered",
+            |_, m| Count(m.2),
+        ),
+        both("acting", "acting nodes", "acting", |_, m| Count(m.3 as u64)),
+    ],
+    vars: &[
+        ("width", |c| f64::from(c.width)),
+        ("p", |c| c.p as f64),
+        ("trees", |c| c.trees as f64),
+    ],
+    axes: &[WIDTH, P],
+    label: |c| c.describe(Plane::Multi),
+};
+
+/// `[[fault.region]]` cases: one row per case label, every region of the
+/// case corrupted in the same run.
+pub(crate) const REGION_CASES: Report<RegionCase, RecoveryMetrics> = Report {
+    fields: &[
+        col("case", "scenario", |c, _| Text(c.0.clone())),
+        both("perturbed", "total perturbed", "perturbed", |_, m| {
+            Count(m.perturbation_size as u64)
+        }),
+        both(
+            "stab_time",
+            "stabilization time",
             "stabilization_time",
+            |_, m| Real(m.stabilization_time),
+        ),
+        both(
+            "range",
+            "contamination range",
             "contamination_range",
-            "max_contamination",
+            |_, m| Count(m.contamination_range as u64),
+        ),
+        both(
             "contaminated",
-            "perturbed",
-            "messages",
-            "actions",
-            "flaps",
+            "contaminated nodes",
+            "contaminated",
+            |_, m| Count(m.contaminated.len() as u64),
+        ),
+        metric("max_contamination", |_, m| {
+            Count(m.contaminated.len() as u64)
+        }),
+        both("messages", "messages", "messages", |_, m| Count(m.messages)),
+        both("actions", "protocol actions", "actions", |_, m| {
+            Count(m.actions)
+        }),
+        metric("flaps", |_, m| Count(m.healthy_route_flaps)),
+        both(
             "routes_correct",
-            "quiescent",
-        ],
-        ScenarioBody::Hijack(h) if h.mode == HijackMode::Snapshot => {
-            &["min_availability", "degraded_seconds", "lost_availability"]
-        }
-        ScenarioBody::Hijack(_) => &[
+            "routes correct",
+            "routes_correct",
+            |_, m| Flag(m.routes_correct),
+        ),
+        metric("quiescent", |_, m| Flag(m.quiescent)),
+    ],
+    vars: &[("regions", |c| c.1.len() as f64)],
+    axes: &[],
+    label: |c| c.0.clone(),
+};
+
+/// `[[fault.recurring]]` cells: one row per resolved period.
+pub(crate) const RECURRING: Report<RecurringCellSpec, RecurringMetrics> = Report {
+    fields: &[
+        col("period", "interval", |c, _| Real(c.period)),
+        both(
+            "range",
+            "contamination range",
+            "contamination_range",
+            |_, m| Count(m.contamination_range as u64),
+        ),
+        both(
+            "contaminated",
+            "contaminated nodes",
+            "contaminated",
+            |_, m| Count(m.contaminated as u64),
+        ),
+        both(
+            "routes_correct",
+            "routes correct",
+            "routes_correct",
+            |_, m| Flag(m.routes_correct),
+        ),
+        metric("quiescent", |_, m| Flag(m.quiescent)),
+    ],
+    vars: &[("period", |c| c.period)],
+    axes: &[PERIOD],
+    label: |c| format!("period={}", fmt_f64(c.period)),
+};
+
+/// Snapshot hijack cells (E13): availability sampled from frozen route
+/// tables.
+pub(crate) const SNAPSHOT: Report<HCell, AvailabilityTrace> = Report {
+    fields: &[
+        col("protocol", "protocol", |c, _| {
+            Text(format!("{:?}", c.protocol))
+        }),
+        both(
+            "min_avail",
+            "min availability",
+            "min_availability",
+            |_, a| Fixed(a.min, 3),
+        ),
+        both(
+            "degraded",
+            "degraded seconds",
+            "degraded_seconds",
+            |_, a| Real(a.degraded_time),
+        ),
+        both(
+            "lost_avail",
+            "availability-seconds lost",
+            "lost_availability",
+            |_, a| Fixed(a.lost, 1),
+        ),
+    ],
+    vars: &[("width", |c| f64::from(c.width)), ("p", |c| c.p as f64)],
+    axes: &[PROTOCOL, P],
+    label: |c| format!("protocol={} p={}", c.protocol.as_str(), c.p),
+};
+
+/// Live hijack cells (E20/E21): packets in flight while the repair waves
+/// race them.
+pub(crate) const LIVE: Report<HCell, LiveHijackOutcome> = Report {
+    fields: &[
+        col("p", "perturbation p", |c, _| Count(c.p as u64)),
+        both(
+            "delivered",
+            "delivered fraction",
             "delivered_fraction",
+            |_, o| Fixed(o.summary.delivered_fraction(), 4),
+        ),
+        both(
+            "min_window",
+            "min window availability",
             "min_window_availability",
-            "goodput",
-            "lost",
-            "queue_drops",
-            "blackholed",
-            "peak_queue",
-            "retransmitted",
-            "timeouts",
-            "mean_fct",
-            "max_fct",
-            "mean_stretch",
-            "max_stretch",
-        ],
+            |_, o| Fixed(o.summary.min_window_availability, 4),
+        ),
+        both("lost", "packets lost", "lost", |_, o| {
+            Count(o.summary.counts.injected - o.summary.counts.delivered)
+        }),
+        both("mean_stretch", "mean stretch", "mean_stretch", |_, o| {
+            Fixed(o.summary.mean_stretch, 3)
+        }),
+        both("max_stretch", "max stretch", "max_stretch", |_, o| {
+            Fixed(o.summary.max_stretch, 3)
+        }),
+        both("goodput", "goodput fraction", "goodput", |_, o| {
+            Fixed(o.summary.goodput_fraction(), 4)
+        }),
+        both("queue_drops", "queue drops", "queue_drops", |_, o| {
+            Count(o.summary.counts.queue_dropped)
+        }),
+        both("blackholed", "blackholed", "blackholed", |_, o| {
+            Count(o.summary.counts.black_holed)
+        }),
+        both("peak_queue", "peak queue depth", "peak_queue", |_, o| {
+            Count(o.summary.congestion.peak_port_occupancy)
+        }),
+        both("retransmitted", "retransmitted", "retransmitted", |_, o| {
+            Count(o.summary.congestion.flow_retransmit_weight)
+        }),
+        both("timeouts", "flow timeouts", "timeouts", |_, o| {
+            Count(o.summary.congestion.flow_timeouts)
+        }),
+        both("fct_mean", "mean FCT", "mean_fct", |_, o| {
+            Fixed(o.summary.mean_fct, 1)
+        }),
+        both("fct_max", "max FCT", "max_fct", |_, o| {
+            Fixed(o.summary.max_fct, 1)
+        }),
+    ],
+    vars: &[("width", |c| f64::from(c.width)), ("p", |c| c.p as f64)],
+    axes: &[P],
+    label: |c| format!("p={}", c.p),
+};
+
+/// Chaos and traffic campaigns: one judged outcome, no columns.
+pub(crate) const CAMPAIGN: Report<CampaignScenario, u64> = Report {
+    fields: &[
+        metric("violating", |_, bad| Count(*bad)),
+        metric("runs", |c, _| Count(u64::from(c.runs))),
+    ],
+    vars: &[],
+    axes: &[],
+    label: |_| "campaign".to_string(),
+};
+
+impl<C, R> Report<C, R> {
+    /// The declared names, for the parse-time checks.
+    pub(crate) fn vocabulary(&self) -> Vocabulary {
+        Vocabulary {
+            columns: self
+                .fields
+                .iter()
+                .filter_map(|f| f.column)
+                .map(|c| c.0)
+                .collect(),
+            metrics: self.fields.iter().filter_map(|f| f.metric).collect(),
+            vars: self.vars.iter().map(|v| v.0).collect(),
+            axes: self.axes.iter().map(|a| a.0).collect(),
+        }
+    }
+
+    /// One [`Point`] per sweep binding: `base` with the binding's axes
+    /// applied.
+    fn points(&self, base: Point, sweep: &Sweep) -> Result<Vec<Point>, String> {
+        let mut points = Vec::new();
+        for binding in sweep.expand() {
+            let mut point = base;
+            for (key, value) in &binding {
+                let Some((_, set)) = self.axes.iter().find(|a| a.0 == key) else {
+                    return Err(format!("unknown sweep axis '{key}'"));
+                };
+                set(&mut point, value).map_err(|e| format!("sweep axis '{key}' {e}"))?;
+            }
+            points.push(point);
+        }
+        Ok(points)
+    }
+
+    /// Judges every expectation against one cell's result. Parsing has
+    /// checked each name against this declaration; a name it has not
+    /// seen (a scenario edited in code) reads as NaN.
+    fn judge(&self, expect: &[Expectation], cell: &C, result: &R, failures: &mut Vec<String>) {
+        let metric = |name: &str| {
+            let field = self.fields.iter().find(|f| f.metric == Some(name));
+            field.map_or(f64::NAN, |f| (f.read)(cell, result).number())
+        };
+        for exp in expect {
+            let lhs = metric(&exp.metric);
+            let rhs = match &exp.rhs {
+                Rhs::Number(x) => *x,
+                Rhs::Bool(b) => f64::from(u8::from(*b)),
+                Rhs::Var(name) => (self.vars.iter().find(|v| v.0 == name))
+                    .map_or(f64::NAN, |(_, read)| read(cell)),
+            };
+            if !exp.op.holds(lhs, rhs) {
+                failures.push(format!(
+                    "{}: expectation '{exp}' failed ({} = {})",
+                    (self.label)(cell),
+                    exp.metric,
+                    fmt_f64(lhs)
+                ));
+            }
+        }
+    }
+}
+
+impl<C: Send + Sync, R: Send> Report<C, R> {
+    /// Runs `cells` over the sharded runner and tabulates them: one row
+    /// of the report's columns per cell, every expectation judged
+    /// against it. The first cell (in order) whose run fails fails the
+    /// whole scenario.
+    fn tabulate(
+        &self,
+        report: &ReportSection,
+        title: String,
+        cells: Vec<C>,
+        run: impl Fn(&C) -> Result<R, String> + Send + Sync + 'static,
+        expect: &[Expectation],
+        jobs: usize,
+    ) -> Result<ScenarioOutcome, String> {
+        let columns: Vec<(&str, &Field<C, R>)> = (report.columns.iter())
+            .filter_map(|key| {
+                let header = |f: &Field<C, R>| Some(f.column.filter(|c| c.0 == key)?.1);
+                self.fields.iter().find_map(|f| Some((header(f)?, f)))
+            })
+            .collect();
+        let headers: Vec<&str> = columns.iter().map(|c| c.0).collect();
+        let mut table = Table::new(title, &headers);
+        let cells = Arc::new(cells);
+        let shared = Arc::clone(&cells);
+        let results = run_sharded(jobs, cells.len(), move |i| run(&shared[i]));
+        let mut failures = Vec::new();
+        for (cell, result) in cells.iter().zip(results) {
+            let result = result?;
+            let row: Vec<String> = columns
+                .iter()
+                .map(|c| (c.1.read)(cell, &result).show())
+                .collect();
+            table.row(&row);
+            self.judge(expect, cell, &result, &mut failures);
+        }
+        Ok(ScenarioOutcome {
+            result: ScenarioResult::Table(table),
+            failures,
+        })
     }
 }
 
@@ -230,50 +627,6 @@ impl ScenarioOutcome {
     }
 }
 
-// ---------------------------------------------------------------------
-// Binding helpers
-// ---------------------------------------------------------------------
-
-fn bind<'a>(binding: &'a Binding, key: &str) -> Option<&'a SweepValue> {
-    binding.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn bind_usize(binding: &Binding, key: &str) -> Result<Option<usize>, String> {
-    match bind(binding, key) {
-        None => Ok(None),
-        Some(SweepValue::Int(i)) => usize::try_from(*i)
-            .map(Some)
-            .map_err(|_| format!("sweep axis '{key}' value {i} is out of range")),
-        Some(other) => Err(format!(
-            "sweep axis '{key}' needs integer values, got {other}"
-        )),
-    }
-}
-
-fn bind_f64(binding: &Binding, key: &str) -> Result<Option<f64>, String> {
-    match bind(binding, key) {
-        None => Ok(None),
-        Some(SweepValue::Float(x)) => Ok(Some(*x)),
-        #[allow(clippy::cast_precision_loss)]
-        Some(SweepValue::Int(i)) => Ok(Some(*i as f64)),
-        Some(other) => Err(format!(
-            "sweep axis '{key}' needs number values, got {other}"
-        )),
-    }
-}
-
-fn bind_protocol(binding: &Binding, key: &str) -> Result<Option<Protocol>, String> {
-    match bind(binding, key) {
-        None => Ok(None),
-        Some(SweepValue::Str(s)) => Protocol::parse(s)
-            .map(Some)
-            .map_err(|e| format!("sweep axis '{key}': {e}")),
-        Some(other) => Err(format!(
-            "sweep axis '{key}' needs protocol names, got {other}"
-        )),
-    }
-}
-
 fn render_title(template: &str, subs: &[(&str, String)]) -> String {
     let mut out = template.to_string();
     for (k, v) in subs {
@@ -292,62 +645,6 @@ fn workload_spec(w: &WorkloadSection) -> WorkloadSpec {
         },
         flows: w.flows,
         rate: w.rate,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Expectation evaluation
-// ---------------------------------------------------------------------
-
-fn eval_expectations(
-    expect: &[Expectation],
-    metrics: &[(&str, f64)],
-    vars: &[(&str, f64)],
-    cell: &str,
-    failures: &mut Vec<String>,
-) {
-    for exp in expect {
-        let Some(&(_, lhs)) = metrics.iter().find(|(k, _)| *k == exp.metric) else {
-            failures.push(format!(
-                "{cell}: expectation '{exp}' — metric '{}' is not produced by this scenario",
-                exp.metric
-            ));
-            continue;
-        };
-        let rhs = match &exp.rhs {
-            Rhs::Number(x) => *x,
-            Rhs::Bool(b) => {
-                if *b {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Rhs::Var(name) => match vars.iter().find(|(k, _)| k == name) {
-                Some(&(_, v)) => v,
-                None => {
-                    failures.push(format!(
-                        "{cell}: expectation '{exp}' — unknown variable '{name}'"
-                    ));
-                    continue;
-                }
-            },
-        };
-        if !exp.op.holds(lhs, rhs) {
-            failures.push(format!(
-                "{cell}: expectation '{exp}' failed ({} = {})",
-                exp.metric,
-                fmt_f64(lhs)
-            ));
-        }
-    }
-}
-
-fn bool_metric(b: bool) -> f64 {
-    if b {
-        1.0
-    } else {
-        0.0
     }
 }
 
@@ -502,12 +799,12 @@ fn campaign_report(
 }
 
 // ---------------------------------------------------------------------
-// Recovery execution
+// Recovery and hijack cells
 // ---------------------------------------------------------------------
 
 /// One resolved recovery cell (fixed fields + sweep binding applied).
 #[derive(Debug, Clone, Copy)]
-struct RCell {
+pub(crate) struct RCell {
     protocol: Option<Protocol>,
     width: u32,
     p: usize,
@@ -528,45 +825,40 @@ impl RCell {
             let _ = write!(s, " trees={}", self.trees);
         }
         if let EngineModel::Lossy { loss, .. } = self.model {
-            let _ = write!(s, " loss={}", crate::toml::fmt_float(loss));
+            let _ = write!(s, " loss={}", fmt_float(loss));
         }
         let _ = write!(s, " seed={}", self.seed);
         s
     }
 }
 
-fn sweep_has(r: &RecoveryScenario, key: &str) -> bool {
-    r.sweep.axes.iter().any(|(k, _)| k == key)
-        || r.sweep
-            .cases
-            .iter()
-            .any(|c| c.iter().any(|(k, _)| k == key))
-}
-
 fn expand_recovery(r: &RecoveryScenario) -> Result<Vec<RCell>, String> {
-    let lossy = r.engine.loss.is_some() || r.engine.syn_period.is_some() || sweep_has(r, "loss");
+    let base = Point {
+        protocol: r.protocol,
+        width: r.width,
+        p: r.p,
+        ..Point::default()
+    };
+    let points = match r.plane {
+        Plane::Single => RECOVERY.points(base, &r.sweep)?,
+        Plane::Multi => MULTI.points(base, &r.sweep)?,
+    };
+    let lossy = r.engine.loss.is_some()
+        || r.engine.syn_period.is_some()
+        || points.iter().any(|pt| pt.loss.is_some());
     let mut cells = Vec::new();
-    for binding in r.sweep.expand() {
-        let protocol = bind_protocol(&binding, "protocol")?.or(r.protocol);
-        if protocol.is_none() && r.plane == Plane::Single {
+    for pt in points {
+        if pt.protocol.is_none() && r.plane == Plane::Single {
             return Err(
                 "recovery cell needs a protocol (set [recovery] protocol or sweep it)".to_string(),
             );
         }
-        let width = match bind_usize(&binding, "width")? {
-            Some(w) => u32::try_from(w)
-                .map_err(|_| format!("sweep axis 'width' value {w} is out of range"))?,
-            None => r
-                .width
-                .ok_or("recovery cell needs a width (set [recovery] width or sweep it)")?,
-        };
-        let p = match bind_usize(&binding, "p")? {
-            Some(p) => p,
-            None => {
-                r.p.ok_or("recovery cell needs a p (set [recovery] p or sweep it)")?
-            }
-        };
-        let loss = bind_f64(&binding, "loss")?.or(r.engine.loss).unwrap_or(0.0);
+        let width = pt
+            .width
+            .ok_or("recovery cell needs a width (set [recovery] width or sweep it)")?;
+        let p =
+            pt.p.ok_or("recovery cell needs a p (set [recovery] p or sweep it)")?;
+        let loss = pt.loss.or(r.engine.loss).unwrap_or(0.0);
         let seed = match r.seed_mode {
             SeedMode::Fixed => r.seed,
             SeedMode::PlusWidth => r.seed + u64::from(width),
@@ -587,7 +879,7 @@ fn expand_recovery(r: &RecoveryScenario) -> Result<Vec<RCell>, String> {
             Some(DestinationsSpec::Count(c)) => (c as usize).min(n),
         };
         cells.push(RCell {
-            protocol,
+            protocol: pt.protocol,
             width,
             p,
             loss,
@@ -596,50 +888,24 @@ fn expand_recovery(r: &RecoveryScenario) -> Result<Vec<RCell>, String> {
             model,
         });
     }
+    grid_fits(cells.iter().map(|c| (c.width, corner(c.width), c.p)))
+        .map_err(|(i, e)| format!("{}: {e}", cells[i].describe(r.plane)))?;
     Ok(cells)
-}
-
-fn recovery_col(key: &str, cell: &RCell, m: &lsrp_analysis::RecoveryMetrics) -> String {
-    match key {
-        "protocol" => m.protocol.to_string(),
-        "grid_n" => format!("{}", cell.width * cell.width),
-        "p" => cell.p.to_string(),
-        "stab_time" => fmt_f64(m.stabilization_time),
-        "range" => m.contamination_range.to_string(),
-        "contaminated" => m.contaminated.len().to_string(),
-        "messages" => m.messages.to_string(),
-        "flaps" => m.healthy_route_flaps.to_string(),
-        "actions" => m.actions.to_string(),
-        "routes_correct" => m.routes_correct.to_string(),
-        "loss" => format!("{:.0}%", cell.loss * 100.0),
-        other => panic!("column key '{other}' escaped schema validation"),
-    }
-}
-
-fn recovery_title_subs(r: &RecoveryScenario) -> Vec<(&'static str, String)> {
-    let mut subs = Vec::new();
-    if let Some(w) = r.width {
-        subs.push(("width", w.to_string()));
-    }
-    if let Some(p) = r.p {
-        subs.push(("p", p.to_string()));
-    }
-    let dests = match r.destinations {
-        None | Some(DestinationsSpec::AllPairs) => "all-pairs".to_string(),
-        Some(DestinationsSpec::Count(n)) => n.to_string(),
-    };
-    subs.push(("dests", dests));
-    subs
 }
 
 /// One `[[fault.region]]` table row: the case label plus its concurrent
 /// `(seed node, size)` regions.
-type RegionCase = (String, Vec<(NodeId, usize)>);
+pub(crate) type RegionCase = (String, Vec<(NodeId, usize)>);
 
-/// Groups `[[fault.region]]` entries into `(case label, regions)` rows
-/// in first-appearance order, applying the `[recovery]` `p` default
-/// size.
-fn region_cases(r: &RecoveryScenario) -> Result<Vec<RegionCase>, String> {
+/// Builds a `[[fault.region]]` scenario's topology and groups its
+/// regions into `(case label, regions)` rows in first-appearance order,
+/// applying the `[recovery]` `p` default size; every region must fit.
+fn region_cases(r: &RecoveryScenario) -> Result<(Graph, NodeId, Vec<RegionCase>), String> {
+    let spec = r
+        .topology
+        .as_ref()
+        .ok_or("[[fault.region]] cases need a [topology] section")?;
+    let (graph, dest) = spec.build(r.topology_seed.unwrap_or(r.seed));
     let mut cases: Vec<RegionCase> = Vec::new();
     for reg in &r.regions {
         let size = reg.size.or(r.p).ok_or_else(|| {
@@ -648,77 +914,13 @@ fn region_cases(r: &RecoveryScenario) -> Result<Vec<RegionCase>, String> {
                 reg.case
             )
         })?;
+        region(&graph, reg.seed_node, size, dest).map_err(|e| format!("{}: {e}", reg.case))?;
         match cases.iter_mut().find(|(c, _)| *c == reg.case) {
             Some((_, v)) => v.push((reg.seed_node, size)),
             None => cases.push((reg.case.clone(), vec![(reg.seed_node, size)])),
         }
     }
-    Ok(cases)
-}
-
-/// Runs the `[[fault.region]]` path of a recovery scenario: one row per
-/// case, each case corrupting all its regions concurrently in a single
-/// run (E7, Lemmas 2–3).
-fn run_region_cases(
-    r: &RecoveryScenario,
-    jobs: usize,
-    expect: &[Expectation],
-) -> Result<ScenarioOutcome, String> {
-    let spec = r.topology.as_ref().expect("validated at parse time");
-    let (graph, dest) = spec.build(r.topology_seed.unwrap_or(r.seed));
-    let cases = region_cases(r)?;
-    let protocol = r.protocol.unwrap_or(Protocol::Lsrp);
-    let headers: Vec<&str> = r.report.columns.iter().map(|c| column_header(c)).collect();
-    let title = render_title(&r.report.title, &recovery_title_subs(r));
-    let mut table = Table::new(title, &headers);
-    let mut failures = Vec::new();
-    let seed = r.seed;
-    let specs: Vec<Vec<(NodeId, usize)>> = cases.iter().map(|(_, v)| v.clone()).collect();
-    let results = run_sharded(jobs, specs.len(), move |i| {
-        region_case_cell(protocol, &graph, dest, &specs[i], seed)
-    });
-    for ((label, regions), m) in cases.iter().zip(&results) {
-        if r.require_correct {
-            require_recovered(m.quiescent, m.routes_correct, label)?;
-        }
-        let row: Vec<String> = r
-            .report
-            .columns
-            .iter()
-            .map(|key| match key.as_str() {
-                "case" => label.clone(),
-                "perturbed" => m.perturbation_size.to_string(),
-                "stab_time" => fmt_f64(m.stabilization_time),
-                "range" => m.contamination_range.to_string(),
-                "contaminated" => m.contaminated.len().to_string(),
-                "messages" => m.messages.to_string(),
-                "actions" => m.actions.to_string(),
-                "routes_correct" => m.routes_correct.to_string(),
-                other => panic!("column key '{other}' escaped schema validation"),
-            })
-            .collect();
-        table.row(&row);
-        #[allow(clippy::cast_precision_loss)]
-        let metrics: Vec<(&str, f64)> = vec![
-            ("stabilization_time", m.stabilization_time),
-            ("contamination_range", m.contamination_range as f64),
-            ("max_contamination", m.contaminated.len() as f64),
-            ("contaminated", m.contaminated.len() as f64),
-            ("perturbed", m.perturbation_size as f64),
-            ("messages", m.messages as f64),
-            ("actions", m.actions as f64),
-            ("flaps", m.healthy_route_flaps as f64),
-            ("routes_correct", bool_metric(m.routes_correct)),
-            ("quiescent", bool_metric(m.quiescent)),
-        ];
-        #[allow(clippy::cast_precision_loss)]
-        let vars: Vec<(&str, f64)> = vec![("regions", regions.len() as f64)];
-        eval_expectations(expect, &metrics, &vars, label, &mut failures);
-    }
-    Ok(ScenarioOutcome {
-        result: ScenarioResult::Table(table),
-        failures,
-    })
+    Ok((graph, dest, cases))
 }
 
 /// Resolves the `[[fault.recurring]]` tables into one cell per resolved
@@ -726,7 +928,9 @@ fn run_region_cases(
 /// occurrence, and the sweep's `period` axis (when present) overrides
 /// the per-table period.
 fn expand_recurring(r: &RecoveryScenario) -> Result<Vec<RecurringCellSpec>, String> {
-    let width = r.width.expect("validated at parse time");
+    let width = r
+        .width
+        .ok_or("[[fault.recurring]] needs a fixed [recovery] 'width'")?;
     let first = &r.recurring[0];
     for rec in &r.recurring[1..] {
         if rec.period != first.period
@@ -750,9 +954,15 @@ fn expand_recurring(r: &RecoveryScenario) -> Result<Vec<RecurringCellSpec>, Stri
         })?;
         regions.push((rec.seed_node, size));
     }
+    grid_fits(regions.iter().map(|&(seed, size)| (width, seed, size)))
+        .map_err(|(_, e)| format!("[[fault.recurring]]: {e}"))?;
+    let base = Point {
+        period: first.period,
+        ..Point::default()
+    };
     let mut cells = Vec::new();
-    for binding in r.sweep.expand() {
-        let period = match bind_f64(&binding, "period")?.or(first.period) {
+    for pt in RECURRING.points(base, &r.sweep)? {
+        let period = match pt.period {
             Some(p) if p > 0.0 => p,
             Some(p) => return Err(format!("recurring fault period must be positive, got {p}")),
             None => {
@@ -784,61 +994,18 @@ fn expand_recurring(r: &RecoveryScenario) -> Result<Vec<RecurringCellSpec>, Stri
 /// The `require_correct` gate of a recovery scenario: a cell that did not
 /// settle to correct routes fails the whole run with an error naming it
 /// (what a scenario file asks for must never panic the binary).
-fn require_recovered(quiescent: bool, routes_correct: bool, cell: &str) -> Result<(), String> {
+fn require_recovered(
+    quiescent: bool,
+    routes_correct: bool,
+    cell: impl FnOnce() -> String,
+) -> Result<(), String> {
     if quiescent && routes_correct {
         return Ok(());
     }
     Err(format!(
-        "recovery cell did not recover (quiescent={quiescent}, routes_correct={routes_correct}): {cell}"
+        "recovery cell did not recover (quiescent={quiescent}, routes_correct={routes_correct}): {}",
+        cell()
     ))
-}
-
-/// Runs the `[[fault.recurring]]` path of a recovery scenario: one row
-/// per resolved period, each driving the recurring-corruption schedule
-/// to quiescence (E10, Corollary 4).
-fn run_recurring(
-    r: &RecoveryScenario,
-    jobs: usize,
-    expect: &[Expectation],
-) -> Result<ScenarioOutcome, String> {
-    let cells = expand_recurring(r)?;
-    let headers: Vec<&str> = r.report.columns.iter().map(|c| column_header(c)).collect();
-    let title = render_title(&r.report.title, &recovery_title_subs(r));
-    let mut table = Table::new(title, &headers);
-    let mut failures = Vec::new();
-    let specs = cells.clone();
-    let results = run_sharded(jobs, specs.len(), move |i| recurring_cell(&specs[i]));
-    for (cell, m) in cells.iter().zip(&results) {
-        let correct = m.routes_correct || !r.require_correct;
-        require_recovered(m.quiescent, correct, &format!("period={}", cell.period))?;
-        let row: Vec<String> = r
-            .report
-            .columns
-            .iter()
-            .map(|key| match key.as_str() {
-                "period" => fmt_f64(cell.period),
-                "range" => m.contamination_range.to_string(),
-                "contaminated" => m.contaminated.to_string(),
-                "routes_correct" => m.routes_correct.to_string(),
-                other => panic!("column key '{other}' escaped schema validation"),
-            })
-            .collect();
-        table.row(&row);
-        #[allow(clippy::cast_precision_loss)]
-        let metrics: Vec<(&str, f64)> = vec![
-            ("contamination_range", m.contamination_range as f64),
-            ("contaminated", m.contaminated as f64),
-            ("routes_correct", bool_metric(m.routes_correct)),
-            ("quiescent", bool_metric(m.quiescent)),
-        ];
-        let vars: Vec<(&str, f64)> = vec![("period", cell.period)];
-        let label = format!("period={}", fmt_f64(cell.period));
-        eval_expectations(expect, &metrics, &vars, &label, &mut failures);
-    }
-    Ok(ScenarioOutcome {
-        result: ScenarioResult::Table(table),
-        failures,
-    })
 }
 
 fn run_recovery(
@@ -846,191 +1013,98 @@ fn run_recovery(
     jobs: usize,
     expect: &[Expectation],
 ) -> Result<ScenarioOutcome, String> {
+    let title = render_title(&r.report.title, &r.title_subs());
+    let require = r.require_correct;
     if !r.regions.is_empty() {
-        return run_region_cases(r, jobs, expect);
+        let (graph, dest, cases) = region_cases(r)?;
+        let (protocol, seed) = (r.protocol.unwrap_or(Protocol::Lsrp), r.seed);
+        let run = move |(label, regions): &RegionCase| {
+            let m = region_case_cell(protocol, &graph, dest, regions, seed);
+            if require {
+                require_recovered(m.quiescent, m.routes_correct, || label.clone())?;
+            }
+            Ok(m)
+        };
+        return REGION_CASES.tabulate(&r.report, title, cases, run, expect, jobs);
     }
     if !r.recurring.is_empty() {
-        return run_recurring(r, jobs, expect);
+        let run = move |c: &RecurringCellSpec| {
+            let m = recurring_cell(c);
+            let label = || (RECURRING.label)(c);
+            require_recovered(m.quiescent, m.routes_correct || !require, label)?;
+            Ok(m)
+        };
+        return RECURRING.tabulate(&r.report, title, expand_recurring(r)?, run, expect, jobs);
     }
     let cells = expand_recovery(r)?;
-    let headers: Vec<&str> = r.report.columns.iter().map(|c| column_header(c)).collect();
-    let title = render_title(&r.report.title, &recovery_title_subs(r));
-    let mut table = Table::new(title, &headers);
-    let mut failures = Vec::new();
     match r.plane {
         Plane::Single => {
-            let specs: Vec<RecoveryCellSpec> = cells
-                .iter()
-                .map(|c| RecoveryCellSpec {
-                    protocol: c.protocol.expect("checked in expand_recovery"),
+            let fault = r.fault;
+            let run = move |c: &RCell| {
+                let m = recovery_cell(&RecoveryCellSpec {
+                    protocol: c.protocol.ok_or("recovery cell needs a protocol")?,
                     width: c.width,
                     p: c.p,
                     seed: c.seed,
-                    fault: r.fault,
+                    fault,
                     model: c.model,
-                })
-                .collect();
-            let n_cells = specs.len();
-            let results = run_sharded(jobs, n_cells, move |i| recovery_cell(&specs[i]));
-            for (cell, m) in cells.iter().zip(&results) {
-                if r.require_correct {
-                    require_recovered(
-                        m.quiescent,
-                        m.routes_correct,
-                        &cell.describe(Plane::Single),
-                    )?;
+                });
+                if require {
+                    require_recovered(m.quiescent, m.routes_correct, || (RECOVERY.label)(c))?;
                 }
-                let row: Vec<String> = r
-                    .report
-                    .columns
-                    .iter()
-                    .map(|key| recovery_col(key, cell, m))
-                    .collect();
-                table.row(&row);
-                #[allow(clippy::cast_precision_loss)]
-                let metrics: Vec<(&str, f64)> = vec![
-                    ("stabilization_time", m.stabilization_time),
-                    ("contamination_range", m.contamination_range as f64),
-                    ("max_contamination", m.contaminated.len() as f64),
-                    ("contaminated", m.contaminated.len() as f64),
-                    ("perturbed", m.perturbation_size as f64),
-                    ("messages", m.messages as f64),
-                    ("actions", m.actions as f64),
-                    ("flaps", m.healthy_route_flaps as f64),
-                    ("routes_correct", bool_metric(m.routes_correct)),
-                    ("quiescent", bool_metric(m.quiescent)),
-                ];
-                #[allow(clippy::cast_precision_loss)]
-                let vars: Vec<(&str, f64)> = vec![
-                    ("width", f64::from(cell.width)),
-                    ("p", cell.p as f64),
-                    ("loss", cell.loss),
-                ];
-                eval_expectations(
-                    expect,
-                    &metrics,
-                    &vars,
-                    &cell.describe(Plane::Single),
-                    &mut failures,
-                );
-            }
+                Ok(m)
+            };
+            RECOVERY.tabulate(&r.report, title, cells, run, expect, jobs)
         }
         Plane::Multi => {
-            let args: Vec<(u32, usize, usize, u64)> = cells
-                .iter()
-                .map(|c| (c.width, c.p, c.trees, c.seed))
-                .collect();
-            let n_cells = args.len();
-            let results = run_sharded(jobs, n_cells, move |i| {
-                let (w, p, trees, seed) = args[i];
-                multi_recovery_cell(w, p, trees, seed)
-            });
-            for (cell, (stab, messages, adverts, acting)) in cells.iter().zip(&results) {
-                let row: Vec<String> = r
-                    .report
-                    .columns
-                    .iter()
-                    .map(|key| match key.as_str() {
-                        "grid_n" => format!("{}", cell.width * cell.width),
-                        "trees" => cell.trees.to_string(),
-                        "p" => cell.p.to_string(),
-                        "stab_time" => fmt_f64(*stab),
-                        "messages_delivered" => messages.to_string(),
-                        "adverts_delivered" => adverts.to_string(),
-                        "acting" => acting.to_string(),
-                        other => panic!("column key '{other}' escaped schema validation"),
-                    })
-                    .collect();
-                table.row(&row);
-                #[allow(clippy::cast_precision_loss)]
-                let metrics: Vec<(&str, f64)> = vec![
-                    ("stabilization_time", *stab),
-                    ("messages_delivered", *messages as f64),
-                    ("adverts_delivered", *adverts as f64),
-                    ("acting", *acting as f64),
-                ];
-                #[allow(clippy::cast_precision_loss)]
-                let vars: Vec<(&str, f64)> = vec![
-                    ("width", f64::from(cell.width)),
-                    ("p", cell.p as f64),
-                    ("trees", cell.trees as f64),
-                ];
-                eval_expectations(
-                    expect,
-                    &metrics,
-                    &vars,
-                    &cell.describe(Plane::Multi),
-                    &mut failures,
-                );
-            }
+            let run = |c: &RCell| Ok(multi_recovery_cell(c.width, c.p, c.trees, c.seed));
+            MULTI.tabulate(&r.report, title, cells, run, expect, jobs)
         }
     }
-    Ok(ScenarioOutcome {
-        result: ScenarioResult::Table(table),
-        failures,
-    })
 }
 
-// ---------------------------------------------------------------------
-// Hijack execution
-// ---------------------------------------------------------------------
-
+/// One resolved hijack cell.
 #[derive(Debug, Clone, Copy)]
-struct HCell {
-    protocol: Option<Protocol>,
+pub(crate) struct HCell {
+    protocol: Protocol,
+    width: u32,
     p: usize,
 }
 
+/// Resolves a hijack scenario's sweep; a live cell runs LSRP.
 fn expand_hijack(h: &HijackScenario) -> Result<Vec<HCell>, String> {
+    let base = Point {
+        protocol: h.protocol,
+        p: h.p,
+        ..Point::default()
+    };
+    let (points, label) = match h.mode {
+        HijackMode::Snapshot => (SNAPSHOT.points(base, &h.sweep)?, SNAPSHOT.label),
+        HijackMode::Live => (LIVE.points(base, &h.sweep)?, LIVE.label),
+    };
     let mut cells = Vec::new();
-    for binding in h.sweep.expand() {
-        let protocol = bind_protocol(&binding, "protocol")?.or(h.protocol);
-        if protocol.is_none() && h.mode == HijackMode::Snapshot {
-            return Err(
-                "snapshot hijack cell needs a protocol (set [hijack] protocol or sweep it)"
-                    .to_string(),
-            );
-        }
-        let p = match bind_usize(&binding, "p")? {
-            Some(p) => p,
-            None => {
-                h.p.ok_or("hijack cell needs a p (set [hijack] p or sweep it)")?
+    for pt in points {
+        let protocol = match (pt.protocol, h.mode) {
+            (Some(protocol), _) => protocol,
+            (None, HijackMode::Live) => Protocol::Lsrp,
+            (None, HijackMode::Snapshot) => {
+                return Err(
+                    "snapshot hijack cell needs a protocol (set [hijack] protocol or sweep it)"
+                        .to_string(),
+                )
             }
         };
-        cells.push(HCell { protocol, p });
-    }
-    Ok(cells)
-}
-
-/// Lowers a live-mode hijack scenario into the concrete cell specs the
-/// sharded runner executes, in sweep order — exactly the cells a
-/// scenario file compiles to.
-///
-/// # Errors
-///
-/// Returns a message when the scenario is not in live mode or a sweep
-/// cell fails to resolve.
-pub fn live_hijack_specs(h: &HijackScenario) -> Result<Vec<LiveHijackSpec>, String> {
-    if h.mode != HijackMode::Live {
-        return Err("live_hijack_specs wants a live-mode hijack scenario".to_string());
-    }
-    Ok(expand_hijack(h)?
-        .iter()
-        .map(|c| LiveHijackSpec {
+        let p =
+            pt.p.ok_or("hijack cell needs a p (set [hijack] p or sweep it)")?;
+        cells.push(HCell {
+            protocol,
             width: h.width,
-            p: c.p,
-            seed: h.seed,
-            workload: workload_spec(&h.workload),
-            duration: h.duration,
-            prefault: h.prefault,
-            window: h.window,
-            congestion: h
-                .congestion
-                .as_ref()
-                .map(super::schema::CongestionSection::config),
-            transport: h.congestion.as_ref().and_then(|c| c.cc),
-        })
-        .collect())
+            p,
+        });
+    }
+    grid_fits(cells.iter().map(|c| (c.width, corner(c.width), c.p)))
+        .map_err(|(i, e)| format!("{}: {e}", label(&cells[i])))?;
+    Ok(cells)
 }
 
 fn run_hijack(
@@ -1039,123 +1113,38 @@ fn run_hijack(
     expect: &[Expectation],
 ) -> Result<ScenarioOutcome, String> {
     let cells = expand_hijack(h)?;
-    let headers: Vec<&str> = h.report.columns.iter().map(|c| column_header(c)).collect();
-    let mut subs = vec![("width", h.width.to_string())];
-    if let Some(p) = h.p {
-        subs.push(("p", p.to_string()));
-    }
-    let title = render_title(&h.report.title, &subs);
-    let mut table = Table::new(title, &headers);
-    let mut failures = Vec::new();
+    let title = render_title(&h.report.title, &h.title_subs());
+    let seed = h.seed;
     match h.mode {
         HijackMode::Snapshot => {
-            let args: Vec<(Protocol, usize)> = cells
-                .iter()
-                .map(|c| (c.protocol.expect("checked in expand_hijack"), c.p))
-                .collect();
-            let (w, seed, sample_every) = (h.width, h.seed, h.sample_every);
-            let results = {
-                let args = args.clone();
-                run_sharded(jobs, args.len(), move |i| {
-                    let (protocol, p) = args[i];
-                    snapshot_hijack_cell(protocol, w, p, seed, sample_every)
-                })
+            let sample_every = h.sample_every;
+            let run = move |c: &HCell| {
+                let trace = snapshot_hijack_cell(c.protocol, c.width, c.p, seed, sample_every);
+                Ok(trace)
             };
-            for ((protocol, p), a) in args.iter().zip(&results) {
-                let row: Vec<String> = h
-                    .report
-                    .columns
-                    .iter()
-                    .map(|key| match key.as_str() {
-                        "protocol" => format!("{protocol:?}"),
-                        "min_avail" => format!("{:.3}", a.min),
-                        "degraded" => fmt_f64(a.degraded_time),
-                        "lost_avail" => format!("{:.1}", a.lost),
-                        other => panic!("column key '{other}' escaped schema validation"),
-                    })
-                    .collect();
-                table.row(&row);
-                let metrics: Vec<(&str, f64)> = vec![
-                    ("min_availability", a.min),
-                    ("degraded_seconds", a.degraded_time),
-                    ("lost_availability", a.lost),
-                ];
-                #[allow(clippy::cast_precision_loss)]
-                let vars: Vec<(&str, f64)> = vec![("width", f64::from(h.width)), ("p", *p as f64)];
-                eval_expectations(
-                    expect,
-                    &metrics,
-                    &vars,
-                    &format!("protocol={} p={p}", protocol.as_str()),
-                    &mut failures,
-                );
-            }
+            SNAPSHOT.tabulate(&h.report, title, cells, run, expect, jobs)
         }
         HijackMode::Live => {
-            let specs = live_hijack_specs(h)?;
-            let results = {
-                let specs = specs.clone();
-                run_sharded(jobs, specs.len(), move |i| live_hijack_cell(&specs[i]))
+            let (workload, duration) = (workload_spec(&h.workload), h.duration);
+            let (prefault, window) = (h.prefault, h.window);
+            let congestion = h.congestion.as_ref().map(CongestionSection::config);
+            let transport = h.congestion.as_ref().and_then(|c| c.cc);
+            let run = move |c: &HCell| {
+                Ok(live_hijack_cell(&LiveHijackSpec {
+                    width: c.width,
+                    p: c.p,
+                    seed,
+                    workload,
+                    duration,
+                    prefault,
+                    window,
+                    congestion,
+                    transport,
+                }))
             };
-            for (cell, outcome) in specs.iter().zip(&results) {
-                let s = &outcome.summary;
-                let lost = s.counts.injected - s.counts.delivered;
-                let row: Vec<String> = h
-                    .report
-                    .columns
-                    .iter()
-                    .map(|key| match key.as_str() {
-                        "p" => cell.p.to_string(),
-                        "delivered" => format!("{:.4}", s.delivered_fraction()),
-                        "min_window" => format!("{:.4}", s.min_window_availability),
-                        "lost" => lost.to_string(),
-                        "mean_stretch" => format!("{:.3}", s.mean_stretch),
-                        "max_stretch" => format!("{:.3}", s.max_stretch),
-                        "goodput" => format!("{:.4}", s.goodput_fraction()),
-                        "queue_drops" => s.counts.queue_dropped.to_string(),
-                        "blackholed" => s.counts.black_holed.to_string(),
-                        "peak_queue" => s.congestion.peak_port_occupancy.to_string(),
-                        "retransmitted" => s.congestion.flow_retransmit_weight.to_string(),
-                        "timeouts" => s.congestion.flow_timeouts.to_string(),
-                        "fct_mean" => format!("{:.1}", s.mean_fct),
-                        "fct_max" => format!("{:.1}", s.max_fct),
-                        other => panic!("column key '{other}' escaped schema validation"),
-                    })
-                    .collect();
-                table.row(&row);
-                #[allow(clippy::cast_precision_loss)]
-                let metrics: Vec<(&str, f64)> = vec![
-                    ("delivered_fraction", s.delivered_fraction()),
-                    ("min_window_availability", s.min_window_availability),
-                    ("goodput", s.goodput_fraction()),
-                    ("lost", lost as f64),
-                    ("queue_drops", s.counts.queue_dropped as f64),
-                    ("blackholed", s.counts.black_holed as f64),
-                    ("peak_queue", s.congestion.peak_port_occupancy as f64),
-                    ("retransmitted", s.congestion.flow_retransmit_weight as f64),
-                    ("timeouts", s.congestion.flow_timeouts as f64),
-                    ("mean_fct", s.mean_fct),
-                    ("max_fct", s.max_fct),
-                    ("mean_stretch", s.mean_stretch),
-                    ("max_stretch", s.max_stretch),
-                ];
-                #[allow(clippy::cast_precision_loss)]
-                let vars: Vec<(&str, f64)> =
-                    vec![("width", f64::from(h.width)), ("p", cell.p as f64)];
-                eval_expectations(
-                    expect,
-                    &metrics,
-                    &vars,
-                    &format!("p={}", cell.p),
-                    &mut failures,
-                );
-            }
+            LIVE.tabulate(&h.report, title, cells, run, expect, jobs)
         }
     }
-    Ok(ScenarioOutcome {
-        result: ScenarioResult::Table(table),
-        failures,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -1178,19 +1167,27 @@ pub fn run_scenario(s: &Scenario, opts: ExecOptions) -> Result<ScenarioOutcome, 
     };
     let (text, bad) = campaign_report(c, traffic, opts)?;
     let mut failures = Vec::new();
-    #[allow(clippy::cast_precision_loss)]
-    let metrics: Vec<(&str, f64)> = vec![("violating", bad as f64), ("runs", f64::from(c.runs))];
-    eval_expectations(&s.expect, &metrics, &[], "campaign", &mut failures);
+    CAMPAIGN.judge(&s.expect, c, &bad, &mut failures);
     Ok(ScenarioOutcome {
         result: ScenarioResult::Text(text),
         failures,
     })
 }
 
+/// `(seed node, size)` regions as `v16+4, v48+4`.
+fn regions_text(regions: &[(NodeId, usize)]) -> String {
+    let parts: Vec<String> = regions
+        .iter()
+        .map(|(n, size)| format!("{n}+{size}"))
+        .collect();
+    parts.join(", ")
+}
+
 /// Statically expands a scenario into one human-readable line per cell
 /// (the `lsrp scenario expand` output). Also serves as the deep
 /// validation pass behind `lsrp scenario check`: every sweep binding is
-/// resolved against the fixed fields without running anything.
+/// resolved against the fixed fields, and every region checked to fit
+/// its topology, without running anything.
 ///
 /// # Errors
 ///
@@ -1204,81 +1201,94 @@ pub fn expand_list(s: &Scenario) -> Result<Vec<String>, String> {
                 .map_or_else(|| "auto".to_string(), |d| d.to_string()),
             c.runs,
             c.seed,
-            crate::toml::fmt_float(c.horizon)
+            fmt_float(c.horizon)
         )]),
         ScenarioBody::Traffic(t) => Ok(vec![format!(
             "traffic campaign: topology {} runs {} seed {} duration {} flows {}",
             t.base.topology,
             t.base.runs,
             t.base.seed,
-            crate::toml::fmt_float(t.duration),
+            fmt_float(t.duration),
             t.workload.flows
         )]),
-        ScenarioBody::Recovery(r) => {
-            if !r.regions.is_empty() {
-                let spec = r.topology.as_ref().expect("validated at parse time");
-                return Ok(region_cases(r)?
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (label, regions))| {
-                        let parts: Vec<String> = regions
-                            .iter()
-                            .map(|(node, size)| format!("{node}+{size}"))
-                            .collect();
-                        format!(
-                            "case {i}: {label} — topology {spec} regions [{}] seed {}",
-                            parts.join(", "),
-                            r.seed
-                        )
-                    })
-                    .collect());
-            }
-            if !r.recurring.is_empty() {
-                return Ok(expand_recurring(r)?
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        let parts: Vec<String> = c
-                            .regions
-                            .iter()
-                            .map(|(node, size)| format!("{node}+{size}"))
-                            .collect();
-                        let mut s = format!(
-                            "cell {i}: width={} regions [{}] period={} occurrences={}",
-                            c.width,
-                            parts.join(", "),
-                            crate::toml::fmt_float(c.period),
-                            c.occurrences
-                        );
-                        if c.jitter > 0.0 {
-                            let _ = write!(s, " jitter={}", crate::toml::fmt_float(c.jitter));
-                        }
-                        let _ = write!(s, " seed={}", c.seed);
-                        s
-                    })
-                    .collect());
-            }
-            let cells = expand_recovery(r)?;
-            Ok(cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("cell {i}: {}", c.describe(r.plane)))
-                .collect())
+        ScenarioBody::Recovery(r) if !r.regions.is_empty() => {
+            let (_, _, cases) = region_cases(r)?;
+            let spec = r
+                .topology
+                .as_ref()
+                .map_or_else(String::new, ToString::to_string);
+            let line = |(i, (label, regions)): (usize, &RegionCase)| {
+                let regions = regions_text(regions);
+                format!(
+                    "case {i}: {label} — topology {spec} regions [{regions}] seed {}",
+                    r.seed
+                )
+            };
+            Ok(cases.iter().enumerate().map(line).collect())
         }
+        ScenarioBody::Recovery(r) if !r.recurring.is_empty() => {
+            let line = |(i, c): (usize, &RecurringCellSpec)| {
+                let mut s = format!(
+                    "cell {i}: width={} regions [{}] period={} occurrences={}",
+                    c.width,
+                    regions_text(&c.regions),
+                    fmt_float(c.period),
+                    c.occurrences
+                );
+                if c.jitter > 0.0 {
+                    let _ = write!(s, " jitter={}", fmt_float(c.jitter));
+                }
+                let _ = write!(s, " seed={}", c.seed);
+                s
+            };
+            Ok(expand_recurring(r)?.iter().enumerate().map(line).collect())
+        }
+        ScenarioBody::Recovery(r) => Ok(expand_recovery(r)?
+            .iter()
+            .enumerate()
+            .map(|(i, c)| format!("cell {i}: {}", c.describe(r.plane)))
+            .collect()),
         ScenarioBody::Hijack(h) => {
+            let named = h.mode == HijackMode::Snapshot || h.protocol.is_some();
             let cells = expand_hijack(h)?;
             Ok(cells
                 .iter()
                 .enumerate()
                 .map(|(i, c)| {
                     let mut s = format!("cell {i}: ");
-                    if let Some(p) = c.protocol {
-                        let _ = write!(s, "protocol={} ", p.as_str());
+                    if named {
+                        let _ = write!(s, "protocol={} ", c.protocol.as_str());
                     }
                     let _ = write!(s, "width={} p={} seed={}", h.width, c.p, h.seed);
                     s
                 })
                 .collect())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names_each_thing_once<C, R>(report: &Report<C, R>) {
+        let v = report.vocabulary();
+        for names in [v.columns, v.metrics, v.vars, v.axes] {
+            let mut unique = names.clone();
+            unique.sort_unstable();
+            unique.dedup();
+            assert_eq!(unique.len(), names.len(), "{names:?}");
+        }
+    }
+
+    #[test]
+    fn every_declaration_names_each_column_metric_variable_and_axis_once() {
+        names_each_thing_once(&RECOVERY);
+        names_each_thing_once(&MULTI);
+        names_each_thing_once(&REGION_CASES);
+        names_each_thing_once(&RECURRING);
+        names_each_thing_once(&SNAPSHOT);
+        names_each_thing_once(&LIVE);
+        names_each_thing_once(&CAMPAIGN);
     }
 }

@@ -29,6 +29,7 @@ use lsrp_graph::NodeId;
 use lsrp_sim::{CongAlgKind, CongestionConfig, DisciplineKind};
 
 use crate::cells::{Protocol, RegionFault};
+use crate::exec::{self, Vocabulary};
 use crate::spec::{
     check, parse_cong_alg, parse_discipline, parse_workload, DestinationsSpec, TopologySpec,
 };
@@ -296,8 +297,8 @@ pub struct EngineSection {
 /// The `[report]` section: table title and column keys.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportSection {
-    /// Table title; `{width}`, `{p}` and `{dests}` placeholders are
-    /// substituted from the fixed fields at run time.
+    /// Table title; a `{name}` placeholder is substituted from a fixed
+    /// field, and parsing rejects one the scenario cannot fill.
     pub title: String,
     /// Column keys (kind-specific vocabulary; see DESIGN.md §13).
     pub columns: Vec<String>,
@@ -343,6 +344,25 @@ pub struct RecoveryScenario {
     pub report: ReportSection,
     /// The sweep axes.
     pub sweep: Sweep,
+}
+
+impl RecoveryScenario {
+    /// The report-title placeholders this scenario fills, and their text.
+    pub(crate) fn title_subs(&self) -> Vec<(&'static str, String)> {
+        let mut subs = Vec::new();
+        if let Some(w) = self.width {
+            subs.push(("width", w.to_string()));
+        }
+        if let Some(p) = self.p {
+            subs.push(("p", p.to_string()));
+        }
+        let dests = match self.destinations {
+            None | Some(DestinationsSpec::AllPairs) => "all-pairs".to_string(),
+            Some(DestinationsSpec::Count(n)) => n.to_string(),
+        };
+        subs.push(("dests", dests));
+        subs
+    }
 }
 
 /// One concurrent perturbed region of a multi-region recovery case
@@ -419,6 +439,17 @@ pub struct HijackScenario {
     pub report: ReportSection,
     /// The sweep axes.
     pub sweep: Sweep,
+}
+
+impl HijackScenario {
+    /// The report-title placeholders this scenario fills, and their text.
+    pub(crate) fn title_subs(&self) -> Vec<(&'static str, String)> {
+        let mut subs = vec![("width", self.width.to_string())];
+        if let Some(p) = self.p {
+            subs.push(("p", p.to_string()));
+        }
+        subs
+    }
 }
 
 /// A sweep-axis value.
@@ -849,17 +880,20 @@ fn parse_sweep(
     allowed_axes: &[&str],
     kind: &str,
 ) -> Result<Sweep, String> {
+    let axis = |key: &String, line: usize| {
+        if allowed_axes.contains(&key.as_str()) {
+            return Ok(key.clone());
+        }
+        Err(format!(
+            "line {line}: unknown sweep axis '{key}' for kind '{kind}' (try {})",
+            allowed_axes.join(", ")
+        ))
+    };
     let mut sweep = Sweep::default();
     if let Some(table) = section(root, "sweep", seen, "sweep")? {
         for (key, entry) in &table.entries {
-            let values = match entry {
-                Entry::Value(sp) => match &sp.value {
-                    Value::Array(items) => items
-                        .iter()
-                        .map(|it| sweep_value("sweep", key, it))
-                        .collect::<Result<Vec<_>, _>>()?,
-                    _ => vec![sweep_value("sweep", key, sp)?],
-                },
+            let sp = match entry {
+                Entry::Value(sp) => sp,
                 Entry::Table(t) => {
                     return Err(format!(
                         "line {}: [sweep] axis '{key}' must be a scalar or array, got a table",
@@ -873,21 +907,18 @@ fn parse_sweep(
                     ))
                 }
             };
-            if !allowed_axes.contains(&key.as_str()) {
-                let line = match entry {
-                    Entry::Value(sp) => sp.line,
-                    Entry::Table(t) => t.line,
-                    Entry::Tables(ts) => ts.first().map_or(0, |t| t.line),
-                };
-                return Err(format!(
-                    "line {line}: unknown sweep axis '{key}' for kind '{kind}' (try {})",
-                    allowed_axes.join(", ")
-                ));
-            }
+            let key = axis(key, sp.line)?;
+            let values = match &sp.value {
+                Value::Array(items) => items
+                    .iter()
+                    .map(|it| sweep_value("sweep", &key, it))
+                    .collect::<Result<Vec<_>, _>>()?,
+                _ => vec![sweep_value("sweep", &key, sp)?],
+            };
             if values.is_empty() {
                 return Err(format!("[sweep] axis '{key}' must list at least one value"));
             }
-            sweep.axes.push((key.clone(), values));
+            sweep.axes.push((key, values));
         }
     }
     seen.push("case");
@@ -923,14 +954,7 @@ fn parse_sweep(
                         t.line
                     ));
                 };
-                if !allowed_axes.contains(&key.as_str()) {
-                    return Err(format!(
-                        "line {}: unknown sweep axis '{key}' for kind '{kind}' (try {})",
-                        sp.line,
-                        allowed_axes.join(", ")
-                    ));
-                }
-                binding.push((key.clone(), sweep_value("case", key, sp)?));
+                binding.push((axis(key, sp.line)?, sweep_value("case", key, sp)?));
             }
             sweep.cases.push(binding);
         }
@@ -1105,17 +1129,19 @@ fn parse_trace(root: &Table, seen: &mut Vec<&'static str>) -> Result<Option<Trac
     Ok(Some(out))
 }
 
+/// Parses the `[report]` section, checking its columns against
+/// `columns_vocab`; also returns the title's line.
 fn parse_report(
     root: &Table,
     seen: &mut Vec<&'static str>,
     columns_vocab: &[&str],
     kind: &str,
-) -> Result<ReportSection, String> {
+) -> Result<(ReportSection, usize), String> {
     let Some(table) = section(root, "report", seen, "report")? else {
         return Err("missing required [report] section".to_string());
     };
     let mut f = Fields::new("report", table);
-    let Some((title, _)) = f.str("title")? else {
+    let Some((title, title_line)) = f.str("title")? else {
         return Err(format!(
             "line {}: [report] needs a 'title' field",
             table.line
@@ -1141,7 +1167,26 @@ fn parse_report(
             ));
         }
     }
-    Ok(ReportSection { title, columns })
+    Ok((ReportSection { title, columns }, title_line))
+}
+
+/// Rejects a `{name}` placeholder in a report title that `subs` does not
+/// fill: it would be printed verbatim.
+fn check_title(title: &str, line: usize, subs: &[(&str, String)]) -> Result<(), String> {
+    let is_name =
+        |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+    let mut names = title
+        .split('{')
+        .skip(1)
+        .filter_map(|s| Some(s.split_once('}')?.0));
+    let Some(name) = names.find(|&n| is_name(n) && !subs.iter().any(|(k, _)| *k == n)) else {
+        return Ok(());
+    };
+    let fills: Vec<String> = subs.iter().map(|(k, _)| format!("{{{k}}}")).collect();
+    Err(format!(
+        "line {line}: [report] title placeholder '{{{name}}}' has no fixed value to fill it (try {})",
+        fills.join(", ")
+    ))
 }
 
 fn parse_protocol_field(f: &mut Fields<'_>) -> Result<Option<Protocol>, String> {
@@ -1151,7 +1196,10 @@ fn parse_protocol_field(f: &mut Fields<'_>) -> Result<Option<Protocol>, String> 
     }
 }
 
-fn parse_recovery(root: &Table, seen: &mut Vec<&'static str>) -> Result<RecoveryScenario, String> {
+fn parse_recovery(
+    root: &Table,
+    seen: &mut Vec<&'static str>,
+) -> Result<(RecoveryScenario, Vocabulary), String> {
     let Some(table) = section(root, "recovery", seen, "recovery")? else {
         return Err("missing required [recovery] section".to_string());
     };
@@ -1343,49 +1391,24 @@ fn parse_recovery(root: &Table, seen: &mut Vec<&'static str>) -> Result<Recovery
         }
     }
 
-    let vocab = if plane == Plane::Multi {
-        crate::exec::RECOVERY_MULTI_COLUMNS
-    } else if !regions.is_empty() {
-        crate::exec::REGION_CASE_COLUMNS
+    let vocab = if !regions.is_empty() {
+        exec::REGION_CASES.vocabulary()
     } else if !recurring.is_empty() {
-        crate::exec::RECURRING_COLUMNS
-    } else {
-        crate::exec::RECOVERY_COLUMNS
-    };
-    let report = parse_report(root, seen, vocab, "recovery")?;
-    let axes: &[&str] = if !recurring.is_empty() {
-        &["period"]
+        exec::RECURRING.vocabulary()
     } else if plane == Plane::Multi {
-        &["width", "p"]
+        exec::MULTI.vocabulary()
     } else {
-        &["protocol", "width", "p", "loss"]
+        exec::RECOVERY.vocabulary()
     };
-    let sweep = parse_sweep(root, seen, axes, "recovery")?;
-    if !regions.is_empty() && (!sweep.axes.is_empty() || !sweep.cases.is_empty()) {
+    let (report, title_line) = parse_report(root, seen, &vocab.columns, "recovery")?;
+    if !regions.is_empty() && (root.get("sweep").is_some() || root.get("case").is_some()) {
         return Err(
             "[[fault.region]] cases and a [sweep] cannot be combined (each case is already one row)"
                 .to_string(),
         );
     }
-    if !recurring.is_empty() {
-        let swept = sweep.axes.iter().any(|(k, _)| k == "period")
-            || sweep
-                .cases
-                .iter()
-                .all(|c| c.iter().any(|(k, _)| k == "period"))
-                && !sweep.cases.is_empty();
-        if !swept {
-            for rec in &recurring {
-                if rec.period.is_none() {
-                    return Err(format!(
-                        "[[fault.recurring]] seed_node {} needs a 'period' (or sweep one with [sweep] period)",
-                        rec.seed_node
-                    ));
-                }
-            }
-        }
-    }
-    Ok(RecoveryScenario {
+    let sweep = parse_sweep(root, seen, &vocab.axes, "recovery")?;
+    let r = RecoveryScenario {
         protocol,
         width,
         p,
@@ -1402,7 +1425,9 @@ fn parse_recovery(root: &Table, seen: &mut Vec<&'static str>) -> Result<Recovery
         engine,
         report,
         sweep,
-    })
+    };
+    check_title(&r.report.title, title_line, &r.title_subs())?;
+    Ok((r, vocab))
 }
 
 /// Parses the `[[fault.region]]` and `[[fault.recurring]]` arrays:
@@ -1536,7 +1561,10 @@ fn parse_one_recurring(t: &Table) -> Result<FaultRecurring, String> {
     })
 }
 
-fn parse_hijack(root: &Table, seen: &mut Vec<&'static str>) -> Result<HijackScenario, String> {
+fn parse_hijack(
+    root: &Table,
+    seen: &mut Vec<&'static str>,
+) -> Result<(HijackScenario, Vocabulary), String> {
     let Some(table) = section(root, "hijack", seen, "hijack")? else {
         return Err("missing required [hijack] section".to_string());
     };
@@ -1591,16 +1619,12 @@ fn parse_hijack(root: &Table, seen: &mut Vec<&'static str>) -> Result<HijackScen
     }
     let congestion = parse_congestion(root, seen)?;
     let vocab = match mode {
-        HijackMode::Live => crate::exec::HIJACK_LIVE_COLUMNS,
-        HijackMode::Snapshot => crate::exec::HIJACK_SNAPSHOT_COLUMNS,
+        HijackMode::Live => exec::LIVE.vocabulary(),
+        HijackMode::Snapshot => exec::SNAPSHOT.vocabulary(),
     };
-    let report = parse_report(root, seen, vocab, "hijack")?;
-    let axes: &[&str] = match mode {
-        HijackMode::Live => &["p"],
-        HijackMode::Snapshot => &["protocol", "p"],
-    };
-    let sweep = parse_sweep(root, seen, axes, "hijack")?;
-    Ok(HijackScenario {
+    let (report, title_line) = parse_report(root, seen, &vocab.columns, "hijack")?;
+    let sweep = parse_sweep(root, seen, &vocab.axes, "hijack")?;
+    let h = HijackScenario {
         mode,
         width,
         p,
@@ -1614,7 +1638,9 @@ fn parse_hijack(root: &Table, seen: &mut Vec<&'static str>) -> Result<HijackScen
         congestion,
         report,
         sweep,
-    })
+    };
+    check_title(&h.report.title, title_line, &h.title_subs())?;
+    Ok((h, vocab))
 }
 
 /// Parses a scenario file's text.
@@ -1647,8 +1673,11 @@ pub fn load_str(src: &str) -> Result<Scenario, String> {
     let expect_raw = f.str_list("expect")?;
     f.finish()?;
 
-    let body = match kind.as_str() {
-        "chaos" => ScenarioBody::Chaos(parse_campaign(&root, &mut seen)?),
+    let (body, vocab) = match kind.as_str() {
+        "chaos" => (
+            ScenarioBody::Chaos(parse_campaign(&root, &mut seen)?),
+            exec::CAMPAIGN.vocabulary(),
+        ),
         "traffic" => {
             let mut t = TrafficScenario::new(parse_campaign(&root, &mut seen)?);
             t.workload = parse_workload_section(&root, &mut seen)?;
@@ -1665,10 +1694,16 @@ pub fn load_str(src: &str) -> Result<Scenario, String> {
             let destinations = t.base.destinations.map_or(1, |d| d.count(nodes));
             let weight = (nodes, destinations, t.duration);
             check_workload(&root, &t.workload, weight, "traffic")?;
-            ScenarioBody::Traffic(t)
+            (ScenarioBody::Traffic(t), exec::CAMPAIGN.vocabulary())
         }
-        "recovery" => ScenarioBody::Recovery(parse_recovery(&root, &mut seen)?),
-        "hijack" => ScenarioBody::Hijack(parse_hijack(&root, &mut seen)?),
+        "recovery" => {
+            let (r, vocab) = parse_recovery(&root, &mut seen)?;
+            (ScenarioBody::Recovery(r), vocab)
+        }
+        "hijack" => {
+            let (h, vocab) = parse_hijack(&root, &mut seen)?;
+            (ScenarioBody::Hijack(h), vocab)
+        }
         other => {
             return Err(format!(
                 "line {kind_line}: unknown scenario kind '{other}' (try chaos, traffic, recovery, hijack)"
@@ -1692,15 +1727,25 @@ pub fn load_str(src: &str) -> Result<Scenario, String> {
 
     let mut expect = Vec::new();
     if let Some((raw, line)) = expect_raw {
-        let vocab = crate::exec::expect_vocabulary(&body);
         for s in raw {
             let e = Expectation::parse(&s).map_err(|msg| format!("line {line}: {msg}"))?;
-            if !vocab.contains(&e.metric.as_str()) {
+            if !vocab.metrics.contains(&e.metric.as_str()) {
                 return Err(format!(
                     "line {line}: unknown expectation metric '{}' for kind '{kind}' (try {})",
                     e.metric,
-                    vocab.join(", ")
+                    vocab.metrics.join(", ")
                 ));
+            }
+            if let Rhs::Var(name) = &e.rhs {
+                if !vocab.vars.contains(&name.as_str()) {
+                    let hint = match vocab.vars.as_slice() {
+                        [] => "compare with a number".to_string(),
+                        vars => format!("try {}", vars.join(", ")),
+                    };
+                    return Err(format!(
+                        "line {line}: unknown expectation variable '{name}' for kind '{kind}' ({hint})"
+                    ));
+                }
             }
             expect.push(e);
         }

@@ -2,7 +2,7 @@
 //! line and field, exactly — and a run-time failure a scenario file can
 //! provoke comes back as an error, never a panic.
 
-use lsrp_scenario::exec::{run_scenario, ExecOptions};
+use lsrp_scenario::exec::{expand_list, run_scenario, ExecOptions};
 use lsrp_scenario::schema::load_str;
 
 fn err(src: &str) -> String {
@@ -389,5 +389,101 @@ fn a_workload_heavier_than_2_53_packets_is_rejected_at_its_field() {
                 && msg.ends_with("more than 2^53"),
             "{msg}"
         );
+    }
+}
+
+#[test]
+fn check_and_run_reject_what_a_file_cannot_run_with_the_same_error() {
+    // `lsrp scenario check` loads and expands a file; `lsrp run` loads,
+    // expands and runs it. A region larger than its topology used to pass
+    // the check and then panic the run (or, for a snapshot hijack, quietly
+    // measure a smaller region), and so did a swept loss outside [0, 1];
+    // an unknown expectation variable failed every cell at run time; an
+    // unfillable title placeholder was printed verbatim. Each is now one
+    // error, the same from both commands.
+    let head = |kind: &str| format!("[scenario]\nname = \"x\"\nkind = \"{kind}\"\n");
+    let report = "[report]\ntitle = \"t\"\ncolumns = [\"p\"]\n";
+    let recovery = format!(
+        "{}[recovery]\nprotocol = \"lsrp\"\nwidth = 3\n",
+        head("recovery")
+    );
+    let hijack = format!("{}[hijack]\nwidth = 3\n", head("hijack"));
+    let cases = [
+        (
+            format!("{recovery}p = 50\n{report}"),
+            "protocol=lsrp width=3 p=50 seed=0: \
+             the topology holds only 8 of the 50 region nodes grown from node 4",
+        ),
+        (
+            format!(
+                "{}[topology]\nspec = \"ring:8\"\n[recovery]\np = 50\n\
+                 [[fault.region]]\ncase = \"big\"\nseed_node = 2\n\
+                 [report]\ntitle = \"t\"\ncolumns = [\"case\"]\n",
+                head("recovery")
+            ),
+            "big: the topology holds only 7 of the 50 region nodes grown from node 2",
+        ),
+        (
+            format!(
+                "{recovery}p = 50\n[[fault.recurring]]\nseed_node = 4\nperiod = 40.0\n\
+                 [report]\ntitle = \"t\"\ncolumns = [\"period\"]\n"
+            ),
+            "[[fault.recurring]]: the topology holds only 8 of the 50 region nodes grown from node 4",
+        ),
+        (
+            format!(
+                "{}[recovery]\nplane = \"multi\"\nwidth = 3\np = 50\n{report}",
+                head("recovery")
+            ),
+            "width=3 p=50 trees=9 seed=0: \
+             the topology holds only 8 of the 50 region nodes grown from node 4",
+        ),
+        (
+            format!(
+                "{hijack}mode = \"snapshot\"\nprotocol = \"dbf\"\np = 50\n\
+                 [report]\ntitle = \"t\"\ncolumns = [\"protocol\"]\n"
+            ),
+            "protocol=dbf p=50: the topology holds only 8 of the 50 region nodes grown from node 4",
+        ),
+        (
+            format!("{hijack}[report]\ntitle = \"t\"\ncolumns = [\"p\"]\n[sweep]\np = [1, 50]\n"),
+            "p=50: the topology holds only 8 of the 50 region nodes grown from node 4",
+        ),
+        (
+            format!("{recovery}p = 1\n{report}[sweep]\nloss = [0.5, 2.0]\n"),
+            "sweep axis 'loss' must be a probability in [0, 1]",
+        ),
+        (
+            format!(
+                "{}expect = [\"contamination_range <= widht\"]\n\
+                 [recovery]\nprotocol = \"lsrp\"\nwidth = 8\np = 2\n{report}",
+                head("recovery")
+            ),
+            "line 4: unknown expectation variable 'widht' for kind 'recovery' \
+             (try width, p, loss)",
+        ),
+        (
+            format!(
+                "{}[recovery]\nprotocol = \"lsrp\"\nwidth = 8\n\
+                 [report]\ntitle = \"containment {{p}} {{widht}}\"\ncolumns = [\"p\"]\n\
+                 [sweep]\np = [1, 2]\n",
+                head("recovery")
+            ),
+            "line 8: [report] title placeholder '{p}' has no fixed value to fill it \
+             (try {width}, {dests})",
+        ),
+    ];
+    for (src, want) in cases {
+        let got = match load_str(&src) {
+            Err(e) => e,
+            Ok(scenario) => {
+                let check = expand_list(&scenario).expect_err("check should reject the file");
+                let run = run_scenario(&scenario, ExecOptions::default())
+                    .expect_err("run should reject the file");
+                assert_eq!(check, run, "{src}");
+                check
+            }
+        };
+        assert_eq!(got, want, "{src}");
     }
 }

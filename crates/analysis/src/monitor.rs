@@ -2,7 +2,7 @@
 //!
 //! The measurement modules ([`crate::measure`], [`crate::waves`],
 //! [`crate::loops`]) quantify behavior after the fact; monitors instead
-//! watch an LSRP simulation event by event and emit structured
+//! watch an LSRP simulation as it runs and emit structured
 //! [`Violation`]s the moment a guarantee breaks. They are the judges of
 //! chaos campaigns (see [`crate::chaos`]): a campaign run is *violating*
 //! iff its monitor set reports at least one violation.
@@ -102,6 +102,13 @@ impl fmt::Display for Violation {
 }
 
 /// An online invariant monitor driven by [`run_monitored`].
+///
+/// The driver calls [`Monitor::on_event`] after every event at or past
+/// the monitor's [`Monitor::due`] time. Before that time it may run many
+/// events between two calls, so a monitor whose `due` is later than
+/// [`SimTime::ZERO`] promises that, until then, `on_event` only catches
+/// up on the action log (in log order) and would have reported the same
+/// violations however the calls were spread over those events.
 pub trait Monitor {
     /// Short stable name (used in reports).
     fn name(&self) -> &'static str;
@@ -117,8 +124,18 @@ pub trait Monitor {
         let _ = (at, fault, sim, out);
     }
 
-    /// Called after every processed engine event.
+    /// Called after every processed engine event at or past
+    /// [`Monitor::due`], and at least once after any run of events
+    /// before it.
     fn on_event(&mut self, sim: &LsrpSimulation, out: &mut Vec<Violation>);
+
+    /// The earliest simulated time at which `on_event` can do more than
+    /// catch up on the action log. Read after every `on_event` and
+    /// `on_fault` call. The default, [`SimTime::ZERO`], asks for a call
+    /// after every event.
+    fn due(&self) -> SimTime {
+        SimTime::ZERO
+    }
 
     /// Called once when the run ends (quiescent or horizon).
     fn finish(&mut self, sim: &LsrpSimulation, out: &mut Vec<Violation>);
@@ -275,6 +292,11 @@ impl Monitor for ConvergenceMonitor {
                 self.check(sim, out);
             }
         }
+    }
+
+    fn due(&self) -> SimTime {
+        self.last_fault
+            .map_or_else(never, |tf| SimTime::new(tf + self.deadline))
     }
 
     fn finish(&mut self, sim: &LsrpSimulation, out: &mut Vec<Violation>) {
@@ -444,6 +466,12 @@ impl Monitor for ContaminationMonitor {
         }
     }
 
+    /// Never: the scan reads only the action log and reports each record
+    /// at its own time, so it is the same however often it runs.
+    fn due(&self) -> SimTime {
+        never()
+    }
+
     fn finish(&mut self, sim: &LsrpSimulation, out: &mut Vec<Violation>) {
         self.on_event(sim, out);
     }
@@ -602,6 +630,11 @@ impl Monitor for WaveOrderMonitor {
         }
     }
 
+    fn due(&self) -> SimTime {
+        self.window_start
+            .map_or_else(never, |start| SimTime::new(start + self.window))
+    }
+
     fn finish(&mut self, sim: &LsrpSimulation, out: &mut Vec<Violation>) {
         self.on_event(sim, out);
         self.close_window(sim, out);
@@ -724,6 +757,12 @@ impl Monitor for LoopMonitor {
         }
     }
 
+    fn due(&self) -> SimTime {
+        self.last_fault.map_or_else(never, |tf| {
+            SimTime::new((tf + self.window).max(self.next_check))
+        })
+    }
+
     fn finish(&mut self, sim: &LsrpSimulation, out: &mut Vec<Violation>) {
         if let Some(tf) = self.last_fault {
             if sim.now().seconds() >= tf + self.window {
@@ -751,13 +790,19 @@ pub struct MonitorReport {
     pub events: u64,
 }
 
-/// Drives `sim` through `schedule` one engine event at a time, feeding
-/// every monitor, then runs on until the engine is drained
-/// ([`lsrp_sim::Engine::drained`]) or `horizon`.
+/// Drives `sim` through `schedule`, feeding every monitor, then runs on
+/// until the engine is drained ([`lsrp_sim::Engine::drained`]) or
+/// `horizon`.
 ///
 /// Monitors see `on_fault` immediately *before* each fault is applied
-/// (best-effort, as in [`FaultSchedule::drive_lsrp`]) and `on_event` after
-/// every processed engine event.
+/// (best-effort, as in [`FaultSchedule::drive_lsrp`]) and `on_event` as
+/// [`Monitor`] promises: after every event at or past their earliest
+/// [`Monitor::due`] time, and once after each run of events before it.
+/// The engine advances through [`lsrp_sim::Engine::step_within`], so
+/// [`lsrp_sim::EngineStats::peak_queue_depth`] is sampled after every
+/// event, and the report, statistics, routes and trace are those of a
+/// driver that steps one event at a time and calls every monitor after
+/// each.
 pub fn run_monitored(
     sim: &mut LsrpSimulation,
     schedule: &FaultSchedule,
@@ -772,6 +817,24 @@ pub fn run_monitored(
 /// observes at every drained-check and around every fault.
 pub(crate) type DataPlane<'a> = (&'a mut WorkloadDriver, &'a mut AvailabilityMonitor);
 
+/// Runs every event at or before `until` (seconds), feeding the monitors
+/// and counting into `events`, and stops early once the engine is
+/// drained; the drained check and the availability sample come after
+/// every 256th event.
+type StepThrough = fn(
+    &mut LsrpSimulation,
+    f64,
+    &mut [Box<dyn Monitor>],
+    &mut Option<DataPlane<'_>>,
+    &mut Vec<Violation>,
+    &mut u64,
+);
+
+/// The time no event reaches: the `due` of a monitor with nothing to do.
+fn never() -> SimTime {
+    SimTime::new(f64::INFINITY)
+}
+
 /// The monitored driver behind [`run_monitored`] and
 /// [`run_traffic_monitored`](crate::traffic::run_traffic_monitored).
 pub(crate) fn drive_monitored(
@@ -779,38 +842,63 @@ pub(crate) fn drive_monitored(
     schedule: &FaultSchedule,
     horizon: f64,
     monitors: &mut [Box<dyn Monitor>],
-    mut plane: Option<DataPlane<'_>>,
+    plane: Option<DataPlane<'_>>,
 ) -> MonitorReport {
-    // Steps the engine one event at a time up to `until`, feeding every
-    // monitor; stops early once the engine is drained.
-    fn step_through(
-        sim: &mut LsrpSimulation,
-        until: f64,
-        monitors: &mut [Box<dyn Monitor>],
-        plane: &mut Option<DataPlane<'_>>,
-        violations: &mut Vec<Violation>,
-        events: &mut u64,
-    ) {
-        while sim
-            .engine()
-            .next_event_time()
-            .is_some_and(|t| t.seconds() <= until)
-        {
-            sim.engine_mut().step();
-            *events += 1;
-            for m in &mut *monitors {
-                m.on_event(sim, violations);
+    drive_with(step_through, sim, schedule, horizon, monitors, plane)
+}
+
+/// The [`StepThrough`] of [`run_monitored`]. Each turn is one *stop*: it
+/// runs the events before every monitor's `due` time, never past the next
+/// multiple of 256 events, or else the one event that is due, and then
+/// calls every monitor once. Skipped calls are for events before all due
+/// times, where a call only catches up on the action log, and the due
+/// event runs after the call for the events before it, so violations
+/// come out in the order a call after every event finds them.
+fn step_through(
+    sim: &mut LsrpSimulation,
+    until: f64,
+    monitors: &mut [Box<dyn Monitor>],
+    plane: &mut Option<DataPlane<'_>>,
+    violations: &mut Vec<Violation>,
+    events: &mut u64,
+) {
+    let until = SimTime::new(until);
+    loop {
+        let due = monitors.iter().map(|m| m.due()).min().unwrap_or_else(never);
+        let engine = sim.engine_mut();
+        let ran = match engine.step_within(until, due, 256 - *events % 256) {
+            0 => engine.step_within(until, never(), 1),
+            ran => ran,
+        };
+        if ran == 0 {
+            return;
+        }
+        *events += ran;
+        #[cfg(test)]
+        referee::count_stop();
+        for m in &mut *monitors {
+            m.on_event(sim, violations);
+        }
+        if (*events).is_multiple_of(256) {
+            if let Some((_, avail)) = plane {
+                avail.observe(sim);
             }
-            if (*events).is_multiple_of(256) {
-                if let Some((_, avail)) = plane {
-                    avail.observe(sim);
-                }
-                if sim.engine().drained() {
-                    return;
-                }
+            if sim.engine().drained() {
+                return;
             }
         }
     }
+}
+
+/// [`drive_monitored`] with the segment driver `step_through`.
+fn drive_with(
+    step_through: StepThrough,
+    sim: &mut LsrpSimulation,
+    schedule: &FaultSchedule,
+    horizon: f64,
+    monitors: &mut [Box<dyn Monitor>],
+    mut plane: Option<DataPlane<'_>>,
+) -> MonitorReport {
     // Monitors only ever see `&LsrpSimulation`, so arm the route-delta
     // feed here (it needs `&mut` once); they then take their own cursors
     // from the view lazily.
@@ -890,6 +978,9 @@ pub fn standard_monitors(timing: &lsrp_core::TimingConfig, n: usize) -> Vec<Box<
 
 #[cfg(test)]
 mod incremental_equiv;
+
+#[cfg(test)]
+mod referee;
 
 #[cfg(test)]
 mod tests {

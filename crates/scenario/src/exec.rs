@@ -940,7 +940,8 @@ fn expand_recurring(r: &RecoveryScenario) -> Result<Vec<RecurringCellSpec>, Stri
             return Err(format!(
                 "[[fault.recurring]] tables disagree on the schedule (seed_node {} vs {}): \
                  period, jitter and occurrences must match across tables",
-                first.seed_node, rec.seed_node
+                first.seed_node.raw(),
+                rec.seed_node.raw()
             ));
         }
     }
@@ -949,7 +950,7 @@ fn expand_recurring(r: &RecoveryScenario) -> Result<Vec<RecurringCellSpec>, Stri
         let size = rec.size.or(r.p).ok_or_else(|| {
             format!(
                 "[[fault.recurring]] seed_node {} needs a 'size' (or a [recovery] p default)",
-                rec.seed_node
+                rec.seed_node.raw()
             )
         })?;
         regions.push((rec.seed_node, size));
@@ -1174,11 +1175,12 @@ pub fn run_scenario(s: &Scenario, opts: ExecOptions) -> Result<ScenarioOutcome, 
     })
 }
 
-/// `(seed node, size)` regions as `v16+4, v48+4`.
+/// `(seed node, size)` regions as `16+4, 48+4`: raw ids, as the file
+/// writes them.
 fn regions_text(regions: &[(NodeId, usize)]) -> String {
     let parts: Vec<String> = regions
         .iter()
-        .map(|(n, size)| format!("{n}+{size}"))
+        .map(|(n, size)| format!("{}+{size}", n.raw()))
         .collect();
     parts.join(", ")
 }
@@ -1198,7 +1200,7 @@ pub fn expand_list(s: &Scenario) -> Result<Vec<String>, String> {
             "chaos campaign: topology {} destination {} runs {} seed {} horizon {}",
             c.topology,
             c.destination
-                .map_or_else(|| "auto".to_string(), |d| d.to_string()),
+                .map_or_else(|| "auto".to_string(), |d| d.raw().to_string()),
             c.runs,
             c.seed,
             fmt_float(c.horizon)

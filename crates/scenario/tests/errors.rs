@@ -487,3 +487,27 @@ fn check_and_run_reject_what_a_file_cannot_run_with_the_same_error() {
         assert_eq!(got, want, "{src}");
     }
 }
+
+#[test]
+fn scenario_text_echoes_node_ids_as_the_file_writes_them() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/e7_regions.toml"
+    );
+    let e7 = load_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    assert_eq!(
+        expand_list(&e7).unwrap()[1],
+        "case 1: two far regions of 4 (half-distance ~16) — topology ring:64 \
+         regions [16+4, 48+4] seed 5"
+    );
+    let recurring = "[scenario]\nname = \"x\"\nkind = \"recovery\"\n\
+                     [recovery]\nwidth = 12\np = 2\n\
+                     [[fault.recurring]]\nseed_node = 13\nperiod = 40.0\n\
+                     [[fault.recurring]]\nseed_node = 14\nperiod = 80.0\n\
+                     [report]\ntitle = \"t\"\ncolumns = [\"period\"]\n";
+    assert_eq!(
+        expand_list(&load_str(recurring).unwrap()).unwrap_err(),
+        "[[fault.recurring]] tables disagree on the schedule (seed_node 13 vs 14): \
+         period, jitter and occurrences must match across tables"
+    );
+}

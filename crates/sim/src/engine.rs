@@ -162,8 +162,10 @@ impl EventCounts {
 /// including `peak_queue_depth`, which the engine samples as the *total*
 /// pending-event count (summed across regions) at region-invariant
 /// logical points — engine construction, every driver mutation, every
-/// data-plane injection and every single-stepped event — rather than
-/// inside region-local pushes.
+/// data-plane injection and right after every event run by
+/// [`Engine::step`] or [`Engine::step_within`] — rather than inside
+/// region-local pushes. [`Engine::run_until`] and
+/// [`Engine::run_to_quiescence`] do not sample between events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Processed events by kind.
@@ -189,7 +191,9 @@ pub struct EngineStats {
     /// messages_duplicated`.
     pub dropped_dead_receiver: u64,
     /// High-water mark of total pending events across all region queues,
-    /// sampled at region-invariant points (see the struct docs). Injected
+    /// sampled at region-invariant points: after construction, after
+    /// every driver mutation and data-plane injection, and after every
+    /// event of [`Engine::step`] and [`Engine::step_within`]. Injected
     /// by [`Engine::stats`]; per-core stats leave it zero.
     pub peak_queue_depth: usize,
     /// Weighted data-plane packet counters (see [`TrafficCounts`]).
@@ -459,12 +463,11 @@ impl WindowBound {
         }
     }
 
-    /// Caps the bound at time `at` (inclusive) if that shrinks it. `at <
-    /// limit` implies `{t : t <= at} ⊂ {t : t < limit}`, so a cap never
-    /// admits a time the original bound rejected.
-    fn cap(self, at: SimTime) -> Self {
-        if at < self.limit.0 {
-            WindowBound::inclusive(at)
+    /// The tighter of two bounds, which admits exactly what both admit:
+    /// the smaller limit, and at equal limits the exclusive one.
+    fn meet(self, other: WindowBound) -> Self {
+        if (other.limit, other.inclusive) < (self.limit, self.inclusive) {
+            other
         } else {
             self
         }
@@ -1672,8 +1675,8 @@ pub struct Engine<P: ProtocolNode> {
     driver_opseq: u64,
     /// High-water mark of total pending events (summed across regions),
     /// sampled only at region-invariant logical points — construction,
-    /// driver mutations, data-plane injections, and single-stepped
-    /// events — so serial and regioned runs agree (see
+    /// driver mutations, data-plane injections, and every event of
+    /// [`Engine::step_within`] — so serial and regioned runs agree (see
     /// [`EngineStats::peak_queue_depth`]).
     peak_queue_depth: usize,
     /// Minimum simulated delay of any cross-region effect — the width of
@@ -2348,13 +2351,36 @@ impl<P: ProtocolNode> Engine<P> {
     /// Processes exactly one event (the globally earliest) and returns
     /// the clock after it — the hook fine-grained observers (e.g. the
     /// loop monitor checking every intermediate state) are built on.
-    /// Returns `None` when all queues are empty. A step is a zero-width
-    /// window with a budget of one, and the one place outside driver
-    /// mutations where `peak_queue_depth` is sampled.
+    /// Returns `None` when all queues are empty. A step is
+    /// [`Engine::step_within`] with a budget of one, so the total
+    /// pending-event count is sampled into
+    /// [`EngineStats::peak_queue_depth`] right after the event.
     pub fn step(&mut self) -> Option<SimTime> {
-        let (events, _) = self.drive(SimTime::new(f64::INFINITY), 0.0, 0.0, 1);
-        self.sample_queue_depth();
-        (events > 0).then_some(self.now)
+        let never = SimTime::new(f64::INFINITY);
+        (self.step_within(never, never, 1) > 0).then_some(self.now)
+    }
+
+    /// Processes every pending event at or before `until` and strictly
+    /// before `before` (a `before` of +∞ bounds nothing), at most
+    /// `budget` of them, and returns how many ran. The engine is left
+    /// exactly as that many [`Engine::step`] calls leave it,
+    /// [`EngineStats::peak_queue_depth`] included: the total
+    /// pending-event count is sampled after every event, and the clock
+    /// stays at the last event processed. One region runs the events as
+    /// one window; several take one event per window, as a step does,
+    /// because a budget cut inside a wider window could leave one region
+    /// ahead of another.
+    pub fn step_within(&mut self, until: SimTime, before: SimTime, budget: u64) -> u64 {
+        let mut stop = WindowBound::inclusive(until);
+        if before.seconds() < f64::INFINITY {
+            stop = stop.meet(WindowBound::exclusive(before));
+        }
+        let lookahead = if self.cores.len() == 1 {
+            self.lookahead
+        } else {
+            0.0
+        };
+        self.drive(stop, 0.0, lookahead, budget, true).0
     }
 
     /// Processes all events up to and including `until`, then advances the
@@ -2366,7 +2392,8 @@ impl<P: ProtocolNode> Engine<P> {
     /// runs out.
     pub fn run_until(&mut self, until: SimTime) -> Result<RunReport, EngineError> {
         let max_events = self.shared.config.max_events;
-        let (events, halt) = self.drive(until, 0.0, self.lookahead, max_events);
+        let stop = WindowBound::inclusive(until);
+        let (events, halt) = self.drive(stop, 0.0, self.lookahead, max_events, false);
         if halt == Halt::Budget {
             return Err(EngineError::EventBudgetExhausted { at: self.now });
         }
@@ -2400,7 +2427,8 @@ impl<P: ProtocolNode> Engine<P> {
         settle: f64,
     ) -> Result<RunReport, EngineError> {
         let max_events = self.shared.config.max_events;
-        let (events, halt) = self.drive(horizon, settle, self.lookahead, max_events);
+        let stop = WindowBound::inclusive(horizon);
+        let (events, halt) = self.drive(stop, settle, self.lookahead, max_events, false);
         let last_effective = self.last_effective();
         match halt {
             Halt::Budget => return Err(EngineError::EventBudgetExhausted { at: self.now }),
@@ -2418,25 +2446,29 @@ impl<P: ProtocolNode> Engine<P> {
 
     /// The one run loop. Each turn takes the globally earliest pending
     /// event, checks the stop conditions against it, runs one window —
-    /// `lookahead` wide from that event, capped at `until` and (with
+    /// `lookahead` wide from that event, capped at `stop` and (with
     /// `settle > 0`) at `last_effective + settle` — and closes it with the
     /// barrier. Returns the number of events processed and why it stopped;
-    /// the clock is left at the last processed event.
+    /// the clock is left at the last processed event. With `sample`, the
+    /// pending-event count is sampled after every event, and again at
+    /// every barrier, once a several-region window's staged effects have
+    /// landed.
     ///
     /// Caps only shrink a window and the stop conditions are re-checked
     /// after every barrier, so no event a one-event-at-a-time engine would
     /// have left unprocessed at its stop point is ever executed: stop
     /// decisions, event counts and end times are the same for every
     /// lookahead. A bound that rejects even the event it was built from —
-    /// the zero width `step` passes, or the settle span ending while
-    /// guards are still enabled — degrades to a window holding exactly
-    /// that event.
+    /// the zero width a several-region `step_within` passes, or the settle
+    /// span ending while guards are still enabled — degrades to a window
+    /// holding exactly that event.
     fn drive(
         &mut self,
-        until: SimTime,
+        stop: WindowBound,
         settle: f64,
         lookahead: f64,
         max_events: u64,
+        sample: bool,
     ) -> (u64, Halt) {
         // Cutting a window short on the event budget is only
         // order-preserving for the ordered observability merge when no
@@ -2456,26 +2488,29 @@ impl<P: ProtocolNode> Engine<P> {
             if quiet_until.is_some_and(|q| head.0 > q) && !self.any_enabled_non_maintenance() {
                 return (events, Halt::Settled);
             }
-            if head.0 > until {
+            if !stop.admits(head) {
                 return (events, Halt::Passed);
             }
             if events >= max_events {
                 return (events, Halt::Budget);
             }
-            let mut bound = WindowBound::exclusive(head.0 + lookahead).cap(until);
+            let mut bound = WindowBound::exclusive(head.0 + lookahead).meet(stop);
             if let Some(q) = quiet_until {
-                bound = bound.cap(q);
+                bound = bound.meet(WindowBound::inclusive(q));
             }
             let mut budget = (max_events - events).min(chunk);
             if !bound.admits(head) {
                 bound = WindowBound::only(head);
                 budget = 1;
             }
-            events += self.execute_window(bound, budget);
+            events += self.execute_window(bound, budget, sample);
             self.ingest_staged(Some(bound));
             self.flush();
             for core in &self.cores {
                 self.now = self.now.max(core.now);
+            }
+            if sample {
+                self.sample_queue_depth();
             }
         }
     }
@@ -2486,7 +2521,10 @@ impl<P: ProtocolNode> Engine<P> {
     /// are split into contiguous chunks, one scoped worker thread per
     /// chunk. The per-region results are order-free, so neither the
     /// thread count nor the inline shortcut can change a trajectory.
-    fn execute_window(&mut self, bound: WindowBound, budget: u64) -> u64 {
+    fn execute_window(&mut self, bound: WindowBound, budget: u64, sample: bool) -> u64 {
+        if sample {
+            return self.execute_sampled(bound, budget);
+        }
         let Engine { cores, shared, .. } = self;
         let shared = &*shared;
         let busy = cores
@@ -2517,6 +2555,29 @@ impl<P: ProtocolNode> Engine<P> {
                 .map(|h| h.join().expect("window worker panicked"))
                 .sum()
         })
+    }
+
+    /// [`Engine::execute_window`] one event at a time, inline, sampling
+    /// the pending-event count after each. Sampled windows hold one event
+    /// on several regions (see [`Engine::step_within`]), so this splits
+    /// only a one-region window. Kept out of line, so that the unsampled
+    /// window compiles as it would without it.
+    #[inline(never)]
+    fn execute_sampled(&mut self, bound: WindowBound, budget: u64) -> u64 {
+        let mut done = 0u64;
+        while done < budget {
+            let Engine { cores, shared, .. } = &mut *self;
+            let ran: u64 = cores
+                .iter_mut()
+                .map(|c| c.run_window(shared, bound, 1))
+                .sum();
+            if ran == 0 {
+                break;
+            }
+            done += ran;
+            self.sample_queue_depth();
+        }
+        done
     }
 
     /// Moves every staged cross-region effect into its target region at a

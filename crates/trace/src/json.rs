@@ -78,9 +78,16 @@ impl Json {
     }
 }
 
-/// Appends a JSON string literal (with escaping) to `out`.
+/// Appends a JSON string literal (with escaping) to `out`. A string with
+/// nothing to escape — every action name and frame kind — is pushed
+/// whole.
 pub fn push_str_escaped(out: &mut String, s: &str) {
     out.push('"');
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -318,6 +325,24 @@ mod tests {
         assert_eq!(out, r#""a\"b\\c\nd""#);
         let back = parse(&out).unwrap();
         assert_eq!(back.as_str(), Some("a\"b\\c\nd"));
+    }
+
+    #[test]
+    fn strings_with_and_without_escapes_round_trip() {
+        for text in [
+            "S1",
+            "",
+            "snap",
+            "é ∞",
+            "tab\there",
+            "q\"",
+            "\u{1}\u{7f}",
+            "a\\b",
+        ] {
+            let mut out = String::new();
+            push_str_escaped(&mut out, text);
+            assert_eq!(parse(&out).unwrap().as_str(), Some(text), "{out}");
+        }
     }
 
     #[test]

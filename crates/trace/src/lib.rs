@@ -57,6 +57,46 @@ fn push_bool(out: &mut String, v: bool) {
     out.push_str(if v { "true" } else { "false" });
 }
 
+/// The last value one frame field printed, with its text: frames repeat
+/// the previous frame's `t` far more often than not, and copying the
+/// text back is much cheaper than formatting the float again. The text
+/// is held inline, so the cache allocates nothing; a text longer than
+/// the buffer is printed by [`push_f64`] every time.
+struct FloatText {
+    bits: u64,
+    /// Length of `text`; 0 while nothing is cached.
+    len: u8,
+    text: [u8; FloatText::CAP],
+}
+
+impl FloatText {
+    const CAP: usize = 32;
+
+    const EMPTY: FloatText = FloatText {
+        bits: 0,
+        len: 0,
+        text: [0; FloatText::CAP],
+    };
+
+    /// Appends `v` to `out` exactly as [`push_f64`] does.
+    fn push(&mut self, out: &mut String, v: f64) {
+        if self.len > 0 && v.to_bits() == self.bits {
+            let text = &self.text[..usize::from(self.len)];
+            out.push_str(std::str::from_utf8(text).expect("copied from a str"));
+            return;
+        }
+        let start = out.len();
+        push_f64(out, v);
+        let text = &out.as_bytes()[start..];
+        self.len = 0;
+        if text.len() <= Self::CAP {
+            self.text[..text.len()].copy_from_slice(text);
+            self.len = text.len() as u8;
+            self.bits = v.to_bits();
+        }
+    }
+}
+
 /// Trace schema version (the `"v"` field of the header frame). Bump on
 /// any breaking change to frame layout; additive fields do not bump it.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -228,6 +268,9 @@ pub struct StreamingSink {
     events: u64,
     /// Time of the last written frame.
     last_time: f64,
+    /// The last `t` and `dt` field texts.
+    t_text: FloatText,
+    dt_text: FloatText,
     tally: StreamTally,
     io_failed: bool,
     finished: bool,
@@ -264,6 +307,8 @@ impl StreamingSink {
             epoch_time: 0.0,
             events: 0,
             last_time: 0.0,
+            t_text: FloatText::EMPTY,
+            dt_text: FloatText::EMPTY,
             tally: StreamTally::default(),
             io_failed: false,
             finished: false,
@@ -319,7 +364,7 @@ impl StreamingSink {
 
     fn write_snapshot(&mut self) {
         self.line.push_str("{\"k\":\"snap\",\"t\":");
-        push_f64(&mut self.line, self.last_time);
+        self.t_text.push(&mut self.line, self.last_time);
         let _ = std::fmt::Write::write_fmt(
             &mut self.line,
             format_args!(
@@ -342,7 +387,7 @@ impl StreamingSink {
         }
         self.finished = true;
         self.line.push_str("{\"k\":\"end\",\"t\":");
-        push_f64(&mut self.line, self.last_time);
+        self.t_text.push(&mut self.line, self.last_time);
         let _ = std::fmt::Write::write_fmt(
             &mut self.line,
             format_args!(
@@ -400,13 +445,14 @@ impl TraceSink for StreamingSink {
                 self.wave_seen[idx] = stamp;
                 self.tally.waves += 1;
                 self.line.push_str("{\"k\":\"wave\",\"t\":");
-                push_f64(&mut self.line, t);
+                self.t_text.push(&mut self.line, t);
                 self.line.push_str(",\"n\":");
                 push_u64(&mut self.line, u64::from(rec.node.raw()));
                 self.line.push_str(",\"epoch\":");
                 push_u64(&mut self.line, u64::from(self.epoch));
                 self.line.push_str(",\"dt\":");
-                push_f64(&mut self.line, (t - self.epoch_time).max(0.0));
+                self.dt_text
+                    .push(&mut self.line, (t - self.epoch_time).max(0.0));
                 self.line.push('}');
                 self.emit();
                 self.after_event_frame();
@@ -414,7 +460,7 @@ impl TraceSink for StreamingSink {
         }
         if self.classes.contains(EventClasses::ACTIONS) {
             self.line.push_str("{\"k\":\"act\",\"t\":");
-            push_f64(&mut self.line, t);
+            self.t_text.push(&mut self.line, t);
             self.line.push_str(",\"n\":");
             push_u64(&mut self.line, u64::from(rec.node.raw()));
             self.line.push_str(",\"a\":");
@@ -521,7 +567,7 @@ impl TraceSink for StreamingSink {
         self.tally.markers += 1;
         if self.classes.contains(EventClasses::MARKERS) {
             self.line.push_str("{\"k\":\"mark\",\"t\":");
-            push_f64(&mut self.line, t);
+            self.t_text.push(&mut self.line, t);
             self.line.push_str(",\"kind\":");
             push_str_escaped(&mut self.line, kind.as_str());
             self.line.push_str(",\"a\":");
@@ -547,7 +593,7 @@ impl TraceSink for StreamingSink {
             let t = time.seconds();
             self.last_time = t;
             self.line.push_str("{\"k\":\"rt\",\"t\":");
-            push_f64(&mut self.line, t);
+            self.t_text.push(&mut self.line, t);
             self.line.push_str(",\"n\":");
             push_u64(&mut self.line, u64::from(node.raw()));
             self.line.push(',');
@@ -579,7 +625,7 @@ impl TraceSink for StreamingSink {
                 PacketStatus::QueueDropped { at } => ("queue_dropped", Some(at), None),
             };
             self.line.push_str("{\"k\":\"pkt\",\"t\":");
-            push_f64(&mut self.line, t);
+            self.t_text.push(&mut self.line, t);
             self.line.push_str(",\"src\":");
             push_u64(&mut self.line, u64::from(rec.src.raw()));
             self.line.push_str(",\"dst\":");
@@ -618,7 +664,7 @@ impl TraceSink for StreamingSink {
             let t = rec.finished_at.seconds();
             self.last_time = t;
             self.line.push_str("{\"k\":\"flow\",\"t\":");
-            push_f64(&mut self.line, t);
+            self.t_text.push(&mut self.line, t);
             let _ = std::fmt::Write::write_fmt(
                 &mut self.line,
                 format_args!(
@@ -661,7 +707,7 @@ impl TraceSink for StreamingSink {
             let t = time.seconds();
             self.last_time = t;
             self.line.push_str("{\"k\":\"q\",\"t\":");
-            push_f64(&mut self.line, t);
+            self.t_text.push(&mut self.line, t);
             self.line.push_str(",\"a\":");
             push_u64(&mut self.line, u64::from(from.raw()));
             self.line.push_str(",\"b\":");
@@ -719,6 +765,40 @@ pub fn streaming_factory(config: TraceConfig, inner: SinkKind) -> io::Result<Sin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The next value of a sequence that mixes arbitrary bit patterns,
+    /// repeats, integral values and tiny and huge magnitudes.
+    fn next_value(rng: &mut TestRng, previous: f64) -> f64 {
+        let unit = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        match rng.next_u64() % 6 {
+            0 => f64::from_bits(rng.next_u64()),
+            1 | 2 => previous,
+            3 => (rng.next_u64() % 1_000_000) as f64,
+            4 => unit * 10f64.powi(-((rng.next_u64() % 320) as i32)),
+            _ => unit * 10f64.powi((rng.next_u64() % 309) as i32),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn cached_float_text_is_what_push_f64_prints(case in 0u64..u64::MAX) {
+            let mut rng = TestRng::deterministic(case);
+            let mut cache = FloatText::EMPTY;
+            let (mut cached, mut printed) = (String::new(), String::new());
+            let mut v = 0.0;
+            for _ in 0..64 {
+                v = next_value(&mut rng, v);
+                cached.clear();
+                printed.clear();
+                cache.push(&mut cached, v);
+                push_f64(&mut printed, v);
+                prop_assert_eq!(&cached, &printed);
+            }
+        }
+    }
 
     #[test]
     fn classes_parse_and_print() {

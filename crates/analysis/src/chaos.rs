@@ -294,18 +294,17 @@ pub fn run_campaign(
     let (CampaignConfig::Chaos(chaos) | CampaignConfig::Traffic(TrafficConfig { chaos, .. })) =
         &mut rest;
     chaos.engine.sink_factory = None;
-    let (g, t, first) = (graph.clone(), target.clone(), config.clone());
     let seeds: Vec<u64> = seeds.collect();
-    let runs = run_sharded(jobs, seeds.len(), move |i| {
-        let (cfg, seed) = (if i == 0 { &first } else { &rest }, seeds[i]);
-        match (&t, cfg) {
-            (Target::Destination(d), CampaignConfig::Chaos(c)) => chaos_run(&g, *d, c, seed),
+    let runs = run_sharded(jobs, seeds.len(), |i| {
+        let (cfg, seed) = (if i == 0 { &config } else { &rest }, seeds[i]);
+        match (&target, cfg) {
+            (Target::Destination(d), CampaignConfig::Chaos(c)) => chaos_run(graph, *d, c, seed),
             (Target::Destinations(ds), CampaignConfig::Chaos(c)) => {
-                multi_chaos_run(&g, ds, c, seed)
+                multi_chaos_run(graph, ds, c, seed)
             }
-            (Target::Destination(d), CampaignConfig::Traffic(c)) => traffic_run(&g, *d, c, seed),
+            (Target::Destination(d), CampaignConfig::Traffic(c)) => traffic_run(graph, *d, c, seed),
             (Target::Destinations(ds), CampaignConfig::Traffic(c)) => {
-                multi_traffic_run(&g, ds, c, seed)
+                multi_traffic_run(graph, ds, c, seed)
             }
         }
     });

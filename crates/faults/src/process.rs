@@ -133,11 +133,6 @@ impl FaultProcess {
         }
     }
 
-    /// Total chaos events this process injects.
-    pub fn event_count(&self) -> u32 {
-        self.link_flaps + self.node_churn + self.partitions + self.corruptions + self.weight_drifts
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics

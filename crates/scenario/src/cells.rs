@@ -682,16 +682,10 @@ pub fn live_hijack_cell(spec: &LiveHijackSpec) -> LiveHijackOutcome {
     // Keep traffic flowing through the recovery until the control plane,
     // the packet lane and (with a transport) every Go-Back-N flow drain
     // (`run_to_quiescence` would settle-skip past queued packet events).
-    let transport = spec.transport.is_some();
+    // Without a transport no flow exists, so `drained()`'s flow check
+    // holds trivially.
     workload.ensure_scheduled(sim.engine_mut(), f64::INFINITY);
-    loop {
-        let drained = !sim.engine().any_enabled_non_maintenance()
-            && sim.engine().inflight_messages() == 0
-            && sim.engine().packets_in_flight() == 0
-            && (!transport || sim.engine().flows_active() == 0);
-        if drained {
-            break;
-        }
+    while !sim.engine().drained() {
         let next = sim
             .engine()
             .next_event_time()
@@ -702,7 +696,7 @@ pub fn live_hijack_cell(spec: &LiveHijackSpec) -> LiveHijackOutcome {
     avail.observe(&mut sim);
     assert!(sim.routes_correct(), "LSRP must recover from the hijack");
     let counts = sim.stats().traffic;
-    if transport {
+    if spec.transport.is_some() {
         assert_eq!(
             counts.completed(),
             counts.injected,

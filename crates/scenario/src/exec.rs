@@ -15,7 +15,6 @@
 //! judges every kind from it.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use lsrp_analysis::table::fmt_f64;
 use lsrp_analysis::{
@@ -543,7 +542,7 @@ impl<C, R> Report<C, R> {
     }
 }
 
-impl<C: Send + Sync, R: Send> Report<C, R> {
+impl<C: Sync, R: Send> Report<C, R> {
     /// Runs `cells` over the sharded runner and tabulates them: one row
     /// of the report's columns per cell, every expectation judged
     /// against it. The first cell (in order) whose run fails fails the
@@ -553,7 +552,7 @@ impl<C: Send + Sync, R: Send> Report<C, R> {
         report: &ReportSection,
         title: String,
         cells: Vec<C>,
-        run: impl Fn(&C) -> Result<R, String> + Send + Sync + 'static,
+        run: impl Fn(&C) -> Result<R, String> + Sync,
         expect: &[Expectation],
         jobs: usize,
     ) -> Result<ScenarioOutcome, String> {
@@ -565,9 +564,7 @@ impl<C: Send + Sync, R: Send> Report<C, R> {
             .collect();
         let headers: Vec<&str> = columns.iter().map(|c| c.0).collect();
         let mut table = Table::new(title, &headers);
-        let cells = Arc::new(cells);
-        let shared = Arc::clone(&cells);
-        let results = run_sharded(jobs, cells.len(), move |i| run(&shared[i]));
+        let results = run_sharded(jobs, cells.len(), |i| run(&cells[i]));
         let mut failures = Vec::new();
         for (cell, result) in cells.iter().zip(results) {
             let result = result?;
@@ -1018,9 +1015,9 @@ fn run_recovery(
     let require = r.require_correct;
     if !r.regions.is_empty() {
         let (graph, dest, cases) = region_cases(r)?;
-        let (protocol, seed) = (r.protocol.unwrap_or(Protocol::Lsrp), r.seed);
-        let run = move |(label, regions): &RegionCase| {
-            let m = region_case_cell(protocol, &graph, dest, regions, seed);
+        let protocol = r.protocol.unwrap_or(Protocol::Lsrp);
+        let run = |(label, regions): &RegionCase| {
+            let m = region_case_cell(protocol, &graph, dest, regions, r.seed);
             if require {
                 require_recovered(m.quiescent, m.routes_correct, || label.clone())?;
             }
@@ -1029,7 +1026,7 @@ fn run_recovery(
         return REGION_CASES.tabulate(&r.report, title, cases, run, expect, jobs);
     }
     if !r.recurring.is_empty() {
-        let run = move |c: &RecurringCellSpec| {
+        let run = |c: &RecurringCellSpec| {
             let m = recurring_cell(c);
             let label = || (RECURRING.label)(c);
             require_recovered(m.quiescent, m.routes_correct || !require, label)?;
@@ -1040,14 +1037,13 @@ fn run_recovery(
     let cells = expand_recovery(r)?;
     match r.plane {
         Plane::Single => {
-            let fault = r.fault;
-            let run = move |c: &RCell| {
+            let run = |c: &RCell| {
                 let m = recovery_cell(&RecoveryCellSpec {
                     protocol: c.protocol.ok_or("recovery cell needs a protocol")?,
                     width: c.width,
                     p: c.p,
                     seed: c.seed,
-                    fault,
+                    fault: r.fault,
                     model: c.model,
                 });
                 if require {
@@ -1115,30 +1111,27 @@ fn run_hijack(
 ) -> Result<ScenarioOutcome, String> {
     let cells = expand_hijack(h)?;
     let title = render_title(&h.report.title, &h.title_subs());
-    let seed = h.seed;
     match h.mode {
         HijackMode::Snapshot => {
-            let sample_every = h.sample_every;
-            let run = move |c: &HCell| {
-                let trace = snapshot_hijack_cell(c.protocol, c.width, c.p, seed, sample_every);
+            let run = |c: &HCell| {
+                let trace = snapshot_hijack_cell(c.protocol, c.width, c.p, h.seed, h.sample_every);
                 Ok(trace)
             };
             SNAPSHOT.tabulate(&h.report, title, cells, run, expect, jobs)
         }
         HijackMode::Live => {
-            let (workload, duration) = (workload_spec(&h.workload), h.duration);
-            let (prefault, window) = (h.prefault, h.window);
+            let workload = workload_spec(&h.workload);
             let congestion = h.congestion.as_ref().map(CongestionSection::config);
             let transport = h.congestion.as_ref().and_then(|c| c.cc);
-            let run = move |c: &HCell| {
+            let run = |c: &HCell| {
                 Ok(live_hijack_cell(&LiveHijackSpec {
                     width: c.width,
                     p: c.p,
-                    seed,
+                    seed: h.seed,
                     workload,
-                    duration,
-                    prefault,
-                    window,
+                    duration: h.duration,
+                    prefault: h.prefault,
+                    window: h.window,
                     congestion,
                     transport,
                 }))

@@ -42,13 +42,9 @@
 //! through the [`RouteView`] first and reach the sink only when they
 //! change an entry.
 //!
-//! Worker threads come from `std::thread::scope`, not the vendored
-//! `threadpool` crate: the pool's `execute` requires `'static` closures,
-//! which would force the per-region state behind `Arc<Mutex<_>>` (or
-//! `unsafe` lifetime laundering, forbidden by the crate's
-//! `#![forbid(unsafe_code)]`). Scoped threads borrow the region slabs
-//! directly for the duration of one window; a window in which at most
-//! one region has work runs inline and spawns nothing.
+//! Worker threads come from `std::thread::scope`, so they borrow the
+//! region slabs directly for the duration of one window; a window in
+//! which at most one region has work runs inline and spawns nothing.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -78,9 +74,8 @@ use crate::view::{RouteCursor, RouteDelta, RouteView, ViewEntry};
 /// What [`Engine::trace`] returns when the configured sink keeps no trace.
 static EMPTY_TRACE: Trace = Trace {
     actions: Vec::new(),
-    var_changes: Vec::new(),
+    last_var_change: None,
     action_counts: BTreeMap::new(),
-    maintenance_counts: BTreeMap::new(),
 };
 
 /// The driver's flush cadence: a window that is unbounded in time is cut

@@ -177,8 +177,8 @@ impl TraceSink for Trace {
         Trace::record_action(self, rec);
     }
 
-    fn record_receive_change(&mut self, time: SimTime, node: NodeId) {
-        Trace::record_receive_change(self, time, node);
+    fn record_receive_change(&mut self, time: SimTime, _node: NodeId) {
+        self.last_var_change = Some(time);
     }
 
     fn reset(&mut self) {

@@ -35,14 +35,13 @@ pub struct ActionRecord {
 pub struct Trace {
     /// Executed actions in time order (only when trace recording is on).
     pub actions: Vec<ActionRecord>,
-    /// Times at which some node's protocol variables changed (includes
+    /// The latest time some node's protocol variables changed (includes
     /// changes made inside receive handlers, e.g. a mirror-triggered
-    /// distance update in protocols that update on receipt).
-    pub var_changes: Vec<(SimTime, NodeId)>,
+    /// distance update in protocols that update on receipt). Records
+    /// arrive in time order, so this is also the greatest such time.
+    pub(crate) last_var_change: Option<SimTime>,
     /// Per-node count of non-maintenance action executions.
     pub action_counts: BTreeMap<NodeId, u64>,
-    /// Per-node count of maintenance action executions.
-    pub maintenance_counts: BTreeMap<NodeId, u64>,
 }
 
 impl Trace {
@@ -79,16 +78,7 @@ impl Trace {
     /// The last time a protocol variable changed at or after `since`
     /// (`None` if none did).
     pub fn last_var_change_since(&self, since: SimTime) -> Option<SimTime> {
-        self.var_changes
-            .iter()
-            .rev()
-            .map(|&(t, _)| t)
-            .find(|&t| t >= since)
-            .or({
-                // var_changes is time-ordered, so a reverse scan finding
-                // nothing >= since means none exist.
-                None
-            })
+        self.last_var_change.filter(|&t| t >= since)
     }
 
     /// Total non-maintenance actions executed.
@@ -115,20 +105,13 @@ impl Trace {
     }
 
     pub(crate) fn record_action(&mut self, rec: ActionRecord) {
-        let counts = if rec.maintenance {
-            &mut self.maintenance_counts
-        } else {
-            &mut self.action_counts
-        };
-        *counts.entry(rec.node).or_insert(0) += 1;
+        if !rec.maintenance {
+            *self.action_counts.entry(rec.node).or_insert(0) += 1;
+        }
         if rec.var_changed {
-            self.var_changes.push((rec.time, rec.node));
+            self.last_var_change = Some(rec.time);
         }
         self.actions.push(rec);
-    }
-
-    pub(crate) fn record_receive_change(&mut self, time: SimTime, node: NodeId) {
-        self.var_changes.push((time, node));
     }
 }
 

@@ -3,6 +3,9 @@
 //! All random generators take an explicit RNG so that every experiment in
 //! the repository is reproducible from a seed. Node ids are dense from 0.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -167,9 +170,9 @@ pub fn connected_erdos_renyi<R: Rng>(n: u32, p: f64, max_weight: Weight, rng: &m
 
 /// A connected random geometric graph: `n` points uniform in the unit
 /// square, edges between points within `radius`, patched to connectivity by
-/// linking each stranded component to its nearest neighbor component. This
-/// mimics the wireless-sensor-network topologies of §VI-A (dense local
-/// connectivity).
+/// linking the component of `v0`, one edge at a time, to the geometrically
+/// closest outside node. This mimics the wireless-sensor-network topologies
+/// of §VI-A (dense local connectivity).
 ///
 /// Weights are 1 (hop metric, as in sensor networks).
 ///
@@ -186,41 +189,15 @@ pub fn random_geometric<R: Rng>(n: u32, radius: f64, rng: &mut R) -> Graph {
     for i in 0..n {
         g.add_node(v(i));
     }
-    let r2 = radius * radius;
-    let d2 = |a: (f64, f64), b: (f64, f64)| {
-        let dx = a.0 - b.0;
-        let dy = a.1 - b.1;
-        dx * dx + dy * dy
-    };
-    for a in 0..n as usize {
-        for b in (a + 1)..n as usize {
-            if d2(points[a], points[b]) <= r2 {
-                g.add_edge(v(a as u32), v(b as u32), 1).expect("fresh edge");
-            }
+    let mut pairs = Pairs::new(&points, radius);
+    let (mut ids, mut d2) = (Vec::new(), Vec::new());
+    for i in 0..n {
+        let m = pairs.later_within(i, points[i as usize], &mut ids, &mut d2);
+        for &j in &ids[..m] {
+            g.add_edge(v(i), v(j), 1).expect("fresh edge");
         }
     }
-    // Patch connectivity: repeatedly connect the component containing v0 to
-    // the geometrically closest outside node.
-    loop {
-        let comp = g.component_of(v(0));
-        if comp.len() == n as usize {
-            break;
-        }
-        let mut best: Option<(NodeId, NodeId, f64)> = None;
-        for &a in &comp {
-            for b in g.nodes() {
-                if comp.contains(&b) {
-                    continue;
-                }
-                let d = d2(points[a.raw() as usize], points[b.raw() as usize]);
-                if best.is_none_or(|(_, _, bd)| d < bd) {
-                    best = Some((a, b, d));
-                }
-            }
-        }
-        let (a, b, _) = best.expect("disconnected graph has an outside node");
-        g.add_edge(a, b, 1).expect("fresh edge");
-    }
+    patch_nearest_first(&mut g, &points);
     g
 }
 
@@ -314,11 +291,13 @@ pub fn preferential_attachment<R: Rng>(n: u32, m: u32, rng: &mut R) -> Graph {
 /// [`random_geometric`]. Weights are 1.
 ///
 /// Pairs whose link probability falls below a fixed cutoff (`1e-9`) are
-/// never linked; that truncation is what lets the generator run a
-/// spatial hash over candidate pairs instead of the O(n²) sweep, so
-/// 100k-node graphs build in seconds. With the small `alpha` values
-/// such sizes need (long links are exponentially suppressed), the
-/// truncated model is the Waxman model for every practical purpose.
+/// never linked; that truncation is what lets the generator draw over
+/// the candidate pairs a spatial hash finds instead of sweeping all
+/// O(n²): `waxman(100_000, 0.002, 0.5, _)`, 48 million candidate pairs,
+/// builds in about 1 s on one core of a 2-core container. With the small
+/// `alpha` values such sizes need (long links are exponentially
+/// suppressed), the truncated model is the Waxman model for every
+/// practical purpose.
 ///
 /// # Panics
 ///
@@ -334,26 +313,69 @@ pub fn waxman<R: Rng>(n: u32, alpha: f64, beta: f64, rng: &mut R) -> Graph {
     let points: Vec<(f64, f64)> = (0..n)
         .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
         .collect();
-    let cells = SpatialHash::new(&points, radius);
     let mut g = Graph::new();
     for i in 0..n {
         g.add_node(v(i));
     }
-    let d = |a: usize, b: usize| {
-        let (ax, ay) = points[a];
-        let (bx, by) = points[b];
-        ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
-    };
-    // Candidate pairs in ascending (i, j) order so the RNG consumption
-    // order — hence the graph — is a pure function of the seed.
-    let mut candidates: Vec<u32> = Vec::new();
-    for i in 0..n as usize {
-        cells.later_neighbors_within(i, &points, radius, &mut candidates);
-        candidates.sort_unstable();
-        for &j in &candidates {
-            let p = beta * (-d(i, j as usize) / (alpha * l)).exp();
-            if p >= CUTOFF && rng.gen_bool(p.min(1.0)) {
-                g.add_edge(v(i as u32), v(j), 1).expect("fresh edge");
+    let p = |d2: f64| beta * (-d2.sqrt() / (alpha * l)).exp();
+    // A candidate pair `i < j` (d² ≤ radius²) takes one draw if
+    // `p >= CUTOFF` and is linked if that draw is below `p`; the draws go
+    // in ascending `(i, j)` order, so the graph is a pure function of the
+    // seed. Inside `shell2` the exact `p` is at least `CUTOFF · (1 + 1e-3)`,
+    // a margin no rounding of `sqrt`, `/` or `exp` can eat: every such
+    // pair draws, and only the thin shell beyond asks `exp` whether it does.
+    let mut pairs = Pairs::new(&points, radius.max(0.0));
+    let bound = DrawBound::new(p, pairs.r2);
+    let inner = alpha * l * (beta / (CUTOFF * (1.0 + 1e-3))).ln();
+    let shell2 = if inner > 0.0 { inner * inner } else { 0.0 };
+    let (mut ids, mut d2) = (Vec::new(), Vec::new());
+    let mut draws: Vec<f64> = Vec::new();
+    let mut maybe: Vec<(u32, u32)> = Vec::new();
+    let mut below: Vec<u32> = Vec::new();
+    for i in 0..n {
+        let m = pairs.later_within(i, points[i as usize], &mut ids, &mut d2);
+        let (ids, d2) = (&mut ids[..m], &d2[..m]);
+        // A shell pair that takes no draw leaves the ranking as `NONE`.
+        let mut live = m;
+        for (j, &dd) in ids.iter_mut().zip(d2) {
+            if dd >= shell2 && p(dd) < CUTOFF {
+                *j = NONE;
+                live -= 1;
+            }
+        }
+        // Node i's draws, all taken now: the k-th belongs to the drawing
+        // pair of rank k in ascending j.
+        draws.clear();
+        draws.extend((0..live).map(|_| rng.gen::<f64>()));
+        let least = draws.iter().fold(1.0f64, |a, &u| a.min(u));
+        // Only a pair whose bound exceeds the least draw can be linked;
+        // the rest are rejected without knowing which draw is theirs.
+        let limit = bound.bins_above(least);
+        maybe.clear();
+        for (k, (&j, &dd)) in ids.iter().zip(d2).enumerate() {
+            if j != NONE && bound.bin(dd) < limit {
+                maybe.push((j, k as u32));
+            }
+        }
+        if maybe.is_empty() {
+            continue;
+        }
+        maybe.sort_unstable();
+        // Rank without sorting the rest: `below[q]` counts the drawing
+        // pairs with exactly q survivors at or below them, so the prefix
+        // sum up to survivor t is the number of drawing pairs before it.
+        below.clear();
+        below.resize(maybe.len() + 1, 0);
+        for &j in ids.iter() {
+            below[maybe.partition_point(|&(s, _)| s <= j)] += 1;
+        }
+        let mut rank = 0;
+        for (t, &(j, k)) in maybe.iter().enumerate() {
+            rank += below[t] as usize;
+            let (u, dd) = (draws[rank], d2[k as usize]);
+            // `u < p.min(1.0)` is `gen_bool(p)` on the draw it would take.
+            if u < bound.at(dd) && u < p(dd).min(1.0) {
+                g.add_edge(v(i), v(j), 1).expect("fresh edge");
             }
         }
     }
@@ -361,152 +383,439 @@ pub fn waxman<R: Rng>(n: u32, alpha: f64, beta: f64, rng: &mut R) -> Graph {
     g
 }
 
-/// A uniform grid of buckets over the unit square, sized so that any two
-/// points within `radius` share a bucket or sit in adjacent ones.
-struct SpatialHash {
+/// The id that marks a pair dropped from the ranking, and "none found
+/// yet" in the nearest-node searches: larger than every node id, which
+/// `n <= u32::MAX` keeps below it.
+const NONE: u32 = u32::MAX;
+
+/// Points bucketed into a `side × side` grid of square cells over the
+/// unit square, stored CSR-style: cell `c` holds entries
+/// `start[c]..start[c + 1]`, ids ascending, each beside its coordinates.
+/// Cell `(cx, cy)` is cell `cy * side + cx`, so a row's cells are one
+/// contiguous run of entries.
+struct Cells {
     side: usize,
-    buckets: Vec<Vec<u32>>,
+    start: Vec<u32>,
+    ids: Vec<u32>,
+    coords: Vec<(f64, f64)>,
 }
 
-impl SpatialHash {
-    fn new(points: &[(f64, f64)], radius: f64) -> Self {
-        // At least 1 cell; cap the resolution so tiny radii on few points
-        // don't allocate millions of empty buckets.
+impl Cells {
+    /// Cells at least `width` wide, but no more cells than about one per
+    /// point, so a tiny width on few points does not allocate millions of
+    /// empty ones.
+    fn new(points: &[(f64, f64)], width: f64) -> Self {
         let max_side = ((points.len() as f64).sqrt().ceil() as usize).max(1);
-        let side = ((1.0 / radius).floor() as usize).clamp(1, max_side);
-        let mut buckets = vec![Vec::new(); side * side];
-        for (i, &(x, y)) in points.iter().enumerate() {
-            buckets[Self::cell(side, x, y)].push(i as u32);
+        let side = ((1.0 / width).floor() as usize).clamp(1, max_side);
+        let cell_of = |&(x, y): &(f64, f64)| {
+            let (cx, cy) = Self::locate(side, x, y);
+            cy * side + cx
+        };
+        let mut start = vec![0u32; side * side + 1];
+        for pt in points {
+            start[cell_of(pt) + 1] += 1;
         }
-        SpatialHash { side, buckets }
+        for c in 0..side * side {
+            start[c + 1] += start[c];
+        }
+        // A counting sort that visits points in id order keeps each
+        // cell's ids ascending.
+        let mut next = start.clone();
+        let mut ids = vec![0; points.len()];
+        let mut coords = vec![(0.0, 0.0); points.len()];
+        for (i, pt) in points.iter().enumerate() {
+            let at = &mut next[cell_of(pt)];
+            ids[*at as usize] = i as u32;
+            coords[*at as usize] = *pt;
+            *at += 1;
+        }
+        Cells {
+            side,
+            start,
+            ids,
+            coords,
+        }
     }
 
-    fn cell(side: usize, x: f64, y: f64) -> usize {
+    fn locate(side: usize, x: f64, y: f64) -> (usize, usize) {
         let cx = ((x * side as f64) as usize).min(side - 1);
         let cy = ((y * side as f64) as usize).min(side - 1);
-        cy * side + cx
+        (cx, cy)
     }
 
-    /// Collects (into `out`) every point `j > i` within `radius` of point
-    /// `i` — each unordered pair once, from its smaller end. Order is
-    /// unspecified; callers sort.
-    fn later_neighbors_within(
-        &self,
-        i: usize,
-        points: &[(f64, f64)],
-        radius: f64,
-        out: &mut Vec<u32>,
-    ) {
-        out.clear();
-        let (x, y) = points[i];
-        let r2 = radius * radius;
-        let span = (radius * self.side as f64).ceil() as isize;
-        let cx = ((x * self.side as f64) as isize).min(self.side as isize - 1);
-        let cy = ((y * self.side as f64) as isize).min(self.side as isize - 1);
-        for by in (cy - span).max(0)..=(cy + span).min(self.side as isize - 1) {
-            for bx in (cx - span).max(0)..=(cx + span).min(self.side as isize - 1) {
-                for &j in &self.buckets[by as usize * self.side + bx as usize] {
-                    if j as usize <= i {
-                        continue;
-                    }
-                    let (jx, jy) = points[j as usize];
-                    if (jx - x).powi(2) + (jy - y).powi(2) <= r2 {
-                        out.push(j);
-                    }
+    fn cell_of(&self, (x, y): (f64, f64)) -> (usize, usize) {
+        Self::locate(self.side, x, y)
+    }
+
+    /// The entries of cells `first..=last` (consecutive indices).
+    fn entries(&self, first: usize, last: usize) -> std::ops::Range<usize> {
+        self.start[first] as usize..self.start[last + 1] as usize
+    }
+
+    /// Calls `f(id, point)` on every point of the cells exactly `k` cells
+    /// from `(cx, cy)` along one axis and at most `k` along the other.
+    fn ring(&self, (cx, cy): (usize, usize), k: usize, mut f: impl FnMut(u32, (f64, f64))) {
+        let last = self.side - 1;
+        let mut visit = |range: std::ops::Range<usize>| {
+            for e in range {
+                f(self.ids[e], self.coords[e]);
+            }
+        };
+        let (x0, x1) = (cx.saturating_sub(k), (cx + k).min(last));
+        for by in cy.saturating_sub(k)..=(cy + k).min(last) {
+            let row = by * self.side;
+            if by.abs_diff(cy) == k {
+                visit(self.entries(row + x0, row + x1));
+            } else {
+                if cx >= k {
+                    visit(self.entries(row + cx - k, row + cx - k));
+                }
+                if cx + k <= last {
+                    visit(self.entries(row + cx + k, row + cx + k));
                 }
             }
         }
     }
+
+    /// A lower bound on `d²` from a point to any point more than `k`
+    /// rings out: at least `k` whole cells lie between them along one
+    /// axis. The relative 1e-9 covers the rounding of `x * side` and of
+    /// the caller's `d²`.
+    fn past(&self, k: usize) -> f64 {
+        let gap = k as f64 / self.side as f64;
+        gap * gap * (1.0 - 1e-9)
+    }
+}
+
+/// The candidate-pair enumerator of the spatial generators: from each
+/// point `i`, every `j > i` with `d²(i, j) <= radius²`, found over cells
+/// about `radius / 2` wide: the 5×5 block of them around a point holds
+/// about half the points outside the disc that a 3×3 block of
+/// radius-wide cells holds.
+struct Pairs {
+    cells: Cells,
+    span: usize,
+    r2: f64,
+    /// Per cell, its first entry with an id above the last `i` asked.
+    later: Vec<u32>,
+}
+
+impl Pairs {
+    fn new(points: &[(f64, f64)], radius: f64) -> Self {
+        let cells = Cells::new(points, radius / 2.0);
+        // A point within `radius` lies at most `radius * side` cells away
+        // along each axis; the addend covers the rounding of `x * side`.
+        let span = ((radius * cells.side as f64 + 1e-9).ceil() as usize).min(cells.side);
+        let later = cells.start.clone();
+        Pairs {
+            cells,
+            span,
+            r2: radius * radius,
+            later,
+        }
+    }
+
+    /// Writes every `j > i` within the radius of point `i`, at `(x, y)`, to
+    /// `ids[..count]` and its `d²` to `d2[..count]`, in no particular
+    /// order, and returns `count`. Calls come for `i = 0, 1, 2, ...` in
+    /// turn: a cell's ids ascend, so `i` is the entry at its own cell's
+    /// `later` mark, and stepping past it is all that moves.
+    fn later_within(
+        &mut self,
+        i: u32,
+        (x, y): (f64, f64),
+        ids: &mut Vec<u32>,
+        d2: &mut Vec<f64>,
+    ) -> usize {
+        let c = &self.cells;
+        let (cx, cy) = c.cell_of((x, y));
+        let home = &mut self.later[cy * c.side + cx];
+        debug_assert_eq!(c.ids[*home as usize], i, "points are asked in id order");
+        *home += 1;
+        let last = c.side - 1;
+        let mut count = 0;
+        for by in cy.saturating_sub(self.span)..=(cy + self.span).min(last) {
+            let row = by * c.side;
+            for cell in row + cx.saturating_sub(self.span)..=row + (cx + self.span).min(last) {
+                let (lo, hi) = (self.later[cell] as usize, c.start[cell + 1] as usize);
+                if ids.len() < count + (hi - lo) {
+                    ids.resize(count + hi - lo, 0);
+                    d2.resize(count + hi - lo, 0.0);
+                }
+                // Branch-free: every point is written, and kept only when
+                // it lies within the radius.
+                for (&j, &(px, py)) in c.ids[lo..hi].iter().zip(&c.coords[lo..hi]) {
+                    let (dx, dy) = (px - x, py - y);
+                    let dd = dx * dx + dy * dy;
+                    ids[count] = j;
+                    d2[count] = dd;
+                    count += usize::from(dd <= self.r2);
+                }
+            }
+        }
+        count
+    }
+}
+
+/// An upper bound on a link probability `p(d²)` that falls as `d²`
+/// grows: one value per bin of `d² ∈ [0, r²]`, `p` just below the bin's
+/// lower edge (a relative 1e-12, over the rounding of the bin index)
+/// raised by a relative 1e-9 (over the ulps by which `sqrt`, `/` and
+/// `exp` round), and never below a later bin's. A draw at or above the
+/// bound is therefore at or above the `p` computed exactly.
+struct DrawBound {
+    per_bin: Vec<f64>,
+    inv_width: f64,
+}
+
+impl DrawBound {
+    const BINS: usize = 1024;
+
+    fn new(p: impl Fn(f64) -> f64, r2: f64) -> Self {
+        let width = r2 / Self::BINS as f64;
+        let mut per_bin: Vec<f64> = (0..=Self::BINS)
+            .map(|k| p(k as f64 * width * (1.0 - 1e-12)) * (1.0 + 1e-9))
+            .collect();
+        for k in (0..Self::BINS).rev() {
+            per_bin[k] = per_bin[k].max(per_bin[k + 1]);
+        }
+        // A degenerate radius keeps a single bin, `p(0)`.
+        let inv_width = if width >= 1e-290 { 1.0 / width } else { 0.0 };
+        DrawBound { per_bin, inv_width }
+    }
+
+    /// `d²` in bin widths: its bin is the floor, capped at the last.
+    fn bin(&self, d2: f64) -> f64 {
+        d2 * self.inv_width
+    }
+
+    fn at(&self, d2: f64) -> f64 {
+        self.per_bin[(self.bin(d2) as usize).min(Self::BINS)]
+    }
+
+    /// How many leading bins bound above `u`: `at(d2) > u` exactly when
+    /// `bin(d2) < bins_above(u)`, since the bounds never rise.
+    fn bins_above(&self, u: f64) -> f64 {
+        self.per_bin.partition_point(|&b| b > u) as f64
+    }
+}
+
+/// The connected components of a graph on dense ids `0..n`, numbered in
+/// ascending order of their smallest id, members stored CSR-style in
+/// ascending id order.
+struct Components {
+    of: Vec<u32>,
+    start: Vec<u32>,
+    members: Vec<u32>,
+}
+
+impl Components {
+    fn new(g: &Graph, n: usize) -> Self {
+        let mut of = vec![NONE; n];
+        let mut sizes = vec![0u32];
+        let mut stack = Vec::new();
+        for s in 0..n {
+            if of[s] != NONE {
+                continue;
+            }
+            let c = sizes.len() as u32 - 1;
+            of[s] = c;
+            stack.push(s as u32);
+            while let Some(u) = stack.pop() {
+                *sizes.last_mut().expect("pushed above") += 1;
+                for (nb, _) in g.neighbors(v(u)) {
+                    if of[nb.raw() as usize] == NONE {
+                        of[nb.raw() as usize] = c;
+                        stack.push(nb.raw());
+                    }
+                }
+            }
+            sizes.push(0);
+        }
+        sizes.pop();
+        let mut start = vec![0u32; sizes.len() + 1];
+        for (c, &size) in sizes.iter().enumerate() {
+            start[c + 1] = start[c] + size;
+        }
+        let mut next = start.clone();
+        let mut members = vec![0; n];
+        for (i, &c) in of.iter().enumerate() {
+            members[next[c as usize] as usize] = i as u32;
+            next[c as usize] += 1;
+        }
+        Components { of, start, members }
+    }
+
+    fn count(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn members(&self, c: usize) -> &[u32] {
+        &self.members[self.start[c] as usize..self.start[c + 1] as usize]
+    }
+}
+
+fn d2_between((ax, ay): (f64, f64), (bx, by): (f64, f64)) -> f64 {
+    (ax - bx) * (ax - bx) + (ay - by) * (ay - by)
 }
 
 /// Links every stranded component to the geometrically nearest node of
-/// the component containing the smallest node id, using an expanding
-/// ring search over a spatial hash. Unlike the O(n² · components) scan in
-/// [`random_geometric`], this stays feasible at 100k nodes.
+/// the component containing the smallest node id: the components are
+/// unioned in ascending min-id order, each attached to the nearest node
+/// already absorbed.
 ///
-/// The search is exact — it returns the minimum of `(d², absorbed id,
-/// member id)` over all pairs — so the chosen edges do not depend on the
-/// grid, which is therefore sized for the search itself (≈ 2 points per
-/// cell) rather than shared with the candidate-pair hash, whose cells
-/// span a whole link radius and hold dozens of points each.
+/// Each attachment is exact — the minimum of `(d², absorbed id, member
+/// id)` over all pairs — so the edges depend on no grid. While at most
+/// about `2√n` points are absorbed, every pair is asked; after that an
+/// expanding ring search over cells of about two points each finds the
+/// minimum, which a ring search started while the absorbed set is tiny
+/// could only meet after sweeping most of the square.
 fn patch_connectivity(g: &mut Graph, points: &[(f64, f64)]) {
-    // Union the components in ascending min-id order: each later
-    // component attaches to the nearest node already absorbed.
-    let mut comp = vec![u32::MAX; points.len()];
-    let mut comps: Vec<Vec<u32>> = Vec::new();
-    for start in g.nodes() {
-        if comp[start.raw() as usize] != u32::MAX {
-            continue;
-        }
-        let c = comps.len() as u32;
-        let mut stack = vec![start];
-        let mut members = Vec::new();
-        comp[start.raw() as usize] = c;
-        while let Some(u) = stack.pop() {
-            members.push(u.raw());
-            for (nb, _) in g.neighbors(u) {
-                if comp[nb.raw() as usize] == u32::MAX {
-                    comp[nb.raw() as usize] = c;
-                    stack.push(nb);
-                }
-            }
-        }
-        comps.push(members);
-    }
-    if comps.len() <= 1 {
+    let n = points.len();
+    let comps = Components::new(g, n);
+    if comps.count() <= 1 {
         return;
     }
-    // `absorbed[i]`: whether point i is in the growing main component.
-    let mut absorbed = vec![false; points.len()];
-    for &i in &comps[0] {
-        absorbed[i as usize] = true;
-    }
-    let cells = SpatialHash::new(points, (2.0 / points.len() as f64).sqrt());
-    let side = cells.side as isize;
-    for members in &comps[1..] {
-        // Nearest (absorbed, stranded) pair over the whole component,
-        // found by expanding the bucket ring around each member.
-        let mut best: Option<(f64, u32, u32)> = None; // (dist², absorbed, member)
-        for &m in members {
-            let (x, y) = points[m as usize];
-            let cx = ((x * side as f64) as isize).min(side - 1);
-            let cy = ((y * side as f64) as isize).min(side - 1);
-            'rings: for ring in 0..side.max(1) {
-                for by in (cy - ring).max(0)..=(cy + ring).min(side - 1) {
-                    for bx in (cx - ring).max(0)..=(cx + ring).min(side - 1) {
-                        if (by - cy).abs() < ring && (bx - cx).abs() < ring {
-                            continue; // interior: already scanned
-                        }
-                        for &j in &cells.buckets[(by * side + bx) as usize] {
-                            if !absorbed[j as usize] {
-                                continue;
-                            }
-                            let (jx, jy) = points[j as usize];
-                            let d2 = (jx - x).powi(2) + (jy - y).powi(2);
-                            let key = (d2, j, m);
-                            if best.is_none_or(|(bd, bj, bm)| key < (bd, bj, bm)) {
-                                best = Some(key);
-                            }
+    let cells = Cells::new(points, (2.0 / n as f64).sqrt());
+    let few_max = 2 * (n as f64).sqrt() as usize;
+    // `absorbed[i]`: whether point i is in the growing main component;
+    // `few` lists every absorbed point while there are at most `few_max`.
+    let mut absorbed = vec![false; n];
+    let mut few: Vec<u32> = Vec::new();
+    let mut count = 0;
+    for c in 0..comps.count() {
+        let members = comps.members(c);
+        if c > 0 {
+            // (d², absorbed, member)
+            let mut best = (f64::INFINITY, NONE, NONE);
+            if few.len() == count {
+                for &m in members {
+                    for &j in &few {
+                        let key = (d2_between(points[j as usize], points[m as usize]), j, m);
+                        if key < best {
+                            best = key;
                         }
                     }
                 }
-                // A hit one ring out can still beat the current best by
-                // Euclidean distance, so scan one extra ring past the
-                // first hit before stopping.
-                if let Some((bd, _, _)) = best {
-                    let ring_dist = (ring.max(0) as f64 - 1.0).max(0.0) / side as f64;
-                    if bd.sqrt() <= ring_dist {
-                        break 'rings;
+            } else {
+                for &m in members {
+                    let at = points[m as usize];
+                    let home = cells.cell_of(at);
+                    for k in 0..cells.side {
+                        cells.ring(home, k, |j, there| {
+                            let key = (d2_between(there, at), j, m);
+                            if absorbed[j as usize] && key < best {
+                                best = key;
+                            }
+                        });
+                        if best.0 < cells.past(k) {
+                            break;
+                        }
                     }
                 }
             }
+            let (_, a, m) = best;
+            g.add_edge(v(a), v(m), 1)
+                .expect("cross-component edge is fresh");
         }
-        let (_, a, m) = best.expect("main component is non-empty");
-        g.add_edge(v(a), v(m), 1)
-            .expect("cross-component edge is fresh");
         for &i in members {
             absorbed[i as usize] = true;
         }
+        count += members.len();
+        if count <= few_max {
+            few.extend_from_slice(members);
+        }
+    }
+}
+
+/// Connects the component of `v0` to the rest one edge at a time, each
+/// time by the pair `(a, b)`, `a` inside and `b` outside, that minimises
+/// `(d², a, b)`, then absorbs `b`'s whole component: Prim's rule over the
+/// components.
+///
+/// A heap holds one entry `(key, a, b)` per inside node `a`, never above
+/// its true key: the lexicographic minimum of `(d², a, b)` over the nodes
+/// outside now, which only grows as the inside does. An entry whose `b`
+/// is still outside is exact, so at the top of the heap it is the edge.
+/// Any other entry at the top (its `b` absorbed since, or a lower bound,
+/// which names `b = v0`, always inside) sends `a` back to a ring search.
+/// A search goes only as far as it must: once the rings left lie beyond
+/// the heap's next key, it pushes their distance as a lower bound, so an
+/// inside node far from the frontier stops paying for the rings between.
+/// The edges are those of the all-pairs scan, found in near-linear time
+/// instead of its O(n³).
+fn patch_nearest_first(g: &mut Graph, points: &[(f64, f64)]) {
+    let n = points.len();
+    let comps = Components::new(g, n);
+    if comps.count() <= 1 {
+        return;
+    }
+    let cells = Cells::new(points, (2.0 / n as f64).sqrt());
+    let mut inside = vec![false; n];
+    let mut outside = n;
+    let mut heap: BinaryHeap<Reverse<(u64, u32, u32)>> = BinaryHeap::new();
+    // `a`'s entry, given that no outside node lies closer than `d² = low`.
+    let search = |a: u32, low: f64, top: f64, inside: &[bool]| {
+        let at = points[a as usize];
+        let home = cells.cell_of(at);
+        // Rings wholly closer than `sqrt(low)` hold no outside node: a
+        // point `k` rings out lies under `(k + 1)·√2` cells away.
+        let first = (low.sqrt() * cells.side as f64 / std::f64::consts::SQRT_2 * (1.0 - 1e-9))
+            .floor() as usize;
+        let mut best = (f64::INFINITY, NONE);
+        for k in first..cells.side {
+            cells.ring(home, k, |j, there| {
+                if !inside[j as usize] {
+                    let key = (d2_between(there, at), j);
+                    if key < best {
+                        best = key;
+                    }
+                }
+            });
+            let past = cells.past(k);
+            if best.0 < past {
+                break;
+            }
+            if past > top {
+                return (past.to_bits(), a, 0);
+            }
+        }
+        assert!(best.1 != NONE, "an outside node remains");
+        (best.0.to_bits(), a, best.1)
+    };
+    let top = |heap: &BinaryHeap<Reverse<(u64, u32, u32)>>| {
+        heap.peek()
+            .map_or(f64::INFINITY, |Reverse((key, _, _))| f64::from_bits(*key))
+    };
+    let mut absorb =
+        |c: usize, inside: &mut [bool], heap: &mut BinaryHeap<Reverse<(u64, u32, u32)>>| {
+            let members = comps.members(c);
+            for &m in members {
+                inside[m as usize] = true;
+            }
+            outside -= members.len();
+            if outside > 0 {
+                for &m in members {
+                    let entry = search(m, 0.0, top(heap), inside);
+                    heap.push(Reverse(entry));
+                }
+            }
+            outside
+        };
+    let mut left = absorb(0, &mut inside, &mut heap);
+    while left > 0 {
+        let Reverse((key, a, b)) = heap.pop().expect("an inside node has an entry");
+        if !inside[b as usize] {
+            g.add_edge(v(a), v(b), 1)
+                .expect("cross-component edge is fresh");
+            left = absorb(comps.of[b as usize] as usize, &mut inside, &mut heap);
+            if left == 0 {
+                break;
+            }
+        }
+        // `a` stays inside: its next entry, from where this one left off.
+        let entry = search(a, f64::from_bits(key), top(&heap), &inside);
+        heap.push(Reverse(entry));
     }
 }
 
@@ -732,13 +1041,40 @@ mod tests {
         assert_ne!(a, c, "different seeds should differ");
     }
 
+    /// FNV-1a over `(a, b, w)` in `Graph::edges` order.
+    fn edge_hash(g: &Graph) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (a, b, w) in g.edges() {
+            for x in [u64::from(a.raw()), u64::from(b.raw()), w] {
+                h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    fn assert_waxman_pinned(golden: &[(u32, f64, f64, u64, usize, u64)]) {
+        for &(n, alpha, beta, seed, edges, hash) in golden {
+            let g = waxman(n, alpha, beta, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(
+                (g.edge_count(), edge_hash(&g)),
+                (edges, hash),
+                "waxman({n}, {alpha}, {beta}) seed {seed}"
+            );
+        }
+    }
+
     #[test]
     fn waxman_edge_lists_are_pinned() {
-        // FNV-1a over `(a, b, w)` in `Graph::edges` order, recorded before
-        // the pair collection and the patch grid were made cheaper: a
-        // dense small graph, one that is nearly all patch edges, and the
-        // benchmark's storm shape (mean degree ≈ 2, many stranded nodes).
-        let golden: [(u32, f64, f64, u64, usize, u64); 3] = [
+        // Recorded before the pair collection, the draw and the patch were
+        // made cheaper. The first three: a dense small graph, one that is
+        // nearly all patch edges, and the benchmark's storm shape (mean
+        // degree ≈ 2, many stranded nodes). Then one case per branch of
+        // the draw: the radius capped at √2 (every pair a candidate, most
+        // of them under the least draw's bound); β at and below the
+        // cut-off, so nothing draws and every edge is a patch edge;
+        // n = 1 and n = 2; and β < 1 with pairs in the shell at the
+        // cut-off (the second case has them too).
+        assert_waxman_pinned(&[
             (300, 0.08, 0.7, 7, 1_774, 0xc1ba_7653_7bc4_b1ae),
             (5_000, 0.002, 0.5, 3, 5_001, 0x92c7_fb16_07a2_346f),
             (
@@ -749,22 +1085,191 @@ mod tests {
                 10_557,
                 0x4030_8ea7_f28c_9a4b,
             ),
+            (150, 1.0, 0.3, 11, 2_328, 0x3592_da94_5f61_3019),
+            (200, 0.05, 1e-9, 5, 199, 0xb5ec_9019_df76_feb4),
+            (200, 0.05, 5e-10, 5, 199, 0xb5ec_9019_df76_feb4),
+            (1, 0.1, 1.0, 1, 0, 0xcbf2_9ce4_8422_2325),
+            (2, 0.1, 1.0, 1, 1, 0xd949_ad18_6c0c_4e41),
+            (2, 0.001, 0.5, 3, 1, 0xd949_ad18_6c0c_4e41),
+            (8_000, 0.003, 0.05, 13, 7_999, 0xc5c6_b454_587b_2360),
+            (2_000, 0.02, 0.9, 17, 8_286, 0xa0d3_d950_5154_0e2d),
+        ]);
+    }
+
+    #[test]
+    fn geometric_edge_lists_are_pinned() {
+        // Recorded from the all-pairs sweep and the whole-component patch
+        // scan: mostly isolated points (the patch is most of the graph),
+        // a dense graph, a radius past the diagonal (complete), n = 1, 2.
+        let golden: [(u32, f64, u64, usize, u64); 9] = [
+            (50, 0.12, 9, 67, 0xd19a_eee5_113e_0927),
+            (200, 0.01, 1, 199, 0x59de_25da_cbb1_857c),
+            (400, 0.01, 2, 401, 0x825a_a7a2_72c5_4461),
+            (300, 0.08, 3, 843, 0x62e3_04bf_8f94_aa71),
+            (1, 0.1, 4, 0, 0xcbf2_9ce4_8422_2325),
+            (2, 0.5, 5, 1, 0xd949_ad18_6c0c_4e41),
+            (400, 0.3, 6, 17_219, 0xacd2_a82f_86ea_4de3),
+            (100, 2.0, 7, 4_950, 0xb04e_30d1_5bf7_c6cf),
+            (350, 0.04, 8, 427, 0xa374_49a6_d3d5_ce68),
         ];
-        for (n, alpha, beta, seed, edges, hash) in golden {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let g = waxman(n, alpha, beta, &mut rng);
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for (a, b, w) in g.edges() {
-                for x in [u64::from(a.raw()), u64::from(b.raw()), w] {
-                    h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            }
+        for (n, radius, seed, edges, hash) in golden {
+            let g = random_geometric(n, radius, &mut StdRng::seed_from_u64(seed));
             assert_eq!(
-                (g.edge_count(), h),
+                (g.edge_count(), edge_hash(&g)),
                 (edges, hash),
-                "waxman({n}, {alpha}, {beta}) seed {seed}"
+                "random_geometric({n}, {radius}) seed {seed}"
             );
         }
+    }
+
+    /// The all-pairs Waxman draw and the all-pairs patch, as the
+    /// generator defined them before the spatial hash: each pair `i < j`
+    /// within the cut-off radius draws once, in ascending `(i, j)` order;
+    /// the components, in ascending min-id order, each attach to the
+    /// nearest absorbed node.
+    fn waxman_referee(n: u32, alpha: f64, beta: f64, seed: u64) -> Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let l = std::f64::consts::SQRT_2;
+        let radius = (alpha * l * (beta / 1e-9).ln()).min(l);
+        let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
+        let mut g = Graph::new();
+        for i in 0..n {
+            g.add_node(v(i));
+        }
+        let d2 = |a: u32, b: u32| d2_between(pts[a as usize], pts[b as usize]);
+        for i in 0..n {
+            for j in i + 1..n {
+                let p = beta * (-d2(i, j).sqrt() / (alpha * l)).exp();
+                if d2(i, j) <= radius * radius && p >= 1e-9 && rng.gen_bool(p.min(1.0)) {
+                    g.add_edge(v(i), v(j), 1).unwrap();
+                }
+            }
+        }
+        let mut inside = g.component_of(v(0));
+        for m in 0..n {
+            if inside.contains(&v(m)) {
+                continue;
+            }
+            let comp = g.component_of(v(m));
+            let (_, a, b) = (inside.iter())
+                .flat_map(|&a| comp.iter().map(move |&b| (d2(a.raw(), b.raw()), a, b)))
+                .min_by(|x, y| x.partial_cmp(y).unwrap())
+                .unwrap();
+            g.add_edge(a, b, 1).unwrap();
+            inside.extend(comp);
+        }
+        g
+    }
+
+    /// The geometric generator by its definition: every pair within the
+    /// radius, then the component of `v0` joined to the rest one edge at
+    /// a time by the pair minimising `(d², inside, outside)`, found by
+    /// dense Prim: each outside node keeps its least `(d², inside)`.
+    fn geometric_referee(n: u32, radius: f64, seed: u64) -> Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
+        let mut g = Graph::new();
+        for i in 0..n {
+            g.add_node(v(i));
+        }
+        let d2 = |a: u32, b: u32| d2_between(pts[a as usize], pts[b as usize]);
+        for a in 0..n {
+            for b in a + 1..n {
+                if d2(a, b) <= radius * radius {
+                    g.add_edge(v(a), v(b), 1).unwrap();
+                }
+            }
+        }
+        let mut inside = vec![false; n as usize];
+        let mut key = vec![(f64::INFINITY, NONE); n as usize];
+        let mut comp = g.component_of(v(0));
+        loop {
+            for m in &comp {
+                inside[m.raw() as usize] = true;
+            }
+            for m in &comp {
+                for b in (0..n).filter(|&b| !inside[b as usize]) {
+                    let offer = (d2(m.raw(), b), m.raw());
+                    if offer < key[b as usize] {
+                        key[b as usize] = offer;
+                    }
+                }
+            }
+            let Some((_, a, b)) = (0..n)
+                .filter(|&b| !inside[b as usize])
+                .map(|b| (key[b as usize].0, key[b as usize].1, b))
+                .min_by(|x, y| x.partial_cmp(y).unwrap())
+            else {
+                return g;
+            };
+            comp = g.component_of(v(b));
+            g.add_edge(v(a), v(b), 1).unwrap();
+        }
+    }
+
+    #[test]
+    fn spatial_generators_match_their_all_pairs_referees() {
+        let mut rng = StdRng::seed_from_u64(2026);
+        for seed in 0..150 {
+            let n = rng.gen_range(1..120);
+            let alpha = [0.002, 0.01, 0.05, 0.3, 2.0][seed as usize % 5];
+            let beta = [1.0, 0.6, 0.05, 1e-9, 3e-10][seed as usize / 5 % 5];
+            let g = waxman(n, alpha, beta, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(
+                g,
+                waxman_referee(n, alpha, beta, seed),
+                "waxman({n}, {alpha}, {beta}) seed {seed}"
+            );
+            // Larger: the heap's lower bounds and ring skips need room.
+            let n = rng.gen_range(1..800);
+            let radius = [0.005, 0.02, 0.05, 0.12, 1.5][seed as usize % 5];
+            assert_geometric_is_its_referee(n, radius, seed);
+        }
+        // Two of the rare graphs where a search resumed from a lower bound
+        // must rescan the ring just inside it: its nearest outside node
+        // sits diagonally there, farther than the bound.
+        assert_geometric_is_its_referee(600, 0.02, 318);
+        assert_geometric_is_its_referee(1_000, 0.03, 329);
+    }
+
+    fn assert_geometric_is_its_referee(n: u32, radius: f64, seed: u64) {
+        let g = random_geometric(n, radius, &mut StdRng::seed_from_u64(seed));
+        assert_eq!(
+            g,
+            geometric_referee(n, radius, seed),
+            "random_geometric({n}, {radius}) seed {seed}"
+        );
+    }
+
+    #[test]
+    fn geometric_patch_scales() {
+        // Mean degree ≈ 1.6: thousands of components to link, which only
+        // a near-linear patch does in a debug build's test time.
+        let g = random_geometric(20_000, 0.005, &mut StdRng::seed_from_u64(3));
+        assert_eq!(g.node_count(), 20_000);
+        assert!(g.is_connected());
+    }
+
+    /// Release only (`cargo test --release -p lsrp-graph -- --ignored`):
+    /// the benchmark's two Waxman shapes, pinned, and one large graph of
+    /// each spatial kind.
+    #[test]
+    #[ignore = "release only: about 2 s optimised, minutes in debug"]
+    fn spatial_generators_at_scale() {
+        let storm = 0.001 * (10.0f64 / 3.0).sqrt();
+        let regions = 0.001 * 5f64.sqrt();
+        assert_waxman_pinned(&[
+            (30_000, storm, 1.0, 42, 31_658, 0xd194_5f8a_f92d_ed36),
+            (30_000, storm, 1.0, 7, 31_747, 0x29af_e9ff_d854_deb5),
+            (20_000, regions, 1.0, 42, 21_053, 0x80f7_d2b0_8955_aefb),
+            (20_000, regions, 1.0, 7, 21_130, 0xe997_2e0b_530a_0daa),
+        ]);
+        let w = waxman(100_000, 0.002, 0.5, &mut StdRng::seed_from_u64(1));
+        assert_eq!(w.node_count(), 100_000);
+        assert!(w.is_connected());
+        let geo = random_geometric(50_000, 0.004, &mut StdRng::seed_from_u64(1));
+        assert_eq!(geo.node_count(), 50_000);
+        assert!(geo.is_connected());
     }
 
     #[test]

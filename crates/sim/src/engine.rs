@@ -589,6 +589,17 @@ impl<P: ProtocolNode> Core<P> {
         }
     }
 
+    /// Sizes the control plane's per-local-node arrays for the `locals`
+    /// nodes placed here at build. Grown on first touch instead, they
+    /// would make the first event at a high local id pay for every id
+    /// below it. The traffic lane's (`traffic_emit`, `ports`) still grow
+    /// on first touch: a run without a data plane never touches them.
+    fn size_for(&mut self, locals: usize) {
+        self.ctrl_emit.resize(locals, 0);
+        self.guard_gen.resize(locals, 0);
+        self.links.size_rows(locals);
+    }
+
     /// `v`'s local id, if this region owns it.
     fn local_checked(&self, shared: &Shared, v: NodeId) -> Option<u32> {
         match shared.map.region(v) {
@@ -1781,6 +1792,10 @@ impl<P: ProtocolNode> Engine<P> {
         let ids: Vec<NodeId> = engine.graph.nodes().collect();
         for &v in &ids {
             engine.spawn_node(v);
+        }
+        for core in &mut engine.cores {
+            let locals = core.slots.len();
+            core.size_for(locals);
         }
         for v in ids {
             let r = engine.shared.map.region(v).expect("spawned above") as usize;

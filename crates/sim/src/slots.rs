@@ -127,6 +127,14 @@ impl<T> EdgeSlots<T> {
         EdgeSlots { rows: Vec::new() }
     }
 
+    /// Makes room for the rows of every `from` below `rows`, so that no
+    /// first touch of an edge grows the row table to its tail's id.
+    pub fn size_rows(&mut self, rows: usize) {
+        if rows > self.rows.len() {
+            self.rows.resize_with(rows, Vec::new);
+        }
+    }
+
     /// Read access to the state of edge `(from, to)`.
     pub fn get(&self, from: NodeId, to: NodeId) -> Option<&T> {
         let row = self.rows.get(from.raw() as usize)?;

@@ -1,8 +1,6 @@
 //! Loop-episode measurement (Theorems 3–4, Corollary 3).
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use lsrp_graph::{Distance, NodeId, RouteEntry};
+use lsrp_graph::{Distance, NodeId};
 use lsrp_sim::{RouteDelta, RouteView};
 
 use crate::sim_trait::RoutingSimulation;
@@ -13,72 +11,63 @@ use crate::sim_trait::RoutingSimulation;
 /// [`RouteTable::has_routing_loop`](lsrp_graph::RouteTable::has_routing_loop)
 /// — walking parent pointers with the destination and `∞`-distance entries
 /// treated as roots — but only walks from nodes whose entry *changed* since
-/// the last check. Soundness: a parent-pointer cycle exists iff its members'
-/// entries form it, so any cycle born since a loop-free check contains at
-/// least one changed node, and the walk starting there goes around it.
-/// After a positive answer the next check re-walks every node (`force_full`):
-/// a persisting cycle's members may never change again, so the dirty-only
-/// screen must not be trusted until the table is proven loop-free once more.
+/// the last check, over the live [`RouteView`]. Soundness: a parent-pointer
+/// cycle exists iff its members' entries form it, so any cycle born since a
+/// loop-free check contains at least one changed node, and the walk
+/// starting there goes around it; any walk that reaches a cycle node goes
+/// around the cycle, so the answer does not depend on the order in which
+/// starts are walked. After a positive answer the next check re-walks every
+/// node (`force_full`): a persisting cycle's members may never change
+/// again, so the dirty-only screen must not be trusted until the table is
+/// proven loop-free once more.
 ///
 /// Per-check cost is O(dirty + nodes visited); with no changes it is O(1).
 #[derive(Debug)]
 pub struct LoopScreen {
     dest: NodeId,
-    /// Mirror of the view's `(d, p)` projection, kept current via `absorb`.
-    entries: BTreeMap<NodeId, RouteEntry>,
-    /// Nodes whose entry changed since the last check.
-    dirty: BTreeSet<NodeId>,
-    /// Walk stamps: `stamps[v] == w` means walk `w` visited `v`.
-    stamps: BTreeMap<NodeId, u64>,
+    /// Nodes whose entry changed since the last check (repeats allowed).
+    dirty: Vec<NodeId>,
+    /// Walk stamps by raw id: `stamps[v] == w` means walk `w` visited `v`.
+    stamps: Vec<u64>,
     next_walk: u64,
     force_full: bool,
 }
 
 impl LoopScreen {
-    /// A screen over `view`'s current contents; the first check walks every
-    /// node.
-    pub fn new(dest: NodeId, view: &RouteView) -> Self {
+    /// A screen toward `dest`; the first check walks every node.
+    pub fn new(dest: NodeId) -> Self {
         LoopScreen {
             dest,
-            entries: view.iter().map(|(v, e)| (v, e.route)).collect(),
-            dirty: BTreeSet::new(),
-            stamps: BTreeMap::new(),
+            dirty: Vec::new(),
+            stamps: Vec::new(),
             next_walk: 1,
             force_full: true,
         }
     }
 
-    /// Folds a batch of route deltas into the mirror. Removals cannot
+    /// Marks the nodes a batch of route deltas touched. Removals cannot
     /// create a cycle (nobody else's parent changed), so only live entries
-    /// are marked dirty.
+    /// are marked.
     pub fn absorb(&mut self, deltas: &[RouteDelta]) {
-        for d in deltas {
-            match d.new {
-                Some(e) => {
-                    self.entries.insert(d.node, e.route);
-                    self.dirty.insert(d.node);
-                }
-                None => {
-                    self.entries.remove(&d.node);
-                    self.dirty.remove(&d.node);
-                }
-            }
-        }
+        self.dirty
+            .extend(deltas.iter().filter(|d| d.new.is_some()).map(|d| d.node));
     }
 
-    /// Whether the mirrored table currently has a routing loop. Clears the
-    /// dirty set.
-    pub fn has_loop(&mut self) -> bool {
-        let starts: Vec<NodeId> = if self.force_full {
-            self.entries.keys().copied().collect()
-        } else {
-            std::mem::take(&mut self.dirty).into_iter().collect()
-        };
-        self.dirty.clear();
+    /// Whether `view` — the view whose deltas were absorbed — currently has
+    /// a routing loop. Clears the dirty set.
+    pub fn has_loop(&mut self, view: &RouteView) -> bool {
+        let mut dirty = std::mem::take(&mut self.dirty);
         let round_floor = self.next_walk;
-        let found = starts
-            .into_iter()
-            .any(|u| self.walk_finds_cycle(u, round_floor));
+        let found = if self.force_full {
+            view.iter()
+                .any(|(u, _)| self.walk_finds_cycle(view, u, round_floor))
+        } else {
+            dirty
+                .iter()
+                .any(|&u| self.walk_finds_cycle(view, u, round_floor))
+        };
+        dirty.clear();
+        self.dirty = dirty;
         self.force_full = found;
         found
     }
@@ -87,27 +76,32 @@ impl LoopScreen {
     /// an earlier walk of this round, or a revisit on the current path (a
     /// cycle). Mirrors the canonical detector's scrubbing: the destination,
     /// missing entries, `∞` distances and self-parents all terminate.
-    fn walk_finds_cycle(&mut self, start: NodeId, round_floor: u64) -> bool {
+    fn walk_finds_cycle(&mut self, view: &RouteView, start: NodeId, round_floor: u64) -> bool {
         let walk = self.next_walk;
         self.next_walk += 1;
         let mut cur = start;
         loop {
-            match self.stamps.get(&cur) {
-                Some(&s) if s == walk => return true,
-                Some(&s) if s >= round_floor => return false,
-                _ => {}
-            }
-            self.stamps.insert(cur, walk);
+            // The destination and nodes without an entry end every walk
+            // through them, so they are never stamped.
             if cur == self.dest {
                 return false;
             }
-            let Some(&e) = self.entries.get(&cur) else {
+            let Some(e) = view.entry(cur) else {
                 return false;
             };
-            if e.distance == Distance::Infinite || e.parent == cur {
+            let i = cur.raw() as usize;
+            if i >= self.stamps.len() {
+                self.stamps.resize(i + 1, 0);
+            }
+            match self.stamps[i] {
+                s if s == walk => return true,
+                s if s >= round_floor => return false,
+                _ => self.stamps[i] = walk,
+            }
+            if e.route.distance == Distance::Infinite || e.route.parent == cur {
                 return false;
             }
-            cur = e.parent;
+            cur = e.route.parent;
         }
     }
 }
@@ -142,8 +136,8 @@ pub fn measure_loop_breakage<S: RoutingSimulation + ?Sized>(
     // O(changes) per event instead of rebuilding and re-walking the full
     // table. The measurement owns the log: it trims behind itself.
     let mut cursor = sim.route_cursor();
-    let mut screen = LoopScreen::new(dest, sim.route_view());
-    let mut looped = screen.has_loop();
+    let mut screen = LoopScreen::new(dest);
+    let mut looped = screen.has_loop(sim.route_view());
     let loop_injected = looped;
     let mut episodes = u32::from(looped);
     let mut episode_start = t0;
@@ -164,7 +158,7 @@ pub fn measure_loop_breakage<S: RoutingSimulation + ?Sized>(
         let now_looped = if looped && consumed == 0 {
             true
         } else {
-            screen.has_loop()
+            screen.has_loop(sim.route_view())
         };
         match (looped, now_looped) {
             (false, true) => {

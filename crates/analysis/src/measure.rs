@@ -71,14 +71,9 @@ pub fn measure_recovery<S: RoutingSimulation + ?Sized>(
     // Step event by event so healthy nodes' next-hop changes (route
     // flaps) can be counted, then fall through to quiescence detection.
     // Flaps come from the engine's route-delta log — O(changes) per event
-    // instead of rebuilding and diffing the full table — against a parent
-    // snapshot taken right after injection. The measurement owns the log
-    // for its duration: it trims behind itself every step.
-    let mut parents: std::collections::BTreeMap<NodeId, NodeId> = sim
-        .route_table()
-        .iter()
-        .map(|(v, e)| (v, e.parent))
-        .collect();
+    // instead of rebuilding and diffing the full table — each delta
+    // carrying the parent it replaces. The measurement owns the log for
+    // its duration: it trims behind itself every step.
     let mut cursor = sim.route_cursor();
     let mut healthy_route_flaps = 0u64;
     // Routes cannot flap once protocol variables stop changing; a long
@@ -96,20 +91,14 @@ pub fn measure_recovery<S: RoutingSimulation + ?Sized>(
         let deltas = sim.route_deltas_since(cursor);
         let consumed = deltas.len();
         for delta in deltas {
-            // Removals keep the snapshot entry, exactly like the old
-            // full-table diff (a downed node simply stops appearing).
-            let Some(new) = delta.new else { continue };
-            match parents.get_mut(&delta.node) {
-                Some(old) if *old != new.route.parent => {
-                    if !perturbed.contains(&delta.node) {
-                        healthy_route_flaps += 1;
-                    }
-                    *old = new.route.parent;
-                }
-                Some(_) => {}
-                None => {
-                    parents.insert(delta.node, new.route.parent);
-                }
+            // `inject` ran before the cursor was taken, and stepping
+            // neither joins nor fails a node.
+            debug_assert!(delta.old.is_some() && delta.new.is_some());
+            let (Some(old), Some(new)) = (delta.old, delta.new) else {
+                continue;
+            };
+            if old.route.parent != new.route.parent && !perturbed.contains(&delta.node) {
+                healthy_route_flaps += 1;
             }
         }
         cursor = cursor.advanced(consumed);

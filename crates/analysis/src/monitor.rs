@@ -703,11 +703,11 @@ impl LoopMonitor {
         }
         let (cursor, screen) = self
             .screen
-            .get_or_insert_with(|| (view.cursor(), LoopScreen::new(sim.destination(), view)));
+            .get_or_insert_with(|| (view.cursor(), LoopScreen::new(sim.destination())));
         let deltas = view.deltas_since(*cursor);
         *cursor = cursor.advanced(deltas.len());
         screen.absorb(deltas);
-        screen.has_loop()
+        screen.has_loop(view)
     }
 
     fn check(&mut self, sim: &LsrpSimulation, out: &mut Vec<Violation>) {

@@ -301,7 +301,7 @@ fn loop_screen_matches_canonical_scrub_per_step() {
         .build();
     sim.run_to_quiescence(10_000.0);
     let mut cursor = sim.route_cursor();
-    let mut screen = LoopScreen::new(dest, sim.route_view());
+    let mut screen = LoopScreen::new(dest);
 
     let check =
         |sim: &mut LsrpSimulation, cursor: &mut lsrp_sim::RouteCursor, screen: &mut LoopScreen| {
@@ -312,7 +312,7 @@ fn loop_screen_matches_canonical_scrub_per_step() {
             sim.trim_route_deltas(*cursor);
             let canonical = sim.route_table().has_routing_loop(dest);
             assert_eq!(
-                screen.has_loop(),
+                screen.has_loop(sim.route_view()),
                 canonical,
                 "screen vs canonical at t={}",
                 sim.now()

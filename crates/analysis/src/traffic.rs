@@ -26,7 +26,7 @@
 //!   byte-identical across worker counts, like every other campaign in
 //!   this crate.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,7 +38,7 @@ use lsrp_graph::{Distance, Graph, NodeId};
 use lsrp_multi::{MultiLsrpSimulation, MultiLsrpSimulationExt};
 use lsrp_sim::{
     CongAlgKind, CongestionCounts, Engine, FlowConfig, HarnessProtocol, PacketRecord, PacketStatus,
-    ProtocolNode, RouteCursor, SimHarness, SimTime, TrafficCounts,
+    ProtocolNode, RouteCursor, SimHarness, SimTime, TrafficCounts, ViewEntry,
 };
 
 use crate::chaos::{CampaignRun, ChaosConfig};
@@ -352,6 +352,11 @@ impl WorkloadDriver {
 // The availability monitor.
 // ---------------------------------------------------------------------
 
+/// Whether a view entry holds no route.
+fn routeless(e: &ViewEntry) -> bool {
+    e.route.distance == Distance::Infinite
+}
+
 /// Weighted, windowed data-plane availability, fed live from the engine's
 /// completed-packet ledger and the RouteView delta log.
 ///
@@ -374,7 +379,8 @@ pub struct AvailabilityMonitor {
     max_stretch: f64,
     truth: BTreeMap<NodeId, ShortestPaths>,
     cursor: Option<RouteCursor>,
-    routeless: BTreeSet<NodeId>,
+    /// Live nodes without a route (distance `∞`).
+    routeless: usize,
     live_nodes: usize,
     min_routable_fraction: f64,
     flows_completed: u64,
@@ -403,7 +409,7 @@ impl AvailabilityMonitor {
             max_stretch: 1.0,
             truth: BTreeMap::new(),
             cursor: None,
-            routeless: BTreeSet::new(),
+            routeless: 0,
             live_nodes: 0,
             min_routable_fraction: 1.0,
             flows_completed: 0,
@@ -418,14 +424,9 @@ impl AvailabilityMonitor {
     /// and before traffic starts.
     pub fn arm<P: HarnessProtocol>(&mut self, sim: &mut SimHarness<P>) {
         self.cursor = Some(sim.route_cursor());
-        self.routeless.clear();
-        self.live_nodes = 0;
-        for (v, e) in sim.route_view().iter() {
-            self.live_nodes += 1;
-            if e.route.distance == Distance::Infinite {
-                self.routeless.insert(v);
-            }
-        }
+        let view = sim.route_view();
+        self.live_nodes = view.len();
+        self.routeless = view.iter().filter(|(_, e)| routeless(e)).count();
         self.window_end = sim.now().seconds() + self.window;
         self.note_routable();
     }
@@ -451,21 +452,15 @@ impl AvailabilityMonitor {
         let deltas = sim.route_deltas_since(cursor);
         let n = deltas.len();
         for d in deltas {
-            match (&d.old, &d.new) {
-                (_, None) => {
-                    self.routeless.remove(&d.node);
-                    self.live_nodes -= 1;
-                }
-                (old, Some(e)) => {
-                    if old.is_none() {
-                        self.live_nodes += 1;
-                    }
-                    if e.route.distance == Distance::Infinite {
-                        self.routeless.insert(d.node);
-                    } else {
-                        self.routeless.remove(&d.node);
-                    }
-                }
+            // Each delta names the entry it replaces: the counts lose what
+            // left and gain what arrived.
+            if let Some(e) = d.old {
+                self.live_nodes -= 1;
+                self.routeless -= usize::from(routeless(&e));
+            }
+            if let Some(e) = d.new {
+                self.live_nodes += 1;
+                self.routeless += usize::from(routeless(&e));
             }
         }
         if n > 0 {
@@ -496,7 +491,7 @@ impl AvailabilityMonitor {
 
     fn note_routable(&mut self) {
         if self.live_nodes > 0 {
-            let frac = (self.live_nodes - self.routeless.len()) as f64 / self.live_nodes as f64;
+            let frac = (self.live_nodes - self.routeless) as f64 / self.live_nodes as f64;
             self.min_routable_fraction = self.min_routable_fraction.min(frac);
         }
     }

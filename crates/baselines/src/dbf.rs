@@ -156,12 +156,6 @@ impl DbfNode {
 impl ProtocolNode for DbfNode {
     type Msg = DbfMsg;
 
-    fn enabled_actions(&self, now_local: f64) -> EnabledSet {
-        let mut set = EnabledSet::none();
-        self.enabled_actions_into(now_local, &mut set);
-        set
-    }
-
     fn enabled_actions_into(&self, now_local: f64, set: &mut EnabledSet) {
         if self.target() != (self.d, self.p) {
             set.enable(B1, self.config.hold);

@@ -244,12 +244,6 @@ impl DualNode {
 impl ProtocolNode for DualNode {
     type Msg = DualMsg;
 
-    fn enabled_actions(&self, now_local: f64) -> EnabledSet {
-        let mut set = EnabledSet::none();
-        self.enabled_actions_into(now_local, &mut set);
-        set
-    }
-
     fn enabled_actions_into(&self, now_local: f64, set: &mut EnabledSet) {
         match &self.active {
             Some(a) => {

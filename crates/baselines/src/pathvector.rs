@@ -147,12 +147,6 @@ impl PvNode {
 impl ProtocolNode for PvNode {
     type Msg = PvMsg;
 
-    fn enabled_actions(&self, now_local: f64) -> EnabledSet {
-        let mut set = EnabledSet::none();
-        self.enabled_actions_into(now_local, &mut set);
-        set
-    }
-
     fn enabled_actions_into(&self, _now_local: f64, set: &mut EnabledSet) {
         if self.target() != self.route {
             set.enable(P1, self.config.hold);

@@ -174,14 +174,6 @@ thread_local! {
 impl ProtocolNode for LsrpNode {
     type Msg = LsrpMsg;
 
-    fn enabled_actions(&self, now_local: f64) -> EnabledSet {
-        let mut set = EnabledSet::none();
-        self.enabled_actions_into(now_local, &mut set);
-        set
-    }
-
-    // The guard logic lives in the buffer-filling variant: the engine
-    // re-evaluates guards after every event with a reusable buffer.
     fn enabled_actions_into(&self, now_local: f64, set: &mut EnabledSet) {
         #[cfg(test)]
         EVALUATIONS.with(|c| c.set(c.get() + 1));

@@ -363,12 +363,6 @@ impl MultiLsrpNode {
 impl ProtocolNode for MultiLsrpNode {
     type Msg = MultiMsg;
 
-    fn enabled_actions(&self, now_local: f64) -> EnabledSet {
-        let mut out = EnabledSet::none();
-        self.enabled_actions_into(now_local, &mut out);
-        out
-    }
-
     fn enabled_actions_into(&self, now_local: f64, out: &mut EnabledSet) {
         let mut sched = self.sched.borrow_mut();
         let s = &mut *sched;

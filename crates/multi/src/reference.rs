@@ -71,12 +71,6 @@ impl ReferenceMultiNode {
 impl ProtocolNode for ReferenceMultiNode {
     type Msg = ReferenceMsg;
 
-    fn enabled_actions(&self, now_local: f64) -> EnabledSet {
-        let mut out = EnabledSet::none();
-        self.enabled_actions_into(now_local, &mut out);
-        out
-    }
-
     fn enabled_actions_into(&self, now_local: f64, out: &mut EnabledSet) {
         // The full scan the dense plane eliminated: every instance,
         // every evaluation.

@@ -11,19 +11,21 @@
 //! * **Bounded egress queues.** Each node holds one FIFO egress queue per
 //!   outgoing link (a *port*). Occupancy is counted in weighted packets
 //!   and bounded by [`CongestionConfig::queue_capacity`]; what happens at
-//!   the bound is decided by a pluggable [`QueueDiscipline`].
+//!   the bound is decided by the configured [`DisciplineKind`].
 //!
 //! Three disciplines ship with the engine:
 //!
-//! * [`DropTail`] — drop arrivals that would overflow the queue.
-//! * [`EcnMarking`] — drop-tail at capacity, but set the packet's
-//!   congestion mark once occupancy crosses a threshold fraction; marks
-//!   are echoed on flow ACKs and drive [`crate::flow::CongAlg::on_mark`].
-//! * [`PfcPause`] — 802.3x-flavored backpressure: crossing the threshold
-//!   pauses the *upstream* port (the one that forwarded the packet here)
-//!   for a fixed quantum, pushing the queue buildup one hop back.
-//!   Drop-tail at full capacity remains the backstop, so the occupancy
-//!   bound `occupancy <= capacity` is an invariant of *every* discipline.
+//! * [`DisciplineKind::DropTail`] — drop arrivals that would overflow the
+//!   queue.
+//! * [`DisciplineKind::Ecn`] — drop-tail at capacity, but set the
+//!   packet's congestion mark once occupancy crosses a threshold
+//!   fraction; marks are echoed on flow ACKs and halve an AIMD window.
+//! * [`DisciplineKind::Pause`] — 802.3x-flavored backpressure: crossing
+//!   the threshold pauses the *upstream* port (the one that forwarded the
+//!   packet here) for a fixed quantum, pushing the queue buildup one hop
+//!   back. Drop-tail at full capacity remains the backstop, so the
+//!   occupancy bound `occupancy <= capacity` is an invariant of *every*
+//!   discipline.
 //!
 //! The whole lane is gated on [`CongestionConfig::link_rate`]: with the
 //! default `None` (infinite rate, queues cannot build) the engine runs the
@@ -31,13 +33,12 @@
 //! congestion tests pin.
 
 use std::collections::VecDeque;
-use std::fmt;
 
 use crate::time::SimTime;
 
-/// Verdict of a [`QueueDiscipline`] on one arriving packet.
+/// Verdict of a [`DisciplineKind`] on one arriving packet.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Admission {
+pub(crate) struct Admission {
     /// Whether the packet enters the queue (`false` = queue-overflow drop).
     pub admit: bool,
     /// Whether to set the packet's ECN congestion mark.
@@ -46,132 +47,57 @@ pub struct Admission {
     pub pause_upstream: f64,
 }
 
-impl Admission {
-    /// Plain admission: no mark, no pause.
-    pub const ACCEPT: Admission = Admission {
-        admit: true,
-        mark: false,
-        pause_upstream: 0.0,
-    };
-    /// Queue-overflow drop.
-    pub const DROP: Admission = Admission {
-        admit: false,
-        mark: false,
-        pause_upstream: 0.0,
-    };
-}
-
-/// A per-port queue admission policy.
-///
-/// The engine consults the discipline once per forwarded packet, passing
-/// the target port's current weighted occupancy and the configured
-/// capacity (`None` = unbounded). Disciplines are pure policy: they never
-/// see the queue itself, so they cannot break the occupancy invariant the
-/// engine enforces.
-pub trait QueueDiscipline: fmt::Debug + Send + Sync {
-    /// Decides the fate of a packet of weight `weight` arriving at a port
-    /// holding `occupancy` weighted packets out of `capacity`.
-    fn admit(&self, occupancy: u64, weight: u64, capacity: Option<u64>) -> Admission;
-}
-
-/// Whether `occupancy + weight` fits under `capacity`.
-fn fits(occupancy: u64, weight: u64, capacity: Option<u64>) -> bool {
-    capacity.is_none_or(|cap| occupancy.saturating_add(weight) <= cap)
-}
-
-/// Classic drop-tail: admit until the queue is full, drop the rest.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DropTail;
-
-impl QueueDiscipline for DropTail {
-    fn admit(&self, occupancy: u64, weight: u64, capacity: Option<u64>) -> Admission {
-        if fits(occupancy, weight, capacity) {
-            Admission::ACCEPT
-        } else {
-            Admission::DROP
-        }
-    }
-}
-
-/// Drop-tail at capacity, ECN mark above a threshold fraction of it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EcnMarking {
-    /// Occupancy fraction of capacity at which admitted packets are
-    /// marked (e.g. `0.5` marks once the queue is half full).
-    pub mark_at: f64,
-}
-
-impl QueueDiscipline for EcnMarking {
-    fn admit(&self, occupancy: u64, weight: u64, capacity: Option<u64>) -> Admission {
-        if !fits(occupancy, weight, capacity) {
-            return Admission::DROP;
-        }
-        let mark = capacity.is_some_and(|cap| {
-            (occupancy.saturating_add(weight)) as f64 >= self.mark_at * cap as f64
-        });
-        Admission {
-            admit: true,
-            mark,
-            pause_upstream: 0.0,
-        }
-    }
-}
-
-/// PFC-style pause: crossing the threshold pauses the upstream port for a
-/// fixed quantum; drop-tail at full capacity stays as the backstop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PfcPause {
-    /// Occupancy fraction of capacity at which pause frames are emitted.
-    pub pause_at: f64,
-    /// Seconds each pause frame silences the upstream port for.
-    pub quantum: f64,
-}
-
-impl QueueDiscipline for PfcPause {
-    fn admit(&self, occupancy: u64, weight: u64, capacity: Option<u64>) -> Admission {
-        if !fits(occupancy, weight, capacity) {
-            return Admission::DROP;
-        }
-        let pause = capacity.is_some_and(|cap| {
-            (occupancy.saturating_add(weight)) as f64 >= self.pause_at * cap as f64
-        });
-        Admission {
-            admit: true,
-            mark: false,
-            pause_upstream: if pause { self.quantum } else { 0.0 },
-        }
-    }
-}
-
-/// Which [`QueueDiscipline`] the engine builds — the config-friendly
-/// (plain-data, comparable) handle for the pluggable trait.
+/// A per-port queue admission policy. Policies are pure: they see only
+/// the target port's weighted occupancy and the configured capacity,
+/// never the queue itself, so they cannot break the occupancy invariant
+/// the engine enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DisciplineKind {
-    /// [`DropTail`].
+    /// Classic drop-tail: admit until the queue is full, drop the rest.
     #[default]
     DropTail,
-    /// [`EcnMarking`] with the given mark threshold fraction.
+    /// Drop-tail at capacity, ECN mark above a threshold fraction of it.
     Ecn {
-        /// Occupancy fraction of capacity at which to mark.
+        /// Occupancy fraction of capacity at which admitted packets are
+        /// marked (e.g. `0.5` marks once the queue is half full).
         mark_at: f64,
     },
-    /// [`PfcPause`] with the given threshold fraction and pause quantum.
+    /// PFC-style pause: crossing the threshold pauses the upstream port
+    /// for a fixed quantum; drop-tail at full capacity stays as the
+    /// backstop.
     Pause {
         /// Occupancy fraction of capacity at which to pause upstream.
         pause_at: f64,
-        /// Seconds per pause frame.
+        /// Seconds each pause frame silences the upstream port for.
         quantum: f64,
     },
 }
 
 impl DisciplineKind {
-    /// Instantiates the discipline.
-    pub fn build(&self) -> Box<dyn QueueDiscipline> {
-        match *self {
-            DisciplineKind::DropTail => Box::new(DropTail),
-            DisciplineKind::Ecn { mark_at } => Box::new(EcnMarking { mark_at }),
-            DisciplineKind::Pause { pause_at, quantum } => Box::new(PfcPause { pause_at, quantum }),
+    /// Decides the fate of a packet of weight `weight` arriving at a port
+    /// holding `occupancy` weighted packets out of `capacity` (`None` =
+    /// unbounded). A threshold is a fraction of capacity, so without one
+    /// nothing is ever marked or paused.
+    pub(crate) fn admit(&self, occupancy: u64, weight: u64, capacity: Option<u64>) -> Admission {
+        let after = occupancy.saturating_add(weight);
+        let past = |frac: f64| capacity.is_some_and(|cap| after as f64 >= frac * cap as f64);
+        let mut verdict = Admission {
+            admit: capacity.is_none_or(|cap| after <= cap),
+            mark: false,
+            pause_upstream: 0.0,
+        };
+        if verdict.admit {
+            match *self {
+                DisciplineKind::DropTail => {}
+                DisciplineKind::Ecn { mark_at } => verdict.mark = past(mark_at),
+                DisciplineKind::Pause { pause_at, quantum } => {
+                    if past(pause_at) {
+                        verdict.pause_upstream = quantum;
+                    }
+                }
+            }
         }
+        verdict
     }
 
     /// Parses a CLI spelling (`drop-tail` / `ecn` / `pause`), with the
@@ -326,19 +252,30 @@ pub(crate) struct PortState {
 mod tests {
     use super::*;
 
+    const ACCEPT: Admission = Admission {
+        admit: true,
+        mark: false,
+        pause_upstream: 0.0,
+    };
+    const DROP: Admission = Admission {
+        admit: false,
+        mark: false,
+        pause_upstream: 0.0,
+    };
+
     #[test]
     fn drop_tail_admits_until_full() {
-        let d = DropTail;
-        assert_eq!(d.admit(0, 4, Some(8)), Admission::ACCEPT);
-        assert_eq!(d.admit(4, 4, Some(8)), Admission::ACCEPT);
-        assert_eq!(d.admit(5, 4, Some(8)), Admission::DROP);
+        let d = DisciplineKind::DropTail;
+        assert_eq!(d.admit(0, 4, Some(8)), ACCEPT);
+        assert_eq!(d.admit(4, 4, Some(8)), ACCEPT);
+        assert_eq!(d.admit(5, 4, Some(8)), DROP);
         // Unbounded: never drops.
-        assert_eq!(d.admit(u64::MAX - 1, 4, None), Admission::ACCEPT);
+        assert_eq!(d.admit(u64::MAX - 1, 4, None), ACCEPT);
     }
 
     #[test]
     fn ecn_marks_above_threshold_and_drops_at_capacity() {
-        let d = EcnMarking { mark_at: 0.5 };
+        let d = DisciplineKind::Ecn { mark_at: 0.5 };
         assert!(!d.admit(0, 1, Some(10)).mark);
         let v = d.admit(4, 1, Some(10));
         assert!(v.admit && v.mark);
@@ -349,7 +286,7 @@ mod tests {
 
     #[test]
     fn pause_emits_quanta_above_threshold_with_drop_backstop() {
-        let d = PfcPause {
+        let d = DisciplineKind::Pause {
             pause_at: 0.75,
             quantum: 2.0,
         };
@@ -375,7 +312,7 @@ mod tests {
             Some(DisciplineKind::Pause { .. })
         ));
         assert_eq!(DisciplineKind::parse("red"), None);
-        // Every kind builds a live discipline.
+        // Every kind admits into an empty port.
         for kind in [
             DisciplineKind::DropTail,
             DisciplineKind::Ecn { mark_at: 0.5 },
@@ -385,8 +322,7 @@ mod tests {
             },
         ] {
             kind.validate();
-            let d = kind.build();
-            assert!(d.admit(0, 1, Some(4)).admit);
+            assert!(kind.admit(0, 1, Some(4)).admit);
         }
     }
 

@@ -24,12 +24,16 @@
 //! discipline the engine runs as one region. The region count is also
 //! capped at the node count: every region holds a node.
 //!
-//! Cross-region events produced inside a window are *staged* into
-//! per-region buffers and merged into the target queues at the barrier;
-//! queues order by the canonical `(SimTime, EventKey)` key, so the merged
-//! schedule — and hence the whole trajectory — is byte-identical for
-//! every region count and worker count (DESIGN.md §15 gives the full
-//! determinism argument).
+//! An effect that may land in another region (a delivery, a forwarded
+//! packet, a flow ACK; timers always stay home) goes through one entry
+//! point, `Core::emit(region, time, key, cross)`: pushed on this region's
+//! queue when `region` is this one, otherwise *staged* as one record
+//! `{time, key, region, cross}` and landed in the target queue at the
+//! barrier. `cross` is an event, or a packet carried by value that the
+//! landing region allocates in its own arena. Queues order by the canonical
+//! `(SimTime, EventKey)` key, so the merged schedule — and hence the whole
+//! trajectory — is byte-identical for every region count and worker count
+//! (DESIGN.md §15 gives the full determinism argument).
 //!
 //! Observability stays strictly sequential: message totals live only in
 //! the per-region [`EngineStats`] (summed on read, handed to the sink once
@@ -55,9 +59,7 @@ use lsrp_graph::{Distance, Graph, GraphError, NodeId, RouteTable, Weight};
 
 use crate::clock::Clock;
 use crate::config::{EngineConfig, LossModel};
-use crate::congestion::{
-    CongestionCounts, DisciplineKind, PortState, QueueDiscipline, QueuedPacket,
-};
+use crate::congestion::{CongestionCounts, DisciplineKind, PortState, QueuedPacket};
 use crate::effects::{Effects, SendTarget};
 use crate::flow::{FlowConfig, FlowRecord, FlowState, FlowTag};
 use crate::guards::{Guards, TrackScratch};
@@ -346,6 +348,22 @@ struct LinkState {
     data_draws: u64,
 }
 
+impl LinkState {
+    /// The next counter-hash draw on edge `from -> to` in `domain`
+    /// ([`rng::DOMAIN_CTRL`] or [`rng::DOMAIN_DATA`]), advancing that
+    /// domain's counter.
+    fn draw(&mut self, seed: u64, domain: u64, from: NodeId, to: NodeId) -> u64 {
+        let n = if domain == rng::DOMAIN_CTRL {
+            &mut self.ctrl_draws
+        } else {
+            &mut self.data_draws
+        };
+        let bits = rng::draw(seed, domain, from.raw(), to.raw(), *n);
+        *n += 1;
+        bits
+    }
+}
+
 /// Factory producing a protocol node from its id and id-sorted neighbors.
 type NodeFactory<P> = Box<dyn FnMut(NodeId, &[(NodeId, Weight)]) -> P>;
 
@@ -382,33 +400,22 @@ struct ObsRec {
     op: ObsOp,
 }
 
-/// A cross-region effect produced inside a window, applied at the
-/// barrier. Event-carrying variants hold the *scheduled* `(time, key)`;
-/// conservative lookahead guarantees `time` lies beyond the window that
-/// staged it. Packets travel by value (arenas are region-local).
-enum Staged<M> {
-    Deliver {
-        time: SimTime,
-        key: EventKey,
-        region: u32,
-        from: NodeId,
-        to: NodeId,
-        msg: Arc<M>,
-    },
-    Packet {
-        time: SimTime,
-        key: EventKey,
-        region: u32,
-        packet: Packet,
-    },
-    FlowAck {
-        time: SimTime,
-        key: EventKey,
-        region: u32,
-        flow: u32,
-        ack: u64,
-        marked: bool,
-    },
+/// What one region schedules on a region's queue: an event, or a packet
+/// carried by value (arenas are region-local, so the region that lands
+/// it allocates its arena slot).
+enum Cross<M> {
+    Event(Event<M>),
+    Packet(Packet),
+}
+
+/// A cross-region effect produced inside a window, landed in `region` at
+/// the barrier under its scheduled `(time, key)`; conservative lookahead
+/// guarantees `time` lies beyond the window that staged it.
+struct Staged<M> {
+    time: SimTime,
+    key: EventKey,
+    region: u32,
+    cross: Cross<M>,
 }
 
 /// Admission bound of one conservative window over the canonical
@@ -472,9 +479,6 @@ impl WindowBound {
 /// State shared read-only by every region during a window.
 struct Shared {
     config: EngineConfig,
-    /// The instantiated queue discipline (stateless; see
-    /// [`QueueDiscipline`]).
-    discipline: Box<dyn QueueDiscipline>,
     /// Sticky raw-id → `(region, local)` addressing (see [`RegionMap`]).
     map: RegionMap,
     /// Liveness by raw id — the cross-region replacement for "is this
@@ -659,7 +663,30 @@ impl<P: ProtocolNode> Core<P> {
         }
     }
 
-    fn push_local(&mut self, time: SimTime, key: EventKey, event: Event<P::Msg>) {
+    /// Schedules `cross` at `(time, key)` on `region`'s queue: pushed
+    /// here when this region owns it, staged for the barrier otherwise.
+    fn emit(&mut self, region: u32, time: SimTime, key: EventKey, cross: Cross<P::Msg>) {
+        if region == self.index {
+            self.land(time, key, cross);
+        } else {
+            self.staged.push(Staged {
+                time,
+                key,
+                region,
+                cross,
+            });
+        }
+    }
+
+    /// Pushes `cross` onto this region's queue, allocating a packet's
+    /// arena slot first.
+    fn land(&mut self, time: SimTime, key: EventKey, cross: Cross<P::Msg>) {
+        let event = match cross {
+            Cross::Event(event) => event,
+            Cross::Packet(p) => Event::PacketHop {
+                packet: self.arena.alloc(p),
+            },
+        };
         self.queue.schedule(time, key, event);
     }
 
@@ -891,18 +918,8 @@ impl<P: ProtocolNode> Core<P> {
                 } else {
                     ge.p_good_to_bad
                 };
-                if flip > 0.0 {
-                    let bits = rng::draw(
-                        seed,
-                        rng::DOMAIN_CTRL,
-                        from.raw(),
-                        to.raw(),
-                        state.ctrl_draws,
-                    );
-                    state.ctrl_draws += 1;
-                    if rng::chance(bits, flip) {
-                        state.ge_bad = !state.ge_bad;
-                    }
+                if flip > 0.0 && rng::chance(state.draw(seed, rng::DOMAIN_CTRL, from, to), flip) {
+                    state.ge_bad = !state.ge_bad;
                 }
                 if state.ge_bad {
                     ge.loss_bad
@@ -911,34 +928,15 @@ impl<P: ProtocolNode> Core<P> {
                 }
             }
         };
-        if loss_probability > 0.0 {
-            let state = self.links.entry(lf, to);
-            let bits = rng::draw(
-                seed,
-                rng::DOMAIN_CTRL,
-                from.raw(),
-                to.raw(),
-                state.ctrl_draws,
-            );
-            state.ctrl_draws += 1;
-            if rng::chance(bits, loss_probability) {
-                self.stats.dropped_lossy_link += 1;
-                return;
-            }
+        let draw = |links: &mut EdgeSlots<LinkState>| {
+            links.entry(lf, to).draw(seed, rng::DOMAIN_CTRL, from, to)
+        };
+        if loss_probability > 0.0 && rng::chance(draw(&mut self.links), loss_probability) {
+            self.stats.dropped_lossy_link += 1;
+            return;
         }
         let dup_p = shared.config.link.duplicate_probability;
-        let duplicate = dup_p > 0.0 && {
-            let state = self.links.entry(lf, to);
-            let bits = rng::draw(
-                seed,
-                rng::DOMAIN_CTRL,
-                from.raw(),
-                to.raw(),
-                state.ctrl_draws,
-            );
-            state.ctrl_draws += 1;
-            rng::chance(bits, dup_p)
-        };
+        let duplicate = dup_p > 0.0 && rng::chance(draw(&mut self.links), dup_p);
         if duplicate {
             self.stats.messages_duplicated += 1;
             let at = self.link_arrival_time(shared, lf, from, to);
@@ -948,8 +946,7 @@ impl<P: ProtocolNode> Core<P> {
         self.emit_deliver(shared, at, from, to, msg);
     }
 
-    /// Routes one delivery to its receiver's region: local pushes go
-    /// straight into this queue, remote ones are staged for the barrier.
+    /// Routes one delivery to its receiver's region.
     fn emit_deliver(
         &mut self,
         shared: &Shared,
@@ -961,18 +958,8 @@ impl<P: ProtocolNode> Core<P> {
         let key = self.lane_key(shared, from, false);
         self.inflight += 1;
         let region = shared.map.region(to).unwrap_or(0);
-        if region == self.index {
-            self.push_local(at, key, Event::Deliver { from, to, msg });
-        } else {
-            self.staged.push(Staged::Deliver {
-                time: at,
-                key,
-                region,
-                from,
-                to,
-                msg,
-            });
-        }
+        let deliver = Event::Deliver { from, to, msg };
+        self.emit(region, at, key, Cross::Event(deliver));
     }
 
     /// Samples one copy's arrival time: uniform delay in the configured
@@ -992,15 +979,11 @@ impl<P: ProtocolNode> Core<P> {
         let delay = if link.delay_min == link.delay_max {
             link.delay_min
         } else {
-            let state = self.links.entry(lf, to);
-            let bits = rng::draw(
-                shared.config.seed,
-                rng::DOMAIN_CTRL,
-                from.raw(),
-                to.raw(),
-                state.ctrl_draws,
-            );
-            state.ctrl_draws += 1;
+            let seed = shared.config.seed;
+            let bits = self
+                .links
+                .entry(lf, to)
+                .draw(seed, rng::DOMAIN_CTRL, from, to);
             rng::range(bits, link.delay_min, link.delay_max)
         };
         let mut at = self.now + delay;
@@ -1061,7 +1044,7 @@ impl<P: ProtocolNode> Core<P> {
             for started in &scratch.started {
                 let fire = self.now + clock.real_duration(started.hold.max(0.0));
                 let key = self.lane_key(shared, v, false);
-                self.push_local(
+                self.queue.schedule(
                     fire,
                     key,
                     Event::GuardTimer {
@@ -1087,7 +1070,7 @@ impl<P: ProtocolNode> Core<P> {
             if !earlier_pending {
                 slot.pending_wakeup = Some((t, wl));
                 let key = self.lane_key(shared, v, false);
-                self.push_local(t, key, Event::Wakeup { node: v });
+                self.queue.schedule(t, key, Event::Wakeup { node: v });
             }
         }
         set.clear();
@@ -1156,26 +1139,22 @@ impl<P: ProtocolNode> Core<P> {
     /// drop it, or forward it one hop along the live route table.
     fn dispatch_packet(&mut self, shared: &Shared, mut p: Packet) {
         self.stats.events.packet_hops += 1;
+        let at = p.at;
         // The node holding the packet fail-stopped while it was in flight.
-        let Some(slot) = self.slot(shared, p.at) else {
-            let at = p.at;
+        let Some(slot) = self.slot(shared, at) else {
             return self.complete_packet(shared, p, PacketStatus::LinkDown { at });
         };
-        if p.at == p.dest {
+        if at == p.dest {
             return self.complete_packet(shared, p, PacketStatus::Delivered);
         }
         // Next hop from the node's *live* route state toward this packet's
         // destination (multi-destination planes override the lookup).
         let next = match slot.node.route_entry_toward(p.dest) {
-            Some(e) if e.distance != Distance::Infinite && e.parent != p.at => e.parent,
-            _ => {
-                let at = p.at;
-                return self.complete_packet(shared, p, PacketStatus::BlackHoled { at });
-            }
+            Some(e) if e.distance != Distance::Infinite && e.parent != at => e.parent,
+            _ => return self.complete_packet(shared, p, PacketStatus::BlackHoled { at }),
         };
         // The route may point across an edge that no longer exists.
         let Some(edge_weight) = slot.weight(next) else {
-            let at = p.at;
             return self.complete_packet(shared, p, PacketStatus::LinkDown { at });
         };
         if p.hops >= p.ttl {
@@ -1184,77 +1163,46 @@ impl<P: ProtocolNode> Core<P> {
         if let Some(cycle_len) = p.brent_step(next) {
             return self.complete_packet(shared, p, PacketStatus::Looped { cycle_len });
         }
-        let lf = NodeId::new(shared.map.local(p.at));
+        let lf = NodeId::new(shared.map.local(at));
         let seed = shared.config.seed;
         let loss = self.packet_loss_probability(shared, lf, next);
-        if loss > 0.0 {
-            let state = self.links.entry(lf, next);
-            let bits = rng::draw(
-                seed,
-                rng::DOMAIN_DATA,
-                p.at.raw(),
-                next.raw(),
-                state.data_draws,
-            );
-            state.data_draws += 1;
-            if rng::chance(bits, loss) {
-                let at = p.at;
-                return self.complete_packet(shared, p, PacketStatus::Lost { at });
-            }
+        let draw = |links: &mut EdgeSlots<LinkState>| {
+            links.entry(lf, next).draw(seed, rng::DOMAIN_DATA, at, next)
+        };
+        if loss > 0.0 && rng::chance(draw(&mut self.links), loss) {
+            return self.complete_packet(shared, p, PacketStatus::Lost { at });
         }
         let link = &shared.config.link;
         let delay = if link.delay_min == link.delay_max {
             link.delay_min
         } else {
-            let state = self.links.entry(lf, next);
-            let bits = rng::draw(
-                seed,
-                rng::DOMAIN_DATA,
-                p.at.raw(),
-                next.raw(),
-                state.data_draws,
-            );
-            state.data_draws += 1;
-            rng::range(bits, link.delay_min, link.delay_max)
+            rng::range(draw(&mut self.links), link.delay_min, link.delay_max)
         };
-        // `upstream` is the node that forwarded the packet *into* `p.at` —
+        // `upstream` is the node that forwarded the packet *into* `at` —
         // the port a PFC pause frame from here must silence.
         let upstream = p.came_from;
-        let from = p.at;
-        p.came_from = Some(from);
+        p.came_from = Some(at);
         p.at = next;
         p.hops += 1;
         p.cost += edge_weight;
         if shared.config.congestion.enabled() {
             // Congestion lane: the packet must first win a slot in the
-            // egress queue of port `(from, next)` and serialize at the
+            // egress queue of port `(at, next)` and serialize at the
             // link rate; the propagation delay starts when serialization
             // completes. Loss and delay were drawn above, in the same
             // stream order as the unlimited lane.
-            self.enqueue_packet(shared, from, next, upstream, p, delay);
+            self.enqueue_packet(shared, at, next, upstream, p, delay);
         } else {
             // Unlimited lane: a hop is one propagation delay.
-            let at = self.now + delay;
-            self.emit_packet(shared, at, from, p);
+            self.emit_packet(shared, self.now + delay, at, p);
         }
     }
 
-    /// Routes a forwarded packet to the region owning its next node:
-    /// local packets re-enter this arena, remote ones travel by value.
+    /// Routes a forwarded packet to the region owning its next node.
     fn emit_packet(&mut self, shared: &Shared, at: SimTime, from: NodeId, p: Packet) {
         let key = self.lane_key(shared, from, true);
         let region = shared.map.region(p.at).unwrap_or(0);
-        if region == self.index {
-            let packet = self.arena.alloc(p);
-            self.push_local(at, key, Event::PacketHop { packet });
-        } else {
-            self.staged.push(Staged::Packet {
-                time: at,
-                key,
-                region,
-                packet: p,
-            });
-        }
+        self.emit(region, at, key, Cross::Packet(p));
     }
 
     /// Admits a forwarded packet into the egress queue of port
@@ -1277,7 +1225,8 @@ impl<P: ProtocolNode> Core<P> {
             .expect("enqueue_packet requires a finite link rate");
         let lf = NodeId::new(shared.map.local(from));
         let occupancy = self.ports.get(lf, to).map_or(0, |s| s.occupancy);
-        let verdict = shared.discipline.admit(occupancy, p.weight, capacity);
+        let discipline = shared.config.congestion.discipline;
+        let verdict = discipline.admit(occupancy, p.weight, capacity);
         if verdict.pause_upstream > 0.0 {
             // Backpressure one hop upstream (802.3x-style pause quanta);
             // packets injected *at* `from` have no upstream port to pause.
@@ -1333,7 +1282,8 @@ impl<P: ProtocolNode> Core<P> {
             // The arriving packet is the head: it finishes serializing
             // one `weight / rate` after the port is free to transmit.
             let key = self.lane_key(shared, from, true);
-            self.push_local(start + ser, key, Event::PortDrain { from, to });
+            self.queue
+                .schedule(start + ser, key, Event::PortDrain { from, to });
         }
         if self.emit_queue_obs {
             self.obs(ObsOp::Queue {
@@ -1389,7 +1339,7 @@ impl<P: ProtocolNode> Core<P> {
             // horizon (pause frames arriving later extend it again).
             let t = port.paused_until;
             let key = self.lane_key(shared, from, true);
-            self.push_local(t, key, Event::PortDrain { from, to });
+            self.queue.schedule(t, key, Event::PortDrain { from, to });
             return;
         }
         let q = port.queue.pop_front().expect("checked non-empty");
@@ -1401,7 +1351,8 @@ impl<P: ProtocolNode> Core<P> {
         }
         if let Some(ser) = next_ser {
             let key = self.lane_key(shared, from, true);
-            self.push_local(self.now + ser, key, Event::PortDrain { from, to });
+            self.queue
+                .schedule(self.now + ser, key, Event::PortDrain { from, to });
         }
         if self.emit_queue_obs {
             self.obs(ObsOp::Queue {
@@ -1454,31 +1405,10 @@ impl<P: ProtocolNode> Core<P> {
             .max(shared.config.link.delay_min);
         let at = self.now + delay;
         let key = self.lane_key(shared, dest, true);
-        let region = shared
-            .flow_home
-            .get(tag.flow as usize)
-            .copied()
-            .unwrap_or(0);
-        if region == self.index {
-            self.push_local(
-                at,
-                key,
-                Event::FlowAck {
-                    flow: tag.flow,
-                    ack,
-                    marked,
-                },
-            );
-        } else {
-            self.staged.push(Staged::FlowAck {
-                time: at,
-                key,
-                region,
-                flow: tag.flow,
-                ack,
-                marked,
-            });
-        }
+        let region = shared.flow_home.get(idx).copied().unwrap_or(0);
+        let flow = tag.flow;
+        let ack = Event::FlowAck { flow, ack, marked };
+        self.emit(region, at, key, Cross::Event(ack));
     }
 
     /// A cumulative ACK reaches the sender: slide the window, feed the
@@ -1515,7 +1445,7 @@ impl<P: ProtocolNode> Core<P> {
         if let Some((rto, generation)) = arm_timer {
             let at = self.now + rto;
             let key = self.lane_key(shared, src, true);
-            self.push_local(
+            self.queue.schedule(
                 at,
                 key,
                 Event::FlowTimer {
@@ -1556,7 +1486,7 @@ impl<P: ProtocolNode> Core<P> {
         let src = f.src;
         let at = self.now + f.rto;
         let key = self.lane_key(shared, src, true);
-        self.push_local(
+        self.queue.schedule(
             at,
             key,
             Event::FlowTimer {
@@ -1729,7 +1659,6 @@ impl<P: ProtocolNode> Engine<P> {
     ) -> Self {
         config.link.validate();
         config.congestion.validate();
-        let discipline = config.congestion.discipline.build();
         // A one-shot factory (streaming export) takes precedence over the
         // plain kind; once consumed — or absent — the kind builds the sink.
         let mut sink = config
@@ -1768,7 +1697,6 @@ impl<P: ProtocolNode> Engine<P> {
         }
         let shared = Shared {
             config,
-            discipline,
             map,
             alive: Vec::new(),
             flow_home: Vec::new(),
@@ -2062,8 +1990,8 @@ impl<P: ProtocolNode> Engine<P> {
         core.packets_in_flight += 1;
         core.packets_in_flight_weight += weight as i64;
         let key = core.lane_key(&self.shared, src, true);
-        let packet = core.arena.alloc(Packet::new(src, dest, ttl, weight, at));
-        core.push_local(at, key, Event::PacketHop { packet });
+        let p = Packet::new(src, dest, ttl, weight, at);
+        core.land(at, key, Cross::Packet(p));
         self.driver_opseq = core.opseq;
         self.sample_queue_depth();
     }
@@ -2137,7 +2065,7 @@ impl<P: ProtocolNode> Engine<P> {
         core.flows[id as usize] = Some(FlowState {
             src,
             dest,
-            cc: config.cc.build(),
+            cc: config.cc.start(),
             base: 0,
             next_seq: 0,
             rto: config.rto_initial,
@@ -2151,7 +2079,7 @@ impl<P: ProtocolNode> Engine<P> {
         });
         core.active_flows += 1;
         let key = core.lane_key(&self.shared, src, true);
-        core.push_local(
+        core.queue.schedule(
             at + config.rto_initial,
             key,
             Event::FlowTimer {
@@ -2590,71 +2518,20 @@ impl<P: ProtocolNode> Engine<P> {
         done
     }
 
-    /// Moves every staged cross-region effect into its target region at a
-    /// barrier. Event-carrying effects land in the target queue under
-    /// their canonical `(time, key)`; conservative lookahead guarantees
-    /// they lie beyond the window that staged them (asserted when the
-    /// window's bound is known).
+    /// Lands every staged cross-region effect in its target region at a
+    /// barrier, under its canonical `(time, key)`. Conservative lookahead
+    /// guarantees it lies beyond the window that staged it (asserted when
+    /// the window's bound is known).
     fn ingest_staged(&mut self, bound: Option<WindowBound>) {
         let mut buf = std::mem::take(&mut self.staged_merge);
         for i in 0..self.cores.len() {
-            if self.cores[i].staged.is_empty() {
-                continue;
-            }
             std::mem::swap(&mut buf, &mut self.cores[i].staged);
             for s in buf.drain(..) {
-                match s {
-                    Staged::Deliver {
-                        time,
-                        key,
-                        region,
-                        from,
-                        to,
-                        msg,
-                    } => {
-                        debug_assert!(
-                            bound.is_none_or(|b| !b.admits((time, key))),
-                            "staged delivery inside its own window"
-                        );
-                        self.cores[region as usize].push_local(
-                            time,
-                            key,
-                            Event::Deliver { from, to, msg },
-                        );
-                    }
-                    Staged::Packet {
-                        time,
-                        key,
-                        region,
-                        packet,
-                    } => {
-                        debug_assert!(
-                            bound.is_none_or(|b| !b.admits((time, key))),
-                            "staged packet inside its own window"
-                        );
-                        let core = &mut self.cores[region as usize];
-                        let idx = core.arena.alloc(packet);
-                        core.push_local(time, key, Event::PacketHop { packet: idx });
-                    }
-                    Staged::FlowAck {
-                        time,
-                        key,
-                        region,
-                        flow,
-                        ack,
-                        marked,
-                    } => {
-                        debug_assert!(
-                            bound.is_none_or(|b| !b.admits((time, key))),
-                            "staged flow ack inside its own window"
-                        );
-                        self.cores[region as usize].push_local(
-                            time,
-                            key,
-                            Event::FlowAck { flow, ack, marked },
-                        );
-                    }
-                }
+                debug_assert!(
+                    bound.is_none_or(|b| !b.admits((s.time, s.key))),
+                    "staged effect inside its own window"
+                );
+                self.cores[s.region as usize].land(s.time, s.key, s.cross);
             }
         }
         self.staged_merge = buf;

@@ -3,10 +3,10 @@
 //! PR 5's probes were fire-and-forget: a drop was a drop. This module
 //! promotes traffic endpoints to stateful flows that *recover*: a flow
 //! transfers `segments` numbered segments (each a weighted packet) from
-//! `src` to `dest`, keeps a send window governed by a pluggable
-//! congestion-control algorithm ([`CongAlg`]), and retransmits on a
-//! per-flow timeout with exponential backoff — the classic Go-Back-N
-//! sender over a cumulative-ACK receiver.
+//! `src` to `dest`, keeps a send window governed by a congestion-control
+//! algorithm ([`CongAlgKind`]), and retransmits on a per-flow timeout
+//! with exponential backoff — the classic Go-Back-N sender over a
+//! cumulative-ACK receiver.
 //!
 //! Everything rides the engine's ordinary event queue, which is the
 //! determinism contract: segment sends are `PacketHop` events, ACKs are
@@ -19,102 +19,26 @@
 //! guard-hold timers. No wall clocks, no global state: the same seed
 //! replays the same flow trajectory byte for byte.
 //!
-//! Two [`CongAlg`] implementations ship with the engine: [`FixedWindow`]
-//! (a constant window — the degenerate algorithm every textbook starts
-//! with) and [`Aimd`] (additive increase per acked segment, multiplicative
-//! decrease on ECN marks, collapse to one segment on timeout).
-
-use std::fmt;
+//! Two algorithms ship with the engine: a fixed window (a constant
+//! window — the degenerate algorithm every textbook starts with) and
+//! AIMD (additive increase per acked segment, multiplicative decrease on
+//! ECN marks, collapse to one segment on timeout).
 
 use lsrp_graph::NodeId;
 
 use crate::time::SimTime;
 
-/// Congestion-control policy of one flow: owns the send window.
-///
-/// The engine calls the hooks as ACK/mark/timeout evidence arrives; the
-/// algorithm answers only one question — how many segments past the
-/// cumulative ACK may be outstanding ([`CongAlg::window`], always >= 1).
-pub trait CongAlg: fmt::Debug + Send {
-    /// Current window in segments (>= 1).
-    fn window(&self) -> u64;
-    /// One new segment was cumulatively acknowledged.
-    fn on_ack(&mut self);
-    /// An ACK arrived carrying an ECN congestion mark.
-    fn on_mark(&mut self);
-    /// The retransmit timer fired.
-    fn on_timeout(&mut self);
-}
-
-/// A constant send window, blind to all congestion evidence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FixedWindow {
-    window: u64,
-}
-
-impl FixedWindow {
-    /// A fixed window of `window` segments (clamped to >= 1).
-    pub fn new(window: u64) -> Self {
-        FixedWindow {
-            window: window.max(1),
-        }
-    }
-}
-
-impl CongAlg for FixedWindow {
-    fn window(&self) -> u64 {
-        self.window
-    }
-    fn on_ack(&mut self) {}
-    fn on_mark(&mut self) {}
-    fn on_timeout(&mut self) {}
-}
-
-/// Additive-increase / multiplicative-decrease: +1 segment per window's
-/// worth of ACKs, halve on mark, collapse to 1 on timeout.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Aimd {
-    cwnd: f64,
-    max: f64,
-}
-
-impl Aimd {
-    /// AIMD starting at `initial` segments, capped at `max`.
-    pub fn new(initial: u64, max: u64) -> Self {
-        let max = max.max(1) as f64;
-        Aimd {
-            cwnd: (initial.max(1) as f64).min(max),
-            max,
-        }
-    }
-}
-
-impl CongAlg for Aimd {
-    fn window(&self) -> u64 {
-        self.cwnd as u64
-    }
-    fn on_ack(&mut self) {
-        // Additive increase spread over the window: +1/cwnd per acked
-        // segment is +1 segment per round trip.
-        self.cwnd = (self.cwnd + 1.0 / self.cwnd).min(self.max);
-    }
-    fn on_mark(&mut self) {
-        self.cwnd = (self.cwnd / 2.0).max(1.0);
-    }
-    fn on_timeout(&mut self) {
-        self.cwnd = 1.0;
-    }
-}
-
-/// Config-friendly handle for the pluggable [`CongAlg`] trait.
+/// A flow's congestion-control algorithm, as plain data.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CongAlgKind {
-    /// [`FixedWindow`] of the given size.
+    /// A constant send window of the given size, blind to all congestion
+    /// evidence.
     FixedWindow {
         /// Window in segments.
         window: u64,
     },
-    /// [`Aimd`] with the given initial and maximum window.
+    /// Additive-increase / multiplicative-decrease: +1 segment per
+    /// window's worth of ACKs, halve on mark, collapse to 1 on timeout.
     Aimd {
         /// Initial window in segments.
         initial: u64,
@@ -123,12 +47,62 @@ pub enum CongAlgKind {
     },
 }
 
-impl CongAlgKind {
-    /// Instantiates the algorithm.
-    pub fn build(&self) -> Box<dyn CongAlg> {
+/// The live send window of one flow. The engine feeds it ACK, mark and
+/// timeout evidence; it answers only one question — how many segments
+/// past the cumulative ACK may be outstanding ([`Window::window`], always
+/// >= 1).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Window {
+    Fixed(u64),
+    Aimd { cwnd: f64, max: f64 },
+}
+
+impl Window {
+    /// Current window in segments (>= 1).
+    pub(crate) fn window(&self) -> u64 {
         match *self {
-            CongAlgKind::FixedWindow { window } => Box::new(FixedWindow::new(window)),
-            CongAlgKind::Aimd { initial, max } => Box::new(Aimd::new(initial, max)),
+            Window::Fixed(w) => w,
+            Window::Aimd { cwnd, .. } => cwnd as u64,
+        }
+    }
+
+    /// One new segment was cumulatively acknowledged. Additive increase
+    /// spread over the window: +1/cwnd per acked segment is +1 segment
+    /// per round trip.
+    pub(crate) fn on_ack(&mut self) {
+        if let Window::Aimd { cwnd, max } = self {
+            *cwnd = (*cwnd + 1.0 / *cwnd).min(*max);
+        }
+    }
+
+    /// An ACK arrived carrying an ECN congestion mark.
+    pub(crate) fn on_mark(&mut self) {
+        if let Window::Aimd { cwnd, .. } = self {
+            *cwnd = (*cwnd / 2.0).max(1.0);
+        }
+    }
+
+    /// The retransmit timer fired.
+    pub(crate) fn on_timeout(&mut self) {
+        if let Window::Aimd { cwnd, .. } = self {
+            *cwnd = 1.0;
+        }
+    }
+}
+
+impl CongAlgKind {
+    /// The algorithm's starting window, clamped to at least one segment
+    /// (and AIMD's to its cap).
+    pub(crate) fn start(&self) -> Window {
+        match *self {
+            CongAlgKind::FixedWindow { window } => Window::Fixed(window.max(1)),
+            CongAlgKind::Aimd { initial, max } => {
+                let max = max.max(1) as f64;
+                Window::Aimd {
+                    cwnd: (initial.max(1) as f64).min(max),
+                    max,
+                }
+            }
         }
     }
 
@@ -291,7 +265,7 @@ pub(crate) struct FlowState {
     pub src: NodeId,
     pub dest: NodeId,
     pub config: FlowConfig,
-    pub cc: Box<dyn CongAlg>,
+    pub cc: Window,
     /// Sender: lowest unacknowledged sequence number.
     pub base: u64,
     /// Sender: next sequence number to transmit. (The receiver cursor
@@ -317,17 +291,21 @@ mod tests {
 
     #[test]
     fn fixed_window_ignores_evidence() {
-        let mut w = FixedWindow::new(4);
+        let mut w = CongAlgKind::FixedWindow { window: 4 }.start();
         w.on_ack();
         w.on_mark();
         w.on_timeout();
         assert_eq!(w.window(), 4);
-        assert_eq!(FixedWindow::new(0).window(), 1);
+        assert_eq!(CongAlgKind::FixedWindow { window: 0 }.start().window(), 1);
     }
 
     #[test]
     fn aimd_grows_halves_and_collapses() {
-        let mut a = Aimd::new(4, 64);
+        let mut a = CongAlgKind::Aimd {
+            initial: 4,
+            max: 64,
+        }
+        .start();
         assert_eq!(a.window(), 4);
         // A round trip's worth of ACKs grows the window by about one
         // segment (slightly less, since the divisor grows per ACK).

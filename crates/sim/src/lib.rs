@@ -65,13 +65,10 @@ pub mod test_support {
 
 pub use crate::clock::{Clock, ClockConfig};
 pub use crate::config::{EngineConfig, GilbertElliott, LinkConfig, LossModel};
-pub use crate::congestion::{
-    Admission, CongestionConfig, CongestionCounts, DisciplineKind, DropTail, EcnMarking, PfcPause,
-    QueueDiscipline,
-};
+pub use crate::congestion::{CongestionConfig, CongestionCounts, DisciplineKind};
 pub use crate::effects::{Effects, SendBatch};
 pub use crate::engine::{Engine, EngineError, EngineStats, EventCounts, RunReport};
-pub use crate::flow::{Aimd, CongAlg, CongAlgKind, FixedWindow, FlowConfig, FlowRecord, FlowTag};
+pub use crate::flow::{CongAlgKind, FlowConfig, FlowRecord, FlowTag};
 pub use crate::harness::{ForgedAdvert, HarnessProtocol, SimHarness};
 pub use crate::neighbors::{Neighbor, NeighborTable, Reconciled};
 pub use crate::node::{ActionId, EnabledSet, ProtocolNode};

@@ -147,7 +147,7 @@ impl EnabledSet {
 /// Implementations hold the node's variables (including neighbor mirrors)
 /// and express the protocol as guarded actions. The engine guarantees:
 ///
-/// * [`ProtocolNode::enabled_actions`] is called after every local state
+/// * [`ProtocolNode::enabled_actions_into`] is called after every local state
 ///   change (action execution, message receipt, neighbor change, wakeup);
 /// * an action is executed only after its guard was continuously enabled
 ///   for its hold-time on the local clock;
@@ -164,17 +164,17 @@ pub trait ProtocolNode: Send {
     /// Message payload exchanged between neighbors.
     type Msg: Clone + fmt::Debug + Send + Sync;
 
-    /// Evaluates all guards against the current state. `now_local` is the
-    /// node's clock reading.
-    fn enabled_actions(&self, now_local: f64) -> EnabledSet;
+    /// Evaluates all guards against the current state into `out`, which
+    /// the caller has cleared. `now_local` is the node's clock reading.
+    /// The engine re-evaluates guards after every event with one reusable
+    /// set, so the hot path allocates nothing.
+    fn enabled_actions_into(&self, now_local: f64, out: &mut EnabledSet);
 
-    /// [`ProtocolNode::enabled_actions`], writing into a caller-provided
-    /// (cleared) set. The engine re-evaluates guards after every event and
-    /// calls this with a reusable buffer; protocols should override it
-    /// with their actual guard logic (and implement `enabled_actions` by
-    /// delegation) so the hot path allocates nothing.
-    fn enabled_actions_into(&self, now_local: f64, out: &mut EnabledSet) {
-        *out = self.enabled_actions(now_local);
+    /// [`ProtocolNode::enabled_actions_into`], into a fresh set.
+    fn enabled_actions(&self, now_local: f64) -> EnabledSet {
+        let mut out = EnabledSet::none();
+        self.enabled_actions_into(now_local, &mut out);
+        out
     }
 
     /// Executes the statement of `action` atomically. Implementations must

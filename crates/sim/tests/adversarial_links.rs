@@ -24,12 +24,10 @@ const BCAST: ActionId = ActionId::plain(0);
 impl ProtocolNode for Burst {
     type Msg = u32;
 
-    fn enabled_actions(&self, _now_local: f64) -> EnabledSet {
-        let mut s = EnabledSet::none();
+    fn enabled_actions_into(&self, _now_local: f64, s: &mut EnabledSet) {
         if self.fire {
             s.enable(BCAST, 0.0);
         }
-        s
     }
 
     fn execute(&mut self, _action: ActionId, _now_local: f64, fx: &mut Effects<u32>) {

@@ -21,9 +21,7 @@ pub struct StaticRouter {
 impl ProtocolNode for StaticRouter {
     type Msg = ();
 
-    fn enabled_actions(&self, _now_local: f64) -> EnabledSet {
-        EnabledSet::none()
-    }
+    fn enabled_actions_into(&self, _now_local: f64, _out: &mut EnabledSet) {}
 
     fn execute(&mut self, _action: ActionId, _now_local: f64, _fx: &mut Effects<()>) {
         unreachable!("static routers have no actions");

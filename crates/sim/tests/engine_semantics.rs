@@ -42,12 +42,10 @@ impl Flood {
 impl ProtocolNode for Flood {
     type Msg = u32;
 
-    fn enabled_actions(&self, _now_local: f64) -> EnabledSet {
-        let mut set = EnabledSet::none();
+    fn enabled_actions_into(&self, _now_local: f64, set: &mut EnabledSet) {
         if self.pending {
             set.enable(BCAST, self.hold);
         }
-        set
     }
 
     fn execute(&mut self, action: ActionId, _now_local: f64, fx: &mut Effects<u32>) {
@@ -226,12 +224,10 @@ struct Burst {
 impl ProtocolNode for Burst {
     type Msg = u32;
 
-    fn enabled_actions(&self, _now_local: f64) -> EnabledSet {
-        let mut s = EnabledSet::none();
+    fn enabled_actions_into(&self, _now_local: f64, s: &mut EnabledSet) {
         if self.fire {
             s.enable(BCAST, 0.0);
         }
-        s
     }
 
     fn execute(&mut self, _action: ActionId, _now_local: f64, fx: &mut Effects<u32>) {
@@ -392,14 +388,12 @@ const TICK: ActionId = ActionId::plain(1);
 impl ProtocolNode for Ticker {
     type Msg = ();
 
-    fn enabled_actions(&self, now_local: f64) -> EnabledSet {
-        let mut s = EnabledSet::none();
+    fn enabled_actions_into(&self, now_local: f64, s: &mut EnabledSet) {
         if now_local >= self.last_tick_local + self.period {
             s.enable(TICK, 0.0);
         } else {
             s.wake_at(self.last_tick_local + self.period);
         }
-        s
     }
 
     fn execute(&mut self, _action: ActionId, now_local: f64, fx: &mut Effects<()>) {
@@ -505,15 +499,13 @@ const ACT: ActionId = ActionId::plain(7);
 impl ProtocolNode for Witnessed {
     type Msg = ();
 
-    fn enabled_actions(&self, _now_local: f64) -> EnabledSet {
-        let mut s = EnabledSet::none();
+    fn enabled_actions_into(&self, _now_local: f64, s: &mut EnabledSet) {
         if self.send_at_start {
             s.enable(BCAST, 0.0);
         }
         if self.armed {
             s.enable_with_fingerprint(ACT, 10.0, self.witness);
         }
-        s
     }
 
     fn execute(&mut self, action: ActionId, now_local: f64, fx: &mut Effects<()>) {
@@ -601,10 +593,8 @@ struct Livelock {
 impl ProtocolNode for Livelock {
     type Msg = ();
 
-    fn enabled_actions(&self, _now_local: f64) -> EnabledSet {
-        let mut s = EnabledSet::none();
+    fn enabled_actions_into(&self, _now_local: f64, s: &mut EnabledSet) {
         s.enable(BCAST, self.hold);
-        s
     }
 
     fn execute(&mut self, _action: ActionId, _now_local: f64, fx: &mut Effects<()>) {
@@ -720,12 +710,10 @@ struct Hub {
 impl ProtocolNode for Hub {
     type Msg = CountedPayload;
 
-    fn enabled_actions(&self, _now_local: f64) -> EnabledSet {
-        let mut set = EnabledSet::none();
+    fn enabled_actions_into(&self, _now_local: f64, set: &mut EnabledSet) {
         if self.id == v(0) && !self.fired {
             set.enable(BCAST, 0.0);
         }
-        set
     }
 
     fn execute(&mut self, _action: ActionId, _now_local: f64, fx: &mut Effects<CountedPayload>) {

@@ -192,12 +192,10 @@ const BCAST: ActionId = ActionId::plain(0);
 impl ProtocolNode for Flood {
     type Msg = u32;
 
-    fn enabled_actions(&self, _now_local: f64) -> EnabledSet {
-        let mut set = EnabledSet::none();
+    fn enabled_actions_into(&self, _now_local: f64, set: &mut EnabledSet) {
         if self.pending {
             set.enable(BCAST, 0.5);
         }
-        set
     }
 
     fn execute(&mut self, _action: ActionId, _now_local: f64, fx: &mut Effects<u32>) {

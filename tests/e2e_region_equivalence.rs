@@ -20,7 +20,8 @@ use lsrp::core::{InitialState, LsrpSimulation, LsrpSimulationExt, TimingConfig};
 use lsrp::faults::FaultProcess;
 use lsrp::graph::{generators, Distance, Graph, NodeId};
 use lsrp_sim::{
-    ClockConfig, CongestionConfig, DisciplineKind, EngineConfig, EngineStats, LinkConfig, SimTime,
+    ClockConfig, CongAlgKind, CongestionConfig, DisciplineKind, EngineConfig, EngineStats,
+    LinkConfig, SimTime,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -125,15 +126,18 @@ fn regions_are_capped_at_the_node_count() {
 }
 
 /// Runs the congested data-plane scenario — finite links, bounded
-/// queues, an aggregated workload, a mid-run corruption — drained to
+/// queues, an aggregated workload (Go-Back-N flows under `transport`
+/// when given, probes otherwise), a mid-run corruption — drained to
 /// empty, under the given discipline and region/job split. Returns the
-/// fingerprint and the number of regions the engine built.
+/// fingerprint and the simulation, for the regions its engine built and
+/// its statistics.
 fn traffic_fingerprint(
     regions: usize,
     jobs: usize,
     discipline: DisciplineKind,
+    transport: Option<CongAlgKind>,
     seed: u64,
-) -> (String, usize) {
+) -> (String, LsrpSimulation) {
     let graph = generators::grid(8, 8, 1);
     let dest = v(0);
     let victim = v(27);
@@ -150,19 +154,23 @@ fn traffic_fingerprint(
         .build();
     sim.run_to_quiescence(100_000.0);
     let t0 = sim.now().seconds();
-    let spec = WorkloadSpec::default();
+    let mut spec = WorkloadSpec::default();
+    if transport.is_some() {
+        // Weight-5 segments fit the 12-packet queues, so every flow can
+        // finish.
+        spec.flows = 16;
+        spec.rate = 1.0;
+    }
     let mut workload = WorkloadDriver::new(&spec, &graph, &[dest], t0, duration, seed);
+    if let Some(cc) = transport {
+        workload = workload.with_transport(cc);
+    }
     workload.ensure_scheduled(sim.engine_mut(), t0 + duration / 2.0);
     sim.run_until(t0 + duration / 2.0);
     sim.corrupt_distance(victim, Distance::ZERO);
     workload.ensure_scheduled(sim.engine_mut(), f64::INFINITY);
-    loop {
-        let drained = !sim.engine().any_enabled_non_maintenance()
-            && sim.engine().inflight_messages() == 0
-            && sim.engine().packets_in_flight() == 0;
-        if drained {
-            break;
-        }
+    while !sim.engine().drained() {
+        assert!(sim.now().seconds() < t0 + 1e5, "traffic never drained");
         let next = sim
             .engine()
             .next_event_time()
@@ -176,18 +184,36 @@ fn traffic_fingerprint(
         stats_fingerprint(sim.stats()),
         sim.route_table()
     );
-    (fingerprint, sim.engine().regions())
+    (fingerprint, sim)
 }
 
 #[test]
 fn regions_match_sequential_under_congested_traffic() {
     let seed = 3;
-    let (baseline, _) = traffic_fingerprint(1, 1, DisciplineKind::DropTail, seed);
+    let (baseline, _) = traffic_fingerprint(1, 1, DisciplineKind::DropTail, None, seed);
     for (regions, jobs) in MATRIX {
-        let (par, _) = traffic_fingerprint(regions, jobs, DisciplineKind::DropTail, seed);
+        let (par, _) = traffic_fingerprint(regions, jobs, DisciplineKind::DropTail, None, seed);
         assert_eq!(
             par, baseline,
             "regions={regions} jobs={jobs} diverged on congested traffic"
+        );
+    }
+    // ECN marks echoed on Go-Back-N ACKs that an AIMD window answers:
+    // marked packets and flow ACKs cross region boundaries.
+    let ecn = DisciplineKind::Ecn { mark_at: 0.5 };
+    let aimd = Some(CongAlgKind::Aimd {
+        initial: 4,
+        max: 32,
+    });
+    let (baseline, sim) = traffic_fingerprint(1, 1, ecn, aimd, seed);
+    let congestion = sim.stats().congestion;
+    assert!(congestion.ecn_marks > 0, "no packet was marked");
+    assert!(congestion.flow_acked_weight > 0, "no flow was acknowledged");
+    for (regions, jobs) in MATRIX {
+        let (par, _) = traffic_fingerprint(regions, jobs, ecn, aimd, seed);
+        assert_eq!(
+            par, baseline,
+            "regions={regions} jobs={jobs} diverged under ECN with AIMD flows"
         );
     }
 }
@@ -203,9 +229,10 @@ fn pause_discipline_lockstep_fallback_matches_sequential() {
         pause_at: 0.6,
         quantum: 1.5,
     };
-    let (baseline, _) = traffic_fingerprint(1, 1, discipline, seed);
+    let (baseline, _) = traffic_fingerprint(1, 1, discipline, None, seed);
     for (regions, jobs) in [(2, 2), (4, 4)] {
-        let (par, built) = traffic_fingerprint(regions, jobs, discipline, seed);
+        let (par, sim) = traffic_fingerprint(regions, jobs, discipline, None, seed);
+        let built = sim.engine().regions();
         assert_eq!(built, 1, "regions={regions}: pause built {built} regions");
         assert_eq!(
             par, baseline,

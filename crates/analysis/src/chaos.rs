@@ -151,7 +151,7 @@ impl Campaign {
             CampaignConfig::Traffic(_) => "traffic",
         };
         let (plane, target) = match &self.target {
-            Target::Destination(d) => ("", format!("destination {d}")),
+            Target::Destination(d) => ("", format!("destination {}", d.raw())),
             Target::Destinations(ds) => ("multi ", format!("destinations {}", ds.len())),
         };
         let _ = writeln!(

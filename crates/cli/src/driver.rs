@@ -486,7 +486,7 @@ mod tests {
     fn chaos_campaign_on_a_grid_reports_clean_runs() {
         let out = run("chaos --topology grid:3x3 --runs 2 --seed 1").unwrap();
         assert!(
-            out.contains("chaos campaign: topology grid:3x3 destination v0 runs 2 violating 0"),
+            out.contains("chaos campaign: topology grid:3x3 destination 0 runs 2 violating 0"),
             "{out}"
         );
         assert!(out.contains("run seed=1"), "{out}");
@@ -560,7 +560,7 @@ mod tests {
         let out =
             run("traffic --topology grid:3x3 --runs 1 --seed 3 --flows 8 --duration 80").unwrap();
         assert!(
-            out.contains("traffic campaign: topology grid:3x3 destination v0 runs 1"),
+            out.contains("traffic campaign: topology grid:3x3 destination 0 runs 1"),
             "{out}"
         );
         assert!(out.contains("injected="), "{out}");

@@ -18,13 +18,15 @@
 //!   for checking in as a regression test and replaying with
 //!   [`replay_repro`].
 //!
-//! The run protocol: build the simulation with the run's seed, let it
-//! reach its fault-free fixpoint (monitors must judge *recovery*, not
-//! cold-start convergence), then drive the fault schedule one engine
-//! event at a time through [`run_monitored`] with the
-//! [`standard_monitors`] set. The multi-destination plane
-//! ([`crate::multi_chaos`]) and traffic runs ([`crate::traffic`]) follow
-//! the same settle, offset, drive, judge protocol with their own loops.
+//! The run protocol, one body for every target and config: build the
+//! simulation with the run's seed and let it reach its fault-free
+//! fixpoint (monitors must judge *recovery*, not cold-start convergence),
+//! generate the fault schedule past that point, start the workload when
+//! the run carries traffic ([`crate::traffic`]), then drive both planes
+//! through the same loop as [`run_monitored`]. One destination tree is
+//! judged by the [`standard_monitors`] set; the multi-destination plane
+//! ([`crate::multi_chaos`]) by quiescence and every tree's routes. Both
+//! stop by the same rule: when the engine is drained, or at the horizon.
 
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -32,12 +34,16 @@ use std::ops::Range;
 use lsrp_core::{LsrpSimulation, LsrpSimulationExt};
 use lsrp_faults::{FaultProcess, FaultSchedule, ScheduleParseError};
 use lsrp_graph::{Graph, NodeId};
-use lsrp_sim::EngineConfig;
+use lsrp_multi::{MultiLsrpSimulation, MultiLsrpSimulationExt};
+use lsrp_sim::{EngineConfig, HarnessProtocol, SimHarness};
 
-use crate::monitor::{run_monitored, standard_monitors, MonitorReport, Violation};
-use crate::multi_chaos::multi_chaos_run;
+use crate::monitor::{
+    apply_lsrp, drive_with, run_monitored, standard_monitors, step_through, ApplyFault, Monitor,
+    MonitorReport, Violation,
+};
+use crate::multi_chaos::apply_multi;
 use crate::parallel::run_sharded;
-use crate::traffic::{multi_traffic_run, traffic_run, TrafficConfig, TrafficSummary};
+use crate::traffic::{AvailabilityMonitor, TrafficConfig, TrafficSummary, WorkloadDriver};
 
 /// Everything one chaos run needs besides its seed.
 #[derive(Debug, Clone)]
@@ -222,33 +228,100 @@ pub fn replay(
     run_monitored(&mut sim, schedule, config.horizon, &mut monitors)
 }
 
-/// Runs one seeded chaos run: generates the schedule from the fault
-/// process (offset past initial convergence) and replays it.
-pub(crate) fn chaos_run(
+/// Runs the campaign run of `seed` toward `target`: settles the target's
+/// simulation to its fault-free fixpoint and hands it to
+/// [`campaign_run`] with the target's monitors and fault mapping.
+fn run_seed(graph: &Graph, target: &Target, config: &CampaignConfig, seed: u64) -> CampaignRun {
+    let (CampaignConfig::Chaos(chaos) | CampaignConfig::Traffic(TrafficConfig { chaos, .. })) =
+        config;
+    match target {
+        Target::Destination(d) => {
+            // Settle once and keep the simulation: driving the *same*
+            // engine keeps one-shot streaming sinks (see
+            // `EngineConfig::sink_factory`) attached to the run they
+            // trace. Determinism makes this equivalent to re-building.
+            let mut sim = settled_sim(graph, *d, chaos, seed);
+            let mut monitors = standard_monitors(sim.timing(), graph.node_count());
+            campaign_run(
+                &mut sim,
+                graph,
+                &[*d],
+                config,
+                seed,
+                &mut monitors,
+                apply_lsrp,
+            )
+        }
+        Target::Destinations(ds) => {
+            let mut sim = MultiLsrpSimulation::builder(graph.clone(), ds.clone())
+                .engine_config(chaos.engine.clone().with_seed(seed))
+                .build();
+            sim.run_to_quiescence(chaos.horizon);
+            let mut run = campaign_run(&mut sim, graph, ds, config, seed, &mut [], apply_multi);
+            run.routes_correct = Some(sim.all_routes_correct());
+            run
+        }
+    }
+}
+
+/// The one campaign run body, on a simulation settled at its fault-free
+/// fixpoint: generates the fault schedule toward the lowest of
+/// `destinations` and shifts it past the fixpoint, starts the workload
+/// and its [`AvailabilityMonitor`] when `config` asks for traffic, and
+/// drives the run through [`drive_with`], applying each fault with
+/// `apply`. Leaves `routes_correct` unset.
+///
+/// # Panics
+///
+/// Panics if `destinations` is empty.
+pub(crate) fn campaign_run<P: HarnessProtocol>(
+    sim: &mut SimHarness<P>,
     graph: &Graph,
-    destination: NodeId,
-    config: &ChaosConfig,
+    destinations: &[NodeId],
+    config: &CampaignConfig,
     seed: u64,
+    monitors: &mut [Box<dyn Monitor<P>>],
+    apply: ApplyFault<P>,
 ) -> CampaignRun {
-    // Settle once and keep the simulation: the schedule starts after the
-    // fault-free fixpoint, and driving the *same* engine keeps one-shot
-    // streaming sinks (see `EngineConfig::sink_factory`) attached to the
-    // run they trace. Determinism makes this equivalent to re-building.
-    let mut sim = settled_sim(graph, destination, config, seed);
+    let (CampaignConfig::Chaos(chaos) | CampaignConfig::Traffic(TrafficConfig { chaos, .. })) =
+        config;
+    let primary = *destinations.iter().min().expect("need destinations");
     let t0 = sim.now().seconds();
-    let schedule = config
+    let schedule = chaos
         .process
-        .generate(graph, destination, config.fault_window, seed)
+        .generate(graph, primary, chaos.fault_window, seed)
         .shifted(t0);
-    let timing = *sim.timing();
-    let mut monitors = standard_monitors(&timing, graph.node_count());
-    let report = run_monitored(&mut sim, &schedule, config.horizon, &mut monitors);
+    let mut plane = match config {
+        CampaignConfig::Chaos(_) => None,
+        CampaignConfig::Traffic(c) => {
+            let workload =
+                WorkloadDriver::new(&c.workload, graph, destinations, t0, c.duration, seed);
+            let workload = match c.transport {
+                Some(cc) => workload.with_transport(cc),
+                None => workload,
+            };
+            Some((workload, AvailabilityMonitor::new(c.window)))
+        }
+    };
+    let report = drive_with(
+        step_through,
+        sim,
+        &schedule,
+        chaos.horizon,
+        monitors,
+        plane.as_mut().map(|(workload, avail)| (workload, avail)),
+        apply,
+    );
+    let traffic = plane.map(|(_, mut avail)| {
+        avail.observe(sim);
+        Box::new(avail.finish(sim.stats().traffic, sim.stats().congestion))
+    });
     CampaignRun {
         seed,
         schedule,
         report,
         routes_correct: None,
-        traffic: None,
+        traffic,
     }
 }
 
@@ -296,17 +369,8 @@ pub fn run_campaign(
     chaos.engine.sink_factory = None;
     let seeds: Vec<u64> = seeds.collect();
     let runs = run_sharded(jobs, seeds.len(), |i| {
-        let (cfg, seed) = (if i == 0 { &config } else { &rest }, seeds[i]);
-        match (&target, cfg) {
-            (Target::Destination(d), CampaignConfig::Chaos(c)) => chaos_run(graph, *d, c, seed),
-            (Target::Destinations(ds), CampaignConfig::Chaos(c)) => {
-                multi_chaos_run(graph, ds, c, seed)
-            }
-            (Target::Destination(d), CampaignConfig::Traffic(c)) => traffic_run(graph, *d, c, seed),
-            (Target::Destinations(ds), CampaignConfig::Traffic(c)) => {
-                multi_traffic_run(graph, ds, c, seed)
-            }
-        }
+        let cfg = if i == 0 { &config } else { &rest };
+        run_seed(graph, &target, cfg, seeds[i])
     });
     Campaign {
         topology: topology.to_string(),
@@ -380,7 +444,7 @@ impl ReproCase {
             "# lsrp chaos repro\ntopology {}\ntopology-seed {}\ndestination {}\nseed {}\nschedule\n{}",
             self.topology,
             self.topology_seed,
-            self.destination,
+            self.destination.raw(),
             self.seed,
             self.schedule.to_text()
         )
@@ -519,7 +583,8 @@ mod tests {
     fn repro_case_round_trips() {
         let g = generators::path(4, 1);
         let cfg = small_config();
-        let run = chaos_run(&g, v(0), &cfg, 3);
+        let config = CampaignConfig::Chaos(cfg.clone());
+        let run = run_seed(&g, &Target::Destination(v(0)), &config, 3);
         let repro = ReproCase {
             topology: "path:4".to_string(),
             topology_seed: 0,

@@ -46,7 +46,7 @@ pub use crate::parallel::run_sharded;
 pub use crate::sim_trait::RoutingSimulation;
 pub use crate::table::Table;
 pub use crate::traffic::{
-    run_traffic_monitored, AvailabilityMonitor, TrafficConfig, TrafficMode, TrafficSummary,
-    WorkloadDriver, WorkloadKind, WorkloadSpec,
+    AvailabilityMonitor, TrafficConfig, TrafficMode, TrafficSummary, WorkloadDriver, WorkloadKind,
+    WorkloadSpec,
 };
 pub use crate::waves::{track_containment, wave_stats, ContainmentEpisode, WaveStats};

@@ -33,11 +33,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use lsrp_core::legitimacy::lg_holds;
-use lsrp_core::LsrpSimulation;
+use lsrp_core::{LsrpNode, LsrpSimulation};
 use lsrp_faults::schedule::FaultSchedule;
 use lsrp_faults::Fault;
 use lsrp_graph::{Graph, NodeId};
-use lsrp_sim::{RouteCursor, SimTime};
+use lsrp_sim::{HarnessProtocol, RouteCursor, SimHarness, SimTime};
 
 use crate::loops::LoopScreen;
 use crate::traffic::{AvailabilityMonitor, WorkloadDriver};
@@ -53,9 +53,6 @@ pub enum ViolationKind {
     WaveOrderInversion,
     /// A routing loop outlived its removal window.
     PersistentLoop,
-    /// Data-plane delivery collapsed below the configured floor during a
-    /// traffic run (see [`crate::traffic::TrafficConfig`]).
-    AvailabilityCollapse,
 }
 
 impl fmt::Display for ViolationKind {
@@ -65,7 +62,6 @@ impl fmt::Display for ViolationKind {
             ViolationKind::ContaminationExceeded => "contamination-exceeded",
             ViolationKind::WaveOrderInversion => "wave-order-inversion",
             ViolationKind::PersistentLoop => "persistent-loop",
-            ViolationKind::AvailabilityCollapse => "availability-collapse",
         };
         f.write_str(s)
     }
@@ -101,7 +97,8 @@ impl fmt::Display for Violation {
     }
 }
 
-/// An online invariant monitor driven by [`run_monitored`].
+/// An online invariant monitor driven by [`run_monitored`], watching a
+/// simulation of protocol `P` (one LSRP destination tree by default).
 ///
 /// The driver calls [`Monitor::on_event`] after every event at or past
 /// the monitor's [`Monitor::due`] time. Before that time it may run many
@@ -109,7 +106,7 @@ impl fmt::Display for Violation {
 /// [`SimTime::ZERO`] promises that, until then, `on_event` only catches
 /// up on the action log (in log order) and would have reported the same
 /// violations however the calls were spread over those events.
-pub trait Monitor {
+pub trait Monitor<P: HarnessProtocol = LsrpNode> {
     /// Short stable name (used in reports).
     fn name(&self) -> &'static str;
 
@@ -118,7 +115,7 @@ pub trait Monitor {
         &mut self,
         at: SimTime,
         fault: &Fault,
-        sim: &LsrpSimulation,
+        sim: &SimHarness<P>,
         out: &mut Vec<Violation>,
     ) {
         let _ = (at, fault, sim, out);
@@ -127,7 +124,7 @@ pub trait Monitor {
     /// Called after every processed engine event at or past
     /// [`Monitor::due`], and at least once after any run of events
     /// before it.
-    fn on_event(&mut self, sim: &LsrpSimulation, out: &mut Vec<Violation>);
+    fn on_event(&mut self, sim: &SimHarness<P>, out: &mut Vec<Violation>);
 
     /// The earliest simulated time at which `on_event` can do more than
     /// catch up on the action log. Read after every `on_event` and
@@ -138,7 +135,7 @@ pub trait Monitor {
     }
 
     /// Called once when the run ends (quiescent or horizon).
-    fn finish(&mut self, sim: &LsrpSimulation, out: &mut Vec<Violation>);
+    fn finish(&mut self, sim: &SimHarness<P>, out: &mut Vec<Violation>);
 }
 
 // ---------------------------------------------------------------------
@@ -809,7 +806,15 @@ pub fn run_monitored(
     horizon: f64,
     monitors: &mut [Box<dyn Monitor>],
 ) -> MonitorReport {
-    drive_monitored(sim, schedule, horizon, monitors, None)
+    drive_with(
+        step_through,
+        sim,
+        schedule,
+        horizon,
+        monitors,
+        None,
+        apply_lsrp,
+    )
 }
 
 /// The data plane riding a monitored run: the workload is scheduled ahead
@@ -821,43 +826,40 @@ pub(crate) type DataPlane<'a> = (&'a mut WorkloadDriver, &'a mut AvailabilityMon
 /// and counting into `events`, and stops early once the engine is
 /// drained; the drained check and the availability sample come after
 /// every 256th event.
-type StepThrough = fn(
-    &mut LsrpSimulation,
+pub(crate) type StepThrough<P> = fn(
+    &mut SimHarness<P>,
     f64,
-    &mut [Box<dyn Monitor>],
+    &mut [Box<dyn Monitor<P>>],
     &mut Option<DataPlane<'_>>,
     &mut Vec<Violation>,
     &mut u64,
 );
+
+/// Applies the schedule's `ordinal`-th fault to the simulation,
+/// best-effort: a fault the topology no longer admits is skipped.
+pub(crate) type ApplyFault<P> = fn(&Fault, &mut SimHarness<P>, usize);
+
+/// The [`ApplyFault`] of one destination tree.
+pub(crate) fn apply_lsrp(fault: &Fault, sim: &mut LsrpSimulation, _ordinal: usize) {
+    let _ = fault.apply_lsrp(sim);
+}
 
 /// The time no event reaches: the `due` of a monitor with nothing to do.
 fn never() -> SimTime {
     SimTime::new(f64::INFINITY)
 }
 
-/// The monitored driver behind [`run_monitored`] and
-/// [`run_traffic_monitored`](crate::traffic::run_traffic_monitored).
-pub(crate) fn drive_monitored(
-    sim: &mut LsrpSimulation,
-    schedule: &FaultSchedule,
-    horizon: f64,
-    monitors: &mut [Box<dyn Monitor>],
-    plane: Option<DataPlane<'_>>,
-) -> MonitorReport {
-    drive_with(step_through, sim, schedule, horizon, monitors, plane)
-}
-
-/// The [`StepThrough`] of [`run_monitored`]. Each turn is one *stop*: it
-/// runs the events before every monitor's `due` time, never past the next
-/// multiple of 256 events, or else the one event that is due, and then
-/// calls every monitor once. Skipped calls are for events before all due
-/// times, where a call only catches up on the action log, and the due
+/// The [`StepThrough`] of every monitored run. Each turn is one *stop*:
+/// it runs the events before every monitor's `due` time, never past the
+/// next multiple of 256 events, or else the one event that is due, and
+/// then calls every monitor once. Skipped calls are for events before all
+/// due times, where a call only catches up on the action log, and the due
 /// event runs after the call for the events before it, so violations
 /// come out in the order a call after every event finds them.
-fn step_through(
-    sim: &mut LsrpSimulation,
+pub(crate) fn step_through<P: HarnessProtocol>(
+    sim: &mut SimHarness<P>,
     until: f64,
-    monitors: &mut [Box<dyn Monitor>],
+    monitors: &mut [Box<dyn Monitor<P>>],
     plane: &mut Option<DataPlane<'_>>,
     violations: &mut Vec<Violation>,
     events: &mut u64,
@@ -890,25 +892,31 @@ fn step_through(
     }
 }
 
-/// [`drive_monitored`] with the segment driver `step_through`.
-fn drive_with(
-    step_through: StepThrough,
-    sim: &mut LsrpSimulation,
+/// The one monitored run loop, on one destination tree or the dense
+/// plane: drives `sim` through `schedule` segment by segment with
+/// `step_through`, applying each fault with `apply`, then runs on until
+/// the engine is drained or `horizon`. The report's `end` is the engine
+/// clock where the run stopped: its last event, or its last fault when no
+/// event ran after it.
+pub(crate) fn drive_with<P: HarnessProtocol>(
+    step_through: StepThrough<P>,
+    sim: &mut SimHarness<P>,
     schedule: &FaultSchedule,
     horizon: f64,
-    monitors: &mut [Box<dyn Monitor>],
+    monitors: &mut [Box<dyn Monitor<P>>],
     mut plane: Option<DataPlane<'_>>,
+    apply: ApplyFault<P>,
 ) -> MonitorReport {
-    // Monitors only ever see `&LsrpSimulation`, so arm the route-delta
-    // feed here (it needs `&mut` once); they then take their own cursors
-    // from the view lazily.
+    // Monitors only ever see `&SimHarness`, so arm the route-delta feed
+    // here (it needs `&mut` once); they then take their own cursors from
+    // the view lazily.
     let _ = sim.route_cursor();
     if let Some((_, avail)) = &mut plane {
         avail.arm(sim);
     }
     let mut violations = Vec::new();
     let mut events = 0u64;
-    for ev in &schedule.events {
+    for (ordinal, ev) in schedule.events.iter().enumerate() {
         if let Some((workload, _)) = &mut plane {
             workload.ensure_scheduled(sim.engine_mut(), ev.at);
         }
@@ -932,7 +940,7 @@ fn drive_with(
             avail.observe(sim);
             avail.invalidate_truth();
         }
-        let _ = ev.fault.apply_lsrp(sim);
+        apply(&ev.fault, sim, ordinal);
     }
     // Tail: the whole workload is scheduled now; run until the engine is
     // drained (maintenance may tick forever) or the horizon.

@@ -2,22 +2,27 @@
 //! declared their due times — one engine step per event and every
 //! monitor called after each. The suite at the bottom holds the windowed
 //! driver to it: the same report, statistics, routes and trace bytes over
-//! chaos mixes, the traffic runner and several region counts, and a
-//! count of the stops it makes.
+//! chaos mixes, the campaign run body with traffic and several region
+//! counts, and a count of the stops it makes. A dense-plane traffic run
+//! is held to the same plane stepped one event at a time: it ends at one
+//! of that plane's event clocks.
 
 use std::cell::Cell;
 use std::path::PathBuf;
 
 use super::{
-    drive_with, run_monitored, standard_monitors, ConvergenceMonitor, DataPlane, Monitor,
-    MonitorReport, StepThrough, Violation, ViolationKind,
+    apply_lsrp, drive_with, run_monitored, standard_monitors, ConvergenceMonitor, DataPlane,
+    Monitor, MonitorReport, StepThrough, Violation, ViolationKind,
 };
+use crate::chaos::{campaign_run, run_campaign, CampaignConfig, ChaosConfig, Target};
+use crate::multi_chaos::apply_multi;
 use crate::traffic::{
-    run_traffic_monitored, AvailabilityMonitor, TrafficSummary, WorkloadDriver, WorkloadSpec,
+    AvailabilityMonitor, TrafficConfig, TrafficSummary, WorkloadDriver, WorkloadSpec,
 };
 use lsrp_core::{InitialState, LsrpSimulation, LsrpSimulationExt};
 use lsrp_faults::{FaultProcess, FaultSchedule};
 use lsrp_graph::{generators, Graph, NodeId, RouteTable};
+use lsrp_multi::{MultiLsrpSimulation, MultiLsrpSimulationExt};
 use lsrp_sim::{EngineConfig, EngineStats, SimTime, SinkKind};
 use lsrp_trace::{streaming_factory, TraceConfig};
 use rand::rngs::StdRng;
@@ -176,6 +181,14 @@ const MIX: FaultProcess = FaultProcess {
     max_outage: 120.0,
 };
 
+/// The workload riding the traffic cases.
+fn spec() -> WorkloadSpec {
+    WorkloadSpec {
+        flows: 12,
+        ..WorkloadSpec::default()
+    }
+}
+
 /// One monitored run: a chaos mix over a topology settled from cold.
 #[derive(Clone, Copy)]
 struct Case<'a> {
@@ -189,8 +202,8 @@ struct Case<'a> {
 }
 
 impl Case<'_> {
-    /// Runs the case with the windowed driver (through the public
-    /// runners) or with the referee, streaming the trace to a file, and
+    /// Runs the case with the windowed driver (through `run_monitored`,
+    /// or the campaign run body with traffic) or with the referee, streaming the trace to a file, and
     /// returns what it left and the windowed driver's stops.
     fn run(self, referee: bool) -> (Outcome, u64) {
         let path: PathBuf = std::env::temp_dir().join(format!(
@@ -225,35 +238,53 @@ impl Case<'_> {
                     HORIZON,
                     &mut monitors,
                     None,
+                    apply_lsrp,
                 );
                 (report, None)
             }
-            (true, _) => {
-                let spec = WorkloadSpec {
-                    flows: 12,
-                    ..WorkloadSpec::default()
+            (true, false) => {
+                let config = TrafficConfig {
+                    chaos: ChaosConfig {
+                        process: MIX,
+                        fault_window: WINDOW,
+                        horizon: HORIZON,
+                        ..ChaosConfig::default()
+                    },
+                    workload: spec(),
+                    duration: WINDOW,
+                    window: 20.0,
+                    transport: None,
                 };
+                let config = CampaignConfig::Traffic(config);
+                let run = campaign_run(
+                    &mut sim,
+                    graph,
+                    &[dest],
+                    &config,
+                    self.seed,
+                    &mut monitors,
+                    apply_lsrp,
+                );
+                assert_eq!(run.schedule, schedule, "the run body's schedule");
+                (run.report, run.traffic.map(|t| *t))
+            }
+            (true, true) => {
                 let mut workload =
-                    WorkloadDriver::new(&spec, graph, &[dest], t0, WINDOW, self.seed);
+                    WorkloadDriver::new(&spec(), graph, &[dest], t0, WINDOW, self.seed);
                 let mut avail = AvailabilityMonitor::new(20.0);
-                let (report, summary) = if referee {
-                    let plane = Some((&mut workload, &mut avail));
-                    let step: StepThrough = step_through_per_event;
-                    let report =
-                        drive_with(step, &mut sim, &schedule, HORIZON, &mut monitors, plane);
-                    avail.observe(&mut sim);
-                    let summary = avail.finish(sim.stats().traffic, sim.stats().congestion);
-                    (report, summary)
-                } else {
-                    run_traffic_monitored(
-                        &mut sim,
-                        &schedule,
-                        HORIZON,
-                        &mut monitors,
-                        &mut workload,
-                        &mut avail,
-                    )
-                };
+                let plane = Some((&mut workload, &mut avail));
+                let step: StepThrough<_> = step_through_per_event;
+                let report = drive_with(
+                    step,
+                    &mut sim,
+                    &schedule,
+                    HORIZON,
+                    &mut monitors,
+                    plane,
+                    apply_lsrp,
+                );
+                avail.observe(&mut sim);
+                let summary = avail.finish(sim.stats().traffic, sim.stats().congestion);
                 (report, Some(summary))
             }
         };
@@ -365,6 +396,64 @@ fn windowed_driver_matches_the_referee_with_traffic() {
             probe: false,
         };
         case.check(&format!("{name} traffic seed {seed} regions {regions}"));
+    }
+}
+
+#[test]
+fn a_dense_plane_traffic_run_ends_at_its_last_event() {
+    // Both planes stop by one rule, when the engine is drained: the
+    // report ends at the clock of an event the run processed, not at the
+    // boundary of a fixed-length slice past it.
+    let g = generators::grid(3, 3, 1);
+    let dests = vec![NodeId::new(0), NodeId::new(8)];
+    let config = TrafficConfig {
+        chaos: ChaosConfig {
+            process: FaultProcess {
+                link_flaps: 1,
+                node_churn: 1,
+                partitions: 0,
+                corruptions: 2,
+                weight_drifts: 0,
+                min_outage: 20.0,
+                max_outage: 60.0,
+            },
+            fault_window: 300.0,
+            ..ChaosConfig::default()
+        },
+        workload: WorkloadSpec {
+            flows: 6,
+            ..WorkloadSpec::default()
+        },
+        duration: 80.0,
+        ..TrafficConfig::default()
+    };
+    let campaign = CampaignConfig::Traffic(config.clone());
+    let target = Target::Destinations(dests.clone());
+    let campaign = run_campaign(&g, "grid:3x3", target, campaign, 1..5, 1);
+    for run in &campaign.runs {
+        assert!(run.report.quiescent, "seed {}", run.seed);
+        // The same run, stepped one event at a time after its last fault.
+        let mut sim = MultiLsrpSimulation::builder(g.clone(), dests.clone())
+            .engine_config(config.chaos.engine.clone().with_seed(run.seed))
+            .build();
+        sim.run_to_quiescence(config.chaos.horizon);
+        let t0 = sim.now().seconds();
+        let mut workload =
+            WorkloadDriver::new(&config.workload, &g, &dests, t0, config.duration, run.seed);
+        for (ordinal, ev) in run.schedule.events.iter().enumerate() {
+            workload.ensure_scheduled(sim.engine_mut(), ev.at);
+            sim.run_until(ev.at);
+            apply_multi(&ev.fault, &mut sim, ordinal);
+        }
+        workload.ensure_scheduled(sim.engine_mut(), f64::INFINITY);
+        let clocks: Vec<_> = std::iter::from_fn(|| sim.step()).collect();
+        assert!(
+            clocks.contains(&run.report.end),
+            "seed {}: end {} is no event's clock; the last events ran at {:?}",
+            run.seed,
+            run.report.end,
+            &clocks[clocks.len().saturating_sub(3)..]
+        );
     }
 }
 

@@ -1,16 +1,13 @@
-//! Chaos runs against the dense multi-destination plane.
+//! The dense multi-destination plane's fault mapping.
 //!
 //! Single-destination runs judge one routing computation with the full
 //! online-monitor set. A [`Target::Destinations`] campaign drives the
-//! same seeded fault schedules against a [`MultiLsrpSimulation`] — every
-//! node running one LSRP instance per destination over the batched wire —
-//! and judges the outcomes every tree must satisfy: the network goes
-//! quiescent, and *every* destination's route table is correct afterward.
-//!
-//! Determinism contract: a run is a pure function of `(graph,
-//! destinations, config, seed)`, so the campaign report is byte-identical
-//! across repetitions and across worker counts ([`run_campaign`] merges
-//! in seed order).
+//! same seeded fault schedules, through the same run body and loop,
+//! against a [`MultiLsrpSimulation`] — every node running one LSRP
+//! instance per destination over the batched wire — and judges the
+//! outcomes every tree must satisfy: the network goes quiescent, and
+//! *every* destination's route table is correct afterward. What differs
+//! is how a fault lands, which is this module's `apply_multi`.
 //!
 //! Fault mapping: topology faults apply verbatim (they perturb every
 //! tree at once). State corruptions target the named node's instance
@@ -19,14 +16,10 @@
 //! schedule exercises different trees deterministically.
 //!
 //! [`Target::Destinations`]: crate::chaos::Target::Destinations
-//! [`run_campaign`]: crate::chaos::run_campaign
 
 use lsrp_faults::{CorruptionKind, Fault};
-use lsrp_graph::{Distance, Graph, NodeId};
+use lsrp_graph::Distance;
 use lsrp_multi::{MultiLsrpSimulation, MultiLsrpSimulationExt};
-
-use crate::chaos::{CampaignRun, ChaosConfig};
-use crate::monitor::MonitorReport;
 
 /// Applies one fault to the multi-destination plane. `ordinal` is the
 /// fault's index within its schedule; it picks which tree a state
@@ -75,56 +68,9 @@ pub(crate) fn apply_multi(fault: &Fault, sim: &mut MultiLsrpSimulation, ordinal:
     }
 }
 
-/// Runs one seeded chaos run against the dense plane: settle to the
-/// fault-free fixpoint, generate the schedule from the fault process
-/// (offset past convergence), drive it, and judge the outcome.
-///
-/// # Panics
-///
-/// Panics if `destinations` is empty or names nodes outside `graph`.
-pub(crate) fn multi_chaos_run(
-    graph: &Graph,
-    destinations: &[NodeId],
-    config: &ChaosConfig,
-    seed: u64,
-) -> CampaignRun {
-    let primary = *destinations.iter().min().expect("need destinations");
-    let mut sim = MultiLsrpSimulation::builder(graph.clone(), destinations.to_vec())
-        .engine_config(config.engine.clone().with_seed(seed))
-        .build();
-    sim.run_to_quiescence(config.horizon);
-    let t0 = sim.now().seconds();
-    let schedule = config
-        .process
-        .generate(graph, primary, config.fault_window, seed)
-        .shifted(t0);
-    let mut events = 0u64;
-    for (i, ev) in schedule.events.iter().enumerate() {
-        if ev.at > sim.now().seconds() {
-            events += sim.run_until(ev.at).events;
-        }
-        apply_multi(&ev.fault, &mut sim, i);
-    }
-    let tail = sim.run_to_quiescence(config.horizon);
-    events += tail.events;
-    CampaignRun {
-        seed,
-        schedule,
-        report: MonitorReport {
-            violations: Vec::new(),
-            end: sim.now(),
-            quiescent: tail.quiescent,
-            events,
-        },
-        routes_correct: Some(sim.all_routes_correct()),
-        traffic: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::chaos::{run_campaign, Campaign, CampaignConfig, Target};
+    use crate::chaos::{run_campaign, Campaign, CampaignConfig, ChaosConfig, Target};
     use lsrp_faults::FaultProcess;
     use lsrp_graph::generators;
 

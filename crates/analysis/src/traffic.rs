@@ -31,20 +31,14 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use lsrp_core::{LsrpSimulation, LsrpSimulationExt};
-use lsrp_faults::FaultSchedule;
 use lsrp_graph::shortest_path::ShortestPaths;
 use lsrp_graph::{Distance, Graph, NodeId};
-use lsrp_multi::{MultiLsrpSimulation, MultiLsrpSimulationExt};
 use lsrp_sim::{
     CongAlgKind, CongestionCounts, Engine, FlowConfig, HarnessProtocol, PacketRecord, PacketStatus,
     ProtocolNode, RouteCursor, SimHarness, SimTime, TrafficCounts, ViewEntry,
 };
 
-use crate::chaos::{CampaignRun, ChaosConfig};
-use crate::monitor::{
-    drive_monitored, standard_monitors, Monitor, MonitorReport, Violation, ViolationKind,
-};
+use crate::chaos::ChaosConfig;
 
 // ---------------------------------------------------------------------
 // Workloads.
@@ -96,6 +90,20 @@ pub enum TrafficMode {
 impl Default for TrafficMode {
     fn default() -> Self {
         TrafficMode::Aggregate { sample_every: 5.0 }
+    }
+}
+
+impl TrafficMode {
+    /// The weight one probe, or one Go-Back-N segment, carries for a flow
+    /// of `rate` packets per second: `max(1, round(rate x sample_every))`
+    /// when aggregated, 1 when exact.
+    pub fn probe_weight(self, rate: f64) -> u64 {
+        match self {
+            TrafficMode::Exact => 1,
+            TrafficMode::Aggregate { sample_every } => {
+                ((rate * sample_every).round() as u64).max(1)
+            }
+        }
     }
 }
 
@@ -282,17 +290,12 @@ impl WorkloadDriver {
             // its first arrival time. The flow drives itself through the
             // event queue from there — nothing else to schedule.
             let duration = self.end - self.start;
-            let (segments, seg_weight) = match self.mode {
-                TrafficMode::Aggregate { sample_every } => (
-                    ((duration / sample_every).ceil() as u64).max(1),
-                    ((self.flows.first().map_or(1.0, |f| f.rate) * sample_every).round() as u64)
-                        .max(1),
-                ),
-                TrafficMode::Exact => (
-                    ((self.flows.first().map_or(1.0, |f| f.rate) * duration).ceil() as u64).max(1),
-                    1,
-                ),
+            let rate = self.flows.first().map_or(1.0, |f| f.rate);
+            let segments = match self.mode {
+                TrafficMode::Aggregate { sample_every } => (duration / sample_every).ceil(),
+                TrafficMode::Exact => (rate * duration).ceil(),
             };
+            let (segments, seg_weight) = ((segments as u64).max(1), self.mode.probe_weight(rate));
             for f in &mut self.flows {
                 if f.started || f.next_at >= upto {
                     continue;
@@ -324,7 +327,7 @@ impl WorkloadDriver {
                     break;
                 }
                 for f in &self.flows {
-                    let weight = ((f.rate * sample_every).round() as u64).max(1);
+                    let weight = self.mode.probe_weight(f.rate);
                     engine.inject_packet_at(SimTime::new(t), f.src, f.dest, self.ttl, weight);
                 }
                 self.next_tick += 1;
@@ -672,10 +675,6 @@ pub struct TrafficConfig {
     pub duration: f64,
     /// Availability sampling window for [`AvailabilityMonitor`].
     pub window: f64,
-    /// A run whose overall delivered fraction falls below this floor
-    /// reports an [`ViolationKind::AvailabilityCollapse`] violation.
-    /// `0.0` (the default) never fires.
-    pub availability_floor: f64,
     /// When set, workload flows run as Go-Back-N transfers under this
     /// congestion algorithm instead of fire-and-forget probes (the
     /// congestion lane itself is configured on
@@ -690,183 +689,16 @@ impl Default for TrafficConfig {
             workload: WorkloadSpec::default(),
             duration: 600.0,
             window: 20.0,
-            availability_floor: 0.0,
             transport: None,
         }
-    }
-}
-
-/// Turns a sub-floor delivered fraction into a violation record.
-fn availability_violation(summary: &TrafficSummary, floor: f64, end: SimTime) -> Option<Violation> {
-    let frac = summary.delivered_fraction();
-    (frac < floor).then(|| Violation {
-        kind: ViolationKind::AvailabilityCollapse,
-        at: end,
-        nodes: Vec::new(),
-        detail: format!("delivered fraction {frac:.6} below floor {floor:.6}"),
-    })
-}
-
-/// [`run_monitored`](crate::monitor::run_monitored) with `workload`
-/// riding the same engine: the workload is scheduled ahead of each
-/// segment of the fault schedule and `avail` observes the packet ledger
-/// throughout. The run ends when *both* planes drain
-/// ([`Engine::drained`]) or at `horizon`.
-pub fn run_traffic_monitored(
-    sim: &mut LsrpSimulation,
-    schedule: &FaultSchedule,
-    horizon: f64,
-    monitors: &mut [Box<dyn Monitor>],
-    workload: &mut WorkloadDriver,
-    avail: &mut AvailabilityMonitor,
-) -> (MonitorReport, TrafficSummary) {
-    let plane = Some((workload, &mut *avail));
-    let report = drive_monitored(sim, schedule, horizon, monitors, plane);
-    avail.observe(sim);
-    let summary = avail.finish(sim.stats().traffic, sim.stats().congestion);
-    (report, summary)
-}
-
-/// Runs one seeded traffic run: settle to the fault-free fixpoint,
-/// generate the fault schedule past convergence, inject the workload from
-/// the fixpoint on, and judge both planes.
-pub(crate) fn traffic_run(
-    graph: &Graph,
-    destination: NodeId,
-    config: &TrafficConfig,
-    seed: u64,
-) -> CampaignRun {
-    let mut sim = crate::chaos::settled_sim(graph, destination, &config.chaos, seed);
-    let t0 = sim.now().seconds();
-    let schedule = config
-        .chaos
-        .process
-        .generate(graph, destination, config.chaos.fault_window, seed)
-        .shifted(t0);
-    let timing = *sim.timing();
-    let mut monitors = standard_monitors(&timing, graph.node_count());
-    let mut workload = WorkloadDriver::new(
-        &config.workload,
-        graph,
-        &[destination],
-        t0,
-        config.duration,
-        seed,
-    );
-    if let Some(cc) = config.transport {
-        workload = workload.with_transport(cc);
-    }
-    let mut avail = AvailabilityMonitor::new(config.window);
-    let (mut report, traffic) = run_traffic_monitored(
-        &mut sim,
-        &schedule,
-        config.chaos.horizon,
-        &mut monitors,
-        &mut workload,
-        &mut avail,
-    );
-    if let Some(v) = availability_violation(&traffic, config.availability_floor, report.end) {
-        report.violations.push(v);
-    }
-    CampaignRun {
-        seed,
-        schedule,
-        report,
-        routes_correct: None,
-        traffic: Some(Box::new(traffic)),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Multi-destination traffic.
-// ---------------------------------------------------------------------
-
-/// Runs one seeded traffic run against the dense multi-destination plane:
-/// packets target every configured destination round-robin and follow
-/// each destination's own tree per hop
-/// ([`ProtocolNode::route_entry_toward`]).
-///
-/// # Panics
-///
-/// Panics if `destinations` is empty or names nodes outside `graph`.
-pub(crate) fn multi_traffic_run(
-    graph: &Graph,
-    destinations: &[NodeId],
-    config: &TrafficConfig,
-    seed: u64,
-) -> CampaignRun {
-    let primary = *destinations.iter().min().expect("need destinations");
-    let mut sim = MultiLsrpSimulation::builder(graph.clone(), destinations.to_vec())
-        .engine_config(config.chaos.engine.clone().with_seed(seed))
-        .build();
-    sim.run_to_quiescence(config.chaos.horizon);
-    let t0 = sim.now().seconds();
-    let schedule = config
-        .chaos
-        .process
-        .generate(graph, primary, config.chaos.fault_window, seed)
-        .shifted(t0);
-    let mut workload = WorkloadDriver::new(
-        &config.workload,
-        graph,
-        destinations,
-        t0,
-        config.duration,
-        seed,
-    );
-    if let Some(cc) = config.transport {
-        workload = workload.with_transport(cc);
-    }
-    let mut avail = AvailabilityMonitor::new(config.window);
-    avail.arm(&mut sim);
-    let horizon = config.chaos.horizon;
-    let mut events = 0u64;
-    for (i, ev) in schedule.events.iter().enumerate() {
-        workload.ensure_scheduled(sim.engine_mut(), ev.at);
-        if ev.at > sim.now().seconds() {
-            events += sim.run_until(ev.at).events;
-        }
-        avail.observe(&mut sim);
-        avail.invalidate_truth();
-        crate::multi_chaos::apply_multi(&ev.fault, &mut sim, i);
-    }
-    // Tail: drive in slices until both planes drain. `run_to_quiescence`
-    // would settle-skip past queued packet events, so advance manually.
-    workload.ensure_scheduled(sim.engine_mut(), f64::INFINITY);
-    loop {
-        if sim.engine().drained() {
-            break;
-        }
-        let Some(next) = sim.engine().next_event_time() else {
-            break;
-        };
-        if next.seconds() > horizon {
-            break;
-        }
-        let until = (next.seconds() + 50.0).min(horizon);
-        events += sim.run_until(until).events;
-        avail.observe(&mut sim);
-    }
-    avail.observe(&mut sim);
-    let quiescent = sim.engine().drained();
-    let traffic = avail.finish(sim.stats().traffic, sim.stats().congestion);
-    CampaignRun {
-        seed,
-        schedule,
-        report: MonitorReport {
-            violations: Vec::new(),
-            end: sim.now(),
-            quiescent,
-            events,
-        },
-        routes_correct: Some(sim.all_routes_correct()),
-        traffic: Some(Box::new(traffic)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{run_campaign, CampaignConfig, Target};
+    use lsrp_core::{LsrpSimulation, LsrpSimulationExt};
     use lsrp_graph::generators;
 
     fn v(i: u32) -> NodeId {
@@ -1029,7 +861,15 @@ mod tests {
             },
             ..TrafficConfig::default()
         };
-        let run = traffic_run(&g, v(0), &config, 7);
+        let campaign = run_campaign(
+            &g,
+            "grid:3x3",
+            Target::Destination(v(0)),
+            CampaignConfig::Traffic(config),
+            7..8,
+            1,
+        );
+        let run = &campaign.runs[0];
         assert!(run.report.quiescent, "flows drained before the horizon");
         let s = run.traffic.as_ref().expect("a traffic run");
         assert!(s.flows_completed > 0);

@@ -18,7 +18,6 @@
 //! its owner corrects it, so the corruption races ahead until it falls off
 //! the leaves of the routing tree.
 
-use lsrp_graph::shortest_path::ShortestPaths;
 use lsrp_graph::{Distance, Graph, NodeId, RouteTable, Weight};
 use lsrp_sim::{
     ActionId, Effects, EnabledSet, Engine, EngineConfig, ForgedAdvert, HarnessProtocol,
@@ -59,11 +58,7 @@ impl DbfConfig {
     /// 64 or more from the destination (a 33x33 grid has some) would be
     /// routeless in DBF's own legitimate state.
     pub fn for_graph(graph: &Graph, destination: NodeId) -> Self {
-        let farthest = ShortestPaths::dijkstra(graph, destination)
-            .iter()
-            .filter_map(|(_, d)| d.as_finite())
-            .max()
-            .unwrap_or(0);
+        let (farthest, _) = crate::depth(graph, destination);
         let default = DbfConfig::default();
         DbfConfig {
             infinity: default.infinity.max(farthest + 1),

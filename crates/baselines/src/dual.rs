@@ -59,6 +59,23 @@ impl Default for DualConfig {
     }
 }
 
+impl DualConfig {
+    /// The default configuration with the bounded infinity raised just
+    /// past the farthest node's true distance from `destination` (and
+    /// left alone where the default already clears it), as
+    /// [`crate::DbfConfig::for_graph`] does for DBF: under the default 64,
+    /// a node 64 or more from the destination has no route even in the
+    /// legitimate state.
+    pub fn for_graph(graph: &Graph, destination: NodeId) -> Self {
+        let (farthest, _) = crate::depth(graph, destination);
+        let default = DualConfig::default();
+        DualConfig {
+            infinity: default.infinity.max(farthest + 1),
+            ..default
+        }
+    }
+}
+
 /// DUAL-lite messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DualMsg {

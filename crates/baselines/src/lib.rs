@@ -28,6 +28,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::BTreeMap;
+
+use lsrp_graph::shortest_path::ShortestPaths;
 use lsrp_graph::{Distance, Graph, NodeId, RouteTable};
 use lsrp_sim::{EngineConfig, Neighbor};
 
@@ -55,6 +58,33 @@ pub trait BaselineSimulation {
         config: Self::Config,
         engine_config: EngineConfig,
     ) -> Self;
+}
+
+/// How deep `graph` is seen from `destination`: the farthest reachable
+/// node's shortest-path distance, and the most hops on any node's
+/// fewest-hop shortest path. The `for_graph` constructors size their
+/// protocol's bound past these, so the legitimate routes fit it.
+fn depth(graph: &Graph, destination: NodeId) -> (u64, usize) {
+    let sp = ShortestPaths::dijkstra(graph, destination);
+    let mut order: Vec<(u64, NodeId)> = sp
+        .iter()
+        .filter_map(|(v, d)| Some((d.as_finite()?, v)))
+        .collect();
+    order.sort_unstable();
+    // Weights are positive, so a node's shortest-path predecessors come
+    // before it in distance order.
+    let mut hops: BTreeMap<NodeId, usize> = BTreeMap::new();
+    for &(d, v) in &order {
+        let fewest = graph
+            .neighbors(v)
+            .filter(|&(u, w)| sp.distance(u).plus(w) == Distance::Finite(d))
+            .filter_map(|(u, _)| hops.get(&u))
+            .min()
+            .map_or(0, |h| h + 1);
+        hops.insert(v, fewest);
+    }
+    let farthest = order.last().map_or(0, |&(d, _)| d);
+    (farthest, hops.into_values().max().unwrap_or(0))
 }
 
 /// The distance neighbor `n` offers (`∞` if unheard), collapsed to `∞`

@@ -44,6 +44,23 @@ impl Default for PvConfig {
     }
 }
 
+impl PvConfig {
+    /// The default configuration with the path limit raised to the most
+    /// hops on any node's legitimate route toward `destination` (and left
+    /// alone where the default already clears it), the rule
+    /// [`crate::DbfConfig::for_graph`] applies to DBF's bound: under the
+    /// default 64, a node more than 64 hops out has no route even in the
+    /// legitimate state.
+    pub fn for_graph(graph: &Graph, destination: NodeId) -> Self {
+        let (_, hops) = crate::depth(graph, destination);
+        let default = PvConfig::default();
+        PvConfig {
+            max_path: default.max_path.max(hops),
+            ..default
+        }
+    }
+}
+
 /// An advertised route: total weighted distance plus the node path to the
 /// destination (most-recent hop first, destination last).
 #[derive(Debug, Clone, PartialEq, Eq)]

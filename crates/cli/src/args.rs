@@ -433,6 +433,10 @@ impl Command {
             };
             check::workload_weight(flows, w.rate, t.duration, w.exact)
                 .map_err(|e| err(format!("{flag} {e}")))?;
+            if c.cc.is_some() {
+                check::segment_fits(w.rate, w.exact, c.queue_cap)
+                    .map_err(|e| err(format!("--queue-cap {e}")))?;
+            }
         }
         let (dest, seed) = (t.base.destination, t.base.seed);
         match sub.as_str() {

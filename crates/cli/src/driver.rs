@@ -53,20 +53,14 @@ fn build_protocol(
             let config = DbfConfig::for_graph(&graph, dest);
             Box::new(DbfSimulation::new(graph, dest, None, config, engine))
         }
-        Protocol::Dual => Box::new(DualSimulation::new(
-            graph,
-            dest,
-            None,
-            DualConfig::default(),
-            engine,
-        )),
-        Protocol::Pv => Box::new(PvSimulation::new(
-            graph,
-            dest,
-            None,
-            PvConfig::default(),
-            engine,
-        )),
+        Protocol::Dual => {
+            let config = DualConfig::for_graph(&graph, dest);
+            Box::new(DualSimulation::new(graph, dest, None, config, engine))
+        }
+        Protocol::Pv => {
+            let config = PvConfig::for_graph(&graph, dest);
+            Box::new(PvSimulation::new(graph, dest, None, config, engine))
+        }
     }
 }
 
@@ -212,7 +206,7 @@ fn run_one(
     });
 
     let mut t = Table::new(
-        format!("{:?} on {:?} (destination {dest})", choice, topo),
+        format!("{:?} on {:?} (destination {})", choice, topo, dest.raw()),
         &["metric", "value"],
     );
     t.row(&[
@@ -443,11 +437,15 @@ mod tests {
 
     #[test]
     fn dbf_routes_every_node_of_a_graph_deeper_than_its_default_infinity() {
-        // The far corner of a 34x34 grid is 66 hops out, past DBF's
-        // default 64-hop clamp.
-        let out = run("run --topology grid:34x34 --protocol dbf --fault corrupt:7:0").unwrap();
+        // The far corner of a 34x34 grid is 66 hops out, past the default
+        // 64 of DBF's and DUAL's bounded infinity and of PV's path limit.
+        let out = run("compare --topology grid:34x34 --fault corrupt:7:0").unwrap();
         let squashed: String = out.split_whitespace().collect::<Vec<_>>().join(" ");
-        assert!(squashed.contains("routes correct | true"), "{out}");
+        assert_eq!(
+            squashed.matches("routes correct | true").count(),
+            4,
+            "{out}"
+        );
     }
 
     #[test]

@@ -112,6 +112,21 @@ fn a_workload_heavier_than_2_53_packets_is_refused() {
 }
 
 #[test]
+fn a_transport_segment_heavier_than_the_queue_is_refused() {
+    // Accepted before: every 125-packet segment was dropped at its first
+    // 12-packet queue, and the run printed `delivered=0 ... quiescent=false`
+    // and exited 0.
+    let args = "traffic --topology grid:4x4 --runs 1 --seed 7 --link-rate 64 --queue-cap 12 \
+                --cc aimd --duration 60";
+    let err = run_args(&args.split_whitespace().collect::<Vec<_>>()).unwrap_err();
+    assert_eq!(
+        err,
+        "--queue-cap 12 is below the weight of one transport segment (125 packets, \
+         rate x sampling window): no queue could admit it"
+    );
+}
+
+#[test]
 fn topology_specs_never_panic_the_binary() {
     for spec in WORDS
         .split_whitespace()

@@ -1,13 +1,11 @@
 //! Recurring faults (Corollary 4 / Theorem 5): the same perturbation keeps
 //! hitting the system at a fixed interval.
 
-use lsrp_core::LsrpSimulation;
-use lsrp_graph::GraphError;
-use lsrp_sim::RunReport;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::plan::FaultPlan;
+use crate::schedule::FaultSchedule;
 
 /// A fault plan that re-occurs every `interval` simulated seconds,
 /// optionally with a seeded uniform jitter on each gap.
@@ -21,7 +19,7 @@ pub struct RecurringFault {
     pub occurrences: u32,
     /// Uniform jitter half-width: each gap is drawn from
     /// `interval ± jitter`. Zero (the default) keeps the schedule exactly
-    /// periodic — and the drive byte-identical to the pre-jitter code.
+    /// periodic.
     pub jitter: f64,
     /// Seed for the jitter draws (unused when `jitter == 0`).
     pub jitter_seed: u64,
@@ -57,32 +55,25 @@ impl RecurringFault {
         self
     }
 
-    /// Drives `sim` through all occurrences: apply, run for one gap,
-    /// repeat; then run to quiescence until `horizon`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates topology errors from fault application.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine's event budget is exhausted.
-    pub fn drive_lsrp(
-        &self,
-        sim: &mut LsrpSimulation,
-        horizon: f64,
-    ) -> Result<RunReport, GraphError> {
+    /// The occurrences as a schedule starting at `start`, one per gap:
+    /// the plan's faults, then one interval (with jitter, one seeded draw
+    /// from `interval ± jitter`) to the next occurrence. Drive it with
+    /// [`FaultSchedule::drive_lsrp`], which skips a fault the topology no
+    /// longer admits.
+    pub fn schedule(&self, start: f64) -> FaultSchedule {
         let mut rng = (self.jitter > 0.0).then(|| StdRng::seed_from_u64(self.jitter_seed));
+        let mut schedule = FaultSchedule::new();
+        let mut at = start;
         for _ in 0..self.occurrences {
-            self.plan.apply_lsrp(sim)?;
-            let gap = match &mut rng {
+            for fault in &self.plan.faults {
+                schedule.push(at, fault.clone());
+            }
+            at += match &mut rng {
                 Some(rng) => self.interval + rng.gen_range(-self.jitter..=self.jitter),
                 None => self.interval,
             };
-            let next = sim.now().seconds() + gap;
-            sim.run_until(next);
         }
-        Ok(sim.run_to_quiescence(horizon))
+        schedule
     }
 }
 
@@ -90,7 +81,7 @@ impl RecurringFault {
 mod tests {
     use super::*;
     use crate::fault::{CorruptionKind, Fault};
-    use lsrp_core::LsrpSimulationExt;
+    use lsrp_core::{LsrpSimulation, LsrpSimulationExt};
     use lsrp_graph::{generators, Distance, NodeId};
 
     fn v(i: u32) -> NodeId {
@@ -105,7 +96,9 @@ mod tests {
             kind: CorruptionKind::Distance(Distance::ZERO),
         });
         let rec = RecurringFault::new(plan, 50.0, 4);
-        let report = rec.drive_lsrp(&mut sim, 100_000.0).unwrap();
+        let report = rec
+            .schedule(sim.now().seconds())
+            .drive_lsrp(&mut sim, 100_000.0);
         assert!(report.quiescent);
         assert!(sim.routes_correct());
         // The corruption was repaired after every occurrence: at least one
@@ -135,7 +128,9 @@ mod tests {
         let run = |seed: u64| {
             let mut sim = LsrpSimulation::builder(generators::grid(4, 4, 1), v(0)).build();
             let rec = RecurringFault::new(plan.clone(), 50.0, 4).with_jitter(20.0, seed);
-            let report = rec.drive_lsrp(&mut sim, 100_000.0).unwrap();
+            let report = rec
+                .schedule(sim.now().seconds())
+                .drive_lsrp(&mut sim, 100_000.0);
             assert!(report.quiescent);
             assert!(sim.routes_correct());
             sim.now().seconds()

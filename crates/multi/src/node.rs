@@ -32,7 +32,10 @@ use crate::dest::{DestId, DestTable};
 /// Action kind of the batch-flush action: a zero-hold *maintenance*
 /// action (transport bookkeeping, not a protocol step — excluded from
 /// contamination and stabilization accounting) enabled exactly while the
-/// outbox holds staged adverts. Well clear of the LSRP kinds (0..=5).
+/// outbox holds staged adverts, so it [carries output]: the engine is not
+/// drained before it fires. Well clear of the LSRP kinds (0..=5).
+///
+/// [carries output]: ProtocolNode::carries_output
 pub const FLUSH: u8 = u8::MAX;
 
 /// A batch of destination-tagged adverts flushed as one wire message.
@@ -490,6 +493,10 @@ impl ProtocolNode for MultiLsrpNode {
 
     fn is_maintenance(action: ActionId) -> bool {
         action.kind == FLUSH || LsrpNode::is_maintenance(action.for_instance(0))
+    }
+
+    fn carries_output(action: ActionId) -> bool {
+        action.kind == FLUSH
     }
 }
 

@@ -187,13 +187,10 @@ pub fn build(
                 engine,
             ))
         }
-        Protocol::Pv => Box::new(PvSimulation::new(
-            graph,
-            destination,
-            table,
-            PvConfig::default(),
-            engine,
-        )),
+        Protocol::Pv => {
+            let config = PvConfig::for_graph(&graph, destination);
+            Box::new(PvSimulation::new(graph, destination, table, config, engine))
+        }
     }
 }
 
@@ -221,26 +218,26 @@ pub fn build_held(
             };
             Box::new(DbfSimulation::new(graph, destination, None, config, engine))
         }
-        Protocol::Dual => Box::new(DualSimulation::new(
-            graph,
-            destination,
-            None,
-            DualConfig {
+        Protocol::Dual => {
+            let config = DualConfig {
                 hold: timing.hd_s,
-                ..DualConfig::default()
-            },
-            engine,
-        )),
-        Protocol::Pv => Box::new(PvSimulation::new(
-            graph,
-            destination,
-            None,
-            PvConfig {
+                ..DualConfig::for_graph(&graph, destination)
+            };
+            Box::new(DualSimulation::new(
+                graph,
+                destination,
+                None,
+                config,
+                engine,
+            ))
+        }
+        Protocol::Pv => {
+            let config = PvConfig {
                 hold: timing.hd_s,
-                ..PvConfig::default()
-            },
-            engine,
-        )),
+                ..PvConfig::for_graph(&graph, destination)
+            };
+            Box::new(PvSimulation::new(graph, destination, None, config, engine))
+        }
     }
 }
 
@@ -490,8 +487,8 @@ pub fn recurring_cell(spec: &RecurringCellSpec) -> RecurringMetrics {
     sim.engine_mut().reset_trace();
     let t0 = sim.now();
     let report = recurring
-        .drive_lsrp(&mut sim, HORIZON)
-        .expect("plan applies");
+        .schedule(t0.seconds())
+        .drive_lsrp(&mut sim, HORIZON);
     let acted = sim.engine().trace().acted_nodes_since(t0);
     let contaminated: BTreeSet<NodeId> = acted.difference(&region).copied().collect();
     let range =

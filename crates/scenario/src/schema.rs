@@ -823,6 +823,18 @@ fn check_workload(
     Err(format!("line {line}: [{section}] field '{key}' {msg}"))
 }
 
+/// Rejects a Go-Back-N transport whose segments no queue could admit
+/// (see [`check::segment_fits`]), naming `[congestion] queue_cap`.
+fn check_segments(root: &Table, w: &WorkloadSection, c: &CongestionSection) -> Result<(), String> {
+    if c.cc.is_none() {
+        return Ok(());
+    }
+    check::segment_fits(w.rate, w.exact, c.queue_cap).map_err(|msg| {
+        let line = value_line(root, "congestion", "queue_cap").unwrap_or(0);
+        format!("line {line}: [congestion] field 'queue_cap' {msg}")
+    })
+}
+
 /// The line of `[section] key = ...`, if the file sets it.
 fn value_line(root: &Table, section: &str, key: &str) -> Option<usize> {
     let Entry::Table(table) = root.get(section)? else {
@@ -1618,6 +1630,9 @@ fn parse_hijack(
         check_workload(root, &workload, (nodes, 1, duration), "hijack")?;
     }
     let congestion = parse_congestion(root, seen)?;
+    if let (HijackMode::Live, Some(c)) = (mode, &congestion) {
+        check_segments(root, &workload, c)?;
+    }
     let vocab = match mode {
         HijackMode::Live => exec::LIVE.vocabulary(),
         HijackMode::Snapshot => exec::SNAPSHOT.vocabulary(),
@@ -1694,6 +1709,7 @@ pub fn load_str(src: &str) -> Result<Scenario, String> {
             let destinations = t.base.destinations.map_or(1, |d| d.count(nodes));
             let weight = (nodes, destinations, t.duration);
             check_workload(&root, &t.workload, weight, "traffic")?;
+            check_segments(&root, &t.workload, &t.congestion)?;
             (ScenarioBody::Traffic(t), exec::CAMPAIGN.vocabulary())
         }
         "recovery" => {

@@ -433,6 +433,30 @@ pub mod check {
         Ok(())
     }
 
+    /// A Go-Back-N transport's segments must fit an empty queue: a
+    /// heavier segment is dropped at its first port every time, and its
+    /// flow retries forever. A segment weighs what one probe does (see
+    /// [`TrafficMode::probe_weight`]) at the workload's `rate`.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a `queue_cap` below the segment weight.
+    pub fn segment_fits(rate: f64, exact: bool, queue_cap: Option<u64>) -> Result<(), String> {
+        let mode = if exact {
+            TrafficMode::Exact
+        } else {
+            TrafficMode::default()
+        };
+        let weight = mode.probe_weight(rate);
+        match queue_cap {
+            Some(cap) if cap < weight => Err(format!(
+                "{cap} is below the weight of one transport segment ({weight} packets, \
+                 rate x sampling window): no queue could admit it"
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Queue capacities must be at least 1.
     ///
     /// # Errors

@@ -393,6 +393,26 @@ fn a_workload_heavier_than_2_53_packets_is_rejected_at_its_field() {
 }
 
 #[test]
+fn a_transport_segment_heavier_than_the_queue_is_rejected_at_queue_cap() {
+    // The default workload sends 125-packet segments (25 packets/s over
+    // a 5 s sampling window). A 12-packet queue drops each one at its
+    // first port, and the Go-Back-N flows used to retry them forever.
+    let head = "[scenario]\nname = \"x\"\nkind = \"traffic\"\n[topology]\nspec = \"grid:4x4\"\n";
+    let congestion = "[congestion]\nlink_rate = 64.0\nqueue_cap = 12\ncc = \"aimd\"\n";
+    assert_eq!(
+        err(&format!("{head}{congestion}")),
+        "line 8: [congestion] field 'queue_cap' 12 is below the weight of one transport \
+         segment (125 packets, rate x sampling window): no queue could admit it"
+    );
+    // The same queue carries exact-mode segments (weight 1), and a queue
+    // without a transport only drops probes.
+    let exact = format!("{head}[workload]\nexact = true\n{congestion}");
+    assert!(load_str(&exact).is_ok());
+    let probes = format!("{head}[congestion]\nlink_rate = 64.0\nqueue_cap = 12\n");
+    assert!(load_str(&probes).is_ok());
+}
+
+#[test]
 fn check_and_run_reject_what_a_file_cannot_run_with_the_same_error() {
     // `lsrp scenario check` loads and expands a file; `lsrp run` loads,
     // expands and runs it. A region larger than its topology used to pass

@@ -528,8 +528,8 @@ struct Core<P: ProtocolNode> {
     opseq: u64,
     stats: EngineStats,
     last_effective: SimTime,
-    /// Count of tracked non-maintenance guards in this region (O(1)
-    /// quiescence checks).
+    /// Count of tracked guards in this region that keep the engine busy
+    /// (see [`busy`]): O(1) quiescence checks.
     enabled_non_maintenance: usize,
     /// Signed in-flight message delta (cross-region messages increment at
     /// the sender's region, decrement at the receiver's; the global sum
@@ -788,9 +788,7 @@ impl<P: ProtocolNode> Core<P> {
                 // Continuously enabled for the hold-time: execute.
                 self.stats.events.guard_fires += 1;
                 slot.guards.remove(action);
-                if !P::is_maintenance(action) {
-                    self.enabled_non_maintenance -= 1;
-                }
+                self.enabled_non_maintenance -= usize::from(busy::<P>(action));
                 let now_local = slot.clock.local(now);
                 let mut fx = std::mem::take(&mut self.fx_scratch);
                 slot.node.execute(action, now_local, &mut fx);
@@ -1039,7 +1037,7 @@ impl<P: ProtocolNode> Core<P> {
                 &mut scratch,
                 &mut self.guard_gen[local as usize],
                 &mut self.enabled_non_maintenance,
-                P::is_maintenance,
+                |a| !busy::<P>(a),
             );
             for started in &scratch.started {
                 let fire = self.now + clock.real_duration(started.hold.max(0.0));
@@ -1910,9 +1908,10 @@ impl<P: ProtocolNode> Engine<P> {
         u64::try_from(sum.max(0)).unwrap_or(0)
     }
 
-    /// Whether any non-maintenance guard is currently enabled somewhere.
-    /// O(regions): each region maintains its count at every guard
-    /// insert/removal.
+    /// Whether any non-maintenance guard, or maintenance guard that
+    /// [carries output](ProtocolNode::carries_output), is currently
+    /// enabled somewhere. O(regions): each region maintains its count at
+    /// every guard insert/removal.
     pub fn any_enabled_non_maintenance(&self) -> bool {
         let total: usize = self.cores.iter().map(|c| c.enabled_non_maintenance).sum();
         debug_assert_eq!(
@@ -1921,7 +1920,7 @@ impl<P: ProtocolNode> Engine<P> {
                 .iter()
                 .flat_map(|c| c.slots.values())
                 .flat_map(|s| s.guards.keys())
-                .filter(|&a| !P::is_maintenance(a))
+                .filter(|&a| busy::<P>(a))
                 .count(),
             "non-maintenance guard counter drifted"
         );
@@ -2041,8 +2040,10 @@ impl<P: ProtocolNode> Engine<P> {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid [`FlowConfig`], `src == dest`, or a start
-    /// time in the past.
+    /// Panics on an invalid [`FlowConfig`], a segment heavier than the
+    /// congestion lane's queue capacity (no port could ever admit it, so
+    /// the flow would retry forever), `src == dest`, or a start time in
+    /// the past.
     pub fn start_flow_at(
         &mut self,
         at: SimTime,
@@ -2051,6 +2052,14 @@ impl<P: ProtocolNode> Engine<P> {
         config: FlowConfig,
     ) -> u32 {
         config.validate();
+        let congestion = &self.shared.config.congestion;
+        if let (true, Some(cap)) = (congestion.enabled(), congestion.queue_capacity) {
+            assert!(
+                config.seg_weight <= cap,
+                "segment weight {} exceeds the queue capacity {cap}: no port can admit it",
+                config.seg_weight
+            );
+        }
         assert!(src != dest, "a flow needs two distinct endpoints");
         assert!(at >= self.now, "flow start times cannot be in the past");
         let id = u32::try_from(self.shared.flow_home.len()).expect("flow ids fit u32");
@@ -2137,11 +2146,8 @@ impl<P: ProtocolNode> Engine<P> {
             let l = NodeId::new(self.shared.map.local(v));
             let core = &mut self.cores[r as usize];
             if let Some(slot) = core.slots.remove(l) {
-                core.enabled_non_maintenance -= slot
-                    .guards
-                    .keys()
-                    .filter(|&a| !P::is_maintenance(a))
-                    .count();
+                core.enabled_non_maintenance -=
+                    slot.guards.keys().filter(|&a| busy::<P>(a)).count();
             }
         }
         if let Some(s) = self.shared.alive.get_mut(v.raw() as usize) {
@@ -2270,10 +2276,13 @@ impl<P: ProtocolNode> Engine<P> {
         self.cores.iter().filter_map(|c| c.queue.peek()).min()
     }
 
-    /// Whether both planes are drained: no non-maintenance guard enabled,
-    /// no control message in flight, no packet in flight and no flow
-    /// active. Periodic maintenance may still be queued — a drained
-    /// engine can only tick, never change a route or move a packet.
+    /// Whether both planes are drained: no non-maintenance guard enabled
+    /// (nor a maintenance guard that [carries output]), no control
+    /// message in flight, no packet in flight and no flow active.
+    /// Periodic maintenance may still be queued — a drained engine can
+    /// only tick, never change a route or move a packet.
+    ///
+    /// [carries output]: ProtocolNode::carries_output
     pub fn drained(&self) -> bool {
         !self.any_enabled_non_maintenance()
             && self.inflight_messages() == 0
@@ -2598,6 +2607,13 @@ impl<P: ProtocolNode> Drop for Engine<P> {
         let stats = self.stats();
         self.sink.close(&stats);
     }
+}
+
+/// Whether an enabled guard of `action` keeps the engine from being
+/// drained: every non-maintenance action, and the maintenance that
+/// [carries output](ProtocolNode::carries_output).
+fn busy<P: ProtocolNode>(action: ActionId) -> bool {
+    !P::is_maintenance(action) || P::carries_output(action)
 }
 
 /// Records `v`'s entry in the route view and, when that changed it,

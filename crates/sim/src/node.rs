@@ -239,6 +239,16 @@ pub trait ProtocolNode: Send {
     /// accounting, matching the paper's examples which count only
     /// `S1/S2/C1/C2/SC` executions.
     fn is_maintenance(action: ActionId) -> bool;
+
+    /// Maintenance actions that send output other actions staged (the
+    /// dense plane's batch flush). They stay out of the accounting, but
+    /// while one is enabled the engine is not
+    /// [drained](crate::engine::Engine::drained): its output is still to
+    /// go on the wire. None by default.
+    fn carries_output(action: ActionId) -> bool {
+        let _ = action;
+        false
+    }
 }
 
 #[cfg(test)]

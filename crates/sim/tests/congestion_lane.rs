@@ -392,6 +392,22 @@ fn flow_aborts_instead_of_retrying_forever_when_an_endpoint_dies() {
     assert!(conservation_ok(&engine));
 }
 
+#[test]
+#[should_panic(expected = "segment weight 17 exceeds the queue capacity 16")]
+fn a_segment_no_queue_can_admit_is_refused_at_the_flow_start() {
+    let g = generators::path(3, 1);
+    let config = EngineConfig::default().with_congestion(CongestionConfig::limited(5.0, 16));
+    let mut engine = static_engine(g, config, path_entries(3, 1));
+    engine.start_flow(
+        v(2),
+        v(0),
+        FlowConfig {
+            seg_weight: 17,
+            ..FlowConfig::default()
+        },
+    );
+}
+
 // ---------------------------------------------------------------------
 // Equivalence oracles.
 // ---------------------------------------------------------------------

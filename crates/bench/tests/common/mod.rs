@@ -191,6 +191,39 @@ const REPORTS: &[Report] = &[
         &[],
         &[],
     ),
+    // `lsrp run` and `lsrp compare`: together every `--fault` kind
+    // through all four protocols.
+    (
+        "cli/compare-grid5x5-corrupt-fail-edge",
+        "compare --topology grid:5x5 --fault corrupt:12:0 --fault fail-edge:0:1",
+        &[],
+        &[("routes correct      | true", 4)],
+    ),
+    (
+        "cli/compare-grid4x4-corrupt-inf",
+        "compare --topology grid:4x4 --fault corrupt:10:inf",
+        &[],
+        &[("routes correct      | true", 4)],
+    ),
+    (
+        "cli/compare-grid4x4-topology",
+        "compare --topology grid:4x4 --fault fail-node:6 --fault join-edge:0:5:2 \
+         --fault weight:0:4:3",
+        &[],
+        &[("routes correct      | true", 4)],
+    ),
+    (
+        "cli/compare-lollipop-loop",
+        "compare --topology lollipop:2:6 --fault loop",
+        &[],
+        &[("routes correct      | true", 4)],
+    ),
+    (
+        "cli/run-fig1-timeline",
+        "run --topology fig1 --fault corrupt:9:1 --timeline",
+        &[],
+        &[("timeline:", 1)],
+    ),
 ];
 
 /// Trace files: name, the command that writes it, and the commands that

@@ -594,6 +594,21 @@ mod tests {
         };
         let parsed = ReproCase::parse(&repro.to_text()).expect("round trip");
         assert_eq!(parsed, repro);
+        // A route corruption survives the text too.
+        let mut routed = repro;
+        let route = lsrp_faults::CorruptionKind::Route {
+            d: lsrp_graph::Distance::Finite(1),
+            p: v(3),
+        };
+        let fault = lsrp_faults::Fault::Corrupt {
+            node: v(2),
+            kind: route,
+        };
+        routed.schedule.push(run.schedule.end_time() + 1.0, fault);
+        assert_eq!(
+            ReproCase::parse(&routed.to_text()).expect("round trip"),
+            routed
+        );
         // And the parsed case replays to the original verdict.
         let replayed = replay_repro(&g, &cfg, &parsed);
         assert_eq!(replayed.violations, run.report.violations);

@@ -172,6 +172,7 @@ mod tests {
     use super::*;
     use lsrp_core::{LsrpSimulation, LsrpSimulationExt};
     use lsrp_graph::{generators, RouteEntry};
+    use lsrp_sim::CorruptionKind;
 
     fn v(i: u32) -> NodeId {
         NodeId::new(i)
@@ -259,7 +260,7 @@ mod tests {
     #[test]
     fn availability_dips_and_recovers_through_a_fault() {
         let mut sim = LsrpSimulation::builder(generators::grid(5, 5, 1), v(0)).build();
-        sim.corrupt_parent(v(12), v(12)); // black-hole the center
+        sim.corrupt(v(12), &CorruptionKind::Parent(v(12))); // black-hole the center
         let trace = measure_availability(&mut sim as &mut dyn RoutingSimulation, 100_000.0, 1.0);
         assert!(trace.min < 1.0, "the corruption must be visible");
         assert_eq!(

@@ -186,27 +186,23 @@ pub fn measure_loop_breakage<S: RoutingSimulation + ?Sized>(
     }
 }
 
-/// Injects a parent loop along `cycle` into any protocol via
-/// [`RoutingSimulation::inject_route`] and poisons neighbors' mirrors, then
-/// measures breakage. Distances follow
+/// Injects a parent loop along `cycle` into any protocol
+/// ([`lsrp_faults::loops::loop_plan`]: the routes, then every neighbor's
+/// mirror of them), then measures breakage. Distances follow
 /// [`lsrp_faults::loops::cycle_assignment`] with the given base.
+///
+/// # Panics
+///
+/// Panics if `cycle` does not follow edges of the graph.
 pub fn inject_and_measure<S: RoutingSimulation + ?Sized>(
     sim: &mut S,
     cycle: &[NodeId],
     base: u64,
     horizon: f64,
 ) -> LoopBreakage {
-    let assignment = lsrp_faults::loops::cycle_assignment(sim.graph(), cycle, base);
+    let plan = lsrp_faults::loops::loop_plan(sim.graph(), cycle, base, |n| sim.advert(n));
     sim.reset_trace();
-    for &(node, d, p) in &assignment {
-        sim.inject_route(node, d, p);
-    }
-    for &(node, d, _) in &assignment {
-        let neighbors: Vec<NodeId> = sim.graph().neighbors(node).map(|(k, _)| k).collect();
-        for k in neighbors {
-            sim.poison_mirror(k, node, d);
-        }
-    }
+    sim.apply_plan(&plan).expect("corruptions always apply");
     measure_loop_breakage(sim, horizon)
 }
 

@@ -841,7 +841,7 @@ pub(crate) type ApplyFault<P> = fn(&Fault, &mut SimHarness<P>, usize);
 
 /// The [`ApplyFault`] of one destination tree.
 pub(crate) fn apply_lsrp(fault: &Fault, sim: &mut LsrpSimulation, _ordinal: usize) {
-    let _ = fault.apply_lsrp(sim);
+    let _ = fault.apply(sim);
 }
 
 /// The time no event reaches: the `due` of a monitor with nothing to do.

@@ -50,20 +50,8 @@ pub(crate) fn apply_multi(fault: &Fault, sim: &mut MultiLsrpSimulation, ordinal:
                 _ => sim.corrupt_instance_distance(*node, dest, Distance::ZERO),
             }
         }
-        Fault::FailNode(v) => {
-            let _ = sim.fail_node(*v);
-        }
-        Fault::JoinNode { node, edges } => {
-            let _ = sim.join_node(*node, edges);
-        }
-        Fault::FailEdge(a, b) => {
-            let _ = sim.fail_edge(*a, *b);
-        }
-        Fault::JoinEdge(a, b, w) => {
-            let _ = sim.join_edge(*a, *b, *w);
-        }
-        Fault::SetWeight(a, b, w) => {
-            let _ = sim.set_weight(*a, *b, *w);
+        _ => {
+            let _ = fault.apply(sim);
         }
     }
 }

@@ -1,9 +1,10 @@
 //! The unified simulation interface experiments are written against.
 
+use lsrp_faults::{CorruptionKind, Fault, FaultPlan};
 use lsrp_graph::{Distance, Graph, GraphError, NodeId, RouteTable, Weight};
 use lsrp_sim::{
-    EngineStats, HarnessProtocol, RouteCursor, RouteDelta, RouteView, RunReport, SimHarness,
-    SimTime, Trace,
+    EngineStats, HarnessProtocol, Mirror, RouteCursor, RouteDelta, RouteView, RunReport,
+    SimHarness, SimTime, Trace,
 };
 
 /// The operations every routing-protocol simulation exposes to the
@@ -75,50 +76,97 @@ pub trait RoutingSimulation {
     /// Runs all events up to time `t`.
     fn run_until(&mut self, t: f64);
 
+    /// Overwrites node `v`'s state as `kind` says
+    /// ([`HarnessProtocol::corrupt`]).
+    fn corrupt(&mut self, v: NodeId, kind: &CorruptionKind);
+
+    /// What `v` advertises: its route and containment flag, as a
+    /// neighbour mirrors them.
+    fn advert(&self, v: NodeId) -> Mirror;
+
+    /// Applies one fault ([`Fault::apply`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`GraphError`] from topology faults the topology does
+    /// not admit.
+    fn apply(&mut self, fault: &Fault) -> Result<(), GraphError>;
+
+    /// Applies a plan's faults in order.
+    ///
+    /// # Errors
+    ///
+    /// Stops at and propagates the first topology error.
+    fn apply_plan(&mut self, plan: &FaultPlan) -> Result<(), GraphError> {
+        plan.faults.iter().try_for_each(|f| self.apply(f))
+    }
+
     /// Corrupts a node's advertised distance in place.
-    fn corrupt_distance(&mut self, v: NodeId, d: Distance);
+    fn corrupt_distance(&mut self, v: NodeId, d: Distance) {
+        self.corrupt(v, &CorruptionKind::Distance(d));
+    }
 
     /// Poisons `at`'s mirror of `about` with an advertised distance (the
-    /// "neighbors have learned the corrupted value" setup).
-    fn poison_mirror(&mut self, at: NodeId, about: NodeId, d: Distance);
+    /// "neighbors have learned the corrupted value" setup), keeping
+    /// `about`'s current parent and containment flag.
+    fn poison_mirror(&mut self, at: NodeId, about: NodeId, d: Distance) {
+        let mirror = Mirror {
+            d,
+            ..self.advert(about)
+        };
+        self.corrupt(at, &CorruptionKind::MirrorOf { about, mirror });
+    }
 
     /// Overwrites a node's route `(d, p)` in place (loop injection).
-    fn inject_route(&mut self, v: NodeId, d: Distance, p: NodeId);
+    fn inject_route(&mut self, v: NodeId, d: Distance, p: NodeId) {
+        self.corrupt(v, &CorruptionKind::Route { d, p });
+    }
 
     /// Fail-stops a node.
     ///
     /// # Errors
     ///
     /// Propagates [`GraphError`] for unknown nodes.
-    fn fail_node(&mut self, v: NodeId) -> Result<(), GraphError>;
+    fn fail_node(&mut self, v: NodeId) -> Result<(), GraphError> {
+        self.apply(&Fault::FailNode(v))
+    }
 
     /// Fail-stops an edge.
     ///
     /// # Errors
     ///
     /// Propagates [`GraphError`] for unknown edges.
-    fn fail_edge(&mut self, a: NodeId, b: NodeId) -> Result<(), GraphError>;
+    fn fail_edge(&mut self, a: NodeId, b: NodeId) -> Result<(), GraphError> {
+        self.apply(&Fault::FailEdge(a, b))
+    }
 
     /// Joins an edge.
     ///
     /// # Errors
     ///
     /// Propagates [`GraphError`] for invalid joins.
-    fn join_edge(&mut self, a: NodeId, b: NodeId, w: Weight) -> Result<(), GraphError>;
+    fn join_edge(&mut self, a: NodeId, b: NodeId, w: Weight) -> Result<(), GraphError> {
+        self.apply(&Fault::JoinEdge(a, b, w))
+    }
 
     /// Joins (or rejoins) a node with the given edges to live neighbors.
     ///
     /// # Errors
     ///
     /// Propagates [`GraphError`] for invalid joins.
-    fn join_node(&mut self, v: NodeId, edges: &[(NodeId, Weight)]) -> Result<(), GraphError>;
+    fn join_node(&mut self, v: NodeId, edges: &[(NodeId, Weight)]) -> Result<(), GraphError> {
+        let edges = edges.to_vec();
+        self.apply(&Fault::JoinNode { node: v, edges })
+    }
 
     /// Changes an edge weight.
     ///
     /// # Errors
     ///
     /// Propagates [`GraphError`] for unknown edges.
-    fn set_weight(&mut self, a: NodeId, b: NodeId, w: Weight) -> Result<(), GraphError>;
+    fn set_weight(&mut self, a: NodeId, b: NodeId, w: Weight) -> Result<(), GraphError> {
+        self.apply(&Fault::SetWeight(a, b, w))
+    }
 }
 
 impl<P: HarnessProtocol> RoutingSimulation for SimHarness<P> {
@@ -190,36 +238,16 @@ impl<P: HarnessProtocol> RoutingSimulation for SimHarness<P> {
         SimHarness::run_until(self, t);
     }
 
-    fn corrupt_distance(&mut self, v: NodeId, d: Distance) {
-        SimHarness::corrupt_distance(self, v, d);
+    fn corrupt(&mut self, v: NodeId, kind: &CorruptionKind) {
+        SimHarness::corrupt(self, v, kind);
     }
 
-    fn poison_mirror(&mut self, at: NodeId, about: NodeId, d: Distance) {
-        SimHarness::poison_mirror(self, at, about, d);
+    fn advert(&self, v: NodeId) -> Mirror {
+        SimHarness::advert(self, v)
     }
 
-    fn inject_route(&mut self, v: NodeId, d: Distance, p: NodeId) {
-        SimHarness::inject_route(self, v, d, p);
-    }
-
-    fn fail_node(&mut self, v: NodeId) -> Result<(), GraphError> {
-        SimHarness::fail_node(self, v)
-    }
-
-    fn fail_edge(&mut self, a: NodeId, b: NodeId) -> Result<(), GraphError> {
-        SimHarness::fail_edge(self, a, b)
-    }
-
-    fn join_edge(&mut self, a: NodeId, b: NodeId, w: Weight) -> Result<(), GraphError> {
-        SimHarness::join_edge(self, a, b, w)
-    }
-
-    fn join_node(&mut self, v: NodeId, edges: &[(NodeId, Weight)]) -> Result<(), GraphError> {
-        SimHarness::join_node(self, v, edges)
-    }
-
-    fn set_weight(&mut self, a: NodeId, b: NodeId, w: Weight) -> Result<(), GraphError> {
-        SimHarness::set_weight(self, a, b, w)
+    fn apply(&mut self, fault: &Fault) -> Result<(), GraphError> {
+        fault.apply(self)
     }
 }
 
@@ -227,7 +255,8 @@ impl<P: HarnessProtocol> RoutingSimulation for SimHarness<P> {
 mod tests {
     use super::*;
     use lsrp_baselines::{
-        BaselineSimulation, DbfConfig, DbfSimulation, DualConfig, DualSimulation,
+        BaselineSimulation, DbfConfig, DbfSimulation, DualConfig, DualSimulation, PvConfig,
+        PvSimulation,
     };
     use lsrp_core::{LsrpSimulation, LsrpSimulationExt};
     use lsrp_graph::generators;
@@ -249,10 +278,17 @@ mod tests {
                 EngineConfig::default(),
             )),
             Box::new(DualSimulation::new(
-                g,
+                g.clone(),
                 v(0),
                 None,
                 DualConfig::default(),
+                EngineConfig::default(),
+            )),
+            Box::new(PvSimulation::new(
+                g.clone(),
+                v(0),
+                None,
+                PvConfig::for_graph(&g, v(0)),
                 EngineConfig::default(),
             )),
         ]
@@ -266,6 +302,62 @@ mod tests {
             let report = sim.run_to_quiescence(1_000_000.0);
             assert!(report.quiescent, "{} did not settle", sim.name());
             assert!(sim.routes_correct(), "{} wrong routes", sim.name());
+        }
+    }
+
+    #[test]
+    fn every_corruption_kind_lands_through_the_trait_and_recovers() {
+        // A mirror forged too large: path vector has no periodic refresh,
+        // so a neighbour would keep a forged shortcut forever.
+        let forged = Mirror {
+            d: Distance::Finite(9),
+            p: v(10),
+            ghost: true,
+        };
+        let kinds = [
+            (v(10), CorruptionKind::Distance(Distance::ZERO)),
+            (v(10), CorruptionKind::Parent(v(14))),
+            (
+                v(10),
+                CorruptionKind::Route {
+                    d: Distance::Finite(1),
+                    p: v(11),
+                },
+            ),
+            (v(10), CorruptionKind::Ghost(true)),
+            (v(10), CorruptionKind::Timestamp(1.0e6)),
+            (
+                v(11),
+                CorruptionKind::MirrorOf {
+                    about: v(10),
+                    mirror: forged,
+                },
+            ),
+        ];
+        for (node, kind) in kinds {
+            let mut sims = all_sims();
+            // Plain DBF keeps a forged mirror (`Parent` and `Route` plant
+            // one) until a periodic refresh overwrites it.
+            let g = generators::grid(4, 4, 1);
+            let refreshed = DbfConfig {
+                syn_period: Some(50.0),
+                ..DbfConfig::for_graph(&g, v(0))
+            };
+            sims[1] = Box::new(DbfSimulation::new(
+                g,
+                v(0),
+                None,
+                refreshed,
+                EngineConfig::default(),
+            ));
+            for mut sim in sims {
+                sim.apply(&Fault::Corrupt { node, kind }).unwrap();
+                if sim.name() == "LSRP" && kind == CorruptionKind::Ghost(true) {
+                    assert!(sim.containment_set().contains(&v(10)), "{kind:?}");
+                }
+                sim.run_until(10_000.0);
+                assert!(sim.routes_correct(), "{} {kind:?}", sim.name());
+            }
         }
     }
 

@@ -147,6 +147,7 @@ mod tests {
     use lsrp_core::{InitialState, LsrpSimulation, LsrpSimulationExt, TimingConfig};
     use lsrp_graph::topologies::{fig1_route_table, paper_fig1, v, FIG1_DESTINATION};
     use lsrp_graph::{generators, Distance};
+    use lsrp_sim::CorruptionKind;
 
     #[test]
     fn figure5_is_one_single_node_episode() {
@@ -171,13 +172,15 @@ mod tests {
             .timing(TimingConfig::paper_example(1.0))
             .build();
         sim.corrupt_distance(v(11), Distance::Finite(2));
-        sim.corrupt_mirror(
+        sim.corrupt(
             v(13),
-            v(11),
-            lsrp_core::Mirror {
-                d: Distance::Finite(2),
-                p: v(2),
-                ghost: false,
+            &CorruptionKind::MirrorOf {
+                about: v(11),
+                mirror: lsrp_core::Mirror {
+                    d: Distance::Finite(2),
+                    p: v(2),
+                    ghost: false,
+                },
             },
         );
         let episodes = track_containment(&mut sim as &mut dyn RoutingSimulation, 10_000.0, 100.0);

@@ -20,7 +20,7 @@
 
 use lsrp_graph::{Distance, Graph, NodeId, RouteTable, Weight};
 use lsrp_sim::{
-    ActionId, Effects, EnabledSet, Engine, EngineConfig, ForgedAdvert, HarnessProtocol,
+    ActionId, CorruptionKind, Effects, EnabledSet, Engine, EngineConfig, HarnessProtocol,
     NeighborTable, ProtocolNode, SimHarness,
 };
 
@@ -229,25 +229,30 @@ impl HarnessProtocol for DbfNode {
     const NAME: &'static str = "DBF";
     type Meta = ();
 
-    fn corrupt_distance(&mut self, d: Distance, _dest: NodeId) {
-        self.d = d;
-    }
-
-    fn poison_mirror(&mut self, about: NodeId, advert: ForgedAdvert, _dest: NodeId) {
-        self.neighbors.record(about, &advert.d);
-    }
-
-    fn inject_route(&mut self, d: Distance, p: NodeId, _dest: NodeId) {
-        self.d = d;
-        self.p = p;
-        // Make the injected parent look attractive so plain DBF keeps
-        // the loop until values count up past it.
-        self.neighbors.record(
-            p,
-            &d.plus(0).as_finite().map_or(Distance::Infinite, |x| {
-                Distance::Finite(x.saturating_sub(1))
-            }),
-        );
+    fn corrupt(&mut self, kind: &CorruptionKind, _dest: NodeId) {
+        match *kind {
+            CorruptionKind::Distance(d) => self.d = d,
+            CorruptionKind::Parent(p) => {
+                self.corrupt(&CorruptionKind::Route { d: self.d, p }, _dest)
+            }
+            CorruptionKind::Route { d, p } => {
+                self.d = d;
+                self.p = p;
+                // Make the injected parent look attractive so plain DBF
+                // keeps the loop until values count up past it.
+                self.neighbors.record(
+                    p,
+                    &d.plus(0).as_finite().map_or(Distance::Infinite, |x| {
+                        Distance::Finite(x.saturating_sub(1))
+                    }),
+                );
+            }
+            CorruptionKind::Timestamp(t) => self.t_last = t,
+            CorruptionKind::MirrorOf { about, mirror } => {
+                self.neighbors.record(about, &mirror.d);
+            }
+            CorruptionKind::Ghost(_) => {}
+        }
     }
 }
 

@@ -31,7 +31,7 @@ use std::collections::BTreeSet;
 
 use lsrp_graph::{Distance, Graph, NodeId, RouteTable, Weight};
 use lsrp_sim::{
-    ActionId, Effects, EnabledSet, Engine, EngineConfig, ForgedAdvert, HarnessProtocol,
+    ActionId, CorruptionKind, Effects, EnabledSet, Engine, EngineConfig, HarnessProtocol,
     NeighborTable, ProtocolNode, SimHarness,
 };
 
@@ -414,21 +414,18 @@ impl HarnessProtocol for DualNode {
     const NAME: &'static str = "DUAL";
     type Meta = ();
 
-    fn corrupt_distance(&mut self, d: Distance, _dest: NodeId) {
-        // Keep `fd` consistent with the corrupted value, the worst case
-        // for containment: the corruption is feasible.
-        self.d = d;
-        self.fd = d;
-    }
-
-    fn poison_mirror(&mut self, about: NodeId, advert: ForgedAdvert, _dest: NodeId) {
-        self.neighbors.record(about, &advert.d);
-    }
-
-    fn inject_route(&mut self, d: Distance, p: NodeId, _dest: NodeId) {
-        self.d = d;
-        self.succ = p;
-        self.fd = d;
+    fn corrupt(&mut self, kind: &CorruptionKind, _dest: NodeId) {
+        // `fd` follows a corrupted distance, the worst case for
+        // containment: the corruption is feasible.
+        match *kind {
+            CorruptionKind::Distance(d) => (self.d, self.fd) = (d, d),
+            CorruptionKind::Parent(p) => (self.succ, self.fd) = (p, self.d),
+            CorruptionKind::Route { d, p } => (self.d, self.succ, self.fd) = (d, p, d),
+            CorruptionKind::MirrorOf { about, mirror } => {
+                self.neighbors.record(about, &mirror.d);
+            }
+            CorruptionKind::Ghost(_) | CorruptionKind::Timestamp(_) => {}
+        }
     }
 }
 

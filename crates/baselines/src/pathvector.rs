@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use lsrp_graph::{Distance, Graph, NodeId, RouteTable, Weight};
 use lsrp_sim::{
-    ActionId, Effects, EnabledSet, Engine, EngineConfig, ForgedAdvert, HarnessProtocol, Neighbor,
+    ActionId, CorruptionKind, Effects, EnabledSet, Engine, EngineConfig, HarnessProtocol, Neighbor,
     NeighborTable, ProtocolNode, SimHarness,
 };
 
@@ -215,42 +215,29 @@ impl HarnessProtocol for PvNode {
     const NAME: &'static str = "PV";
     type Meta = ();
 
-    fn corrupt_distance(&mut self, d: Distance, dest: NodeId) {
-        // A bogus short route claiming direct adjacency to the
-        // destination (the classic hijack).
-        self.route = PvRoute {
-            d,
-            path: if self.id == dest {
-                Vec::new()
-            } else {
-                vec![dest]
-            },
-        };
-    }
-
-    fn poison_mirror(&mut self, about: NodeId, advert: ForgedAdvert, dest: NodeId) {
-        self.neighbors.record(
-            about,
-            &PvRoute {
-                d: advert.d,
-                path: if about == dest {
-                    Vec::new()
-                } else {
-                    vec![dest]
-                },
-            },
-        );
-    }
-
-    fn inject_route(&mut self, d: Distance, p: NodeId, dest: NodeId) {
-        // A path-vector "loop injection": the route claims to go through
-        // `p` straight to the destination. The path check then prevents
-        // *new* loops, but the injected parent pointers themselves stand
-        // until updates flush them.
-        self.route = PvRoute {
-            d,
-            path: if p == dest { vec![dest] } else { vec![p, dest] },
-        };
+    fn corrupt(&mut self, kind: &CorruptionKind, dest: NodeId) {
+        // `[dest]` is the classic hijack, a bogus claim of adjacency to
+        // the destination; an injected route `[p, dest]` is a "loop
+        // injection" the path check cannot flush until updates do.
+        let to_dest = |via: NodeId| if via == dest { Vec::new() } else { vec![dest] };
+        match *kind {
+            CorruptionKind::Distance(d) => {
+                let path = to_dest(self.id);
+                self.route = PvRoute { d, path };
+            }
+            CorruptionKind::Parent(p) => {
+                self.corrupt(&CorruptionKind::Route { d: self.route.d, p }, dest);
+            }
+            CorruptionKind::Route { d, p } => {
+                let path = if p == dest { vec![dest] } else { vec![p, dest] };
+                self.route = PvRoute { d, path };
+            }
+            CorruptionKind::MirrorOf { about, mirror } => {
+                let path = to_dest(about);
+                self.neighbors.record(about, &PvRoute { d: mirror.d, path });
+            }
+            CorruptionKind::Ghost(_) | CorruptionKind::Timestamp(_) => {}
+        }
     }
 }
 

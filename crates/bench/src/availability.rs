@@ -7,10 +7,10 @@
 mod tests {
     use lsrp_analysis::{table::fmt_f64, AvailabilityTrace, RecoveryMetrics, Table};
     use lsrp_scenario::cells::{
-        recovery_cell, snapshot_hijack_cell, EngineModel, RecoveryCellSpec, RegionFault,
+        recovery_cell, snapshot_hijack_cell, EngineModel, Protocol, RecoveryCellSpec, RegionFault,
+        ALL_PROTOCOLS,
     };
 
-    use crate::build::{Protocol, ALL_PROTOCOLS};
     use crate::scaling::corpus::hijack;
 
     /// One availability run: a *prefix-hijack black hole* — a region of `p`

@@ -4,15 +4,15 @@ use std::collections::BTreeSet;
 
 use lsrp_analysis::{measure_recovery, table::fmt_f64, timeline, RoutingSimulation, Table};
 use lsrp_core::LsrpSimulationExt;
-use lsrp_faults::FaultPlan;
+use lsrp_faults::{CorruptionKind, FaultPlan};
 use lsrp_graph::concepts::{Perturbation, TopologyChange};
 use lsrp_graph::topologies::{
     fig1_route_table, fig7_dense, fig7_route_table, fig7_sparse, paper_fig1, v, FIG1_DESTINATION,
     FIG7_CUT, FIG7_DESTINATION,
 };
-use lsrp_graph::{Distance, NodeId};
+use lsrp_graph::Distance;
+use lsrp_scenario::cells::{build, paper_timing, Protocol, ALL_PROTOCOLS};
 
-use crate::build::{build, Protocol, ALL_PROTOCOLS};
 use crate::HORIZON;
 
 /// The Figure 2 / Figure 5 fault: `d.v9 := 1` with `v7`, `v8` having
@@ -159,7 +159,7 @@ pub fn e4_fig7() -> Table {
         // i.e. a larger hd_S/hd_C ratio than the worked-example timing
         // (with hd_S = 17 the super-containment catches it at depth 2).
         let slow_repair = {
-            let base = crate::build::paper_timing();
+            let base = paper_timing();
             base.with_hd_s(4.0 * base.hd_c)
         };
         let mut sim: Box<dyn RoutingSimulation> = Box::new(
@@ -172,11 +172,9 @@ pub fn e4_fig7() -> Table {
         let perturbed = BTreeSet::from([FIG7_CUT]);
         let m = measure_recovery(sim.as_mut(), &perturbed, HORIZON, |s| {
             // True distance of c is 3; corrupt one larger, everyone learns.
-            s.corrupt_distance(FIG7_CUT, Distance::Finite(4));
-            let neighbors: Vec<NodeId> = s.graph().neighbors(FIG7_CUT).map(|(k, _)| k).collect();
-            for k in neighbors {
-                s.poison_mirror(k, FIG7_CUT, Distance::Finite(4));
-            }
+            let larger = [(FIG7_CUT, CorruptionKind::Distance(Distance::Finite(4)))];
+            let plan = FaultPlan::forged_routes(s.graph(), larger, |n| s.advert(n));
+            s.apply_plan(&plan).expect("corruptions always apply");
         });
         assert!(m.routes_correct, "fig7 {label} must recover");
         t.row(&[

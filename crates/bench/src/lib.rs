@@ -13,7 +13,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod build;
 pub mod figures;
 pub mod loops_exp;
 pub mod multi_exp;

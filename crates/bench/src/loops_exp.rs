@@ -4,11 +4,12 @@
 use lsrp_analysis::loops::inject_and_measure;
 use lsrp_analysis::{measure_loop_breakage, table::fmt_f64, RoutingSimulation, Table};
 use lsrp_core::{InitialState, LsrpSimulation, LsrpSimulationExt, TimingConfig};
+use lsrp_faults::{CorruptionKind, Fault, FaultPlan};
 use lsrp_graph::{generators, Distance, NodeId};
+use lsrp_scenario::cells::{build, Protocol, ALL_PROTOCOLS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::build::{build, Protocol, ALL_PROTOCOLS};
 use crate::HORIZON;
 
 fn v(i: u32) -> NodeId {
@@ -38,27 +39,29 @@ pub fn loop_watch_run(protocol: Protocol, n: u32, seed: u64) -> (u32, f64) {
     };
     // Corrupt half the nodes' distances; poison neighborhood mirrors.
     let max_d = u64::from(n) * 2;
-    let nodes: Vec<NodeId> = graph.nodes().filter(|&x| x != dest).collect();
-    for &node in &nodes {
+    let mut plan = FaultPlan::new();
+    for node in graph.nodes().filter(|&x| x != dest) {
         if rng.gen_bool(0.5) {
             let d = if rng.gen_bool(0.1) {
                 Distance::Infinite
             } else {
                 Distance::Finite(rng.gen_range(0..max_d))
             };
-            sim.corrupt_distance(node, d);
+            let mut kind = CorruptionKind::Distance(d);
             if d.is_infinite() {
                 // Keep the protocol's d = ∞ ⟹ p = self invariant: a
                 // dangling parent on a routeless node is parent
                 // corruption, which E15 covers separately.
-                sim.inject_route(node, d, node);
+                plan.faults.push(Fault::Corrupt { node, kind });
+                kind = CorruptionKind::Route { d, p: node };
             }
-            let neighbors: Vec<NodeId> = graph.neighbors(node).map(|(k, _)| k).collect();
-            for k in neighbors {
-                sim.poison_mirror(k, node, d);
-            }
+            plan.faults
+                .extend(FaultPlan::forged_routes(&graph, [(node, kind)], |n| {
+                    sim.advert(n)
+                }));
         }
     }
+    sim.apply_plan(&plan).expect("corruptions always apply");
     let b = measure_loop_breakage(sim.as_mut(), HORIZON);
     assert!(
         b.converged,

@@ -3,8 +3,8 @@
 
 use lsrp_analysis::{table::fmt_f64, Table};
 
-use crate::build::ALL_PROTOCOLS;
 use crate::scaling::scaling_cell;
+use lsrp_scenario::cells::ALL_PROTOCOLS;
 
 /// E11 table: messages per recovery, sweeping network size at fixed
 /// perturbation size and vice versa.
@@ -41,7 +41,7 @@ pub fn e11_overhead(widths: &[u32], sizes: &[usize]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::Protocol;
+    use lsrp_scenario::cells::Protocol;
 
     #[test]
     fn lsrp_overhead_is_local_dbf_global() {

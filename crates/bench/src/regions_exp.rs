@@ -8,8 +8,8 @@ mod tests {
     use lsrp_graph::{generators, NodeId};
     use lsrp_scenario::cells::region_case_cell;
 
-    use crate::build::Protocol;
     use crate::scaling::corpus::recovery;
+    use lsrp_scenario::cells::Protocol;
 
     /// Corrupts one region of `size` nodes at each of `seeds` on a ring of
     /// `ring_len`, concurrently, and measures the joint recovery.

@@ -8,9 +8,7 @@
 //! loops they replaced.
 
 use lsrp_analysis::RecoveryMetrics;
-use lsrp_scenario::cells::{recovery_cell, EngineModel, RecoveryCellSpec, RegionFault};
-
-use crate::build::Protocol;
+use lsrp_scenario::cells::{recovery_cell, EngineModel, Protocol, RecoveryCellSpec, RegionFault};
 
 /// Runs one (protocol, grid width, perturbation size) cell: a contiguous
 /// region near the destination corner is corrupted small (worst case) with
@@ -75,10 +73,10 @@ pub(crate) mod corpus {
 mod tests {
     use super::corpus::{ints, recovery};
     use super::*;
-    use crate::build::ALL_PROTOCOLS;
     use lsrp_analysis::{measure_recovery, table::fmt_f64, Table};
     use lsrp_faults::corruption::contiguous_region;
     use lsrp_graph::{generators, Distance, NodeId};
+    use lsrp_scenario::cells::ALL_PROTOCOLS;
     use lsrp_scenario::schema::SweepValue;
     use lsrp_scenario::DestinationsSpec;
 
@@ -181,7 +179,7 @@ mod tests {
             let graph = generators::grid(10, 10, 1);
             let dest = v(0);
             let region = contiguous_region(&graph, v(11), 2, dest);
-            let mut sim = crate::build::build(protocol, graph.clone(), dest, None, 1);
+            let mut sim = lsrp_scenario::cells::build(protocol, graph.clone(), dest, None, 1);
             measure_recovery(sim.as_mut(), &region, crate::HORIZON, |s| {
                 for &node in &region {
                     s.corrupt_distance(node, Distance::ZERO);

@@ -11,6 +11,7 @@ use std::collections::BTreeSet;
 
 use lsrp_analysis::{measure_recovery, table::fmt_f64, Table};
 use lsrp_core::{InitialState, LsrpSimulation, LsrpSimulationExt, TimingConfig};
+use lsrp_faults::{CorruptionKind, FaultPlan};
 use lsrp_graph::topologies::{fig1_route_table, paper_fig1, v, FIG1_DESTINATION};
 use lsrp_graph::{generators, Distance, NodeId};
 
@@ -72,11 +73,9 @@ pub fn mistaken_stabilization_run(ratio: f64) -> (usize, f64) {
     let perturbed: BTreeSet<NodeId> = region.iter().copied().collect();
     let m = measure_recovery(&mut sim, &perturbed, HORIZON, |s: &mut LsrpSimulation| {
         for &node in &region {
-            s.corrupt_distance(node, Distance::ZERO);
-            let neighbors: Vec<NodeId> = s.graph().neighbors(node).map(|(k, _)| k).collect();
-            for k in neighbors {
-                s.poison_mirror(k, node, Distance::ZERO);
-            }
+            let small = [(node, CorruptionKind::Distance(Distance::ZERO))];
+            let plan = FaultPlan::forged_routes(s.graph(), small, |n| s.advert(n));
+            plan.apply(s).expect("corruptions always apply");
         }
     });
     assert!(m.quiescent && m.routes_correct);
@@ -129,13 +128,12 @@ pub fn containment_depth_run(p: usize) -> (usize, usize, f64) {
         .build();
     // Corrupt nodes 2 .. 2+p to a huge value, neighborhood poisoned.
     for i in 0..p {
-        let node = NodeId::new(2 + i as u32);
-        let d = Distance::Finite(1_000);
-        sim.corrupt_distance(node, d);
-        let ns: Vec<NodeId> = graph.neighbors(node).map(|(k, _)| k).collect();
-        for k in ns {
-            sim.poison_mirror(k, node, d);
-        }
+        let huge = [(
+            NodeId::new(2 + i as u32),
+            CorruptionKind::Distance(Distance::Finite(1_000)),
+        )];
+        let plan = FaultPlan::forged_routes(&graph, huge, |n| sim.advert(n));
+        plan.apply(&mut sim).expect("corruptions always apply");
     }
     let episodes = lsrp_analysis::track_containment(
         &mut sim as &mut dyn lsrp_analysis::RoutingSimulation,

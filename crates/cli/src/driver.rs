@@ -16,6 +16,8 @@ use lsrp_baselines::{
     PvSimulation,
 };
 use lsrp_core::{InitialState, LsrpSimulation, LsrpSimulationExt};
+use lsrp_faults::loops::loop_plan;
+use lsrp_faults::{CorruptionKind, Fault, FaultPlan};
 use lsrp_graph::{generators, topologies, Graph, NodeId};
 use lsrp_scenario::schema::{ScenarioBody, TraceSection};
 use lsrp_scenario::{
@@ -76,13 +78,13 @@ fn perturbed_by(
         graph
             .has_node(n)
             .then_some(n)
-            .ok_or_else(|| ParseError(format!("{n} is not in the topology")))
+            .ok_or_else(|| ParseError(format!("{} is not in the topology", n.raw())))
     };
     let check_edge = |a: NodeId, b: NodeId| {
-        graph
-            .has_edge(a, b)
-            .then_some(())
-            .ok_or_else(|| ParseError(format!("edge ({a}, {b}) is not in the topology")))
+        graph.has_edge(a, b).then_some(()).ok_or_else(|| {
+            let (a, b) = (a.raw(), b.raw());
+            ParseError(format!("edge ({a}, {b}) is not in the topology"))
+        })
     };
     let perturbed = match *spec {
         FaultSpec::Corrupt(node, _) => BTreeSet::from([check_node(node)?]),
@@ -103,7 +105,9 @@ fn perturbed_by(
             check_edge(a, b)?;
             if w == 0 {
                 return Err(ParseError(format!(
-                    "edge ({a}, {b}) cannot take weight 0: weights are positive"
+                    "edge ({}, {}) cannot take weight 0: weights are positive",
+                    a.raw(),
+                    b.raw()
                 )));
             }
             BTreeSet::from([a, b])
@@ -121,8 +125,9 @@ fn perturbed_by(
             cycle.into_iter().collect()
         }
     };
-    // Mirrors `apply_fault`, which expects every change to succeed; only a
-    // join (self-loop, weight 0, existing edge) can be refused here.
+    // The run applies what `lower` makes and expects every change to
+    // succeed; only a join (self-loop, weight 0, existing edge) can be
+    // refused here.
     match *spec {
         FaultSpec::FailNode(node) => graph.remove_node(node),
         FaultSpec::FailEdge(a, b) => graph.remove_edge(a, b),
@@ -142,37 +147,29 @@ fn loop_cycle(tail: u32, ring_len: u32) -> Vec<NodeId> {
     ring
 }
 
-/// Applies one fault spec, validated by [`perturbed_by`] in order.
-fn apply_fault(sim: &mut dyn RoutingSimulation, spec: &FaultSpec, topo: &TopologySpec) {
-    match *spec {
+/// The faults one spec lowers to on `sim`, as the specs before it left
+/// it (validated by [`perturbed_by`] in order): a corruption or a loop
+/// is forged into the neighbours' mirrors too.
+fn lower(spec: &FaultSpec, sim: &dyn RoutingSimulation, topo: &TopologySpec) -> FaultPlan {
+    let graph = sim.graph();
+    let fault = match *spec {
         FaultSpec::Corrupt(node, d) => {
-            sim.corrupt_distance(node, d);
-            let ns: Vec<NodeId> = sim.graph().neighbors(node).map(|(k, _)| k).collect();
-            for k in ns {
-                sim.poison_mirror(k, node, d);
-            }
+            let corruption = [(node, CorruptionKind::Distance(d))];
+            return FaultPlan::forged_routes(graph, corruption, |n| sim.advert(n));
         }
-        FaultSpec::FailNode(node) => sim.fail_node(node).expect("validated"),
-        FaultSpec::FailEdge(a, b) => sim.fail_edge(a, b).expect("validated"),
-        FaultSpec::JoinEdge(a, b, w) => sim.join_edge(a, b, w).expect("validated"),
-        FaultSpec::SetWeight(a, b, w) => sim.set_weight(a, b, w).expect("validated"),
         FaultSpec::Loop => {
             let TopologySpec::Lollipop(tail, ring_len) = *topo else {
                 unreachable!("validated against the topology");
             };
             let cycle = loop_cycle(tail, ring_len);
-            let assignment = lsrp_faults::loops::cycle_assignment(sim.graph(), &cycle, 1);
-            for &(node, d, p) in &assignment {
-                sim.inject_route(node, d, p);
-            }
-            for &(node, d, _) in &assignment {
-                let ns: Vec<NodeId> = sim.graph().neighbors(node).map(|(k, _)| k).collect();
-                for k in ns {
-                    sim.poison_mirror(k, node, d);
-                }
-            }
+            return loop_plan(graph, &cycle, 1, |n| sim.advert(n));
         }
-    }
+        FaultSpec::FailNode(node) => Fault::FailNode(node),
+        FaultSpec::FailEdge(a, b) => Fault::FailEdge(a, b),
+        FaultSpec::JoinEdge(a, b, w) => Fault::JoinEdge(a, b, w),
+        FaultSpec::SetWeight(a, b, w) => Fault::SetWeight(a, b, w),
+    };
+    FaultPlan::new().with(fault)
 }
 
 fn run_one(
@@ -188,7 +185,8 @@ fn run_one(
     let dest = dest.unwrap_or(natural_dest);
     if !graph.has_node(dest) {
         return Err(ParseError(format!(
-            "destination {dest} is not in the topology"
+            "destination {} is not in the topology",
+            dest.raw()
         )));
     }
     let mut perturbed = BTreeSet::new();
@@ -201,7 +199,8 @@ fn run_one(
     sim.run_to_quiescence(1_000_000.0);
     let metrics = measure_recovery(sim.as_mut(), &perturbed, 5_000_000.0, |s| {
         for f in faults {
-            apply_fault(s, f, topo);
+            let plan = lower(f, s, topo);
+            s.apply_plan(&plan).expect("validated");
         }
     });
 

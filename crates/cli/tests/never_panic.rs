@@ -174,6 +174,32 @@ fn fault_lists_are_checked_in_order_and_never_panic_the_binary() {
     }
 }
 
+/// Errors name nodes as the flags spell them: `99`, not `v99`.
+#[test]
+fn errors_name_nodes_as_flags_spell_them() {
+    for (args, want) in [
+        (
+            "run --topology path:4 --dest 99",
+            "destination 99 is not in the topology",
+        ),
+        (
+            "run --topology path:4 --fault corrupt:99",
+            "99 is not in the topology",
+        ),
+        (
+            "compare --topology path:4 --fault fail-edge:1:3",
+            "edge (1, 3) is not in the topology",
+        ),
+        (
+            "run --topology grid:3x3 --fault weight:0:1:0",
+            "edge (0, 1) cannot take weight 0: weights are positive",
+        ),
+    ] {
+        let err = run_args(&args.split_whitespace().collect::<Vec<_>>()).unwrap_err();
+        assert_eq!(err, want, "{args}");
+    }
+}
+
 /// Joins the graph refuses fail the run with the graph's own message,
 /// before anything runs: an existing edge, a self-loop, weight 0, and a
 /// second join of an edge the first one made.

@@ -234,18 +234,6 @@ pub trait LsrpSimulationExt {
     /// Whether the legitimate-state predicate `L` holds right now.
     fn is_legitimate(&self) -> bool;
 
-    /// Corrupts `p.v` in place.
-    fn corrupt_parent(&mut self, v: NodeId, p: NodeId);
-
-    /// Corrupts `ghost.v` in place.
-    fn corrupt_ghost(&mut self, v: NodeId, ghost: bool);
-
-    /// Corrupts `v`'s mirror of neighbor `about` in place (used to model
-    /// "neighbors have already learned the corrupted value" scenarios).
-    /// A no-op when `about` is not a neighbor of `v`: there is no such
-    /// mirror to corrupt.
-    fn corrupt_mirror(&mut self, v: NodeId, about: NodeId, mirror: Mirror);
-
     /// Arbitrary in-place state mutation.
     fn with_state_mut(&mut self, v: NodeId, f: impl FnOnce(&mut LsrpState));
 }
@@ -271,21 +259,6 @@ impl LsrpSimulationExt for LsrpSimulation {
         legitimacy::is_legitimate(self.engine())
     }
 
-    fn corrupt_parent(&mut self, v: NodeId, p: NodeId) {
-        self.engine_mut().with_node_mut(v, |n| n.state_mut().p = p);
-    }
-
-    fn corrupt_ghost(&mut self, v: NodeId, ghost: bool) {
-        self.engine_mut()
-            .with_node_mut(v, |n| n.state_mut().ghost = ghost);
-    }
-
-    fn corrupt_mirror(&mut self, v: NodeId, about: NodeId, mirror: Mirror) {
-        self.engine_mut().with_node_mut(v, |n| {
-            n.state_mut().neighbors.record(about, &mirror);
-        });
-    }
-
     fn with_state_mut(&mut self, v: NodeId, f: impl FnOnce(&mut LsrpState)) {
         self.engine_mut().with_node_mut(v, |n| f(n.state_mut()));
     }
@@ -295,6 +268,7 @@ impl LsrpSimulationExt for LsrpSimulation {
 mod tests {
     use super::*;
     use lsrp_graph::generators;
+    use lsrp_sim::CorruptionKind;
 
     fn v(i: u32) -> NodeId {
         NodeId::new(i)
@@ -345,7 +319,12 @@ mod tests {
         };
         let mut sim = LsrpSimulation::builder(generators::grid(3, 3, 1), v(0)).build();
         let before = sim.engine().node(v(4)).unwrap().clone();
-        sim.corrupt_mirror(v(4), v(8), forged); // v8 is two hops from v4
+        // v8 is two hops from v4.
+        let forge = CorruptionKind::MirrorOf {
+            about: v(8),
+            mirror: forged,
+        };
+        sim.corrupt(v(4), &forge);
         sim.poison_mirror(v(4), v(8), Distance::ZERO);
         assert_eq!(sim.engine().node(v(4)).unwrap(), &before);
         // The edge appearing later starts unheard on v4's side.
@@ -360,7 +339,7 @@ mod tests {
             .unwrap();
         assert_eq!((row.weight, row.heard), (1, None));
         // About a real neighbor the write lands.
-        sim.corrupt_mirror(v(4), v(8), forged);
+        sim.corrupt(v(4), &forge);
         assert_eq!(
             sim.engine().node(v(4)).unwrap().state().mirror(v(8)),
             forged

@@ -14,7 +14,7 @@
 use std::hash::{Hash, Hasher};
 
 use lsrp_graph::{Distance, NodeId, RouteEntry, Weight};
-use lsrp_sim::{ActionId, Effects, EnabledSet, ForgedAdvert, HarnessProtocol, ProtocolNode};
+use lsrp_sim::{ActionId, CorruptionKind, Effects, EnabledSet, HarnessProtocol, ProtocolNode};
 
 use crate::predicates::{self, Guards};
 use crate::state::{LsrpMsg, LsrpState, Mirror, NeighborExt};
@@ -367,24 +367,18 @@ impl HarnessProtocol for LsrpNode {
     const NAME: &'static str = "LSRP";
     type Meta = TimingConfig;
 
-    fn corrupt_distance(&mut self, d: Distance, _dest: NodeId) {
-        self.state.d = d;
-    }
-
-    fn poison_mirror(&mut self, about: NodeId, advert: ForgedAdvert, _dest: NodeId) {
-        self.state.neighbors.record(
-            about,
-            &Mirror {
-                d: advert.d,
-                p: advert.parent,
-                ghost: advert.ghost,
-            },
-        );
-    }
-
-    fn inject_route(&mut self, d: Distance, p: NodeId, _dest: NodeId) {
-        self.state.d = d;
-        self.state.p = p;
+    fn corrupt(&mut self, kind: &CorruptionKind, _dest: NodeId) {
+        let s = &mut self.state;
+        match *kind {
+            CorruptionKind::Distance(d) => s.d = d,
+            CorruptionKind::Parent(p) => s.p = p,
+            CorruptionKind::Route { d, p } => (s.d, s.p) = (d, p),
+            CorruptionKind::Ghost(ghost) => s.ghost = ghost,
+            CorruptionKind::Timestamp(t) => s.t_last = t,
+            CorruptionKind::MirrorOf { about, mirror } => {
+                s.neighbors.record(about, &mirror);
+            }
+        }
     }
 }
 

@@ -19,27 +19,7 @@ use lsrp_graph::{Distance, NodeId, RouteEntry, Weight};
 use lsrp_sim::NeighborTable;
 
 /// A node's view of one neighbor's latest broadcast `(d, p, ghost)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Mirror {
-    /// Mirrored distance `d.k.v`.
-    pub d: Distance,
-    /// Mirrored parent `p.k.v`.
-    pub p: NodeId,
-    /// Mirrored containment flag `ghost.k.v`.
-    pub ghost: bool,
-}
-
-impl Mirror {
-    /// The default mirror for a neighbor `k` nothing has been heard from:
-    /// no route, not in containment.
-    pub fn unknown(k: NodeId) -> Self {
-        Mirror {
-            d: Distance::Infinite,
-            p: k,
-            ghost: false,
-        }
-    }
-}
+pub use lsrp_sim::Mirror;
 
 /// The message LSRP nodes broadcast: the sender's current
 /// `(d, p, ghost)`. The paper's actions broadcast only the variables they

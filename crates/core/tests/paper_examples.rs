@@ -9,7 +9,7 @@ use lsrp_core::InitialState;
 use lsrp_core::{LsrpSimulation, LsrpSimulationExt, Mirror, TimingConfig};
 use lsrp_graph::topologies::{fig1_route_table, paper_fig1, v, FIG1_DESTINATION};
 use lsrp_graph::Distance;
-use lsrp_sim::SimTime;
+use lsrp_sim::{CorruptionKind, SimTime};
 
 fn paper_sim() -> LsrpSimulation {
     LsrpSimulation::builder(paper_fig1(), FIG1_DESTINATION)
@@ -32,8 +32,20 @@ fn figure5_ideal_containment_of_corrupted_v9() {
         p: v(13),
         ghost: false,
     };
-    sim.corrupt_mirror(v(7), v(9), poisoned);
-    sim.corrupt_mirror(v(8), v(9), poisoned);
+    sim.corrupt(
+        v(7),
+        &CorruptionKind::MirrorOf {
+            about: v(9),
+            mirror: poisoned,
+        },
+    );
+    sim.corrupt(
+        v(8),
+        &CorruptionKind::MirrorOf {
+            about: v(9),
+            mirror: poisoned,
+        },
+    );
 
     let report = sim.run_to_quiescence(1_000.0);
     assert!(report.quiescent);
@@ -82,13 +94,15 @@ fn figure5_ideal_containment_of_corrupted_v9() {
 fn figure6_supercontainment_chases_mistaken_containment() {
     let mut sim = paper_sim();
     sim.corrupt_distance(v(11), Distance::Finite(2));
-    sim.corrupt_mirror(
+    sim.corrupt(
         v(13),
-        v(11),
-        Mirror {
-            d: Distance::Finite(2),
-            p: v(2),
-            ghost: false,
+        &CorruptionKind::MirrorOf {
+            about: v(11),
+            mirror: Mirror {
+                d: Distance::Finite(2),
+                p: v(2),
+                ghost: false,
+            },
         },
     );
 
@@ -136,13 +150,15 @@ fn figure6_supercontainment_chases_mistaken_containment() {
 fn figure6_contamination_range_is_two() {
     let mut sim = paper_sim();
     sim.corrupt_distance(v(11), Distance::Finite(2));
-    sim.corrupt_mirror(
+    sim.corrupt(
         v(13),
-        v(11),
-        Mirror {
-            d: Distance::Finite(2),
-            p: v(2),
-            ghost: false,
+        &CorruptionKind::MirrorOf {
+            about: v(11),
+            mirror: Mirror {
+                d: Distance::Finite(2),
+                p: v(2),
+                ghost: false,
+            },
         },
     );
     sim.run_to_quiescence(1_000.0);

@@ -13,6 +13,7 @@ use proptest::prelude::*;
 
 use lsrp_core::{InitialState, LsrpSimulation, LsrpSimulationExt, TimingConfig};
 use lsrp_graph::{generators, Distance, NodeId};
+use lsrp_sim::CorruptionKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -128,7 +129,7 @@ proptest! {
         };
         let neighbors: Vec<NodeId> = sim.graph().neighbors(victim).map(|(k, _)| k).collect();
         for k in neighbors {
-            sim.corrupt_mirror(k, victim, m);
+            sim.corrupt(k, &CorruptionKind::MirrorOf { about: victim, mirror: m });
         }
         prop_assert!(!sim.route_table().has_routing_loop(dest));
 
@@ -207,7 +208,7 @@ proptest! {
             .seed(state_seed)
             .build();
         for node in ghosted {
-            sim.corrupt_ghost(node, true);
+            sim.corrupt(node, &CorruptionKind::Ghost(true));
         }
 
         let mut loop_since: Option<f64> = None;
@@ -268,7 +269,7 @@ proptest! {
             let neighbors: Vec<NodeId> =
                 sim.graph().neighbors(r).map(|(k, _)| k).collect();
             for k in neighbors {
-                sim.corrupt_mirror(k, r, lsrp_core::Mirror { d, p, ghost: false });
+                sim.corrupt(k, &CorruptionKind::MirrorOf { about: r, mirror: lsrp_core::Mirror { d, p, ghost: false } });
             }
         }
         prop_assert!(sim.route_table().has_routing_loop(dest));

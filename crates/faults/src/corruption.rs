@@ -11,10 +11,10 @@ use std::collections::{BTreeSet, VecDeque};
 
 use rand::Rng;
 
-use lsrp_core::Mirror;
 use lsrp_graph::{Distance, Graph, NodeId};
+use lsrp_sim::Mirror;
 
-use crate::fault::{CorruptionKind, Fault};
+use crate::fault::CorruptionKind;
 use crate::plan::FaultPlan;
 
 /// Grows a contiguous region of (up to) `size` nodes from `seed` by
@@ -68,7 +68,9 @@ pub fn random_distance<R: Rng>(rng: &mut R, true_distance: Distance, max_d: u64)
 
 /// Builds a corruption plan for one contiguous region: every region node's
 /// distance is corrupted (per [`random_distance`]), and every neighbor of a
-/// region node has its mirror poisoned to the corrupted value.
+/// region node has its mirror poisoned to the corrupted value
+/// ([`FaultPlan::forged_routes`], one region node at a time, each with
+/// its parent in `current_parents`).
 ///
 /// The returned plan's perturbation (per [`FaultPlan::perturbation`]) is
 /// exactly the region.
@@ -80,26 +82,17 @@ pub fn corrupt_region_plan<R: Rng>(
     rng: &mut R,
 ) -> FaultPlan {
     let max_d = (graph.node_count() as u64) * 2 + 4;
-    let mut plan = FaultPlan::new();
-    for &node in region {
-        let d = random_distance(rng, true_distances.distance(node), max_d);
-        plan.faults.push(Fault::Corrupt {
-            node,
-            kind: CorruptionKind::Distance(d),
-        });
-        // Poison the neighborhood's view.
-        let p = current_parents.entry(node).map_or(node, |e| e.parent);
-        for (k, _) in graph.neighbors(node) {
-            plan.faults.push(Fault::Corrupt {
-                node: k,
-                kind: CorruptionKind::MirrorOf {
-                    about: node,
-                    mirror: Mirror { d, p, ghost: false },
-                },
-            });
-        }
-    }
-    plan
+    (region.iter())
+        .flat_map(|&node| {
+            let d = random_distance(rng, true_distances.distance(node), max_d);
+            let p = current_parents.entry(node).map_or(node, |e| e.parent);
+            let corruption = [(node, CorruptionKind::Distance(d))];
+            FaultPlan::forged_routes(graph, corruption, |_| Mirror {
+                p,
+                ..Mirror::unknown(node)
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

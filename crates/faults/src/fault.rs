@@ -1,30 +1,12 @@
-//! Declarative fault descriptions and their application to a running LSRP
-//! simulation.
+//! Declarative fault descriptions and their application to a running
+//! simulation of any protocol.
 
 use std::fmt;
 
-use lsrp_core::{LsrpSimulation, LsrpSimulationExt, Mirror};
-use lsrp_graph::{Distance, GraphError, NodeId, Weight};
-
-/// In-place corruption of one node's state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CorruptionKind {
-    /// Overwrite `d.v`.
-    Distance(Distance),
-    /// Overwrite `p.v`.
-    Parent(NodeId),
-    /// Overwrite `ghost.v`.
-    Ghost(bool),
-    /// Overwrite the broadcast timestamp `t.v` (local-clock seconds).
-    Timestamp(f64),
-    /// Overwrite `v`'s mirror of `about`.
-    MirrorOf {
-        /// The neighbor whose mirror is corrupted.
-        about: NodeId,
-        /// The forged mirror content.
-        mirror: Mirror,
-    },
-}
+use lsrp_core::LsrpSimulation;
+use lsrp_graph::{GraphError, NodeId, Weight};
+pub use lsrp_sim::CorruptionKind;
+use lsrp_sim::{HarnessProtocol, SimHarness};
 
 /// One fault from the paper's fault model.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,7 +50,10 @@ impl Fault {
             Fault::Corrupt {
                 node,
                 kind:
-                    CorruptionKind::Distance(_) | CorruptionKind::Parent(_) | CorruptionKind::Ghost(_),
+                    CorruptionKind::Distance(_)
+                    | CorruptionKind::Parent(_)
+                    | CorruptionKind::Route { .. }
+                    | CorruptionKind::Ghost(_),
             } => Some(*node),
             _ => None,
         }
@@ -79,27 +64,19 @@ impl Fault {
         !matches!(self, Fault::Corrupt { .. })
     }
 
-    /// Applies the fault to a running LSRP simulation.
+    /// Applies the fault to a running simulation: a corruption through
+    /// [`HarnessProtocol::corrupt`], a topology change through the
+    /// engine.
     ///
     /// # Errors
     ///
     /// Propagates [`GraphError`] from topology faults referencing unknown
     /// nodes or edges. Corruptions of unknown nodes are silently ignored
     /// (the node may have fail-stopped earlier in the plan).
-    pub fn apply_lsrp(&self, sim: &mut LsrpSimulation) -> Result<(), GraphError> {
+    pub fn apply<P: HarnessProtocol>(&self, sim: &mut SimHarness<P>) -> Result<(), GraphError> {
         match self {
             Fault::Corrupt { node, kind } => {
-                match *kind {
-                    CorruptionKind::Distance(d) => sim.corrupt_distance(*node, d),
-                    CorruptionKind::Parent(p) => sim.corrupt_parent(*node, p),
-                    CorruptionKind::Ghost(g) => sim.corrupt_ghost(*node, g),
-                    CorruptionKind::Timestamp(t) => {
-                        sim.with_state_mut(*node, |s| s.t_last = t);
-                    }
-                    CorruptionKind::MirrorOf { about, mirror } => {
-                        sim.corrupt_mirror(*node, about, mirror);
-                    }
-                }
+                sim.corrupt(*node, kind);
                 Ok(())
             }
             Fault::FailNode(v) => sim.fail_node(*v),
@@ -109,6 +86,15 @@ impl Fault {
             Fault::SetWeight(a, b, w) => sim.set_weight(*a, *b, *w),
         }
     }
+
+    /// [`Fault::apply`] on an LSRP simulation.
+    ///
+    /// # Errors
+    ///
+    /// As [`Fault::apply`].
+    pub fn apply_lsrp(&self, sim: &mut LsrpSimulation) -> Result<(), GraphError> {
+        self.apply(sim)
+    }
 }
 
 impl fmt::Display for Fault {
@@ -117,6 +103,7 @@ impl fmt::Display for Fault {
             Fault::Corrupt { node, kind } => match kind {
                 CorruptionKind::Distance(d) => write!(f, "corrupt d.{node} := {d}"),
                 CorruptionKind::Parent(p) => write!(f, "corrupt p.{node} := {p}"),
+                CorruptionKind::Route { d, p } => write!(f, "corrupt (d, p).{node} := ({d}, {p})"),
                 CorruptionKind::Ghost(g) => write!(f, "corrupt ghost.{node} := {g}"),
                 CorruptionKind::Timestamp(t) => write!(f, "corrupt t.{node} := {t}"),
                 CorruptionKind::MirrorOf { about, .. } => {
@@ -135,7 +122,8 @@ impl fmt::Display for Fault {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsrp_graph::generators;
+    use lsrp_core::LsrpSimulationExt;
+    use lsrp_graph::{generators, Distance};
 
     fn v(i: u32) -> NodeId {
         NodeId::new(i)
@@ -186,5 +174,14 @@ mod tests {
         assert!(Fault::FailNode(v(1)).is_topological());
         assert_eq!(Fault::FailNode(v(1)).corrupted_node(), None);
         assert_eq!(c.to_string(), "corrupt ghost.v1 := true");
+        let route = Fault::Corrupt {
+            node: v(1),
+            kind: CorruptionKind::Route {
+                d: Distance::ZERO,
+                p: v(1),
+            },
+        };
+        assert_eq!(route.corrupted_node(), Some(v(1)));
+        assert_eq!(route.to_string(), "corrupt (d, p).v1 := (0, v1)");
     }
 }

@@ -5,10 +5,13 @@
 //! neighbor mirrors — to any value), and edge weights change. This crate
 //! provides:
 //!
-//! * [`Fault`] — a declarative description of one fault, applicable to an
-//!   [`lsrp_core::LsrpSimulation`] (the analysis crate translates the
-//!   protocol-agnostic subset for the baselines);
-//! * [`plan`] — fault plans plus the exact perturbation-size accounting of
+//! * [`Fault`] — a declarative description of one fault, applied to a
+//!   simulation of any protocol by [`Fault::apply`]; state corruption is
+//!   a [`CorruptionKind`] (defined in `lsrp_sim`, which every protocol
+//!   lands through its one hook);
+//! * [`plan`] — fault plans, the forged-route builder
+//!   ([`FaultPlan::forged_routes`]: a corruption the neighbours have
+//!   already learned), plus the exact perturbation-size accounting of
 //!   §III (via `lsrp_graph::concepts`);
 //! * [`corruption`] — random corruption generators with a target
 //!   *perturbation region* (contiguous node sets of a chosen size);

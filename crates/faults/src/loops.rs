@@ -4,10 +4,10 @@
 //! the edge weight, except at the unavoidable wrap-around seam — is the
 //! hardest case: no node on it looks locally wrong except one.
 
-use lsrp_core::Mirror;
 use lsrp_graph::{Distance, Graph, NodeId, Weight};
+use lsrp_sim::Mirror;
 
-use crate::fault::{CorruptionKind, Fault};
+use crate::fault::CorruptionKind;
 use crate::plan::FaultPlan;
 
 /// The `(node, distance, parent)` assignment that turns `cycle` into a
@@ -41,31 +41,20 @@ pub fn cycle_assignment(
     out
 }
 
-/// Builds the fault plan injecting the loop: corrupts `(d, p)` around the
-/// cycle and poisons every neighbor's mirror of each cycle node, so the
-/// perturbation has fully "settled into everyone's view".
-pub fn loop_plan(graph: &Graph, cycle: &[NodeId], base: u64) -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    for (node, d, p) in cycle_assignment(graph, cycle, base) {
-        plan.faults.push(Fault::Corrupt {
-            node,
-            kind: CorruptionKind::Distance(d),
-        });
-        plan.faults.push(Fault::Corrupt {
-            node,
-            kind: CorruptionKind::Parent(p),
-        });
-        for (k, _) in graph.neighbors(node) {
-            plan.faults.push(Fault::Corrupt {
-                node: k,
-                kind: CorruptionKind::MirrorOf {
-                    about: node,
-                    mirror: Mirror { d, p, ghost: false },
-                },
-            });
-        }
-    }
-    plan
+/// Builds the fault plan injecting the loop: overwrites `(d, p)` around
+/// the cycle, then poisons every neighbor's mirror of each cycle node
+/// ([`FaultPlan::forged_routes`]; `advert` reads a node's containment
+/// flag), so the perturbation has fully "settled into everyone's view".
+pub fn loop_plan(
+    graph: &Graph,
+    cycle: &[NodeId],
+    base: u64,
+    advert: impl Fn(NodeId) -> Mirror,
+) -> FaultPlan {
+    let routes = cycle_assignment(graph, cycle, base)
+        .into_iter()
+        .map(|(node, d, p)| (node, CorruptionKind::Route { d, p }));
+    FaultPlan::forged_routes(graph, routes, advert)
 }
 
 #[cfg(test)]
@@ -104,7 +93,8 @@ mod tests {
         let mut sim = LsrpSimulation::builder(g.clone(), dest)
             .initial_state(InitialState::Legitimate)
             .build();
-        loop_plan(&g, &ring, 50).apply_lsrp(&mut sim).unwrap();
+        let plan = loop_plan(&g, &ring, 50, |n| sim.advert(n));
+        plan.apply(&mut sim).unwrap();
         assert!(sim.route_table().has_routing_loop(dest));
         let report = sim.run_to_quiescence(100_000.0);
         assert!(report.quiescent);
@@ -118,7 +108,7 @@ mod tests {
         let ring = generators::lollipop_ring(2, 5);
         let dest = v(0);
         let table = lsrp_graph::RouteTable::legitimate(&g, dest);
-        let plan = loop_plan(&g, &ring, 50);
+        let plan = loop_plan(&g, &ring, 50, Mirror::unknown);
         let p = plan.perturbation(&g, dest, &table).unwrap();
         assert_eq!(p.size(), 5);
     }

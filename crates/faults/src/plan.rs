@@ -2,11 +2,11 @@
 
 use std::collections::BTreeSet;
 
-use lsrp_core::LsrpSimulation;
 use lsrp_graph::concepts::{Perturbation, TopologyChange};
 use lsrp_graph::{Graph, GraphError, NodeId, RouteTable};
+use lsrp_sim::{HarnessProtocol, Mirror, SimHarness};
 
-use crate::fault::Fault;
+use crate::fault::{CorruptionKind, Fault};
 
 /// A batch of faults hitting the system at one instant, with the machinery
 /// to compute the resulting perturbation size per Definition 1.
@@ -41,16 +41,41 @@ impl FaultPlan {
         self
     }
 
+    /// Corrupts each listed node as its kind says, then has the
+    /// neighbourhood learn the result: one [`CorruptionKind::MirrorOf`]
+    /// per live neighbour of each node, in list order, carrying the
+    /// node's advert (`advert(node)`, read before the plan) as its
+    /// corruption leaves it — "the neighbors have already learned the
+    /// corrupted value", the worst case for containment. A node whose
+    /// corruption should land before its neighbours hear of the next
+    /// node's takes a plan of its own.
+    pub fn forged_routes(
+        graph: &Graph,
+        corruptions: impl IntoIterator<Item = (NodeId, CorruptionKind)>,
+        advert: impl Fn(NodeId) -> Mirror,
+    ) -> FaultPlan {
+        let corruptions: Vec<_> = corruptions.into_iter().collect();
+        let mut plan: FaultPlan = (corruptions.iter())
+            .map(|&(node, kind)| Fault::Corrupt { node, kind })
+            .collect();
+        for (about, kind) in corruptions {
+            let mirror = kind.advertised(advert(about));
+            plan.faults
+                .extend(graph.neighbors(about).map(|(node, _)| Fault::Corrupt {
+                    node,
+                    kind: CorruptionKind::MirrorOf { about, mirror },
+                }));
+        }
+        plan
+    }
+
     /// Applies every fault to the simulation, in order.
     ///
     /// # Errors
     ///
     /// Stops at and propagates the first topology error.
-    pub fn apply_lsrp(&self, sim: &mut LsrpSimulation) -> Result<(), GraphError> {
-        for f in &self.faults {
-            f.apply_lsrp(sim)?;
-        }
-        Ok(())
+    pub fn apply<P: HarnessProtocol>(&self, sim: &mut SimHarness<P>) -> Result<(), GraphError> {
+        self.faults.iter().try_for_each(|f| f.apply(sim))
     }
 
     /// The topology after applying this plan's topological faults to
@@ -105,6 +130,15 @@ impl FaultPlan {
         );
         p.corrupted = corrupted;
         Ok(p)
+    }
+}
+
+impl IntoIterator for FaultPlan {
+    type Item = Fault;
+    type IntoIter = std::vec::IntoIter<Fault>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.faults.into_iter()
     }
 }
 

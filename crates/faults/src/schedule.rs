@@ -16,9 +16,9 @@
 
 use std::fmt;
 
-use lsrp_core::{LsrpSimulation, Mirror};
+use lsrp_core::LsrpSimulation;
 use lsrp_graph::{Distance, NodeId, Weight};
-use lsrp_sim::RunReport;
+use lsrp_sim::{Mirror, RunReport};
 
 use crate::fault::{CorruptionKind, Fault};
 
@@ -156,7 +156,7 @@ impl FaultSchedule {
             if e.at > sim.now().seconds() {
                 sim.run_until(e.at);
             }
-            let _ = e.fault.apply_lsrp(sim);
+            let _ = e.fault.apply(sim);
         }
         sim.run_to_quiescence(horizon)
     }
@@ -235,6 +235,13 @@ fn fault_to_text(fault: &Fault) -> String {
                     format!("corrupt-d {v} {}", distance_to_text(*d))
                 }
                 CorruptionKind::Parent(p) => format!("corrupt-p {v} {}", node_to_text(*p)),
+                CorruptionKind::Route { d, p } => {
+                    format!(
+                        "corrupt-route {v} {} {}",
+                        distance_to_text(*d),
+                        node_to_text(*p)
+                    )
+                }
                 CorruptionKind::Ghost(g) => format!("corrupt-ghost {v} {g}"),
                 CorruptionKind::Timestamp(t) => format!("corrupt-t {v} {t}"),
                 CorruptionKind::MirrorOf { about, mirror } => format!(
@@ -308,6 +315,13 @@ fn parse_fault(text: &str) -> Result<Fault, String> {
         "corrupt-p" => Fault::Corrupt {
             node: parse_node(&next("node")?)?,
             kind: CorruptionKind::Parent(parse_node(&next("parent")?)?),
+        },
+        "corrupt-route" => Fault::Corrupt {
+            node: parse_node(&next("node")?)?,
+            kind: CorruptionKind::Route {
+                d: parse_distance(&next("distance")?)?,
+                p: parse_node(&next("parent")?)?,
+            },
         },
         "corrupt-ghost" => Fault::Corrupt {
             node: parse_node(&next("node")?)?,
@@ -429,7 +443,18 @@ mod tests {
 
     #[test]
     fn text_round_trips() {
-        let s = sample_schedule();
+        let route = CorruptionKind::Route {
+            d: Distance::Finite(4),
+            p: v(3),
+        };
+        let s = sample_schedule().with(
+            14.0,
+            Fault::Corrupt {
+                node: v(2),
+                kind: route,
+            },
+        );
+        assert!(s.to_text().contains("14 corrupt-route v2 4 v3\n"));
         let text = s.to_text();
         let back = FaultSchedule::parse(&text).unwrap();
         assert_eq!(back, s);

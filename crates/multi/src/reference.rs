@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use lsrp_core::{LsrpMsg, LsrpNode, LsrpState, TimingConfig};
 use lsrp_graph::{Distance, Graph, NodeId, RouteEntry, RouteTable, Weight};
 use lsrp_sim::{
-    ActionId, Effects, EnabledSet, Engine, EngineConfig, ForgedAdvert, HarnessProtocol,
+    ActionId, CorruptionKind, Effects, EnabledSet, Engine, EngineConfig, HarnessProtocol,
     ProtocolNode, SimHarness,
 };
 
@@ -166,21 +166,9 @@ impl HarnessProtocol for ReferenceMultiNode {
     const NAME: &'static str = "LSRP-MULTI-REF";
     type Meta = MultiMeta;
 
-    fn corrupt_distance(&mut self, d: Distance, dest: NodeId) {
+    fn corrupt(&mut self, kind: &CorruptionKind, dest: NodeId) {
         if let Some(i) = self.instance_mut(dest) {
-            i.corrupt_distance(d, dest);
-        }
-    }
-
-    fn poison_mirror(&mut self, about: NodeId, advert: ForgedAdvert, dest: NodeId) {
-        if let Some(i) = self.instance_mut(dest) {
-            i.poison_mirror(about, advert, dest);
-        }
-    }
-
-    fn inject_route(&mut self, d: Distance, p: NodeId, dest: NodeId) {
-        if let Some(i) = self.instance_mut(dest) {
-            i.inject_route(d, p, dest);
+            i.corrupt(kind, dest);
         }
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use lsrp_core::{LsrpState, Mirror, TimingConfig};
 use lsrp_graph::{Distance, Graph, NodeId, RouteTable};
-use lsrp_sim::{Engine, EngineConfig, ForgedAdvert, HarnessProtocol, SimHarness};
+use lsrp_sim::{CorruptionKind, Engine, EngineConfig, HarnessProtocol, SimHarness};
 
 use crate::dest::DestTable;
 use crate::node::MultiLsrpNode;
@@ -49,21 +49,9 @@ impl HarnessProtocol for MultiLsrpNode {
     const NAME: &'static str = "LSRP-MULTI";
     type Meta = MultiMeta;
 
-    fn corrupt_distance(&mut self, d: Distance, dest: NodeId) {
+    fn corrupt(&mut self, kind: &CorruptionKind, dest: NodeId) {
         if let Some(i) = self.instance_mut(dest) {
-            i.corrupt_distance(d, dest);
-        }
-    }
-
-    fn poison_mirror(&mut self, about: NodeId, advert: ForgedAdvert, dest: NodeId) {
-        if let Some(i) = self.instance_mut(dest) {
-            i.poison_mirror(about, advert, dest);
-        }
-    }
-
-    fn inject_route(&mut self, d: Distance, p: NodeId, dest: NodeId) {
-        if let Some(i) = self.instance_mut(dest) {
-            i.inject_route(d, p, dest);
+            i.corrupt(kind, dest);
         }
     }
 }

@@ -241,42 +241,6 @@ pub fn build_held(
     }
 }
 
-/// Applies the protocol-agnostic subset of a fault plan through the
-/// [`RoutingSimulation`] interface.
-pub fn apply_plan_generic(sim: &mut dyn RoutingSimulation, plan: &FaultPlan) {
-    for f in &plan.faults {
-        match f {
-            Fault::Corrupt { node, kind } => match *kind {
-                CorruptionKind::Distance(d) => sim.corrupt_distance(*node, d),
-                CorruptionKind::Parent(p) => {
-                    let d = sim
-                        .route_table()
-                        .entry(*node)
-                        .map_or(Distance::Infinite, |e| e.distance);
-                    sim.inject_route(*node, d, p);
-                }
-                CorruptionKind::MirrorOf { about, mirror } => {
-                    sim.poison_mirror(*node, about, mirror.d);
-                }
-                CorruptionKind::Ghost(_) | CorruptionKind::Timestamp(_) => {
-                    // LSRP-specific variables; no-ops for the baselines and
-                    // unused by the generic experiments.
-                }
-            },
-            Fault::FailNode(n) => sim.fail_node(*n).expect("node exists"),
-            Fault::FailEdge(a, b) => sim.fail_edge(*a, *b).expect("edge exists"),
-            Fault::JoinEdge(a, b, w) => sim.join_edge(*a, *b, *w).expect("edge is new"),
-            Fault::SetWeight(a, b, w) => sim.set_weight(*a, *b, *w).expect("edge exists"),
-            Fault::JoinNode { node, edges } => {
-                // Best-effort: a rejoin can race earlier faults in the same
-                // plan (a listed neighbor may itself have failed), so an
-                // invalid join is skipped rather than aborting the plan.
-                let _ = sim.join_node(*node, edges);
-            }
-        }
-    }
-}
-
 /// How a recovery cell perturbs its contiguous region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegionFault {
@@ -363,26 +327,42 @@ pub fn recovery_cell(spec: &RecoveryCellSpec) -> RecoveryMetrics {
             build_held(spec.protocol, graph.clone(), dest, engine, timing)
         }
     };
-    match spec.fault {
+    let plan = match spec.fault {
         RegionFault::CorruptPlan => {
             let sp = ShortestPaths::dijkstra(&graph, dest);
             let table = sim.route_table();
             let mut rng = StdRng::seed_from_u64(spec.seed);
-            let plan = corrupt_region_plan(&graph, &region, &sp, &table, &mut rng);
-            measure_recovery(sim.as_mut(), &region, HORIZON, |s| {
-                apply_plan_generic(s, &plan);
-            })
+            corrupt_region_plan(&graph, &region, &sp, &table, &mut rng)
         }
-        RegionFault::Blackhole => measure_recovery(sim.as_mut(), &region, HORIZON, |s| {
-            for &node in &region {
-                s.corrupt_distance(node, Distance::ZERO);
-                let ns: Vec<NodeId> = graph.neighbors(node).map(|(k, _)| k).collect();
-                for k in ns {
-                    s.poison_mirror(k, node, Distance::ZERO);
-                }
-            }
+        RegionFault::Blackhole => forged_region(&graph, &region, sim.as_ref(), |_| {
+            CorruptionKind::Distance(Distance::ZERO)
         }),
+    };
+    measure_recovery(sim.as_mut(), &region, HORIZON, |s| {
+        s.apply_plan(&plan).expect("corruptions always apply");
+    })
+}
+
+/// A hijacker claims to be the destination.
+fn hijack(node: NodeId) -> CorruptionKind {
+    CorruptionKind::Route {
+        d: Distance::ZERO,
+        p: node,
     }
+}
+
+/// Each region node takes its corruption and its neighbourhood learns
+/// it before the next node's lands ([`FaultPlan::forged_routes`] one
+/// node at a time).
+fn forged_region(
+    graph: &Graph,
+    region: &BTreeSet<NodeId>,
+    sim: &dyn RoutingSimulation,
+    kind: impl Fn(NodeId) -> CorruptionKind,
+) -> FaultPlan {
+    (region.iter())
+        .flat_map(|&node| FaultPlan::forged_routes(graph, [(node, kind(node))], |n| sim.advert(n)))
+        .collect()
 }
 
 /// One concurrent-regions case (E7, Lemmas 2–3): every listed region —
@@ -415,7 +395,7 @@ pub fn region_case_cell(
     }
     measure_recovery(sim.as_mut(), &perturbed, HORIZON, |s| {
         for plan in &plans {
-            apply_plan_generic(s, plan);
+            s.apply_plan(plan).expect("corruptions always apply");
         }
     })
 }
@@ -566,13 +546,8 @@ pub fn snapshot_hijack_cell(
     let region = corner_region(&graph, w, p);
     let mut sim = build(protocol, graph.clone(), dest, None, seed);
     sim.reset_trace();
-    for &node in &region {
-        sim.inject_route(node, Distance::ZERO, node);
-        let ns: Vec<NodeId> = graph.neighbors(node).map(|(k, _)| k).collect();
-        for k in ns {
-            sim.poison_mirror(k, node, Distance::ZERO);
-        }
-    }
+    let plan = forged_region(&graph, &region, sim.as_ref(), hijack);
+    sim.apply_plan(&plan).expect("corruptions always apply");
     let trace = measure_availability(sim.as_mut(), HORIZON, sample_every);
     assert!(sim.routes_correct(), "{protocol:?} did not recover");
     trace
@@ -668,13 +643,8 @@ pub fn live_hijack_cell(spec: &LiveHijackSpec) -> LiveHijackOutcome {
     // topology is untouched, so the monitor's stretch truth stays valid
     // and flows can always recover by retransmission.
     let region = corner_region(&graph, w, spec.p);
-    for &node in &region {
-        sim.inject_route(node, Distance::ZERO, node);
-        let neighbors: Vec<NodeId> = graph.neighbors(node).map(|(k, _)| k).collect();
-        for k in neighbors {
-            sim.poison_mirror(k, node, Distance::ZERO);
-        }
-    }
+    let plan = forged_region(&graph, &region, &sim, hijack);
+    plan.apply(&mut sim).expect("corruptions always apply");
 
     // Keep traffic flowing through the recovery until the control plane,
     // the packet lane and (with a transport) every Go-Back-N flow drain
@@ -713,6 +683,17 @@ pub fn live_hijack_cell(spec: &LiveHijackSpec) -> LiveHijackOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn builders_produce_matching_steady_states() {
+        for p in ALL_PROTOCOLS {
+            let mut sim = build(p, generators::grid(3, 3, 1), NodeId::new(0), None, 1);
+            let report = sim.run_to_quiescence(1_000.0);
+            assert!(report.quiescent);
+            assert_eq!(sim.trace().total_actions(), 0);
+            assert!(sim.routes_correct());
+        }
+    }
 
     #[test]
     fn recovery_cells_are_pure_functions_of_their_spec() {

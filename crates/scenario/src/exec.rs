@@ -740,6 +740,7 @@ fn campaign_report(
     let (graph, natural_dest) = c.topology.build(c.topology_seed());
     let dest = c.destination.unwrap_or(natural_dest);
     if !graph.has_node(dest) {
+        let dest = dest.raw();
         return Err(format!("destination {dest} is not in the topology"));
     }
     let topology = c.topology.to_string();

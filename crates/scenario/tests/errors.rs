@@ -531,3 +531,16 @@ fn scenario_text_echoes_node_ids_as_the_file_writes_them() {
          period, jitter and occurrences must match across tables"
     );
 }
+
+#[test]
+fn a_destination_outside_the_topology_is_named_as_the_file_spells_it() {
+    let src = "[scenario]\n\
+               name = \"x\"\n\
+               kind = \"chaos\"\n\
+               [topology]\n\
+               spec = \"grid:3x3\"\n\
+               destination = 99\n";
+    let scenario = load_str(src).expect("scenario parses");
+    let err = run_scenario(&scenario, ExecOptions::default()).expect_err("no such node");
+    assert_eq!(err, "destination 99 is not in the topology");
+}

@@ -4,11 +4,11 @@
 //! (`LsrpSimulation`, `DbfSimulation`, …) re-implementing the same dozen
 //! delegating methods. [`SimHarness`] implements them once, generically;
 //! protocols plug in through [`HarnessProtocol`], a small extension of
-//! [`ProtocolNode`] that adds the protocol-specific fault hooks (state
-//! corruption, mirror poisoning, route injection). Protocol crates expose
-//! their old names as type aliases (`type LsrpSimulation =
-//! SimHarness<LsrpNode>`) plus extension traits for protocol-specific
-//! conveniences.
+//! [`ProtocolNode`] that adds one fault hook: [`HarnessProtocol::corrupt`]
+//! lands a [`CorruptionKind`], the one vocabulary of state corruption.
+//! Protocol crates expose their old names as type aliases (`type
+//! LsrpSimulation = SimHarness<LsrpNode>`) plus extension traits for
+//! protocol-specific conveniences.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -21,29 +21,75 @@ use crate::time::SimTime;
 use crate::trace::Trace;
 use crate::view::{RouteCursor, RouteDelta, RouteView};
 
-/// A forged route advertisement, as planted into a node's mirror of a
-/// neighbor by the *mirror poisoning* fault class.
-///
-/// The harness forges the advertisement from the poisoned-about node's
-/// current public state (parent, containment flag) with the attacker's
-/// distance substituted — each protocol maps it onto whatever its mirrors
-/// store.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ForgedAdvert {
-    /// The advertised (forged) distance.
+/// A node's routing state `(d, p, ghost)` as a neighbour mirrors it: what
+/// a node advertises, and what a mirror corruption forges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Mirror {
+    /// Mirrored distance `d.k.v`.
     pub d: Distance,
-    /// The advertised parent.
-    pub parent: NodeId,
-    /// The advertised containment flag (protocols without containment
-    /// ignore it).
+    /// Mirrored parent `p.k.v`.
+    pub p: NodeId,
+    /// Mirrored containment flag `ghost.k.v`.
     pub ghost: bool,
 }
 
-/// A [`ProtocolNode`] that can run under [`SimHarness`]: adds the
-/// protocol-specific fault hooks the unified measurement interface needs.
-///
-/// All hooks receive the harness's destination so multi-instance protocols
-/// can pick the right instance.
+impl Mirror {
+    /// The default mirror for a neighbor `k` nothing has been heard from:
+    /// no route, not in containment.
+    pub fn unknown(k: NodeId) -> Self {
+        Mirror {
+            d: Distance::Infinite,
+            p: k,
+            ghost: false,
+        }
+    }
+}
+
+/// In-place corruption of one node's state (the paper's transient fault:
+/// any variable, the neighbor mirrors included, set to any value).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CorruptionKind {
+    /// Overwrite `d.v`.
+    Distance(Distance),
+    /// Overwrite `p.v`.
+    Parent(NodeId),
+    /// Overwrite `d.v` and `p.v` together: a consistent-looking but wrong
+    /// route.
+    Route {
+        /// The forged distance.
+        d: Distance,
+        /// The forged parent.
+        p: NodeId,
+    },
+    /// Overwrite `ghost.v`.
+    Ghost(bool),
+    /// Overwrite the broadcast timestamp `t.v` (local-clock seconds).
+    Timestamp(f64),
+    /// Overwrite `v`'s mirror of `about`.
+    MirrorOf {
+        /// The neighbor whose mirror is corrupted.
+        about: NodeId,
+        /// The forged mirror content.
+        mirror: Mirror,
+    },
+}
+
+impl CorruptionKind {
+    /// What a node advertising `before` advertises once this corruption
+    /// lands on it.
+    pub fn advertised(&self, before: Mirror) -> Mirror {
+        match *self {
+            CorruptionKind::Distance(d) => Mirror { d, ..before },
+            CorruptionKind::Parent(p) => Mirror { p, ..before },
+            CorruptionKind::Route { d, p } => Mirror { d, p, ..before },
+            CorruptionKind::Ghost(ghost) => Mirror { ghost, ..before },
+            CorruptionKind::Timestamp(_) | CorruptionKind::MirrorOf { .. } => before,
+        }
+    }
+}
+
+/// A [`ProtocolNode`] that can run under [`SimHarness`]: adds the fault
+/// hook the unified measurement interface needs.
 pub trait HarnessProtocol: ProtocolNode {
     /// Protocol name, for reports ("LSRP", "DBF", …).
     const NAME: &'static str;
@@ -52,15 +98,10 @@ pub trait HarnessProtocol: ProtocolNode {
     /// config for LSRP, `()` for the baselines).
     type Meta: fmt::Debug;
 
-    /// Overwrites the node's distance variable (state corruption).
-    fn corrupt_distance(&mut self, d: Distance, dest: NodeId);
-
-    /// Plants a forged advertisement in the node's mirror of `about`.
-    fn poison_mirror(&mut self, about: NodeId, advert: ForgedAdvert, dest: NodeId);
-
-    /// Overwrites the node's route `(d, p)` jointly (fault classes that
-    /// install a consistent-looking but wrong route).
-    fn inject_route(&mut self, d: Distance, p: NodeId, dest: NodeId);
+    /// Overwrites the node's variables as `kind` says. Kinds naming a
+    /// variable the protocol lacks are no-ops; `dest` is the harness's
+    /// destination, so multi-instance protocols can pick the instance.
+    fn corrupt(&mut self, kind: &CorruptionKind, dest: NodeId);
 }
 
 /// A protocol simulation: an [`Engine`] plus the destination it routes to,
@@ -219,38 +260,41 @@ impl<P: HarnessProtocol> SimHarness<P> {
     // Fault injection.
     // ------------------------------------------------------------------
 
+    /// Overwrites `v`'s state as `kind` says (one driver mutation; a no-op
+    /// for a node that is down).
+    pub fn corrupt(&mut self, v: NodeId, kind: &CorruptionKind) {
+        let dest = self.destination;
+        self.engine.with_node_mut(v, |n| n.corrupt(kind, dest));
+    }
+
+    /// What `v` advertises: its route and containment flag, as a
+    /// neighbour mirrors them ([`Mirror::unknown`] for a node that is
+    /// down).
+    pub fn advert(&self, v: NodeId) -> Mirror {
+        self.engine.node(v).map_or(Mirror::unknown(v), |n| {
+            let route = n.route_entry();
+            Mirror {
+                d: route.distance,
+                p: route.parent,
+                ghost: n.in_containment(),
+            }
+        })
+    }
+
     /// Corrupts `v`'s distance variable.
     pub fn corrupt_distance(&mut self, v: NodeId, d: Distance) {
-        let dest = self.destination;
-        self.engine
-            .with_node_mut(v, |n| n.corrupt_distance(d, dest));
+        self.corrupt(v, &CorruptionKind::Distance(d));
     }
 
     /// Plants a forged advertisement about `about` (with distance `d`) in
     /// `at`'s mirrors. The advertisement carries `about`'s *current*
     /// public parent and containment flag, so it is maximally plausible.
     pub fn poison_mirror(&mut self, at: NodeId, about: NodeId, d: Distance) {
-        let dest = self.destination;
-        let advert = self.engine.node(about).map_or(
-            ForgedAdvert {
-                d,
-                parent: about,
-                ghost: false,
-            },
-            |n| ForgedAdvert {
-                d,
-                parent: n.route_entry().parent,
-                ghost: n.in_containment(),
-            },
-        );
-        self.engine
-            .with_node_mut(at, |n| n.poison_mirror(about, advert, dest));
-    }
-
-    /// Installs the route `(d, p)` at `v`.
-    pub fn inject_route(&mut self, v: NodeId, d: Distance, p: NodeId) {
-        let dest = self.destination;
-        self.engine.with_node_mut(v, |n| n.inject_route(d, p, dest));
+        let mirror = Mirror {
+            d,
+            ..self.advert(about)
+        };
+        self.corrupt(at, &CorruptionKind::MirrorOf { about, mirror });
     }
 
     /// Fail-stops a node.

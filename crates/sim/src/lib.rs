@@ -69,7 +69,7 @@ pub use crate::congestion::{CongestionConfig, CongestionCounts, DisciplineKind};
 pub use crate::effects::{Effects, SendBatch};
 pub use crate::engine::{Engine, EngineError, EngineStats, EventCounts, RunReport};
 pub use crate::flow::{CongAlgKind, FlowConfig, FlowRecord, FlowTag};
-pub use crate::harness::{ForgedAdvert, HarnessProtocol, SimHarness};
+pub use crate::harness::{CorruptionKind, HarnessProtocol, Mirror, SimHarness};
 pub use crate::neighbors::{Neighbor, NeighborTable, Reconciled};
 pub use crate::node::{ActionId, EnabledSet, ProtocolNode};
 pub use crate::sched::{EventKey, EventQueue, SchedulerKind};

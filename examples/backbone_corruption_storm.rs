@@ -10,6 +10,7 @@ use std::collections::BTreeSet;
 use lsrp::analysis::RoutingSimulation;
 use lsrp::baselines::{BaselineSimulation, DbfConfig, DbfSimulation};
 use lsrp::core::{LsrpSimulation, LsrpSimulationExt};
+use lsrp::faults::{CorruptionKind, FaultPlan};
 use lsrp::graph::{generators, Distance, NodeId};
 use lsrp_sim::EngineConfig;
 use rand::rngs::StdRng;
@@ -28,11 +29,9 @@ fn storm(sim: &mut dyn RoutingSimulation, victims: &[NodeId]) -> (usize, usize, 
     // learn the bogus advertisement (the paper's worst-case setup).
     for _burst in 0..5 {
         for &v in victims {
-            sim.corrupt_distance(v, Distance::ZERO);
-            let neighbors: Vec<NodeId> = sim.graph().neighbors(v).map(|(k, _)| k).collect();
-            for k in neighbors {
-                sim.poison_mirror(k, v, Distance::ZERO);
-            }
+            let zero = [(v, CorruptionKind::Distance(Distance::ZERO))];
+            let plan = FaultPlan::forged_routes(sim.graph(), zero, |n| sim.advert(n));
+            sim.apply_plan(&plan).expect("corruptions always apply");
         }
         let until = sim.now().seconds() + 120.0;
         sim.run_until(until);

@@ -4,6 +4,7 @@
 //! the strict-loop-freedom timing, no routing loop may ever appear.
 
 use lsrp::core::{InitialState, LsrpSimulation, LsrpSimulationExt, TimingConfig};
+use lsrp::faults::CorruptionKind;
 use lsrp::graph::{generators, Distance, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,12 +42,18 @@ fn lsrp_survives_sustained_mixed_churn() {
                         let s = sim.engine().node(pick).unwrap().state();
                         (s.p, s.ghost)
                     };
-                    sim.corrupt_mirror(k, pick, lsrp::core::Mirror { d, p, ghost });
+                    sim.corrupt(
+                        k,
+                        &CorruptionKind::MirrorOf {
+                            about: pick,
+                            mirror: lsrp::core::Mirror { d, p, ghost },
+                        },
+                    );
                 }
             }
             1 => {
                 // Ghost-flag corruption.
-                sim.corrupt_ghost(pick, rng.gen_bool(0.5));
+                sim.corrupt(pick, &CorruptionKind::Ghost(rng.gen_bool(0.5)));
             }
             2 => {
                 // Fail-stop, but never disconnect the graph.

@@ -127,7 +127,7 @@ fn perturbation_accounting_matches_recovery() {
     let mut sim = lsrp_fig1();
     sim.engine_mut().reset_trace();
     let t0 = sim.now();
-    plan.apply_lsrp(&mut sim).unwrap();
+    plan.apply(&mut sim).unwrap();
     let report = sim.run_to_quiescence(100_000.0);
     assert!(report.quiescent && sim.routes_correct());
     let acted = sim.engine().trace().acted_nodes_since(t0);

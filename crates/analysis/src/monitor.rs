@@ -1072,14 +1072,9 @@ mod tests {
             &mut out,
         );
         // Hand-build a looping table: 4 -> 5 -> 4.
-        sim.with_state_mut(v(4), |s| {
-            s.d = Distance::Finite(2);
-            s.p = v(5);
-        });
-        sim.with_state_mut(v(5), |s| {
-            s.d = Distance::Finite(2);
-            s.p = v(4);
-        });
+        let d = Distance::Finite(2);
+        sim.corrupt(v(4), &lsrp_sim::CorruptionKind::Route { d, p: v(5) });
+        sim.corrupt(v(5), &lsrp_sim::CorruptionKind::Route { d, p: v(4) });
         sim.run_until(sim.now().seconds() + 100.0);
         // Pretend time passed the window without the protocol fixing it —
         // LSRP will actually have fixed it, so check the detector plumbing

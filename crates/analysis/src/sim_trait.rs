@@ -1,7 +1,7 @@
 //! The unified simulation interface experiments are written against.
 
 use lsrp_faults::{CorruptionKind, Fault, FaultPlan};
-use lsrp_graph::{Distance, Graph, GraphError, NodeId, RouteTable, Weight};
+use lsrp_graph::{Distance, Graph, GraphError, NodeId, RouteTable};
 use lsrp_sim::{
     EngineStats, HarnessProtocol, Mirror, RouteCursor, RouteDelta, RouteView, RunReport,
     SimHarness, SimTime, Trace,
@@ -109,63 +109,11 @@ pub trait RoutingSimulation {
     /// Poisons `at`'s mirror of `about` with an advertised distance (the
     /// "neighbors have learned the corrupted value" setup), keeping
     /// `about`'s current parent and containment flag.
-    fn poison_mirror(&mut self, at: NodeId, about: NodeId, d: Distance) {
-        let mirror = Mirror {
-            d,
-            ..self.advert(about)
-        };
-        self.corrupt(at, &CorruptionKind::MirrorOf { about, mirror });
-    }
+    fn poison_mirror(&mut self, at: NodeId, about: NodeId, d: Distance);
 
     /// Overwrites a node's route `(d, p)` in place (loop injection).
     fn inject_route(&mut self, v: NodeId, d: Distance, p: NodeId) {
         self.corrupt(v, &CorruptionKind::Route { d, p });
-    }
-
-    /// Fail-stops a node.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GraphError`] for unknown nodes.
-    fn fail_node(&mut self, v: NodeId) -> Result<(), GraphError> {
-        self.apply(&Fault::FailNode(v))
-    }
-
-    /// Fail-stops an edge.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GraphError`] for unknown edges.
-    fn fail_edge(&mut self, a: NodeId, b: NodeId) -> Result<(), GraphError> {
-        self.apply(&Fault::FailEdge(a, b))
-    }
-
-    /// Joins an edge.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GraphError`] for invalid joins.
-    fn join_edge(&mut self, a: NodeId, b: NodeId, w: Weight) -> Result<(), GraphError> {
-        self.apply(&Fault::JoinEdge(a, b, w))
-    }
-
-    /// Joins (or rejoins) a node with the given edges to live neighbors.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GraphError`] for invalid joins.
-    fn join_node(&mut self, v: NodeId, edges: &[(NodeId, Weight)]) -> Result<(), GraphError> {
-        let edges = edges.to_vec();
-        self.apply(&Fault::JoinNode { node: v, edges })
-    }
-
-    /// Changes an edge weight.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GraphError`] for unknown edges.
-    fn set_weight(&mut self, a: NodeId, b: NodeId, w: Weight) -> Result<(), GraphError> {
-        self.apply(&Fault::SetWeight(a, b, w))
     }
 }
 
@@ -244,6 +192,10 @@ impl<P: HarnessProtocol> RoutingSimulation for SimHarness<P> {
 
     fn advert(&self, v: NodeId) -> Mirror {
         SimHarness::advert(self, v)
+    }
+
+    fn poison_mirror(&mut self, at: NodeId, about: NodeId, d: Distance) {
+        SimHarness::poison_mirror(self, at, about, d);
     }
 
     fn apply(&mut self, fault: &Fault) -> Result<(), GraphError> {
@@ -374,9 +326,9 @@ mod tests {
     #[test]
     fn topology_faults_via_the_trait() {
         for mut sim in all_sims() {
-            sim.fail_edge(v(0), v(1)).unwrap();
-            sim.join_edge(v(0), v(5), 2).unwrap();
-            sim.set_weight(v(0), v(5), 3).unwrap();
+            sim.apply(&Fault::FailEdge(v(0), v(1))).unwrap();
+            sim.apply(&Fault::JoinEdge(v(0), v(5), 2)).unwrap();
+            sim.apply(&Fault::SetWeight(v(0), v(5), 3)).unwrap();
             let report = sim.run_to_quiescence(1_000_000.0);
             assert!(report.quiescent, "{}", sim.name());
             assert!(sim.routes_correct(), "{}", sim.name());

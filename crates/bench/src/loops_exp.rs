@@ -4,7 +4,7 @@
 use lsrp_analysis::loops::inject_and_measure;
 use lsrp_analysis::{measure_loop_breakage, table::fmt_f64, RoutingSimulation, Table};
 use lsrp_core::{InitialState, LsrpSimulation, LsrpSimulationExt, TimingConfig};
-use lsrp_faults::{CorruptionKind, Fault, FaultPlan};
+use lsrp_faults::{CorruptionKind, FaultPlan};
 use lsrp_graph::{generators, Distance, NodeId};
 use lsrp_scenario::cells::{build, Protocol, ALL_PROTOCOLS};
 use rand::rngs::StdRng;
@@ -39,7 +39,6 @@ pub fn loop_watch_run(protocol: Protocol, n: u32, seed: u64) -> (u32, f64) {
     };
     // Corrupt half the nodes' distances; poison neighborhood mirrors.
     let max_d = u64::from(n) * 2;
-    let mut plan = FaultPlan::new();
     for node in graph.nodes().filter(|&x| x != dest) {
         if rng.gen_bool(0.5) {
             let d = if rng.gen_bool(0.1) {
@@ -52,16 +51,13 @@ pub fn loop_watch_run(protocol: Protocol, n: u32, seed: u64) -> (u32, f64) {
                 // Keep the protocol's d = ∞ ⟹ p = self invariant: a
                 // dangling parent on a routeless node is parent
                 // corruption, which E15 covers separately.
-                plan.faults.push(Fault::Corrupt { node, kind });
+                sim.corrupt(node, &kind);
                 kind = CorruptionKind::Route { d, p: node };
             }
-            plan.faults
-                .extend(FaultPlan::forged_routes(&graph, [(node, kind)], |n| {
-                    sim.advert(n)
-                }));
+            let plan = FaultPlan::forged_routes(&graph, [(node, kind)], |n| sim.advert(n));
+            sim.apply_plan(&plan).expect("corruptions always apply");
         }
     }
-    sim.apply_plan(&plan).expect("corruptions always apply");
     let b = measure_loop_breakage(sim.as_mut(), HORIZON);
     assert!(
         b.converged,

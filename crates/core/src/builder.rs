@@ -233,9 +233,6 @@ pub trait LsrpSimulationExt {
 
     /// Whether the legitimate-state predicate `L` holds right now.
     fn is_legitimate(&self) -> bool;
-
-    /// Arbitrary in-place state mutation.
-    fn with_state_mut(&mut self, v: NodeId, f: impl FnOnce(&mut LsrpState));
 }
 
 impl LsrpSimulationExt for LsrpSimulation {
@@ -257,10 +254,6 @@ impl LsrpSimulationExt for LsrpSimulation {
 
     fn is_legitimate(&self) -> bool {
         legitimacy::is_legitimate(self.engine())
-    }
-
-    fn with_state_mut(&mut self, v: NodeId, f: impl FnOnce(&mut LsrpState)) {
-        self.engine_mut().with_node_mut(v, |n| f(n.state_mut()));
     }
 }
 

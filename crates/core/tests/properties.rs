@@ -117,12 +117,9 @@ proptest! {
         } else {
             Distance::Finite(rng.gen_range(0..2 * u64::from(n)))
         };
-        sim.with_state_mut(victim, |s| {
-            s.d = d;
-            if d.is_infinite() {
-                s.p = victim; // the protocol's d = ∞ ⟹ p = self invariant
-            }
-        });
+        // The protocol's d = ∞ ⟹ p = self invariant.
+        let p = if d.is_infinite() { victim } else { sim.advert(victim).p };
+        sim.corrupt(victim, &CorruptionKind::Route { d, p });
         let m = {
             let s = sim.engine().node(victim).unwrap().state();
             lsrp_core::Mirror { d: s.d, p: s.p, ghost: s.ghost }
@@ -251,10 +248,8 @@ proptest! {
         // node parents its successor with distances increasing by 1.
         for (i, &node) in ring.iter().enumerate() {
             let next = ring[(i + 1) % ring.len()];
-            sim.with_state_mut(node, |s| {
-                s.p = next;
-                s.d = Distance::Finite(100 + i as u64);
-            });
+            let d = Distance::Finite(100 + i as u64);
+            sim.corrupt(node, &CorruptionKind::Route { d, p: next });
         }
         // Let the ring nodes' neighbors see the corrupted values
         // (consistent mirrors), matching Theorem 4's "arbitrary state".

@@ -91,6 +91,7 @@ pub fn corrupt_region_plan<R: Rng>(
                 p,
                 ..Mirror::unknown(node)
             })
+            .faults
         })
         .collect()
 }

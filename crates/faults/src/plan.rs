@@ -133,15 +133,6 @@ impl FaultPlan {
     }
 }
 
-impl IntoIterator for FaultPlan {
-    type Item = Fault;
-    type IntoIter = std::vec::IntoIter<Fault>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.faults.into_iter()
-    }
-}
-
 impl FromIterator<Fault> for FaultPlan {
     fn from_iter<I: IntoIterator<Item = Fault>>(iter: I) -> Self {
         FaultPlan {

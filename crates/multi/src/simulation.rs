@@ -246,11 +246,9 @@ impl MultiLsrpSimulationExt for MultiLsrpSimulation {
     }
 
     fn corrupt_instance_distance(&mut self, node: NodeId, dest: NodeId, d: Distance) {
-        self.engine_mut().with_node_mut(node, |n| {
-            if let Some(i) = n.instance_mut(dest) {
-                i.state_mut().d = d;
-            }
-        });
+        let kind = CorruptionKind::Distance(d);
+        self.engine_mut()
+            .with_node_mut(node, |n| n.corrupt(&kind, dest));
     }
 
     fn corrupt_all_instances(
@@ -261,12 +259,8 @@ impl MultiLsrpSimulationExt for MultiLsrpSimulation {
         let dests = self.destinations();
         self.engine_mut().with_node_mut(node, |n| {
             for dest in dests {
-                if let Some(i) = n.instance_mut(dest) {
-                    let (d, p) = f(dest);
-                    let s = i.state_mut();
-                    s.d = d;
-                    s.p = p;
-                }
+                let (d, p) = f(dest);
+                n.corrupt(&CorruptionKind::Route { d, p }, dest);
             }
         });
     }

@@ -361,7 +361,9 @@ fn forged_region(
     kind: impl Fn(NodeId) -> CorruptionKind,
 ) -> FaultPlan {
     (region.iter())
-        .flat_map(|&node| FaultPlan::forged_routes(graph, [(node, kind(node))], |n| sim.advert(n)))
+        .flat_map(|&node| {
+            FaultPlan::forged_routes(graph, [(node, kind(node))], |n| sim.advert(n)).faults
+        })
         .collect()
 }
 

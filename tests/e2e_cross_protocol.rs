@@ -8,6 +8,7 @@ use std::collections::BTreeSet;
 use lsrp::analysis::{measure_recovery, RoutingSimulation};
 use lsrp::baselines::{BaselineSimulation, DbfConfig, DbfSimulation, DualConfig, DualSimulation};
 use lsrp::core::{LsrpSimulation, LsrpSimulationExt};
+use lsrp::faults::Fault;
 use lsrp::graph::{generators, Distance, NodeId};
 use lsrp_sim::EngineConfig;
 
@@ -76,7 +77,7 @@ fn fail_stop_recovery_across_protocols() {
         let dead = v(27);
         let perturbed: BTreeSet<NodeId> = sim.graph().neighbors(dead).map(|(k, _)| k).collect();
         let m = measure_recovery(sim.as_mut(), &perturbed, 5_000_000.0, |s| {
-            s.fail_node(dead).unwrap();
+            s.apply(&Fault::FailNode(dead)).unwrap();
         });
         assert!(m.quiescent, "{}", m.protocol);
         assert!(m.routes_correct, "{}", m.protocol);
@@ -94,7 +95,7 @@ fn disconnection_withdrawal_work_comparison() {
     for mut sim in protocols_on(generators::path(8, 1), dest) {
         let perturbed: BTreeSet<NodeId> = (1..8).map(v).collect();
         let m = measure_recovery(sim.as_mut(), &perturbed, 5_000_000.0, |s| {
-            s.fail_edge(v(0), v(1)).unwrap();
+            s.apply(&Fault::FailEdge(v(0), v(1))).unwrap();
         });
         assert!(m.quiescent && m.routes_correct, "{}", m.protocol);
         let table = sim.route_table();

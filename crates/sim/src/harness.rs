@@ -35,7 +35,9 @@ pub struct Mirror {
 
 impl Mirror {
     /// The default mirror for a neighbor `k` nothing has been heard from:
-    /// no route, not in containment.
+    /// no route, not in containment. Inlined: LSRP's guards read it for
+    /// every unheard row, from another crate.
+    #[inline]
     pub fn unknown(k: NodeId) -> Self {
         Mirror {
             d: Distance::Infinite,
